@@ -43,6 +43,7 @@
 //! # }
 //! ```
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use wizard_wasm::module::{FuncIdx, Module};
@@ -170,6 +171,14 @@ pub struct ModuleArtifact {
     funcs: Vec<Arc<FuncArtifact>>,
     /// Function types across the whole index space (imports first).
     func_types: Arc<[FuncType]>,
+    /// Canonical type index of every entry of the module's type section:
+    /// the index of the first structurally equal type. Two signatures are
+    /// equal exactly when their canonical indices are, which is what
+    /// `call_indirect` compares.
+    type_canon: Arc<[u32]>,
+    /// Canonical type index of every function's signature, across the
+    /// whole index space like `func_types`.
+    func_canon: Arc<[u32]>,
     /// The module's register form ([`crate::regir`]), built on first
     /// demand by a register-dispatch process and then shared by all.
     reg: OnceLock<Arc<RegModule>>,
@@ -190,6 +199,11 @@ impl ModuleArtifact {
         for i in 0..module.num_funcs() {
             func_types.push(module.func_type(i).expect("validated").clone());
         }
+        let mut first_of: HashMap<&FuncType, u32> = HashMap::new();
+        let type_canon: Arc<[u32]> =
+            (0u32..).zip(&module.types).map(|(i, ty)| *first_of.entry(ty).or_insert(i)).collect();
+        let func_canon: Arc<[u32]> =
+            module.func_type_indices().map(|t| type_canon[t as usize]).collect();
         let mut funcs = Vec::with_capacity(module.funcs.len());
         for (i, (f, m)) in module.funcs.iter().zip(meta.funcs.iter()).enumerate() {
             let ty = &module.types[f.type_idx as usize];
@@ -211,6 +225,8 @@ impl ModuleArtifact {
             module: Arc::new(module),
             funcs,
             func_types: func_types.into(),
+            type_canon,
+            func_canon,
             reg: OnceLock::new(),
         })
     }
@@ -223,6 +239,21 @@ impl ModuleArtifact {
     /// Function types across the whole index space (imports first).
     pub fn func_types(&self) -> &Arc<[FuncType]> {
         &self.func_types
+    }
+
+    /// Canonical index of type-section entry `type_idx` (see
+    /// [`ModuleArtifact::canon_of_func`]).
+    #[inline]
+    pub fn canon_of_type(&self, type_idx: u32) -> u32 {
+        self.type_canon[type_idx as usize]
+    }
+
+    /// Canonical type index of function `func`'s signature: equal to
+    /// [`ModuleArtifact::canon_of_type`] of a type exactly when the two
+    /// signatures are structurally equal.
+    #[inline]
+    pub fn canon_of_func(&self, func: FuncIdx) -> u32 {
+        self.func_canon[func as usize]
     }
 
     /// The per-function artifacts, indexed by *local* function index.

@@ -111,7 +111,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
             }
             ex.fuel -= 1;
         }
-        if ex.pc >= ex.code.len() {
+        if ex.pc >= ex.views.code.len() {
             // Fell off the end of the function body: implicit return.
             match ex.do_return(Tier::Interp) {
                 Ok(()) => continue,
@@ -120,7 +120,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                 Err(Sig::Trap(t)) => return Err(t),
             }
         }
-        let b = ex.code.byte(ex.pc);
+        let b = ex.views.code.byte(ex.pc);
         match ex.ctable[b as usize](ex, b) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
@@ -182,7 +182,7 @@ fn op_loop(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn side_target(ex: &Exec, pc: u32) -> wizard_wasm::validate::Target {
-    match ex.meta.side.get(&pc) {
+    match ex.views.meta.side.get(&pc) {
         Some(SideEntry::Br(t) | SideEntry::IfFalse(t) | SideEntry::ElseSkip(t)) => *t,
         other => unreachable!("missing side entry at pc={pc}: {other:?}"),
     }
@@ -218,7 +218,7 @@ fn op_br_if(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
         let t = side_target(ex, ex.pc as u32);
         ex.do_branch(t);
     } else {
-        let (_, next) = ex.code.read_u32(ex.pc + 1);
+        let (_, next) = ex.views.code.read_u32(ex.pc + 1);
         ex.pc = next;
     }
     Ok(())
@@ -227,7 +227,7 @@ fn op_br_if(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 fn op_br_table(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     let idx = ex.pop().u32() as usize;
     let pc = ex.pc as u32;
-    let t = match ex.meta.side.get(&pc) {
+    let t = match ex.views.meta.side.get(&pc) {
         Some(SideEntry::Table(entries)) => {
             let i = idx.min(entries.len() - 1);
             entries[i]
@@ -243,15 +243,15 @@ fn op_return(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_call(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (callee, next) = ex.code.read_u32(ex.pc + 1);
+    let (callee, next) = ex.views.code.read_u32(ex.pc + 1);
     ex.pc = next;
     ex.sync_pc();
     ex.do_call(callee, Tier::Interp)
 }
 
 fn op_call_indirect(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (type_idx, p) = ex.code.read_u32(ex.pc + 1);
-    let (_table, next) = ex.code.read_u32(p);
+    let (type_idx, p) = ex.views.code.read_u32(ex.pc + 1);
+    let (_table, next) = ex.views.code.read_u32(p);
     ex.pc = next;
     ex.sync_pc();
     ex.do_call_indirect(type_idx, Tier::Interp)
@@ -277,7 +277,7 @@ fn op_select(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 // ---- variables ----
 
 fn op_local_get(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (i, next) = ex.code.read_u32(ex.pc + 1);
+    let (i, next) = ex.views.code.read_u32(ex.pc + 1);
     let v = ex.values[ex.base + i as usize];
     ex.values.push(v);
     ex.pc = next;
@@ -285,7 +285,7 @@ fn op_local_get(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_local_set(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (i, next) = ex.code.read_u32(ex.pc + 1);
+    let (i, next) = ex.views.code.read_u32(ex.pc + 1);
     let v = ex.pop();
     ex.values[ex.base + i as usize] = v.0;
     ex.pc = next;
@@ -293,7 +293,7 @@ fn op_local_set(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_local_tee(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (i, next) = ex.code.read_u32(ex.pc + 1);
+    let (i, next) = ex.views.code.read_u32(ex.pc + 1);
     let v = ex.peek();
     ex.values[ex.base + i as usize] = v.0;
     ex.pc = next;
@@ -301,7 +301,7 @@ fn op_local_tee(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_global_get(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (i, next) = ex.code.read_u32(ex.pc + 1);
+    let (i, next) = ex.views.code.read_u32(ex.pc + 1);
     let v = ex.proc.globals[i as usize];
     ex.values.push(v);
     ex.pc = next;
@@ -309,7 +309,7 @@ fn op_global_get(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_global_set(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (i, next) = ex.code.read_u32(ex.pc + 1);
+    let (i, next) = ex.views.code.read_u32(ex.pc + 1);
     let v = ex.pop();
     ex.proc.globals[i as usize] = v.0;
     ex.pc = next;
@@ -319,8 +319,8 @@ fn op_global_set(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 // ---- memory ----
 
 fn op_load(ex: &mut Exec, b: u8) -> Result<(), Sig> {
-    let (_align, p) = ex.code.read_u32(ex.pc + 1);
-    let (offset, next) = ex.code.read_u32(p);
+    let (_align, p) = ex.views.code.read_u32(ex.pc + 1);
+    let (offset, next) = ex.views.code.read_u32(p);
     let addr = ex.pop().u32();
     let mem = ex.proc.memory.as_ref().expect("validated: memory exists");
     let v = numeric::do_load(mem, b, addr, offset)?;
@@ -330,8 +330,8 @@ fn op_load(ex: &mut Exec, b: u8) -> Result<(), Sig> {
 }
 
 fn op_store(ex: &mut Exec, b: u8) -> Result<(), Sig> {
-    let (_align, p) = ex.code.read_u32(ex.pc + 1);
-    let (offset, next) = ex.code.read_u32(p);
+    let (_align, p) = ex.views.code.read_u32(ex.pc + 1);
+    let (offset, next) = ex.views.code.read_u32(p);
     let val = ex.pop();
     let addr = ex.pop().u32();
     let mem = ex.proc.memory.as_mut().expect("validated: memory exists");
@@ -358,28 +358,28 @@ fn op_memory_grow(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 // ---- constants ----
 
 fn op_i32_const(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (v, next) = ex.code.read_i32(ex.pc + 1);
+    let (v, next) = ex.views.code.read_i32(ex.pc + 1);
     ex.push(Slot::from_i32(v));
     ex.pc = next;
     Ok(())
 }
 
 fn op_i64_const(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (v, next) = ex.code.read_i64(ex.pc + 1);
+    let (v, next) = ex.views.code.read_i64(ex.pc + 1);
     ex.push(Slot::from_i64(v));
     ex.pc = next;
     Ok(())
 }
 
 fn op_f32_const(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (bits, next) = ex.code.read_f32_bits(ex.pc + 1);
+    let (bits, next) = ex.views.code.read_f32_bits(ex.pc + 1);
     ex.push(Slot::from_u32(bits));
     ex.pc = next;
     Ok(())
 }
 
 fn op_f64_const(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    let (bits, next) = ex.code.read_f64_bits(ex.pc + 1);
+    let (bits, next) = ex.views.code.read_f64_bits(ex.pc + 1);
     ex.push(Slot::from_u64(bits));
     ex.pc = next;
     Ok(())
@@ -422,7 +422,7 @@ fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     // The firing probes may have removed themselves (restoring the byte);
     // re-read and dispatch the original opcode either way. Immediates are
     // untouched by overwriting, so handlers decode them normally.
-    let b = ex.code.byte(ex.pc);
+    let b = ex.views.code.byte(ex.pc);
     let orig = if b == op::PROBE { ex.proc.code[ex.lf].orig_opcode(pc) } else { b };
     normal_table()[orig as usize](ex, orig)
 }
@@ -433,6 +433,6 @@ fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 fn op_global_stub(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     ex.fire_global_probes(ex.pc as u32);
     // Global probes may themselves have mutated instrumentation; re-read.
-    let b = ex.code.byte(ex.pc);
+    let b = ex.views.code.byte(ex.pc);
     normal_table()[b as usize](ex, b)
 }

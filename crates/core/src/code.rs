@@ -15,7 +15,11 @@
 //! * the saved original opcodes of probe-overwritten locations;
 //! * the instrumentation version and the compiled-code slot (probe-free
 //!   code is shared from the artifact; instrumented code is private);
-//! * the hotness counter driving tier-up.
+//! * the hotness counter driving tier-up;
+//! * the function's **resolved execution views** ([`FuncViews`]): the
+//!   byte view, lowered view, register form and metadata the execution
+//!   tiers read, resolved from the shared artifact once per process and
+//!   handed to every frame switch as one process-local `Rc`.
 //!
 //! Local probes still work by *bytecode overwriting* (paper §4.2): the
 //! probed instruction's opcode byte is replaced by [`op::PROBE`] on the
@@ -37,6 +41,7 @@ use wizard_wasm::validate::FuncMeta;
 use crate::artifact::FuncArtifact;
 use crate::jit::Compiled;
 use crate::lowered::{Lowered, LoweredView, OverlayOps};
+use crate::regir::RegFunc;
 
 /// A process-local copy-on-write byte stream (mirrors
 /// [`OverlayOps`] one level down).
@@ -148,6 +153,58 @@ impl CodeBytes {
     }
 }
 
+/// Everything the execution tiers read about one function, resolved
+/// **once per process** from the shared [`FuncArtifact`] and this process's
+/// overlay.
+///
+/// The rule this type exists for: *execution never writes to memory shared
+/// between processes*. Every handle in here is a clone of an artifact-owned
+/// `Arc`, and cloning one is an atomic read-modify-write on a cache line
+/// every sibling process — on every worker thread — also touches. So the
+/// clones are taken a single time, on the first frame that enters the
+/// function (`FuncOverlay::resolve_views`), and the bundle lives behind a
+/// process-local `Rc`: a call, return, tier switch or slice resume switches
+/// [`Exec`](crate::exec) to a function with one non-atomic `Rc` bump and
+/// touches nothing shared. The cached bundle is dropped (and lazily
+/// re-resolved) only when the overlay changes identity — copy-on-write
+/// materialization, rejoin, rebuild.
+#[derive(Debug)]
+pub struct FuncViews {
+    /// The function's bytecode view: shared pristine bytes, or the
+    /// process-local instrumented overlay.
+    pub code: CodeBytes,
+    /// The function's lowered view: the artifact's shared op stream until
+    /// this process instruments the function, then its copy-on-write
+    /// overlay. Empty (never read) under [`Dispatch::Bytecode`](crate::Dispatch),
+    /// whose execution does not lower.
+    pub low: LoweredView,
+    /// The function's register form; `Some` only under
+    /// [`Dispatch::Register`](crate::Dispatch) and only if the allocator
+    /// lowered the function.
+    pub reg: Option<Arc<RegFunc>>,
+    /// Validation metadata (the classic interpreter's branch side table).
+    pub meta: Arc<FuncMeta>,
+}
+
+thread_local! {
+    /// The one placeholder bundle per thread: what `Exec` points at before
+    /// its first frame loads, and the source of the never-read empty
+    /// lowered view of byte-dispatch processes.
+    static PLACEHOLDER: Rc<FuncViews> = Rc::new(FuncViews {
+        code: CodeBytes::new(&[]),
+        low: LoweredView::empty(),
+        reg: None,
+        meta: Arc::new(FuncMeta::default()),
+    });
+}
+
+impl FuncViews {
+    /// The shared (per-thread) placeholder: views of no function.
+    pub(crate) fn placeholder() -> Rc<FuncViews> {
+        PLACEHOLDER.with(Rc::clone)
+    }
+}
+
 /// The engine's per-process, per-function code object: a shared
 /// [`FuncArtifact`] plus this process's instrumentation overlay and tier
 /// state.
@@ -172,6 +229,9 @@ pub struct FuncOverlay {
     pub compiled: RefCell<Option<Rc<Compiled>>>,
     /// Hotness counter driving tier-up.
     pub hotness: Cell<u32>,
+    /// The resolved execution views, `None` until the first frame enters
+    /// the function and again after every overlay identity change.
+    views: RefCell<Option<Rc<FuncViews>>>,
 }
 
 impl FuncOverlay {
@@ -185,6 +245,7 @@ impl FuncOverlay {
             version: Cell::new(0),
             compiled: RefCell::new(None),
             hotness: Cell::new(0),
+            views: RefCell::new(None),
         }
     }
 
@@ -246,6 +307,31 @@ impl FuncOverlay {
         }
     }
 
+    /// The resolved execution views, if some frame already entered the
+    /// function since the overlay last changed identity. One non-atomic
+    /// `Rc` bump; nothing shared is written.
+    #[inline]
+    pub(crate) fn cached_views(&self) -> Option<Rc<FuncViews>> {
+        self.views.borrow().clone()
+    }
+
+    /// Resolves and caches the execution views — the one place per
+    /// function per process that clones out of the shared artifact.
+    /// `lowered` is `false` for byte-dispatch processes, which must not
+    /// force the shared lowering; `reg` is the function's register form
+    /// under register dispatch.
+    pub(crate) fn resolve_views(&self, lowered: bool, reg: Option<Arc<RegFunc>>) -> Rc<FuncViews> {
+        let low = if lowered { self.lowered_view() } else { PLACEHOLDER.with(|p| p.low.clone()) };
+        let views = Rc::new(FuncViews {
+            code: self.bytes_view(),
+            low,
+            reg,
+            meta: Arc::clone(&self.art.meta),
+        });
+        *self.views.borrow_mut() = Some(Rc::clone(&views));
+        views
+    }
+
     /// The byte at `pc` as this process sees it.
     pub fn byte_at(&self, pc: usize) -> u8 {
         match &*self.bytes.borrow() {
@@ -285,7 +371,12 @@ impl FuncOverlay {
         let bytes = self
             .bytes
             .borrow_mut()
-            .get_or_insert_with(|| self.art.bytes.iter().map(|&b| Cell::new(b)).collect())
+            .get_or_insert_with(|| {
+                // Identity change: resolved views still read the shared
+                // streams. The next frame switch re-resolves.
+                self.views.take();
+                self.art.bytes.iter().map(|&b| Cell::new(b)).collect()
+            })
             .clone();
         let ops = self.ops.borrow_mut().get_or_insert_with(|| low.cow_ops()).clone();
         (bytes, ops, low)
@@ -299,6 +390,7 @@ impl FuncOverlay {
         debug_assert!(self.orig.borrow().is_empty(), "rejoin requires no live probe bytes");
         *self.bytes.borrow_mut() = None;
         *self.ops.borrow_mut() = None;
+        self.views.take();
     }
 
     /// Installs the probe opcode at `pc` on the overlay copy
@@ -490,6 +582,38 @@ mod tests {
         let slot = after.slot_of(1).unwrap() as usize;
         assert_eq!(after.get(slot).op, op::PROBE, "probe patch re-applied");
         assert_eq!(c.byte_at(1), op::PROBE);
+    }
+
+    #[test]
+    fn resolved_views_are_dropped_on_every_overlay_identity_change() {
+        let c = overlay();
+        assert!(c.cached_views().is_none(), "resolved lazily, on the first frame");
+        let shared = c.resolve_views(true, None);
+        assert!(Rc::ptr_eq(&shared, &c.cached_views().unwrap()), "then handed out as cached");
+        assert!(!shared.low.is_overlaid() && !shared.code.is_overlaid());
+        // Materialize: the cached bundle reads the shared streams — stale.
+        c.install_probe_byte(0);
+        assert!(c.cached_views().is_none());
+        let overlaid = c.resolve_views(true, None);
+        assert!(overlaid.low.is_overlaid() && overlaid.code.is_overlaid());
+        // A second probe patches the same overlay cells: still valid.
+        c.install_probe_byte(1);
+        assert!(Rc::ptr_eq(&overlaid, &c.cached_views().unwrap()));
+        assert_eq!(overlaid.code.byte(1), op::PROBE, "patches show through the cached view");
+        // Rebuild: fresh cells.
+        c.rebuild_overlay();
+        assert!(c.cached_views().is_none());
+        c.resolve_views(true, None);
+        // Rejoin: the cells are gone.
+        c.restore_byte(1);
+        assert!(c.cached_views().is_some(), "a probe remains: same overlay");
+        c.restore_byte(0);
+        assert!(c.cached_views().is_none());
+        assert!(!c.resolve_views(true, None).low.is_overlaid());
+        // Byte-dispatch processes resolve without forcing the lowering.
+        let unlowered = overlay();
+        assert!(unlowered.resolve_views(false, None).low.is_empty());
+        assert!(!unlowered.artifact().is_lowered());
     }
 
     #[test]

@@ -7,17 +7,17 @@ use std::sync::Arc;
 
 use wizard_wasm::module::{ConstExpr, FuncIdx, ImportDesc, Module};
 use wizard_wasm::opcodes as op;
-use wizard_wasm::types::{FuncType, GlobalType, ValType};
+use wizard_wasm::types::{FuncType, GlobalType};
 use wizard_wasm::validate::ValidateError;
 
 use crate::artifact::ModuleArtifact;
 use crate::classic;
-use crate::code::FuncOverlay;
+use crate::code::{FuncOverlay, FuncViews};
 use crate::exec::{Exec, ExecState, Exit};
 use crate::frame::Tier;
 use crate::interp;
 use crate::jit;
-use crate::lowered::LoweredView;
+use crate::lowered::{Lowered, LoweredView};
 use crate::monitor::MonitorRegistry;
 use crate::probe::{BatchOp, Pending, Probe, ProbeBatch, ProbeId, ProbeRef, ProbeRegistry, Site};
 use crate::regint;
@@ -600,8 +600,8 @@ pub struct Process {
 /// A bounded run parked at an out-of-fuel suspension point.
 struct Suspended {
     state: ExecState,
-    /// Result types of the entry function, for extraction on completion.
-    results: Vec<ValType>,
+    /// The entry function, whose signature types the results on completion.
+    func: FuncIdx,
 }
 
 impl Process {
@@ -848,8 +848,7 @@ impl Process {
             self.suspended.is_none(),
             "cannot invoke while a bounded run is suspended; resume or cancel it first"
         );
-        let ty = self.func_types[func as usize].clone();
-        let mut ex = start_call(self, func, &ty, args)?;
+        let mut ex = start_call(self, func, args, None)?;
         match drive(&mut ex) {
             Ok(Exit::Done) => {}
             Ok(Exit::OutOfFuel | Exit::Redispatch) => {
@@ -860,7 +859,7 @@ impl Process {
                 return Err(t);
             }
         }
-        Ok(extract_results(&ex, &ty.results))
+        Ok(extract_results(&ex, func))
     }
 
     // ---- preemptible (fuel-bounded) execution ----
@@ -906,15 +905,11 @@ impl Process {
             self.suspended.is_none(),
             "a bounded run is already suspended; resume or cancel it first"
         );
-        let ty = self.func_types[func as usize].clone();
-        let ex = start_call_metered(self, func, &ty, args, fuel)?;
-        match drive_bounded(ex, fuel, &ty.results)? {
-            BoundedExit::Done(v) => Ok(RunOutcome::Done(v)),
-            BoundedExit::Suspended(state) => {
-                self.suspended = Some(Suspended { state, results: ty.results });
-                Ok(RunOutcome::OutOfFuel)
-            }
-        }
+        // Metering is set *before* the entry call so its tier decision
+        // already sees a metered execution (register dispatch pins bounded
+        // runs to the stack interpreter).
+        let ex = start_call(self, func, args, Some(fuel))?;
+        drive_bounded(ex, fuel, func)
     }
 
     /// Bounded invocation of an exported function by name; see
@@ -949,13 +944,7 @@ impl Process {
     pub fn resume(&mut self, fuel: u64) -> Result<RunOutcome, Trap> {
         let s = self.suspended.take().expect("no suspended bounded run to resume");
         let ex = Exec::from_state(self, s.state, fuel);
-        match drive_bounded(ex, fuel, &s.results)? {
-            BoundedExit::Done(v) => Ok(RunOutcome::Done(v)),
-            BoundedExit::Suspended(state) => {
-                self.suspended = Some(Suspended { state, results: s.results });
-                Ok(RunOutcome::OutOfFuel)
-            }
-        }
+        drive_bounded(ex, fuel, s.func)
     }
 
     /// `true` while a bounded run is parked at a suspension point.
@@ -1197,7 +1186,7 @@ impl Process {
             return Err(ProbeError::NotALocalFunction(func));
         }
         let lf = (func - n_imp) as usize;
-        let low = self.lowered_view_for(lf);
+        let low = self.lowered_for(lf);
         match low.slot_of(pc) {
             // The one-past-the-end sentinel maps to a slot (frames park the
             // implicit-return pc there) but is not a probeable instruction.
@@ -1206,33 +1195,70 @@ impl Process {
         }
     }
 
-    /// The lowered view of local function `lf`. The *shared* lowered form
-    /// is built inside the artifact on the first demand from any sibling
+    /// The shared lowered form of local function `lf`, by reference. It is
+    /// built inside the artifact on the first demand from any sibling
     /// process; if this call is the one that builds it, it is counted in
     /// this process's [`EngineStats::functions_lowered`] (instantiating
     /// from a warm artifact therefore reports 0 lowering work).
-    pub(crate) fn lowered_view_for(&mut self, lf: usize) -> LoweredView {
-        let (_, lowered_now) = self.code[lf].artifact().lowered_init();
+    pub(crate) fn lowered_for(&mut self, lf: usize) -> &Arc<Lowered> {
+        let (low, lowered_now) = self.code[lf].artifact().lowered_init();
         if lowered_now {
             self.stats.functions_lowered += 1;
         }
+        low
+    }
+
+    /// A fresh lowered view of local function `lf` (shared slots, or this
+    /// process's overlay copy), for the cold consumers — compilation,
+    /// identity introspection. Execution reads [`Process::views_for`].
+    pub(crate) fn lowered_view_for(&mut self, lf: usize) -> LoweredView {
+        self.lowered_for(lf);
         self.code[lf].lowered_view()
+    }
+
+    /// The execution views of local function `lf` — what every frame
+    /// switch loads. The common case hands out the bundle the function's
+    /// overlay caches (one process-local `Rc` bump); the function's first
+    /// frame in this process, or its first after an overlay identity
+    /// change, resolves it from the shared artifact.
+    #[inline]
+    pub(crate) fn views_for(&mut self, lf: usize) -> Rc<FuncViews> {
+        match self.code[lf].cached_views() {
+            Some(views) => views,
+            None => self.resolve_views(lf),
+        }
+    }
+
+    /// First touch: lowers the function if this process dispatches lowered
+    /// code (byte dispatch executes without ever lowering), picks up its
+    /// register form under register dispatch, and resolves the views.
+    #[cold]
+    fn resolve_views(&mut self, lf: usize) -> Rc<FuncViews> {
+        let lowered = self.config.dispatch != Dispatch::Bytecode;
+        if lowered {
+            self.lowered_for(lf);
+        }
+        let reg = if self.config.dispatch == Dispatch::Register {
+            self.reg_func_for(lf).cloned()
+        } else {
+            None
+        };
+        self.code[lf].resolve_views(lowered, reg)
     }
 
     /// The register form of local function `lf`, if the allocator could
     /// lower it. Builds the shared register module on first demand (cold
     /// only when the process was not instantiated with
     /// [`Dispatch::Register`], which builds it eagerly), attributing the
-    /// build to this process's counters like
-    /// [`Process::lowered_view_for`] does for the stack form.
-    pub(crate) fn reg_func_for(&mut self, lf: usize) -> Option<Arc<crate::regir::RegFunc>> {
+    /// build to this process's counters like [`Process::lowered_for`] does
+    /// for the stack form.
+    pub(crate) fn reg_func_for(&mut self, lf: usize) -> Option<&Arc<crate::regir::RegFunc>> {
         let (reg, built_now) = self.artifact.reg_module_init();
-        let reg = Arc::clone(reg);
         if built_now {
             self.stats.functions_reg_lowered += reg.lowered_count;
             self.stats.reg_fallbacks += reg.fallback_count;
         }
-        reg.func(lf).cloned()
+        reg.func(lf)
     }
 
     /// Rebuilds `func`'s process-local overlay from the shared artifact,
@@ -1278,7 +1304,7 @@ impl Process {
         }
         if !self.code[lf].has_overlay() {
             if self.config.dispatch == Dispatch::Register {
-                if let Some(rf) = self.reg_func_for(lf) {
+                if let Some(rf) = self.reg_func_for(lf).cloned() {
                     // Register dispatch compiles probe-free functions to
                     // the register form: the "compiled code" is the
                     // register stream itself plus the loop-header OSR
@@ -1298,9 +1324,9 @@ impl Process {
                     return;
                 }
             }
-            // Route through lowered_view_for so the (possible) first
-            // lowering is stat-attributed in exactly one place.
-            let _ = self.lowered_view_for(lf);
+            // Route through lowered_for so the (possible) first lowering
+            // is stat-attributed in exactly one place.
+            self.lowered_for(lf);
             let (code, compiled_now) = self.code[lf].artifact().baseline_compiled();
             if compiled_now {
                 self.stats.compiles += 1;
@@ -1454,49 +1480,25 @@ impl core::fmt::Debug for Process {
 }
 
 /// Builds an execution for calling `func` with `args` pushed and the entry
-/// frame set up (type-checked against `ty`).
+/// frame set up (type-checked against the function's signature). `fuel`
+/// makes it a metered (bounded) run.
 ///
 /// # Panics
 ///
-/// Panics if `args` do not match `ty.params`.
+/// Panics if `args` do not match the function's parameter types.
 fn start_call<'p>(
     proc: &'p mut Process,
     func: FuncIdx,
-    ty: &FuncType,
     args: &[Value],
+    fuel: Option<u64>,
 ) -> Result<Exec<'p>, Trap> {
-    start_call_inner(proc, func, ty, args, false, 0)
-}
-
-/// As [`start_call`] for a bounded run: metering is set *before* the
-/// entry call so its tier decision already sees a metered execution
-/// (register dispatch pins bounded runs to the stack interpreter).
-fn start_call_metered<'p>(
-    proc: &'p mut Process,
-    func: FuncIdx,
-    ty: &FuncType,
-    args: &[Value],
-    fuel: u64,
-) -> Result<Exec<'p>, Trap> {
-    start_call_inner(proc, func, ty, args, true, fuel)
-}
-
-fn start_call_inner<'p>(
-    proc: &'p mut Process,
-    func: FuncIdx,
-    ty: &FuncType,
-    args: &[Value],
-    metered: bool,
-    fuel: u64,
-) -> Result<Exec<'p>, Trap> {
-    assert_eq!(
-        args.iter().map(Value::ty).collect::<Vec<_>>(),
-        ty.params,
+    assert!(
+        args.iter().map(Value::ty).eq(proc.func_types[func as usize].params.iter().copied()),
         "argument types must match the function signature"
     );
     let mut ex = Exec::new(proc);
-    ex.metered = metered;
-    ex.fuel = fuel;
+    ex.metered = fuel.is_some();
+    ex.fuel = fuel.unwrap_or(0);
     for a in args {
         ex.values.push(a.to_slot().0);
     }
@@ -1527,39 +1529,33 @@ fn drive(ex: &mut Exec<'_>) -> Result<Exit, Trap> {
     Ok(Exit::Done)
 }
 
-/// How a bounded slice ended (internal; surfaced as [`RunOutcome`]).
-enum BoundedExit {
-    Done(Vec<Value>),
-    Suspended(ExecState),
-}
-
-/// Runs a metered `ex` until completion or suspension, doing the fuel
-/// accounting; the caller parks the returned state.
-fn drive_bounded(mut ex: Exec<'_>, fuel: u64, results_ty: &[ValType]) -> Result<BoundedExit, Trap> {
-    match drive(&mut ex) {
-        Ok(Exit::Done) => {
-            ex.proc.stats.fuel_consumed += fuel - ex.fuel;
-            let results = extract_results(&ex, results_ty);
-            Ok(BoundedExit::Done(results))
-        }
+/// Runs a metered `ex` of entry function `func` until completion or
+/// suspension, doing the fuel accounting; a suspended run is parked back
+/// in its process.
+fn drive_bounded(mut ex: Exec<'_>, fuel: u64, func: FuncIdx) -> Result<RunOutcome, Trap> {
+    let exit = drive(&mut ex);
+    // A trapping slice's fuel still counts as consumed.
+    ex.proc.stats.fuel_consumed += fuel - ex.fuel;
+    match exit {
+        Ok(Exit::Done) => Ok(RunOutcome::Done(extract_results(&ex, func))),
         Ok(Exit::OutOfFuel) => {
-            ex.proc.stats.fuel_consumed += fuel - ex.fuel;
-            ex.proc.stats.suspensions += 1;
-            Ok(BoundedExit::Suspended(ex.into_state()))
+            let (state, proc) = ex.into_state();
+            proc.stats.suspensions += 1;
+            proc.suspended = Some(Suspended { state, func });
+            Ok(RunOutcome::OutOfFuel)
         }
         Ok(Exit::Redispatch) => unreachable!("drive loops on redispatch"),
         Err(t) => {
-            // The trapping slice's fuel still counts as consumed.
-            ex.proc.stats.fuel_consumed += fuel - ex.fuel;
             ex.unwind();
             Err(t)
         }
     }
 }
 
-/// Reads the entry function's results off the (now quiescent) value stack.
-fn extract_results(ex: &Exec<'_>, results_ty: &[ValType]) -> Vec<Value> {
-    results_ty.iter().enumerate().map(|(i, t)| Value::from_slot(Slot(ex.values[i]), *t)).collect()
+/// Reads entry function `func`'s results off the (now quiescent) value stack.
+fn extract_results(ex: &Exec<'_>, func: FuncIdx) -> Vec<Value> {
+    let results = &ex.proc.func_types[func as usize].results;
+    results.iter().enumerate().map(|(i, t)| Value::from_slot(Slot(ex.values[i]), *t)).collect()
 }
 
 fn eval_const(e: &ConstExpr, globals: &[u64], _types: &[GlobalType]) -> u64 {

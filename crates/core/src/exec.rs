@@ -3,19 +3,19 @@
 //! and the [`ProbeCtx`] / [`FrameView`] APIs that M-code programs against.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use wizard_wasm::module::FuncIdx;
 use wizard_wasm::opcodes as op;
-use wizard_wasm::validate::{FuncMeta, Target};
+use wizard_wasm::validate::Target;
 
 use crate::classic;
-use crate::code::CodeBytes;
+use crate::code::FuncViews;
 use crate::engine::{Dispatch, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
 use crate::interp;
-use crate::lowered::{LTarget, LoweredView};
+use crate::lowered::LTarget;
 use crate::probe::{Location, Pending, ProbeId, ProbeRef};
+use crate::regir::RegFunc;
 use crate::store::HostCtx;
 use crate::trap::Trap;
 use crate::value::{Slot, Value};
@@ -106,21 +106,14 @@ pub(crate) struct Exec<'p> {
     pub opbase: usize,
     /// Result arity of the current function.
     pub results: u32,
-    /// Current function's bytecode view (shared pristine bytes, or the
-    /// process-local instrumented overlay).
-    pub code: CodeBytes,
-    /// Current function's lowered view (lowered dispatch only). Held by
-    /// value — a small bundle of shared pointers, like [`CodeBytes`] — so
-    /// the dispatch loop reaches the op stream in one indirection. Reads
-    /// the artifact's shared op stream until this process instruments the
-    /// function, then its copy-on-write overlay.
-    pub low: LoweredView,
-    /// Current function's register form ([`Dispatch::Register`] only,
-    /// while the top frame runs in [`Tier::Reg`] or register-form JIT).
-    /// Held by value like [`Exec::low`]; shared module-wide.
-    pub reg: Arc<crate::regir::RegFunc>,
-    /// Current function's metadata.
-    pub meta: Arc<FuncMeta>,
+    /// Current function's execution views — byte view (`views.code`),
+    /// lowered view (`views.low`), register form and metadata — as this
+    /// process resolved them on the function's first frame. A handle on
+    /// the bundle its [`FuncOverlay`](crate::code::FuncOverlay) caches:
+    /// [`Exec::load_cur`] switches functions by swapping this one
+    /// process-local `Rc`, so a frame switch never clones (never writes
+    /// the refcounts of) anything the shared artifact owns.
+    pub views: Rc<FuncViews>,
     /// `true` when the engine is configured for classic byte dispatch
     /// ([`Dispatch::Bytecode`]).
     pub classic: bool,
@@ -162,36 +155,31 @@ impl Drop for ExecState {
     }
 }
 
-thread_local! {
-    /// Shared placeholder for `Exec::low` before the first frame loads —
-    /// built once per thread so every invocation (and every bounded-run
-    /// resume slice) starts with a few refcount bumps instead of fresh
-    /// allocations. Classic-dispatch runs never replace it.
-    static EMPTY_LOWERED: LoweredView = LoweredView::empty();
-    /// Shared placeholder for `Exec::reg`, by the same logic.
-    static EMPTY_REG: Arc<crate::regir::RegFunc> = Arc::new(crate::regir::RegFunc::empty());
-}
-
 impl<'p> Exec<'p> {
+    /// A fresh execution with empty stacks sized for a typical invocation.
     pub fn new(proc: &'p mut Process) -> Exec<'p> {
+        Exec::over(proc, Vec::with_capacity(1024), Vec::with_capacity(64))
+    }
+
+    /// An execution over the given stacks, with the dispatch tables derived
+    /// from the process and no current frame loaded (the views are the
+    /// shared placeholder until [`Exec::load_cur`] runs).
+    fn over(proc: &'p mut Process, values: Vec<u64>, frames: Vec<Frame>) -> Exec<'p> {
         let global = proc.global_mode;
         let table = if global { interp::instrumented_table() } else { interp::normal_table() };
         let ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
         let classic = proc.config.dispatch == Dispatch::Bytecode;
         Exec {
             proc,
-            values: Vec::with_capacity(1024),
-            frames: Vec::with_capacity(64),
+            values,
+            frames,
             pc: 0,
             func: 0,
             lf: 0,
             base: 0,
             opbase: 0,
             results: 0,
-            code: CodeBytes::new(&[]),
-            low: EMPTY_LOWERED.with(Clone::clone),
-            reg: EMPTY_REG.with(Arc::clone),
-            meta: Arc::new(FuncMeta::default()),
+            views: FuncViews::placeholder(),
             classic,
             table,
             ctable,
@@ -203,17 +191,18 @@ impl<'p> Exec<'p> {
     }
 
     /// Rebuilds an execution from a suspended state with a fresh fuel
-    /// slice. The dispatch table is re-derived from the process (global
-    /// mode may have changed while suspended) and the cached current-frame
-    /// fields are reloaded; stale JIT frames are caught by the version
-    /// checks on redispatch.
+    /// slice, directly over the parked stacks (nothing is allocated). The
+    /// dispatch table is re-derived from the process (global mode may have
+    /// changed while suspended) and the cached current-frame fields are
+    /// reloaded; stale JIT frames are caught by the version checks on
+    /// redispatch.
     pub fn from_state(proc: &'p mut Process, mut state: ExecState, fuel: u64) -> Exec<'p> {
-        let mut ex = Exec::new(proc);
         // Fields are taken (not moved) because ExecState's Drop handles
         // accessor invalidation for *discarded* suspensions; the emptied
         // state dropped here has nothing left to invalidate.
-        ex.values = std::mem::take(&mut state.values);
-        ex.frames = std::mem::take(&mut state.frames);
+        let values = std::mem::take(&mut state.values);
+        let frames = std::mem::take(&mut state.frames);
+        let mut ex = Exec::over(proc, values, frames);
         ex.activations = state.activations;
         ex.skip_probe = state.skip_probe.take();
         ex.metered = true;
@@ -225,14 +214,16 @@ impl<'p> Exec<'p> {
     }
 
     /// Tears the execution down to its suspendable state (at an
-    /// [`Exit::OutOfFuel`] sync point).
-    pub fn into_state(self) -> ExecState {
-        ExecState {
+    /// [`Exit::OutOfFuel`] sync point), handing the process back so the
+    /// caller can park the state in it.
+    pub fn into_state(self) -> (ExecState, &'p mut Process) {
+        let state = ExecState {
             values: self.values,
             frames: self.frames,
             activations: self.activations,
             skip_probe: self.skip_probe,
-        }
+        };
+        (state, self.proc)
     }
 
     // ---- value stack ----
@@ -278,36 +269,47 @@ impl<'p> Exec<'p> {
             return;
         }
         let pc = if self.pc_is_slot() {
-            self.low.pc_of(self.pc) as usize
+            self.views.low.pc_of(self.pc) as usize
         } else if self.pc_is_reg_idx() {
-            self.reg.pc_of(self.pc) as usize
+            self.reg().pc_of(self.pc) as usize
         } else {
             self.pc
         };
         self.frames.last_mut().expect("non-empty").pc = pc;
     }
 
-    /// Refreshes the cached current-frame fields from `frames.last()`,
-    /// lowering the function on first touch (lowered dispatch only) and
-    /// converting the parked byte pc back to a slot index.
+    /// The current function's register form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function has none — register-tier frames only exist
+    /// for functions the allocator lowered.
+    #[inline(always)]
+    pub(crate) fn reg(&self) -> &RegFunc {
+        self.views.reg.as_deref().expect("register frames have register code")
+    }
+
+    /// Refreshes the cached current-frame fields from `frames.last()`:
+    /// switches [`Exec::views`] to the frame's function (resolving them on
+    /// the function's first frame in this process — which, under lowered
+    /// dispatch, is also what lowers it on first touch) and converts the
+    /// parked byte pc back to the running tier's cursor.
     pub fn load_cur(&mut self) {
-        let (pc, mut tier, lf) = {
+        let (pc, mut tier) = {
             let f = self.frames.last().expect("at least one frame");
             self.func = f.func;
             self.lf = f.lf;
             self.base = f.base;
             self.opbase = f.opbase;
             self.results = f.results;
-            let fc = &self.proc.code[f.lf];
-            self.code = fc.bytes_view();
-            self.meta = Arc::clone(fc.meta());
-            (f.pc, f.tier, f.lf)
+            (f.pc, f.tier)
         };
+        self.views = self.proc.views_for(self.lf);
         if self.classic {
             self.pc = pc;
             return;
         }
-        if tier == Tier::Reg && (self.proc.global_mode || self.proc.code[lf].has_overlay()) {
+        if tier == Tier::Reg && (self.proc.global_mode || self.views.code.is_overlaid()) {
             // The function can no longer run in register form: global
             // probes need the instrumented stack dispatch table, and probe
             // overlays exist only in the stack representations. Demote the
@@ -318,21 +320,14 @@ impl<'p> Exec<'p> {
             self.proc.stats.reg_demotions += 1;
             tier = Tier::Interp;
         }
-        match tier {
-            Tier::Reg => {
-                self.reg = self.proc.reg_func_for(lf).expect("register frames have register code");
-                self.pc = self.reg.idx_of(pc);
-            }
+        self.pc = match tier {
+            Tier::Reg => self.reg().idx_of(pc),
             Tier::Interp => {
-                self.low = self.proc.lowered_view_for(lf);
-                self.pc = self.low.slot_of(pc as u32).expect("frame pc is an instruction boundary")
-                    as usize;
+                self.views.low.slot_of(pc as u32).expect("frame pc is an instruction boundary")
+                    as usize
             }
-            Tier::Jit => {
-                self.low = self.proc.lowered_view_for(lf);
-                self.pc = pc;
-            }
-        }
+            Tier::Jit => pc,
+        };
     }
 
     /// Grows the value stack to the current register frame's full window
@@ -343,7 +338,7 @@ impl<'p> Exec<'p> {
     /// their canonical stack shape.
     #[inline]
     pub(crate) fn reg_extend(&mut self) {
-        let need = self.opbase + self.reg.num_temps() as usize;
+        let need = self.opbase + self.reg().num_temps() as usize;
         if self.values.len() < need {
             self.values.resize(need, 0);
         }
@@ -497,17 +492,28 @@ impl<'p> Exec<'p> {
 
     /// Calls an imported host function inline (no Wasm frame is pushed).
     fn do_host_call(&mut self, callee: FuncIdx) -> Result<(), Sig> {
-        let ty = self.proc.func_types[callee as usize].clone();
+        /// Argument lists up to this long are marshalled on the stack.
+        const INLINE_ARGS: usize = 8;
+        // The signature is borrowed from the artifact's table, disjoint
+        // from the memory and value stack the call mutates.
+        let ty = &self.proc.func_types[callee as usize];
         let n = ty.params.len();
         let split = self.values.len() - n;
-        let mut args = Vec::with_capacity(n);
-        for (i, t) in ty.params.iter().enumerate() {
-            args.push(Value::from_slot(Slot(self.values[split + i]), *t));
+        let mut inline = [Value::I32(0); INLINE_ARGS];
+        let mut spilled = Vec::new();
+        let args: &mut [Value] = if n <= INLINE_ARGS {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, Value::I32(0));
+            &mut spilled
+        };
+        for ((arg, raw), t) in args.iter_mut().zip(&self.values[split..]).zip(&ty.params) {
+            *arg = Value::from_slot(Slot(*raw), *t);
         }
         self.values.truncate(split);
         let f = Rc::clone(&self.proc.host[callee as usize]);
         let mut ctx = HostCtx { memory: self.proc.memory.as_mut() };
-        let rets = f(&mut ctx, &args).map_err(Sig::Trap)?;
+        let rets = f(&mut ctx, args).map_err(Sig::Trap)?;
         if rets.len() != ty.results.len() {
             return Err(Sig::Trap(Trap::Host(format!(
                 "host function returned {} values, expected {}",
@@ -571,13 +577,21 @@ impl<'p> Exec<'p> {
     /// Resolves and calls through the funcref table (`call_indirect`).
     pub fn do_call_indirect(&mut self, type_idx: u32, my_tier: Tier) -> Result<(), Sig> {
         let index = self.pop().u32();
-        let callee = self.proc.table.get(index).map_err(Sig::Trap)?;
-        let expected = &self.proc.module.types[type_idx as usize];
-        let actual = &self.proc.func_types[callee as usize];
-        if expected != actual {
-            return Err(Sig::Trap(Trap::IndirectCallTypeMismatch));
-        }
+        let callee = self.resolve_indirect(index, type_idx)?;
         self.do_call(callee, my_tier)
+    }
+
+    /// Resolves funcref table slot `index` to a callee and checks its
+    /// signature against the expected type — by canonical type index, so
+    /// the structural comparison was paid once, when the artifact was
+    /// built.
+    #[inline]
+    pub(crate) fn resolve_indirect(&self, index: u32, type_idx: u32) -> Result<FuncIdx, Trap> {
+        let callee = self.proc.table.get(index)?;
+        if self.proc.artifact.canon_of_type(type_idx) != self.proc.artifact.canon_of_func(callee) {
+            return Err(Trap::IndirectCallTypeMismatch);
+        }
+        Ok(callee)
     }
 
     // ---- probes ----
@@ -637,10 +651,11 @@ impl<'p> Exec<'p> {
         self.table = if global { interp::instrumented_table() } else { interp::normal_table() };
         self.ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
         // Instrumenting the current function may have copy-on-wrote (or
-        // rejoined) its code: the cached byte/lowered views would keep
-        // reading the stale stream. Reload them from the frame — the pc
-        // was synced before the probes fired, so this is view-identity
-        // for the cursor and only swaps the op/byte sources.
+        // rejoined) its code: `self.views` would keep reading the stale
+        // stream (the overlay dropped its cached bundle; ours is the old
+        // one). Reload from the frame — the pc was synced before the
+        // probes fired, so this is view-identity for the cursor and only
+        // swaps the op/byte sources.
         if had_ops && !self.frames.is_empty() {
             self.load_cur();
         }

@@ -137,7 +137,7 @@ fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
             }
             ex.fuel -= 1;
         }
-        if ex.pc >= ex.low.len() {
+        if ex.pc >= ex.views.low.len() {
             // Fell off the end of the function body: implicit return.
             match ex.do_return(Tier::Interp) {
                 Ok(()) => continue,
@@ -149,7 +149,7 @@ fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
         // Metered runs read through the unfused view so fuel stays exactly
         // one unit per bytecode instruction and suspensions land only on
         // instruction boundaries; unmetered runs take the fused stream.
-        let li = if METERED { ex.low.unfused(ex.pc) } else { ex.low.get(ex.pc) };
+        let li = if METERED { ex.views.low.unfused(ex.pc) } else { ex.views.low.get(ex.pc) };
         // Global-probe mode dispatches everything through the (stub-filled)
         // instrumented table; normal mode takes the inlined fast path.
         let r = if ex.proc.global_mode { ex.table[li.op as usize](ex, li) } else { step(ex, li) };
@@ -260,9 +260,9 @@ fn op_loop(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
         if h >= ex.proc.config.tierup_threshold {
             ex.proc.ensure_compiled(ex.lf);
             let compiled = ex.proc.code[ex.lf].compiled.borrow().clone().expect("just compiled");
-            let pc_b = ex.low.pc_of(ex.pc);
+            let pc_b = ex.views.low.pc_of(ex.pc);
             if let Some(&ip) = compiled.code.osr_entry.get(&pc_b) {
-                let next_pc_b = ex.low.pc_of(ex.pc + 1);
+                let next_pc_b = ex.views.low.pc_of(ex.pc + 1);
                 let f = ex.frames.last_mut().expect("frame");
                 f.tier = Tier::Jit;
                 f.cip = ip as usize;
@@ -282,7 +282,7 @@ fn op_if(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     if cond != 0 {
         ex.pc += 1;
     } else {
-        let t = ex.low.target(li.x);
+        let t = ex.views.low.target(li.x);
         ex.do_branch_lowered(t);
     }
     Ok(())
@@ -290,13 +290,13 @@ fn op_if(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
 
 fn op_else(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     // Reached only by falling out of the then-branch: skip to after `end`.
-    let t = ex.low.target(li.x);
+    let t = ex.views.low.target(li.x);
     ex.do_branch_lowered(t);
     Ok(())
 }
 
 fn op_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let t = ex.low.target(li.x);
+    let t = ex.views.low.target(li.x);
     ex.do_branch_lowered(t);
     Ok(())
 }
@@ -304,7 +304,7 @@ fn op_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
 fn op_br_if(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     let cond = ex.pop().i32();
     if cond != 0 {
-        let t = ex.low.target(li.x);
+        let t = ex.views.low.target(li.x);
         ex.do_branch_lowered(t);
     } else {
         ex.pc += 1;
@@ -315,7 +315,7 @@ fn op_br_if(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
 fn op_br_table(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     let idx = ex.pop().u32() as usize;
     let t = {
-        let entries = ex.low.table(li.x);
+        let entries = ex.views.low.table(li.x);
         entries[idx.min(entries.len() - 1)]
     };
     ex.do_branch_lowered(t);
@@ -504,7 +504,7 @@ fn op_fused_cmp_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     let lhs = ex.pop();
     let c = numeric::binop(li.y, lhs, rhs)?.i32();
     if c != 0 {
-        let t = ex.low.target(li.x);
+        let t = ex.views.low.target(li.x);
         ex.do_branch_lowered(t);
     } else {
         ex.pc += 2;
@@ -530,7 +530,7 @@ fn op_fused_gg_cmp_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     let rhs = Slot(ex.values[ex.base + (li.z >> 32) as usize]);
     let c = numeric::binop(li.y, lhs, rhs)?.i32();
     if c != 0 {
-        let t = ex.low.target(li.x);
+        let t = ex.views.low.target(li.x);
         ex.do_branch_lowered(t);
     } else {
         ex.pc += 4;
@@ -556,7 +556,7 @@ fn op_fused_upd(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
 /// them pre-decoded as usual.
 fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     let slot = ex.pc;
-    let pc = ex.low.pc_of(slot);
+    let pc = ex.views.low.pc_of(slot);
     let loc = Location { func: ex.func, pc };
     if ex.skip_probe == Some(loc) {
         // The probes at this location already fired (in the JIT tier,
@@ -575,10 +575,10 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     // fires. For a slot that was a fused head, `original` recovers the
     // true pre-fusion immediates — the patched slot may carry the fused
     // encoding.
-    let cur = ex.low.unfused(slot);
+    let cur = ex.views.low.unfused(slot);
     let orig = if cur.op == op::PROBE {
         let byte = ex.proc.code[ex.lf].orig_opcode(pc);
-        ex.low.original(slot, byte)
+        ex.views.low.original(slot, byte)
     } else {
         cur
     };
@@ -590,11 +590,11 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 /// table. Installed by switching the table pointer when a global probe is
 /// inserted (paper §4.1).
 fn op_global_stub(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
-    let pc = ex.low.pc_of(ex.pc);
+    let pc = ex.views.low.pc_of(ex.pc);
     ex.fire_global_probes(pc);
     // Global probes may themselves have mutated instrumentation; re-read.
     // The *unfused* view guarantees one instruction per dispatch, so the
     // next global fire lands on the covered instruction too.
-    let li = ex.low.unfused(ex.pc);
+    let li = ex.views.low.unfused(ex.pc);
     normal_table()[li.op as usize](ex, li)
 }

@@ -354,6 +354,13 @@ impl Lowered {
         self.ops.as_ptr() as usize
     }
 
+    /// Number of live handles on the shared op stream (this form and every
+    /// clone of it) — what tests read to prove that execution takes no
+    /// clone of shared state per frame switch.
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.ops)
+    }
+
     /// Size of the lowered form in bytes (op stream + targets + maps) —
     /// the per-process memory a shared artifact saves its siblings.
     pub fn size_bytes(&self) -> usize {
@@ -439,8 +446,11 @@ impl Lowered {
 
 /// The per-process read view of a function's lowered code: shared pristine
 /// ops by default, the process-local [`OverlayOps`] copy once the function
-/// is instrumented. Cheap to clone (a bundle of shared pointers); the
-/// execution tiers hold one by value per live frame.
+/// is instrumented. A bundle of handles on the shared form: cloning one
+/// writes the artifact's (fleet-wide) reference counts, so a process
+/// builds it once per function — inside the
+/// [`FuncViews`](crate::code::FuncViews) its overlay caches — and
+/// execution only ever borrows it.
 #[derive(Debug, Clone)]
 pub struct LoweredView {
     shared: Lowered,

@@ -26,7 +26,7 @@
 //!   (`tier_for_call` pins them to the stack interpreter), so there is no
 //!   mid-function suspension to account for.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
@@ -55,7 +55,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     }
     ex.reg_extend();
     loop {
-        let ri = ex.reg.get(ex.pc);
+        let ri = ex.reg().get(ex.pc);
         match step::<false>(ex, ri) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
@@ -70,11 +70,16 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
 /// [`crate::jit::run_frame`] after its version check.
 pub(crate) fn run_jit(ex: &mut Exec, compiled: &crate::jit::Compiled) -> Result<Exit, Trap> {
     debug_assert!(!ex.metered, "metered runs never reach register-form compiled code");
-    ex.reg = Arc::clone(compiled.code.reg.as_ref().expect("register-shaped compiled code"));
+    // Register-shaped compiled code *is* the function's register form, the
+    // one `load_cur` already switched `ex.views` to.
+    debug_assert!(
+        compiled.code.reg.as_ref().is_some_and(|rf| std::ptr::eq(&**rf, ex.reg())),
+        "register-shaped compiled code wraps the current function's register form"
+    );
     ex.pc = ex.frames.last().expect("frame").cip;
     ex.reg_extend();
     loop {
-        let ri = ex.reg.get(ex.pc);
+        let ri = ex.reg().get(ex.pc);
         match step::<true>(ex, ri) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
@@ -222,7 +227,7 @@ fn step<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
         R_BR_TABLE => {
             let i = Slot(ex.values[ex.base + ri.dst as usize]).u32() as usize;
             let e = {
-                let entries = ex.reg.table(ri.x);
+                let entries = ex.reg().table(ri.x);
                 entries[i.min(entries.len() - 1)]
             };
             if e.keep == 1 {
@@ -260,12 +265,7 @@ fn step<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
             // register form reads it from `r[dst]` and inlines the table
             // lookup and signature check instead.
             let index = Slot(ex.values[ex.base + ri.dst as usize]).u32();
-            let callee = ex.proc.table.get(index).map_err(Sig::Trap)?;
-            let expected = &ex.proc.module.types[ri.x as usize];
-            let actual = &ex.proc.func_types[callee as usize];
-            if expected != actual {
-                return Err(Sig::Trap(Trap::IndirectCallTypeMismatch));
-            }
+            let callee = ex.resolve_indirect(index, ri.x)?;
             do_reg_call::<JIT>(ex, callee, ri)
         }
         R_UNREACHABLE => Err(Trap::Unreachable.into()),
@@ -312,7 +312,8 @@ fn do_reg_call<const JIT: bool>(ex: &mut Exec, callee: u32, ri: RInstr) -> Resul
     let nargs = ri.b as usize;
     let slice_idx = ri.z as u32;
     let ret_pc = (ri.z >> 32) as usize;
-    let rf = Arc::clone(&ex.reg);
+    let views = Rc::clone(&ex.views);
+    let rf = views.reg.as_deref().expect("register frames have register code");
     let slice = rf.arg_slice(slice_idx);
     debug_assert_eq!(slice.len(), nargs);
     for (i, &src) in slice.iter().enumerate() {
@@ -346,7 +347,7 @@ fn do_reg_call<const JIT: bool>(ex: &mut Exec, callee: u32, ri: RInstr) -> Resul
             Err(Sig::Switch)
         }
         Ok(()) => {
-            // Same-tier wasm callee: `load_cur` switched `ex.reg`/`ex.pc`
+            // Same-tier wasm callee: `load_cur` switched `ex.views`/`ex.pc`
             // to the callee; widen its register window and keep going.
             ex.reg_extend();
             Ok(())

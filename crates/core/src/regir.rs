@@ -187,7 +187,7 @@ impl RegFunc {
         self.ops.len()
     }
 
-    /// `true` for the empty placeholder form.
+    /// `true` if there are no instructions (never, for a lowered function).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
@@ -244,22 +244,6 @@ impl RegFunc {
     #[inline]
     pub fn pool(&self, idx: u32) -> u64 {
         self.pool[idx as usize]
-    }
-
-    /// An empty placeholder (used as the interpreter's "no register form
-    /// loaded" view).
-    pub fn empty() -> RegFunc {
-        RegFunc {
-            ops: Box::new([]),
-            idx_to_pc: Box::new([]),
-            pc_to_idx: Box::new([]),
-            tables: Box::new([]),
-            pool: Arc::from([] as [u64; 0]),
-            args: Arc::from([] as [u32; 0]),
-            slices: Arc::from([] as [(u32, u32); 0]),
-            num_temps: 0,
-            num_slots: 0,
-        }
     }
 
     /// Bytes this register form occupies (for code-size accounting).

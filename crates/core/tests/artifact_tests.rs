@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    CountProbe, EngineConfig, EngineStats, ModuleArtifact, ProbeError, Process, Value,
+    CountProbe, EngineConfig, EngineStats, ModuleArtifact, ProbeError, Process, RunOutcome, Value,
 };
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
@@ -384,4 +384,248 @@ fn engine_stats_merge_covers_artifact_counters() {
     assert_eq!(a.overlay_copies, 3);
     assert_eq!(a.artifact_cache_hits, 7);
     assert_eq!(a.artifact_cache_misses, 5);
+}
+
+// ---- refcount-free frame switches ----
+
+/// `a(x) = b(x) + 1`, `b(x) = c(x) + 1`, `c(x) = Σ_{i<x} i` (a loop, so the
+/// tiered configuration compiles it): a probe in `c` fires at depth 3.
+fn chain_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let mut fc = FuncBuilder::new(&[I32], &[I32]);
+    let i = fc.local(I32);
+    let acc = fc.local(I32);
+    fc.for_range(i, 0, |f| {
+        f.local_get(acc).local_get(i).i32_add().local_set(acc);
+    });
+    fc.local_get(acc);
+    let c = mb.add_func("c", fc);
+    let mut fb = FuncBuilder::new(&[I32], &[I32]);
+    fb.local_get(0).call(c).i32_const(1).i32_add();
+    let b = mb.add_func("b", fb);
+    let mut fa = FuncBuilder::new(&[I32], &[I32]);
+    fa.local_get(0).call(b).i32_const(1).i32_add();
+    mb.add_func("a", fa);
+    mb.build().unwrap()
+}
+
+/// Per function: handles on its bytes, metadata, op stream, targets, tables.
+type ShareCounts = Vec<[usize; 5]>;
+
+/// Handle counts of everything a frame switch used to clone out of the
+/// artifact: per function its bytes, its metadata and — once lowered — the
+/// lowered form's op stream, target array and table array.
+fn share_counts(art: &ModuleArtifact) -> ShareCounts {
+    art.funcs()
+        .iter()
+        .map(|fa| {
+            let low = fa.is_lowered().then(|| fa.lowered());
+            [
+                Arc::strong_count(&fa.bytes),
+                Arc::strong_count(&fa.meta),
+                low.map_or(0, |l| l.share_count()),
+                low.map_or(0, |l| Arc::strong_count(&l.targets)),
+                low.map_or(0, |l| Arc::strong_count(&l.tables)),
+            ]
+        })
+        .collect()
+}
+
+/// Runs export `name` to completion: unbounded, or in `slice`-instruction
+/// turns of `run_bounded` / `resume`.
+fn run_export(p: &mut Process, name: &str, arg: i32, slice: Option<u64>) -> Vec<Value> {
+    let args = [Value::I32(arg)];
+    let Some(fuel) = slice else {
+        return p.invoke_export(name, &args).unwrap();
+    };
+    let mut turn = p.run_export_bounded(name, &args, fuel).unwrap();
+    loop {
+        match turn {
+            RunOutcome::Done(v) => return v,
+            RunOutcome::OutOfFuel => turn = p.resume(fuel).unwrap(),
+        }
+    }
+}
+
+#[test]
+fn frame_switches_hold_no_clone_of_shared_state() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use wizard_engine::ClosureProbe;
+
+    let tiered = EngineConfig::builder().tierup_threshold(2).build();
+    let arms = [
+        ("interp", EngineConfig::interpreter(), None),
+        ("tiered", tiered.clone(), None),
+        ("bytecode", EngineConfig::interpreter_bytecode(), None),
+        ("interp/sliced", EngineConfig::interpreter(), Some(7)),
+        ("tiered/sliced", tiered, Some(7)),
+    ];
+    for (arm, config, slice) in arms {
+        let art = Arc::new(ModuleArtifact::new(chain_module()).unwrap());
+        let mut p = Process::instantiate(Arc::clone(&art), config, &Linker::new()).unwrap();
+        let c = p.module().export_func("c").unwrap();
+
+        // The probe goes in first (validating its location lowers `c`, in
+        // every arm), then a few warm-up runs resolve every function's
+        // views and — in the tiered arms — compile what will compile.
+        let seen: Rc<RefCell<Vec<(u32, ShareCounts)>>> = Rc::default();
+        let (seen2, art2) = (Rc::clone(&seen), Arc::clone(&art));
+        p.add_local_probe(
+            c,
+            0,
+            ClosureProbe::shared(move |ctx| {
+                seen2.borrow_mut().push((ctx.depth(), share_counts(&art2)));
+            }),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            assert_eq!(run_export(&mut p, "a", 6, slice), vec![Value::I32(17)], "{arm}");
+        }
+
+        // Idle: the process exists, nothing executes. Each part is held by
+        // the artifact and by this process's resolved views, nothing else.
+        let idle = share_counts(&art);
+        seen.borrow_mut().clear();
+        assert_eq!(run_export(&mut p, "a", 6, slice), vec![Value::I32(17)], "{arm}");
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 1, "{arm}: the probe at c's entry fires once per run");
+        let (depth, during) = &seen[0];
+        assert!(*depth >= 3, "{arm}: probe fired at depth {depth}");
+        assert_eq!(
+            *during, idle,
+            "{arm}: three live frames (and a fuel-sliced resume) hold no clone of shared state"
+        );
+    }
+}
+
+#[test]
+fn richards_fleets_on_two_threads_match_the_single_threaded_run() {
+    use wizard_monitors::HotnessMonitor;
+
+    const PROCESSES: usize = 20;
+    const LOOPS: i32 = 12;
+
+    /// Runs `PROCESSES` richards processes off `art`, one after another;
+    /// odd ones in fuel slices. Returns every result and hotness report.
+    fn fleet(art: &Arc<ModuleArtifact>, monitored: bool) -> Vec<(Vec<Value>, Option<String>)> {
+        (0..PROCESSES)
+            .map(|k| {
+                let mut p =
+                    Process::instantiate(Arc::clone(art), EngineConfig::default(), &Linker::new())
+                        .unwrap();
+                let monitor = monitored.then(|| p.attach_monitor(HotnessMonitor::new()).unwrap());
+                let result = run_export(&mut p, "run", LOOPS, (k % 2 == 1).then_some(997));
+                let report = monitor.map(|m| {
+                    p.detach_monitor(m.handle()).unwrap();
+                    m.report().to_string()
+                });
+                (result, report)
+            })
+            .collect()
+    }
+
+    let module = wizard_suites::richards_benchmark(LOOPS).module;
+    // The reference: both fleets on this thread, from a private artifact.
+    let reference = Arc::new(ModuleArtifact::new(module.clone()).unwrap());
+    let (plain_ref, monitored_ref) = (fleet(&reference, false), fleet(&reference, true));
+    assert!(monitored_ref[0].1.as_ref().is_some_and(|r| r.contains("total instruction")));
+
+    // The same two fleets concurrently, sharing one artifact.
+    let art = Arc::new(ModuleArtifact::new(module).unwrap());
+    let start = std::sync::Barrier::new(2);
+    let (plain, monitored) = std::thread::scope(|s| {
+        let side = |monitored: bool| {
+            let (art, start) = (&art, &start);
+            s.spawn(move || {
+                start.wait();
+                fleet(art, monitored)
+            })
+        };
+        let (plain, monitored) = (side(false), side(true));
+        (plain.join().unwrap(), monitored.join().unwrap())
+    });
+    assert_eq!(plain, plain_ref);
+    assert_eq!(monitored, monitored_ref);
+    // Every process is gone: only the artifact holds its parts again.
+    assert!(share_counts(&art).iter().all(|c| c.iter().all(|&n| n <= 1)));
+}
+
+#[test]
+fn a_callee_instrumenting_its_caller_flips_the_callers_views_on_return() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use wizard_engine::{ClosureProbe, ProbeId};
+
+    // caller(n) = Σ_{i<n} callee(i), callee(x) = x + 1. A probe at callee's
+    // entry, on its 1st fire, puts the *first* probe into caller — at the
+    // instruction right after the call, so caller's overlay materializes
+    // while caller's frame is parked — on its 3rd fire removes it (caller
+    // rejoins the shared stream), and on its 4th and 5th does both again
+    // with a fresh overlay. The counting probe therefore fires for
+    // i = 0, 1 and 3: each return must find caller's frame dispatching
+    // through whatever stream caller has *now*. A caller whose views were
+    // cached across the call would miss i = 0 (still on the shared
+    // stream), or i = 3 (still on the first, dead overlay).
+    let mut mb = ModuleBuilder::new();
+    let caller = mb.declare_func("caller", &[I32], &[I32]);
+    let callee = mb.declare_func("callee", &[I32], &[I32]);
+    mb.export("caller", wizard_wasm::types::ExternKind::Func, caller);
+    let mut fc = FuncBuilder::new(&[I32], &[I32]);
+    let i = fc.local(I32);
+    let acc = fc.local(I32);
+    let mut after_call = 0;
+    fc.for_range(i, 0, |f| {
+        f.local_get(acc).local_get(i).call(callee);
+        after_call = f.pc();
+        f.i32_add().local_set(acc);
+    });
+    fc.local_get(acc);
+    mb.define_func(caller, fc);
+    let mut fe = FuncBuilder::new(&[I32], &[I32]);
+    fe.local_get(0).i32_const(1).i32_add();
+    mb.define_func(callee, fe);
+    let module = mb.build().unwrap();
+
+    let tiered = EngineConfig::builder().tierup_threshold(2).build();
+    let arms = [
+        ("interp", EngineConfig::interpreter(), None),
+        ("tiered", tiered.clone(), None),
+        ("bytecode", EngineConfig::interpreter_bytecode(), None),
+        ("interp/sliced", EngineConfig::interpreter(), Some(5)),
+        ("tiered/sliced", tiered, Some(5)),
+        ("bytecode/sliced", EngineConfig::interpreter_bytecode(), Some(5)),
+    ];
+    for (arm, config, slice) in arms {
+        let art = Arc::new(ModuleArtifact::new(module.clone()).unwrap());
+        let mut p = Process::instantiate(art, config, &Linker::new()).unwrap();
+
+        let counted = Rc::new(Cell::new(0u32));
+        let entries = Rc::new(Cell::new(0u32));
+        let installed: Rc<Cell<Option<ProbeId>>> = Rc::default();
+        let (counted2, entries2) = (Rc::clone(&counted), Rc::clone(&entries));
+        p.add_local_probe(
+            callee,
+            0,
+            ClosureProbe::shared(move |ctx| {
+                entries2.set(entries2.get() + 1);
+                match entries2.get() {
+                    1 | 4 => {
+                        let counted = Rc::clone(&counted2);
+                        let probe = ClosureProbe::shared(move |_| counted.set(counted.get() + 1));
+                        installed.set(Some(ctx.insert_local_probe(caller, after_call, probe)));
+                    }
+                    3 | 5 => ctx.remove_probe(installed.take().expect("installed earlier")),
+                    _ => {}
+                }
+            }),
+        )
+        .unwrap();
+
+        assert_eq!(run_export(&mut p, "caller", 8, slice), vec![Value::I32(36)], "{arm}");
+        assert_eq!(entries.get(), 8, "{arm}");
+        assert_eq!(counted.get(), 3, "{arm}: the caller's probe fires for i = 0, 1 and 3");
+        assert!(!p.has_overlay(caller), "{arm}: the caller rejoined the shared stream");
+        assert!(p.has_overlay(callee), "{arm}");
+    }
 }

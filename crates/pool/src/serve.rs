@@ -443,6 +443,13 @@ struct Tenant {
     throttled: Vec<Handoff<Task>>,
 }
 
+impl Tenant {
+    /// `true` if the tenant has a budget and has spent this round's.
+    fn over_budget(&self) -> bool {
+        self.quantum.is_some() && self.deficit <= 0
+    }
+}
+
 #[derive(Default)]
 struct Agg {
     stats: EngineStats,
@@ -944,10 +951,7 @@ fn execute(w: usize, shared: &Shared, mut h: Handoff<Task>) {
     // through: the terminal check below finalizes them.)
     let over_budget_at_pickup = {
         let t = h.get_mut();
-        t.quantum.is_some() && !aborted(shared, t) && {
-            let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-            tenant_entry(&mut tenants, &t.tenant, t.quantum).deficit <= 0
-        }
+        t.quantum.is_some() && !aborted(shared, t) && tenant_over_budget(shared, t)
     };
     if over_budget_at_pickup {
         park_throttled(shared, h);
@@ -1004,7 +1008,7 @@ fn execute(w: usize, shared: &Shared, mut h: Handoff<Task>) {
             return;
         }
 
-        let turn = {
+        let (turn, over_budget) = {
             let t = h.get_mut();
             if t.last_worker.is_some_and(|prev| prev != w) {
                 t.migrations += 1;
@@ -1030,24 +1034,27 @@ fn execute(w: usize, shared: &Shared, mut h: Handoff<Task>) {
             t.slices += 1;
             shared.slices_executed.fetch_add(1, Ordering::Relaxed);
 
-            // Bill the slice's fuel to the tenant.
+            // Bill the slice's fuel to the tenant and read its budget back
+            // under the same lock.
             let fuel_now = process.stats().fuel_consumed;
             let delta = fuel_now - t.fuel_seen;
             t.fuel_seen = fuel_now;
-            if delta > 0 {
+            let mut over_budget = {
                 let mut tenants = shared.tenants.lock().expect("tenants poisoned");
                 let tenant = tenant_entry(&mut tenants, &t.tenant, t.quantum);
                 tenant.fuel_spent += delta;
                 if tenant.quantum.is_some() {
                     tenant.deficit = tenant.deficit.saturating_sub_unsigned(delta);
                 }
-                drop(tenants);
-                shared.epoch_fuel.fetch_add(delta, Ordering::Relaxed);
-                if shared.epoch_fuel.load(Ordering::Relaxed) >= shared.round_fuel {
-                    refill_round(shared, false);
-                }
+                tenant.over_budget()
+            };
+            if shared.epoch_fuel.fetch_add(delta, Ordering::Relaxed) + delta >= shared.round_fuel {
+                // The round this slice completed may have refilled the
+                // tenant: look again.
+                refill_round(shared, false);
+                over_budget = over_budget && tenant_over_budget(shared, t);
             }
-            turn
+            (turn, over_budget)
         };
 
         match turn {
@@ -1060,18 +1067,11 @@ fn execute(w: usize, shared: &Shared, mut h: Handoff<Task>) {
                 return;
             }
             Ok(RunOutcome::OutOfFuel) => {
-                let (priority, over_budget) = {
-                    let t = h.get_mut();
-                    let over = t.quantum.is_some() && {
-                        let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-                        tenant_entry(&mut tenants, &t.tenant, t.quantum).deficit <= 0
-                    };
-                    (t.priority, over)
-                };
                 if over_budget {
                     park_throttled(shared, h);
                     return;
                 }
+                let priority = h.get_mut().priority;
                 let preempt = shared.pending_above(priority);
                 let rotate = {
                     let t = h.get_mut();
@@ -1122,19 +1122,31 @@ fn local_has(shared: &Shared, w: usize, p: Priority) -> bool {
     !shared.locals[w].lock().expect("local deque poisoned").qs[p.index()].is_empty()
 }
 
+/// `true` if the task's tenant has a budget and has spent it.
+fn tenant_over_budget(shared: &Shared, t: &Task) -> bool {
+    let mut tenants = shared.tenants.lock().expect("tenants poisoned");
+    tenant_entry(&mut tenants, &t.tenant, t.quantum).over_budget()
+}
+
+/// The tenant's accounting entry, looked up by `&str`: the name is only
+/// copied the first time the tenant is seen.
 fn tenant_entry<'a>(
     tenants: &'a mut HashMap<String, Tenant>,
     name: &str,
     quantum: Option<u64>,
 ) -> &'a mut Tenant {
-    tenants.entry(name.to_string()).or_insert_with(|| Tenant {
-        quantum,
-        deficit: quantum.map_or(0, |q| q as i64),
-        fuel_spent: 0,
-        throttles: 0,
-        jobs: 0,
-        throttled: Vec::new(),
-    })
+    if !tenants.contains_key(name) {
+        let fresh = Tenant {
+            quantum,
+            deficit: quantum.map_or(0, |q| q as i64),
+            fuel_spent: 0,
+            throttles: 0,
+            jobs: 0,
+            throttled: Vec::new(),
+        };
+        tenants.insert(name.to_string(), fresh);
+    }
+    tenants.get_mut(name).expect("present or just inserted")
 }
 
 /// Advances the fairness round: refills every tenant's deficit by one
