@@ -172,8 +172,8 @@ fn main() {
         g(1, 1)
     );
 
-    // Assert before writing (matching script_overhead): a regression run
-    // must not leave a failing row for trajectory tooling to ingest.
+    // Assert before writing: a regression run must not leave a failing
+    // row for trajectory tooling to ingest.
     if wizard_bench::smoke() {
         println!("(smoke mode: skipping the geomean assertions)");
     } else {

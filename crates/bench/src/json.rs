@@ -8,13 +8,13 @@
 //! use wizard_bench::json::Json;
 //!
 //! let j = Json::object([
-//!     ("bench", Json::str("pool_throughput")),
+//!     ("bench", Json::str("dispatch_speed")),
 //!     ("shards", Json::num(4.0)),
 //!     ("names", Json::array(vec![Json::str("richards")])),
 //! ]);
 //! assert_eq!(
 //!     j.to_string(),
-//!     r#"{"bench":"pool_throughput","shards":4,"names":["richards"]}"#
+//!     r#"{"bench":"dispatch_speed","shards":4,"names":["richards"]}"#
 //! );
 //! ```
 

@@ -115,12 +115,6 @@ pub fn smoke() -> bool {
     std::env::var("WIZARD_SMOKE").as_deref() == Ok("1")
 }
 
-/// Number of hardware threads on this host (recorded in every artifact so
-/// cross-host series stay interpretable).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// An [`EngineConfig`] serialized for the metadata block.
 pub fn engine_json(c: &EngineConfig) -> json::Json {
     use json::Json;
@@ -141,12 +135,15 @@ pub fn engine_json(c: &EngineConfig) -> json::Json {
 /// artifacts stay joinable across benches and hosts.
 pub fn metadata(bench: &str, suites: &[&str], engine: &EngineConfig) -> Vec<(String, json::Json)> {
     use json::Json;
+    // Recorded so cross-host series stay interpretable.
+    let host_parallelism =
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     vec![
         ("bench".to_string(), Json::str(bench)),
         ("schema".to_string(), Json::num(2.0)),
         ("scale".to_string(), Json::str(format!("{:?}", scale()).to_lowercase())),
         ("runs".to_string(), Json::num(f64::from(runs()))),
-        ("host_parallelism".to_string(), Json::num(host_parallelism() as f64)),
+        ("host_parallelism".to_string(), Json::num(host_parallelism as f64)),
         ("engine".to_string(), engine_json(engine)),
         ("suites".to_string(), Json::array(suites.iter().copied().map(Json::str).collect())),
     ]

@@ -260,158 +260,125 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Counters the engine maintains about instrumentation and tiering
-/// activity (the paper's figures annotate probe-fire counts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// Declares [`EngineStats`] and its [`EngineStats::merge`] from one list:
+/// each counter appears once, with its documentation and its merge rule —
+/// `sum` for volumes, `max` for high-water marks.
+macro_rules! engine_stats {
+    ($($(#[$doc:meta])* $name:ident: $rule:ident,)*) => {
+        /// Counters the engine maintains about instrumentation and tiering
+        /// activity (the paper's figures annotate probe-fire counts).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl EngineStats {
+            /// Accumulates another process's counters into this one — the
+            /// aggregation primitive used by multi-process schedulers
+            /// (`wizard-pool`) to report fleet-wide engine activity.
+            pub fn merge(&mut self, other: &EngineStats) {
+                $(engine_stats!(@$rule self.$name, other.$name);)*
+            }
+        }
+    };
+    (@sum $mine:expr, $theirs:expr) => {
+        $mine += $theirs
+    };
+    (@max $mine:expr, $theirs:expr) => {
+        $mine = $mine.max($theirs)
+    };
+}
+
+engine_stats! {
     /// Probe fires dispatched through the runtime (generic local probes and
     /// global probes; intrinsified fires are not runtime-dispatched and are
     /// counted by the monitors themselves).
-    pub probe_fires: u64,
+    probe_fires: sum,
     /// Global-probe fires (subset of `probe_fires`).
-    pub global_fires: u64,
+    global_fires: sum,
     /// Functions compiled to the JIT tier.
-    pub compiles: u64,
+    compiles: sum,
     /// Tier-up transitions (OSR entries).
-    pub tier_ups: u64,
+    tier_ups: sum,
     /// Deoptimizations (frame transfers back to the interpreter, including
     /// frame-modification deopts).
-    pub deopts: u64,
+    deopts: sum,
     /// Invalidation passes over compiled code caused by instrumentation
     /// changes. Inserting/removing a probe individually costs one pass
     /// each; a whole [`ProbeBatch`] committed via
     /// [`Process::apply_batch`] costs exactly one.
-    pub invalidation_passes: u64,
+    invalidation_passes: sum,
     /// Fuel units consumed by bounded runs ([`Process::run_bounded`] /
     /// [`Process::resume`]); one unit per bytecode instruction.
-    pub fuel_consumed: u64,
+    fuel_consumed: sum,
     /// Out-of-fuel suspensions of bounded runs.
-    pub suspensions: u64,
+    suspensions: sum,
     /// Functions lowered to the fixed-width internal form (each function
     /// is lowered at most once; probe traffic patches slots in place).
-    pub functions_lowered: u64,
+    functions_lowered: sum,
     /// Forced re-lowering passes ([`Process::relower`]). Probe insertion
     /// and removal — batched or not — never re-lower, so under normal
     /// instrumentation traffic this stays 0.
-    pub relower_passes: u64,
+    relower_passes: sum,
     /// Instantiations served from an already-built shared
     /// [`ModuleArtifact`] by an artifact cache (e.g. `wizard-pool`'s):
     /// validation, lowering and baseline compilation were all skipped.
     /// Caches contribute this counter when fleet stats are merged;
     /// processes themselves never increment it.
-    pub artifact_cache_hits: u64,
+    artifact_cache_hits: sum,
     /// Artifact-cache lookups that had to build (validate) the artifact.
     /// Contributed by caches, like [`EngineStats::artifact_cache_hits`].
-    pub artifact_cache_misses: u64,
+    artifact_cache_misses: sum,
     /// Copy-on-write overlay materializations: the first probe this
     /// process installed in each function copied that function's bytes
     /// and lowered slots into process-local storage. Detaching the last
     /// probe drops the copy again (rejoining the shared artifact), so
     /// this counts copies *made*, not copies currently resident.
-    pub overlay_copies: u64,
+    overlay_copies: sum,
     /// Successful translation-validation passes over a module's lowered
     /// form ([`EngineConfig::validate_lowering`]); one per instantiation
     /// that ran the registered validator.
-    pub lowering_validations: u64,
+    lowering_validations: sum,
     /// Functions lowered to the register form ([`crate::regir`]) when a
     /// register-dispatch process built the shared register module. Like
     /// [`EngineStats::functions_lowered`], the work happens once per
     /// artifact: warm instantiations report 0.
-    pub functions_reg_lowered: u64,
+    functions_reg_lowered: sum,
     /// Functions the register allocator declined to lower (they execute
     /// in the stack-form tiers under [`Dispatch::Register`]). Counted
     /// with [`EngineStats::functions_reg_lowered`] by whichever process
     /// built the register module.
-    pub reg_fallbacks: u64,
+    reg_fallbacks: sum,
     /// Register-tier frames demoted to the stack interpreter because the
     /// function acquired a probe overlay or the process entered
     /// global-probe mode while they were live.
-    pub reg_demotions: u64,
+    reg_demotions: sum,
     /// Trace events captured by streaming trace monitors attached to this
     /// process. Contributed at detach time via [`Process::record_trace`]
     /// (intrinsified operand fires bypass the runtime, so the engine
     /// cannot count them itself).
-    pub trace_events: u64,
+    trace_events: sum,
     /// Encoded trace bytes emitted to trace sinks, including stream
     /// header and block framing. Contributed like
     /// [`EngineStats::trace_events`].
-    pub trace_bytes: u64,
+    trace_bytes: sum,
     /// Tasks a scheduler worker stole from another worker's deque.
     /// Contributed by multi-worker schedulers (`wizard-pool`'s serving
     /// engine) when fleet stats are merged; processes themselves never
     /// increment it.
-    pub steals: u64,
+    steals: sum,
     /// High-water mark of a scheduler's admission queue depth. Merged
     /// with `max` (a high-water mark, not a volume), contributed by
     /// schedulers like [`EngineStats::steals`].
-    pub queue_depth_max: u64,
+    queue_depth_max: max,
     /// Fuel slices a scheduler executed across its fleet (every
     /// `run_export_bounded`/`resume` turn, whether it suspended or
     /// finished). Contributed by schedulers like [`EngineStats::steals`].
-    pub slices_executed: u64,
+    slices_executed: sum,
     /// Times a scheduler parked a runnable task because its tenant's
     /// fuel budget for the current round was exhausted. Contributed by
     /// schedulers like [`EngineStats::steals`].
-    pub budget_throttles: u64,
-}
-
-impl EngineStats {
-    /// Accumulates another process's counters into this one — the
-    /// aggregation primitive used by multi-process schedulers
-    /// (`wizard-pool`) to report fleet-wide engine activity.
-    pub fn merge(&mut self, other: &EngineStats) {
-        // Exhaustive destructuring: adding a counter field without
-        // aggregating it here is a compile error, not a silent zero.
-        let EngineStats {
-            probe_fires,
-            global_fires,
-            compiles,
-            tier_ups,
-            deopts,
-            invalidation_passes,
-            fuel_consumed,
-            suspensions,
-            functions_lowered,
-            relower_passes,
-            artifact_cache_hits,
-            artifact_cache_misses,
-            overlay_copies,
-            lowering_validations,
-            functions_reg_lowered,
-            reg_fallbacks,
-            reg_demotions,
-            trace_events,
-            trace_bytes,
-            steals,
-            queue_depth_max,
-            slices_executed,
-            budget_throttles,
-        } = *other;
-        self.probe_fires += probe_fires;
-        self.global_fires += global_fires;
-        self.compiles += compiles;
-        self.tier_ups += tier_ups;
-        self.deopts += deopts;
-        self.invalidation_passes += invalidation_passes;
-        self.fuel_consumed += fuel_consumed;
-        self.suspensions += suspensions;
-        self.functions_lowered += functions_lowered;
-        self.relower_passes += relower_passes;
-        self.artifact_cache_hits += artifact_cache_hits;
-        self.artifact_cache_misses += artifact_cache_misses;
-        self.overlay_copies += overlay_copies;
-        self.lowering_validations += lowering_validations;
-        self.functions_reg_lowered += functions_reg_lowered;
-        self.reg_fallbacks += reg_fallbacks;
-        self.reg_demotions += reg_demotions;
-        self.trace_events += trace_events;
-        self.trace_bytes += trace_bytes;
-        self.steals += steals;
-        // A high-water mark: the fleet-wide maximum, not a sum.
-        self.queue_depth_max = self.queue_depth_max.max(queue_depth_max);
-        self.slices_executed += slices_executed;
-        self.budget_throttles += budget_throttles;
-    }
+    budget_throttles: sum,
 }
 
 /// Result of one fuel slice of a bounded run.

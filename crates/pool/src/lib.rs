@@ -1,41 +1,52 @@
-//! `wizard-pool`: a sharded multi-process pool for instrumented Wasm
-//! workloads.
+//! `wizard-pool`: one scheduler for fleets of instrumented Wasm
+//! processes, with a batch front ([`Pool`]) and a serving front
+//! ([`ServeEngine`]).
 //!
 //! The engine ([`wizard_engine`]) is deliberately single-threaded — probes,
 //! monitors and the FrameAccessor machinery are `Rc`/`RefCell`-based, as in
 //! the paper. Serving many instrumented programs concurrently therefore
-//! cannot share one process across threads; instead the pool **shards**:
+//! cannot share one process across threads; instead every [`Job`] (a
+//! module, an entry point, arguments and an optional monitor) becomes its
+//! own process, and the scheduler in [`serve`] multiplexes those processes
+//! over N worker threads:
 //!
-//! * each [`Job`] (module + entry + args + optional monitor) is assigned
-//!   round-robin to one of N *shard* worker threads;
-//! * every shard owns its processes outright and multiplexes them
-//!   cooperatively with **fuel slices**
-//!   ([`Process::run_bounded`] / [`Process::resume`]): each turn executes
-//!   at most `fuel_slice` bytecode instructions before the next process
-//!   runs, so no job monopolizes its worker;
+//! * a process runs in **fuel slices**
+//!   ([`Process::run_export_bounded`] / [`Process::resume`]): each turn
+//!   executes a bounded number of bytecode instructions, so no job
+//!   monopolizes its worker; between slices a suspended process may be
+//!   stolen by, and resumed on, another worker;
 //! * suspension is transparent to instrumentation — a sliced run fires
 //!   exactly the probes of an unbounded run — so per-job monitor
-//!   [`Report`]s are exact, and the pool folds them into fleet-wide
+//!   [`Report`]s are exact, and the scheduler folds them into fleet-wide
 //!   aggregates with [`Report::merge`] alongside a merged
 //!   [`EngineStats`].
 //!
-//! Monitors are created *on the worker thread* via a [`MonitorFactory`]
-//! (the factory is `Send + Sync`; the monitor it builds never crosses a
-//! thread), which is what lets an `Rc`-based analysis run per-process in a
-//! multi-threaded fleet.
+//! [`Pool`] is the batch shape: queue jobs, [`Pool::run`] submits them
+//! all to a private [`ServeEngine`], waits, and returns the outcomes in
+//! submission order. There is no second scheduler behind it, so a
+//! batch job's [`Job::priority`], [`Job::tenant`] and [`Job::deadline`]
+//! mean exactly what they mean to a served job.
 //!
-//! Since the shared-artifact refactor the pool also amortizes the *code
-//! pipeline*: every run owns an [`ArtifactCache`] keyed by module identity
-//! (the module's canonical binary encoding) and shared across all worker
-//! threads. The first job running a module validates and builds its
-//! [`ModuleArtifact`]; every later job — on *any* shard — instantiates
-//! from the shared artifact with
-//! [`Process::instantiate`], skipping validation, lowering and baseline
-//! JIT compilation entirely, and executing from the very same lowered
-//! code until its own monitor installs a probe (which copy-on-writes only
-//! the probed functions, invisibly to sibling jobs). Cache traffic is
-//! reported fleet-wide through
+//! Monitors are created *on the worker thread* via a [`MonitorFactory`]
+//! (the factory is `Send + Sync`; the monitor it builds is confined to
+//! its job's task), which is what lets an `Rc`-based analysis run
+//! per-process in a multi-threaded fleet.
+//!
+//! The scheduler also amortizes the *code pipeline*: every run owns an
+//! [`ArtifactCache`] keyed by module identity (the module's canonical
+//! binary encoding) and shared across all worker threads. The first job
+//! admitting a module validates and builds its [`ModuleArtifact`]; every
+//! later job — on *any* worker — instantiates from the shared artifact
+//! with [`Process::instantiate`], skipping validation, lowering and
+//! baseline JIT compilation entirely, and executing from the very same
+//! lowered code until its own monitor installs a probe (which
+//! copy-on-writes only the probed functions, invisibly to sibling jobs).
+//! Cache traffic is reported fleet-wide through
 //! [`EngineStats::artifact_cache_hits`]/[`EngineStats::artifact_cache_misses`].
+//!
+//! [`Process::run_export_bounded`]: wizard_engine::Process::run_export_bounded
+//! [`Process::resume`]: wizard_engine::Process::resume
+//! [`Process::instantiate`]: wizard_engine::Process::instantiate
 //!
 //! ```
 //! use std::sync::Arc;
@@ -77,7 +88,7 @@
 pub mod serve;
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,9 +99,7 @@ pub use serve::{
 };
 
 use wizard_engine::store::Linker;
-use wizard_engine::{
-    EngineConfig, EngineStats, ModuleArtifact, Monitor, Process, Report, RunOutcome, Value,
-};
+use wizard_engine::{EngineConfig, EngineStats, ModuleArtifact, Monitor, Report, Value};
 use wizard_wasm::module::Module;
 use wizard_wasm::validate::ValidateError;
 
@@ -102,8 +111,7 @@ pub const DEFAULT_FUEL_SLICE: u64 = 100_000;
 /// Pool configuration.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Number of worker threads; each runs one single-threaded engine and
-    /// owns the processes of the jobs assigned to it.
+    /// Number of worker threads the batch is scheduled over.
     pub shards: usize,
     /// Engine configuration used by every process in the pool. Its
     /// [`EngineConfig::fuel_slice`] is the per-turn instruction budget
@@ -117,15 +125,8 @@ impl Default for PoolConfig {
     }
 }
 
-impl PoolConfig {
-    /// The effective per-turn fuel budget.
-    pub fn fuel_slice(&self) -> u64 {
-        self.engine.fuel_slice.unwrap_or(DEFAULT_FUEL_SLICE).max(1)
-    }
-}
-
-/// Builds a monitor on the worker thread that will own it. The factory
-/// crosses threads; the `Rc`-based monitor it creates never does.
+/// Builds a monitor on a worker thread. The factory is shared between
+/// threads; the `Rc`-based monitor it creates stays confined to its job.
 pub type MonitorFactory = Arc<dyn Fn() -> Rc<RefCell<dyn Monitor>> + Send + Sync>;
 
 /// Builds a [`Linker`] on the worker thread that instantiates the job.
@@ -135,9 +136,8 @@ pub type MonitorFactory = Arc<dyn Fn() -> Rc<RefCell<dyn Monitor>> + Send + Sync
 /// [`wizard_engine::Shims`]) run in a multi-threaded fleet.
 pub type LinkerFactory = Arc<dyn Fn() -> Linker + Send + Sync>;
 
-/// Scheduling priority of a [`Job`] in the serving engine
-/// ([`ServeEngine`]). Lower values are more urgent; the round-robin
-/// [`Pool`] ignores priorities.
+/// Scheduling priority of a [`Job`], whether served ([`ServeEngine`]) or
+/// batch-run ([`Pool`]). Lower values are more urgent.
 ///
 /// Priorities are *strict* among runnable work — a worker never picks a
 /// `Low` task while a `High` task is queued — but starvation-freedom for
@@ -177,8 +177,7 @@ impl Priority {
 /// A thread-safe cache of built [`ModuleArtifact`]s keyed by **module
 /// identity** — the module's canonical binary encoding, so byte-identical
 /// modules submitted as separate [`Job`]s (fleets clone their kernels per
-/// job) resolve to one shared artifact regardless of which shard asks
-/// first.
+/// job) resolve to one shared artifact regardless of who asks first.
 ///
 /// One lives inside every [`Pool::run`]; hold your own in an `Arc` and use
 /// [`Pool::run_with_cache`] to keep artifacts warm *across* runs.
@@ -196,11 +195,15 @@ impl ArtifactCache {
     }
 
     /// The shared artifact for `module`, building (and validating) it on
-    /// first sight of this module identity.
+    /// first sight of this module identity, and whether the lookup was
+    /// served from cache (`true`) or built the artifact (`false`) — so
+    /// callers sharing one cache across concurrent runs can attribute
+    /// traffic to the run that caused it instead of diffing the global
+    /// counters.
     ///
     /// The lock is held only for map lookups/inserts, never across a
-    /// build: a shard validating a large new module does not stall other
-    /// shards' cache hits on unrelated modules. Two shards racing on the
+    /// build: a thread validating a large new module does not stall other
+    /// threads' cache hits on unrelated modules. Two threads racing on the
     /// *same* new module may both build it; the first insert wins, the
     /// loser adopts the winner's artifact (so pointer-sharing always
     /// holds) and the duplicate build is discarded — a bounded, transient
@@ -215,19 +218,6 @@ impl ArtifactCache {
     ///
     /// Returns the [`ValidateError`] if the module is invalid; failures
     /// are not cached (each submission of an invalid module re-reports).
-    pub fn artifact_for(&self, module: &Module) -> Result<Arc<ModuleArtifact>, ValidateError> {
-        self.lookup(module).map(|(art, _)| art)
-    }
-
-    /// As [`ArtifactCache::artifact_for`], additionally reporting whether
-    /// the lookup was served from cache (`true`) or built the artifact
-    /// (`false`) — so callers sharing one cache across concurrent runs can
-    /// attribute traffic to the run that caused it instead of diffing the
-    /// global counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`ArtifactCache::artifact_for`].
     pub fn lookup(&self, module: &Module) -> Result<(Arc<ModuleArtifact>, bool), ValidateError> {
         let key = wizard_wasm::encode::encode(module);
         if let Some(art) = self.map.lock().expect("artifact cache poisoned").get(&key) {
@@ -268,17 +258,6 @@ impl ArtifactCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// The cache's traffic as an [`EngineStats`] contribution (only the
-    /// `artifact_cache_*` counters are set), ready to merge into a fleet
-    /// aggregate.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            artifact_cache_hits: self.hits(),
-            artifact_cache_misses: self.misses(),
-            ..EngineStats::default()
-        }
-    }
 }
 
 impl core::fmt::Debug for ArtifactCache {
@@ -309,14 +288,15 @@ pub struct Job {
     /// Linker factory; built on the worker thread at instantiation. Jobs
     /// without one link against an empty [`Linker`].
     pub linker: Option<LinkerFactory>,
-    /// Tenant this job bills its fuel to (serving engine only; the
-    /// round-robin [`Pool`] ignores it).
+    /// Tenant this job bills its fuel to. ([`Pool`] configures no tenant
+    /// budgets, so in a batch the name only labels the job.)
     pub tenant: String,
-    /// Scheduling class (serving engine only).
+    /// Scheduling class.
     pub priority: Priority,
     /// Relative deadline, measured from admission: a job still running
     /// (or still queued) this long after being accepted is cancelled with
-    /// [`JobStatus::DeadlineExceeded`]. Serving engine only.
+    /// [`JobStatus::DeadlineExceeded`] — in a [`Pool`] batch its
+    /// [`JobOutcome::result`] is then an `Err`.
     pub deadline: Option<Duration>,
 }
 
@@ -407,9 +387,10 @@ impl core::fmt::Debug for Job {
 pub struct JobOutcome {
     /// The job's name.
     pub name: String,
-    /// Which shard ran it.
+    /// Which worker finalized it.
     pub shard: usize,
-    /// The entry function's results, or the instantiation/trap error.
+    /// The entry function's results, or why there are none: a validation,
+    /// link or monitor-attach error, a trap, or a missed deadline.
     pub result: Result<Vec<Value>, String>,
     /// The monitor's final report (after detach), if one was attached.
     pub report: Option<Report>,
@@ -424,14 +405,18 @@ pub struct JobOutcome {
 pub struct PoolOutcome {
     /// Per-job outcomes, in submission order.
     pub jobs: Vec<JobOutcome>,
-    /// Fleet-wide engine counters ([`EngineStats::merge`] over all jobs).
+    /// Fleet-wide counters: [`EngineStats::merge`] over all jobs, plus the
+    /// run's artifact-cache traffic and scheduler counters
+    /// ([`ServeEngine::stats`]).
     pub stats: EngineStats,
     /// Monitor reports folded by title with [`Report::merge`]: all jobs
     /// running the same analysis contribute to one aggregate report.
     ///
     /// Merging is label-keyed, so scalar totals (e.g. a summary section's
     /// counts) are always meaningful sums; per-*location* rows only
-    /// aggregate meaningfully when the jobs run the same program.
+    /// aggregate meaningfully when the jobs run the same program. Reports
+    /// fold in completion order, which decides the order of rows and of
+    /// titles, never a value.
     pub merged_reports: Vec<Report>,
 }
 
@@ -447,7 +432,8 @@ impl PoolOutcome {
     }
 }
 
-/// A sharded multi-process pool; see the crate docs.
+/// A batch of jobs run to completion over a private [`ServeEngine`]; see
+/// the crate docs.
 pub struct Pool {
     config: PoolConfig,
     jobs: Vec<Job>,
@@ -477,18 +463,20 @@ impl Pool {
     /// Runs every queued job to completion and aggregates the fleet's
     /// statistics and monitor reports.
     ///
-    /// Jobs are assigned round-robin to `shards` worker threads; within a
-    /// worker, live processes take turns of `fuel_slice` instructions
-    /// each. The call blocks until the whole fleet has finished.
+    /// The batch is submitted whole to a private [`ServeEngine`] with
+    /// `shards` workers and drained: jobs are scheduled exactly as served
+    /// jobs are (priorities, tenants, deadlines, work stealing, fuel
+    /// slices of `fuel_slice` instructions). The call blocks until the
+    /// whole fleet has finished.
     ///
-    /// Per-job failures — link errors, monitor attach errors, traps — are
-    /// reported in that job's [`JobOutcome::result`] and never affect the
-    /// rest of the fleet.
+    /// Per-job failures — invalid modules, link errors, monitor attach
+    /// errors, traps, missed deadlines — are reported in that job's
+    /// [`JobOutcome::result`] and never affect the rest of the fleet.
     ///
     /// Caveat: instantiation (including a module's *start function*) runs
     /// unmetered, before slicing begins. Fuel fairness applies from the
     /// first `run_export_bounded` turn onward; a hostile start function
-    /// can stall its shard during setup.
+    /// can stall its worker during setup.
     pub fn run(self) -> PoolOutcome {
         self.run_with_cache(&Arc::new(ArtifactCache::new()))
     }
@@ -498,188 +486,70 @@ impl Pool {
     /// the cache, so a long-lived server reuses them across successive
     /// fleets instead of re-validating its kernels every run.
     pub fn run_with_cache(self, cache: &Arc<ArtifactCache>) -> PoolOutcome {
-        let shards = self.config.shards.max(1);
-        let fuel_slice = self.config.fuel_slice();
-
-        // Partition jobs round-robin, remembering submission order.
-        let mut partitions: Vec<Vec<(usize, Job)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (idx, job) in self.jobs.into_iter().enumerate() {
-            partitions[idx % shards].push((idx, job));
-        }
-
-        let mut outcomes: Vec<(usize, JobOutcome)> = Vec::new();
-        let mut cache_stats = EngineStats::default();
-        if shards == 1 {
-            // Single shard: run inline, no thread overhead.
-            let shard_out = run_shard(
-                0,
-                partitions.pop().expect("one partition"),
-                self.config.engine,
-                fuel_slice,
-                cache,
-            );
-            cache_stats.merge(&shard_out.cache_stats);
-            outcomes = shard_out.jobs;
-        } else {
-            let engine = self.config.engine;
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .enumerate()
-                .map(|(shard, part)| {
-                    let engine = engine.clone();
-                    let cache = Arc::clone(cache);
-                    std::thread::spawn(move || run_shard(shard, part, engine, fuel_slice, &cache))
-                })
-                .collect();
-            for h in handles {
-                let shard_out = h.join().expect("shard worker panicked");
-                cache_stats.merge(&shard_out.cache_stats);
-                outcomes.extend(shard_out.jobs);
-            }
-        }
-        outcomes.sort_by_key(|(idx, _)| *idx);
-        let jobs: Vec<JobOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-
-        let mut stats = EngineStats::default();
-        let mut merged_reports: Vec<Report> = Vec::new();
-        for j in &jobs {
-            stats.merge(&j.stats);
-            if let Some(r) = &j.report {
-                match merged_reports.iter_mut().find(|m| m.title == r.title) {
-                    Some(m) => m.merge(r),
-                    None => merged_reports.push(r.clone()),
+        let engine = ServeEngine::with_cache(
+            ServeConfig {
+                workers: self.config.shards.max(1),
+                engine: self.config.engine,
+                // The whole batch is admitted before anything is awaited.
+                queue_capacity: self.jobs.len().max(1),
+                ..ServeConfig::default()
+            },
+            Arc::clone(cache),
+        );
+        // An unadmitted job keeps its place in submission order as
+        // (name, error).
+        let admitted: Vec<Result<JobHandle, (String, String)>> = self
+            .jobs
+            .into_iter()
+            .map(|job| match engine.try_submit(job) {
+                Submit::Accepted(handle) => Ok(handle),
+                Submit::Invalid { job, error } => Err((job.name, format!("link error: {error}"))),
+                // Unreachable by construction (the queue holds the batch
+                // and nobody else can close this engine), but a job is
+                // never dropped silently.
+                Submit::Rejected(job) | Submit::Closed(job) => {
+                    Err((job.name, "not admitted".into()))
                 }
-            }
-        }
-        // The cache traffic *this run caused* joins the fleet counters —
-        // tallied per shard from lookup results, so concurrent runs
-        // sharing one cache never cross-attribute each other's traffic.
-        // (Processes never touch the artifact_cache_* fields themselves.)
-        stats.merge(&cache_stats);
-        PoolOutcome { jobs, stats, merged_reports }
-    }
-}
-
-/// One live process being time-sliced by a shard worker.
-struct Task {
-    idx: usize,
-    name: String,
-    entry: String,
-    args: Vec<Value>,
-    process: Process,
-    monitor: Option<(wizard_engine::MonitorHandle, Rc<RefCell<dyn Monitor>>)>,
-    started: bool,
-    slices: u64,
-}
-
-/// What one shard hands back: its job outcomes plus the artifact-cache
-/// traffic *its* lookups caused (only the `artifact_cache_*` counters of
-/// `cache_stats` are set).
-struct ShardOutcome {
-    jobs: Vec<(usize, JobOutcome)>,
-    cache_stats: EngineStats,
-}
-
-/// The shard scheduler: instantiate every assigned job (through the
-/// fleet-shared artifact cache, so shards warm each other), then
-/// round-robin fuel slices over the live set until all are done.
-fn run_shard(
-    shard: usize,
-    jobs: Vec<(usize, Job)>,
-    engine: EngineConfig,
-    fuel_slice: u64,
-    cache: &ArtifactCache,
-) -> ShardOutcome {
-    let mut done: Vec<(usize, JobOutcome)> = Vec::new();
-    let mut live: VecDeque<Task> = VecDeque::new();
-    let mut cache_stats = EngineStats::default();
-
-    for (idx, job) in jobs {
-        let failed = |name: String, error: String| {
-            (
-                idx,
-                JobOutcome {
+            })
+            .collect();
+        let jobs = admitted
+            .into_iter()
+            .map(|admission| match admission {
+                Ok(handle) => JobOutcome::from_served(handle.wait()),
+                Err((name, error)) => JobOutcome {
                     name,
-                    shard,
+                    shard: 0,
                     result: Err(error),
                     report: None,
                     stats: EngineStats::default(),
                     slices: 0,
                 },
-            )
-        };
-        let instantiated = cache
-            .lookup(&job.module)
-            .map_err(wizard_engine::LinkError::from)
-            .and_then(|(art, hit)| {
-                if hit {
-                    cache_stats.artifact_cache_hits += 1;
-                } else {
-                    cache_stats.artifact_cache_misses += 1;
-                }
-                // The linker is built on this worker thread; its Rc-based
-                // host functions never cross threads.
-                let linker = job.linker.as_ref().map_or_else(Linker::new, |make| make());
-                Process::instantiate(art, engine.clone(), &linker)
-            });
-        match instantiated {
-            Ok(mut process) => {
-                let monitor = match &job.monitor {
-                    Some(make) => {
-                        let m = make();
-                        match process.attach_monitor_dyn(Rc::clone(&m)) {
-                            Ok(handle) => Some((handle, m)),
-                            // A bad monitor fails its own job, not the fleet.
-                            Err(e) => {
-                                done.push(failed(job.name, format!("monitor attach error: {e}")));
-                                continue;
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                live.push_back(Task {
-                    idx,
-                    name: job.name,
-                    entry: job.entry,
-                    args: job.args,
-                    process,
-                    monitor,
-                    started: false,
-                    slices: 0,
-                });
-            }
-            Err(e) => done.push(failed(job.name, format!("link error: {e}"))),
-        }
+            })
+            .collect();
+        let ServeSummary { stats, merged_reports, .. } = engine.shutdown();
+        PoolOutcome { jobs, stats, merged_reports }
     }
-
-    while let Some(mut t) = live.pop_front() {
-        let turn = if t.started {
-            t.process.resume(fuel_slice)
-        } else {
-            t.started = true;
-            t.process.run_export_bounded(&t.entry, &t.args, fuel_slice)
-        };
-        t.slices += 1;
-        match turn {
-            Ok(RunOutcome::OutOfFuel) => live.push_back(t),
-            Ok(RunOutcome::Done(values)) => done.push((t.idx, finish(shard, t, Ok(values)))),
-            Err(trap) => done.push((t.idx, finish(shard, t, Err(trap.to_string())))),
-        }
-    }
-    ShardOutcome { jobs: done, cache_stats }
 }
 
-/// Finalizes a task: detach its monitor (restoring the zero-overhead
-/// baseline and letting `on_detach` drain shadow state), then snapshot the
-/// report and stats.
-fn finish(shard: usize, mut t: Task, result: Result<Vec<Value>, String>) -> JobOutcome {
-    let report = t.monitor.take().map(|(handle, monitor)| {
-        t.process.detach_monitor(handle).expect("attached monitor detaches");
-        let r = monitor.borrow().report();
-        r
-    });
-    JobOutcome { name: t.name, shard, result, report, stats: t.process.stats(), slices: t.slices }
+impl JobOutcome {
+    /// The batch view of a served job: every terminal status but `Done`
+    /// is an error string.
+    fn from_served(out: ServeOutcome) -> JobOutcome {
+        let result = match out.status {
+            JobStatus::Done(values) => Ok(values),
+            JobStatus::Failed(error) => Err(error),
+            JobStatus::Cancelled => Err("cancelled".into()),
+            JobStatus::DeadlineExceeded => Err("deadline exceeded".into()),
+        };
+        JobOutcome {
+            name: out.name,
+            shard: out.worker,
+            result,
+            report: out.report,
+            stats: out.stats,
+            slices: out.slices,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -718,19 +588,21 @@ mod tests {
             let config =
                 PoolConfig { shards, engine: EngineConfig::builder().fuel_slice(500).build() };
             let mut pool = Pool::new(config);
-            fleet(&mut pool, 8, 100, false);
+            // ~7 instructions per iteration: even the 8x slice a lone
+            // runnable job is granted (4 000 fuel) cannot finish a job.
+            fleet(&mut pool, 8, 1_000, false);
             let outcome = pool.run();
             assert_eq!(outcome.jobs.len(), 8);
             assert!(outcome.all_ok());
             for j in &outcome.jobs {
-                assert_eq!(j.result, Ok(vec![Value::I32(4950)]), "{} wrong", j.name);
+                assert_eq!(j.result, Ok(vec![Value::I32(499_500)]), "{} wrong", j.name);
                 assert!(j.slices >= 2, "{} was never preempted", j.name);
             }
             assert!(outcome.stats.suspensions > 0);
             assert!(outcome.stats.fuel_consumed > 0);
             // The artifact cache resolves all 8 byte-identical modules to
-            // one shared artifact: one build, 7 hits — regardless of how
-            // the jobs landed on shards — and the single shared function
+            // one shared artifact: one build, 7 hits — regardless of which
+            // worker ran which job — and the single shared function
             // is lowered exactly once for the whole fleet.
             assert_eq!(outcome.stats.artifact_cache_misses, 1);
             assert_eq!(outcome.stats.artifact_cache_hits, 7);
@@ -738,7 +610,7 @@ mod tests {
             assert_eq!(outcome.stats.relower_passes, 0);
             // Nobody probed anything: zero copy-on-write copies were made.
             assert_eq!(outcome.stats.overlay_copies, 0);
-            // Jobs come back in submission order regardless of sharding.
+            // Jobs come back in submission order, not completion order.
             let names: Vec<&str> = outcome.jobs.iter().map(|j| j.name.as_str()).collect();
             assert_eq!(names, (0..8).map(|k| format!("sum-{k}")).collect::<Vec<_>>());
         }
@@ -838,13 +710,41 @@ mod tests {
             desc: wizard_wasm::module::ImportDesc::Func(0),
         });
 
+        // Invalid: rejected at admission, before any worker sees it.
+        let mut invalid = sum_module();
+        invalid.exports.push(wizard_wasm::module::Export {
+            name: "phantom".into(),
+            kind: wizard_wasm::types::ExternKind::Func,
+            index: 999,
+        });
+
         let mut pool = Pool::new(PoolConfig::default());
         pool.submit(Job::new("bad", bad, "run", vec![]));
         pool.submit(Job::new("good", sum_module(), "run", vec![Value::I32(5)]));
+        pool.submit(Job::new("invalid", invalid, "run", vec![]));
         let outcome = pool.run();
-        assert_eq!(outcome.jobs.len(), 2);
+        assert_eq!(outcome.jobs.len(), 3);
         assert!(outcome.jobs[0].result.as_ref().unwrap_err().contains("link error"));
         assert_eq!(outcome.jobs[1].result, Ok(vec![Value::I32(10)]));
+        assert!(outcome.jobs[2].result.as_ref().unwrap_err().contains("link error"));
+    }
+
+    #[test]
+    fn a_missed_deadline_fails_only_its_job() {
+        // The batch front passes `Job::deadline` through to the scheduler.
+        let mut pool = Pool::new(PoolConfig::default());
+        pool.submit(Job::new("fine-0", sum_module(), "run", vec![Value::I32(5)]));
+        pool.submit(
+            Job::new("late", sum_module(), "run", vec![Value::I32(5)])
+                .with_deadline(Duration::ZERO),
+        );
+        pool.submit(Job::new("fine-1", sum_module(), "run", vec![Value::I32(4)]));
+        let outcome = pool.run();
+        assert_eq!(outcome.jobs[0].result, Ok(vec![Value::I32(10)]));
+        assert_eq!(outcome.jobs[1].result, Err("deadline exceeded".into()));
+        assert_eq!(outcome.jobs[1].slices, 0, "a pre-expired job never takes a slice");
+        assert_eq!(outcome.jobs[2].result, Ok(vec![Value::I32(6)]));
+        assert!(!outcome.all_ok());
     }
 
     #[test]

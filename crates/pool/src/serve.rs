@@ -1,10 +1,11 @@
-//! The work-stealing multi-tenant serving engine.
+//! The work-stealing multi-tenant scheduler — the only one in this
+//! crate.
 //!
-//! [`Pool`](crate::Pool) batch-runs a fixed fleet with static round-robin
-//! sharding; this module is the *server* shape of the same machinery: a
-//! long-lived [`ServeEngine`] with worker threads, a bounded admission
-//! queue, and online scheduling. It exists to serve heavy multi-tenant
-//! instrumentation traffic with bounded tail latency:
+//! A long-lived [`ServeEngine`] with worker threads, a bounded admission
+//! queue, and online scheduling. [`Pool`](crate::Pool) is its batch
+//! front: submit a fixed fleet, wait for all of it, shut down. It exists
+//! to serve heavy multi-tenant instrumentation traffic with bounded tail
+//! latency:
 //!
 //! * **Work stealing.** Each worker owns per-priority local deques. A
 //!   worker pops its own newest task (LIFO — the task whose memory is
@@ -1244,10 +1245,13 @@ fn finalize(w: usize, shared: &Shared, h: Handoff<Task>, status: JobStatus) {
         }
         agg.completed += 1;
         agg.in_flight -= 1;
+        // Resolve the handle before `agg` is released: whoever `drain`
+        // wakes finds every outcome set, and whoever a handle wakes finds
+        // the job already counted.
+        *t.state.done.lock().expect("job slot poisoned") = Some(outcome);
+        t.state.cv.notify_all();
         if agg.in_flight == 0 {
             shared.idle.notify_all();
         }
     }
-    *t.state.done.lock().expect("job slot poisoned") = Some(outcome);
-    t.state.cv.notify_all();
 }

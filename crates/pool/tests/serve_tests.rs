@@ -12,10 +12,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wizard_engine::{
-    CountProbe, EngineConfig, EngineStats, InstrumentationCtx, Monitor, ProbeError, Process, Report,
+    CountProbe, EngineConfig, EngineStats, InstrumentationCtx, Monitor, ProbeError, Process,
+    Report, RunOutcome,
 };
 use wizard_monitors::HotnessMonitor;
-use wizard_pool::{Job, JobStatus, Pool, PoolConfig, Priority, ServeConfig, ServeEngine, Submit};
+use wizard_pool::{Job, JobStatus, Priority, ServeConfig, ServeEngine, Submit};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
@@ -463,34 +464,42 @@ fn queue_depth_max_merges_as_high_water_mark() {
 }
 
 #[test]
-fn one_worker_throughput_not_worse_than_sequential_pool() {
+fn one_worker_throughput_not_worse_than_sequential_loop() {
     // The shard-scaling-inversion regression guard: a 1-worker serving
     // engine degrades to cooperative slicing and must stay in the same
-    // ballpark as the old sequential (1-shard) pool on the same fleet —
-    // scheduling machinery may not cost multiples.
-    let fleet = || (0..8).map(|k| sum_job(format!("t-{k}"), 3_000)).collect::<Vec<_>>();
-    let pool_wall = (0..3)
+    // ballpark as the bare loop it schedules — start every job, then
+    // round-robin `resume` turns on this thread. Scheduling machinery may
+    // not cost multiples.
+    const FUEL_SLICE: u64 = 2_000;
+    let arg = [wizard_engine::Value::I32(3_000)];
+    let loop_wall = (0..3)
         .map(|_| {
-            let mut pool = Pool::new(PoolConfig {
-                shards: 1,
-                engine: EngineConfig::builder().fuel_slice(2_000).build(),
-            });
-            for job in fleet() {
-                pool.submit(job);
-            }
             let t0 = Instant::now();
-            let out = pool.run();
-            assert!(out.all_ok());
+            let engine = EngineConfig::builder().fuel_slice(FUEL_SLICE).build();
+            let linker = wizard_engine::store::Linker::new();
+            let mut live = std::collections::VecDeque::new();
+            for _ in 0..8 {
+                let mut p = Process::new(sum_module(), engine.clone(), &linker).unwrap();
+                if p.run_export_bounded("run", &arg, FUEL_SLICE).unwrap() == RunOutcome::OutOfFuel {
+                    live.push_back(p);
+                }
+            }
+            while let Some(mut p) = live.pop_front() {
+                if p.resume(FUEL_SLICE).unwrap() == RunOutcome::OutOfFuel {
+                    live.push_back(p);
+                }
+            }
             t0.elapsed()
         })
         .min()
         .unwrap();
     let serve_wall = (0..3)
         .map(|_| {
-            let engine = ServeEngine::new(config(1, 2_000));
+            let engine = ServeEngine::new(config(1, FUEL_SLICE));
             let t0 = Instant::now();
-            let handles: Vec<_> =
-                fleet().into_iter().map(|j| engine.try_submit(j).handle().unwrap()).collect();
+            let handles: Vec<_> = (0..8)
+                .map(|k| engine.try_submit(sum_job(format!("t-{k}"), 3_000)).handle().unwrap())
+                .collect();
             for h in &handles {
                 assert!(h.wait().status.is_ok());
             }
@@ -501,8 +510,8 @@ fn one_worker_throughput_not_worse_than_sequential_pool() {
         .min()
         .unwrap();
     assert!(
-        serve_wall <= pool_wall * 2,
-        "1-worker serving engine is >2x slower than the sequential pool \
-         ({serve_wall:?} vs {pool_wall:?})"
+        serve_wall <= loop_wall * 2,
+        "1-worker serving engine is >2x slower than a sequential slice loop \
+         ({serve_wall:?} vs {loop_wall:?})"
     );
 }

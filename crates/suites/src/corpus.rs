@@ -11,8 +11,8 @@
 //! dispatchers exactly like the suites.
 //!
 //! [`corpus`] returns each module both as a built [`Module`] and as its
-//! **encoded binary bytes** — the conformance harness and the
-//! `translate_speed` bench deliberately start from the bytes, driving
+//! **encoded binary bytes** — the conformance harness deliberately
+//! starts from the bytes, driving
 //! decode → validate → lower → artifact-build → execute end to end.
 //!
 //! The workload classes mirror common real deployments:

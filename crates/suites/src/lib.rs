@@ -105,7 +105,7 @@ pub fn richards_benchmark(loops: i32) -> Benchmark {
 
 /// A mixed fleet for multi-process scheduling experiments (`wizard-pool`):
 /// `size` jobs drawn from the Richards scheduler and the PolyBench
-/// kernels, interleaved so every shard gets a heterogeneous mix of
+/// kernels, interleaved so every worker gets a heterogeneous mix of
 /// control-flow-heavy and loop-heavy programs.
 pub fn fleet(scale: Scale, size: usize) -> Vec<Benchmark> {
     let richards_loops = match scale {
@@ -159,7 +159,7 @@ pub struct TenantJob {
 /// * `batch` (class 1, normal): the PolyBench kernels in rotation;
 /// * `background` (class 2, low): Richards scheduler runs and cubic
 ///   PolyBench kernels — the long jobs that would head-of-line-block a
-///   round-robin shard.
+///   scheduler without preemption and stealing.
 pub fn tenant_fleet(scale: Scale, size: usize) -> Vec<TenantJob> {
     let richards_loops = match scale {
         Scale::Test => 20,

@@ -1,6 +1,6 @@
 //! Deterministic random-module generation, shared by the differential
-//! harness (`tests/differential.rs`), the conformance suite's round-trip
-//! property, and the proptest strategies.
+//! harness (`tests/differential.rs`) and the conformance suite's
+//! round-trip property.
 //!
 //! A seeded xorshift64* PRNG drives a small program generator over the
 //! builder DSL: arithmetic, locals, `if`/`else`, nested constant loops,

@@ -1,6 +1,6 @@
 //! End-to-end streaming trace tests: captured streams agree with the
 //! branch-profile monitor, detach restores the zero-overhead baseline
-//! while crediting trace stats, and pool fleets drain per-shard channel
+//! while crediting trace stats, and pool fleets drain per-job channel
 //! sinks cross-thread with fleet-aggregated counters.
 
 use std::collections::HashMap;
@@ -99,7 +99,7 @@ fn detach_restores_baseline_and_credits_stats() {
     assert!(mon.sink_error().is_none());
 }
 
-/// A pool fleet streams per-shard traces through bounded channels; the
+/// A pool fleet streams per-job traces through bounded channels; the
 /// main thread drains every receiver, each stream decodes, and the
 /// fleet-merged stats aggregate the per-job trace counters.
 #[test]
@@ -129,7 +129,7 @@ fn pool_fleet_streams_through_channel_sinks() {
         for chunk in rx.iter() {
             bytes.extend_from_slice(&chunk);
         }
-        let (dict, events) = decode_trace(&bytes).expect("shard stream decodes");
+        let (dict, events) = decode_trace(&bytes).expect("job stream decodes");
         assert!(!dict.is_empty() && !events.is_empty());
         streams += 1;
         total_events += events.len() as u64;

@@ -1,8 +1,6 @@
 //! Adversarial tests for the validator and binary decoder: every rejection
 //! path the engine's safety rests on, plus decoder robustness against
-//! arbitrary bytes.
-
-use proptest::prelude::*;
+//! arbitrary and mutated bytes.
 
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::decode::decode;
@@ -94,11 +92,7 @@ fn local_and_global_indices_checked() {
 
 #[test]
 fn memory_instructions_require_memory() {
-    rejects(
-        &[I32],
-        vec![op::I32_CONST, 0, op::I32_LOAD, 2, 0, op::END],
-        "load without memory",
-    );
+    rejects(&[I32], vec![op::I32_CONST, 0, op::I32_LOAD, 2, 0, op::END], "load without memory");
     rejects(&[I32], vec![op::MEMORY_SIZE, 0, op::END], "memory.size without memory");
 }
 
@@ -169,10 +163,7 @@ fn module_level_checks() {
     // Start function with parameters.
     let mut m = Module::new();
     m.types.push(FuncType::new(&[I32], &[]));
-    m.funcs.push(FuncDecl {
-        type_idx: 0,
-        body: FuncBody { locals: vec![], code: vec![op::END] },
-    });
+    m.funcs.push(FuncDecl { type_idx: 0, body: FuncBody { locals: vec![], code: vec![op::END] } });
     m.start = Some(0);
     assert!(validate(&m).is_err(), "start with params");
 
@@ -219,34 +210,72 @@ fn float_param_flows() {
     assert!(mb.build().is_ok());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// xorshift64 — a deterministic byte source, no external crates.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
 
-    /// The decoder never panics on arbitrary bytes.
-    #[test]
-    fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode(&bytes);
+/// Decode, then validate what decoded: either step may refuse with a typed
+/// error, neither may panic.
+fn ingest(bytes: &[u8]) {
+    if let Ok(m) = decode(bytes) {
+        let _ = validate(&m);
     }
+}
 
-    /// The decoder never panics on mutated valid modules, and if it
-    /// succeeds, validation also terminates without panicking.
-    #[test]
-    fn mutated_modules_never_panic(flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..8)) {
-        let mut mb = ModuleBuilder::new();
-        mb.memory(1);
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        let i = f.local(I32);
-        f.for_range(i, 0, |f| { f.nop(); });
-        f.local_get(0);
-        mb.add_func("run", f);
-        let m = mb.build().unwrap();
-        let mut bytes = encode(&m);
-        for (pos, val) in flips {
-            let len = bytes.len();
-            bytes[pos as usize % len] = val;
-        }
-        if let Ok(m) = decode(&bytes) {
-            let _ = validate(&m);
+/// The seed binaries: every checked-in `tests/corpus/*.wasm` plus an
+/// encoded builder module with memory, a loop and an export.
+fn seed_binaries() -> Vec<Vec<u8>> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+    let mut seeds: Vec<Vec<u8>> = std::fs::read_dir(dir)
+        .expect("tests/corpus exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "wasm"))
+        .map(|path| std::fs::read(path).expect("readable corpus file"))
+        .collect();
+    assert!(!seeds.is_empty(), "no .wasm files under {dir}");
+
+    let mut mb = ModuleBuilder::new();
+    mb.memory(1);
+    let mut f = FuncBuilder::new(&[I32], &[I32]);
+    let i = f.local(I32);
+    f.for_range(i, 0, |f| {
+        f.nop();
+    });
+    f.local_get(0);
+    mb.add_func("run", f);
+    seeds.push(encode(&mb.build().unwrap()));
+    seeds
+}
+
+#[test]
+fn arbitrary_bytes_never_panic_the_decoder() {
+    let mut rng = 0x9e37_79b9_7f4a_7c15;
+    for _ in 0..256 {
+        let len = (next(&mut rng) % 512) as usize;
+        let bytes: Vec<u8> = (0..len).map(|_| next(&mut rng) as u8).collect();
+        ingest(&bytes);
+        // The same bytes behind a valid header reach the section parsers.
+        ingest(&[b"\0asm\x01\0\0\0", &bytes[..]].concat());
+    }
+}
+
+#[test]
+fn mutated_modules_never_panic() {
+    let mut rng = 0x2545_f491_4f6c_dd1d;
+    for seed in seed_binaries() {
+        for _ in 0..512 {
+            let mut bytes = seed.clone();
+            for _ in 0..=next(&mut rng) % 8 {
+                let pos = next(&mut rng) as usize % bytes.len();
+                bytes[pos] = next(&mut rng) as u8;
+            }
+            ingest(&bytes);
+            // Truncation: every parser's end-of-input path.
+            ingest(&bytes[..next(&mut rng) as usize % bytes.len()]);
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Multi-tenant pool: run a fleet of monitored Wasm processes across
-//! shard worker threads with fuel-sliced round-robin scheduling, then
-//! print the per-job and merged fleet-wide reports.
+//! Batch pool: run a fleet of monitored Wasm processes to completion
+//! over two fuel-slicing, work-stealing workers, then print the per-job
+//! and merged fleet-wide reports.
 //!
 //! ```sh
 //! cargo run --example pool
@@ -18,9 +18,9 @@ fn main() {
     let benches = fleet(Scale::Test, 8);
     let config = PoolConfig {
         shards: 2,
-        // 10k bytecode instructions per turn: no process monopolizes a
+        // 1k bytecode instructions per turn: no process monopolizes a
         // worker (EngineStats::suspensions counts the preemptions).
-        engine: EngineConfig::builder().fuel_slice(10_000).build(),
+        engine: EngineConfig::builder().fuel_slice(1_000).build(),
     };
     let mut pool = Pool::new(config);
     for (k, b) in benches.iter().enumerate() {

@@ -10,8 +10,8 @@
 //! * [`engine`] — the multi-tier engine with probes, FrameAccessor, JIT
 //!   intrinsification and deoptimization (the paper's contribution);
 //! * [`monitors`] — the Monitor Zoo;
-//! * [`pool`] — the sharded multi-process pool (fuel-sliced round-robin
-//!   scheduling of instrumented processes across worker threads);
+//! * [`pool`] — the multi-process scheduler (work-stealing, fuel-sliced,
+//!   multi-tenant) with its serving and batch fronts;
 //! * [`script`] — wizard-script, the declarative match-rule
 //!   instrumentation language compiled onto the probe engine;
 //! * [`trace`] — compact streaming trace capture (binary branch/call

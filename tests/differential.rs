@@ -1,6 +1,5 @@
 //! Differential testing of the execution pipeline — the safety net for the
-//! lowering refactor, wired into `cargo test` (unlike `proptests.rs`,
-//! which needs the external `proptest` crate).
+//! lowering refactor.
 //!
 //! A deterministic PRNG drives a small program generator over the builder
 //! DSL (arithmetic, locals, `if`/`else`, nested loops, trapping division).
@@ -14,15 +13,20 @@
 //! * uninstrumented vs probe-instrumented (hotness counts every
 //!   instruction, exercising probe patches on fused and unfused slots);
 //! * unbounded vs fuel-bounded execution resumed across suspensions.
+//!
+//! Two seed-loop properties ride along: the shared numeric table against
+//! native `i64` arithmetic, and random probe insert/remove sequences
+//! against the overwritten probe bytes.
 
 use std::sync::Arc;
 
 use wizard::engine::store::Linker;
 use wizard::engine::{
-    Dispatch, EngineConfig, ExecMode, ModuleArtifact, Process, RunOutcome, Trap, Value,
+    CountProbe, Dispatch, EngineConfig, ExecMode, ModuleArtifact, Process, RunOutcome, Slot, Trap,
+    Value,
 };
 use wizard::monitors::HotnessMonitor;
-use wizard::suites::randgen::random_module;
+use wizard::suites::randgen::{random_module, Rng};
 use wizard::wasm::Module;
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
@@ -222,6 +226,74 @@ fn random_programs_bounded_runs_are_transparent() {
                 mon_u.report(),
                 "seed {seed} config {name}: bounded report differs"
             );
+        }
+    }
+}
+
+/// Shared numeric semantics: the binop table every tier dispatches through
+/// matches native `i64` arithmetic on random operands.
+#[test]
+fn i64_numeric_reference() {
+    use wizard::engine::numeric::binop;
+    use wizard::wasm::opcodes as op;
+    let mut rng = Rng::new(0x1664);
+    // One operand in eight is in -4..=3, so zero divisors, identities and
+    // small rotate counts all occur.
+    let mut operand = || match rng.next() as i64 {
+        x if x & 7 == 0 => x >> 61,
+        x => x,
+    };
+    for _ in 0..4_000 {
+        let (a, b) = (operand(), operand());
+        let (sa, sb) = (Slot::from_i64(a), Slot::from_i64(b));
+        assert_eq!(binop(op::I64_ADD, sa, sb).unwrap().i64(), a.wrapping_add(b), "{a} + {b}");
+        assert_eq!(binop(op::I64_MUL, sa, sb).unwrap().i64(), a.wrapping_mul(b), "{a} * {b}");
+        assert_eq!(binop(op::I64_XOR, sa, sb).unwrap().i64(), a ^ b, "{a} ^ {b}");
+        let rotl = (a as u64).rotate_left((b as u32) & 63);
+        assert_eq!(binop(op::I64_ROTL, sa, sb).unwrap().u64(), rotl, "{a} rotl {b}");
+        let rem = binop(op::I64_REM_U, sa, sb).map(|s| s.u64()).ok();
+        assert_eq!(rem, (a as u64).checked_rem(b as u64), "{a} rem_u {b}");
+    }
+}
+
+/// Random probe insert/remove sequences over random programs: a site
+/// carries the probe byte exactly while some probe is registered there,
+/// probes sharing a site count the same fires, and the program result is
+/// never perturbed.
+#[test]
+fn probe_churn_is_consistent() {
+    for seed in 0..64u64 {
+        let m = random_module(seed + 5000);
+        let func = m.export_func("run").unwrap();
+        let pcs: Vec<u32> = wizard::wasm::instr::InstrIter::new(&m.func_body(func).unwrap().code)
+            .map(|instr| instr.unwrap().pc)
+            .collect();
+        let expect = run_plain(&m, EngineConfig::tiered(), 9);
+
+        let mut rng = Rng::new(seed);
+        let mut p = Process::new(m, EngineConfig::tiered(), &Linker::new()).unwrap();
+        let mut live: Vec<(wizard::engine::ProbeId, u32, CountProbe)> = Vec::new();
+        for _ in 0..=rng.below(40) {
+            if live.is_empty() || rng.below(2) == 0 {
+                let pc = pcs[rng.below(pcs.len() as u64) as usize];
+                let probe = CountProbe::new();
+                let id = p.add_local_probe_val(func, pc, probe.clone()).unwrap();
+                live.push((id, pc, probe));
+            } else {
+                let (id, pc, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                p.remove_probe(id).unwrap();
+                let still = live.iter().any(|(_, q, _)| *q == pc);
+                assert_eq!(p.has_probe_byte(func, pc), still, "seed {seed}: pc {pc} after remove");
+            }
+            for (_, pc, _) in &live {
+                assert!(p.has_probe_byte(func, *pc), "seed {seed}: live pc {pc} lost its byte");
+            }
+        }
+        let got = p.invoke_export("run", &[Value::I32(9)]);
+        assert_eq!(got, expect, "seed {seed}: probes perturbed the program");
+        for (_, pc, probe) in &live {
+            let (_, _, first) = live.iter().find(|(_, q, _)| q == pc).unwrap();
+            assert_eq!(probe.cell().get(), first.cell().get(), "seed {seed}: pc {pc} fire counts");
         }
     }
 }

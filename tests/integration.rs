@@ -251,7 +251,7 @@ fn bounded_runs_produce_identical_monitor_reports() {
     }
 }
 
-/// The same criterion through the pool: a sharded, fuel-sliced fleet of
+/// The same criterion through the pool: a two-worker, fuel-sliced fleet of
 /// richards + polybench processes reports exactly what the same monitors
 /// report on dedicated unbounded processes.
 #[test]
