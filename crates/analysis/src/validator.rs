@@ -207,8 +207,9 @@ fn slot_effect(li: LInstr, low: &Lowered) -> Effect {
 
 /// Decomposes a fused superinstruction into the effect sequence it must
 /// be equivalent to. This decoder is deliberately independent of the
-/// engine's own `fused` unfuse table — the whole point is to re-derive
-/// the meaning from the encoding and catch the engine being wrong.
+/// engine's own unfusing (`Lowered::original`) — the whole point is to
+/// re-derive the meaning from the encoding and catch the engine being
+/// wrong.
 fn decompose_fused(li: LInstr, low: &Lowered) -> Vec<Effect> {
     let branch = || {
         let t = low.target(li.x);

@@ -52,6 +52,7 @@ use wizard_wasm::validate::{validate, FuncMeta, ValidateError};
 
 use crate::jit::CompiledCode;
 use crate::lowered::Lowered;
+use crate::probe::Location;
 use crate::regir::RegModule;
 
 /// The immutable, shared per-function half of the code pipeline: pristine
@@ -120,7 +121,7 @@ impl FuncArtifact {
         let mut compiled_now = false;
         let code = self.baseline.get_or_init(|| {
             compiled_now = true;
-            Arc::new(crate::jit::compile_baseline(self.func, self.lowered()))
+            Arc::new(crate::jit::compile_baseline(self.lowered()))
         });
         (code, compiled_now)
     }
@@ -182,6 +183,9 @@ pub struct ModuleArtifact {
     /// The module's register form ([`crate::regir`]), built on first
     /// demand by a register-dispatch process and then shared by all.
     reg: OnceLock<Arc<RegModule>>,
+    /// Every instruction of every local function, in code order; see
+    /// [`ModuleArtifact::instruction_sites`].
+    sites: OnceLock<Arc<[Location]>>,
 }
 
 impl ModuleArtifact {
@@ -228,6 +232,7 @@ impl ModuleArtifact {
             type_canon,
             func_canon,
             reg: OnceLock::new(),
+            sites: OnceLock::new(),
         })
     }
 
@@ -288,6 +293,20 @@ impl ModuleArtifact {
     /// never select register dispatch.
     pub fn reg_module_built(&self) -> Option<&Arc<RegModule>> {
         self.reg.get()
+    }
+
+    /// Every instruction of every locally-defined function, in code order —
+    /// the site list of whole-module monitors (hotness, coverage). Read off
+    /// the lowered forms' `slot → pc` maps (lowering what is not lowered
+    /// yet) once per artifact, so an attach never re-decodes a body.
+    pub fn instruction_sites(&self) -> &Arc<[Location]> {
+        self.sites.get_or_init(|| {
+            let pcs = |f: &Arc<FuncArtifact>| {
+                let (func, low) = (f.func, Arc::clone(f.lowered()));
+                (0..low.len()).map(move |slot| Location { func, pc: low.pc_of(slot) })
+            };
+            self.funcs.iter().flat_map(pcs).collect()
+        })
     }
 
     /// Forces every function's lowered form to be built now. Optional —
@@ -351,6 +370,17 @@ mod tests {
         // Corrupt the body behind the builder's back: i32.add underflows.
         m.funcs[0].body.code = vec![wizard_wasm::opcodes::I32_ADD, wizard_wasm::opcodes::END];
         assert!(ModuleArtifact::new(m).is_err());
+    }
+
+    #[test]
+    fn instruction_sites_list_every_boundary_once() {
+        let a = artifact();
+        let sites = a.instruction_sites();
+        // local.get 0; i32.const 1; i32.add; end
+        let pcs: Vec<u32> = sites.iter().map(|l| l.pc).collect();
+        assert_eq!(pcs, [0, 2, 4, 5]);
+        assert!(sites.iter().all(|l| l.func == 0));
+        assert!(Arc::ptr_eq(sites, a.instruction_sites()), "built once");
     }
 
     #[test]

@@ -417,13 +417,15 @@ fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
         // instruction without re-firing.
         ex.skip_probe = None;
     } else {
-        ex.fire_local_probes(pc);
+        // Probe locations are validated against the lowered form, so a
+        // probed function has one even under byte dispatch.
+        let slot = ex.proc.code[ex.lf].artifact().lowered().slot_of(pc);
+        ex.fire_site(slot.expect("a probe byte sits on an instruction boundary"), pc);
     }
-    // The firing probes may have removed themselves (restoring the byte);
-    // re-read and dispatch the original opcode either way. Immediates are
-    // untouched by overwriting, so handlers decode them normally.
-    let b = ex.views.code.byte(ex.pc);
-    let orig = if b == op::PROBE { ex.proc.code[ex.lf].orig_opcode(pc) } else { b };
+    // Dispatch the original opcode, whether or not the firing probes
+    // removed themselves (restoring the byte). Immediates are untouched by
+    // overwriting, so handlers decode them normally.
+    let orig = ex.proc.code[ex.lf].orig_opcode(pc);
     normal_table()[orig as usize](ex, orig)
 }
 
@@ -431,7 +433,7 @@ fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 /// this instruction, then dispatch its real handler through the normal
 /// table (paper §4.1).
 fn op_global_stub(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    ex.fire_global_probes(ex.pc as u32);
+    ex.fire_global_probes();
     // Global probes may themselves have mutated instrumentation; re-read.
     let b = ex.views.code.byte(ex.pc);
     normal_table()[b as usize](ex, b)

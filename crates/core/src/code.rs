@@ -8,11 +8,16 @@
 //!
 //! * the **copy-on-write instrumented code**: the first probe installed in
 //!   a function copies its bytes and lowered op stream into process-local
-//!   storage ([`FuncOverlay::install_probe_byte`]), and removing the last
-//!   probe drops the copy again so the process *rejoins* the shared
-//!   artifact ([`FuncOverlay::restore_byte`]) — sibling processes of the
-//!   same artifact never observe either transition;
-//! * the saved original opcodes of probe-overwritten locations;
+//!   storage (`FuncOverlay::add_probe`), and removing the last probe
+//!   drops the copy again so the process *rejoins* the shared artifact
+//!   (`FuncOverlay::remove_probe`) — sibling processes of the same
+//!   artifact never observe either transition;
+//! * the **site table**, allocated and dropped with that copy: one entry
+//!   per lowered slot, holding the site's ordered probe list and the
+//!   *binding* compiled code executes there — what insertion, removal,
+//!   firing and compilation need to know about a probe site is one array
+//!   read away (the overwritten instruction is another: the shared
+//!   artifact still has it);
 //! * the instrumentation version and the compiled-code slot (probe-free
 //!   code is shared from the artifact; instrumented code is private);
 //! * the hotness counter driving tier-up;
@@ -27,8 +32,7 @@
 //! valid — the property that makes overwriting vastly simpler than
 //! bytecode injection.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -40,8 +44,10 @@ use wizard_wasm::validate::FuncMeta;
 
 use crate::artifact::FuncArtifact;
 use crate::jit::Compiled;
-use crate::lowered::{Lowered, LoweredView, OverlayOps};
+use crate::lowered::{LoweredView, OverlayOps};
+use crate::probe::{Binding, Entry, ProbeId, ProbeRef};
 use crate::regir::RegFunc;
+use crate::EngineConfig;
 
 /// A process-local copy-on-write byte stream (mirrors
 /// [`OverlayOps`] one level down).
@@ -205,33 +211,88 @@ impl FuncViews {
     }
 }
 
+/// One entry of a function's site table: everything the engine knows
+/// about the probes at one instruction.
+///
+/// The instruction a probe overwrote needs no field: probe opcodes only
+/// ever land on the overlay's copies, so the saved original *is* the
+/// shared artifact's ([`Lowered::original`](crate::lowered::Lowered),
+/// [`FuncOverlay::orig_opcode`]).
+pub(crate) struct SiteEntry {
+    /// The site's probes in insertion — firing — order.
+    pub probes: Vec<Entry>,
+    /// What compiled code does here; always `Binding::of(probes)`.
+    pub binding: Binding,
+    /// The instrumentation version of the compiled code that carries this
+    /// site's micro-op, [`NOT_COMPILED`] if none ever did. Compiled code
+    /// of the *current* version re-binds in place when the list changes;
+    /// a probe landing anywhere else invalidates.
+    compiled_at: u32,
+}
+
+const NOT_COMPILED: u32 = u32::MAX;
+
+/// The process-local copy-on-write half of an instrumented function.
+struct Cow {
+    /// Instrumented bytecode.
+    bytes: OverlayBytes,
+    /// Lowered op stream, patched in tandem with `bytes`.
+    ops: OverlayOps,
+    /// The site table, indexed by lowered slot.
+    sites: Box<[SiteEntry]>,
+    /// Sites currently holding probes (probe bytes installed).
+    live: usize,
+}
+
+/// What [`FuncOverlay::add_probe`] / [`FuncOverlay::remove_probe`] did
+/// beyond the list edit itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SiteChange {
+    /// The overlay was materialized (counted in
+    /// [`EngineStats::overlay_copies`](crate::EngineStats)).
+    pub copied: bool,
+    /// Compiled code cannot follow the change by re-binding — the probe
+    /// landed on an instruction its compiled code has no site for, or the
+    /// function's last probe left and the overlay was dropped: the caller
+    /// must [`FuncOverlay::invalidate`].
+    pub stale: bool,
+}
+
 /// The engine's per-process, per-function code object: a shared
 /// [`FuncArtifact`] plus this process's instrumentation overlay and tier
 /// state.
-#[derive(Debug)]
 pub struct FuncOverlay {
     /// The shared, immutable half.
     art: Arc<FuncArtifact>,
-    /// Copy-on-write instrumented bytecode; `None` while uninstrumented.
-    bytes: RefCell<Option<OverlayBytes>>,
-    /// Copy-on-write lowered op stream, patched in tandem with `bytes`;
-    /// `None` while uninstrumented.
-    ops: RefCell<Option<OverlayOps>>,
-    /// Original opcodes of probe-overwritten locations.
-    pub orig: RefCell<HashMap<u32, u8>>,
+    /// Copy-on-write instrumented code and its site table; `None` while
+    /// uninstrumented.
+    cow: RefCell<Option<Cow>>,
     /// Instrumentation version; bumped (strictly monotonically — see
-    /// [`FuncOverlay::invalidate`]) whenever probes are inserted or
-    /// removed in this function, invalidating compiled code (paper §4.5).
+    /// [`FuncOverlay::invalidate`]) whenever compiled code is invalidated
+    /// (paper §4.5).
     pub version: Cell<u32>,
     /// Compiled (JIT-tier) code, if any and still valid. While the
     /// function is probe-free this wraps the artifact's shared baseline
     /// op stream; otherwise it is private.
     pub compiled: RefCell<Option<Rc<Compiled>>>,
-    /// Hotness counter driving tier-up.
+    /// Hotness counter driving tier-up — and, re-armed whenever a removal
+    /// leaves a dead site in compiled code, the lazy recompile that drops
+    /// it (`FuncOverlay::remove_probe`).
     pub hotness: Cell<u32>,
     /// The resolved execution views, `None` until the first frame enters
     /// the function and again after every overlay identity change.
     views: RefCell<Option<Rc<FuncViews>>>,
+}
+
+impl core::fmt::Debug for FuncOverlay {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("FuncOverlay")
+            .field("func", &self.art.func)
+            .field("probed_sites", &self.probed_sites())
+            .field("version", &self.version.get())
+            .field("compiled", &self.compiled.borrow().is_some())
+            .finish()
+    }
 }
 
 impl FuncOverlay {
@@ -239,9 +300,7 @@ impl FuncOverlay {
     pub fn new(art: Arc<FuncArtifact>) -> FuncOverlay {
         FuncOverlay {
             art,
-            bytes: RefCell::new(None),
-            ops: RefCell::new(None),
-            orig: RefCell::new(HashMap::new()),
+            cow: RefCell::new(None),
             version: Cell::new(0),
             compiled: RefCell::new(None),
             hotness: Cell::new(0),
@@ -287,13 +346,19 @@ impl FuncOverlay {
     /// `true` while this process holds a copy-on-write instrumented copy
     /// of the function (i.e. at least one probe byte is installed).
     pub fn has_overlay(&self) -> bool {
-        self.bytes.borrow().is_some()
+        self.cow.borrow().is_some()
+    }
+
+    /// Number of locations in this function currently holding probes.
+    pub fn probed_sites(&self) -> usize {
+        self.cow.borrow().as_ref().map_or(0, |c| c.live)
     }
 
     /// The byte view the execution tiers read: pristine shared bytes, or
     /// the instrumented overlay copy.
     pub fn bytes_view(&self) -> CodeBytes {
-        CodeBytes::with_overlay(Arc::clone(&self.art.bytes), self.bytes.borrow().clone())
+        let local = self.cow.borrow().as_ref().map(|c| Rc::clone(&c.bytes));
+        CodeBytes::with_overlay(Arc::clone(&self.art.bytes), local)
     }
 
     /// The lowered view the execution tiers dispatch through (lowering the
@@ -301,8 +366,8 @@ impl FuncOverlay {
     /// patched overlay copy.
     pub fn lowered_view(&self) -> LoweredView {
         let low = (**self.art.lowered()).clone();
-        match &*self.ops.borrow() {
-            Some(ops) => LoweredView::overlaid(low, Rc::clone(ops)),
+        match &*self.cow.borrow() {
+            Some(c) => LoweredView::overlaid(low, Rc::clone(&c.ops)),
             None => LoweredView::shared(low),
         }
     }
@@ -334,8 +399,8 @@ impl FuncOverlay {
 
     /// The byte at `pc` as this process sees it.
     pub fn byte_at(&self, pc: usize) -> u8 {
-        match &*self.bytes.borrow() {
-            Some(cells) => cells[pc].get(),
+        match &*self.cow.borrow() {
+            Some(c) => c.bytes[pc].get(),
             None => self.art.bytes[pc],
         }
     }
@@ -354,118 +419,166 @@ impl FuncOverlay {
     /// copy-on-write copies; 0 while uninstrumented) — the "resident code
     /// size" a process pays only for the functions it instruments.
     pub fn overlay_size_bytes(&self) -> usize {
-        let bytes = self.bytes.borrow().as_ref().map_or(0, |b| b.len());
-        let ops = self
-            .ops
-            .borrow()
-            .as_ref()
-            .map_or(0, |o| o.len() * core::mem::size_of::<crate::lowered::LInstr>());
-        bytes + ops
+        self.cow.borrow().as_ref().map_or(0, |c| {
+            c.bytes.len() + c.ops.len() * core::mem::size_of::<crate::lowered::LInstr>()
+        })
     }
 
-    /// Copies the shared bytes and lowered op stream into process-local
-    /// storage — the copy-on-write step. Returns the overlay handles;
-    /// idempotent after the first call.
-    fn materialize(&self) -> (OverlayBytes, OverlayOps, &Arc<Lowered>) {
+    /// The site table, for the readers on the execution side: probe
+    /// firing, the probe handlers and compiled code's site micro-ops.
+    /// `None` while uninstrumented. The borrow must not be held across
+    /// anything that can apply instrumentation changes.
+    #[inline]
+    pub(crate) fn sites(&self) -> Option<Ref<'_, [SiteEntry]>> {
+        Ref::filter_map(self.cow.borrow(), |c| c.as_ref().map(|c| &*c.sites)).ok()
+    }
+
+    /// Adds `probe` to the end of the list at lowered slot `slot` and
+    /// re-binds the site. The function's first probe materializes the
+    /// overlay — bytes, lowered ops and site table; a site's first probe
+    /// overwrites the instruction's opcode, in the bytes and in the lowered
+    /// slot, with the probe opcode (paper §4.2).
+    pub(crate) fn add_probe(
+        &self,
+        slot: u32,
+        id: ProbeId,
+        probe: ProbeRef,
+        config: &EngineConfig,
+    ) -> SiteChange {
         let low = self.art.lowered();
-        let bytes = self
-            .bytes
-            .borrow_mut()
-            .get_or_insert_with(|| {
-                // Identity change: resolved views still read the shared
-                // streams. The next frame switch re-resolves.
-                self.views.take();
-                self.art.bytes.iter().map(|&b| Cell::new(b)).collect()
-            })
-            .clone();
-        let ops = self.ops.borrow_mut().get_or_insert_with(|| low.cow_ops()).clone();
-        (bytes, ops, low)
+        let mut cow = self.cow.borrow_mut();
+        let copied = cow.is_none();
+        let cow = cow.get_or_insert_with(|| {
+            // Identity change: resolved views still read the shared
+            // streams. The next frame switch re-resolves.
+            self.views.take();
+            Cow {
+                bytes: self.art.bytes.iter().map(|&b| Cell::new(b)).collect(),
+                ops: low.cow_ops(),
+                sites: (0..low.len())
+                    .map(|_| SiteEntry {
+                        probes: Vec::new(),
+                        binding: Binding::Empty,
+                        compiled_at: NOT_COMPILED,
+                    })
+                    .collect(),
+                live: 0,
+            }
+        });
+        let site = &mut cow.sites[slot as usize];
+        if site.probes.is_empty() {
+            cow.bytes[low.pc_of(slot as usize) as usize].set(op::PROBE);
+            low.patch_probe(&cow.ops, slot);
+            cow.live += 1;
+        }
+        site.probes.push((id, probe));
+        site.binding = Binding::of(&site.probes, config);
+        SiteChange { copied, stale: site.compiled_at != self.version.get() }
     }
 
-    /// Drops the copy-on-write copies: the process rejoins the shared
+    /// Removes probe `id` from the list at `slot` and re-binds the site;
+    /// `None` if it is not installed there. A site's last probe restores
+    /// the instruction (bytes and lowered slot); the function's last
+    /// probed site drops the overlay and the process rejoins the shared
     /// artifact (including its fused superinstructions — an overlay head
     /// unfused by probe traffic re-fuses for free here, and probe-freeness
     /// makes the shared baseline JIT code eligible again).
-    fn rejoin(&self) {
-        debug_assert!(self.orig.borrow().is_empty(), "rejoin requires no live probe bytes");
-        *self.bytes.borrow_mut() = None;
-        *self.ops.borrow_mut() = None;
+    pub(crate) fn remove_probe(
+        &self,
+        slot: u32,
+        id: ProbeId,
+        config: &EngineConfig,
+    ) -> Option<SiteChange> {
+        let mut guard = self.cow.borrow_mut();
+        let cow = guard.as_mut()?;
+        let site = cow.sites.get_mut(slot as usize)?;
+        let at = site.probes.iter().position(|(pid, _)| *pid == id)?;
+        site.probes.remove(at);
+        site.binding = Binding::of(&site.probes, config);
+        if !site.probes.is_empty() {
+            return Some(SiteChange { copied: false, stale: false });
+        }
+        let low = self.art.lowered();
+        let pc = low.pc_of(slot as usize) as usize;
+        cow.bytes[pc].set(self.art.bytes[pc]);
+        cow.ops[slot as usize].set(low.original(slot as usize));
+        cow.live -= 1;
+        if cow.live == 0 {
+            *guard = None;
+            self.views.take();
+            return Some(SiteChange { copied: false, stale: true });
+        }
+        if site.compiled_at == self.version.get() {
+            // Compiled code now carries a dead site. Re-arm the tier-up
+            // counter to the threshold — the function stays hot — and let
+            // the dead sites count a second threshold on top: once they
+            // have been crossed that often with no further removal, the
+            // function recompiles without them (`jit::run_frame`).
+            self.hotness.set(config.tierup_threshold);
+        }
+        Some(SiteChange { copied: false, stale: false })
+    }
+
+    /// `true` if probe `id` is installed at `slot`.
+    pub(crate) fn has_probe(&self, slot: u32, id: ProbeId) -> bool {
+        self.sites().is_some_and(|sites| {
+            sites.get(slot as usize).is_some_and(|s| s.probes.iter().any(|(pid, _)| *pid == id))
+        })
+    }
+
+    /// For the compiler: `true` if `slot` currently holds probes, in which
+    /// case the code being compiled (at the current version) is recorded
+    /// as carrying the site's micro-op.
+    pub(crate) fn claim_site(&self, slot: usize) -> bool {
+        let mut cow = self.cow.borrow_mut();
+        let Some(site) = cow.as_mut().map(|c| &mut c.sites[slot]) else {
+            return false;
+        };
+        let live = !site.probes.is_empty();
+        if live {
+            site.compiled_at = self.version.get();
+        }
+        live
+    }
+
+    /// Rebuilds the overlay's code copies from the shared artifact,
+    /// re-applying the currently-installed probe patches (the site table
+    /// is kept). Used by [`Process::relower`](crate::Process::relower);
+    /// probe traffic never takes this path. A function with no overlay is
+    /// left sharing the artifact (nothing to rebuild).
+    pub fn rebuild_overlay(&self) {
+        let mut guard = self.cow.borrow_mut();
+        let Some(cow) = guard.as_mut() else {
+            return;
+        };
+        let low = self.art.lowered();
+        cow.bytes = self.art.bytes.iter().map(|&b| Cell::new(b)).collect();
+        cow.ops = low.cow_ops();
+        for (slot, site) in cow.sites.iter().enumerate() {
+            if !site.probes.is_empty() {
+                cow.bytes[low.pc_of(slot) as usize].set(op::PROBE);
+                low.patch_probe(&cow.ops, slot as u32);
+            }
+        }
         self.views.take();
     }
 
-    /// Installs the probe opcode at `pc` on the overlay copy
-    /// (materializing it if this is the function's first probe), saving
-    /// the original byte and patching the lowered slot in tandem.
-    /// Idempotent: installing twice keeps the original original.
-    ///
-    /// Returns `true` if this call materialized the overlay (the caller
-    /// counts it in [`EngineStats::overlay_copies`](crate::EngineStats)).
-    pub fn install_probe_byte(&self, pc: u32) -> bool {
-        let copied = !self.has_overlay();
-        let (bytes, ops, low) = self.materialize();
-        let cur = bytes[pc as usize].get();
-        if cur == op::PROBE {
-            return copied;
-        }
-        self.orig.borrow_mut().insert(pc, cur);
-        bytes[pc as usize].set(op::PROBE);
-        let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-        low.patch_probe(&ops, slot);
-        copied
-    }
-
-    /// Restores the original opcode at `pc` (when the last probe at the
-    /// location is removed), unpatching the lowered slot in tandem. When
-    /// the last probed location in the *function* is restored, the overlay
-    /// copies are dropped and the process rejoins the shared artifact.
-    ///
-    /// Returns `true` if this call dropped the overlay (rejoined).
-    pub fn restore_byte(&self, pc: u32) -> bool {
-        let Some(orig) = self.orig.borrow_mut().remove(&pc) else {
-            return false;
-        };
-        let (bytes, ops, low) = self.materialize();
-        bytes[pc as usize].set(orig);
-        let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-        low.restore_op(&ops, slot, orig);
-        if self.orig.borrow().is_empty() {
-            self.rejoin();
-            return true;
-        }
-        false
-    }
-
-    /// Rebuilds the overlay copies from the shared artifact, re-applying
-    /// the currently-installed probe patches. Used by
-    /// [`Process::relower`](crate::Process::relower); probe traffic never
-    /// takes this path. A function with no overlay is left sharing the
-    /// artifact (nothing to rebuild).
-    pub fn rebuild_overlay(&self) {
-        if !self.has_overlay() {
-            return;
-        }
-        *self.bytes.borrow_mut() = None;
-        *self.ops.borrow_mut() = None;
-        let (bytes, ops, low) = self.materialize();
-        for &pc in self.orig.borrow().keys() {
-            bytes[pc as usize].set(op::PROBE);
-            let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-            low.patch_probe(&ops, slot);
-        }
-    }
-
-    /// The original opcode at `pc`: the saved byte if overwritten, else the
-    /// current byte.
+    /// The original opcode at `pc`, whether or not a probe byte currently
+    /// overwrites it: probe bytes only ever land on the overlay, so the
+    /// shared bytes are the originals.
     #[inline]
     pub fn orig_opcode(&self, pc: u32) -> u8 {
-        let cur = self.byte_at(pc as usize);
-        if cur != op::PROBE {
-            return cur;
-        }
-        *self.orig.borrow().get(&pc).expect("probe byte present implies saved original")
+        self.art.bytes[pc as usize]
     }
 
     /// Invalidates compiled code and bumps the instrumentation version.
+    ///
+    /// Probe traffic calls this only when compiled code cannot follow a
+    /// change by re-binding its sites in place: a probe landed on an
+    /// instruction the code has no site micro-op for, the function's last
+    /// probe left (the overlay and its site table are gone, and the shared
+    /// baseline is eligible again), or a quiet period ended and the code's
+    /// dead sites are being dropped.
     ///
     /// The version is strictly monotonic — never reused — because live
     /// JIT frames detect staleness by comparing their recorded version
@@ -499,12 +612,44 @@ mod tests {
         FuncOverlay::new(Arc::clone(&art.funcs()[0]))
     }
 
+    /// A test double for the engine side of instrumentation: hands out
+    /// ids and drives `add_probe` / `remove_probe` by byte pc.
+    struct Probes {
+        registry: crate::probe::ProbeRegistry,
+        config: EngineConfig,
+    }
+
+    impl Probes {
+        fn new() -> Probes {
+            Probes { registry: Default::default(), config: EngineConfig::default() }
+        }
+
+        fn add(
+            &mut self,
+            c: &FuncOverlay,
+            pc: u32,
+            probe: impl crate::Probe,
+        ) -> (ProbeId, SiteChange) {
+            let slot = c.artifact().lowered().slot_of(pc).unwrap();
+            let id = self.registry.fresh_id(crate::probe::Site::Local { func: c.func(), slot });
+            (id, c.add_probe(slot, id, Rc::new(RefCell::new(probe)), &self.config))
+        }
+
+        fn remove(&self, c: &FuncOverlay, id: ProbeId) -> Option<SiteChange> {
+            let crate::probe::Site::Local { slot, .. } = id.site else { unreachable!() };
+            c.remove_probe(slot, id, &self.config)
+        }
+    }
+
+    use crate::probe::{CountProbe, EmptyProbe};
+
     #[test]
     fn overwrite_and_restore_round_trip_rejoins() {
         let c = overlay();
+        let mut probes = Probes::new();
         assert!(!c.has_overlay());
-        let copied = c.install_probe_byte(0);
-        assert!(copied, "first probe copies");
+        let (a, change) = probes.add(&c, 0, EmptyProbe);
+        assert_eq!(change, SiteChange { copied: true, stale: true }, "first probe copies");
         assert!(c.has_overlay());
         assert_eq!(c.byte_at(0), op::PROBE);
         assert_eq!(c.orig_opcode(0), op::NOP);
@@ -512,36 +657,104 @@ mod tests {
         assert_eq!(c.artifact().bytes[0], op::NOP);
         // Second probe in the same function: no new copy.
         let pc1 = 1; // local.get 0
-        assert!(!c.install_probe_byte(pc1));
+        let (b, change) = probes.add(&c, pc1, EmptyProbe);
+        assert!(!change.copied);
         assert_eq!(c.orig_opcode(pc1), op::LOCAL_GET);
+        assert_eq!(c.probed_sites(), 2);
         // Restores: the last one drops the overlay entirely.
-        assert!(!c.restore_byte(pc1));
+        assert_eq!(probes.remove(&c, b), Some(SiteChange { copied: false, stale: false }));
         assert!(c.has_overlay());
-        assert!(c.restore_byte(0), "last restore rejoins the artifact");
+        assert_eq!(c.byte_at(pc1 as usize), op::LOCAL_GET);
+        let rejoined = probes.remove(&c, a).unwrap();
+        assert!(rejoined.stale, "last restore rejoins the artifact: compiled code must go");
         assert!(!c.has_overlay());
         assert_eq!(c.byte_at(0), op::NOP);
         assert_eq!(c.overlay_size_bytes(), 0);
+        assert_eq!(probes.remove(&c, a), None, "removing twice is a no-op");
+    }
+
+    #[test]
+    fn insertion_order_is_list_order() {
+        let c = overlay();
+        let mut probes = Probes::new();
+        let (a, _) = probes.add(&c, 0, EmptyProbe);
+        let (b, _) = probes.add(&c, 0, CountProbe::new());
+        assert_eq!(c.probed_sites(), 1, "two probes, one site");
+        let ids: Vec<ProbeId> = c.sites().unwrap()[0].probes.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [a, b]);
+        assert!(c.has_probe(0, b) && !c.has_probe(1, b));
+        // The binding follows the list.
+        assert!(matches!(c.sites().unwrap()[0].binding, Binding::Generic));
+        probes.remove(&c, a).unwrap();
+        assert!(matches!(c.sites().unwrap()[0].binding, Binding::Count(_)), "re-bound in place");
     }
 
     #[test]
     fn double_install_keeps_original() {
         let c = overlay();
-        c.install_probe_byte(0);
-        c.install_probe_byte(0);
+        let mut probes = Probes::new();
+        let (a, _) = probes.add(&c, 0, EmptyProbe);
+        let (b, _) = probes.add(&c, 0, EmptyProbe);
         assert_eq!(c.orig_opcode(0), op::NOP);
-        c.restore_byte(0);
+        probes.remove(&c, a).unwrap();
+        assert_eq!(c.byte_at(0), op::PROBE, "a probe remains");
+        probes.remove(&c, b).unwrap();
         assert_eq!(c.byte_at(0), op::NOP);
+    }
+
+    #[test]
+    fn remove_reports_emptied_site() {
+        let c = overlay();
+        let mut probes = Probes::new();
+        let (a, _) = probes.add(&c, 0, EmptyProbe);
+        let (other, _) = probes.add(&c, 1, EmptyProbe);
+        probes.remove(&c, a).unwrap();
+        assert_eq!(c.byte_at(0), op::NOP, "emptied: the instruction is back");
+        assert!(matches!(c.sites().unwrap()[0].binding, Binding::Empty));
+        assert_eq!(c.probed_sites(), 1);
+        assert!(c.has_overlay(), "the other site keeps the overlay");
+        assert_eq!(probes.remove(&c, a), None, "already removed");
+        probes.remove(&c, other).unwrap();
+        assert!(!c.has_overlay());
+    }
+
+    #[test]
+    fn only_probes_on_new_sites_and_the_last_removal_make_compiled_code_stale() {
+        let c = overlay();
+        let mut probes = Probes::new();
+        let (a, change) = probes.add(&c, 0, CountProbe::new());
+        assert!(change.stale, "no compiled code carries this site");
+        c.invalidate();
+        // "Compile": the code built at this version carries site 0 only.
+        assert!(c.claim_site(0));
+        assert!(!c.claim_site(1), "no probes there: no micro-op");
+        let (b, change) = probes.add(&c, 0, EmptyProbe);
+        assert!(!change.stale, "a compiled site re-binds");
+        assert!(!probes.remove(&c, b).unwrap().stale);
+        let (_, change) = probes.add(&c, 1, EmptyProbe);
+        assert!(change.stale, "not a site when the code was compiled");
+        c.invalidate();
+        let (d, change) = probes.add(&c, 0, EmptyProbe);
+        assert!(change.stale, "the claim was for the invalidated version");
+        // Emptying a compiled site leaves it dead and re-arms the counter.
+        assert!(c.claim_site(0));
+        c.hotness.set(99);
+        probes.remove(&c, d).unwrap();
+        assert_eq!(c.hotness.get(), 99, "the site still has a probe");
+        assert!(!probes.remove(&c, a).unwrap().stale);
+        assert_eq!(c.hotness.get(), probes.config.tierup_threshold, "dead site: re-armed");
     }
 
     #[test]
     fn invalidate_versions_are_strictly_monotonic() {
         let c = overlay();
+        let mut probes = Probes::new();
         assert_eq!(c.version.get(), 0);
-        c.install_probe_byte(0);
+        let (a, _) = probes.add(&c, 0, EmptyProbe);
         c.invalidate();
         assert_eq!(c.version.get(), 1);
         assert!(c.compiled.borrow().is_none());
-        c.restore_byte(0);
+        probes.remove(&c, a).unwrap();
         c.invalidate();
         // Rejoin does NOT reset the version: a recurring version would be
         // an ABA hazard for the JIT's stale-frame check. Baseline sharing
@@ -553,19 +766,21 @@ mod tests {
     #[test]
     fn probe_patches_apply_to_lowered_in_tandem() {
         let c = overlay();
+        let mut probes = Probes::new();
         // The shared lowered form fuses `const;add`; probing the const
         // (pc 3, after nop + local.get) patches the overlay copy only.
         let low_shared = c.artifact().lowered().clone();
         let pc_const = 3; // nop; local.get 0; i32.const 5 starts at byte 3
-        c.install_probe_byte(pc_const);
+        let (id, _) = probes.add(&c, pc_const, EmptyProbe);
         let view = c.lowered_view();
         assert!(view.is_overlaid());
         let slot = view.slot_of(pc_const).unwrap() as usize;
         assert_eq!(view.get(slot).op, op::PROBE);
         assert_eq!(crate::value::Slot(view.get(slot).z).i32(), 5, "immediates survive");
+        assert_eq!(view.original(slot).op, op::I32_CONST, "the head is recovered unfused");
         assert_ne!(low_shared.get(slot).op, op::PROBE, "shared form untouched");
         // Restore rejoins: the view reads shared (re-fused) slots again.
-        c.restore_byte(pc_const);
+        probes.remove(&c, id).unwrap();
         let view = c.lowered_view();
         assert!(!view.is_overlaid());
         assert_eq!(view.ops_addr(), low_shared.ops_addr());
@@ -574,7 +789,7 @@ mod tests {
     #[test]
     fn rebuild_overlay_preserves_probe_patches() {
         let c = overlay();
-        c.install_probe_byte(1);
+        Probes::new().add(&c, 1, EmptyProbe);
         let before = c.lowered_view();
         c.rebuild_overlay();
         let after = c.lowered_view();
@@ -582,22 +797,24 @@ mod tests {
         let slot = after.slot_of(1).unwrap() as usize;
         assert_eq!(after.get(slot).op, op::PROBE, "probe patch re-applied");
         assert_eq!(c.byte_at(1), op::PROBE);
+        assert_eq!(c.probed_sites(), 1, "the site table is kept");
     }
 
     #[test]
     fn resolved_views_are_dropped_on_every_overlay_identity_change() {
         let c = overlay();
+        let mut probes = Probes::new();
         assert!(c.cached_views().is_none(), "resolved lazily, on the first frame");
         let shared = c.resolve_views(true, None);
         assert!(Rc::ptr_eq(&shared, &c.cached_views().unwrap()), "then handed out as cached");
         assert!(!shared.low.is_overlaid() && !shared.code.is_overlaid());
         // Materialize: the cached bundle reads the shared streams — stale.
-        c.install_probe_byte(0);
+        let (a, _) = probes.add(&c, 0, EmptyProbe);
         assert!(c.cached_views().is_none());
         let overlaid = c.resolve_views(true, None);
         assert!(overlaid.low.is_overlaid() && overlaid.code.is_overlaid());
         // A second probe patches the same overlay cells: still valid.
-        c.install_probe_byte(1);
+        let (b, _) = probes.add(&c, 1, EmptyProbe);
         assert!(Rc::ptr_eq(&overlaid, &c.cached_views().unwrap()));
         assert_eq!(overlaid.code.byte(1), op::PROBE, "patches show through the cached view");
         // Rebuild: fresh cells.
@@ -605,9 +822,9 @@ mod tests {
         assert!(c.cached_views().is_none());
         c.resolve_views(true, None);
         // Rejoin: the cells are gone.
-        c.restore_byte(1);
+        probes.remove(&c, b).unwrap();
         assert!(c.cached_views().is_some(), "a probe remains: same overlay");
-        c.restore_byte(0);
+        probes.remove(&c, a).unwrap();
         assert!(c.cached_views().is_none());
         assert!(!c.resolve_views(true, None).low.is_overlaid());
         // Byte-dispatch processes resolve without forcing the lowering.

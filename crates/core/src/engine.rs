@@ -19,7 +19,10 @@ use crate::interp;
 use crate::jit;
 use crate::lowered::{Lowered, LoweredView};
 use crate::monitor::MonitorRegistry;
-use crate::probe::{BatchOp, Pending, Probe, ProbeBatch, ProbeId, ProbeRef, ProbeRegistry, Site};
+use crate::probe::{
+    BatchOp, Binding, Intrinsified, Pending, Probe, ProbeBatch, ProbeId, ProbeRef, ProbeRegistry,
+    Site,
+};
 use crate::regint;
 use crate::store::{HostFn, Linker, Memory, Table};
 use crate::trap::Trap;
@@ -303,10 +306,15 @@ engine_stats! {
     /// Deoptimizations (frame transfers back to the interpreter, including
     /// frame-modification deopts).
     deopts: sum,
-    /// Invalidation passes over compiled code caused by instrumentation
-    /// changes. Inserting/removing a probe individually costs one pass
-    /// each; a whole [`ProbeBatch`] committed via
-    /// [`Process::apply_batch`] costs exactly one.
+    /// Invalidation passes over compiled code. Most instrumentation
+    /// changes need none — compiled code re-binds its probe sites in
+    /// place. A pass is paid when a probe lands on an instruction that had
+    /// no probes when the function was compiled, when a function's last
+    /// probe leaves (it rejoins the shared baseline code), and when a
+    /// function recompiles to drop the dead sites removals left behind.
+    /// Individually that is one pass per such change; a whole
+    /// [`ProbeBatch`] committed via [`Process::apply_batch`] costs at most
+    /// one.
     invalidation_passes: sum,
     /// Fuel units consumed by bounded runs ([`Process::run_bounded`] /
     /// [`Process::resume`]); one unit per bytecode instruction.
@@ -929,8 +937,9 @@ impl Process {
 
     // ---- instrumentation API ----
 
-    /// Inserts a probe at `(func, pc)`, overwriting the instruction's opcode
-    /// byte and invalidating compiled code for the function.
+    /// Inserts a probe at `(func, pc)`. The location's first probe
+    /// overwrites the instruction's opcode byte; compiled code is
+    /// invalidated only if it has no probe site there to re-bind.
     ///
     /// # Errors
     ///
@@ -942,9 +951,9 @@ impl Process {
         pc: u32,
         probe: ProbeRef,
     ) -> Result<ProbeId, ProbeError> {
-        self.check_location(func, pc)?;
-        let id = self.probes.fresh_id();
-        self.apply_instrumentation(Pending::InsertLocal(id, func, pc, probe));
+        let slot = self.check_location(func, pc)?;
+        let id = self.probes.fresh_id(Site::Local { func, slot });
+        self.apply_instrumentation(Pending::Insert(id, probe));
         Ok(id)
     }
 
@@ -972,8 +981,8 @@ impl Process {
     /// probes in.
     pub fn add_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
         self.check_global_allowed()?;
-        let id = self.probes.fresh_id();
-        self.apply_instrumentation(Pending::InsertGlobal(id, probe));
+        let id = self.probes.fresh_id(Site::Global);
+        self.apply_instrumentation(Pending::Insert(id, probe));
         Ok(id)
     }
 
@@ -988,32 +997,41 @@ impl Process {
 
     /// Removes a probe by id. Removing the last probe at a location
     /// restores the original opcode byte; removing the last global probe
-    /// switches the dispatch table back.
+    /// switches the dispatch table back. Compiled code keeps running: its
+    /// site re-binds to the probes that remain (to nothing, if none do),
+    /// and only the function's *last* probe leaving invalidates it, so the
+    /// process rejoins the artifact's shared baseline code.
     ///
     /// # Errors
     ///
     /// Fails if the id is unknown.
     pub fn remove_probe(&mut self, id: ProbeId) -> Result<(), ProbeError> {
-        if !self.probes_contains(id) {
+        let installed = match id.site {
+            Site::Global => self.probes.contains_global(id),
+            Site::Local { func, slot } => self.code[self.local_index(func)].has_probe(slot, id),
+        };
+        if !installed {
             return Err(ProbeError::UnknownProbe);
         }
         self.apply_instrumentation(Pending::Remove(id));
         Ok(())
     }
 
-    fn probes_contains(&self, id: ProbeId) -> bool {
-        self.probes.contains(id)
+    /// Index into `code` of locally-defined function `func`.
+    fn local_index(&self, func: FuncIdx) -> usize {
+        (func - self.module.num_imported_funcs()) as usize
     }
 
-    /// Applies a whole [`ProbeBatch`] — N insertions/removals — in a
-    /// *single* invalidation/deoptimization pass, returning the ids of the
-    /// inserted probes in queue order.
+    /// Applies a whole [`ProbeBatch`] — N insertions/removals — in at most
+    /// a *single* invalidation/deoptimization pass, returning the ids of
+    /// the inserted probes in queue order.
     ///
     /// The batch is validated atomically up front: if any queued location
-    /// is invalid nothing is applied. Each function whose probe list
-    /// changed is invalidated exactly once, and
-    /// [`EngineStats::invalidation_passes`] increases by at most one —
-    /// versus once per probe when inserting individually.
+    /// is invalid nothing is applied. Each function whose compiled code
+    /// cannot follow the batch by re-binding its sites (see
+    /// [`EngineStats::invalidation_passes`]) is invalidated exactly once,
+    /// and the counter increases by at most one — versus once per new site
+    /// when inserting individually.
     ///
     /// # Errors
     ///
@@ -1021,36 +1039,34 @@ impl Process {
     /// for any queued insertion; queued removals never fail (removing an
     /// unknown id is a no-op, making detach-style cleanup idempotent).
     pub fn apply_batch(&mut self, batch: ProbeBatch) -> Result<Vec<ProbeId>, ProbeError> {
+        let mut sites = Vec::with_capacity(batch.ops.len());
         for op in &batch.ops {
-            match op {
-                BatchOp::Local(func, pc, _) => self.check_location(*func, *pc)?,
-                BatchOp::Global(_) => self.check_global_allowed()?,
-                BatchOp::Remove(_) => {}
-            }
+            sites.push(match op {
+                BatchOp::Local(func, pc, _) => {
+                    Site::Local { func: *func, slot: self.check_location(*func, *pc)? }
+                }
+                BatchOp::Global(_) => {
+                    self.check_global_allowed()?;
+                    Site::Global
+                }
+                BatchOp::Remove(id) => id.site,
+            });
         }
         let mut inserted = Vec::new();
-        let mut touched: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for op in batch.ops {
-            match op {
-                BatchOp::Local(func, pc, probe) => {
-                    let id = self.probes.fresh_id();
-                    touched.insert(self.do_insert_local(id, func, pc, probe));
+        let mut stale: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        for (op, site) in batch.ops.into_iter().zip(sites) {
+            let touched = match op {
+                BatchOp::Local(_, _, probe) | BatchOp::Global(probe) => {
+                    let id = self.probes.fresh_id(site);
                     inserted.push(id);
+                    self.do_insert(id, probe)
                 }
-                BatchOp::Global(probe) => {
-                    let id = self.probes.fresh_id();
-                    self.do_insert_global(id, probe);
-                    inserted.push(id);
-                }
-                BatchOp::Remove(id) => {
-                    if let Some(lf) = self.do_remove(id) {
-                        touched.insert(lf);
-                    }
-                }
-            }
+                BatchOp::Remove(id) => self.do_remove(id),
+            };
+            stale.extend(touched);
         }
-        if !touched.is_empty() {
-            for lf in touched {
+        if !stale.is_empty() {
+            for lf in stale {
                 self.code[lf].invalidate();
             }
             self.stats.invalidation_passes += 1;
@@ -1058,52 +1074,46 @@ impl Process {
         Ok(inserted)
     }
 
-    /// Registers a local probe and installs its probe byte; returns the
-    /// index of the touched local function. The caller decides when to
-    /// invalidate its compiled code (immediately, or once per batch).
-    fn do_insert_local(&mut self, id: ProbeId, func: FuncIdx, pc: u32, probe: ProbeRef) -> usize {
-        let n_imp = self.module.num_imported_funcs();
-        assert!(
-            func >= n_imp && func < self.module.num_funcs(),
-            "local probe target must be a locally-defined function"
-        );
-        let created = self.probes.insert_local(id, func, pc, probe);
-        let lf = (func - n_imp) as usize;
-        if created && self.code[lf].install_probe_byte(pc) {
-            // First probe in this function: its bytes and lowered slots
-            // were just copy-on-wrote into the process-local overlay.
-            self.stats.overlay_copies += 1;
-        }
-        lf
-    }
-
-    /// Registers a global probe and switches the dispatch table.
-    fn do_insert_global(&mut self, id: ProbeId, probe: ProbeRef) {
-        self.probes.insert_global(id, probe);
-        self.global_mode = true;
-    }
-
-    /// Unregisters a probe, restoring the probe byte / dispatch table as
-    /// needed; returns the touched local function index for local probes.
-    /// The caller decides when to invalidate compiled code.
-    fn do_remove(&mut self, id: ProbeId) -> Option<usize> {
-        let (site, emptied) = self.probes.remove(id)?;
-        match site {
+    /// Installs probe `id` at its site. Returns the local function whose
+    /// compiled code the caller must invalidate (immediately, or once per
+    /// batch), if the insertion made it stale.
+    fn do_insert(&mut self, id: ProbeId, probe: ProbeRef) -> Option<usize> {
+        match id.site {
             Site::Global => {
-                if !self.probes.has_global() {
+                // Switches the dispatch table; compiled code is kept.
+                self.probes.insert_global(id, probe, &self.config);
+                self.global_mode = true;
+                None
+            }
+            Site::Local { func, slot } => {
+                let lf = self.local_index(func);
+                let change = self.code[lf].add_probe(slot, id, probe, &self.config);
+                if change.copied {
+                    // First probe in this function: its bytes and lowered
+                    // slots were just copy-on-wrote into the process-local
+                    // overlay.
+                    self.stats.overlay_copies += 1;
+                }
+                change.stale.then_some(lf)
+            }
+        }
+    }
+
+    /// Uninstalls probe `id` (a no-op if it is not installed), restoring
+    /// the probe byte / dispatch table as needed. Returns the local
+    /// function to invalidate, as [`Process::do_insert`] does.
+    fn do_remove(&mut self, id: ProbeId) -> Option<usize> {
+        match id.site {
+            Site::Global => {
+                if self.probes.remove_global(id, &self.config) && !self.probes.has_global() {
                     self.global_mode = false;
                 }
                 None
             }
-            Site::Local(func, pc) => {
-                let lf = (func - self.module.num_imported_funcs()) as usize;
-                if emptied {
-                    // Restoring the function's last probed location drops
-                    // the copy-on-write overlay: the process rejoins the
-                    // shared artifact's code.
-                    self.code[lf].restore_byte(pc);
-                }
-                Some(lf)
+            Site::Local { func, slot } => {
+                let lf = self.local_index(func);
+                let change = self.code[lf].remove_probe(slot, id, &self.config)?;
+                change.stale.then_some(lf)
             }
         }
     }
@@ -1115,7 +1125,7 @@ impl Process {
 
     /// Number of distinct locations with local probes.
     pub fn probed_location_count(&self) -> usize {
-        self.probes.local_site_count()
+        self.code.iter().map(|c| c.probed_sites()).sum()
     }
 
     /// The [`ProbeKind`](crate::probe::ProbeKind)s of the probes
@@ -1129,14 +1139,25 @@ impl Process {
     /// checkpointed probe op. Used by tests and by the script compiler to
     /// *prove* that a lowering hit the fast path.
     pub fn probe_kinds_at(&self, func: FuncIdx, pc: u32) -> Vec<crate::probe::ProbeKind> {
-        self.probes
-            .locals_at(func, pc)
-            .map_or_else(Vec::new, |list| list.iter().map(|(_, p)| p.borrow().kind()).collect())
+        let n_imp = self.module.num_imported_funcs();
+        if func < n_imp || func >= self.module.num_funcs() {
+            return Vec::new();
+        }
+        // A site table implies the function is lowered: probe locations are
+        // validated against the lowered form.
+        let fc = &self.code[(func - n_imp) as usize];
+        let Some(sites) = fc.sites() else {
+            return Vec::new();
+        };
+        let slot = fc.artifact().lowered().slot_of(pc);
+        slot.and_then(|s| sites.get(s as usize)).map_or_else(Vec::new, |site| {
+            site.probes.iter().map(|(_, p)| p.borrow().kind()).collect()
+        })
     }
 
     /// Validates that the current tier policy can run global probes
     /// (JIT-only mode has no interpreter to run them in).
-    fn check_global_allowed(&self) -> Result<(), ProbeError> {
+    pub(crate) fn check_global_allowed(&self) -> Result<(), ProbeError> {
         if self.config.mode == ExecMode::JitOnly {
             return Err(ProbeError::GlobalProbesNeedInterpreter);
         }
@@ -1144,10 +1165,11 @@ impl Process {
     }
 
     /// Validates that `(func, pc)` names an instruction boundary of a local
-    /// function. Boundaries come from the lowered form's `pc ↔ slot` map
+    /// function and returns its lowered slot — the index of the function's
+    /// site table. Boundaries come from the lowered form's `pc ↔ slot` map
     /// (lowering the function on first demand), so the instrumentation API
     /// and the execution tiers share one decoding of the body.
-    pub(crate) fn check_location(&mut self, func: FuncIdx, pc: u32) -> Result<(), ProbeError> {
+    pub(crate) fn check_location(&mut self, func: FuncIdx, pc: u32) -> Result<u32, ProbeError> {
         let n_imp = self.module.num_imported_funcs();
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
@@ -1157,7 +1179,7 @@ impl Process {
         match low.slot_of(pc) {
             // The one-past-the-end sentinel maps to a slot (frames park the
             // implicit-return pc there) but is not a probeable instruction.
-            Some(slot) if (slot as usize) < low.len() => Ok(()),
+            Some(slot) if (slot as usize) < low.len() => Ok(slot),
             _ => Err(ProbeError::InvalidPc(func, pc)),
         }
     }
@@ -1173,6 +1195,16 @@ impl Process {
             self.stats.functions_lowered += 1;
         }
         low
+    }
+
+    /// The artifact's list of every instruction site
+    /// ([`ModuleArtifact::instruction_sites`]); lowering it forces is
+    /// attributed to this process like any other.
+    pub(crate) fn instruction_sites(&mut self) -> Arc<[crate::probe::Location]> {
+        for lf in 0..self.code.len() {
+            self.lowered_for(lf);
+        }
+        Arc::clone(self.artifact.instruction_sites())
     }
 
     /// A fresh lowered view of local function `lf` (shared slots, or this
@@ -1235,8 +1267,7 @@ impl Process {
     /// the call still invalidates (and recounts).
     ///
     /// Instrumentation never takes this path — probe insertion/removal
-    /// patches overlay slots in place (batched invalidation passes
-    /// re-patch, they never re-lower). The API exists for tooling and
+    /// patches overlay slots in place and never re-lowers. The API exists for tooling and
     /// tests that need a function's process-local caches provably rebuilt.
     /// The shared artifact itself is immutable and is never re-lowered.
     ///
@@ -1263,8 +1294,8 @@ impl Process {
     /// data) is compiled once and wrapped for this process with empty
     /// probe bindings, stamped with the process's *current* version (the
     /// version stream stays monotonic for live-frame staleness checks).
-    /// Instrumented functions compile privately against this process's
-    /// probe list.
+    /// Instrumented functions compile privately, with a site micro-op at
+    /// each of this process's probed instructions.
     pub(crate) fn ensure_compiled(&mut self, lf: usize) {
         if self.code[lf].compiled.borrow().is_some() {
             return;
@@ -1284,8 +1315,6 @@ impl Process {
                     let compiled = jit::Compiled {
                         code: Arc::clone(code),
                         version: self.code[lf].version.get(),
-                        cells: Vec::new(),
-                        operands: Vec::new(),
                     };
                     *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
                     return;
@@ -1298,17 +1327,13 @@ impl Process {
             if compiled_now {
                 self.stats.compiles += 1;
             }
-            let compiled = jit::Compiled {
-                code: Arc::clone(code),
-                version: self.code[lf].version.get(),
-                cells: Vec::new(),
-                operands: Vec::new(),
-            };
+            let compiled =
+                jit::Compiled { code: Arc::clone(code), version: self.code[lf].version.get() };
             *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
             return;
         }
         let low = self.lowered_view_for(lf);
-        let compiled = jit::compile(&self.code[lf], &low, &self.probes, &self.config);
+        let compiled = jit::compile(&self.code[lf], &low);
         self.stats.compiles += 1;
         *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
     }
@@ -1316,22 +1341,16 @@ impl Process {
     /// Applies one instrumentation change (immediately; deferral during
     /// probe dispatch is handled by the pending queue in `exec`).
     pub(crate) fn apply_instrumentation(&mut self, p: Pending) {
-        // Compiled code is specialized to the probe list at compile time,
-        // so any local change invalidates it immediately (paper §4.6);
-        // batches route through apply_batch to pay one pass instead.
-        match p {
-            Pending::InsertGlobal(id, probe) => self.do_insert_global(id, probe),
-            Pending::InsertLocal(id, func, pc, probe) => {
-                let lf = self.do_insert_local(id, func, pc, probe);
-                self.code[lf].invalidate();
-                self.stats.invalidation_passes += 1;
-            }
-            Pending::Remove(id) => {
-                if let Some(lf) = self.do_remove(id) {
-                    self.code[lf].invalidate();
-                    self.stats.invalidation_passes += 1;
-                }
-            }
+        let stale = match p {
+            Pending::Insert(id, probe) => self.do_insert(id, probe),
+            Pending::Remove(id) => self.do_remove(id),
+        };
+        // Compiled code follows most changes by re-binding the site; the
+        // ones it cannot follow invalidate it at once (paper §4.6). Batches
+        // route through apply_batch to pay one pass for all of them.
+        if let Some(lf) = stale {
+            self.code[lf].invalidate();
+            self.stats.invalidation_passes += 1;
         }
     }
 
@@ -1369,10 +1388,19 @@ impl Process {
         let lf = (func - n_imp) as usize;
         self.ensure_compiled(lf);
         let compiled = self.code[lf].compiled.borrow().clone().expect("just compiled");
+        let sites = self.code[lf].sites();
         let mut out = String::new();
         for (ip, o) in compiled.code.ops.iter().enumerate() {
             let pc = compiled.code.ip_to_pc[ip];
-            out.push_str(&format!("{ip:>4} (pc {pc:>4}): {o:?}\n"));
+            // A site is listed as what it is currently bound to.
+            let text = match o {
+                jit::Op::Site { slot, .. } => {
+                    let sites = sites.as_deref().expect("site micro-ops run on an overlay");
+                    describe_binding(&sites[*slot as usize].binding, pc)
+                }
+                o => format!("{o:?}"),
+            };
+            out.push_str(&format!("{ip:>4} (pc {pc:>4}): {text}\n"));
         }
         Ok(out)
     }
@@ -1443,6 +1471,33 @@ impl core::fmt::Debug for Process {
             .field("probes", &self.probes)
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+/// Renders a probe site's binding for [`Process::compiled_listing`]: one
+/// Figure-2 line per probe of an intrinsified site.
+fn describe_binding(binding: &Binding, pc: u32) -> String {
+    const COUNT: &str = "count.bump          ; intrinsified: inline counter increment";
+    match binding {
+        Binding::Empty => {
+            "site.empty          ; probes removed: dropped at the next recompile".into()
+        }
+        Binding::Count(_) => COUNT.into(),
+        Binding::Intrinsic(list) => {
+            let lines: Vec<String> = list
+                .iter()
+                .map(|p| match p {
+                    Intrinsified::Count(_) => COUNT.into(),
+                    Intrinsified::Operand(_) => format!(
+                        "probe.operand pc={pc} ; intrinsified: direct call with top-of-stack"
+                    ),
+                })
+                .collect();
+            lines.join("\n                ")
+        }
+        Binding::Generic => format!(
+            "probe.generic pc={pc}  ; checkpoint state, runtime call, FrameAccessor available"
+        ),
     }
 }
 

@@ -10,11 +10,11 @@ use wizard_wasm::validate::Target;
 
 use crate::classic;
 use crate::code::FuncViews;
-use crate::engine::{Dispatch, Process};
+use crate::engine::{Dispatch, ProbeError, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
 use crate::interp;
 use crate::lowered::LTarget;
-use crate::probe::{Location, Pending, ProbeId, ProbeRef};
+use crate::probe::{Location, Pending, ProbeId, ProbeRef, Site};
 use crate::regir::RegFunc;
 use crate::store::HostCtx;
 use crate::trap::Trap;
@@ -596,54 +596,64 @@ impl<'p> Exec<'p> {
 
     // ---- probes ----
 
-    /// Fires all local probes at `(self.func, pc)` in insertion order over a
-    /// consistent snapshot, then applies deferred instrumentation requests.
-    pub fn fire_local_probes(&mut self, pc: u32) {
-        let Some(list) = self.proc.probes.locals_at(self.func, pc) else {
+    /// Fires the probes of the current function's site at lowered slot
+    /// `slot` (byte offset `pc`) in insertion order, then applies the
+    /// instrumentation requests they queued.
+    pub fn fire_site(&mut self, slot: u32, pc: u32) {
+        let fc = Rc::clone(&self.proc.code[self.lf]);
+        let Some(sites) = fc.sites() else {
             return;
         };
         self.sync_pc();
         let loc = Location { func: self.func, pc };
+        // Requests are only queued while an event fires, so the borrowed
+        // list is the event's snapshot (§2.4.1).
         self.proc.probes.firing += 1;
-        for (_, probe) in list.iter() {
+        for (_, probe) in &sites[slot as usize].probes {
             self.proc.stats.probe_fires += 1;
-            let p = Rc::clone(probe);
-            let mut ctx = ProbeCtx { ex: self, loc };
-            p.borrow_mut().fire(&mut ctx);
+            probe.borrow_mut().fire(&mut ProbeCtx { ex: self, loc });
         }
-        self.proc.probes.firing -= 1;
-        if self.proc.probes.firing == 0 {
-            self.apply_pending();
-        }
+        drop(sites);
+        self.end_event();
     }
 
-    /// Fires all global probes for the instruction at `pc`.
-    pub fn fire_global_probes(&mut self, pc: u32) {
+    /// Fires all global probes for the instruction at the current cursor.
+    pub fn fire_global_probes(&mut self) {
+        let counts = &self.proc.probes.global_counts;
+        if !counts.is_empty() {
+            // All `Count`: the interpreter-side twin of §4.4's
+            // intrinsification — bump the cells, call nothing.
+            for cell in counts {
+                cell.set(cell.get() + 1);
+            }
+            self.proc.stats.probe_fires += counts.len() as u64;
+            self.proc.stats.global_fires += counts.len() as u64;
+            return;
+        }
         let list = self.proc.probes.globals();
         if list.is_empty() {
             return;
         }
         self.sync_pc();
+        let pc = self.frames.last().expect("a frame is executing").pc as u32;
         let loc = Location { func: self.func, pc };
         self.proc.probes.firing += 1;
         for (_, probe) in list.iter() {
             self.proc.stats.probe_fires += 1;
             self.proc.stats.global_fires += 1;
-            let p = Rc::clone(probe);
-            let mut ctx = ProbeCtx { ex: self, loc };
-            p.borrow_mut().fire(&mut ctx);
+            probe.borrow_mut().fire(&mut ProbeCtx { ex: self, loc });
         }
-        self.proc.probes.firing -= 1;
-        if self.proc.probes.firing == 0 {
-            self.apply_pending();
-        }
+        self.end_event();
     }
 
-    /// Applies queued instrumentation changes (end of an event's dispatch).
-    pub fn apply_pending(&mut self) {
-        let had_ops = !self.proc.probes.pending.is_empty();
-        let ops = std::mem::take(&mut self.proc.probes.pending);
-        for p in ops {
+    /// Ends an event's dispatch: applies the instrumentation changes its
+    /// probes queued, if any.
+    fn end_event(&mut self) {
+        self.proc.probes.firing -= 1;
+        if self.proc.probes.firing != 0 || self.proc.probes.pending.is_empty() {
+            return;
+        }
+        for p in std::mem::take(&mut self.proc.probes.pending) {
             self.proc.apply_instrumentation(p);
         }
         // The dispatch tables may have changed (global-probe mode).
@@ -656,7 +666,7 @@ impl<'p> Exec<'p> {
         // one). Reload from the frame — the pc was synced before the
         // probes fired, so this is view-identity for the cursor and only
         // swaps the op/byte sources.
-        if had_ops && !self.frames.is_empty() {
+        if !self.frames.is_empty() {
             self.load_cur();
         }
     }
@@ -795,17 +805,33 @@ impl<'a, 'p> ProbeCtx<'a, 'p> {
     /// Inserts a local probe at `(func, pc)`. Takes effect when the current
     /// event's dispatch completes; if inserted on the *same* event that is
     /// firing, it does not fire until the next occurrence (paper §2.4.1).
-    pub fn insert_local_probe(&mut self, func: FuncIdx, pc: u32, probe: ProbeRef) -> ProbeId {
-        let id = self.ex.proc.probes.fresh_id();
-        self.ex.proc.probes.pending.push(Pending::InsertLocal(id, func, pc, probe));
-        id
+    ///
+    /// # Errors
+    ///
+    /// As [`Process::add_local_probe`]: the location is validated now, so a
+    /// bad one is the caller's error, never a deferred panic.
+    pub fn insert_local_probe(
+        &mut self,
+        func: FuncIdx,
+        pc: u32,
+        probe: ProbeRef,
+    ) -> Result<ProbeId, ProbeError> {
+        let slot = self.ex.proc.check_location(func, pc)?;
+        let id = self.ex.proc.probes.fresh_id(Site::Local { func, slot });
+        self.ex.proc.probes.pending.push(Pending::Insert(id, probe));
+        Ok(id)
     }
 
     /// Inserts a global probe (deferred like local insertion).
-    pub fn insert_global_probe(&mut self, probe: ProbeRef) -> ProbeId {
-        let id = self.ex.proc.probes.fresh_id();
-        self.ex.proc.probes.pending.push(Pending::InsertGlobal(id, probe));
-        id
+    ///
+    /// # Errors
+    ///
+    /// As [`Process::add_global_probe`].
+    pub fn insert_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
+        self.ex.proc.check_global_allowed()?;
+        let id = self.ex.proc.probes.fresh_id(Site::Global);
+        self.ex.proc.probes.pending.push(Pending::Insert(id, probe));
+        Ok(id)
     }
 
     /// Removes a probe. If removed on the same event that is firing, the

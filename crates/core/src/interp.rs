@@ -564,24 +564,14 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
         // instruction without re-firing.
         ex.skip_probe = None;
     } else {
-        ex.fire_local_probes(pc);
+        ex.fire_site(slot as u32, pc);
     }
-    // The firing probes may have removed themselves (restoring the slot —
-    // and, if that was the function's last probe, rejoining the shared
-    // *re-fused* op stream); re-read and dispatch the original opcode
-    // either way. The read must be `unfused`: exactly one bytecode
-    // instruction executes for the fuel unit already charged, and in
-    // global-probe mode the covered instructions must still get their own
-    // fires. For a slot that was a fused head, `original` recovers the
-    // true pre-fusion immediates — the patched slot may carry the fused
-    // encoding.
-    let cur = ex.views.low.unfused(slot);
-    let orig = if cur.op == op::PROBE {
-        let byte = ex.proc.code[ex.lf].orig_opcode(pc);
-        ex.views.low.original(slot, byte)
-    } else {
-        cur
-    };
+    // Dispatch the original single instruction — whether or not the
+    // firing probes removed themselves (restoring the slot, or rejoining
+    // the shared *re-fused* op stream): exactly one bytecode instruction
+    // executes for the fuel unit already charged, and in global-probe mode
+    // the covered instructions must still get their own fires.
+    let orig = ex.views.low.original(slot);
     normal_table()[orig.op as usize](ex, orig)
 }
 
@@ -590,8 +580,7 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 /// table. Installed by switching the table pointer when a global probe is
 /// inserted (paper §4.1).
 fn op_global_stub(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
-    let pc = ex.views.low.pc_of(ex.pc);
-    ex.fire_global_probes(pc);
+    ex.fire_global_probes();
     // Global probes may themselves have mutated instrumentation; re-read.
     // The *unfused* view guarantees one instruction per dispatch, so the
     // next global fire lands on the covered instruction too.

@@ -7,31 +7,40 @@
 //! in the paper. The JIT shares the lowering with the interpreter instead
 //! of re-walking raw bytes:
 //!
-//! * local probes are *compiled into* the code at their sites;
-//! * a generic probe site requires a state checkpoint and a runtime call
-//!   (paper Figure 2, second column);
-//! * intrinsified `CountProbe`s compile to an inline counter increment and
-//!   intrinsified operand probes to a direct top-of-stack call (Figure 2,
-//!   third and fourth columns) — no FrameAccessor reification;
-//! * inserting/removing probes bumps the function's instrumentation
-//!   version, invalidating compiled code; executing frames deoptimize back
-//!   to the interpreter in place (paper §4.5–4.6, strategy 4).
+//! * a probed instruction compiles to one *site micro-op* ([`Op::Site`])
+//!   ahead of the instruction's own ops. What the micro-op does is its
+//!   **binding**, which lives in the function's site table
+//!   ([`FuncOverlay`]) and is re-bound in
+//!   place whenever the site's probe list changes:
+//!   * *generic* — a state checkpoint and a runtime call that fires the
+//!     list (paper Figure 2, second column);
+//!   * *intrinsified* — an inline counter increment for a `CountProbe`, a
+//!     direct top-of-stack call for an operand probe (Figure 2, third and
+//!     fourth columns), no FrameAccessor reification;
+//!   * *empty* — the probes are gone; the micro-op is dead weight, and
+//!     counts its own executions on the function's tier-up counter so the
+//!     function recompiles without it once removals have gone quiet;
+//! * so removing a probe, or inserting one where the code already has a
+//!   site, costs compiled code nothing but the re-bind. Only a probe on an
+//!   instruction the code has no site for — and the function's last probe
+//!   leaving — bump the instrumentation version and invalidate; executing
+//!   frames then deoptimize back to the interpreter in place (paper
+//!   §4.5–4.6, strategy 4).
 //!
 //! Compiled code is split in two layers so probe-free code can be shared:
 //!
 //! * [`CompiledCode`] is plain data (`Send + Sync`): the op stream, pc
-//!   metadata and OSR entries. Probe sites reference their M-code through
-//!   *indices* into the binding tables, never through pointers.
-//! * [`Compiled`] binds a `CompiledCode` to one process: the counter cells
-//!   and probe references the indices resolve against. Code compiled at
-//!   instrumentation version 0 has empty bindings, so the artifact caches
-//!   one `Arc<CompiledCode>` and every uninstrumented process of the
-//!   module executes the very same compiled ops
+//!   metadata and OSR entries. Site micro-ops name their site by lowered
+//!   *slot*, never through pointers.
+//! * [`Compiled`] binds a `CompiledCode` to one process and one
+//!   instrumentation version; the bindings its slots resolve against are
+//!   the process's site table. Probe-free code has no sites at all, so the
+//!   artifact caches one `Arc<CompiledCode>` and every uninstrumented
+//!   process of the module executes the very same compiled ops
 //!   ([`FuncArtifact::baseline_compiled`](crate::artifact::FuncArtifact)).
-//!   The first probe invalidates only that process's binding; siblings
+//!   The first probe invalidates only that process's wrapper; siblings
 //!   keep running the shared code.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -44,10 +53,9 @@ use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
 use crate::lowered::{LTarget, Lowered, LoweredView};
 use crate::numeric;
-use crate::probe::{Location, ProbeKind, ProbeRef, ProbeRegistry};
+use crate::probe::{Binding, Intrinsified, Location};
 use crate::trap::Trap;
 use crate::value::Slot;
-use crate::EngineConfig;
 
 /// A resolved branch target in compiled code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +68,8 @@ pub struct JTarget {
     pub height: u32,
 }
 
-/// One compiled micro-op. Plain data — probe sites carry indices into the
-/// owning [`Compiled`]'s binding tables, keeping the op stream shareable.
+/// One compiled micro-op. Plain data — a probe site names its entry of the
+/// function's site table by slot, keeping the op stream shareable.
 #[derive(Clone)]
 pub enum Op {
     /// Push a constant slot.
@@ -128,23 +136,12 @@ pub enum Op {
     },
     /// `unreachable`.
     Unreachable,
-    /// Generic probe site: checkpoint state and fire through the runtime
-    /// (Figure 2, "generic probe").
-    Probe {
-        /// Bytecode pc of the probed instruction.
-        pc: u32,
-    },
-    /// Intrinsified counter probe: inline increment, no call (Figure 2,
-    /// "counter probe").
-    CountBump {
-        /// Index into [`Compiled::cells`].
-        cell: u32,
-    },
-    /// Intrinsified top-of-stack operand probe: direct call with the
-    /// operand value, no FrameAccessor (Figure 2, "operand probe").
-    OperandProbe {
-        /// Index into [`Compiled::operands`].
-        probe: u32,
+    /// A probe site: executes the site's current binding — a generic
+    /// checkpointed fire, intrinsified bumps / operand calls, or nothing
+    /// (Figure 2's three instrumented columns, chosen at bind time).
+    Site {
+        /// Lowered slot of the probed instruction: the site-table index.
+        slot: u32,
         /// Bytecode pc of the probed instruction.
         pc: u32,
     },
@@ -186,16 +183,7 @@ impl core::fmt::Debug for Op {
             Op::Call { callee, .. } => write!(f, "call {callee}"),
             Op::CallIndirect { type_idx, .. } => write!(f, "call_indirect (type {type_idx})"),
             Op::Unreachable => f.write_str("unreachable"),
-            Op::Probe { pc } => write!(
-                f,
-                "probe.generic pc={pc}  ; checkpoint state, runtime call, FrameAccessor available"
-            ),
-            Op::CountBump { .. } => {
-                f.write_str("count.bump          ; intrinsified: inline counter increment")
-            }
-            Op::OperandProbe { pc, .. } => {
-                write!(f, "probe.operand pc={pc} ; intrinsified: direct call with top-of-stack")
-            }
+            Op::Site { slot, pc } => write!(f, "site slot={slot} pc={pc}"),
         }
     }
 }
@@ -227,8 +215,10 @@ pub struct CompiledCode {
 }
 
 /// Compiled code bound to one process: the shareable op stream plus the
-/// probe bindings its probe-site indices resolve against. Version-0 code
-/// has empty bindings and wraps the artifact's shared `Arc<CompiledCode>`.
+/// instrumentation version it is valid for. Its site micro-ops resolve
+/// against the process's site table for the function; probe-free code has
+/// none and wraps the artifact's shared `Arc<CompiledCode>`.
+#[derive(Debug)]
 pub struct Compiled {
     /// The (possibly shared) op stream.
     pub code: Arc<CompiledCode>,
@@ -239,20 +229,6 @@ pub struct Compiled {
     /// observed by live frames stay strictly monotonic even though the
     /// baseline op stream is reused across probe/detach cycles.
     pub version: u32,
-    /// Counter cells referenced by [`Op::CountBump`].
-    pub cells: Vec<Rc<Cell<u64>>>,
-    /// Operand probes referenced by [`Op::OperandProbe`].
-    pub operands: Vec<ProbeRef>,
-}
-
-impl core::fmt::Debug for Compiled {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Compiled")
-            .field("code", &self.code)
-            .field("cells", &self.cells.len())
-            .field("operands", &self.operands.len())
-            .finish()
-    }
 }
 
 impl Compiled {
@@ -272,46 +248,28 @@ impl Compiled {
 /// from the shared lowered form. The result references no process state
 /// and is cached on the [`FuncArtifact`](crate::artifact::FuncArtifact),
 /// shared by every process until it instruments the function.
-pub(crate) fn compile_baseline(func: FuncIdx, low: &Arc<Lowered>) -> CompiledCode {
-    let view = LoweredView::shared((**low).clone());
-    let (code, cells, operands) = compile_inner(func, &view, None, 0);
-    debug_assert!(cells.is_empty() && operands.is_empty(), "baseline has no probe sites");
-    code
+pub(crate) fn compile_baseline(low: &Arc<Lowered>) -> CompiledCode {
+    compile_inner(&LoweredView::shared((**low).clone()), None, 0)
 }
 
-/// Compiles `fc` from its *lowered* view to micro-ops, baking in the
-/// currently-installed probes.
+/// Compiles `fc` from its *lowered* view to micro-ops, with a site
+/// micro-op at every instruction that currently holds probes.
 ///
 /// The lowering pass already pre-decoded every immediate and fused the
 /// side table, so compilation is a single walk over fixed-width slots.
-pub(crate) fn compile(
-    fc: &FuncOverlay,
-    low: &LoweredView,
-    probes: &ProbeRegistry,
-    config: &EngineConfig,
-) -> Compiled {
+pub(crate) fn compile(fc: &FuncOverlay, low: &LoweredView) -> Compiled {
     let version = fc.version.get();
-    let (code, cells, operands) =
-        compile_inner(fc.func(), low, Some((fc, probes, config)), version);
-    Compiled { code: Arc::new(code), version, cells, operands }
+    Compiled { code: Arc::new(compile_inner(low, Some(fc), version)), version }
 }
 
-/// The shared compilation walk. `instr` carries the probe context for
-/// instrumented compiles; `None` compiles the pristine baseline.
-#[allow(clippy::type_complexity)]
-fn compile_inner(
-    func: FuncIdx,
-    low: &LoweredView,
-    instr: Option<(&FuncOverlay, &ProbeRegistry, &EngineConfig)>,
-    version: u32,
-) -> (CompiledCode, Vec<Rc<Cell<u64>>>, Vec<ProbeRef>) {
+/// The shared compilation walk. `sites` is the overlay whose probed slots
+/// get site micro-ops; `None` compiles the pristine baseline.
+fn compile_inner(low: &LoweredView, sites: Option<&FuncOverlay>, version: u32) -> CompiledCode {
     let nslots = low.len();
     let mut ops: Vec<Op> = Vec::with_capacity(nslots);
     let mut ip_to_pc: Vec<u32> = Vec::with_capacity(nslots);
     let mut slot_to_ip: Vec<u32> = Vec::with_capacity(nslots + 1);
     let mut osr_entry: HashMap<u32, u32> = HashMap::new();
-    let mut cells: Vec<Rc<Cell<u64>>> = Vec::new();
-    let mut operands: Vec<ProbeRef> = Vec::new();
 
     // Branch targets are emitted with `ip` temporarily holding the lowered
     // *slot*; a second pass resolves slots to op indices.
@@ -320,50 +278,19 @@ fn compile_inner(
     for slot in 0..nslots {
         // The unfused view: exactly one bytecode instruction per slot
         // (fused superinstructions are an interpreter-dispatch concern).
-        // Probe-patched slots compile from the saved original instruction
-        // — `original` also recovers pre-fusion immediates if the patched
-        // slot was a fused head; the site's probes are compiled in (or
-        // intrinsified) below.
+        // Probe-patched slots compile from the original instruction, with
+        // the site's micro-op ahead of it: how the site's probes run is
+        // the site's binding, not this code's business.
         let pc = low.pc_of(slot);
         let mut li = low.unfused(slot);
         if li.op == op::PROBE {
-            let fc = instr.expect("probe opcodes only occur on instrumented overlays").0;
-            li = low.original(slot, fc.orig_opcode(pc));
+            li = low.original(slot);
         }
         slot_to_ip.push(ops.len() as u32);
         let opb = li.op;
-        // Probe site: intrinsify if every probe at the site supports it,
-        // otherwise fall back to a single generic probe op that dispatches
-        // the whole site list through the runtime.
-        if let Some((_, probes, config)) = instr {
-            if let Some(list) = probes.locals_at(func, pc) {
-                let all_intrinsic = list.iter().all(|(_, p)| match p.borrow().kind() {
-                    ProbeKind::Count => config.intrinsify_count,
-                    ProbeKind::Operand => config.intrinsify_operand,
-                    ProbeKind::Generic => false,
-                });
-                if all_intrinsic {
-                    for (_, p) in list.iter() {
-                        let kind = p.borrow().kind();
-                        match kind {
-                            ProbeKind::Count => {
-                                let cell = p.borrow().count_cell().expect("count probe has cell");
-                                cells.push(cell);
-                                ops.push(Op::CountBump { cell: cells.len() as u32 - 1 });
-                            }
-                            ProbeKind::Operand => {
-                                operands.push(Rc::clone(p));
-                                ops.push(Op::OperandProbe { probe: operands.len() as u32 - 1, pc });
-                            }
-                            ProbeKind::Generic => unreachable!("checked all_intrinsic"),
-                        }
-                        ip_to_pc.push(pc);
-                    }
-                } else {
-                    ops.push(Op::Probe { pc });
-                    ip_to_pc.push(pc);
-                }
-            }
+        if sites.is_some_and(|fc| fc.claim_site(slot)) {
+            ops.push(Op::Site { slot: slot as u32, pc });
+            ip_to_pc.push(pc);
         }
         if opb == op::LOOP {
             osr_entry.insert(pc, ops.len() as u32);
@@ -421,7 +348,7 @@ fn compile_inner(
         }
     }
 
-    (CompiledCode { version, ops, ip_to_pc, osr_entry, reg: None }, cells, operands)
+    CompiledCode { version, ops, ip_to_pc, osr_entry, reg: None }
 }
 
 /// Compiles the probe-free baseline of `func` from its **register form**:
@@ -449,15 +376,16 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
             debug_assert_eq!(f.tier, Tier::Jit);
             (f.lf, f.cip, f.code_version)
         };
-        let Some(compiled) = ex.proc.code[lf].compiled.borrow().clone() else {
-            // Code was invalidated while this frame was suspended: deopt.
+        let fc = Rc::clone(&ex.proc.code[lf]);
+        let current = fc.compiled.borrow().clone();
+        let Some(compiled) =
+            current.filter(|c| c.version() == expect_version && !ex.proc.global_mode)
+        else {
+            // While this frame was suspended its code was invalidated, or a
+            // global probe arrived (which only the interpreter runs): deopt.
             deopt_here(ex);
             return Ok(Exit::Redispatch);
         };
-        if compiled.version() != expect_version {
-            deopt_here(ex);
-            return Ok(Exit::Redispatch);
-        }
         // Register-form code: the register executor runs it directly.
         // Frame-stack changes (calls/returns) surface as `Redispatch`, so
         // the drive loop re-resolves the new top frame's code.
@@ -466,6 +394,11 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
         }
         let func = ex.func;
         let code = &compiled.code;
+        // The site table stays borrowed while this frame runs; it is let go
+        // before anything that leaves the frame: a generic fire, which can
+        // apply instrumentation changes, and calls and returns, which hand
+        // control to other activations.
+        let mut sites = fc.sites();
         let mut ip = start_ip;
         loop {
             if ip >= code.ops.len() {
@@ -479,7 +412,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                 }
             }
             // Fuel metering (bounded runs only): charge one unit at the
-            // first micro-op of each bytecode instruction. Probe ops are
+            // first micro-op of each bytecode instruction. Site ops are
             // emitted *before* their instruction's ops and share its pc, so
             // a suspension here is always before an instruction whose
             // probes have not fired yet — `cip` resumes compiled code
@@ -596,6 +529,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     continue;
                 }
                 Op::Return => {
+                    drop(sites.take());
                     ex.frames.last_mut().expect("frame").cip = ip + 1;
                     match ex.do_return(Tier::Jit) {
                         Ok(()) => continue 'frames,
@@ -605,6 +539,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     }
                 }
                 Op::Call { callee, ret_pc } => {
+                    drop(sites.take());
                     ex.pc = *ret_pc as usize;
                     {
                         let f = ex.frames.last_mut().expect("frame");
@@ -619,6 +554,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     }
                 }
                 Op::CallIndirect { type_idx, ret_pc } => {
+                    drop(sites.take());
                     ex.pc = *ret_pc as usize;
                     {
                         let f = ex.frames.last_mut().expect("frame");
@@ -633,58 +569,88 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     }
                 }
                 Op::Unreachable => return trap(ex, Trap::Unreachable),
-                Op::CountBump { cell } => {
-                    // Fully-inlined counter: the intrinsified fast path.
-                    let cell = &compiled.cells[*cell as usize];
-                    cell.set(cell.get() + 1);
-                }
-                Op::OperandProbe { probe, pc } => {
-                    // Direct call with the top-of-stack value; no runtime
-                    // dispatch, no FrameAccessor.
-                    let top = ex.peek();
-                    compiled.operands[*probe as usize]
-                        .borrow_mut()
-                        .fire_operand(Location { func, pc: *pc }, top);
-                }
-                Op::Probe { pc } => {
-                    // Generic probe site: checkpoint (sync pc/cip), then fire
-                    // through the same runtime path as the interpreter.
-                    let pcv = *pc;
-                    ex.pc = pcv as usize;
-                    {
-                        let f = ex.frames.last_mut().expect("frame");
-                        f.cip = ip + 1;
-                        f.pc = pcv as usize;
-                    }
-                    ex.fire_local_probes(pcv);
-                    // Consistency checks: instrumentation changes or frame
-                    // modification force deoptimization of this frame only
-                    // (paper §4.6, strategy 4).
-                    let deopt_needed = {
-                        let f = ex.frames.last().expect("frame");
-                        ex.proc.code[lf].version.get() != compiled.version()
-                            || f.deopt_requested
-                            || ex.proc.global_mode
-                    };
-                    if deopt_needed {
-                        // The interpreter will re-charge fuel for this pc on
-                        // re-entry; refund the unit this tier already charged
-                        // so the instruction costs one unit, not two.
-                        if ex.metered {
-                            ex.fuel += 1;
+                Op::Site { slot, pc } => {
+                    let table = sites.as_deref().expect("site micro-ops run on an overlay");
+                    let binding = &table[*slot as usize].binding;
+                    match binding {
+                        // Fully-inlined counter: the intrinsified fast path.
+                        Binding::Count(cell) => cell.set(cell.get() + 1),
+                        Binding::Intrinsic(list) => {
+                            for probe in list.iter() {
+                                match probe {
+                                    Intrinsified::Count(cell) => cell.set(cell.get() + 1),
+                                    // Direct call with the top-of-stack
+                                    // value; no runtime dispatch, no
+                                    // FrameAccessor.
+                                    Intrinsified::Operand(p) => p
+                                        .borrow_mut()
+                                        .fire_operand(Location { func, pc: *pc }, ex.peek()),
+                                }
+                            }
                         }
-                        let f = ex.frames.last_mut().expect("frame");
-                        f.tier = Tier::Interp;
-                        f.pc = pcv as usize;
-                        f.deopt_requested = false;
-                        // The probes at this pc already fired; suppress the
-                        // interpreter's re-fire if the probe byte remains.
-                        if ex.proc.code[lf].byte_at(pcv as usize) == op::PROBE {
-                            ex.skip_probe = Some(Location { func, pc: pcv });
+                        Binding::Generic | Binding::Empty => {
+                            let fire = matches!(binding, Binding::Generic);
+                            drop(sites.take());
+                            // Checkpoint: sync pc/cip before anything
+                            // observes (or leaves) the frame.
+                            let pcv = *pc;
+                            ex.pc = pcv as usize;
+                            {
+                                let f = ex.frames.last_mut().expect("frame");
+                                f.cip = ip + 1;
+                                f.pc = pcv as usize;
+                            }
+                            if fire {
+                                // Generic probe site: fire through the same
+                                // runtime path as the interpreter.
+                                ex.fire_site(*slot, pcv);
+                            } else {
+                                // A removed probe's site, crossed once more.
+                                // Removals re-arm the tier-up counter to the
+                                // threshold, so a second threshold on top
+                                // means they have gone quiet: drop the dead
+                                // sites by recompiling (this frame re-enters
+                                // through the usual tier-up).
+                                let h = fc.hotness.get().saturating_add(1);
+                                fc.hotness.set(h);
+                                if h >= ex.proc.config.tierup_threshold.saturating_mul(2) {
+                                    fc.invalidate();
+                                    ex.proc.stats.invalidation_passes += 1;
+                                }
+                            }
+                            // Consistency checks: invalidated code or frame
+                            // modification force deoptimization of this
+                            // frame only (paper §4.6, strategy 4).
+                            let deopt_needed = {
+                                let f = ex.frames.last().expect("frame");
+                                fc.version.get() != compiled.version()
+                                    || f.deopt_requested
+                                    || ex.proc.global_mode
+                            };
+                            if deopt_needed {
+                                // The interpreter will re-charge fuel for
+                                // this pc on re-entry; refund the unit this
+                                // tier already charged so the instruction
+                                // costs one unit, not two.
+                                if ex.metered {
+                                    ex.fuel += 1;
+                                }
+                                let f = ex.frames.last_mut().expect("frame");
+                                f.tier = Tier::Interp;
+                                f.pc = pcv as usize;
+                                f.deopt_requested = false;
+                                // The probes at this pc already fired;
+                                // suppress the interpreter's re-fire if the
+                                // probe byte remains.
+                                if fire && fc.byte_at(pcv as usize) == op::PROBE {
+                                    ex.skip_probe = Some(Location { func, pc: pcv });
+                                }
+                                ex.proc.stats.deopts += 1;
+                                ex.load_cur();
+                                return Ok(Exit::Redispatch);
+                            }
+                            sites = fc.sites();
                         }
-                        ex.proc.stats.deopts += 1;
-                        ex.load_cur();
-                        return Ok(Exit::Redispatch);
                     }
                 }
             }

@@ -40,7 +40,7 @@
 //!   invisible to sibling processes of the same artifact.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -55,7 +55,8 @@ use crate::value::Slot;
 pub const FUSED_GET_GET: u8 = 0xe8;
 /// Fused superinstruction: `local.get a; <binop>` (`x` = a, `y` = binop).
 pub const FUSED_GET_BIN: u8 = 0xe9;
-/// Fused superinstruction: `<const>; <binop>` (`z` = const bits, `y` = binop).
+/// Fused superinstruction: `<const>; <binop>` (`z` = const bits, `y` = binop,
+/// `x` = the const's own opcode).
 pub const FUSED_CONST_BIN: u8 = 0xea;
 /// Fused superinstruction: `local.get a; local.set b` (`x` = a, `z` = b).
 pub const FUSED_GET_SET: u8 = 0xeb;
@@ -99,6 +100,23 @@ fn is_cmp(opcode: u8) -> bool {
         | op::I64_EQ..=op::I64_GE_U
         | op::F32_EQ..=op::F32_GE
         | op::F64_EQ..=op::F64_GE)
+}
+
+/// The original first instruction behind `li` if it is a fused
+/// superinstruction (each encoding keeps everything its head needs), `li`
+/// itself otherwise. The covered slots always hold their originals, so
+/// this is all it takes to read — or restore — one instruction per slot.
+#[inline]
+fn unfuse(li: LInstr) -> LInstr {
+    match li.op {
+        FUSED_GET_GET | FUSED_GET_BIN | FUSED_GET_SET | FUSED_GET_GET_BIN | FUSED_UPD => {
+            LInstr::with_x(op::LOCAL_GET, li.x)
+        }
+        FUSED_GG_CMP_BR => LInstr::with_x(op::LOCAL_GET, li.z as u32),
+        FUSED_CONST_BIN => LInstr::with_z(li.x as u8, li.z),
+        FUSED_CMP_BR => LInstr::plain(li.y),
+        _ => li,
+    }
 }
 
 /// A pre-resolved control-transfer destination in lowered code.
@@ -188,11 +206,6 @@ pub struct Lowered {
     /// byte pc → slot; `u32::MAX` for offsets that are not instruction
     /// boundaries; one extra sentinel entry for `pc == body len`.
     pc_to_slot: Arc<[u32]>,
-    /// Original (unfused) head instructions of fused superinstruction
-    /// slots, keyed by head slot — consulted to unfuse when a probe lands
-    /// on a covered overlay slot, and by consumers that need the strict
-    /// one-instruction-per-slot view ([`LoweredView::unfused`]).
-    fused: Arc<HashMap<u32, LInstr>>,
 }
 
 impl Lowered {
@@ -284,7 +297,7 @@ impl Lowered {
             }
         }
 
-        let fused = fuse(&mut ops, &targets, &tables);
+        fuse(&mut ops, &targets, &tables);
 
         Lowered {
             ops: ops.into(),
@@ -292,7 +305,6 @@ impl Lowered {
             tables: tables.into(),
             slot_to_pc: slot_to_pc.into(),
             pc_to_slot: pc_to_slot.into(),
-            fused: Arc::new(fused),
         }
     }
 
@@ -316,6 +328,13 @@ impl Lowered {
     #[inline]
     pub fn get(&self, slot: usize) -> LInstr {
         self.ops[slot]
+    }
+
+    /// The pristine *single* instruction at `slot`: what a probe there
+    /// overwrites, and what its removal restores.
+    #[inline]
+    pub fn original(&self, slot: usize) -> LInstr {
+        unfuse(self.ops[slot])
     }
 
     /// Byte pc of the instruction at `slot` (`slot == len()` maps to the
@@ -379,68 +398,30 @@ impl Lowered {
     }
 
     /// Overwrites the opcode field of overlay slot `slot` with the probe
-    /// opcode, returning the previous opcode — the lowered-form analogue
-    /// of overwriting the opcode byte, applied to the process-local copy.
-    /// Immediates are untouched, so the original handler decodes nothing
-    /// when the probe re-dispatches it.
+    /// opcode — the lowered-form analogue of overwriting the opcode byte,
+    /// applied to the process-local copy. Immediates are untouched.
+    /// Removal writes [`Lowered::original`] back: a head that probe traffic
+    /// touched stays unfused in the overlay (degradation, never
+    /// incorrectness) until the function's last probe leaves and the
+    /// process rejoins the shared, still-fused op stream.
     ///
     /// If the slot is covered by a fused superinstruction, the fused head
     /// is restored to its original single instruction first — sequential
-    /// flow must reach the probed slot, never skip over it. (A probe on a
-    /// fused *head* needs no unfusing: the probe handler re-dispatches the
-    /// saved original opcode, whose immediates the patched slot retains.)
-    pub fn patch_probe(&self, ops: &[Cell<LInstr>], slot: u32) -> u8 {
+    /// flow must reach the probed slot, never skip over it.
+    pub fn patch_probe(&self, ops: &[Cell<LInstr>], slot: u32) {
         // Scan back over the longest possible fused region for a head that
         // covers this slot (fusions never overlap, so at most one does).
         for d in 1..=3u32 {
             let Some(head) = slot.checked_sub(d) else { break };
             let cell = &ops[head as usize];
-            let opcode = cell.get().op;
-            if is_fused(opcode) && fused_len(opcode) as u32 > d {
-                cell.set(self.fused[&head]);
+            let li = cell.get();
+            if is_fused(li.op) && fused_len(li.op) as u32 > d {
+                cell.set(unfuse(li));
                 break;
             }
         }
         let cell = &ops[slot as usize];
-        let mut li = cell.get();
-        let prev = li.op;
-        li.op = op::PROBE;
-        cell.set(li);
-        prev
-    }
-
-    /// Restores the opcode field of overlay slot `slot` (when the last
-    /// probe at the location is removed). A slot that was a fused head is
-    /// restored to its full *original* instruction (not re-fused) — its
-    /// immediate fields held the fused encoding, and a head that probe
-    /// traffic touched stays unfused in the overlay: degradation, never
-    /// incorrectness. (When the *last* probe leaves the whole function the
-    /// overlay copy is dropped entirely and the process rejoins the
-    /// shared, still-fused op stream.)
-    pub fn restore_op(&self, ops: &[Cell<LInstr>], slot: u32, orig: u8) {
-        if let Some(o) = self.fused.get(&slot) {
-            debug_assert_eq!(o.op, orig, "saved byte opcode matches the fused head's original");
-            ops[slot as usize].set(*o);
-            return;
-        }
-        let cell = &ops[slot as usize];
-        let mut li = cell.get();
-        li.op = orig;
-        cell.set(li);
-    }
-
-    /// The original single instruction behind a (possibly fused or
-    /// probe-patched) slot whose current encoding is `li`: `orig_byte`
-    /// supplies the overwritten opcode (saved on the bytecode side), and
-    /// if the slot was a fused head its original immediates come from the
-    /// fusion map — the patched slot itself may carry the fused encoding.
-    #[inline]
-    fn original_of(&self, slot: usize, mut li: LInstr, orig_byte: u8) -> LInstr {
-        if let Some(o) = self.fused.get(&(slot as u32)) {
-            return *o;
-        }
-        li.op = orig_byte;
-        li
+        cell.set(LInstr { op: op::PROBE, ..cell.get() });
     }
 }
 
@@ -507,21 +488,14 @@ impl LoweredView {
     /// read through this instead of [`LoweredView::get`].
     #[inline]
     pub fn unfused(&self, slot: usize) -> LInstr {
-        let li = self.get(slot);
-        if is_fused(li.op) {
-            self.shared.fused[&(slot as u32)]
-        } else {
-            li
-        }
+        unfuse(self.get(slot))
     }
 
-    /// The original single instruction behind a probe-patched `slot`:
-    /// `orig_byte` supplies the overwritten opcode (saved on the bytecode
-    /// side), and a slot that was a fused head recovers its pre-fusion
-    /// immediates from the fusion map.
+    /// The original single instruction behind a probe-patched `slot`; see
+    /// [`Lowered::original`].
     #[inline]
-    pub fn original(&self, slot: usize, orig_byte: u8) -> LInstr {
-        self.shared.original_of(slot, self.get(slot), orig_byte)
+    pub fn original(&self, slot: usize) -> LInstr {
+        self.shared.original(slot)
     }
 
     /// Number of instruction slots.
@@ -577,11 +551,7 @@ impl LoweredView {
 /// untouched. A pair is fusable only when the covered slot is not a branch
 /// target; probes landing on covered slots unfuse the head of the overlay
 /// copy at patch time ([`Lowered::patch_probe`]).
-fn fuse(
-    ops: &mut [LInstr],
-    targets: &[LTarget],
-    tables: &[Box<[LTarget]>],
-) -> HashMap<u32, LInstr> {
+fn fuse(ops: &mut [LInstr], targets: &[LTarget], tables: &[Box<[LTarget]>]) {
     let mut branch_targets: HashSet<u32> = targets.iter().map(|t| t.slot).collect();
     for table in tables {
         branch_targets.extend(table.iter().map(|t| t.slot));
@@ -593,7 +563,6 @@ fn fuse(
     let coverable =
         |s: usize, len: usize| (s + 1..s + len).all(|c| !branch_targets.contains(&(c as u32)));
 
-    let mut fused: HashMap<u32, LInstr> = HashMap::new();
     let mut s = 0;
     while s + 1 < ops.len() {
         let a = ops[s];
@@ -636,7 +605,7 @@ fn fuse(
                 Some((LInstr { op: FUSED_GET_BIN, y: bb, x: a.x, z: 0 }, 2))
             }
             (ac, bb, _, _) if is_const(ac) && numeric::is_binop(bb) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_CONST_BIN, y: bb, x: 0, z: a.z }, 2))
+                Some((LInstr { op: FUSED_CONST_BIN, y: bb, x: u32::from(ac), z: a.z }, 2))
             }
             (aa, op::BR_IF, _, _) if is_cmp(aa) && coverable(s, 2) => {
                 Some((LInstr { op: FUSED_CMP_BR, y: aa, x: b.x, z: 0 }, 2))
@@ -644,14 +613,13 @@ fn fuse(
             _ => None,
         };
         if let Some((fi, len)) = f {
-            fused.insert(s as u32, a);
+            debug_assert_eq!(unfuse(fi), a, "a fused encoding keeps its head");
             ops[s] = fi;
             s += len;
         } else {
             s += 1;
         }
     }
-    fused
 }
 
 #[cfg(test)]
@@ -796,17 +764,18 @@ mod tests {
         let ops = low.cow_ops();
         // Slot 1 is a fused `const;add` head; patching it installs the
         // probe over the *fused* op while the immediates stay intact, and
-        // the probe handler re-dispatches via the saved byte opcode.
-        let prev = low.patch_probe(&ops, 1);
-        assert_eq!(prev, FUSED_CONST_BIN);
+        // the probe handler re-dispatches the site's saved original.
+        low.patch_probe(&ops, 1);
         let view = LoweredView::overlaid(low.clone(), Rc::clone(&ops));
         assert_eq!(view.get(1).op, wizard_wasm::opcodes::PROBE);
         assert_eq!(Slot(view.get(1).z).i32(), 7, "immediate untouched by patching");
-        // Restoring with the *byte* opcode (what the overlay saved) leaves
-        // a correct, merely-unfused instruction.
-        low.restore_op(&ops, 1, wizard_wasm::opcodes::I32_CONST);
-        assert_eq!(view.get(1).op, wizard_wasm::opcodes::I32_CONST);
-        assert_eq!(Slot(view.get(1).z).i32(), 7);
+        // Restoring the original leaves a correct, merely-unfused
+        // instruction.
+        ops[1].set(low.original(1));
+        assert_eq!(
+            view.get(1),
+            LInstr::with_z(wizard_wasm::opcodes::I32_CONST, Slot::from_i32(7).0)
+        );
         // The shared form never saw any of it.
         assert_eq!(low.get(1).op, FUSED_CONST_BIN);
     }

@@ -22,12 +22,13 @@
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use wizard_wasm::module::{FuncIdx, Module};
 
 use crate::engine::{EngineConfig, ProbeError, Process};
-use crate::probe::{Probe, ProbeBatch, ProbeId, ProbeRef};
+use crate::probe::{Location, Probe, ProbeBatch, ProbeId, ProbeRef};
 
 // ---- structured reports ----
 
@@ -315,7 +316,15 @@ impl<'a> InstrumentationCtx<'a> {
         self.process.config()
     }
 
-    /// Inserts one local probe immediately (one invalidation pass). Prefer
+    /// Every instruction of every locally-defined function, in code order:
+    /// the site list of a whole-module monitor. Shared by everything
+    /// instantiated from the module's artifact — no body is decoded here.
+    pub fn instruction_sites(&mut self) -> Arc<[Location]> {
+        self.process.instruction_sites()
+    }
+
+    /// Inserts one local probe immediately (one invalidation pass if the
+    /// instruction is a new probe site). Prefer
     /// [`InstrumentationCtx::apply_batch`] when inserting many.
     ///
     /// # Errors
@@ -370,7 +379,7 @@ impl<'a> InstrumentationCtx<'a> {
         Ok(id)
     }
 
-    /// Commits a [`ProbeBatch`] in a single invalidation pass, returning
+    /// Commits a [`ProbeBatch`] in at most one invalidation pass, returning
     /// the ids of the inserted probes in queue order. All ids are recorded
     /// for removal at detach.
     ///
@@ -527,7 +536,9 @@ impl Process {
     }
 
     /// Detaches a monitor: calls [`Monitor::on_detach`], then removes all
-    /// of its recorded probes in one batched invalidation pass. Once the
+    /// of its recorded probes in one batch (compiled code re-binds the
+    /// emptied sites; a function left with no probes at all rejoins the
+    /// shared baseline code). Once the
     /// last monitor is detached the process is back at the zero-overhead
     /// baseline: no probed locations, not in global mode, and original
     /// bytecode restored everywhere.

@@ -2,25 +2,26 @@
 //!
 //! A [`Probe`] is M-code — monitor logic executed by the engine when an
 //! event fires. *Global probes* fire before every instruction; *local
-//! probes* fire before a specific `(func, pc)` location. The (internal)
-//! probe registry maintains probe lists with the paper's §2.4.1
+//! probes* fire before a specific `(func, pc)` location. Probe lists (the
+//! global one here, a local site's in its function's site table —
+//! [`FuncOverlay`](crate::code::FuncOverlay)) keep the paper's §2.4.1
 //! consistency guarantees:
 //!
 //! * **insertion order is firing order** — lists are ordered;
-//! * **deferred inserts on same event** — the list for a firing event is
-//!   snapshotted before dispatch (lists are copy-on-write);
-//! * **deferred removal on same event** — removals requested while firing
-//!   are queued and applied when the event's dispatch completes.
+//! * **deferred inserts and removals on same event** — M-code can only
+//!   *queue* instrumentation changes, and the queue is applied when the
+//!   firing event's dispatch completes: the list an event dispatches is
+//!   the list as it was when the event began.
 
 use std::cell::Cell;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wizard_wasm::module::FuncIdx;
 
 use crate::exec::ProbeCtx;
 use crate::value::Slot;
+use crate::EngineConfig;
 
 /// A code location: function index and byte offset within the body.
 ///
@@ -86,9 +87,14 @@ pub trait Probe: 'static {
 /// Shared handle to a probe.
 pub type ProbeRef = Rc<RefCell<dyn Probe>>;
 
-/// Identifier of an inserted probe, used for removal.
+/// Identifier of an inserted probe, used for removal. Opaque; it names
+/// the probe's site as well as the probe, so removal needs no lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProbeId(pub(crate) u64);
+pub struct ProbeId {
+    /// Unique per process, never reused.
+    serial: u64,
+    pub(crate) site: Site,
+}
 
 /// A counter probe: increments a shared counter each time its location is
 /// reached. Fully inlined by the JIT when count intrinsification is on
@@ -182,16 +188,19 @@ impl<F: FnMut(&mut ProbeCtx<'_, '_>) + 'static> core::fmt::Debug for ClosureProb
     }
 }
 
-/// A set of probe insertions and removals applied in a single
+/// A set of probe insertions and removals applied in at most a single
 /// invalidation/deoptimization pass.
 ///
-/// Inserting N probes one at a time pays N code-invalidation passes
-/// (compiled code is specialized to the probe list, paper §4.5). Monitors
-/// instrumenting many sites — hotness and coverage probe *every*
+/// Compiled code follows most instrumentation changes by re-binding its
+/// probe sites in place (paper §4.5): removals, and insertions at
+/// instructions that already held probes when the function was compiled,
+/// cost it nothing. A probe on a *new* site invalidates the function's
+/// code, so inserting N of those one at a time pays N invalidation passes.
+/// Monitors instrumenting many sites — hotness and coverage probe *every*
 /// instruction — batch their insertions instead and commit them through
-/// [`Process::apply_batch`](crate::Process::apply_batch), which touches
-/// each affected function's code exactly once and counts as one
-/// invalidation pass in
+/// [`Process::apply_batch`](crate::Process::apply_batch), which
+/// invalidates each affected function's code at most once and counts as at
+/// most one invalidation pass in
 /// [`EngineStats::invalidation_passes`](crate::EngineStats).
 ///
 /// Batches are validated atomically: if any operation names an invalid
@@ -263,111 +272,149 @@ impl core::fmt::Debug for ProbeBatch {
 /// An ordered probe list entry.
 pub(crate) type Entry = (ProbeId, ProbeRef);
 
-/// Where a probe is attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a probe is attached. Local sites are named by lowered *slot*: the
+/// index of the function's per-slot site table
+/// ([`FuncOverlay`](crate::code::FuncOverlay)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum Site {
     Global,
-    Local(FuncIdx, u32),
+    Local { func: FuncIdx, slot: u32 },
 }
 
 /// A deferred instrumentation request, queued while an event is firing.
+/// Insertions are validated when queued; the id carries the site.
 pub(crate) enum Pending {
-    InsertGlobal(ProbeId, ProbeRef),
-    InsertLocal(ProbeId, FuncIdx, u32, ProbeRef),
+    Insert(ProbeId, ProbeRef),
     Remove(ProbeId),
 }
 
-/// Maintains global and local probe lists with consistent snapshots.
+/// What compiled code does at a probe site — the process-private half of
+/// a site micro-op ([`Op::Site`](crate::jit::Op)), recomputed from the
+/// site's probe list whenever the list changes (paper §4.4).
+#[derive(Default)]
+pub(crate) enum Binding {
+    /// No probes: the site is dead weight until the function recompiles.
+    #[default]
+    Empty,
+    /// Exactly one `Count` probe: an inline increment of its cell.
+    Count(Rc<Cell<u64>>),
+    /// Any other list whose probes are all intrinsifiable, in firing order.
+    Intrinsic(Box<[Intrinsified]>),
+    /// At least one probe needs the runtime: checkpoint, then fire the
+    /// whole list through [`Exec::fire_site`](crate::exec).
+    Generic,
+}
+
+/// One intrinsified probe of a [`Binding::Intrinsic`] list.
+pub(crate) enum Intrinsified {
+    Count(Rc<Cell<u64>>),
+    Operand(ProbeRef),
+}
+
+impl Binding {
+    /// The binding of `probes` under `config`'s intrinsification flags.
+    pub fn of(probes: &[Entry], config: &EngineConfig) -> Binding {
+        let intrinsified = |p: &ProbeRef| {
+            // A probe its owner is mutating right now just stays generic.
+            let probe = p.try_borrow().ok()?;
+            match probe.kind() {
+                ProbeKind::Count if config.intrinsify_count => {
+                    probe.count_cell().map(Intrinsified::Count)
+                }
+                ProbeKind::Operand if config.intrinsify_operand => {
+                    Some(Intrinsified::Operand(Rc::clone(p)))
+                }
+                _ => None,
+            }
+        };
+        match probes {
+            [] => Binding::Empty,
+            [(_, p)] => match intrinsified(p) {
+                Some(Intrinsified::Count(cell)) => Binding::Count(cell),
+                Some(operand) => Binding::Intrinsic(Box::new([operand])),
+                None => Binding::Generic,
+            },
+            many => many
+                .iter()
+                .map(|(_, p)| intrinsified(p))
+                .collect::<Option<Box<[_]>>>()
+                .map_or(Binding::Generic, Binding::Intrinsic),
+        }
+    }
+}
+
+/// The process-wide half of probe bookkeeping: probe ids, the global probe
+/// list and the deferred-request queue. Local probe lists live in each
+/// function's site table.
+///
+/// Lists need no copy per event to give §2.4's snapshot semantics: M-code
+/// can only *queue* changes ([`ProbeCtx`]), and the queue is applied when
+/// the firing event's dispatch completes, so a list never changes under
+/// the dispatch that iterates it.
 #[derive(Default)]
 pub(crate) struct ProbeRegistry {
     next_id: u64,
     global: Rc<Vec<Entry>>,
-    local: HashMap<(FuncIdx, u32), Rc<Vec<Entry>>>,
-    sites: HashMap<ProbeId, Site>,
+    /// The cells of the global list when every global probe is an
+    /// intrinsifiable `Count`: the instrumented dispatch table bumps them
+    /// directly. Empty otherwise.
+    pub(crate) global_counts: Vec<Rc<Cell<u64>>>,
     pub(crate) pending: Vec<Pending>,
     /// Nonzero while an event's probe list is being dispatched.
     pub(crate) firing: u32,
 }
 
 impl ProbeRegistry {
-    pub fn fresh_id(&mut self) -> ProbeId {
+    pub fn fresh_id(&mut self, site: Site) -> ProbeId {
         self.next_id += 1;
-        ProbeId(self.next_id)
+        ProbeId { serial: self.next_id, site }
     }
 
     pub fn has_global(&self) -> bool {
         !self.global.is_empty()
     }
 
-    /// Snapshot of the global probe list (cheap Rc clone).
+    /// The global probe list (cheap Rc clone).
     pub fn globals(&self) -> Rc<Vec<Entry>> {
         Rc::clone(&self.global)
     }
 
-    /// Snapshot of the local probe list at a location.
-    pub fn locals_at(&self, func: FuncIdx, pc: u32) -> Option<Rc<Vec<Entry>>> {
-        self.local.get(&(func, pc)).map(Rc::clone)
+    /// Inserts a global probe (callers are outside firing, or applying the
+    /// pending queue).
+    pub fn insert_global(&mut self, id: ProbeId, probe: ProbeRef, config: &EngineConfig) {
+        Rc::make_mut(&mut self.global).push((id, probe));
+        self.rebind_global(config);
     }
 
-    /// Inserts a global probe (immediate; callers must be outside firing or
-    /// have routed through the pending queue).
-    pub fn insert_global(&mut self, id: ProbeId, probe: ProbeRef) {
-        let mut list = (*self.global).clone();
-        list.push((id, probe));
-        self.global = Rc::new(list);
-        self.sites.insert(id, Site::Global);
-    }
-
-    /// Inserts a local probe; returns `true` if this created the site (the
-    /// caller must then install the probe byte).
-    pub fn insert_local(&mut self, id: ProbeId, func: FuncIdx, pc: u32, probe: ProbeRef) -> bool {
-        let entry = self.local.entry((func, pc));
-        let created = matches!(entry, std::collections::hash_map::Entry::Vacant(_));
-        let list = entry.or_insert_with(|| Rc::new(Vec::new()));
-        let mut new_list = (**list).clone();
-        new_list.push((id, probe));
-        *list = Rc::new(new_list);
-        self.sites.insert(id, Site::Local(func, pc));
-        created
-    }
-
-    /// Removes a probe by id; returns its site and whether the site became
-    /// empty (the caller must then restore the probe byte).
-    pub fn remove(&mut self, id: ProbeId) -> Option<(Site, bool)> {
-        let site = self.sites.remove(&id)?;
-        match site {
-            Site::Global => {
-                let mut list = (*self.global).clone();
-                list.retain(|(pid, _)| *pid != id);
-                let emptied = list.is_empty();
-                self.global = Rc::new(list);
-                Some((site, emptied))
-            }
-            Site::Local(f, pc) => {
-                let Some(list) = self.local.get_mut(&(f, pc)) else {
-                    return Some((site, false));
-                };
-                let mut new_list = (**list).clone();
-                new_list.retain(|(pid, _)| *pid != id);
-                let emptied = new_list.is_empty();
-                if emptied {
-                    self.local.remove(&(f, pc));
-                } else {
-                    *list = Rc::new(new_list);
-                }
-                Some((site, emptied))
-            }
+    /// Removes a global probe by id; `false` if it is not installed.
+    pub fn remove_global(&mut self, id: ProbeId, config: &EngineConfig) -> bool {
+        let list = Rc::make_mut(&mut self.global);
+        let before = list.len();
+        list.retain(|(pid, _)| *pid != id);
+        let removed = list.len() != before;
+        if removed {
+            self.rebind_global(config);
         }
+        removed
     }
 
-    /// Number of distinct probed local sites (for diagnostics).
-    pub fn local_site_count(&self) -> usize {
-        self.local.len()
+    /// `true` if a global probe with this id is installed.
+    pub fn contains_global(&self, id: ProbeId) -> bool {
+        self.global.iter().any(|(pid, _)| *pid == id)
     }
 
-    /// `true` if a probe with this id is installed.
-    pub fn contains(&self, id: ProbeId) -> bool {
-        self.sites.contains_key(&id)
+    fn rebind_global(&mut self, config: &EngineConfig) {
+        let cells: Option<Vec<_>> = self
+            .global
+            .iter()
+            .map(|(_, p)| {
+                let p = p.try_borrow().ok()?;
+                (config.intrinsify_count && p.kind() == ProbeKind::Count)
+                    .then(|| p.count_cell())
+                    .flatten()
+            })
+            .collect();
+        self.global_counts = cells.unwrap_or_default();
     }
 }
 
@@ -375,7 +422,6 @@ impl core::fmt::Debug for ProbeRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ProbeRegistry")
             .field("global_probes", &self.global.len())
-            .field("local_sites", &self.local.len())
             .field("firing", &self.firing)
             .field("pending", &self.pending.len())
             .finish()
@@ -390,58 +436,75 @@ mod tests {
         Rc::new(RefCell::new(EmptyProbe))
     }
 
-    #[test]
-    fn insertion_order_is_list_order() {
-        let mut r = ProbeRegistry::default();
-        let a = r.fresh_id();
-        let b = r.fresh_id();
-        r.insert_local(a, 0, 4, empty_ref());
-        r.insert_local(b, 0, 4, empty_ref());
-        let list = r.locals_at(0, 4).unwrap();
-        assert_eq!(list[0].0, a);
-        assert_eq!(list[1].0, b);
-    }
-
-    #[test]
-    fn snapshot_is_isolated_from_mutation() {
-        let mut r = ProbeRegistry::default();
-        let a = r.fresh_id();
-        r.insert_local(a, 0, 4, empty_ref());
-        let snap = r.locals_at(0, 4).unwrap();
-        let b = r.fresh_id();
-        r.insert_local(b, 0, 4, empty_ref());
-        // The earlier snapshot still has one entry (copy-on-write).
-        assert_eq!(snap.len(), 1);
-        assert_eq!(r.locals_at(0, 4).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn remove_reports_emptied_site() {
-        let mut r = ProbeRegistry::default();
-        let a = r.fresh_id();
-        let b = r.fresh_id();
-        r.insert_local(a, 1, 2, empty_ref());
-        r.insert_local(b, 1, 2, empty_ref());
-        let (site, emptied) = r.remove(a).unwrap();
-        assert_eq!(site, Site::Local(1, 2));
-        assert!(!emptied);
-        let (_, emptied) = r.remove(b).unwrap();
-        assert!(emptied);
-        assert!(r.locals_at(1, 2).is_none());
-        assert!(r.remove(b).is_none());
+    fn count_ref() -> ProbeRef {
+        Rc::new(RefCell::new(CountProbe::new()))
     }
 
     #[test]
     fn global_list_lifecycle() {
+        let config = EngineConfig::default();
         let mut r = ProbeRegistry::default();
         assert!(!r.has_global());
-        let a = r.fresh_id();
-        r.insert_global(a, empty_ref());
-        assert!(r.has_global());
-        let (site, emptied) = r.remove(a).unwrap();
-        assert_eq!(site, Site::Global);
-        assert!(emptied);
+        let a = r.fresh_id(Site::Global);
+        let b = r.fresh_id(Site::Global);
+        r.insert_global(a, empty_ref(), &config);
+        r.insert_global(b, empty_ref(), &config);
+        assert_eq!(r.globals().iter().map(|(id, _)| *id).collect::<Vec<_>>(), [a, b]);
+        assert!(r.remove_global(a, &config));
+        assert!(!r.remove_global(a, &config), "already removed");
+        assert!(r.contains_global(b) && !r.contains_global(a));
+        assert!(r.remove_global(b, &config));
         assert!(!r.has_global());
+    }
+
+    #[test]
+    fn snapshot_is_isolated_from_mutation() {
+        let config = EngineConfig::default();
+        let mut r = ProbeRegistry::default();
+        let a = r.fresh_id(Site::Global);
+        r.insert_global(a, empty_ref(), &config);
+        let snap = r.globals();
+        let b = r.fresh_id(Site::Global);
+        r.insert_global(b, empty_ref(), &config);
+        // A list handed out earlier never changes under its reader.
+        assert_eq!(snap.len(), 1);
+        assert_eq!(r.globals().len(), 2);
+    }
+
+    #[test]
+    fn bindings_follow_the_list_and_the_intrinsify_flags() {
+        let on = EngineConfig::default();
+        let off = EngineConfig::jit_no_intrinsics();
+        let mut r = ProbeRegistry::default();
+        let mut entry = |p: ProbeRef| (r.fresh_id(Site::Global), p);
+        assert!(matches!(Binding::of(&[], &on), Binding::Empty));
+        let count = [entry(count_ref())];
+        assert!(matches!(Binding::of(&count, &on), Binding::Count(_)));
+        assert!(matches!(Binding::of(&count, &off), Binding::Generic));
+        let two = [entry(count_ref()), entry(Rc::new(RefCell::new(EmptyOperandProbe)))];
+        assert!(matches!(Binding::of(&two, &on), Binding::Intrinsic(l) if l.len() == 2));
+        let mixed = [entry(count_ref()), entry(empty_ref())];
+        assert!(matches!(Binding::of(&mixed, &on), Binding::Generic));
+    }
+
+    #[test]
+    fn global_counts_are_bound_only_for_all_count_lists() {
+        let config = EngineConfig::default();
+        let mut r = ProbeRegistry::default();
+        let a = r.fresh_id(Site::Global);
+        let b = r.fresh_id(Site::Global);
+        let c = r.fresh_id(Site::Global);
+        r.insert_global(a, count_ref(), &config);
+        r.insert_global(b, count_ref(), &config);
+        assert_eq!(r.global_counts.len(), 2);
+        r.insert_global(c, empty_ref(), &config);
+        assert!(r.global_counts.is_empty(), "a generic probe sends the list through the runtime");
+        r.remove_global(c, &config);
+        assert_eq!(r.global_counts.len(), 2);
+        let mut off = ProbeRegistry::default();
+        let d = off.fresh_id(Site::Global);
+        off.insert_global(d, count_ref(), &EngineConfig::jit_no_intrinsics());
+        assert!(off.global_counts.is_empty(), "intrinsify_count is honoured");
     }
 
     #[test]

@@ -249,7 +249,8 @@ fn mid_execution_cow_materialization_is_visible_to_the_running_function() {
                     ctx.location().func,
                     loop_pc,
                     ClosureProbe::shared(move |_| fires2.set(fires2.get() + 1)),
-                );
+                )
+                .unwrap();
             }
         }))
         .unwrap();
@@ -357,7 +358,8 @@ fn parked_jit_frames_deopt_across_a_rejoin_and_reprobe_cycle() {
                     outer,
                     later_pc,
                     std::rc::Rc::new(std::cell::RefCell::new(EmptyProbe)),
-                );
+                )
+                .unwrap();
             }
         }),
     )
@@ -613,7 +615,8 @@ fn a_callee_instrumenting_its_caller_flips_the_callers_views_on_return() {
                     1 | 4 => {
                         let counted = Rc::clone(&counted2);
                         let probe = ClosureProbe::shared(move |_| counted.set(counted.get() + 1));
-                        installed.set(Some(ctx.insert_local_probe(caller, after_call, probe)));
+                        let id = ctx.insert_local_probe(caller, after_call, probe).unwrap();
+                        installed.set(Some(id));
                     }
                     3 | 5 => ctx.remove_probe(installed.take().expect("installed earlier")),
                     _ => {}

@@ -327,7 +327,8 @@ fn deferred_insert_on_same_event() {
                     loc.func,
                     loc.pc,
                     ClosureProbe::shared(move |_| qf.set(qf.get() + 1)),
-                );
+                )
+                .unwrap();
             }
         }),
     )
@@ -452,6 +453,40 @@ fn global_probe_mode_suspends_jit_without_discarding_code() {
     let after = p.stats();
     assert_eq!(count.get(), fires_after_removal, "no fires after removal");
     assert_eq!(after.compiles, before.compiles, "no recompilation needed");
+}
+
+/// Global `Count` probes are bumped straight from the instrumented dispatch
+/// table; a generic sibling sends the whole list through the runtime. Either
+/// way every probe sees every instruction, in both fire counters.
+#[test]
+fn global_count_probes_count_every_instruction_with_or_without_a_generic_sibling() {
+    let (m, _) = sum_module();
+    for (name, config) in configs() {
+        if config.mode == wizard_engine::ExecMode::JitOnly {
+            continue;
+        }
+        let mut p = proc_with(m.clone(), config);
+        let f = p.module().export_func("sum").unwrap();
+        let counters = [CountProbe::new(), CountProbe::new()];
+        for c in &counters {
+            p.add_global_probe_val(c.clone()).unwrap();
+        }
+        p.invoke(f, &[Value::I32(20)]).unwrap();
+        let n = counters[0].count();
+        assert!(n > 100 && counters[1].count() == n, "config {name}");
+        assert_eq!(p.stats().global_fires, 2 * n, "config {name}");
+        assert_eq!(p.stats().probe_fires, 2 * n, "config {name}");
+
+        let seen = Rc::new(Cell::new(0u64));
+        let s = Rc::clone(&seen);
+        let generic = p.add_global_probe(ClosureProbe::shared(move |_| s.set(s.get() + 1)));
+        p.invoke(f, &[Value::I32(20)]).unwrap();
+        assert_eq!((seen.get(), counters[1].count()), (n, 2 * n), "config {name}");
+        p.remove_probe(generic.unwrap()).unwrap();
+        p.invoke(f, &[Value::I32(20)]).unwrap();
+        assert_eq!((seen.get(), counters[0].count()), (n, 3 * n), "config {name}");
+        assert_eq!(p.stats().global_fires, 7 * n, "config {name}");
+    }
 }
 
 #[test]
@@ -620,6 +655,60 @@ fn probe_location_validation() {
     assert_eq!(p.remove_probe(id).unwrap_err(), ProbeError::UnknownProbe);
 }
 
+/// Insertions requested from inside a firing probe are validated when they
+/// are queued: a bad one is an error in the M-code's hands, not a panic when
+/// the queue is applied.
+#[test]
+fn deferred_insertions_are_validated_when_queued() {
+    for (name, config) in configs() {
+        let jit_only = config.mode == wizard_engine::ExecMode::JitOnly;
+        let mut mb = ModuleBuilder::new();
+        mb.import_func("env", "host", &[], &[]);
+        let mut f = FuncBuilder::new(&[I32], &[I32]);
+        f.local_get(0).i32_const(624_485).i32_add();
+        mb.add_func("run", f);
+        let mut linker = Linker::new();
+        linker.func("env", "host", |_, _| Ok(vec![]));
+        let mut p = Process::new(mb.build().unwrap(), config, &linker).unwrap();
+        let run = p.module().export_func("run").unwrap();
+        let errors: Rc<RefCell<Vec<ProbeError>>> = Rc::default();
+        let good = Rc::new(Cell::new(None));
+        let (errs, ok) = (Rc::clone(&errors), Rc::clone(&good));
+        p.add_local_probe(
+            run,
+            0,
+            ClosureProbe::shared(move |ctx| {
+                let noop = || ClosureProbe::shared(|_| {});
+                // pc 3 is inside `i32.const`'s LEB immediate; function 0
+                // is the import; function 99 does not exist.
+                for (func, pc) in [(run, 3), (0, 0), (99, 0)] {
+                    errs.borrow_mut().push(ctx.insert_local_probe(func, pc, noop()).unwrap_err());
+                }
+                if let Err(e) = ctx.insert_global_probe(noop()) {
+                    errs.borrow_mut().push(e);
+                }
+                ok.set(Some(ctx.insert_local_probe(run, 2, noop()).unwrap()));
+            }),
+        )
+        .unwrap();
+        let r = p.invoke(run, &[Value::I32(1)]).unwrap();
+        assert_eq!(r, vec![Value::I32(624_486)], "config {name}: the process lives on");
+        let mut want = vec![
+            ProbeError::InvalidPc(run, 3),
+            ProbeError::NotALocalFunction(0),
+            ProbeError::NotALocalFunction(99),
+        ];
+        if jit_only {
+            want.push(ProbeError::GlobalProbesNeedInterpreter);
+        }
+        assert_eq!(*errors.borrow(), want, "config {name}");
+        assert_eq!(p.in_global_mode(), !jit_only, "config {name}: only the valid ones landed");
+        assert!(p.has_probe_byte(run, 2), "config {name}");
+        p.remove_probe(good.get().unwrap()).unwrap();
+        assert_eq!(p.probed_location_count(), 1, "config {name}");
+    }
+}
+
 #[test]
 fn count_probe_intrinsified_in_jit_matches_interpreter() {
     let (m, meta) = sum_module();
@@ -730,7 +819,7 @@ fn after_instruction_pattern_via_one_shot_global_probe() {
                     gctx.remove_probe(id);
                 }
             }));
-            gid.set(Some(id));
+            gid.set(Some(id.unwrap()));
         }),
     )
     .unwrap();

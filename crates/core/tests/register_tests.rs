@@ -191,7 +191,8 @@ fn parked_register_frame_demotes_when_probed_mid_run() {
                         outer,
                         loop_pc,
                         ClosureProbe::shared(move |_| lf3.set(lf3.get() + 1)),
-                    );
+                    )
+                    .unwrap();
                 }
             }),
         )

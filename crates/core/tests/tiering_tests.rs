@@ -118,7 +118,7 @@ fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
                         }
                     }
                 }));
-                gid.set(Some(id));
+                gid.set(Some(id.unwrap()));
             }
         }),
     )
@@ -171,7 +171,7 @@ fn suspended_caller_frames_deopt_on_return() {
                 // Instrument the CALLER's entry: outer's compiled code is now
                 // stale while its frame sits suspended below us.
                 let caller = ctx.frame().caller().map(|a| a.func()).unwrap_or(0);
-                ctx.insert_local_probe(caller, 0, ClosureProbe::shared(|_| {}));
+                ctx.insert_local_probe(caller, 0, ClosureProbe::shared(|_| {})).unwrap();
             }
         }),
     )

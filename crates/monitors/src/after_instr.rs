@@ -13,17 +13,22 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use wizard_engine::{ClosureProbe, Location, ProbeCtx, ProbeId};
+use wizard_engine::{ClosureProbe, Location, ProbeCtx, ProbeError, ProbeId};
 
 /// From within a firing probe, schedules `callback` to run immediately
 /// after the current instruction executes. The callback receives the
 /// location *reached* (the instruction about to execute next).
 ///
 /// One-shot: the underlying global probe removes itself after firing.
+///
+/// # Errors
+///
+/// Fails where global probes cannot run (JIT-only mode); nothing is
+/// scheduled then.
 pub fn run_after_instruction(
     ctx: &mut ProbeCtx<'_, '_>,
     callback: impl FnOnce(&mut ProbeCtx<'_, '_>, Location) + 'static,
-) {
+) -> Result<(), ProbeError> {
     let id_cell: Rc<Cell<Option<ProbeId>>> = Rc::new(Cell::new(None));
     let idc = Rc::clone(&id_cell);
     let mut cb = Some(callback);
@@ -35,8 +40,9 @@ pub fn run_after_instruction(
             let loc = gctx.location();
             cb(gctx, loc);
         }
-    }));
+    }))?;
     id_cell.set(Some(id));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -86,7 +92,8 @@ mod tests {
                     // The instruction after call_indirect executes inside the
                     // callee: loc.func IS the dynamic target.
                     e2.borrow_mut().push(loc.func);
-                });
+                })
+                .unwrap();
             }),
         )
         .unwrap();
@@ -119,8 +126,10 @@ mod tests {
                     let pc4 = Rc::clone(&pc3);
                     run_after_instruction(gctx, move |_g, loc2| {
                         pc4.borrow_mut().push(loc2.pc);
-                    });
-                });
+                    })
+                    .unwrap();
+                })
+                .unwrap();
             }),
         )
         .unwrap();

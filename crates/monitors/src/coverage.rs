@@ -11,7 +11,7 @@ use wizard_engine::{
     ClosureProbe, InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError, ProbeId, Report,
 };
 
-use crate::util::{all_sites, func_label};
+use crate::util::func_label;
 
 /// Records which instructions executed at least once.
 #[derive(Debug, Default)]
@@ -59,23 +59,24 @@ impl Monitor for CoverageMonitor {
     }
 
     fn on_attach(&mut self, ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
-        let sites = all_sites(ctx.module());
-        for (func, _) in &sites {
-            *self.total_per_func.entry(*func).or_insert(0) += 1;
-            self.labels.entry(*func).or_insert_with(|| func_label(ctx.module(), *func));
+        let sites = ctx.instruction_sites();
+        for body in sites.chunk_by(|a, b| a.func == b.func) {
+            let f = body[0].func;
+            *self.total_per_func.entry(f).or_insert(0) += body.len();
+            self.labels.entry(f).or_insert_with(|| func_label(ctx.module(), f));
         }
         // One probe per instruction: batched, so the whole set costs a
         // single invalidation pass. Ids come back in queue order and are
         // fed to the self-removal cells afterwards.
         let mut batch = ProbeBatch::new();
         let mut id_cells: Vec<Rc<Cell<Option<ProbeId>>>> = Vec::with_capacity(sites.len());
-        for (func, instr) in &sites {
+        for site in sites.iter() {
             let covered = Rc::clone(&self.covered);
             let id_cell: Rc<Cell<Option<ProbeId>>> = Rc::new(Cell::new(None));
             let idc = Rc::clone(&id_cell);
             batch.add_local(
-                *func,
-                instr.pc,
+                site.func,
+                site.pc,
                 ClosureProbe::shared(move |ctx| {
                     covered.borrow_mut().insert(ctx.location());
                     // Fire once, then remove ourselves: no further

@@ -181,14 +181,18 @@ fn command_loop(shared: &Rc<DebugShared>, ctx: &mut ProbeCtx<'_, '_>) {
                 let id_cell: Rc<std::cell::Cell<Option<ProbeId>>> =
                     Rc::new(std::cell::Cell::new(None));
                 let idc = Rc::clone(&id_cell);
-                let id = ctx.insert_global_probe(ClosureProbe::shared(move |step_ctx| {
+                match ctx.insert_global_probe(ClosureProbe::shared(move |step_ctx| {
                     if let Some(id) = idc.get() {
                         step_ctx.remove_probe(id);
                     }
                     step_ctx_enter(&shared2, step_ctx);
-                }));
-                id_cell.set(Some(id));
-                return;
+                })) {
+                    Ok(id) => {
+                        id_cell.set(Some(id));
+                        return;
+                    }
+                    Err(e) => shared.println(format!("cannot step: {e}")),
+                }
             }
             [] => {}
             other => {

@@ -14,7 +14,7 @@ use wizard_engine::{
     ClosureProbe, CountProbe, InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError, Report,
 };
 
-use crate::util::{all_sites, func_label};
+use crate::util::func_label;
 use crate::ProbeMode;
 
 /// Counts executions of every instruction.
@@ -64,17 +64,17 @@ impl Monitor for HotnessMonitor {
     }
 
     fn on_attach(&mut self, ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
-        let sites = all_sites(ctx.module());
-        for (f, _) in &sites {
-            self.labels.entry(*f).or_insert_with(|| func_label(ctx.module(), *f));
+        let n_imp = ctx.module().num_imported_funcs();
+        for f in n_imp..ctx.module().num_funcs() {
+            self.labels.entry(f).or_insert_with(|| func_label(ctx.module(), f));
         }
         match self.mode {
             ProbeMode::Local => {
                 let mut batch = ProbeBatch::new();
-                for (func, instr) in &sites {
+                for site in ctx.instruction_sites().iter() {
                     let probe = CountProbe::new();
-                    self.counters.push((Location { func: *func, pc: instr.pc }, probe.cell()));
-                    batch.add_local_val(*func, instr.pc, probe);
+                    self.counters.push((*site, probe.cell()));
+                    batch.add_local_val(site.func, site.pc, probe);
                 }
                 ctx.apply_batch(batch)?;
             }

@@ -20,11 +20,6 @@ pub fn sites(module: &Module, pred: impl Fn(&Instr) -> bool) -> Vec<(FuncIdx, In
     out
 }
 
-/// Every instruction site (the hotness/coverage instrumentation set).
-pub fn all_sites(module: &Module) -> Vec<(FuncIdx, Instr)> {
-    sites(module, |_| true)
-}
-
 /// A human-readable function label: its name if known, else `func[i]`.
 pub fn func_label(module: &Module, func: FuncIdx) -> String {
     module.func_name(func).map_or_else(|| format!("func[{func}]"), ToString::to_string)
@@ -52,8 +47,7 @@ mod tests {
     #[test]
     fn site_enumeration_and_filtering() {
         let m = module();
-        let all = all_sites(&m);
-        assert!(all.len() > 10);
+        assert!(sites(&m, |_| true).len() > 10);
         let branches = sites(&m, |i| wizard_wasm::opcodes::is_branch(i.op));
         assert!(!branches.is_empty());
         assert!(branches.iter().all(|(_, i)| op::is_branch(i.op)));

@@ -256,44 +256,131 @@ fn i64_numeric_reference() {
     }
 }
 
+/// What one play of a churn schedule leaves behind.
+#[derive(Debug, PartialEq)]
+struct ChurnOutcome {
+    result: Result<Vec<Value>, Trap>,
+    /// Fires of every `CountProbe` the schedule inserted, in schedule order.
+    counts: Vec<u64>,
+    /// `has_probe_byte` of every instruction, in code order.
+    bytes: Vec<bool>,
+}
+
+/// Plays seed `seed`'s churn schedule on `config`: random insert/remove
+/// before the run, then — from inside a firing probe, so at the same
+/// execution points on every tier — inserts and removals *during* it,
+/// ending with the churning probe removing itself. With `slice`, the run
+/// is cut into fuel slices, and every cut also inserts a probe at a random
+/// instruction and removes the previous cut's (they count nothing, so where
+/// the cuts fall cannot show in the outcome).
+fn play_churn(m: &Module, seed: u64, config: EngineConfig, slice: Option<u64>) -> ChurnOutcome {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use wizard::engine::{ClosureProbe, EmptyProbe, ProbeId};
+
+    let func = m.export_func("run").unwrap();
+    let pcs: Vec<u32> = wizard::wasm::instr::InstrIter::new(&m.func_body(func).unwrap().code)
+        .map(|instr| instr.unwrap().pc)
+        .collect();
+    let pick = |rng: &mut Rng| pcs[rng.below(pcs.len() as u64) as usize];
+    let mut rng = Rng::new(seed);
+    let mut p = Process::new(m.clone(), config, &Linker::new()).unwrap();
+
+    let mut counters: Vec<CountProbe> = Vec::new();
+    let mut live: Vec<(ProbeId, u32, CountProbe)> = Vec::new();
+    for _ in 0..=rng.below(40) {
+        if live.is_empty() || rng.below(2) == 0 {
+            let pc = pick(&mut rng);
+            let probe = CountProbe::new();
+            let id = p.add_local_probe_val(func, pc, probe.clone()).unwrap();
+            counters.push(probe.clone());
+            live.push((id, pc, probe));
+        } else {
+            let (id, pc, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+            p.remove_probe(id).unwrap();
+            let still = live.iter().any(|(_, q, _)| *q == pc);
+            assert_eq!(p.has_probe_byte(func, pc), still, "seed {seed}: pc {pc} after remove");
+        }
+        for (_, pc, _) in &live {
+            assert!(p.has_probe_byte(func, *pc), "seed {seed}: live pc {pc} lost its byte");
+        }
+    }
+
+    // The in-run script: `Some(pc)` inserts a counter there, `None` removes
+    // the oldest counter the script inserted that is still installed.
+    let script: Vec<Option<u32>> =
+        (0..rng.below(12)).map(|_| (rng.below(3) != 0).then(|| pick(&mut rng))).collect();
+    let inserted: Rc<RefCell<Vec<CountProbe>>> = Rc::default();
+    let churner_id = Rc::new(std::cell::Cell::new(None));
+    let (ins, me) = (Rc::clone(&inserted), Rc::clone(&churner_id));
+    let mut installed: std::collections::VecDeque<ProbeId> = Default::default();
+    let mut step = 0;
+    let churner = ClosureProbe::shared(move |ctx| {
+        match script.get(step) {
+            Some(Some(pc)) => {
+                let probe = CountProbe::new();
+                ins.borrow_mut().push(probe.clone());
+                let probe = Rc::new(RefCell::new(probe));
+                installed.push_back(ctx.insert_local_probe(func, *pc, probe).unwrap());
+            }
+            Some(None) => installed.pop_front().into_iter().for_each(|id| ctx.remove_probe(id)),
+            None => ctx.remove_probe(me.get().expect("set before the run")),
+        }
+        step += 1;
+    });
+    churner_id.set(Some(p.add_local_probe(func, pick(&mut rng), churner).unwrap()));
+
+    let arg = [Value::I32(9)];
+    let mut toggled = None;
+    let result = match slice {
+        None => p.invoke_export("run", &arg),
+        Some(fuel) => (|| {
+            let mut out = p.run_export_bounded("run", &arg, fuel)?;
+            while out == RunOutcome::OutOfFuel {
+                let pc = pick(&mut rng);
+                let next = p.add_local_probe_val(func, pc, EmptyProbe).unwrap();
+                assert!(p.has_probe_byte(func, pc), "seed {seed}: pc {pc} between slices");
+                toggled.replace(next).into_iter().for_each(|id| p.remove_probe(id).unwrap());
+                out = p.resume(fuel)?;
+            }
+            Ok(out.done().expect("done"))
+        })(),
+    };
+    toggled.into_iter().for_each(|id| p.remove_probe(id).unwrap());
+
+    for (_, pc, probe) in &live {
+        let (_, _, first) = live.iter().find(|(_, q, _)| q == pc).unwrap();
+        assert_eq!(probe.cell().get(), first.cell().get(), "seed {seed}: pc {pc} fire counts");
+    }
+    counters.extend(inserted.borrow().iter().cloned());
+    ChurnOutcome {
+        result,
+        counts: counters.iter().map(CountProbe::count).collect(),
+        bytes: pcs.iter().map(|pc| p.has_probe_byte(func, *pc)).collect(),
+    }
+}
+
 /// Random probe insert/remove sequences over random programs: a site
 /// carries the probe byte exactly while some probe is registered there,
 /// probes sharing a site count the same fires, and the program result is
-/// never perturbed.
+/// never perturbed — before the run and while it executes, and the same on
+/// the byte-walking reference interpreter, in compiled code, and in
+/// compiled code that is suspended and re-bound between fuel slices.
 #[test]
 fn probe_churn_is_consistent() {
     for seed in 0..64u64 {
         let m = random_module(seed + 5000);
-        let func = m.export_func("run").unwrap();
-        let pcs: Vec<u32> = wizard::wasm::instr::InstrIter::new(&m.func_body(func).unwrap().code)
-            .map(|instr| instr.unwrap().pc)
-            .collect();
         let expect = run_plain(&m, EngineConfig::tiered(), 9);
-
-        let mut rng = Rng::new(seed);
-        let mut p = Process::new(m, EngineConfig::tiered(), &Linker::new()).unwrap();
-        let mut live: Vec<(wizard::engine::ProbeId, u32, CountProbe)> = Vec::new();
-        for _ in 0..=rng.below(40) {
-            if live.is_empty() || rng.below(2) == 0 {
-                let pc = pcs[rng.below(pcs.len() as u64) as usize];
-                let probe = CountProbe::new();
-                let id = p.add_local_probe_val(func, pc, probe.clone()).unwrap();
-                live.push((id, pc, probe));
-            } else {
-                let (id, pc, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
-                p.remove_probe(id).unwrap();
-                let still = live.iter().any(|(_, q, _)| *q == pc);
-                assert_eq!(p.has_probe_byte(func, pc), still, "seed {seed}: pc {pc} after remove");
-            }
-            for (_, pc, _) in &live {
-                assert!(p.has_probe_byte(func, *pc), "seed {seed}: live pc {pc} lost its byte");
-            }
-        }
-        let got = p.invoke_export("run", &[Value::I32(9)]);
-        assert_eq!(got, expect, "seed {seed}: probes perturbed the program");
-        for (_, pc, probe) in &live {
-            let (_, _, first) = live.iter().find(|(_, q, _)| q == pc).unwrap();
-            assert_eq!(probe.cell().get(), first.cell().get(), "seed {seed}: pc {pc} fire counts");
+        let reference = play_churn(&m, seed, EngineConfig::interpreter_bytecode(), None);
+        assert_eq!(reference.result, expect, "seed {seed}: probes perturbed the program");
+        let eager = EngineConfig::builder().tierup_threshold(1).build();
+        for (name, config, slice) in [
+            ("tiered", EngineConfig::tiered(), None),
+            ("tiered-1 sliced", eager.clone(), Some(41)),
+            ("tiered-1 finely sliced", eager, Some(7)),
+        ] {
+            let got = play_churn(&m, seed, config, slice);
+            assert_eq!(got, reference, "seed {seed} config {name}");
         }
     }
 }
