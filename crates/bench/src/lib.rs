@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use wizard_baselines::{dbi, wasabi};
 use wizard_engine::store::Linker;
-use wizard_engine::{EngineConfig, ProbeBatch, Process, Value};
+use wizard_engine::{CountProbe, EngineConfig, ProbeBatch, ProbeRef, Process, Value};
 use wizard_monitors::{BranchMonitor, HotnessMonitor, ProbeMode};
 use wizard_suites::{Benchmark, Scale};
 
@@ -27,7 +27,10 @@ use wizard_suites::{Benchmark, Scale};
 pub enum Analysis {
     /// No instrumentation (the baseline).
     None,
-    /// The hotness monitor (count every instruction).
+    /// Hotness in the paper's shape: a `Count` probe before *every*
+    /// instruction (one global probe under [`System::InterpGlobal`]). The
+    /// zoo's `HotnessMonitor` counts per straight-line run instead, which
+    /// is not what Figures 3–6 measure.
     Hotness,
     /// The branch monitor (profile conditional branches).
     Branch,
@@ -188,11 +191,27 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
                 let start = Instant::now();
                 let mut p = Process::new(bench.module.clone(), config.clone(), &Linker::new())
                     .expect("benchmark instantiates");
+                // In smoke runs, the fires a figure's meaning rests on.
+                let mut expect = None;
                 let fires_box: Box<dyn Fn() -> u64> = match analysis {
                     Analysis::None => Box::new(|| 0),
-                    Analysis::Hotness => {
+                    Analysis::Hotness if mode == ProbeMode::Global => {
                         let m = p.attach_monitor(HotnessMonitor::with_mode(mode)).expect("attach");
                         Box::new(move || m.borrow().total())
+                    }
+                    Analysis::Hotness => {
+                        let mut cells = Vec::new();
+                        attach_per_instruction(&mut p, false, |_| {
+                            let probe = CountProbe::new();
+                            cells.push(probe.cell());
+                            shared(probe)
+                        });
+                        if smoke() {
+                            // One fire per executed instruction, as the
+                            // global-probe monitor counts them.
+                            expect = Some(global_instruction_count(bench));
+                        }
+                        Box::new(move || cells.iter().map(|c| c.get()).sum())
                     }
                     Analysis::Branch => {
                         let m = p.attach_monitor(BranchMonitor::with_mode(mode)).expect("attach");
@@ -209,7 +228,11 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
                 };
                 let r = p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
                 let t = start.elapsed();
-                (t, fires_box(), checksum_of(&r))
+                let fires = fires_box();
+                if let Some(expect) = expect {
+                    assert_eq!(fires, expect, "{}: a probe before every instruction", bench.name);
+                }
+                (t, fires, checksum_of(&r))
             })
         }
         System::Rewriting => timed(|| {
@@ -266,8 +289,40 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
     }
 }
 
+/// Instructions `bench` executes, counted one by one by the global-probe
+/// hotness monitor in the interpreter.
+fn global_instruction_count(bench: &Benchmark) -> u64 {
+    let mut p = Process::new(bench.module.clone(), EngineConfig::interpreter(), &Linker::new())
+        .expect("benchmark instantiates");
+    let m = p.attach_monitor(HotnessMonitor::with_mode(ProbeMode::Global)).expect("attach");
+    p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
+    let total = m.borrow().total();
+    total
+}
+
+fn shared(probe: impl wizard_engine::Probe) -> ProbeRef {
+    std::rc::Rc::new(std::cell::RefCell::new(probe))
+}
+
 fn attach_empty(p: &mut Process, branches_only: bool) {
     use wizard_engine::{EmptyOperandProbe, EmptyProbe};
+    attach_per_instruction(p, branches_only, |is_branch| {
+        if branches_only && is_branch {
+            shared(EmptyOperandProbe)
+        } else {
+            shared(EmptyProbe)
+        }
+    });
+}
+
+/// Installs `probe(is_branch)` before every instruction (every
+/// conditional branch, if `branches_only`) in one batch — the paper's
+/// instrumentation shape.
+fn attach_per_instruction(
+    p: &mut Process,
+    branches_only: bool,
+    mut probe: impl FnMut(bool) -> ProbeRef,
+) {
     use wizard_wasm::opcodes as op;
     let sites: Vec<(u32, u32, u8)> = {
         let module = p.module();
@@ -284,15 +339,11 @@ fn attach_empty(p: &mut Process, branches_only: bool) {
         }
         v
     };
-    // Batched: the whole empty-probe set costs one invalidation pass.
+    // Batched: the whole probe set costs one invalidation pass.
     let mut batch = ProbeBatch::new();
     for (func, pc, opcode) in sites {
         let is_branch = matches!(opcode, op::IF | op::BR_IF | op::BR_TABLE);
-        if branches_only && is_branch {
-            batch.add_local_val(func, pc, EmptyOperandProbe);
-        } else {
-            batch.add_local_val(func, pc, EmptyProbe);
-        }
+        batch.add_local(func, pc, probe(is_branch));
     }
     p.apply_batch(batch).expect("attach");
 }

@@ -54,6 +54,7 @@ use crate::jit::CompiledCode;
 use crate::lowered::Lowered;
 use crate::probe::Location;
 use crate::regir::RegModule;
+use crate::runs::RunTable;
 
 /// The immutable, shared per-function half of the code pipeline: pristine
 /// bytecode, validation metadata, and the lazily-built-once lowered form
@@ -183,9 +184,10 @@ pub struct ModuleArtifact {
     /// The module's register form ([`crate::regir`]), built on first
     /// demand by a register-dispatch process and then shared by all.
     reg: OnceLock<Arc<RegModule>>,
-    /// Every instruction of every local function, in code order; see
-    /// [`ModuleArtifact::instruction_sites`].
-    sites: OnceLock<Arc<[Location]>>,
+    /// Every instruction of every local function, in code order, and its
+    /// partition into straight-line runs; see
+    /// [`ModuleArtifact::instruction_sites`] and [`ModuleArtifact::runs`].
+    runs: OnceLock<Arc<RunTable>>,
 }
 
 impl ModuleArtifact {
@@ -232,7 +234,7 @@ impl ModuleArtifact {
             type_canon,
             func_canon,
             reg: OnceLock::new(),
-            sites: OnceLock::new(),
+            runs: OnceLock::new(),
         })
     }
 
@@ -296,16 +298,27 @@ impl ModuleArtifact {
     }
 
     /// Every instruction of every locally-defined function, in code order —
-    /// the site list of whole-module monitors (hotness, coverage). Read off
+    /// the site list of whole-module monitors (coverage; hotness through
+    /// [`ModuleArtifact::runs`], which this list is one half of). Read off
     /// the lowered forms' `slot → pc` maps (lowering what is not lowered
     /// yet) once per artifact, so an attach never re-decodes a body.
     pub fn instruction_sites(&self) -> &Arc<[Location]> {
-        self.sites.get_or_init(|| {
+        self.runs().sites()
+    }
+
+    /// The site list and its partition into straight-line *runs* — what a
+    /// whole-function counting monitor needs to count with one probe per
+    /// run instead of one per instruction ([`RunCounts`](crate::RunCounts)).
+    /// Built on a monitor's first request (lowering what is not lowered
+    /// yet), once per artifact; never at construction or by
+    /// [`ModuleArtifact::lower_all`].
+    pub fn runs(&self) -> &Arc<RunTable> {
+        self.runs.get_or_init(|| {
             let pcs = |f: &Arc<FuncArtifact>| {
                 let (func, low) = (f.func, Arc::clone(f.lowered()));
                 (0..low.len()).map(move |slot| Location { func, pc: low.pc_of(slot) })
             };
-            self.funcs.iter().flat_map(pcs).collect()
+            Arc::new(RunTable::build(&self.funcs, self.funcs.iter().flat_map(pcs).collect()))
         })
     }
 
@@ -381,6 +394,43 @@ mod tests {
         assert_eq!(pcs, [0, 2, 4, 5]);
         assert!(sites.iter().all(|l| l.func == 0));
         assert!(Arc::ptr_eq(sites, a.instruction_sites()), "built once");
+    }
+
+    #[test]
+    fn runs_split_at_branch_targets_and_after_calls() {
+        use wizard_wasm::types::BlockType;
+        let mut mb = ModuleBuilder::new();
+        let callee = mb.declare_func("callee", &[I32], &[I32]);
+        let mut f = FuncBuilder::new(&[I32], &[I32]);
+        f.local_get(0);
+        mb.define_func(callee, f);
+        let mut f = FuncBuilder::new(&[I32], &[I32]);
+        f.local_get(0).call(callee).if_(BlockType::Value(I32));
+        f.i32_const(1);
+        f.else_();
+        f.i32_const(2);
+        f.end();
+        mb.add_func("f", f);
+        let a = ModuleArtifact::new(mb.build().unwrap()).unwrap();
+        a.lower_all();
+        assert!(a.runs.get().is_none(), "lower_all does not build the run table");
+        let runs = a.runs();
+        let leaders: Vec<Location> = (0..runs.len()).map(|r| runs.leader(r)).collect();
+        let sites = a.instruction_sites();
+        let at = |func, nth: usize| {
+            *sites.iter().filter(|l| l.func == func).nth(nth).expect("instruction exists")
+        };
+        // callee: one run. f: local.get call | if | const else | const end | end
+        // (`else` skips past the `if`'s own `end`).
+        let expect = [at(0, 0), at(1, 0), at(1, 2), at(1, 3), at(1, 5), at(1, 7)];
+        assert_eq!(leaders, expect);
+        for (r, leader) in leaders.iter().enumerate() {
+            let run = runs.run(r);
+            assert_eq!(runs.site_index(*leader), Some(run.start));
+            assert!(run.clone().all(|s| runs.run_of(s) == r));
+        }
+        assert_eq!(runs.run(runs.len() - 1).end, sites.len());
+        assert!(Arc::ptr_eq(runs, a.runs()), "built once");
     }
 
     #[test]

@@ -243,18 +243,30 @@ fn op_return(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_call(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
+    let call_pc = ex.pc;
     let (callee, next) = ex.views.code.read_u32(ex.pc + 1);
     ex.pc = next;
     ex.sync_pc();
-    ex.do_call(callee, Tier::Interp)
+    let r = ex.do_call(callee, Tier::Interp);
+    if matches!(r, Err(Sig::Trap(_))) {
+        // No frame was pushed: back the cursor up onto the call, where
+        // `Exec::trap_location` reads it.
+        ex.pc = call_pc;
+    }
+    r
 }
 
 fn op_call_indirect(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
+    let call_pc = ex.pc;
     let (type_idx, p) = ex.views.code.read_u32(ex.pc + 1);
     let (_table, next) = ex.views.code.read_u32(p);
     ex.pc = next;
     ex.sync_pc();
-    ex.do_call_indirect(type_idx, Tier::Interp)
+    let r = ex.do_call_indirect(type_idx, Tier::Interp);
+    if matches!(r, Err(Sig::Trap(_))) {
+        ex.pc = call_pc;
+    }
+    r
 }
 
 // ---- parametric ----

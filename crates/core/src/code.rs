@@ -279,6 +279,13 @@ pub struct FuncOverlay {
     /// leaves a dead site in compiled code, the lazy recompile that drops
     /// it (`FuncOverlay::remove_probe`).
     pub hotness: Cell<u32>,
+    /// Run counters ([`RunCounts`](crate::RunCounts)) holding leader probes
+    /// in this function. While there is one, the sites other monitors
+    /// empty are kept instead of being dropped by the lazy recompile: the
+    /// run counter stands in for a probe on every instruction, and a
+    /// monitor swapped in beside it re-binds onto those sites as it did
+    /// when the counter held each of them itself.
+    pub(crate) run_counters: Cell<u32>,
     /// The resolved execution views, `None` until the first frame enters
     /// the function and again after every overlay identity change.
     views: RefCell<Option<Rc<FuncViews>>>,
@@ -304,6 +311,7 @@ impl FuncOverlay {
             version: Cell::new(0),
             compiled: RefCell::new(None),
             hotness: Cell::new(0),
+            run_counters: Cell::new(0),
             views: RefCell::new(None),
         }
     }

@@ -20,8 +20,8 @@ use crate::jit;
 use crate::lowered::{Lowered, LoweredView};
 use crate::monitor::MonitorRegistry;
 use crate::probe::{
-    BatchOp, Binding, Intrinsified, Pending, Probe, ProbeBatch, ProbeId, ProbeRef, ProbeRegistry,
-    Site,
+    BatchOp, Binding, Intrinsified, Location, Pending, Probe, ProbeBatch, ProbeId, ProbeRef,
+    ProbeRegistry, Site,
 };
 use crate::regint;
 use crate::store::{HostFn, Linker, Memory, Table};
@@ -830,7 +830,7 @@ impl Process {
                 unreachable!("unbounded run cannot suspend")
             }
             Err(t) => {
-                ex.unwind();
+                unwind_trapped(&mut ex);
                 return Err(t);
             }
         }
@@ -857,9 +857,12 @@ impl Process {
     /// Suspension is transparent to instrumentation: a bounded run fires
     /// exactly the probes, in exactly the order, of an unbounded
     /// [`Process::invoke`] of the same call. Instrumentation may change
-    /// *while* the run is suspended (attach/detach, probe insertion);
-    /// affected compiled code is invalidated and suspended JIT frames
-    /// deoptimize on resume.
+    /// *while* the run is suspended (attach/detach, probe insertion):
+    /// compiled code re-binds its probe sites in place and suspended JIT
+    /// frames simply continue; only a change the code cannot follow — a
+    /// probe on an instruction it has no site for, the function's last
+    /// probe leaving, an arriving global probe — invalidates it, and the
+    /// frames running it deoptimize on resume.
     ///
     /// # Errors
     ///
@@ -927,12 +930,57 @@ impl Process {
         self.suspended.is_some()
     }
 
-    /// Discards the suspended bounded run, if any, invalidating the
-    /// accessors of its parked frames (which also happens if the process
-    /// is simply dropped while suspended). Returns `true` if a run was
-    /// discarded.
+    /// Where the suspended bounded run will continue: the instruction its
+    /// innermost frame executes next, whose probes have not fired yet.
+    /// `None` when no run is suspended. What instrumentation that counts
+    /// in bulk ([`RunCounts`](crate::RunCounts)) consults when it is
+    /// installed or removed between slices.
+    ///
+    /// ```
+    /// use wizard_engine::store::Linker;
+    /// use wizard_engine::{EngineConfig, Location, Process, RunOutcome};
+    /// use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut mb = ModuleBuilder::new();
+    /// let mut f = FuncBuilder::new(&[], &[]);
+    /// f.nop().nop().nop();
+    /// mb.add_func("f", f);
+    /// let mut p = Process::new(mb.build()?, EngineConfig::default(), &Linker::new())?;
+    /// assert_eq!(p.suspended_at(), None);
+    /// // Two units of fuel execute two `nop`s; the third is next.
+    /// assert_eq!(p.run_export_bounded("f", &[], 2)?, RunOutcome::OutOfFuel);
+    /// assert_eq!(p.suspended_at(), Some(Location { func: 0, pc: 2 }));
+    /// assert!(p.resume(100)?.is_done());
+    /// assert_eq!(p.suspended_at(), None);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn suspended_at(&self) -> Option<Location> {
+        self.suspended.as_ref().and_then(|s| s.state.top())
+    }
+
+    /// Discards the suspended bounded run, if any: the accessors of its
+    /// parked frames are invalidated and attached monitors are told where
+    /// it stopped ([`Monitor::on_unwind`](crate::Monitor::on_unwind)) —
+    /// which also happens if the process is simply dropped while
+    /// suspended. Returns `true` if a run was discarded.
     pub fn cancel_suspended(&mut self) -> bool {
-        self.suspended.take().is_some()
+        self.abandon_suspended(false)
+    }
+
+    /// [`Process::cancel_suspended`], also for a process that is
+    /// `dropping`.
+    fn abandon_suspended(&mut self, dropping: bool) -> bool {
+        let Some(suspended) = self.suspended.take() else {
+            return false;
+        };
+        let top = suspended.state.top();
+        drop(suspended);
+        if let Some(top) = top {
+            self.notify_unwind(top, false, dropping);
+        }
+        true
     }
 
     // ---- instrumentation API ----
@@ -1018,7 +1066,7 @@ impl Process {
     }
 
     /// Index into `code` of locally-defined function `func`.
-    fn local_index(&self, func: FuncIdx) -> usize {
+    pub(crate) fn local_index(&self, func: FuncIdx) -> usize {
         (func - self.module.num_imported_funcs()) as usize
     }
 
@@ -1200,11 +1248,18 @@ impl Process {
     /// The artifact's list of every instruction site
     /// ([`ModuleArtifact::instruction_sites`]); lowering it forces is
     /// attributed to this process like any other.
-    pub(crate) fn instruction_sites(&mut self) -> Arc<[crate::probe::Location]> {
+    pub(crate) fn instruction_sites(&mut self) -> Arc<[Location]> {
         for lf in 0..self.code.len() {
             self.lowered_for(lf);
         }
         Arc::clone(self.artifact.instruction_sites())
+    }
+
+    /// The artifact's run table ([`ModuleArtifact::runs`]), attributing the
+    /// lowering it forces like [`Process::instruction_sites`].
+    pub(crate) fn runs(&mut self) -> Arc<crate::runs::RunTable> {
+        self.instruction_sites();
+        Arc::clone(self.artifact.runs())
     }
 
     /// A fresh lowered view of local function `lf` (shared slots, or this
@@ -1463,6 +1518,17 @@ impl Process {
     }
 }
 
+impl Drop for Process {
+    /// A process dropped mid-run abandons the run like
+    /// [`Process::cancel_suspended`] does, so monitors that outlive it
+    /// report what actually executed.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.abandon_suspended(true);
+        }
+    }
+}
+
 impl core::fmt::Debug for Process {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Process")
@@ -1568,9 +1634,19 @@ fn drive_bounded(mut ex: Exec<'_>, fuel: u64, func: FuncIdx) -> Result<RunOutcom
         }
         Ok(Exit::Redispatch) => unreachable!("drive loops on redispatch"),
         Err(t) => {
-            ex.unwind();
+            unwind_trapped(&mut ex);
             Err(t)
         }
+    }
+}
+
+/// Unwinds a trapped invocation, then tells the monitors where its
+/// innermost frame stopped ([`Monitor::on_unwind`](crate::Monitor)).
+fn unwind_trapped(ex: &mut Exec<'_>) {
+    let top = ex.trap_location();
+    ex.unwind();
+    if let Some(top) = top {
+        ex.proc.notify_unwind(top, true, false);
     }
 }
 

@@ -13,7 +13,7 @@ use crate::code::FuncViews;
 use crate::engine::{Dispatch, ProbeError, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
 use crate::interp;
-use crate::lowered::LTarget;
+use crate::lowered::{fused_trap_offset, LTarget};
 use crate::probe::{Location, Pending, ProbeId, ProbeRef, Site};
 use crate::regir::RegFunc;
 use crate::store::HostCtx;
@@ -91,10 +91,11 @@ pub(crate) struct Exec<'p> {
     pub frames: Vec<Frame>,
     /// Live cursor of the current frame. In the lowered interpreter this
     /// is a *slot index*; in the classic (byte-walking) interpreter and in
-    /// the JIT tier's sync writes it is a byte pc. Frames always receive
-    /// byte pcs ([`Exec::sync_pc`] converts), keeping the paper's
-    /// byte-offset location space the contract everywhere outside the
-    /// lowered hot loop.
+    /// the JIT tier's sync writes it is a byte pc (the JIT tier's trap
+    /// exit leaves its op index here: [`Exec::trap_location`]). Frames
+    /// always receive byte pcs ([`Exec::sync_pc`] converts), keeping the
+    /// paper's byte-offset location space the contract everywhere outside
+    /// the lowered hot loop.
     pub pc: usize,
     /// Current function (global index).
     pub func: FuncIdx,
@@ -141,6 +142,14 @@ pub(crate) struct ExecState {
     frames: Vec<Frame>,
     activations: u64,
     skip_probe: Option<Location>,
+}
+
+impl ExecState {
+    /// Where the parked run continues: the innermost frame's next
+    /// instruction (frames suspend before an instruction's probes fire).
+    pub fn top(&self) -> Option<Location> {
+        self.frames.last().map(|f| Location { func: f.func, pc: f.pc as u32 })
+    }
 }
 
 impl Drop for ExecState {
@@ -669,6 +678,37 @@ impl<'p> Exec<'p> {
         if !self.frames.is_empty() {
             self.load_cur();
         }
+    }
+
+    /// After a tier loop returned a trap: the trapping instruction. Every
+    /// tier leaves its cursor on it — a call that traps backs the cursor up
+    /// again, the micro-op tier writes its op index on the trap exit — so
+    /// only the cursor's unit differs. `None` if no frame was entered.
+    pub fn trap_location(&self) -> Option<Location> {
+        let frame = self.frames.last()?;
+        let pc = match frame.tier {
+            Tier::Interp if self.classic => self.pc as u32,
+            Tier::Interp => {
+                // A fused head dispatched as one: its binop is what trapped.
+                let fused = !self.metered && !self.proc.global_mode;
+                let op = self.views.low.get(self.pc).op;
+                self.views.low.pc_of(self.pc + if fused { fused_trap_offset(op) } else { 0 })
+            }
+            Tier::Reg => self.reg().pc_of(self.pc),
+            Tier::Jit => {
+                let compiled = self.proc.code[frame.lf].compiled.borrow();
+                let at = compiled.as_ref().and_then(|c| match &c.code.reg {
+                    Some(reg) => Some(reg.pc_of(self.pc)),
+                    None => c.code.ip_to_pc.get(self.pc).copied(),
+                });
+                // A frame that traps is running the function's current
+                // code (stale code is left at the next checkpoint, before
+                // anything can trap in it); its last checkpoint otherwise.
+                debug_assert!(at.is_some(), "trapped in code that is not the function's");
+                at.unwrap_or(frame.pc as u32)
+            }
+        };
+        Some(Location { func: frame.func, pc })
     }
 
     /// Unwinds all frames of this invocation after a trap, invalidating

@@ -329,13 +329,23 @@ fn op_return(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 fn op_call(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     ex.pc += 1;
     ex.sync_pc();
-    ex.do_call(li.x, Tier::Interp)
+    let r = ex.do_call(li.x, Tier::Interp);
+    if matches!(r, Err(Sig::Trap(_))) {
+        // No frame was pushed: back the cursor up onto the call, where
+        // `Exec::trap_location` reads it.
+        ex.pc -= 1;
+    }
+    r
 }
 
 fn op_call_indirect(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     ex.pc += 1;
     ex.sync_pc();
-    ex.do_call_indirect(li.x, Tier::Interp)
+    let r = ex.do_call_indirect(li.x, Tier::Interp);
+    if matches!(r, Err(Sig::Trap(_))) {
+        ex.pc -= 1;
+    }
+    r
 }
 
 // ---- parametric ----

@@ -465,14 +465,14 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     let lhs = ex.pop();
                     match numeric::binop(*b, lhs, rhs) {
                         Ok(v) => ex.push(v),
-                        Err(t) => return trap(ex, t),
+                        Err(t) => return trap(ex, ip, t),
                     }
                 }
                 Op::Un(b) => {
                     let a = ex.pop();
                     match numeric::unop(*b, a) {
                         Ok(v) => ex.push(v),
-                        Err(t) => return trap(ex, t),
+                        Err(t) => return trap(ex, ip, t),
                     }
                 }
                 Op::Load { op: b, offset } => {
@@ -480,7 +480,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     let mem = ex.proc.memory.as_ref().expect("validated");
                     match numeric::do_load(mem, *b, addr, *offset) {
                         Ok(v) => ex.push(v),
-                        Err(t) => return trap(ex, t),
+                        Err(t) => return trap(ex, ip, t),
                     }
                 }
                 Op::Store { op: b, offset } => {
@@ -488,7 +488,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     let addr = ex.pop().u32();
                     let mem = ex.proc.memory.as_mut().expect("validated");
                     if let Err(t) = numeric::do_store(mem, *b, addr, *offset, val) {
-                        return trap(ex, t);
+                        return trap(ex, ip, t);
                     }
                 }
                 Op::MemorySize => {
@@ -549,7 +549,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     match ex.do_call(*callee, Tier::Jit) {
                         Ok(()) => continue 'frames,
                         Err(Sig::Switch) => return Ok(Exit::Redispatch),
-                        Err(Sig::Trap(t)) => return trap(ex, t),
+                        Err(Sig::Trap(t)) => return trap(ex, ip, t),
                         Err(Sig::Done) => unreachable!("call cannot finish invocation"),
                     }
                 }
@@ -564,11 +564,11 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     match ex.do_call_indirect(*type_idx, Tier::Jit) {
                         Ok(()) => continue 'frames,
                         Err(Sig::Switch) => return Ok(Exit::Redispatch),
-                        Err(Sig::Trap(t)) => return trap(ex, t),
+                        Err(Sig::Trap(t)) => return trap(ex, ip, t),
                         Err(Sig::Done) => unreachable!("call cannot finish invocation"),
                     }
                 }
-                Op::Unreachable => return trap(ex, Trap::Unreachable),
+                Op::Unreachable => return trap(ex, ip, Trap::Unreachable),
                 Op::Site { slot, pc } => {
                     let table = sites.as_deref().expect("site micro-ops run on an overlay");
                     let binding = &table[*slot as usize].binding;
@@ -610,10 +610,14 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                                 // threshold, so a second threshold on top
                                 // means they have gone quiet: drop the dead
                                 // sites by recompiling (this frame re-enters
-                                // through the usual tier-up).
+                                // through the usual tier-up) — unless a run
+                                // counter is keeping them for the next monitor
+                                // to re-bind.
                                 let h = fc.hotness.get().saturating_add(1);
                                 fc.hotness.set(h);
-                                if h >= ex.proc.config.tierup_threshold.saturating_mul(2) {
+                                if h >= ex.proc.config.tierup_threshold.saturating_mul(2)
+                                    && fc.run_counters.get() == 0
+                                {
                                     fc.invalidate();
                                     ex.proc.stats.invalidation_passes += 1;
                                 }
@@ -670,7 +674,10 @@ fn deopt_here(ex: &mut Exec) {
     ex.load_cur();
 }
 
-fn trap(ex: &mut Exec, t: Trap) -> Result<Exit, Trap> {
-    let _ = ex;
+/// The trap exit: leaves the trapping op's index in the cursor
+/// for [`Exec::trap_location`].
+#[cold]
+fn trap(ex: &mut Exec, ip: usize, t: Trap) -> Result<Exit, Trap> {
+    ex.pc = ip;
     Err(t)
 }

@@ -173,6 +173,7 @@ pub mod numeric;
 pub mod probe;
 mod regint;
 pub mod regir;
+pub mod runs;
 pub mod shims;
 pub mod store;
 pub mod trap;
@@ -193,6 +194,7 @@ pub use probe::{
     ClosureProbe, CountProbe, EmptyOperandProbe, EmptyProbe, Location, Probe, ProbeBatch, ProbeId,
     ProbeKind, ProbeRef,
 };
+pub use runs::{RunCounts, RunTable};
 pub use shims::{ShimError, Shims};
 pub use trap::Trap;
 pub use value::{Slot, Value};

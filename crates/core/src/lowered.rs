@@ -92,6 +92,17 @@ pub fn fused_len(opcode: u8) -> usize {
     }
 }
 
+/// Offset, from a fused head, of the one instruction of the group that can
+/// trap: its binop (comparisons never trap, so the branch forms have none).
+#[inline]
+pub fn fused_trap_offset(opcode: u8) -> usize {
+    match opcode {
+        FUSED_GET_BIN | FUSED_CONST_BIN => 1,
+        FUSED_GET_GET_BIN | FUSED_UPD => 2,
+        _ => 0,
+    }
+}
+
 /// `true` for binops that produce an `i32` condition and cannot trap —
 /// the fusable heads of `FUSED_CMP_BR`.
 fn is_cmp(opcode: u8) -> bool {

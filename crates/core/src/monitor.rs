@@ -29,6 +29,7 @@ use wizard_wasm::module::{FuncIdx, Module};
 
 use crate::engine::{EngineConfig, ProbeError, Process};
 use crate::probe::{Location, Probe, ProbeBatch, ProbeId, ProbeRef};
+use crate::runs::RunTable;
 
 // ---- structured reports ----
 
@@ -284,6 +285,60 @@ pub trait Monitor {
         let _ = process;
     }
 
+    /// Called when the running invocation is abandoned instead of
+    /// completing: it trapped, or its suspension was discarded
+    /// ([`Process::cancel_suspended`], or the process was dropped while
+    /// suspended). Every frame is already unwound — accessors are invalid —
+    /// and `top` is where the innermost one stopped: the trapping
+    /// instruction (`executed`: its probes fired and it began executing),
+    /// or the instruction a suspended run would have executed next (not
+    /// `executed`: its probes never fired). Monitors that keep shadow
+    /// state or count in bulk settle it here — the entry/exit library
+    /// drains its shadow stack, [`RunCounts`](crate::RunCounts) debits the
+    /// rest of the abandoned run. The default does nothing.
+    ///
+    /// ```
+    /// use wizard_engine::store::Linker;
+    /// use wizard_engine::{
+    ///     EngineConfig, InstrumentationCtx, Location, Monitor, ProbeError, Process, Report, Trap,
+    /// };
+    /// use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
+    ///
+    /// #[derive(Default)]
+    /// struct LastStop(Option<(Location, bool)>);
+    ///
+    /// impl Monitor for LastStop {
+    ///     fn name(&self) -> &'static str {
+    ///         "last-stop"
+    ///     }
+    ///     fn on_attach(&mut self, _: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+    ///         Ok(())
+    ///     }
+    ///     fn on_unwind(&mut self, top: Location, executed: bool) {
+    ///         self.0 = Some((top, executed));
+    ///     }
+    ///     fn report(&self) -> Report {
+    ///         Report::new(self.name())
+    ///     }
+    /// }
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut mb = ModuleBuilder::new();
+    /// let mut f = FuncBuilder::new(&[], &[]);
+    /// f.nop().unreachable();
+    /// mb.add_func("boom", f);
+    /// let mut p = Process::new(mb.build()?, EngineConfig::default(), &Linker::new())?;
+    /// let m = p.attach_monitor(LastStop::default())?;
+    /// assert_eq!(p.invoke_export("boom", &[]), Err(Trap::Unreachable));
+    /// // `unreachable` sits at byte 1 of function 0, and it did execute.
+    /// assert_eq!(m.borrow().0, Some((Location { func: 0, pc: 1 }, true)));
+    /// # Ok(())
+    /// # }
+    /// ```
+    fn on_unwind(&mut self, top: Location, executed: bool) {
+        let _ = (top, executed);
+    }
+
     /// Renders the structured post-execution report.
     fn report(&self) -> Report;
 }
@@ -321,6 +376,18 @@ impl<'a> InstrumentationCtx<'a> {
     /// instantiated from the module's artifact — no body is decoded here.
     pub fn instruction_sites(&mut self) -> Arc<[Location]> {
         self.process.instruction_sites()
+    }
+
+    /// The partition of the module's code into straight-line runs
+    /// ([`ModuleArtifact::runs`](crate::ModuleArtifact::runs)), shared like
+    /// [`InstrumentationCtx::instruction_sites`].
+    pub fn runs(&mut self) -> Arc<RunTable> {
+        self.process.runs()
+    }
+
+    /// The process under instrumentation.
+    pub(crate) fn process(&self) -> &Process {
+        self.process
     }
 
     /// Inserts one local probe immediately (one invalidation pass if the
@@ -565,6 +632,19 @@ impl Process {
         }
         self.apply_batch(batch).expect("removals cannot fail");
         Ok(())
+    }
+
+    /// Tells every attached monitor that the running invocation was
+    /// abandoned at `top` ([`Monitor::on_unwind`]). Only when `dropping`
+    /// — the process is being dropped, which must not panic — does a
+    /// monitor its owner holds borrowed across the call miss the event.
+    pub(crate) fn notify_unwind(&mut self, top: Location, executed: bool, dropping: bool) {
+        for (_, entry) in &self.monitors.entries {
+            match entry.monitor.try_borrow_mut() {
+                Ok(mut monitor) => monitor.on_unwind(top, executed),
+                Err(e) => assert!(dropping, "a monitor is borrowed across an unwind: {e}"),
+            }
+        }
     }
 
     /// Number of currently attached monitors.

@@ -110,6 +110,12 @@ impl CountProbe {
         CountProbe::default()
     }
 
+    /// A counter probe bumping an existing counter, which several probes
+    /// may share.
+    pub fn over(cell: Rc<Cell<u64>>) -> CountProbe {
+        CountProbe { cell }
+    }
+
     /// The current count.
     pub fn count(&self) -> u64 {
         self.cell.get()
@@ -196,8 +202,9 @@ impl<F: FnMut(&mut ProbeCtx<'_, '_>) + 'static> core::fmt::Debug for ClosureProb
 /// instructions that already held probes when the function was compiled,
 /// cost it nothing. A probe on a *new* site invalidates the function's
 /// code, so inserting N of those one at a time pays N invalidation passes.
-/// Monitors instrumenting many sites — hotness and coverage probe *every*
-/// instruction — batch their insertions instead and commit them through
+/// Monitors instrumenting many sites — coverage probes *every* instruction,
+/// hotness every straight-line run — batch their insertions instead and
+/// commit them through
 /// [`Process::apply_batch`](crate::Process::apply_batch), which
 /// invalidates each affected function's code at most once and counts as at
 /// most one invalidation pass in

@@ -374,3 +374,43 @@ fn churn_schedule_costs_invalidations_per_swap_not_per_removal() {
         }
     }
 }
+
+/// (f) A run counter holds its functions' sites. It probes run leaders
+/// only, where the per-instruction counter it replaces held every site:
+/// the sites a coverage monitor beside it empties are therefore kept — no
+/// lazy recompile while the counter stays — and the next coverage monitor
+/// re-binds onto them. Once the counter is gone they are dropped as usual.
+#[test]
+fn a_run_counter_keeps_the_sites_emptied_beside_it() {
+    let config = EngineConfig::builder().mode(ExecMode::JitOnly).tierup_threshold(5).build();
+    let mut p = Process::new(sum_module(), config, &Linker::new()).unwrap();
+    let hotness = p.attach_monitor(HotnessMonitor::new()).unwrap();
+    let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
+    p.invoke(0, &[Value::I32(50)]).unwrap();
+    let first = p.stats();
+    assert_eq!((first.compiles, first.deopts), (1, 0));
+    assert!(p.compiled_listing(0).unwrap().contains("site.empty"), "coverage burnt off");
+
+    // Hundreds of dead crossings, far past the quiet period: still held.
+    p.invoke(0, &[Value::I32(50)]).unwrap();
+    let held = p.stats();
+    assert_eq!((held.compiles, held.deopts), (1, 0));
+    assert_eq!(held.invalidation_passes, first.invalidation_passes);
+
+    // The next coverage monitor lands on sites the code still has.
+    p.detach_monitor(coverage.handle()).unwrap();
+    let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
+    assert!(p.is_compiled(0));
+    assert_eq!(p.stats().invalidation_passes, first.invalidation_passes, "re-bound");
+    let total = hotness.borrow().total();
+
+    // Without the counter, the sites coverage empties are dropped again.
+    p.detach_monitor(hotness.handle()).unwrap();
+    assert_eq!(hotness.borrow().total(), total);
+    p.invoke(0, &[Value::I32(50)]).unwrap();
+    assert_eq!(p.stats().deopts, 1, "left the code with the dead sites");
+    p.invoke(0, &[Value::I32(50)]).unwrap();
+    assert_eq!(p.stats().compiles, 2, "one lazy recompile");
+    assert!(!p.compiled_listing(0).unwrap().contains("site.empty"));
+    assert!(!coverage.borrow().covered().is_empty());
+}

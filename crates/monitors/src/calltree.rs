@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use wizard_engine::{InstrumentationCtx, Monitor, ProbeError, Process, Report};
+use wizard_engine::{InstrumentationCtx, Location, Monitor, ProbeError, Process, Report};
 use wizard_wasm::module::FuncIdx;
 
 use crate::entry_exit::EntryExit;
@@ -84,7 +84,9 @@ impl CallTreeMonitor {
         }
     }
 
-    /// Drains any trap-unwound frames (call after a trapping invocation).
+    /// Drains any trap-unwound frames. The engine's unwind hook does this
+    /// on every trap and cancelled suspension, so the tree is balanced as
+    /// soon as the invocation is over; calling it again is harmless.
     pub fn drain(&self) {
         if let Some(ee) = &self.entry_exit {
             ee.drain();
@@ -167,9 +169,13 @@ impl Monitor for CallTreeMonitor {
         Ok(())
     }
 
+    fn on_unwind(&mut self, _top: Location, _executed: bool) {
+        // The abandoned activations end here — their exit callbacks and
+        // wall-clock spans with them — not at the next entry event.
+        self.drain();
+    }
+
     fn on_detach(&mut self, _process: &mut Process) {
-        // Fire exit callbacks for any frames unwound by traps, so the
-        // final report is balanced.
         self.drain();
     }
 
@@ -244,5 +250,31 @@ mod tests {
         assert!(report.contains("leaf"));
         let flames = mon.borrow().flame_lines();
         assert!(flames.iter().any(|l| l.starts_with("main;mid;leaf ")));
+    }
+
+    #[test]
+    fn a_trapped_activation_exits_at_the_trap() {
+        // main -> mid -> boom, which traps.
+        let mut mb = ModuleBuilder::new();
+        let mut boom = FuncBuilder::new(&[], &[]);
+        boom.unreachable();
+        let boom = mb.add_private_func("boom", boom);
+        let mut mid = FuncBuilder::new(&[], &[]);
+        mid.call(boom);
+        let mid = mb.add_private_func("mid", mid);
+        let mut main = FuncBuilder::new(&[], &[]);
+        main.call(mid);
+        mb.add_func("main", main);
+        let mut p =
+            Process::new(mb.build().unwrap(), EngineConfig::interpreter(), &Linker::new()).unwrap();
+        let mon = p.attach_monitor(CallTreeMonitor::new()).unwrap();
+        assert!(p.invoke_export("main", &[]).is_err());
+        // Before any further call, drain or detach: the shadow stack is
+        // empty and every entered activation has been exited.
+        let mon = mon.borrow();
+        assert_eq!(mon.entry_exit.as_ref().unwrap().depth(), 0);
+        assert!(mon.state.borrow().path.is_empty());
+        let calls: Vec<u64> = mon.rows().iter().map(|(_, calls, _, _)| *calls).collect();
+        assert_eq!(calls, [1, 1, 1], "main, mid and boom each entered and exited once");
     }
 }

@@ -10,7 +10,9 @@
 //!   the function-level label (checking the condition/index operand to
 //!   know whether a conditional branch actually exits);
 //! * frames unwound by traps: stale shadow-stack entries are detected by
-//!   accessor invalidation and drained lazily.
+//!   accessor invalidation and drained — by the owning monitor's
+//!   `on_unwind` hook (the engine calls it at the trap), or lazily at the
+//!   next entry event for library users without a monitor.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,7 +29,8 @@ pub struct Callbacks {
     /// Called when a new activation of a function begins.
     pub on_entry: Box<dyn FnMut(FuncIdx, u32)>,
     /// Called when an activation ends (including trap unwinds, drained
-    /// lazily at the next entry event or an explicit [`EntryExit::drain`]).
+    /// by an explicit [`EntryExit::drain`] — what a monitor's `on_unwind`
+    /// does — or lazily at the next entry event).
     pub on_exit: Box<dyn FnMut(FuncIdx, u32)>,
 }
 
@@ -166,7 +169,9 @@ impl EntryExit {
     }
 
     /// Drains shadow-stack entries whose frames were unwound by a trap,
-    /// firing their exit callbacks. Call after an invocation that trapped.
+    /// firing their exit callbacks. Monitors call this from
+    /// [`Monitor::on_unwind`](wizard_engine::Monitor::on_unwind); without
+    /// one, call it after an invocation that trapped.
     pub fn drain(&self) {
         let mut sh = self.shadow.borrow_mut();
         drain_invalid(&mut sh, &self.callbacks);

@@ -1,27 +1,32 @@
 //! The **Hotness** monitor: counts every instruction executed (paper §3).
 //!
-//! The local-probe variant inserts a [`CountProbe`] at every instruction —
-//! the paper's representative "many simple probes" workload, and the one
-//! the JIT fully intrinsifies. The global-probe variant demonstrates
-//! emulating local probes with a single global probe (paper §2.1/§5.2) at
-//! the cost of an M-state lookup per instruction.
+//! The local-probe variant counts every instruction with one [`RunCounts`]
+//! counter per straight-line run — a `Count` probe, fully intrinsified by
+//! the JIT, on each run's leader — and reports the exact per-instruction
+//! rows a `CountProbe` on every instruction would. The global-probe variant
+//! demonstrates emulating local probes with a single global probe (paper
+//! §2.1/§5.2) at the cost of an M-state lookup per instruction; it counts
+//! instruction by instruction by construction, which makes it the oracle
+//! the run counters are tested against.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use wizard_engine::{
-    ClosureProbe, CountProbe, InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError, Report,
+    ClosureProbe, InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError, Process, Report,
+    RunCounts,
 };
 
 use crate::util::func_label;
 use crate::ProbeMode;
 
-/// Counts executions of every instruction.
+/// Counts executions of every instruction. An instance attached again
+/// after a detach keeps accumulating into the same rows.
 #[derive(Debug, Default)]
 pub struct HotnessMonitor {
     mode: ProbeMode,
-    counters: Vec<(Location, Rc<Cell<u64>>)>,
+    runs: RunCounts,
     global_counts: Rc<RefCell<HashMap<Location, u64>>>,
     labels: HashMap<u32, String>,
 }
@@ -40,7 +45,7 @@ impl HotnessMonitor {
     /// Total instruction executions observed.
     pub fn total(&self) -> u64 {
         match self.mode {
-            ProbeMode::Local => self.counters.iter().map(|(_, c)| c.get()).sum(),
+            ProbeMode::Local => self.runs.total(),
             ProbeMode::Global => self.global_counts.borrow().values().sum(),
         }
     }
@@ -48,7 +53,7 @@ impl HotnessMonitor {
     /// Per-location counts, hottest first.
     pub fn counts(&self) -> Vec<(Location, u64)> {
         let mut v: Vec<(Location, u64)> = match self.mode {
-            ProbeMode::Local => self.counters.iter().map(|(l, c)| (*l, c.get())).collect(),
+            ProbeMode::Local => self.runs.per_site(),
             ProbeMode::Global => {
                 self.global_counts.borrow().iter().map(|(l, c)| (*l, *c)).collect()
             }
@@ -71,11 +76,8 @@ impl Monitor for HotnessMonitor {
         match self.mode {
             ProbeMode::Local => {
                 let mut batch = ProbeBatch::new();
-                for site in ctx.instruction_sites().iter() {
-                    let probe = CountProbe::new();
-                    self.counters.push((*site, probe.cell()));
-                    batch.add_local_val(site.func, site.pc, probe);
-                }
+                let every_run = 0..ctx.runs().len();
+                self.runs.install(ctx, every_run, &mut batch);
                 ctx.apply_batch(batch)?;
             }
             ProbeMode::Global => {
@@ -86,6 +88,14 @@ impl Monitor for HotnessMonitor {
             }
         }
         Ok(())
+    }
+
+    fn on_detach(&mut self, process: &mut Process) {
+        self.runs.uninstall(process);
+    }
+
+    fn on_unwind(&mut self, top: Location, executed: bool) {
+        self.runs.on_unwind(top, executed);
     }
 
     fn report(&self) -> Report {
@@ -180,5 +190,31 @@ mod tests {
         let m2 = p.attach_monitor(HotnessMonitor::new()).unwrap();
         p.invoke_export("sum", &[Value::I32(10)]).unwrap();
         assert_eq!(m2.borrow().total(), first, "same workload, same counts");
+    }
+
+    #[test]
+    fn a_reattached_instance_accumulates_into_one_row_per_site() {
+        let mut p = sum_process(EngineConfig::interpreter());
+        let instance = Rc::new(RefCell::new(HotnessMonitor::new()));
+        let handle = p.attach_monitor_dyn(instance.clone()).unwrap();
+        p.invoke_export("sum", &[Value::I32(10)]).unwrap();
+        let first = instance.borrow().counts();
+        p.detach_monitor(handle).unwrap();
+
+        let handle = p.attach_monitor_dyn(instance.clone()).unwrap();
+        p.invoke_export("sum", &[Value::I32(10)]).unwrap();
+        p.detach_monitor(handle).unwrap();
+        let both = instance.borrow().counts();
+        // Same rows, each location once, every count doubled — in the
+        // report's "top locations" too.
+        let doubled: Vec<_> = first.iter().map(|(loc, n)| (*loc, 2 * n)).collect();
+        assert_eq!(both, doubled);
+        assert_eq!(instance.borrow().total(), 2 * first.iter().map(|(_, n)| n).sum::<u64>());
+        let report = instance.borrow().report();
+        let top = &report.get("top locations").unwrap().rows;
+        let mut labels: Vec<&str> = top.iter().map(|r| r.label.as_str()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), top.len(), "a location is listed twice: {report}");
     }
 }

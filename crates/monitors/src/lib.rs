@@ -11,7 +11,7 @@
 //! | [`TraceMonitor`] | one global probe |
 //! | [`CoverageMonitor`] | self-removing local probe per instruction |
 //! | [`LoopMonitor`] | `CountProbe` per loop header |
-//! | [`HotnessMonitor`] | `CountProbe` per instruction (or one global probe) |
+//! | [`HotnessMonitor`] | counts every instruction: a `Count` probe per straight-line run, exact per-site rows (or one global probe) |
 //! | [`BranchMonitor`] | operand probe per branch (or one global probe) |
 //! | [`MemoryMonitor`] | local probe per load/store, FrameAccessor operands |
 //! | [`CallsMonitor`] | local probe per callsite, table resolution |

@@ -5,7 +5,7 @@
 //! the acceptance gate for "instrumentation as data".
 
 use wizard_engine::store::Linker;
-use wizard_engine::{EngineConfig, Monitor, ProbeKind, Process, Report, Value};
+use wizard_engine::{EngineConfig, Monitor, ProbeKind, Process, Report, RunOutcome, Value};
 use wizard_monitors::{BranchMonitor, CoverageMonitor, HotnessMonitor};
 use wizard_pool::{Job, Pool, PoolConfig};
 use wizard_script::ScriptMonitor;
@@ -71,6 +71,106 @@ fn scripted_hotness_matches_the_zoo_row_for_row() {
     }
 }
 
+/// Richards in `fuel`-sized slices, the monitor detached and a fresh one
+/// attached at every slice boundary: one report per session. Both
+/// spellings count per run, so this is where their mid-run corrections
+/// (attach and detach while suspended inside a run) must agree.
+fn sliced_sessions<M: Monitor + 'static>(
+    config: EngineConfig,
+    fuel: u64,
+    monitor: impl Fn() -> M,
+) -> Vec<Report> {
+    let b = wizard_suites::richards_benchmark(RICHARDS_LOOPS);
+    let mut p = Process::new(b.module, config, &Linker::new()).expect("richards instantiates");
+    let mut reports = Vec::new();
+    let mut m = p.attach_monitor(monitor()).expect("attach");
+    let mut out = p.run_export_bounded("run", &[Value::I32(b.n)], fuel).expect("runs");
+    while out == RunOutcome::OutOfFuel {
+        p.detach_monitor(m.handle()).expect("detach");
+        reports.push(m.report());
+        m = p.attach_monitor(monitor()).expect("attach");
+        out = p.resume(fuel).expect("runs");
+    }
+    p.detach_monitor(m.handle()).expect("detach");
+    reports.push(m.report());
+    reports
+}
+
+#[test]
+fn scripted_hotness_matches_the_zoo_in_every_session_of_a_sliced_run() {
+    for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
+        let scripted = sliced_sessions(config.clone(), 37, || {
+            ScriptMonitor::from_source(HOTNESS).expect("parses")
+        });
+        let handwritten = sliced_sessions(config.clone(), 37, HotnessMonitor::new);
+        assert!(scripted.len() > 20, "richards really was sliced: {}", scripted.len());
+        assert_eq!(scripted.len(), handwritten.len());
+        let (mut all_s, mut all_h) = (Report::new("hotness"), Report::new("hotness"));
+        for (s, h) in scripted.iter().zip(&handwritten) {
+            assert_row_for_row(s, h);
+            all_s.merge(s);
+            all_h.merge(h);
+        }
+        // And the sessions add up to the uninterrupted run.
+        let whole = run_with(config, HotnessMonitor::new());
+        let total = |r: &Report| r.get("summary").unwrap().count_of("total instruction executions");
+        assert_eq!(total(&all_s), total(&whole));
+        assert_eq!(total(&all_h), total(&whole));
+    }
+}
+
+#[test]
+fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
+    use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
+    use wizard_wasm::types::ValType::I32;
+
+    // run(n) = sum of 100 / (n - i - 3) for i in 0..n: traps at i == n - 3
+    // (if n >= 3), in the middle of the loop body's straight-line run.
+    let mut mb = ModuleBuilder::new();
+    let mut f = FuncBuilder::new(&[I32], &[I32]);
+    let i = f.local(I32);
+    let acc = f.local(I32);
+    f.for_range(i, 0, |f| {
+        f.i32_const(100).local_get(0).local_get(i).i32_sub().i32_const(3).i32_sub().i32_div_s();
+        f.local_get(acc).i32_add().local_set(acc);
+    });
+    f.local_get(acc);
+    mb.add_func("run", f);
+    let module = mb.build().unwrap();
+
+    // The report after the first trap, and after a clean run and a second
+    // trap on top of it.
+    fn reports<M: Monitor + 'static>(
+        module: &wizard_wasm::module::Module,
+        config: &EngineConfig,
+        monitor: M,
+    ) -> (Report, Report) {
+        let mut p = Process::new(module.clone(), config.clone(), &Linker::new()).unwrap();
+        let m = p.attach_monitor(monitor).unwrap();
+        assert!(p.invoke_export("run", &[Value::I32(9)]).is_err(), "divides by zero");
+        let trapped = m.report();
+        p.invoke_export("run", &[Value::I32(2)]).expect("no zero divisor in 0..2");
+        assert!(p.invoke_export("run", &[Value::I32(5)]).is_err());
+        (trapped, m.report())
+    }
+
+    for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+        let scripted = reports(&module, &config, ScriptMonitor::from_source(HOTNESS).unwrap());
+        let handwritten = reports(&module, &config, HotnessMonitor::new());
+        assert_row_for_row(&scripted.0, &handwritten.0);
+        assert_row_for_row(&scripted.1, &handwritten.1);
+        // The instruction-by-instruction count agrees too: the suffix of
+        // the abandoned run was debited.
+        let mut p =
+            Process::new(module.clone(), EngineConfig::interpreter(), &Linker::new()).unwrap();
+        let oracle = p
+            .attach_monitor(HotnessMonitor::with_mode(wizard_monitors::ProbeMode::Global))
+            .unwrap();
+        assert!(p.invoke_export("run", &[Value::I32(9)]).is_err());
+        assert_row_for_row(&handwritten.0, &oracle.report());
+    }
+}
+
 #[test]
 fn scripted_branch_matches_the_zoo_row_for_row() {
     for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
@@ -98,7 +198,15 @@ fn counter_only_script_lowers_to_intrinsified_count_probes() {
     let m = p.attach_monitor(ScriptMonitor::from_source(HOTNESS).expect("parses")).expect("attach");
     let mon = m.borrow();
     let (count, operand, generic) = mon.kind_counts();
-    assert!(count > 100, "richards has many instructions");
+    // `match *` covers every straight-line run completely, so the bump is
+    // counted per run: one Count probe on each run's leader.
+    let runs = p.artifact().runs();
+    let probed: std::collections::BTreeSet<_> = mon.lowering().iter().map(|l| l.loc).collect();
+    assert_eq!((probed.len(), p.probed_location_count()), (count, count));
+    assert!(count > 20 && runs.sites().len() > 5 * count, "{} sites", runs.sites().len());
+    // Only the runs the analysis proves dead go without a probe.
+    let unprobed = (0..runs.len()).filter(|&r| !probed.contains(&runs.leader(r)));
+    assert_eq!(unprobed.map(|r| runs.run(r).len()).sum::<usize>(), mon.dropped_sites());
     assert_eq!((operand, generic), (0, 0), "pure counter script must not need slow paths");
     // The engine's own view agrees at every probed location.
     for l in mon.lowering() {

@@ -5,7 +5,10 @@
 //!
 //! * predicate statically **false** → *no probe at all*;
 //! * predicate statically **true**, plain counter bumps → a
-//!   [`ProbeKind::Count`] probe per bump — the JIT inlines the increment;
+//!   [`ProbeKind::Count`] probe per bump — the JIT inlines the increment
+//!   (and where an unconditional rule's per-site bump covers a whole
+//!   straight-line run, the monitor installs one such probe for the run
+//!   instead: [`Table`], [`RunCounts`]);
 //! * residue reads only the **top of stack** (at an operand-consuming
 //!   instruction) → a [`ProbeKind::Operand`] probe — direct call with the
 //!   top slot, no FrameAccessor;
@@ -20,7 +23,9 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use wizard_engine::{Location, Probe, ProbeCtx, ProbeId, ProbeKind, ProbeRef, Slot};
+use wizard_engine::{
+    CountProbe, Location, Probe, ProbeCtx, ProbeId, ProbeKind, ProbeRef, RunCounts, Slot,
+};
 use wizard_wasm::opcodes as op;
 
 use crate::ast::{Action, BinOp, Expr, Rule, UnOp};
@@ -121,17 +126,50 @@ pub fn simplify(e: &Expr, site: Site) -> Expr {
 // ---- counters ----
 
 /// The monitor's counter storage: named scalar cells and named per-site
-/// tables (one cell per matched location, materialized at lowering so
-/// unexecuted sites report as zero rows). `BTreeMap` keys keep tables in
-/// code order.
+/// tables (every matched location materialized at lowering, so unexecuted
+/// sites report as zero rows).
 #[derive(Debug, Default)]
 pub struct CounterBank {
     scalars: Vec<(String, Rc<Cell<u64>>)>,
     tables: Vec<(String, Table)>,
 }
 
-/// A per-site counter table, in code order.
-pub type Table = BTreeMap<Location, Rc<Cell<u64>>>;
+/// A per-site counter table. A location's count is the sum of its own
+/// cell, if some rule bumps it individually, and of the table's whole-run
+/// counter ([`RunCounts`]) where that covers it — what an unconditional
+/// `inc t[site]` lowers to on the straight-line runs its rule matches
+/// completely, provided no predicate reads `t`.
+#[derive(Debug, Default)]
+pub struct Table {
+    cells: BTreeMap<Location, Rc<Cell<u64>>>,
+    /// `Some` if the table is counted per run wherever a rule allows it.
+    runs: Option<RunCounts>,
+}
+
+impl Table {
+    /// The individually-bumped cell at `loc`, if any: what a predicate's
+    /// `$t[site]` reads (a table some predicate reads is never counted
+    /// per run, so its cells are the whole truth).
+    pub fn cell(&self, loc: Location) -> Option<&Rc<Cell<u64>>> {
+        self.cells.get(&loc)
+    }
+
+    /// Every row of the table, in code order.
+    pub fn rows(&self) -> BTreeMap<Location, u64> {
+        let mut rows: BTreeMap<Location, u64> =
+            self.cells.iter().map(|(loc, c)| (*loc, c.get())).collect();
+        for (loc, n) in self.runs.iter().flat_map(RunCounts::per_site) {
+            *rows.entry(loc).or_insert(0) += n;
+        }
+        rows
+    }
+
+    /// Sum of all rows.
+    pub fn sum(&self) -> u64 {
+        let cells: u64 = self.cells.values().map(|c| c.get()).sum();
+        cells + self.runs.as_ref().map_or(0, RunCounts::total)
+    }
+}
 
 impl CounterBank {
     /// The scalar cell for `name`, created on first use.
@@ -144,16 +182,41 @@ impl CounterBank {
         cell
     }
 
-    /// The table cell for `name` at `loc`, created on first use.
-    pub fn table_cell(&mut self, name: &str, loc: Location) -> Rc<Cell<u64>> {
+    fn table_mut(&mut self, name: &str) -> &mut Table {
         let idx = match self.tables.iter().position(|(n, _)| n == name) {
             Some(i) => i,
             None => {
-                self.tables.push((name.to_string(), BTreeMap::new()));
+                self.tables.push((name.to_string(), Table::default()));
                 self.tables.len() - 1
             }
         };
-        Rc::clone(self.tables[idx].1.entry(loc).or_insert_with(|| Rc::new(Cell::new(0))))
+        &mut self.tables[idx].1
+    }
+
+    /// The table cell for `name` at `loc`, created on first use.
+    pub fn table_cell(&mut self, name: &str, loc: Location) -> Rc<Cell<u64>> {
+        Rc::clone(self.table_mut(name).cells.entry(loc).or_default())
+    }
+
+    /// The whole-run counter of table `name`, created on first use — which
+    /// makes the table one that is counted per run: at a site whose
+    /// [`SiteFacts::counted_per_run`] is set, per-site bumps of it lower to
+    /// nothing, and the caller installs this counter on the site's run.
+    pub fn count_per_run(&mut self, name: &str) -> &mut RunCounts {
+        self.table_mut(name).runs.get_or_insert_with(RunCounts::new)
+    }
+
+    /// Every table's whole-run counter, for forwarding the monitor's
+    /// lifecycle events.
+    pub fn run_counts_mut(&mut self) -> impl Iterator<Item = &mut RunCounts> {
+        self.tables.iter_mut().filter_map(|(_, t)| t.runs.as_mut())
+    }
+
+    /// `true` if per-site bump `action` is counted per run at a site with
+    /// `fact`.
+    fn counted_per_run(&self, action: &Action, fact: SiteFacts) -> bool {
+        let Action::Inc { counter, per_site: true } = action else { return false };
+        fact.counted_per_run && self.table(counter).is_some_and(|t| t.runs.is_some())
     }
 
     /// The table for `name`, if any rule incremented it per-site.
@@ -177,7 +240,7 @@ impl CounterBank {
         if let Some(v) = self.scalar_value(name) {
             return v;
         }
-        self.table(name).map_or(0, |t| t.values().map(|c| c.get()).sum())
+        self.table(name).map_or(0, Table::sum)
     }
 }
 
@@ -215,7 +278,7 @@ pub fn resolve(e: &Expr, bank: &mut CounterBank, loc: Location) -> RExpr {
         Expr::Depth => RExpr::Depth,
         Expr::Counter { name, per_site: false } => RExpr::Cell(bank.scalar(name)),
         Expr::Counter { name, per_site: true } => match bank.table(name) {
-            Some(t) => t.get(&loc).map_or(RExpr::Const(0), |c| RExpr::Cell(Rc::clone(c))),
+            Some(t) => t.cell(loc).map_or(RExpr::Const(0), |c| RExpr::Cell(Rc::clone(c))),
             None => RExpr::Const(0),
         },
         Expr::Unary(op, a) => RExpr::Unary(*op, Box::new(resolve(a, bank, loc))),
@@ -270,36 +333,6 @@ pub fn eval(e: &RExpr, tos: Option<Slot>, depth: u32) -> i64 {
 }
 
 // ---- probe shapes ----
-
-/// A counter bump over a shared cell — [`ProbeKind::Count`], inlined by
-/// the JIT exactly like the engine's own
-/// [`CountProbe`](wizard_engine::CountProbe), but over a cell the script
-/// monitor owns (so several sites can share a scalar).
-#[derive(Debug)]
-pub struct CellCountProbe {
-    cell: Rc<Cell<u64>>,
-}
-
-impl CellCountProbe {
-    /// Creates the probe over an existing cell.
-    pub fn new(cell: Rc<Cell<u64>>) -> CellCountProbe {
-        CellCountProbe { cell }
-    }
-}
-
-impl Probe for CellCountProbe {
-    fn fire(&mut self, _ctx: &mut ProbeCtx<'_, '_>) {
-        self.cell.set(self.cell.get() + 1);
-    }
-
-    fn kind(&self) -> ProbeKind {
-        ProbeKind::Count
-    }
-
-    fn count_cell(&self) -> Option<Rc<Cell<u64>>> {
-        Some(Rc::clone(&self.cell))
-    }
-}
 
 /// A top-of-stack observer — [`ProbeKind::Operand`]: the JIT calls
 /// [`Probe::fire_operand`] with the top slot directly.
@@ -427,10 +460,12 @@ fn consumes_operand(opcode: u8) -> bool {
 /// bank, and the cell must already exist even when the rule incrementing
 /// `t` appears later in the script (rule order must not change
 /// semantics).
-pub fn materialize_rule(rule: &Rule, sites: &[Site], bank: &mut CounterBank) {
-    for site in sites {
+pub fn materialize_rule(rule: &Rule, sites: &[Site], facts: &[SiteFacts], bank: &mut CounterBank) {
+    for (i, site) in sites.iter().enumerate() {
+        let fact = facts.get(i).copied().unwrap_or_default();
         for action in &rule.actions {
             match action {
+                _ if bank.counted_per_run(action, fact) => {}
                 Action::Inc { counter, per_site } => {
                     if *per_site {
                         bank.table_cell(counter, site.loc);
@@ -460,6 +495,10 @@ pub struct SiteFacts {
     pub stack_empty: bool,
     /// The top of stack is provably this slot bit pattern.
     pub tos_const: Option<u64>,
+    /// The site's straight-line run is counted as a whole for this rule:
+    /// its per-site bumps of tables counted per run
+    /// ([`CounterBank::count_per_run`]) get neither a cell nor a probe here.
+    pub counted_per_run: bool,
 }
 
 impl SiteFacts {
@@ -527,7 +566,7 @@ pub fn lower_rule_with_facts(
     bank: &mut CounterBank,
     dropped: &mut usize,
 ) -> Vec<LoweredProbe> {
-    materialize_rule(rule, sites, bank);
+    materialize_rule(rule, sites, facts, bank);
 
     let mut out = Vec::new();
     for (i, site) in sites.iter().enumerate() {
@@ -550,6 +589,8 @@ pub fn lower_rule_with_facts(
             .actions
             .iter()
             .filter_map(|action| match action {
+                // Left to the probe on the run's leader.
+                _ if bank.counted_per_run(action, fact) => None,
                 Action::Inc { counter, per_site } => Some(if *per_site {
                     bank.table_cell(counter, site.loc)
                 } else {
@@ -582,7 +623,7 @@ pub fn lower_rule_with_facts(
                     rule: rule_index,
                     loc: site.loc,
                     kind: ProbeKind::Count,
-                    probe: shared(CellCountProbe::new(cell)),
+                    probe: shared(CountProbe::over(cell)),
                     once_id: None,
                     residual: None,
                 });
@@ -763,9 +804,9 @@ mod tests {
         assert_eq!(lowered.len(), 1);
         assert_eq!(dropped, 1);
         // The dead site still reports as a zero row.
-        let table = bank.table("t").unwrap();
-        assert_eq!(table.len(), 2);
-        assert_eq!(table[&Location { func: 0, pc: 1 }].get(), 0);
+        let rows = bank.table("t").unwrap().rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[&Location { func: 0, pc: 1 }], 0);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! `report` directives over its counter bank.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::rc::Rc;
 
 use wizard_engine::{
     InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError, ProbeKind, Process, Report,
+    RunTable,
 };
 use wizard_trace::{
     BranchTraceProbe, MemorySink, SiteDict, TraceCounters, TraceSink, TraceWriter, WriterRef,
@@ -19,13 +20,17 @@ use wizard_wasm::module::Module;
 
 use wizard_analysis::{ModuleFacts, TosFact};
 
-use crate::ast::{Action, ReportKind, Script};
+use crate::ast::{Action, Expr, ReportKind, Rule, Script};
 use crate::error::ScriptError;
-use crate::lower::{lower_rule_with_facts, materialize_rule, CounterBank, LoweredProbe, SiteFacts};
+use crate::lower::{
+    lower_rule_with_facts, materialize_rule, CounterBank, LoweredProbe, SiteFacts, Table,
+};
 use crate::matcher::{match_rule_indexed, ModuleIndex, Site};
 use crate::parse;
 
-/// One installed probe, as the compiler classified it.
+/// One installed probe, as the compiler classified it. A per-site bump
+/// counted per run ([`ScriptMonitor::lowering`]) is one `Count` entry at
+/// the run's leader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoweredSite {
     /// Index of the originating rule within the script.
@@ -116,13 +121,22 @@ impl ScriptMonitor {
     }
 
     /// The compiled probe classification, one entry per installed probe
-    /// (empty before the first attach).
+    /// (empty before the first attach), in rule order.
+    ///
+    /// An unconditional rule's `inc t[site]` — no `when`, not `once`, and
+    /// no predicate anywhere in the script reading `t` — is counted *per
+    /// run* wherever the rule matches every instruction of a straight-line
+    /// run: one `Count` probe on the run's leader stands for the whole
+    /// run here (and in [`ScriptMonitor::kind_counts`]), and the report
+    /// expands it back to exact per-site rows. `match * do inc exec[site]`
+    /// is all of them.
     pub fn lowering(&self) -> &[LoweredSite] {
         self.attached.as_ref().map_or(&[], |a| &a.lowering)
     }
 
     /// `(count, operand, generic)` installed-probe totals — the assertion
-    /// surface for "this script lowered to the intrinsified fast path".
+    /// surface for "this script lowered to the intrinsified fast path". A
+    /// bump counted per run is one `Count` probe per run, not per site.
     pub fn kind_counts(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);
         for l in self.lowering() {
@@ -216,6 +230,38 @@ fn func_label(module: &Module, func: u32) -> String {
     module.func_name(func).map_or_else(|| format!("func[{func}]"), ToString::to_string)
 }
 
+/// `true` if `e` reads counter `name`.
+fn reads(e: &Expr, name: &str) -> bool {
+    match e {
+        Expr::Counter { name: n, .. } => n == name,
+        Expr::Unary(_, a) => reads(a, name),
+        Expr::Binary(_, a, b) => reads(a, name) || reads(b, name),
+        _ => false,
+    }
+}
+
+/// The table `action` of `rule` bumps, if the bump may be counted per run:
+/// an unconditional per-site bump of a table no predicate of the script
+/// reads back.
+fn countable_per_run<'a>(rules: &[Rule], rule: &Rule, action: &'a Action) -> Option<&'a str> {
+    let Action::Inc { counter, per_site: true } = action else { return None };
+    let read = rules.iter().any(|r| r.when.as_ref().is_some_and(|w| reads(w, counter)));
+    (!rule.once && rule.when.is_none() && !read).then_some(counter)
+}
+
+/// The runs `sites` cover completely, counting only sites that can execute
+/// (a run with a provably dead instruction keeps its per-site lowering,
+/// which drops the dead probe). `site_runs[k]` is the run of `sites[k]`.
+fn covered_runs(table: &RunTable, site_runs: &[Option<usize>], facts: &[SiteFacts]) -> Vec<usize> {
+    let mut hits = vec![0; table.len()];
+    for (k, run) in site_runs.iter().enumerate() {
+        if let (Some(r), false) = (run, facts.get(k).is_some_and(|f| f.unreachable)) {
+            hits[*r] += 1;
+        }
+    }
+    (0..table.len()).filter(|&r| hits[r] == table.run(r).len()).collect()
+}
+
 impl Monitor for ScriptMonitor {
     fn name(&self) -> &'static str {
         "script"
@@ -230,6 +276,19 @@ impl Monitor for ScriptMonitor {
         let mut labels = HashMap::new();
         let mut warnings = Vec::new();
         let mut trace_sites: Vec<Site> = Vec::new();
+        let mut lowering: Vec<LoweredSite> = Vec::new();
+        // The tables counted per run, with the runs each is counted on (a
+        // run once per rule bumping it there) — and the run table, if
+        // there is any such table.
+        let rules = &self.script.rules;
+        let mut per_run: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for rule in rules {
+            for table in rule.actions.iter().filter_map(|a| countable_per_run(rules, rule, a)) {
+                bank.count_per_run(table);
+                per_run.entry(table).or_default();
+            }
+        }
+        let runs = (!per_run.is_empty()).then(|| ctx.runs());
         {
             let module = ctx.module();
             let index = ModuleIndex::new(module);
@@ -237,14 +296,13 @@ impl Monitor for ScriptMonitor {
             // Phase 1: match every rule and materialize every counter
             // cell, so predicate reads of a table resolve to the live
             // cells even when the incrementing rule comes later.
-            let mut matched: Vec<Vec<Site>> = Vec::with_capacity(self.script.rules.len());
-            for rule in &self.script.rules {
+            let mut matched: Vec<(Vec<Site>, Vec<SiteFacts>)> = Vec::with_capacity(rules.len());
+            for (i, rule) in rules.iter().enumerate() {
                 let sites = match_rule_indexed(module, &index, rule)?;
                 matched_sites += sites.len();
                 for s in &sites {
                     labels.entry(s.loc.func).or_insert_with(|| func_label(module, s.loc.func));
                 }
-                materialize_rule(rule, &sites, &mut bank);
                 if trace_sites.is_empty() && rule.actions.contains(&Action::Trace) {
                     // Every `trace` rule is a plain `match branch`
                     // (validation enforces it), so all of them match the
@@ -255,11 +313,7 @@ impl Monitor for ScriptMonitor {
                     // rules install one probe per site, not duplicates.
                     trace_sites = sites.clone();
                 }
-                matched.push(sites);
-            }
-            // Phase 2: classify and lower, consulting the per-site facts.
-            for (i, (rule, sites)) in self.script.rules.iter().zip(&matched).enumerate() {
-                let site_facts: Vec<SiteFacts> = facts.as_ref().map_or_else(Vec::new, |mf| {
+                let mut site_facts: Vec<SiteFacts> = facts.as_ref().map_or_else(Vec::new, |mf| {
                     sites.iter().map(|s| site_facts(mf.at(s.loc.func, s.loc.pc))).collect()
                 });
                 if !sites.is_empty()
@@ -273,11 +327,38 @@ impl Monitor for ScriptMonitor {
                         sites.len()
                     ));
                 }
+                // Inside the runs the rule covers completely, its bumps of
+                // those tables are left to one probe on the run's leader.
+                let bulk: Vec<&str> =
+                    rule.actions.iter().filter_map(|a| countable_per_run(rules, rule, a)).collect();
+                if let Some(runs) = runs.as_ref().filter(|_| !bulk.is_empty()) {
+                    let site_runs: Vec<_> = sites.iter().map(|s| runs.run_at(s.loc)).collect();
+                    let covered = covered_runs(runs, &site_runs, &site_facts);
+                    site_facts.resize(sites.len(), SiteFacts::default());
+                    for (fact, run) in site_facts.iter_mut().zip(&site_runs) {
+                        fact.counted_per_run =
+                            run.is_some_and(|r| covered.binary_search(&r).is_ok());
+                    }
+                    for table in bulk {
+                        per_run.entry(table).or_default().extend(&covered);
+                        lowering.extend(covered.iter().map(|&r| LoweredSite {
+                            rule: i,
+                            loc: runs.leader(r),
+                            kind: ProbeKind::Count,
+                            residual: None,
+                        }));
+                    }
+                }
+                materialize_rule(rule, &sites, &site_facts, &mut bank);
+                matched.push((sites, site_facts));
+            }
+            // Phase 2: classify and lower, consulting the per-site facts.
+            for (i, (rule, (sites, site_facts))) in rules.iter().zip(&matched).enumerate() {
                 lowered.extend(lower_rule_with_facts(
                     i,
                     rule,
                     sites,
-                    &site_facts,
+                    site_facts,
                     &mut bank,
                     &mut dropped_sites,
                 ));
@@ -314,6 +395,10 @@ impl Monitor for ScriptMonitor {
                 error: None,
             });
         }
+        // Per-run bumps: one `Count` probe on each covered run's leader.
+        for (table, runs) in per_run {
+            bank.count_per_run(table).install(ctx, runs, &mut batch);
+        }
         let ids = match ctx.apply_batch(batch) {
             Ok(ids) => ids,
             Err(e) => {
@@ -323,7 +408,7 @@ impl Monitor for ScriptMonitor {
                 return Err(e);
             }
         };
-        let mut lowering = Vec::with_capacity(lowered.len());
+        // The batch queued the per-site probes first: their ids lead.
         for (p, id) in lowered.into_iter().zip(ids) {
             if let Some(cell) = &p.once_id {
                 cell.set(Some(id));
@@ -335,12 +420,22 @@ impl Monitor for ScriptMonitor {
                 residual: p.residual,
             });
         }
+        lowering.sort_by_key(|l| l.rule);
         self.attached =
             Some(Attached { bank, lowering, labels, matched_sites, dropped_sites, warnings });
         Ok(())
     }
 
+    fn on_unwind(&mut self, top: Location, executed: bool) {
+        for counts in self.attached.iter_mut().flat_map(|a| a.bank.run_counts_mut()) {
+            counts.on_unwind(top, executed);
+        }
+    }
+
     fn on_detach(&mut self, process: &mut Process) {
+        for counts in self.attached.iter_mut().flat_map(|a| a.bank.run_counts_mut()) {
+            counts.uninstall(process);
+        }
         let Some(t) = &mut self.trace else { return };
         if let Some(writer) = t.writer.take() {
             let mut writer = writer.borrow_mut();
@@ -373,8 +468,7 @@ impl Monitor for ScriptMonitor {
             match &directive.kind {
                 ReportKind::Top { n, table } => {
                     let Some(t) = a.bank.table(table) else { continue };
-                    let mut rows: Vec<(Location, u64)> =
-                        t.iter().map(|(loc, c)| (*loc, c.get())).collect();
+                    let mut rows: Vec<(Location, u64)> = t.rows().into_iter().collect();
                     rows.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
                     for (loc, count) in rows.into_iter().take(*n) {
                         section.count(format!("{}+{}", label(&loc), loc.pc), count);
@@ -384,15 +478,14 @@ impl Monitor for ScriptMonitor {
                     section.count(label.clone(), counters.iter().map(|c| a.bank.sum(c)).sum());
                 }
                 ReportKind::Ratio { suffix, num, den } => {
-                    let empty = std::collections::BTreeMap::new();
-                    let tn = a.bank.table(num).unwrap_or(&empty);
-                    let td = a.bank.table(den).unwrap_or(&empty);
+                    let rows = |t: &str| a.bank.table(t).map(Table::rows).unwrap_or_default();
+                    let (tn, td) = (rows(num), rows(den));
                     let mut locs: Vec<Location> = tn.keys().chain(td.keys()).copied().collect();
                     locs.sort_unstable();
                     locs.dedup();
                     for loc in locs {
-                        let x = tn.get(&loc).map_or(0, |c| c.get());
-                        let y = td.get(&loc).map_or(0, |c| c.get());
+                        let x = tn.get(&loc).copied().unwrap_or(0);
+                        let y = td.get(&loc).copied().unwrap_or(0);
                         if x + y == 0 {
                             continue;
                         }
@@ -403,10 +496,10 @@ impl Monitor for ScriptMonitor {
                     let Some(t) = a.bank.table(table) else { continue };
                     let mut per: std::collections::BTreeMap<u32, (u64, u64)> =
                         std::collections::BTreeMap::new();
-                    for (loc, c) in t {
+                    for (loc, n) in t.rows() {
                         let e = per.entry(loc.func).or_insert((0, 0));
                         e.1 += 1;
-                        if c.get() > 0 {
+                        if n > 0 {
                             e.0 += 1;
                         }
                     }
@@ -417,9 +510,9 @@ impl Monitor for ScriptMonitor {
                 ReportKind::Percent { label, table } => {
                     let (mut covered, mut total) = (0u64, 0u64);
                     if let Some(t) = a.bank.table(table) {
-                        for c in t.values() {
+                        for n in t.rows().into_values() {
                             total += 1;
-                            if c.get() > 0 {
+                            if n > 0 {
                                 covered += 1;
                             }
                         }
@@ -463,7 +556,7 @@ impl core::fmt::Debug for ScriptMonitor {
 mod tests {
     use super::*;
     use wizard_engine::store::Linker;
-    use wizard_engine::{EngineConfig, Process, Value};
+    use wizard_engine::{EngineConfig, ExecMode, Process, Value};
     use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
     use wizard_wasm::types::ValType::I32;
 
@@ -490,10 +583,22 @@ mod tests {
         for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
             let mut p = sum_process(config);
             let m = p.attach_monitor(ScriptMonitor::from_source(src).unwrap()).unwrap();
-            // Counter-only scripts lower exclusively to Count probes...
+            // Counter-only scripts lower exclusively to Count probes: the
+            // per-site bump of `match *` one per straight-line run, the
+            // loop-header bump one at the function's single loop...
             let (count, operand, generic) = m.borrow().kind_counts();
-            assert!(count > 10);
+            let runs = p.artifact().runs();
+            let leaders: Vec<Location> =
+                m.borrow().lowering().iter().filter(|l| l.rule == 0).map(|l| l.loc).collect();
+            assert!(leaders.len() > 3 && runs.sites().len() > 10);
+            assert_eq!(count, leaders.len() + 1);
             assert_eq!((operand, generic), (0, 0));
+            // Only a run the analysis proves dead goes without a probe.
+            let unprobed = (0..runs.len()).filter(|&r| !leaders.contains(&runs.leader(r)));
+            assert_eq!(
+                unprobed.map(|r| runs.run(r).len()).sum::<usize>(),
+                m.borrow().dropped_sites()
+            );
             // ...and the engine agrees, site by site (a site can carry
             // several probes when several rules match it).
             for l in m.borrow().lowering() {
@@ -507,6 +612,43 @@ mod tests {
             let r = m.report();
             assert_eq!(r.title, "demo");
             assert_eq!(r.get("summary").unwrap().count_of("loop headers"), Some(11));
+        }
+    }
+
+    #[test]
+    fn rules_sharing_a_table_count_per_run_exactly() {
+        // Two whole-run bumps and a per-site one into one table: each run
+        // carries two probes over one counter, and a cancelled run debits
+        // both.
+        let per_run = "match * do inc exec[site]\n\
+                       match i32.add do inc exec[site]\n\
+                       match * do inc exec[site]\n\
+                       report \"rows\" top 1000 exec";
+        // The same rows from per-site probes: a predicate reads the table.
+        let per_site = format!("{per_run}\nmatch loop-header when $exec[site] < 0 do inc never");
+        for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+            // Run to completion — and, in the interpreter, cancelled mid-run
+            // (compiled code charges no fuel for structural instructions
+            // without a probe, so it stops the two scripts at different
+            // instructions).
+            let interpreted = config.mode == ExecMode::InterpOnly;
+            for cancel in [false, true].into_iter().take(1 + usize::from(interpreted)) {
+                let rows = |src: &str| {
+                    let mut p = sum_process(config.clone());
+                    let m = p.attach_monitor(ScriptMonitor::from_source(src).unwrap()).unwrap();
+                    let mut out = p.run_export_bounded("sum", &[Value::I32(10)], 23).unwrap();
+                    while !cancel && !out.is_done() {
+                        out = p.resume(23).unwrap();
+                    }
+                    assert_eq!(p.cancel_suspended(), cancel);
+                    let probes = m.borrow().kind_counts().0;
+                    (probes, m.report().to_string())
+                };
+                let (run_probes, run_rows) = rows(per_run);
+                let (site_probes, site_rows) = rows(&per_site);
+                assert!(2 * run_probes < site_probes, "{run_probes} vs {site_probes}");
+                assert_eq!(run_rows, site_rows, "cancelled: {cancel}");
+            }
         }
     }
 
