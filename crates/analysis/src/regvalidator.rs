@@ -24,7 +24,7 @@
 //!   edges) the canonical registers below the live height and all local
 //!   registers must equal the byte side's stack and locals — exactly
 //!   the invariant that makes a parked register frame indistinguishable
-//!   from a stack frame for probes, fuel suspension, OSR, and deopt.
+//!   from a stack frame for probes and for demotion to the stack tier.
 //!
 //! Block-entry resets make the check per-block (no fixpoint): any path
 //! reaching a label has, by the park rule, flushed to canonical form,
@@ -149,11 +149,8 @@ enum Expected {
         val: Option<SId>,
     },
     Unreachable,
-    /// A loop header at byte pc `pc`, with `next` the pc after it.
-    Loop {
-        pc: u32,
-        next: u32,
-    },
+    /// A loop header.
+    Loop,
     /// A call park point.
     Call {
         /// `Some((type_idx, index_sval))` for `call_indirect`.
@@ -319,7 +316,7 @@ impl<'a> V<'a> {
                 self.dead = true;
                 Some(Expected::Unreachable)
             }
-            (op::LOOP, _) => Some(Expected::Loop { pc, next: next as u32 }),
+            (op::LOOP, _) => Some(Expected::Loop),
             (op::IF, _) => {
                 let cond = self.pop(pc)?;
                 let t = self.side_target(pc)?;
@@ -632,15 +629,12 @@ impl<'a> V<'a> {
                 }
                 Ok(())
             }
-            Expected::Loop { pc: lpc, next } => {
+            Expected::Loop => {
                 if ri.op != R_LOOP {
                     return self.fail(pc, format!("register op {} where loop expected", ri.op));
                 }
                 if usize::from(ri.dst) != self.stack.len() {
                     return self.fail(pc, "loop entry height diverges");
-                }
-                if ri.x != lpc || ri.z != u64::from(next) {
-                    return self.fail(pc, "loop OSR pc annotations diverge");
                 }
                 self.check_canonical(pc, self.stack.len())?;
                 self.check_locals(pc)

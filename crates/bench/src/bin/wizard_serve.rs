@@ -12,15 +12,19 @@
 //!
 //! The line protocol (stdin → stdout, one command per line):
 //!
-//! * `SUBMIT <tenant> <priority> <kernel> <n>` — admit a job; `priority`
+//! * `SUBMIT <tenant> <priority> <kernel> [n]` — admit a job; `priority`
 //!   is `high` / `normal` / `low`, `kernel` is any suite kernel name
-//!   (`gemm`, `richards`, `crc32`, ...; see `LIST`). Prints
+//!   (`gemm`, `richards`, `crc32`, ...; see `LIST`), `n` a non-negative
+//!   problem size (the scale's default if absent). Prints
 //!   `ok <job>` / `rejected` / `err <why>`.
 //! * `LIST` — the kernel registry.
 //! * `STATS` — fleet-wide engine + scheduler counters so far.
 //! * `TENANTS` — per-tenant fuel/throttle/job accounting.
 //! * `DRAIN` (or EOF) — close admission, wait for every job, print each
 //!   outcome and the merged summary, exit.
+//!
+//! Any other line — unknown words, bad arguments, bytes that are not
+//! UTF-8 — is answered `err <why>`; no input stops the server.
 //!
 //! With `--demo N` (or under `WIZARD_SMOKE=1`, so CI's bench smoke loop
 //! exercises the binary without a driver) the server submits an
@@ -100,6 +104,51 @@ fn parse_priority(s: &str) -> Option<Priority> {
         "low" | "2" => Some(Priority::Low),
         _ => None,
     }
+}
+
+/// One line of the protocol, parsed.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Blank,
+    Submit { tenant: String, priority: Priority, kernel: String, n: Option<i32> },
+    List,
+    Stats,
+    Tenants,
+    Drain,
+}
+
+/// Parses one raw stdin line (any bytes: invalid UTF-8 is replaced, never
+/// fatal). `Err` is the text to answer after `err `.
+fn parse_command(line: &[u8]) -> Result<Command, String> {
+    let line = String::from_utf8_lossy(line);
+    let words: Vec<&str> = line.split_whitespace().collect();
+    Ok(match words.as_slice() {
+        [] => Command::Blank,
+        ["SUBMIT" | "submit", tenant, priority, kernel, rest @ ..] => {
+            let Some(priority) = parse_priority(priority) else {
+                return Err(format!("bad priority {priority:?} (high/normal/low)"));
+            };
+            let n = match rest {
+                [] => None,
+                [n] => match n.parse::<i32>() {
+                    Ok(n) if n >= 0 => Some(n),
+                    _ => return Err(format!("bad n {n:?} (a non-negative integer)")),
+                },
+                _ => return Err("usage: SUBMIT <tenant> <priority> <kernel> [n]".to_string()),
+            };
+            Command::Submit {
+                tenant: (*tenant).to_string(),
+                priority,
+                kernel: (*kernel).to_string(),
+                n,
+            }
+        }
+        ["LIST" | "list"] => Command::List,
+        ["STATS" | "stats"] => Command::Stats,
+        ["TENANTS" | "tenants"] => Command::Tenants,
+        ["DRAIN" | "drain" | "EXIT" | "exit" | "QUIT" | "quit"] => Command::Drain,
+        other => return Err(format!("unknown command {other:?}")),
+    })
 }
 
 fn print_stats(engine: &ServeEngine) {
@@ -226,19 +275,23 @@ fn main() {
     );
     let started = Instant::now();
     let mut handles = Vec::new();
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.expect("read stdin");
-        let words: Vec<&str> = line.split_whitespace().collect();
-        match words.as_slice() {
-            [] => {}
-            ["SUBMIT" | "submit", tenant, priority, kernel, rest @ ..] => {
-                let Some(priority) = parse_priority(priority) else {
-                    println!("err bad priority {priority:?} (high/normal/low)");
-                    continue;
-                };
-                let n = rest.first().and_then(|s| s.parse().ok());
-                match registry.job(kernel, tenant, priority, n) {
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match stdin.read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                println!("err read stdin: {e}");
+                break;
+            }
+        }
+        match parse_command(&line) {
+            Err(why) => println!("err {why}"),
+            Ok(Command::Blank) => {}
+            Ok(Command::Submit { tenant, priority, kernel, n }) => {
+                match registry.job(&kernel, &tenant, priority, n) {
                     None => println!("err unknown kernel {kernel:?} (try LIST)"),
                     Some(job) => match engine.try_submit(job) {
                         Submit::Accepted(h) => {
@@ -251,12 +304,46 @@ fn main() {
                     },
                 }
             }
-            ["LIST" | "list"] => println!("kernels: {}", registry.names.join(" ")),
-            ["STATS" | "stats"] => print_stats(&engine),
-            ["TENANTS" | "tenants"] => print_tenants(&engine),
-            ["DRAIN" | "drain" | "EXIT" | "exit" | "QUIT" | "quit"] => break,
-            other => println!("err unknown command {other:?}"),
+            Ok(Command::List) => println!("kernels: {}", registry.names.join(" ")),
+            Ok(Command::Stats) => print_stats(&engine),
+            Ok(Command::Tenants) => print_tenants(&engine),
+            Ok(Command::Drain) => break,
         }
     }
     drain_and_report(engine, handles, started);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_non_utf8_line_is_an_error_not_a_panic() {
+        let r = parse_command(b"\xff\xfe\n");
+        assert!(r.as_ref().is_err_and(|why| why.starts_with("unknown command")), "{r:?}");
+    }
+
+    #[test]
+    fn an_unparsable_n_is_rejected() {
+        let r = parse_command(b"SUBMIT t high crc32 x");
+        assert!(r.as_ref().is_err_and(|why| why.starts_with("bad n")), "{r:?}");
+    }
+
+    #[test]
+    fn a_negative_n_is_rejected() {
+        let r = parse_command(b"SUBMIT t high crc32 -3");
+        assert!(r.as_ref().is_err_and(|why| why.starts_with("bad n")), "{r:?}");
+    }
+
+    #[test]
+    fn a_valid_submit_parses() {
+        let expect = |n| Command::Submit {
+            tenant: "t".to_string(),
+            priority: Priority::High,
+            kernel: "crc32".to_string(),
+            n,
+        };
+        assert_eq!(parse_command(b"SUBMIT t high crc32 5\r\n"), Ok(expect(Some(5))));
+        assert_eq!(parse_command(b"submit t 0 crc32"), Ok(expect(None)));
+    }
 }

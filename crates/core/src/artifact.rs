@@ -84,10 +84,6 @@ pub struct FuncArtifact {
     /// across processes until a probe lands; see
     /// [`FuncArtifact::baseline_compiled`].
     baseline: OnceLock<Arc<CompiledCode>>,
-    /// Probe-free compiled code built from the **register form** (see
-    /// [`crate::regir`]); used instead of `baseline` when the engine runs
-    /// with the register dispatch selector.
-    baseline_reg: OnceLock<Arc<CompiledCode>>,
 }
 
 impl FuncArtifact {
@@ -123,22 +119,6 @@ impl FuncArtifact {
         let code = self.baseline.get_or_init(|| {
             compiled_now = true;
             Arc::new(crate::jit::compile_baseline(self.lowered()))
-        });
-        (code, compiled_now)
-    }
-
-    /// As [`FuncArtifact::baseline_compiled`], but compiling from the
-    /// function's register form; probe-free, so equally shareable. The
-    /// caller supplies the register form (it lives on the module-level
-    /// [`RegModule`], not on this per-function artifact).
-    pub(crate) fn baseline_reg_compiled(
-        &self,
-        rf: &Arc<crate::regir::RegFunc>,
-    ) -> (&Arc<CompiledCode>, bool) {
-        let mut compiled_now = false;
-        let code = self.baseline_reg.get_or_init(|| {
-            compiled_now = true;
-            Arc::new(crate::jit::compile_baseline_reg(self.func, Arc::clone(rf)))
         });
         (code, compiled_now)
     }
@@ -224,7 +204,6 @@ impl ModuleArtifact {
                 num_results: ty.results.len() as u32,
                 lowered: OnceLock::new(),
                 baseline: OnceLock::new(),
-                baseline_reg: OnceLock::new(),
             }));
         }
         Ok(ModuleArtifact {

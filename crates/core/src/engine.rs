@@ -62,14 +62,16 @@ pub enum Dispatch {
     /// fixed-width stack form into a register IR ([`crate::regir`]) whose
     /// instructions name their operands directly — `local.get`/`local.set`
     /// and operand push/pop traffic are allocated away, so the hot
-    /// dispatch loop never moves values it does not have to. Probes, fuel
-    /// suspension, OSR and deoptimization keep the byte-offset location
-    /// contract through a bidirectional byte-pc ↔ register-instruction
-    /// map. Instrumented (overlaid) functions, global-probe mode and
-    /// fuel-metered slices demote to the lowered stack interpreter, which
-    /// remains the instrumentation-capable tier; the rare function the
-    /// register allocator cannot lower falls back the same way
-    /// ([`EngineStats::reg_fallbacks`]).
+    /// dispatch loop never moves values it does not have to. The register
+    /// interpreter is the top tier for what it runs: uninstrumented,
+    /// unmetered activations start there and never tier up (nothing
+    /// compiled is faster). Everything else — instrumented (overlaid)
+    /// functions, global-probe mode, fuel-metered slices and the rare
+    /// function the register allocator cannot lower
+    /// ([`EngineStats::reg_fallbacks`]) — follows the [`Dispatch::Lowered`]
+    /// policy exactly, micro-op JIT tier-up included. A live register
+    /// frame whose function gains a probe demotes to the lowered stack
+    /// interpreter at its byte pc ([`EngineStats::reg_demotions`]).
     Register,
 }
 
@@ -357,9 +359,11 @@ engine_stats! {
     /// with [`EngineStats::functions_reg_lowered`] by whichever process
     /// built the register module.
     reg_fallbacks: sum,
-    /// Register-tier frames demoted to the stack interpreter because the
-    /// function acquired a probe overlay or the process entered
-    /// global-probe mode while they were live.
+    /// Register-tier frames demoted to the lowered stack interpreter
+    /// because the function acquired a probe overlay or the process
+    /// entered global-probe mode while they were live. Demotion is the
+    /// only way a register frame leaves the register tier: register
+    /// frames never tier up.
     reg_demotions: sum,
     /// Trace events captured by streaming trace monitors attached to this
     /// process. Contributed at detach time via [`Process::record_trace`]
@@ -884,8 +888,8 @@ impl Process {
             "a bounded run is already suspended; resume or cancel it first"
         );
         // Metering is set *before* the entry call so its tier decision
-        // already sees a metered execution (register dispatch pins bounded
-        // runs to the stack interpreter).
+        // already sees a metered execution (register dispatch keeps
+        // bounded runs out of the register interpreter).
         let ex = start_call(self, func, args, Some(fuel))?;
         drive_bounded(ex, fuel, func)
     }
@@ -1356,25 +1360,6 @@ impl Process {
             return;
         }
         if !self.code[lf].has_overlay() {
-            if self.config.dispatch == Dispatch::Register {
-                if let Some(rf) = self.reg_func_for(lf).cloned() {
-                    // Register dispatch compiles probe-free functions to
-                    // the register form: the "compiled code" is the
-                    // register stream itself plus the loop-header OSR
-                    // entry map, shared fleet-wide like the stack
-                    // baseline.
-                    let (code, compiled_now) = self.code[lf].artifact().baseline_reg_compiled(&rf);
-                    if compiled_now {
-                        self.stats.compiles += 1;
-                    }
-                    let compiled = jit::Compiled {
-                        code: Arc::clone(code),
-                        version: self.code[lf].version.get(),
-                    };
-                    *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
-                    return;
-                }
-            }
             // Route through lowered_for so the (possible) first lowering
             // is stat-attributed in exactly one place.
             self.lowered_for(lf);

@@ -387,34 +387,34 @@ impl<'p> Exec<'p> {
     // ---- calls and returns ----
 
     /// `true` when a new activation of `lf` may run in the register tier:
-    /// the process dispatches registers, the function is uninstrumented
-    /// (no probe overlay) and the allocator lowered it.
+    /// the function is uninstrumented (no probe overlay) and the allocator
+    /// lowered it.
     fn reg_eligible(&mut self, lf: usize) -> bool {
         !self.proc.code[lf].has_overlay() && self.proc.reg_func_for(lf).is_some()
     }
 
     /// Decides which tier a new activation of `lf` should start in, compiling
     /// if warranted. Never returns `Jit` in global-probe mode (paper §4.1).
+    ///
+    /// Under [`Dispatch::Register`] an uninstrumented, unmetered activation
+    /// of a function the allocator lowered runs in the register
+    /// interpreter (unless the mode is JIT-only) and stays there: nothing
+    /// compiled is faster, so it neither counts hotness nor tiers up.
+    /// Every other activation — metered ones included, since the register
+    /// loop charges no fuel — follows the [`Dispatch::Lowered`] policy.
     fn tier_for_call(&mut self, lf: usize) -> Tier {
         if self.proc.global_mode {
             return Tier::Interp;
         }
-        let register = self.proc.config.dispatch == Dispatch::Register;
-        if register && self.metered {
-            // Bounded runs charge fuel per bytecode instruction in the
-            // stack interpreters. The register tier has no metered loop —
-            // its whole point is not touching per-instruction state — so
-            // fuel-bounded slices run entirely in stack form, keeping the
-            // one-unit-per-instruction suspension contract exact.
-            return Tier::Interp;
+        if self.proc.config.dispatch == Dispatch::Register
+            && self.proc.config.mode != ExecMode::JitOnly
+            && !self.metered
+            && self.reg_eligible(lf)
+        {
+            return Tier::Reg;
         }
         match self.proc.config.mode {
-            ExecMode::InterpOnly => {
-                if register && self.reg_eligible(lf) {
-                    return Tier::Reg;
-                }
-                Tier::Interp
-            }
+            ExecMode::InterpOnly => Tier::Interp,
             ExecMode::JitOnly => {
                 self.proc.ensure_compiled(lf);
                 Tier::Jit
@@ -430,8 +430,6 @@ impl<'p> Exec<'p> {
                     self.proc.ensure_compiled(lf);
                     self.proc.stats.tier_ups += 1;
                     Tier::Jit
-                } else if register && self.reg_eligible(lf) {
-                    Tier::Reg
                 } else {
                     Tier::Interp
                 }
@@ -697,10 +695,7 @@ impl<'p> Exec<'p> {
             Tier::Reg => self.reg().pc_of(self.pc),
             Tier::Jit => {
                 let compiled = self.proc.code[frame.lf].compiled.borrow();
-                let at = compiled.as_ref().and_then(|c| match &c.code.reg {
-                    Some(reg) => Some(reg.pc_of(self.pc)),
-                    None => c.code.ip_to_pc.get(self.pc).copied(),
-                });
+                let at = compiled.as_ref().and_then(|c| c.code.ip_to_pc.get(self.pc).copied());
                 // A frame that traps is running the function's current
                 // code (stale code is left at the next checkpoint, before
                 // anything can trap in it); its last checkpoint otherwise.

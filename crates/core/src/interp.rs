@@ -247,13 +247,8 @@ fn op_skip(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 fn op_loop(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     // Loop headers drive hotness-based tier-up with on-stack replacement
     // into compiled code — unless global-probe mode pins us to the
-    // interpreter (paper §4.1), or this is a fuel-metered slice under
-    // register dispatch (whose compiled code is register-shaped and does
-    // no fuel accounting; bounded runs stay in stack form end to end).
-    if ex.proc.config.mode == ExecMode::Tiered
-        && !ex.proc.global_mode
-        && !(ex.metered && ex.proc.config.dispatch == crate::Dispatch::Register)
-    {
+    // interpreter (paper §4.1).
+    if ex.proc.config.mode == ExecMode::Tiered && !ex.proc.global_mode {
         let fc = &ex.proc.code[ex.lf];
         let h = fc.hotness.get() + 1;
         fc.hotness.set(h);

@@ -45,7 +45,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use wizard_wasm::module::FuncIdx;
 use wizard_wasm::opcodes as op;
 
 use crate::code::FuncOverlay;
@@ -202,16 +201,6 @@ pub struct CompiledCode {
     /// OSR entry points: loop-header pc → op index *after* that pc's probe
     /// ops (so tier-up does not re-fire probes the interpreter already ran).
     pub osr_entry: HashMap<u32, u32>,
-    /// When set, this "compiled" code is the function's **register form**
-    /// ([`crate::regir`]) and `ops`/`ip_to_pc` are empty: the JIT tier
-    /// executes register instructions directly (the micro-op compiler's
-    /// structural role — pre-decoded, pre-resolved, fixed-width — is
-    /// already fulfilled by the register lowering, so recompiling it to
-    /// stack-shaped micro-ops would only reintroduce the stack traffic
-    /// the register tier exists to eliminate). Probed functions always
-    /// compile the stack-shaped form instead, so probe sites keep their
-    /// Figure-2 compilation strategies.
-    pub reg: Option<Arc<crate::regir::RegFunc>>,
 }
 
 /// Compiled code bound to one process: the shareable op stream plus the
@@ -348,22 +337,7 @@ fn compile_inner(low: &LoweredView, sites: Option<&FuncOverlay>, version: u32) -
         }
     }
 
-    CompiledCode { version, ops, ip_to_pc, osr_entry, reg: None }
-}
-
-/// Compiles the probe-free baseline of `func` from its **register form**:
-/// the register instructions are executed directly by the JIT tier, so
-/// "compilation" is only the OSR-entry metadata (loop-header byte pc →
-/// register instruction index, for tier-up from the interpreters).
-pub(crate) fn compile_baseline_reg(func: FuncIdx, rf: Arc<crate::regir::RegFunc>) -> CompiledCode {
-    let _ = func;
-    let mut osr_entry: HashMap<u32, u32> = HashMap::new();
-    for (idx, ri) in rf.ops().iter().enumerate() {
-        if ri.op == crate::regir::R_LOOP {
-            osr_entry.insert(ri.x, idx as u32);
-        }
-    }
-    CompiledCode { version: 0, ops: Vec::new(), ip_to_pc: Vec::new(), osr_entry, reg: Some(rf) }
+    CompiledCode { version, ops, ip_to_pc, osr_entry }
 }
 
 /// Runs the current (JIT-tier) frame until the invocation finishes, the
@@ -386,12 +360,6 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
             deopt_here(ex);
             return Ok(Exit::Redispatch);
         };
-        // Register-form code: the register executor runs it directly.
-        // Frame-stack changes (calls/returns) surface as `Redispatch`, so
-        // the drive loop re-resolves the new top frame's code.
-        if compiled.code.reg.is_some() {
-            return crate::regint::run_jit(ex, &compiled);
-        }
         let func = ex.func;
         let code = &compiled.code;
         // The site table stays borrowed while this frame runs; it is let go

@@ -26,10 +26,10 @@
 //! register instruction at-or-after it ([`RegFunc::idx_of`]) — eliminated
 //! instructions (`local.get`, consts) have no runtime effect, so resuming
 //! a frame parked at their pc correctly lands on the consumer. At every
-//! **park point** (calls, returns, loop headers for OSR, taken branches)
-//! the allocator has flushed the abstract stack to canonical registers,
-//! so a register frame is indistinguishable from a stack-machine frame:
-//! probes walking the frame, fuel suspension, OSR, and deopt all keep
+//! **park point** (calls, returns, loop headers, taken branches) the
+//! allocator has flushed the abstract stack to canonical registers, so a
+//! register frame is indistinguishable from a stack-machine frame: probes
+//! walking the frame and demotion to the stack interpreter all keep
 //! working at byte granularity.
 //!
 //! Lowering is total-or-nothing per function: any shape the allocator
@@ -100,8 +100,8 @@ pub const R_CALL: u8 = 19;
 pub const R_CALL_INDIRECT: u8 = 20;
 /// Trap: unreachable.
 pub const R_UNREACHABLE: u8 = 21;
-/// Loop header (OSR + hotness site): `dst` = entry height, `x` = the
-/// `loop` byte pc (the OSR-entry key), `z` = the byte pc after the `loop`.
+/// Loop header, a park point that does nothing at run time: `dst` = entry
+/// height (every operand below it is in its canonical register).
 pub const R_LOOP: u8 = 22;
 /// Fused `binop<y>; br_if` (branch arity 0): taken when
 /// `binop<y>(r[a], r[b]) != 0`.
@@ -566,10 +566,10 @@ fn lower_func(
                 dead = true;
             }
             op::LOOP => {
-                // Loop heads are OSR park points: fully canonical entry.
+                // Loop heads are park points: fully canonical entry.
                 b.flush(pc, b.stack.len());
                 let h = b.stack.len() as u16;
-                b.emit(pc, RInstr { dst: h, x: pc, z: next as u64, ..RInstr::new(R_LOOP) });
+                b.emit(pc, RInstr { dst: h, ..RInstr::new(R_LOOP) });
             }
             op::IF => {
                 let t = match meta.side.get(&pc)? {
@@ -987,11 +987,11 @@ mod tests {
         assert!(numeric::is_binop(fused[0].y) && is_cmp(fused[0].y));
         // The backedge targets the loop header: some branch's patched
         // target index resolves to an instruction at the header's pc.
-        let loop_ri = ops.iter().find(|ri| ri.op == R_LOOP).unwrap();
+        let loop_pc = rf.pc_of(ops.iter().position(|ri| ri.op == R_LOOP).unwrap());
         let back = ops
             .iter()
             .filter(|ri| matches!(ri.op, R_BR | R_CMP_BR | R_CMP_BR_RI))
-            .find(|ri| rf.pc_of(ri.x as usize) == loop_ri.x);
+            .find(|ri| rf.pc_of(ri.x as usize) == loop_pc);
         assert!(back.is_some(), "no branch targets the loop header: {ops:?}");
     }
 

@@ -248,15 +248,6 @@ impl RunCounts {
         }
     }
 
-    /// Executions of the instruction at `loc`; `None` if it is in no run
-    /// this instance ever counted.
-    pub fn count_at(&self, loc: Location) -> Option<u64> {
-        let table = self.table.as_ref()?;
-        let site = table.site_index(loc)?;
-        let cell = self.cells.get(&(table.run_of(site) as u32))?;
-        Some(self.count(cell, site))
-    }
-
     fn count(&self, run: &Cell<u64>, site: usize) -> u64 {
         run.get().wrapping_add_signed(self.adjust.get(&(site as u32)).copied().unwrap_or(0))
     }
@@ -314,7 +305,7 @@ mod tests {
         }
     }
 
-    /// `count_at` answers per instruction — `None` outside the counted
+    /// `per_site` answers per instruction — no rows outside the counted
     /// runs — and a run listed twice counts twice, corrections included.
     #[test]
     fn count_at_is_exact_for_a_run_listed_twice() {
@@ -340,15 +331,18 @@ mod tests {
 
         let m = m.borrow();
         let run = table.run(last);
-        for (k, site) in run.clone().enumerate() {
+        let rows = m.counts.per_site();
+        let row_sites: Vec<Location> = rows.iter().map(|&(loc, _)| loc).collect();
+        let run_sites: Vec<Location> = run.clone().map(|site| table.sites()[site]).collect();
+        assert_eq!(row_sites, run_sites, "one row per instruction of the counted run");
+        for (k, &(loc, count)) in rows.iter().enumerate() {
             // Up to and including the division: once, under two probes.
             // What follows it was debited twice.
             let expect = if k <= 3 { 2 } else { 0 };
-            assert_eq!(m.counts.count_at(table.sites()[site]), Some(expect), "site {site}");
+            assert_eq!(count, expect, "{loc:?}");
         }
         assert_eq!(table.run_at(table.sites()[run.end - 1]), Some(last));
-        assert_eq!(m.counts.count_at(table.sites()[0]), None, "run 0 was never counted");
+        assert!(rows.iter().all(|&(loc, _)| loc != table.sites()[0]), "run 0 has no rows");
         assert_eq!(m.counts.total(), 2 * 4);
-        assert_eq!(m.counts.per_site().len(), run.len());
     }
 }

@@ -1,8 +1,8 @@
 //! Register-dispatch edge cases around the byte-offset `Location`
 //! contract: fuel suspension and resume under `Dispatch::Register`,
 //! probe attach/detach while suspended, demotion of a parked register
-//! frame when its function gains an overlay mid-run, and OSR tier-up
-//! from the register interpreter into register-shaped compiled code.
+//! frame when its function gains an overlay mid-run, and the tier policy:
+//! register frames never tier up, metered runs tier up like lowered ones.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -214,29 +214,47 @@ fn parked_register_frame_demotes_when_probed_mid_run() {
     assert_eq!(stats.functions_reg_lowered, 2);
 }
 
-/// OSR under tiered register dispatch: the loop gets hot inside the
-/// register interpreter, tiers up at the loop header into
-/// register-shaped compiled code, and finishes with the same result —
-/// across plain and fuel-sliced runs.
+/// Tiered register dispatch, unmetered: the register interpreter is the
+/// top tier for an uninstrumented function, so a loop and repeated calls
+/// far past the tier-up threshold compile nothing and tier nothing up.
 #[test]
-fn tiered_register_osr_tier_up() {
+fn register_frames_stay_in_the_register_tier() {
     let (m, _) = sum_module();
-    let mut p = Process::new(m.clone(), tiered_register(3), &Linker::new()).unwrap();
+    let mut p = Process::new(m, tiered_register(3), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
-    let r = p.invoke(f, &[Value::I32(200)]).unwrap();
-    assert_eq!(r, vec![Value::I32(19_900)]);
-    assert!(p.is_compiled(f), "hot loop tiered up");
-    assert!(p.stats().tier_ups > 0);
-    assert_eq!(p.stats().functions_reg_lowered, 1);
+    for _ in 0..5 {
+        let r = p.invoke(f, &[Value::I32(200)]).unwrap();
+        assert_eq!(r, vec![Value::I32(19_900)]);
+    }
+    let stats = p.stats();
+    assert!(!p.is_compiled(f), "register frames never tier up");
+    assert_eq!(stats.compiles, 0);
+    assert_eq!(stats.tier_ups, 0);
+    assert_eq!(stats.reg_demotions, 0);
+    assert_eq!(stats.functions_reg_lowered, 1);
+}
 
-    // Fuel-sliced on the same config: metered slices stay on the stack
-    // tiers by policy, same result, and suspension really happened.
+/// Tiered register dispatch, metered: fuel-bounded slices follow the
+/// lowered policy, so the hot loop tiers up into the micro-op JIT (which
+/// charges fuel) and the sliced run still computes the reference result.
+#[test]
+fn metered_tiered_register_run_compiles() {
+    let (m, _) = sum_module();
+    let expected = {
+        let mut p =
+            Process::new(m.clone(), EngineConfig::interpreter_bytecode(), &Linker::new()).unwrap();
+        p.invoke_export("sum", &[Value::I32(200)]).unwrap()
+    };
     let mut p = Process::new(m, tiered_register(3), &Linker::new()).unwrap();
     let out = p.run_export_bounded("sum", &[Value::I32(200)], 97).unwrap();
     assert_eq!(out, RunOutcome::OutOfFuel);
     let (r, slices) = drain(&mut p, 97);
-    assert_eq!(r, vec![Value::I32(19_900)]);
-    assert!(slices > 1);
+    assert_eq!(r, expected);
+    assert!(slices > 1, "suspension really happened");
+    let stats = p.stats();
+    assert!(stats.compiles > 0, "metered register runs reach compiled code: {stats:?}");
+    assert!(stats.tier_ups > 0, "the hot loop tiered up: {stats:?}");
+    assert_eq!(stats.reg_demotions, 0, "no register frame was ever started");
 }
 
 /// A global probe forces global mode: every frame runs the classic
