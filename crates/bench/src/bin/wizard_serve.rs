@@ -180,19 +180,18 @@ fn print_tenants(engine: &ServeEngine) {
 fn drain_and_report(engine: ServeEngine, handles: Vec<JobHandle>, started: Instant) {
     engine.drain();
     println!(
-        "{:<24} {:<12} {:<7} {:>7} {:>7} {:>7} {:>10}  status",
-        "job", "tenant", "prio", "worker", "slices", "moves", "lat ms"
+        "{:<24} {:<12} {:<7} {:>7} {:>7} {:>10}  status",
+        "job", "tenant", "prio", "worker", "slices", "lat ms"
     );
     for h in &handles {
         let o = h.wait();
         println!(
-            "{:<24} {:<12} {:<7} {:>7} {:>7} {:>7} {:>10.3}  {:?}",
+            "{:<24} {:<12} {:<7} {:>7} {:>7} {:>10.3}  {:?}",
             o.name,
             o.tenant,
             o.priority.name(),
             o.worker,
             o.slices,
-            o.migrations,
             o.latency.as_secs_f64() * 1e3,
             o.status,
         );

@@ -374,10 +374,11 @@ engine_stats! {
     /// header and block framing. Contributed like
     /// [`EngineStats::trace_events`].
     trace_bytes: sum,
-    /// Tasks a scheduler worker stole from another worker's deque.
-    /// Contributed by multi-worker schedulers (`wizard-pool`'s serving
-    /// engine) when fleet stats are merged; processes themselves never
-    /// increment it.
+    /// Pending jobs a scheduler worker stole from another worker's deque
+    /// (a job that has started never changes workers, so only jobs not
+    /// yet instantiated are stolen). Contributed by multi-worker
+    /// schedulers (`wizard-pool`'s serving engine) when fleet stats are
+    /// merged; processes themselves never increment it.
     steals: sum,
     /// High-water mark of a scheduler's admission queue depth. Merged
     /// with `max` (a high-water mark, not a volume), contributed by

@@ -164,7 +164,6 @@ pub mod code;
 mod engine;
 pub mod exec;
 pub mod frame;
-pub mod handoff;
 mod interp;
 pub mod jit;
 pub mod lowered;
@@ -186,7 +185,6 @@ pub use engine::{
 };
 pub use exec::{FrameModError, FrameView, ProbeCtx};
 pub use frame::{FrameAccessor, Tier};
-pub use handoff::Handoff;
 pub use monitor::{
     InstrumentationCtx, MetricValue, Monitor, MonitorHandle, MonitorRef, Report, Row, Section,
 };

@@ -13,8 +13,9 @@
 //! * a process runs in **fuel slices**
 //!   ([`Process::run_export_bounded`] / [`Process::resume`]): each turn
 //!   executes a bounded number of bytecode instructions, so no job
-//!   monopolizes its worker; between slices a suspended process may be
-//!   stolen by, and resumed on, another worker;
+//!   monopolizes its worker; between slices a suspended process waits on
+//!   the worker that started it (idle workers steal only jobs that have
+//!   not started);
 //! * suspension is transparent to instrumentation — a sliced run fires
 //!   exactly the probes of an unbounded run — so per-job monitor
 //!   [`Report`]s are exact, and the scheduler folds them into fleet-wide
@@ -28,9 +29,9 @@
 //! mean exactly what they mean to a served job.
 //!
 //! Monitors are created *on the worker thread* via a [`MonitorFactory`]
-//! (the factory is `Send + Sync`; the monitor it builds is confined to
-//! its job's task), which is what lets an `Rc`-based analysis run
-//! per-process in a multi-threaded fleet.
+//! (the factory is `Send + Sync`; the monitor it builds stays on the
+//! worker that runs its job), which is what lets an `Rc`-based analysis
+//! run per-process in a multi-threaded fleet.
 //!
 //! The scheduler also amortizes the *code pipeline*: every run owns an
 //! [`ArtifactCache`] keyed by module identity (the module's canonical

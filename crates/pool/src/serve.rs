@@ -8,20 +8,24 @@
 //! latency:
 //!
 //! * **Work stealing.** Each worker owns per-priority local deques. A
-//!   worker pops its own newest task (LIFO — the task whose memory is
-//!   hottest), takes from the global admission queue (FIFO), and only
-//!   then steals the *oldest* task from a randomly-chosen victim. A long
-//!   richards job therefore cannot head-of-line-block anything: its
-//!   worker's other tasks are stolen by idle peers, and the long job
-//!   itself is preempted at every fuel-slice boundary.
-//! * **Cross-worker migration.** A task parks on
-//!   [`RunOutcome::OutOfFuel`] with its suspended
-//!   [`exec::ExecState`](wizard_engine::exec) inside the process, and is
-//!   requeued as a [`Handoff`] — the explicitly-unsafe, documented gate
-//!   in `wizard-engine` for moving a *confined* `Rc`-based object graph
-//!   between threads. Whichever worker next pops (or steals) the task
-//!   resumes it; monitors, probes and reports ride along unchanged, so
-//!   instrumentation stays exact under migration.
+//!   worker takes its own oldest task, then from the global admission
+//!   queue (FIFO), and only then steals a not-yet-started job from a
+//!   randomly-chosen victim. A long richards job therefore cannot
+//!   head-of-line-block anything: the jobs queued behind it are stolen by
+//!   idle peers, and the long job itself is preempted at every fuel-slice
+//!   boundary.
+//! * **Suspended jobs stay on their worker; stealing moves pending
+//!   jobs.** Until a worker picks a job up it is `Send`: an artifact plus
+//!   `Send + Sync` monitor and linker factories. That worker builds the
+//!   process and monitor, and from then on resumes, throttles, cancels
+//!   and finalizes the job itself — the suspended
+//!   [`exec::ExecState`](wizard_engine::exec) parked on
+//!   [`RunOutcome::OutOfFuel`] never crosses a thread, which the compiler
+//!   checks (the workspace forbids `unsafe`).
+//! * **A panicking job fails alone.** A panic in a slice or in the final
+//!   detach and report finalizes just that job as [`JobStatus::Failed`]
+//!   (`"panicked: …"`, no report), billed for its completed slices; its
+//!   worker drops its process and monitor and keeps serving.
 //! * **Bounded admission with backpressure.** The queue holds at most
 //!   `queue_capacity` not-yet-started jobs. [`ServeEngine::try_submit`]
 //!   returns [`Submit::Rejected`] when full;
@@ -33,8 +37,9 @@
 //! * **Tenant fairness (deficit round robin).** Every job bills its fuel
 //!   to a tenant. A tenant with a finite `quantum` may burn at most that
 //!   much fuel per *round* (`round_fuel` units of fleet-wide execution);
-//!   when its deficit runs out, its runnable tasks are parked in a
-//!   throttled list ([`EngineStats::budget_throttles`]) until the next
+//!   when its deficit runs out, its runnable tasks are parked
+//!   ([`EngineStats::budget_throttles`]) — pending jobs in the tenant's
+//!   throttled list, running ones on their own worker — until the next
 //!   round refills deficits (capped at one quantum — DRR). Rounds also
 //!   advance when workers would otherwise idle, so throttled work never
 //!   deadlocks. Priorities are strict among *runnable* tasks; budgets
@@ -91,8 +96,10 @@
 //! # }
 //! ```
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -100,8 +107,8 @@ use std::time::{Duration, Instant};
 
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    EngineConfig, EngineStats, Handoff, ModuleArtifact, Monitor, MonitorHandle, Process, Report,
-    RunOutcome, Value,
+    EngineConfig, EngineStats, ModuleArtifact, Monitor, MonitorHandle, Process, Report, RunOutcome,
+    Value,
 };
 
 use crate::{ArtifactCache, Job, Priority, DEFAULT_FUEL_SLICE};
@@ -251,19 +258,21 @@ pub struct ServeOutcome {
     pub tenant: String,
     /// Scheduling class.
     pub priority: Priority,
-    /// Worker that finalized the job.
+    /// Worker that ran and finalized the job.
     pub worker: usize,
     /// Terminal status.
     pub status: JobStatus,
     /// The monitor's final report (after detach), if one was attached —
-    /// produced even for cancelled jobs, covering what actually ran.
+    /// produced even for cancelled jobs, covering what actually ran;
+    /// `None` for a job that panicked.
     pub report: Option<Report>,
     /// The process's engine counters at finalization.
     pub stats: EngineStats,
     /// Fuel slices executed.
     pub slices: u64,
     /// Times the job resumed on a different worker than its previous
-    /// slice ran on.
+    /// slice ran on: always 0, since a job runs every slice on the worker
+    /// that instantiated it. Kept so readers of the field keep compiling.
     pub migrations: u64,
     /// Admission → first slice.
     pub queue_delay: Duration,
@@ -387,11 +396,11 @@ struct JobState {
     cv: Condvar,
 }
 
-/// One job's scheduling state. Before the first slice `process` is
-/// `None` (instantiation is lazy, on the first worker to pick the task
-/// up); afterwards it carries the suspended process + worker-built
-/// monitor between workers inside a [`Handoff`].
-struct Task {
+/// An admitted job no worker has started: all the admission queue, the
+/// stealable deques and the tenants' throttled lists ever hold. It is
+/// `Send` — the process and monitor it will run under are built by the
+/// worker that picks it up, into a [`Running`] task.
+struct PendingJob {
     name: String,
     tenant: String,
     priority: Priority,
@@ -404,21 +413,24 @@ struct Task {
     admitted_at: Instant,
     deadline: Option<Instant>,
     quantum: Option<u64>,
+}
 
-    process: Option<Process>,
+/// A job its worker has instantiated. It owns the `!Send` process and
+/// monitor, so it lives only in that worker's [`Worker`] state and never
+/// leaves the thread.
+struct Running {
+    job: PendingJob,
+    process: Process,
     monitor: Option<(MonitorHandle, Rc<RefCell<dyn Monitor>>)>,
-    started: bool,
     first_slice_at: Option<Instant>,
     fuel_seen: u64,
     slices: u64,
-    migrations: u64,
-    last_worker: Option<usize>,
     consecutive: u64,
 }
 
-/// Admission queue: per-priority FIFOs of tasks not yet picked up.
+/// Admission queue: per-priority FIFOs of jobs not yet picked up.
 struct Inject {
-    qs: [VecDeque<Handoff<Task>>; 3],
+    qs: [VecDeque<PendingJob>; 3],
     closed: bool,
     paused: bool,
 }
@@ -429,19 +441,15 @@ impl Inject {
     }
 }
 
-/// One worker's private deques (other workers lock them only to steal).
-#[derive(Default)]
-struct Local {
-    qs: [VecDeque<Handoff<Task>>; 3],
-}
-
 struct Tenant {
     quantum: Option<u64>,
     deficit: i64,
     fuel_spent: u64,
     throttles: u64,
     jobs: u64,
-    throttled: Vec<Handoff<Task>>,
+    /// Pending jobs picked up while the tenant was over budget (running
+    /// tasks park on their own worker instead).
+    throttled: Vec<PendingJob>,
 }
 
 impl Tenant {
@@ -474,12 +482,14 @@ struct Shared {
     work: Condvar,
     /// Signalled (with `inject` held) when queue space frees up.
     space: Condvar,
-    /// Queued-runnable tasks per priority, across the injector and every
-    /// local deque (throttled tasks excluded) — the lock-free hint
-    /// preemption and slice-sizing decisions read.
+    /// Pending jobs per priority, across the injector and every stealable
+    /// deque (throttled jobs excluded) — the lock-free hint preemption and
+    /// slice-sizing decisions read, beside the worker's own deques.
     pending: [AtomicU64; 3],
 
-    locals: Vec<Mutex<Local>>,
+    /// Each worker's stealable per-priority deques of pending jobs (other
+    /// workers lock them only to steal).
+    locals: Vec<Mutex<[VecDeque<PendingJob>; 3]>>,
     tenants: Mutex<HashMap<String, Tenant>>,
     agg: Mutex<Agg>,
     /// Signalled (with `agg` held) when `in_flight` hits zero.
@@ -516,6 +526,17 @@ impl Shared {
     }
 }
 
+// What crosses threads is `Send` without any `unsafe impl`: jobs are
+// submitted and stolen as values, and nothing reachable from the shared
+// scheduler state holds a `Process`, an `Rc` or a `RefCell`.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    fn send_sync<T: Send + Sync>() {}
+    send::<Job>();
+    send::<PendingJob>();
+    send_sync::<Shared>();
+};
+
 /// The work-stealing multi-tenant serving engine; see the
 /// [module docs](self).
 pub struct ServeEngine {
@@ -551,7 +572,7 @@ impl ServeEngine {
             work: Condvar::new(),
             space: Condvar::new(),
             pending: Default::default(),
-            locals: (0..workers).map(|_| Mutex::new(Local::default())).collect(),
+            locals: (0..workers).map(|_| Mutex::default()).collect(),
             tenants: Mutex::new(HashMap::new()),
             agg: Mutex::new(Agg::default()),
             idle: Condvar::new(),
@@ -661,7 +682,7 @@ impl ServeEngine {
             cv: Condvar::new(),
         });
         let quantum = self.shared.quantum_for(&job.tenant);
-        let task = Task {
+        let pending = PendingJob {
             name: job.name,
             tenant: job.tenant,
             priority: job.priority,
@@ -674,22 +695,9 @@ impl ServeEngine {
             admitted_at: now,
             deadline: job.deadline.map(|d| now + d),
             quantum,
-            process: None,
-            monitor: None,
-            started: false,
-            first_slice_at: None,
-            fuel_seen: 0,
-            slices: 0,
-            migrations: 0,
-            last_worker: None,
-            consecutive: 0,
         };
-        let p = task.priority.index();
-        // SAFETY: the task owns no non-Send state yet (`process` and
-        // `monitor` are None); everything non-Send it will ever hold is
-        // created on a worker thread and confined to the task, which only
-        // moves between threads through these Mutex-guarded queues.
-        inject.qs[p].push_back(unsafe { Handoff::new(task) });
+        let p = pending.priority.index();
+        inject.qs[p].push_back(pending);
         let depth = inject.len() as u64;
         self.shared.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
         self.shared.pending[p].fetch_add(1, Ordering::Relaxed);
@@ -831,16 +839,22 @@ impl core::fmt::Debug for ServeEngine {
 // ---- the scheduler ----
 
 fn worker_loop(w: usize, shared: &Shared) {
-    // Cheap xorshift for randomized victim selection; seeded per worker.
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15 ^ ((w as u64 + 1) << 17);
+    let mut worker = Worker {
+        w,
+        shared,
+        // Cheap xorshift for randomized victim selection; seeded per worker.
+        rng: 0x9E37_79B9_7F4A_7C15 ^ ((w as u64 + 1) << 17),
+        running: Default::default(),
+        parked: Vec::new(),
+    };
     loop {
-        if let Some(task) = next_task(w, shared, &mut rng) {
-            execute(w, shared, task);
+        if worker.run_next() {
             continue;
         }
         // No runnable work: advance the fairness round if anything is
-        // parked on a budget (starvation-freedom under idle workers).
-        if refill_round(shared, true) {
+        // parked on a budget, here or in a tenant's throttled list
+        // (starvation-freedom under idle workers).
+        if refill_round(shared, worker.parked.is_empty()) || worker.unpark() {
             continue;
         }
         let inject = shared.inject.lock().expect("injector poisoned");
@@ -854,41 +868,78 @@ fn worker_loop(w: usize, shared: &Shared) {
     }
 }
 
-/// Picks the highest-priority runnable task: own deque first (LIFO, ties
-/// broken toward locality), then the admission queue (FIFO), then a steal
-/// from a random victim (their oldest task).
-fn next_task(w: usize, shared: &Shared, rng: &mut u64) -> Option<Handoff<Task>> {
-    // Injector hint read before locking our deque; stale reads only cost
-    // one out-of-order pick, never a missed task.
-    let inject_best = Priority::ALL
-        .into_iter()
-        .find(|p| shared.pending_at(*p) && injector_has(shared, *p))
-        .map(Priority::index);
-    {
-        let mut local = shared.locals[w].lock().expect("local deque poisoned");
+/// One worker thread's scheduling state, on that thread's stack: the
+/// running tasks that only this worker ever resumes.
+struct Worker<'s> {
+    w: usize,
+    shared: &'s Shared,
+    rng: u64,
+    /// Suspended tasks waiting for their next slice, per priority, oldest
+    /// at the front.
+    running: [VecDeque<Running>; 3],
+    /// Suspended tasks whose tenant is over budget.
+    parked: Vec<Running>,
+}
+
+impl Worker<'_> {
+    /// Runs the highest-priority runnable work: this worker's own deques
+    /// first, then [`Worker::next_pending`]. Returns `false` if there was
+    /// none.
+    fn run_next(&mut self) -> bool {
+        self.unpark();
+        let shared = self.shared;
+        // Injector hint read before locking our deque; stale reads only cost
+        // one out-of-order pick, never a missed task.
+        let inject_best = Priority::ALL
+            .into_iter()
+            .find(|p| shared.pending_at(*p) && injector_has(shared, *p))
+            .map(Priority::index);
+        let mut local = shared.locals[self.w].lock().expect("local deque poisoned");
         for p in 0..3 {
             if inject_best.is_some_and(|b| b < p) {
                 break; // the injector holds strictly more urgent work
             }
-            if let Some(task) = local.qs[p].pop_back() {
+            // Pending jobs first: a batch is grabbed when this worker's
+            // deques at that priority are empty, so its jobs are older
+            // than any task in `running[p]` — the two drain as one FIFO.
+            if let Some(job) = local[p].pop_back() {
+                drop(local);
                 shared.pending[p].fetch_sub(1, Ordering::Relaxed);
-                return Some(task);
+                self.start(job);
+                return true;
+            }
+            if let Some(task) = self.running[p].pop_front() {
+                drop(local);
+                self.execute(task);
+                return true;
             }
         }
+        drop(local);
+        let Some(job) = self.next_pending() else {
+            return false;
+        };
+        self.start(job);
+        true
     }
-    {
-        let mut inject = shared.inject.lock().expect("injector poisoned");
-        if !inject.paused {
+
+    /// Takes a pending job from the admission queue (FIFO), else steals
+    /// one from a random victim.
+    fn next_pending(&mut self) -> Option<PendingJob> {
+        let shared = self.shared;
+        {
+            let mut inject = shared.inject.lock().expect("injector poisoned");
+            if inject.paused {
+                return None; // paused: don't steal either
+            }
             for p in 0..3 {
-                if let Some(task) = inject.qs[p].pop_front() {
+                if let Some(job) = inject.qs[p].pop_front() {
                     shared.pending[p].fetch_sub(1, Ordering::Relaxed);
-                    // Grab a batch behind the task we'll run: a worker
-                    // claims its share of the backlog into its local
+                    // Grab a batch behind the job we'll run: a worker
+                    // claims its share of the backlog into its stealable
                     // deque, which is what gives idle peers something to
                     // steal (and keeps the injector lock cool).
-                    let extra =
-                        (inject.qs[p].len() / shared.workers).min(BATCH).min(inject.qs[p].len());
-                    let batch: Vec<Handoff<Task>> = inject.qs[p].drain(..extra).collect();
+                    let extra = (inject.qs[p].len() / shared.workers).min(BATCH);
+                    let batch: Vec<PendingJob> = inject.qs[p].drain(..extra).collect();
                     if extra > 0 {
                         shared.space.notify_all();
                     } else {
@@ -896,46 +947,211 @@ fn next_task(w: usize, shared: &Shared, rng: &mut u64) -> Option<Handoff<Task>> 
                     }
                     drop(inject);
                     if !batch.is_empty() {
-                        let mut local = shared.locals[w].lock().expect("local deque poisoned");
-                        // Oldest at the front: LIFO pops favor the
-                        // newest (hottest) task, steals take the oldest.
-                        for task in batch.into_iter().rev() {
-                            local.qs[p].push_front(task);
+                        let mut local = shared.locals[self.w].lock().expect("local deque poisoned");
+                        // Oldest at the front: own pops favor the newest
+                        // (hottest) job, steals take the oldest.
+                        for job in batch.into_iter().rev() {
+                            local[p].push_front(job);
                         }
                     }
-                    return Some(task);
-                }
-            }
-        } else {
-            return None; // paused: don't steal either
-        }
-    }
-    // Steal: visit the other workers once, in a randomized rotation.
-    let n = shared.workers;
-    if n > 1 {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        let start = (*rng as usize) % n;
-        for k in 0..n {
-            let v = (start + k) % n;
-            if v == w {
-                continue;
-            }
-            let mut victim = shared.locals[v].lock().expect("local deque poisoned");
-            for p in 0..3 {
-                if let Some(task) = victim.qs[p].pop_front() {
-                    shared.pending[p].fetch_sub(1, Ordering::Relaxed);
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(task);
+                    return Some(job);
                 }
             }
         }
+        // Steal: visit the other workers once, in a randomized rotation.
+        let n = shared.workers;
+        if n > 1 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let start = (self.rng as usize) % n;
+            for k in 0..n {
+                let v = (start + k) % n;
+                if v == self.w {
+                    continue;
+                }
+                let mut victim = shared.locals[v].lock().expect("local deque poisoned");
+                for p in 0..3 {
+                    if let Some(job) = victim[p].pop_front() {
+                        shared.pending[p].fetch_sub(1, Ordering::Relaxed);
+                        shared.steals.fetch_add(1, Ordering::Relaxed);
+                        return Some(job);
+                    }
+                }
+            }
+        }
+        None
     }
-    None
+
+    /// Instantiates a pending job — linker, process and monitor are built
+    /// here, from the job's `Send + Sync` factories, and never leave this
+    /// thread — and runs it.
+    fn start(&mut self, job: PendingJob) {
+        let shared = self.shared;
+        if let Some(status) = terminal_status(shared, &job) {
+            finalize(shared, &job, job.outcome(self.w, status, None));
+            return;
+        }
+        // An over-budget tenant's job waits in the tenant's throttled list
+        // before it burns a slice: it was sitting in a queue when its
+        // tenant ran dry, or left the list in a refill race.
+        if tenant_over_budget(shared, &job) {
+            throttle(&mut shared.tenants.lock().expect("tenants poisoned"), shared, &job)
+                .throttled
+                .push(job);
+            return;
+        }
+        let linker = job.linker_factory.as_ref().map_or_else(Linker::new, |make| make());
+        let mut process =
+            match Process::instantiate(Arc::clone(&job.artifact), shared.engine.clone(), &linker) {
+                Ok(process) => process,
+                Err(e) => {
+                    let status = JobStatus::Failed(format!("link error: {e}"));
+                    finalize(shared, &job, job.outcome(self.w, status, None));
+                    return;
+                }
+            };
+        let mut monitor = None;
+        if let Some(make) = &job.monitor_factory {
+            let m = make();
+            match process.attach_monitor_dyn(Rc::clone(&m)) {
+                Ok(handle) => monitor = Some((handle, m)),
+                Err(e) => {
+                    drop(process);
+                    let status = JobStatus::Failed(format!("monitor attach error: {e}"));
+                    finalize(shared, &job, job.outcome(self.w, status, None));
+                    return;
+                }
+            }
+        }
+        let task = Running {
+            job,
+            process,
+            monitor,
+            first_slice_at: None,
+            fuel_seen: 0,
+            slices: 0,
+            consecutive: 0,
+        };
+        self.execute(task);
+    }
+
+    /// Runs one of this worker's tasks until it finishes, is preempted, or
+    /// is parked on its tenant's budget.
+    fn execute(&mut self, mut t: Running) {
+        let shared = self.shared;
+        // An over-budget tenant's task parks at pickup, before burning a
+        // slice. (Cancelled tasks fall through: the terminal check below
+        // finalizes them.)
+        if !aborted(shared, &t.job) && tenant_over_budget(shared, &t.job) {
+            self.park(t);
+            return;
+        }
+        loop {
+            // Terminal checks at every slice boundary.
+            if let Some(status) = terminal_status(shared, &t.job) {
+                finalize_running(self.w, shared, t, status);
+                return;
+            }
+            // Adaptive slicing: when this task is the only work this worker
+            // could run, run longer turns — fewer suspend/resume
+            // round-trips, same preemption point the moment new work
+            // arrives (the *next* boundary after admission).
+            let fuel = if shared.pending_any() || self.running.iter().any(|q| !q.is_empty()) {
+                shared.fuel_slice
+            } else {
+                shared.fuel_slice.saturating_mul(8)
+            };
+            let first = t.slices == 0;
+            if first {
+                t.first_slice_at = Some(Instant::now());
+            }
+            let Running { job, process, .. } = &mut t;
+            // A panic anywhere in the slice (a probe, a host function, the
+            // engine) fails this job only; no scheduler lock is held here.
+            let turn = catch_unwind(AssertUnwindSafe(|| {
+                if first {
+                    process.run_export_bounded(&job.entry, &job.args, fuel)
+                } else {
+                    process.resume(fuel)
+                }
+            }));
+            t.slices += 1;
+            shared.slices_executed.fetch_add(1, Ordering::Relaxed);
+            let over_budget = bill(shared, &mut t);
+
+            let status = match turn {
+                Ok(Ok(RunOutcome::OutOfFuel)) => None,
+                Ok(Ok(RunOutcome::Done(values))) => Some(JobStatus::Done(values)),
+                Ok(Err(trap)) => Some(JobStatus::Failed(trap.to_string())),
+                Err(payload) => {
+                    // The monitor may have been mid-update: it is dropped
+                    // with the process, neither detached nor asked to report.
+                    t.monitor = None;
+                    Some(panicked(payload))
+                }
+            };
+            if let Some(status) = status {
+                finalize_running(self.w, shared, t, status);
+                return;
+            }
+            if over_budget {
+                self.park(t);
+                return;
+            }
+            // A slice boundary is a scheduling point: parked tasks whose
+            // tenant is solvent again rejoin the deques, and may preempt.
+            self.unpark();
+            let p = t.job.priority;
+            t.consecutive += 1;
+            let preempt =
+                shared.pending_above(p) || self.running[..p.index()].iter().any(|q| !q.is_empty());
+            let rotate = t.consecutive >= shared.stride
+                && (shared.pending_at(p) || !self.running[p.index()].is_empty());
+            if preempt || rotate {
+                // Yield: to the back of this worker's line, so
+                // equal-priority neighbours round-robin.
+                t.consecutive = 0;
+                self.running[p.index()].push_back(t);
+                return;
+            }
+            // Keep running the same task (hot) for another slice.
+        }
+    }
+
+    /// Parks a task on its tenant's exhausted budget, on this worker,
+    /// until the tenant is solvent again ([`Worker::unpark`]).
+    fn park(&mut self, mut t: Running) {
+        t.consecutive = 0;
+        throttle(&mut self.shared.tenants.lock().expect("tenants poisoned"), self.shared, &t.job);
+        self.parked.push(t);
+    }
+
+    /// Moves parked tasks back into the running deques once their tenant
+    /// is solvent again, or once they are due to be finalized (cancel,
+    /// abort, deadline). Returns `true` if any moved.
+    fn unpark(&mut self) -> bool {
+        if self.parked.is_empty() {
+            return false;
+        }
+        let shared = self.shared;
+        let before = self.parked.len();
+        let mut tenants = shared.tenants.lock().expect("tenants poisoned");
+        for t in std::mem::take(&mut self.parked) {
+            let job = &t.job;
+            if terminal_status(shared, job).is_some()
+                || !tenant_entry(&mut tenants, &job.tenant, job.quantum).over_budget()
+            {
+                self.running[job.priority.index()].push_back(t);
+            } else {
+                self.parked.push(t);
+            }
+        }
+        self.parked.len() < before
+    }
 }
 
-/// Most extra tasks one injector visit moves into a local deque.
+/// Most extra jobs one injector visit moves into a stealable deque.
 const BATCH: usize = 8;
 
 fn injector_has(shared: &Shared, p: Priority) -> bool {
@@ -943,190 +1159,66 @@ fn injector_has(shared: &Shared, p: Priority) -> bool {
     !inject.paused && !inject.qs[p.index()].is_empty()
 }
 
-/// Runs one task until it finishes, is preempted, or is parked on its
-/// tenant's budget.
-fn execute(w: usize, shared: &Shared, mut h: Handoff<Task>) {
-    // An over-budget tenant's task parks at pickup, before burning a
-    // slice — it only left the throttled list via a refill race or was
-    // sitting in a deque when its tenant ran dry. (Cancelled tasks fall
-    // through: the terminal check below finalizes them.)
-    let over_budget_at_pickup = {
-        let t = h.get_mut();
-        t.quantum.is_some() && !aborted(shared, t) && tenant_over_budget(shared, t)
+/// Bills the fuel a task burned since its last billing to its tenant, and
+/// returns whether the tenant is over budget now.
+fn bill(shared: &Shared, t: &mut Running) -> bool {
+    let fuel_now = t.process.stats().fuel_consumed;
+    let delta = fuel_now - t.fuel_seen;
+    t.fuel_seen = fuel_now;
+    // Bill and read the budget back under the same lock.
+    let over_budget = {
+        let mut tenants = shared.tenants.lock().expect("tenants poisoned");
+        let tenant = tenant_entry(&mut tenants, &t.job.tenant, t.job.quantum);
+        tenant.fuel_spent += delta;
+        if tenant.quantum.is_some() {
+            tenant.deficit = tenant.deficit.saturating_sub_unsigned(delta);
+        }
+        tenant.over_budget()
     };
-    if over_budget_at_pickup {
-        park_throttled(shared, h);
-        return;
+    if shared.epoch_fuel.fetch_add(delta, Ordering::Relaxed) + delta >= shared.round_fuel {
+        // The round this slice completed may have refilled the tenant:
+        // look again.
+        refill_round(shared, false);
+        return over_budget && tenant_over_budget(shared, &t.job);
     }
-    // Lazy instantiation, on the worker: linker and monitor are built
-    // here, so their Rc-based state is born confined to this task.
-    {
-        let t = h.get_mut();
-        if t.process.is_none() && !aborted(shared, t) {
-            let linker = t.linker_factory.as_ref().map_or_else(Linker::new, |make| make());
-            match Process::instantiate(Arc::clone(&t.artifact), shared.engine.clone(), &linker) {
-                Ok(mut process) => {
-                    if let Some(make) = &t.monitor_factory {
-                        let m = make();
-                        match process.attach_monitor_dyn(Rc::clone(&m)) {
-                            Ok(handle) => t.monitor = Some((handle, m)),
-                            Err(e) => {
-                                drop(process);
-                                finalize(
-                                    w,
-                                    shared,
-                                    h,
-                                    JobStatus::Failed(format!("monitor attach error: {e}")),
-                                );
-                                return;
-                            }
-                        }
-                    }
-                    t.process = Some(process);
-                }
-                Err(e) => {
-                    finalize(w, shared, h, JobStatus::Failed(format!("link error: {e}")));
-                    return;
-                }
-            }
-        }
-    }
-
-    loop {
-        // Terminal checks at every slice boundary.
-        let status = {
-            let t = h.get_mut();
-            if aborted(shared, t) {
-                Some(JobStatus::Cancelled)
-            } else if t.deadline.is_some_and(|d| Instant::now() >= d) {
-                Some(JobStatus::DeadlineExceeded)
-            } else {
-                None
-            }
-        };
-        if let Some(status) = status {
-            finalize(w, shared, h, status);
-            return;
-        }
-
-        let (turn, over_budget) = {
-            let t = h.get_mut();
-            if t.last_worker.is_some_and(|prev| prev != w) {
-                t.migrations += 1;
-            }
-            t.last_worker = Some(w);
-            // Adaptive slicing: when this task is the only runnable work
-            // in the engine, run longer turns — fewer suspend/resume
-            // round-trips, same preemption point the moment new work
-            // arrives (the *next* boundary after admission).
-            let fuel = if shared.pending_any() {
-                shared.fuel_slice
-            } else {
-                shared.fuel_slice.saturating_mul(8)
-            };
-            let process = t.process.as_mut().expect("instantiated above");
-            let turn = if t.started {
-                process.resume(fuel)
-            } else {
-                t.started = true;
-                t.first_slice_at = Some(Instant::now());
-                process.run_export_bounded(&t.entry, &t.args, fuel)
-            };
-            t.slices += 1;
-            shared.slices_executed.fetch_add(1, Ordering::Relaxed);
-
-            // Bill the slice's fuel to the tenant and read its budget back
-            // under the same lock.
-            let fuel_now = process.stats().fuel_consumed;
-            let delta = fuel_now - t.fuel_seen;
-            t.fuel_seen = fuel_now;
-            let mut over_budget = {
-                let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-                let tenant = tenant_entry(&mut tenants, &t.tenant, t.quantum);
-                tenant.fuel_spent += delta;
-                if tenant.quantum.is_some() {
-                    tenant.deficit = tenant.deficit.saturating_sub_unsigned(delta);
-                }
-                tenant.over_budget()
-            };
-            if shared.epoch_fuel.fetch_add(delta, Ordering::Relaxed) + delta >= shared.round_fuel {
-                // The round this slice completed may have refilled the
-                // tenant: look again.
-                refill_round(shared, false);
-                over_budget = over_budget && tenant_over_budget(shared, t);
-            }
-            (turn, over_budget)
-        };
-
-        match turn {
-            Ok(RunOutcome::Done(values)) => {
-                finalize(w, shared, h, JobStatus::Done(values));
-                return;
-            }
-            Err(trap) => {
-                finalize(w, shared, h, JobStatus::Failed(trap.to_string()));
-                return;
-            }
-            Ok(RunOutcome::OutOfFuel) => {
-                if over_budget {
-                    park_throttled(shared, h);
-                    return;
-                }
-                let priority = h.get_mut().priority;
-                let preempt = shared.pending_above(priority);
-                let rotate = {
-                    let t = h.get_mut();
-                    t.consecutive += 1;
-                    t.consecutive >= shared.stride
-                        && (shared.pending_at(priority) || local_has(shared, w, priority))
-                };
-                if preempt || rotate {
-                    // Yield: oldest end of our own deque, so equal-priority
-                    // neighbours round-robin while hotter tasks (pushed
-                    // since) still pop first.
-                    h.get_mut().consecutive = 0;
-                    let p = priority.index();
-                    let mut local = shared.locals[w].lock().expect("local deque poisoned");
-                    local.qs[p].push_front(h);
-                    shared.pending[p].fetch_add(1, Ordering::Relaxed);
-                    drop(local);
-                    // A peer may be idle-parked while this deque has work.
-                    let _inject = shared.inject.lock().expect("injector poisoned");
-                    shared.work.notify_one();
-                    return;
-                }
-                // Keep running the same task (hot) for another slice.
-            }
-        }
-    }
+    over_budget
 }
 
-/// Parks a task on its tenant's exhausted budget until a round refill.
-fn park_throttled(shared: &Shared, mut h: Handoff<Task>) {
-    let (name, quantum) = {
-        let t = h.get_mut();
-        t.consecutive = 0;
-        (t.tenant.clone(), t.quantum)
-    };
+/// Counts one budget throttle of `job`, and returns its tenant's entry
+/// (for a pending job to join the throttled list).
+fn throttle<'a>(
+    tenants: &'a mut HashMap<String, Tenant>,
+    shared: &Shared,
+    job: &PendingJob,
+) -> &'a mut Tenant {
     shared.budget_throttles.fetch_add(1, Ordering::Relaxed);
-    let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-    let tenant = tenant_entry(&mut tenants, &name, quantum);
+    let tenant = tenant_entry(tenants, &job.tenant, job.quantum);
     tenant.throttles += 1;
-    tenant.throttled.push(h);
+    tenant
 }
 
-fn aborted(shared: &Shared, t: &Task) -> bool {
-    shared.abort.load(Ordering::SeqCst) || t.state.cancelled.load(Ordering::SeqCst)
+fn aborted(shared: &Shared, job: &PendingJob) -> bool {
+    shared.abort.load(Ordering::SeqCst) || job.state.cancelled.load(Ordering::SeqCst)
 }
 
-fn local_has(shared: &Shared, w: usize, p: Priority) -> bool {
-    !shared.locals[w].lock().expect("local deque poisoned").qs[p.index()].is_empty()
+/// The status a job must be finalized with now, if any: it was cancelled
+/// (or the engine aborted), or its deadline passed.
+fn terminal_status(shared: &Shared, job: &PendingJob) -> Option<JobStatus> {
+    if aborted(shared, job) {
+        Some(JobStatus::Cancelled)
+    } else if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        Some(JobStatus::DeadlineExceeded)
+    } else {
+        None
+    }
 }
 
-/// `true` if the task's tenant has a budget and has spent it.
-fn tenant_over_budget(shared: &Shared, t: &Task) -> bool {
-    let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-    tenant_entry(&mut tenants, &t.tenant, t.quantum).over_budget()
+/// `true` if the job's tenant has a budget and has spent it.
+fn tenant_over_budget(shared: &Shared, job: &PendingJob) -> bool {
+    job.quantum.is_some() && {
+        let mut tenants = shared.tenants.lock().expect("tenants poisoned");
+        tenant_entry(&mut tenants, &job.tenant, job.quantum).over_budget()
+    }
 }
 
 /// The tenant's accounting entry, looked up by `&str`: the name is only
@@ -1152,16 +1244,18 @@ fn tenant_entry<'a>(
 
 /// Advances the fairness round: refills every tenant's deficit by one
 /// quantum (capped at one quantum of credit — DRR) and requeues throttled
-/// tasks whose tenant is solvent again. `idle` is set when a worker found
-/// no runnable work — then a round passes even if the fuel epoch isn't
-/// full, so throttled work can never deadlock. Returns `true` if any task
-/// was released.
-fn refill_round(shared: &Shared, idle: bool) -> bool {
+/// pending jobs whose tenant is solvent again; parked running tasks rejoin
+/// their own worker's deques at its next scheduling point. A worker with
+/// no runnable work and nothing parked itself sets `only_if_throttled`:
+/// then a round passes, even if the fuel epoch isn't full, only when some
+/// tenant has throttled jobs — so throttled work can never deadlock.
+/// Returns `true` if any pending job was released.
+fn refill_round(shared: &Shared, only_if_throttled: bool) -> bool {
     let abort = shared.abort.load(Ordering::SeqCst);
-    let released: Vec<Handoff<Task>> = {
+    let released: Vec<PendingJob> = {
         let mut tenants = shared.tenants.lock().expect("tenants poisoned");
         let any_throttled = tenants.values().any(|t| !t.throttled.is_empty());
-        if idle && !any_throttled {
+        if only_if_throttled && !any_throttled {
             return false;
         }
         shared.epoch_fuel.store(0, Ordering::Relaxed);
@@ -1180,78 +1274,97 @@ fn refill_round(shared: &Shared, idle: bool) -> bool {
         return false;
     }
     let mut inject = shared.inject.lock().expect("injector poisoned");
-    for h in released {
-        let p = h.get().priority.index();
-        // Internal requeue: released tasks bypass the admission capacity
+    for job in released {
+        let p = job.priority.index();
+        // Internal requeue: released jobs bypass the admission capacity
         // (they were admitted long ago) and rejoin the global queue so
         // any worker can pick them up.
-        inject.qs[p].push_back(h);
+        inject.qs[p].push_back(job);
         shared.pending[p].fetch_add(1, Ordering::Relaxed);
     }
     shared.work.notify_all();
     true
 }
 
-/// Finalizes a task: detach its monitor (restoring the zero-overhead
-/// baseline — also for cancelled jobs), snapshot report + stats, resolve
-/// the handle, and fold everything into the fleet aggregates.
-fn finalize(w: usize, shared: &Shared, h: Handoff<Task>, status: JobStatus) {
-    let mut t = h.into_inner();
-    let report = t.monitor.take().map(|(handle, monitor)| {
-        let process = t.process.as_mut().expect("monitored task has a process");
+/// The status of a job whose slice or finalization panicked.
+fn panicked(payload: Box<dyn Any + Send>) -> JobStatus {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    JobStatus::Failed(format!("panicked: {message}"))
+}
+
+impl PendingJob {
+    /// The job's outcome, finalized now on worker `w`, with no process
+    /// state yet.
+    fn outcome(&self, w: usize, status: JobStatus, first: Option<Instant>) -> ServeOutcome {
+        let now = Instant::now();
+        ServeOutcome {
+            name: self.name.clone(),
+            tenant: self.tenant.clone(),
+            priority: self.priority,
+            worker: w,
+            status,
+            report: None,
+            stats: EngineStats::default(),
+            slices: 0,
+            migrations: 0,
+            queue_delay: first.unwrap_or(now).duration_since(self.admitted_at),
+            latency: now.duration_since(self.admitted_at),
+        }
+    }
+}
+
+/// Finalizes a running task on its worker: detach its monitor (restoring
+/// the zero-overhead baseline — also for cancelled jobs) and take its
+/// report, then drop process and monitor here. A panic in the detach or
+/// the report fails the job, with no report.
+fn finalize_running(w: usize, shared: &Shared, t: Running, mut status: JobStatus) {
+    let Running { job, mut process, monitor, first_slice_at, slices, .. } = t;
+    let report = catch_unwind(AssertUnwindSafe(|| {
         // Drop a parked mid-run state first (cancel/deadline paths), so
         // the monitor's final samples see a quiesced process.
-        if process.is_suspended() {
-            process.cancel_suspended();
-        }
+        process.cancel_suspended();
+        let (handle, monitor) = monitor?;
         process.detach_monitor(handle).expect("attached monitor detaches");
-        let r = monitor.borrow().report();
-        r
+        let report = monitor.borrow().report();
+        Some(report)
+    }))
+    .unwrap_or_else(|payload| {
+        status = panicked(payload);
+        None
     });
-    if let Some(process) = t.process.as_mut() {
-        if process.is_suspended() {
-            process.cancel_suspended();
-        }
-    }
-    let stats = t.process.as_ref().map(|p| p.stats()).unwrap_or_default();
-    let now = Instant::now();
-    let outcome = ServeOutcome {
-        name: t.name.clone(),
-        tenant: t.tenant.clone(),
-        priority: t.priority,
-        worker: w,
-        status,
-        report: report.clone(),
-        stats,
-        slices: t.slices,
-        migrations: t.migrations,
-        queue_delay: t.first_slice_at.unwrap_or(now).duration_since(t.admitted_at),
-        latency: now.duration_since(t.admitted_at),
-    };
-    drop(t.process.take());
+    let stats = process.stats();
+    drop(process);
+    let outcome = ServeOutcome { report, stats, slices, ..job.outcome(w, status, first_slice_at) };
+    finalize(shared, &job, outcome);
+}
 
+/// Resolves the job's handle with its outcome and folds the outcome into
+/// the tenant and fleet aggregates.
+fn finalize(shared: &Shared, job: &PendingJob, outcome: ServeOutcome) {
     {
         let mut tenants = shared.tenants.lock().expect("tenants poisoned");
-        tenant_entry(&mut tenants, &t.tenant, t.quantum).jobs += 1;
+        tenant_entry(&mut tenants, &job.tenant, job.quantum).jobs += 1;
     }
-    {
-        let mut agg = shared.agg.lock().expect("aggregate poisoned");
-        agg.stats.merge(&outcome.stats);
-        if let Some(r) = &report {
-            match agg.reports.iter_mut().find(|m| m.title == r.title) {
-                Some(m) => m.merge(r),
-                None => agg.reports.push(r.clone()),
-            }
+    let mut agg = shared.agg.lock().expect("aggregate poisoned");
+    agg.stats.merge(&outcome.stats);
+    if let Some(r) = &outcome.report {
+        match agg.reports.iter_mut().find(|m| m.title == r.title) {
+            Some(m) => m.merge(r),
+            None => agg.reports.push(r.clone()),
         }
-        agg.completed += 1;
-        agg.in_flight -= 1;
-        // Resolve the handle before `agg` is released: whoever `drain`
-        // wakes finds every outcome set, and whoever a handle wakes finds
-        // the job already counted.
-        *t.state.done.lock().expect("job slot poisoned") = Some(outcome);
-        t.state.cv.notify_all();
-        if agg.in_flight == 0 {
-            shared.idle.notify_all();
-        }
+    }
+    agg.completed += 1;
+    agg.in_flight -= 1;
+    // Resolve the handle before `agg` is released: whoever `drain` wakes
+    // finds every outcome set, and whoever a handle wakes finds the job
+    // already counted.
+    *job.state.done.lock().expect("job slot poisoned") = Some(outcome);
+    job.state.cv.notify_all();
+    if agg.in_flight == 0 {
+        shared.idle.notify_all();
     }
 }

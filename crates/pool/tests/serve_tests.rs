@@ -1,7 +1,8 @@
 //! Scheduler tests for the work-stealing multi-tenant serving engine:
 //! correctness across worker counts, stealing, strict priorities,
 //! deficit-round-robin tenant fairness (starvation-freedom), budgets
-//! under cancellation, deadlines, backpressure, and drain/shutdown.
+//! under cancellation, deadlines, backpressure, panic containment, and
+//! drain/shutdown.
 //!
 //! CI runs this file with `--test-threads=1` pinned so the timing-
 //! sensitive assertions (steal counters, the 1-worker throughput
@@ -12,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wizard_engine::{
-    CountProbe, EngineConfig, EngineStats, InstrumentationCtx, Monitor, ProbeError, Process,
-    Report, RunOutcome,
+    ClosureProbe, CountProbe, EngineConfig, EngineStats, InstrumentationCtx, Monitor, ProbeError,
+    Process, Report, RunOutcome,
 };
 use wizard_monitors::HotnessMonitor;
 use wizard_pool::{Job, JobStatus, Priority, ServeConfig, ServeEngine, Submit};
@@ -79,20 +80,27 @@ fn fleet_results_are_correct_across_worker_counts() {
 
 #[test]
 fn work_is_stolen_between_workers() {
-    // Two workers, stride 1 (rotate every slice, so local deques stay
-    // populated) and many multi-slice jobs: whichever worker drains the
-    // admission queue first must steal from the other's deque. The exact
-    // count is timing-dependent; its being nonzero is not, given enough
-    // attempts — zero steals across every attempt would need the two
-    // workers to finish their local work perfectly in lockstep each time.
+    // Jobs queued behind a long one are not head-of-line blocked: two
+    // workers spawned paused, a long job admitted first and 16 short ones
+    // behind it, all at one priority. Whichever worker takes the long job
+    // also grabs a batch of the short ones into its stealable deque, and
+    // never rotates to them (the stride outlasts the long job). The other
+    // worker runs the rest of the backlog and then steals that batch —
+    // pending jobs only, since started ones never change workers. Zero
+    // steals across every attempt would need the long job (50 000
+    // iterations) to finish before the other worker gets through eight
+    // 100-iteration jobs each time.
     let mut total_steals = 0;
     for _ in 0..5 {
         let mut cfg = config(2, 200);
-        cfg.stride = 1;
+        cfg.stride = u64::MAX;
+        cfg.start_paused = true;
         let engine = ServeEngine::new(cfg);
-        let handles: Vec<_> = (0..16)
-            .map(|k| engine.try_submit(sum_job(format!("s-{k}"), 400)).handle().unwrap())
-            .collect();
+        let mut handles = vec![engine.try_submit(sum_job("long", 50_000)).handle().unwrap()];
+        handles.extend(
+            (0..16).map(|k| engine.try_submit(sum_job(format!("s-{k}"), 100)).handle().unwrap()),
+        );
+        engine.start();
         for h in &handles {
             assert!(h.wait().status.is_ok());
         }
@@ -102,56 +110,158 @@ fn work_is_stolen_between_workers() {
             break;
         }
     }
-    assert!(total_steals > 0, "no task was ever stolen across 5 two-worker fleets");
+    assert!(total_steals > 0, "no pending job was ever stolen across 5 two-worker fleets");
 }
 
 #[test]
-fn jobs_migrate_across_workers_with_exact_reports() {
-    // Stolen suspended tasks resume on the thief: some job records a
-    // migration, and every monitor report stays exactly what a dedicated
-    // single-process run produces.
-    let mut migrated = 0;
-    for _ in 0..5 {
-        let mut cfg = config(2, 200);
-        cfg.stride = 1;
-        let engine = ServeEngine::new(cfg);
-        let handles: Vec<_> = (0..12)
-            .map(|k| {
-                let job = sum_job(format!("m-{k}"), 300).with_monitor(HotnessMonitor::new);
-                engine.try_submit(job).handle().unwrap()
-            })
-            .collect();
-        let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
-        engine.shutdown();
+fn suspended_jobs_resume_on_their_worker_with_exact_reports() {
+    // Two workers rotating every slice, so preempted jobs sit in deques
+    // while an idle peer looks for work. A job that has started stays on
+    // its worker — no job records a migration — and every monitor report
+    // is exactly what a dedicated single-process run produces.
+    let mut cfg = config(2, 200);
+    cfg.stride = 1;
+    let engine = ServeEngine::new(cfg);
+    let handles: Vec<_> = (0..12)
+        .map(|k| {
+            let job = sum_job(format!("m-{k}"), 300).with_monitor(HotnessMonitor::new);
+            engine.try_submit(job).handle().unwrap()
+        })
+        .collect();
+    let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+    engine.shutdown();
 
-        // Reference: the same program, monitored, in a dedicated process.
-        let mut process = Process::new(
-            sum_module(),
-            EngineConfig::builder().fuel_slice(200).build(),
-            &wizard_engine::store::Linker::new(),
-        )
-        .unwrap();
-        let mon = process.attach_monitor(HotnessMonitor::new()).unwrap();
-        process.invoke_export("run", &[wizard_engine::Value::I32(300)]).unwrap();
-        process.detach_monitor(mon.handle()).unwrap();
-        let expected = mon.report();
+    // Reference: the same program, monitored, in a dedicated process.
+    let mut process = Process::new(
+        sum_module(),
+        EngineConfig::builder().fuel_slice(200).build(),
+        &wizard_engine::store::Linker::new(),
+    )
+    .unwrap();
+    let mon = process.attach_monitor(HotnessMonitor::new()).unwrap();
+    process.invoke_export("run", &[wizard_engine::Value::I32(300)]).unwrap();
+    process.detach_monitor(mon.handle()).unwrap();
+    let expected = mon.report();
 
-        for out in &outcomes {
-            assert!(out.status.is_ok());
-            assert_eq!(
-                out.report.as_ref().unwrap().to_string(),
-                expected.to_string(),
-                "{}: report differs from a dedicated run (migrations={})",
-                out.name,
-                out.migrations
-            );
-            migrated += out.migrations;
-        }
-        if migrated > 0 {
-            break;
+    for out in &outcomes {
+        assert!(out.status.is_ok());
+        assert!(out.slices >= 2, "{} was never suspended", out.name);
+        assert_eq!(out.migrations, 0, "{} resumed on another worker", out.name);
+        assert_eq!(
+            out.report.as_ref().unwrap().to_string(),
+            expected.to_string(),
+            "{}: report differs from a dedicated run",
+            out.name,
+        );
+    }
+}
+
+/// `run()` calls the host function `env.boom` once.
+fn host_call_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let boom = mb.import_func("env", "boom", &[], &[]);
+    let mut f = FuncBuilder::new(&[], &[I32]);
+    f.call(boom).i32_const(7);
+    mb.add_func("run", f);
+    mb.build().unwrap()
+}
+
+/// A monitor whose probe on the entry function's first instruction
+/// panics when it fires.
+struct PanickingProbe;
+
+impl Monitor for PanickingProbe {
+    fn name(&self) -> &'static str {
+        "panicking-probe"
+    }
+    fn on_attach(&mut self, ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+        let func = ctx.module().num_imported_funcs();
+        ctx.add_local_probe_val(func, 0, ClosureProbe::new(|_| panic!("probe exploded")))?;
+        Ok(())
+    }
+    fn report(&self) -> Report {
+        Report::new(self.name())
+    }
+}
+
+/// A monitor that installs nothing and panics when asked for its report.
+struct PanickingReport;
+
+impl Monitor for PanickingReport {
+    fn name(&self) -> &'static str {
+        "panicking-report"
+    }
+    fn on_attach(&mut self, _ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+        Ok(())
+    }
+    fn report(&self) -> Report {
+        panic!("report exploded")
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_alone() {
+    // Three jobs panic — in a probe closure, in `Monitor::report` and in a
+    // host function — among ordinary jobs on two workers. Each panicking
+    // job fails with the panic's message and no report; every other job
+    // completes with its value, and the engine still drains and shuts
+    // down (a worker that died with its job would leave it hanging).
+    let engine = ServeEngine::new(config(2, 300));
+    let mut handles = Vec::new();
+    for k in 0..9 {
+        let job = match k {
+            1 => sum_job("probe-panics", 400).with_monitor(|| PanickingProbe),
+            4 => sum_job("report-panics", 400).with_monitor(|| PanickingReport),
+            7 => Job::new("host-panics", host_call_module(), "run", vec![]).with_linker(|| {
+                let mut linker = wizard_engine::store::Linker::new();
+                linker.func("env", "boom", |_, _| panic!("host exploded"));
+                linker
+            }),
+            _ => sum_job(format!("fine-{k}"), 400).with_monitor(HotnessMonitor::new),
+        };
+        handles.push(engine.try_submit(job).handle().unwrap());
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let outcomes: Vec<_> = handles
+        .iter()
+        .map(|h| h.wait_timeout(deadline.saturating_duration_since(Instant::now())))
+        .collect();
+    if outcomes.iter().any(Option::is_none) {
+        // A worker died with its job: the engine can never drain, so
+        // dropping it would hang this test instead of failing it.
+        std::mem::forget(engine);
+        panic!("a job never finished: its worker died with it");
+    }
+    let mut fuel = 0;
+    for out in outcomes.into_iter().flatten() {
+        fuel += out.stats.fuel_consumed;
+        let expected_panic = match out.name.as_str() {
+            "probe-panics" => Some("panicked: probe exploded"),
+            "report-panics" => Some("panicked: report exploded"),
+            "host-panics" => Some("panicked: host exploded"),
+            _ => None,
+        };
+        match expected_panic {
+            Some(message) => {
+                assert_eq!(out.status, JobStatus::Failed(message.into()), "{}", out.name);
+                assert!(out.report.is_none(), "{} reported after panicking", out.name);
+                if out.name == "report-panics" {
+                    // Every slice completed before the report panicked.
+                    assert!(out.stats.fuel_consumed > 0, "its fuel went unreported");
+                }
+            }
+            None => {
+                assert_eq!(out.status.values(), Some(&[sum_of(400)][..]), "{}", out.name);
+                assert!(out.report.is_some(), "{}", out.name);
+            }
         }
     }
-    assert!(migrated > 0, "no job ever resumed on a different worker");
+    let summary = engine.shutdown();
+    assert_eq!(summary.completed, 9);
+    // The panicking report is never merged; the six hotness reports are.
+    assert_eq!(summary.merged_reports.len(), 1);
+    // Panicked jobs are billed for the fuel their outcome reports.
+    assert_eq!(summary.tenants.iter().map(|t| t.fuel_spent).sum::<u64>(), fuel);
 }
 
 #[test]

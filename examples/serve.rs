@@ -14,8 +14,8 @@ use wizard::suites::{tenant_fleet, Scale};
 fn main() {
     // Unlike the batch pool (`examples/pool.rs`), the serving engine is
     // long-lived: jobs are admitted online through a bounded queue,
-    // scheduled by strict priority with per-tenant fuel budgets, and
-    // stolen between workers when one runs dry. A small `round_fuel`
+    // scheduled by strict priority with per-tenant fuel budgets, and —
+    // until they start — stolen between workers when one runs dry. A small `round_fuel`
     // makes the background tenant's budget visibly throttle here.
     let engine = ServeEngine::new(
         ServeConfig {
@@ -58,7 +58,7 @@ fn main() {
 
     println!(
         "{:<18} {:<12} {:<7} {:>7} {:>7} {:>9}  result",
-        "job", "tenant", "prio", "slices", "moves", "lat ms"
+        "job", "tenant", "prio", "worker", "slices", "lat ms"
     );
     for h in &handles {
         let o = h.wait();
@@ -67,8 +67,8 @@ fn main() {
             o.name,
             o.tenant,
             o.priority.name(),
+            o.worker,
             o.slices,
-            o.migrations,
             o.latency.as_secs_f64() * 1e3,
             o.status,
         );
