@@ -1,5 +1,5 @@
 //! Lints every suite kernel — plus the real-module ingestion corpus —
-//! and translation-validates each lowered form.
+//! and translation-validates each lowered and register form.
 //!
 //! CI runs this in the smoke step: any lowering mismatch is a hard
 //! failure (exit 1 with the func/pc-precise diagnostic); lint findings
@@ -16,14 +16,15 @@
 
 use std::collections::HashMap;
 
-use wizard_analysis::{lint_module, validate_lowering, LintKind};
+use wizard_analysis::{lint_module, validate_lowering, validate_register_lowering, LintKind};
 use wizard_engine::ModuleArtifact;
 use wizard_suites::corpus::corpus;
 use wizard_suites::{all_suites, richards_benchmark, Scale};
 use wizard_wasm::decode::decode;
 use wizard_wasm::module::Module;
 
-/// Lowering-validates and lints one module; exits on validation failure,
+/// Lowering-validates (stack and register forms) and lints one module;
+/// exits on validation failure,
 /// returns the lint findings otherwise.
 fn check(name: &str, module: Module, total: &mut HashMap<LintKind, usize>) {
     let artifact = match ModuleArtifact::new(module) {
@@ -35,6 +36,10 @@ fn check(name: &str, module: Module, total: &mut HashMap<LintKind, usize>) {
     };
     artifact.lower_all();
     if let Err(e) = validate_lowering(&artifact) {
+        eprintln!("{name}: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = validate_register_lowering(&artifact) {
         eprintln!("{name}: {e}");
         std::process::exit(1);
     }

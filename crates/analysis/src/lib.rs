@@ -11,8 +11,7 @@
 //!   ([`dataflow::TypeDomain`]); reachability falls out of the driver.
 //! - [`validator`]: [`validate_lowering`] statically proves the
 //!   pre-decoded `LInstr` stream equivalent to the bytecode it was
-//!   lowered from — effect equality per slot (fused superinstructions
-//!   decomposed independently), pc↔slot bijectivity, fusion legality.
+//!   lowered from — effect equality per slot and pc↔slot bijectivity.
 //!   [`regvalidator`] extends the proof to the register tier:
 //!   [`validate_register_lowering`] runs the byte form and the
 //!   register form symbolically in lockstep per basic block and
@@ -38,11 +37,10 @@ pub use validator::{validate_func_lowering, validate_lowering, LoweringMismatch}
 
 /// Registers [`validate_lowering`] as the engine's lowering validator,
 /// enabling `EngineConfig::builder().validate_lowering(true)` to check
-/// every instantiation. When the module's register form has been built
-/// (register-dispatch processes build it eagerly, before this hook
-/// runs), [`validate_register_lowering`] rides along and proves the
-/// byte ≡ register translation too. Idempotent; safe to call from
-/// tests and mains.
+/// every instantiation. [`validate_register_lowering`] rides along and
+/// proves the byte ≡ register translation of every function too
+/// (building the register forms not built yet). Idempotent; safe to
+/// call from tests and mains.
 pub fn install_engine_validator() {
     wizard_engine::register_lowering_validator(|artifact| {
         validate_lowering(artifact).map_err(|e| e.to_string())?;

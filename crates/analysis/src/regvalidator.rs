@@ -978,14 +978,12 @@ pub fn validate_func_register(
 }
 
 /// Validates the register lowering of every function the allocator
-/// lowered, if the module's register form has been built (a no-op for
-/// engines that never select register dispatch).
+/// lowers, building each function's register form that is not built yet.
 pub fn validate_register_lowering(artifact: &ModuleArtifact) -> Result<(), RegisterMismatch> {
-    let Some(regm) = artifact.reg_module_built() else { return Ok(()) };
     let func_types = artifact.func_types();
     let types = &artifact.module().types;
     for (lf, fa) in artifact.funcs().iter().enumerate() {
-        if let Some(rf) = regm.func(lf) {
+        if let Some(rf) = artifact.reg_func(lf) {
             validate_func_register(
                 fa.func,
                 &fa.bytes,
@@ -1013,9 +1011,7 @@ mod tests {
     }
 
     fn artifact_for(f: FuncBuilder) -> ModuleArtifact {
-        let a = ModuleArtifact::new(module_for(f)).expect("validates");
-        let _ = a.reg_module();
-        a
+        ModuleArtifact::new(module_for(f)).expect("validates")
     }
 
     #[test]
@@ -1023,8 +1019,9 @@ mod tests {
         let mut f = FuncBuilder::new(&[I32], &[I32]);
         f.local_get(0).i32_const(1).i32_add();
         let a = artifact_for(f);
-        assert_eq!(a.reg_module().lowered_count, 1);
+        assert!(a.funcs()[0].reg_built().is_none());
         validate_register_lowering(&a).expect("register form is faithful");
+        assert!(a.funcs()[0].reg_built().is_some(), "validation builds the register form");
     }
 
     #[test]
@@ -1037,7 +1034,7 @@ mod tests {
         });
         f.local_get(acc);
         let a = artifact_for(f);
-        let rf = a.reg_module().func(0).expect("lowers").clone();
+        let rf = a.reg_func(0).expect("lowers");
         let fused = rf.ops().iter().any(|ri| matches!(ri.op, R_CMP_BR | R_CMP_BR_RI));
         assert!(fused, "loop backedge should fuse to a compare-and-branch");
         validate_register_lowering(&a).expect("fused register form is faithful");
@@ -1047,7 +1044,6 @@ mod tests {
     fn all_suite_kernels_validate() {
         for b in wizard_suites::all_suites(wizard_suites::Scale::Test) {
             let a = ModuleArtifact::new(b.module).expect("kernel validates");
-            let _ = a.reg_module();
             if let Err(e) = validate_register_lowering(&a) {
                 panic!("{}/{}: {e}", b.suite, b.name);
             }
@@ -1065,7 +1061,7 @@ mod tests {
         };
         let original = build(5);
         let tampered = build(6);
-        let rf = tampered.reg_module().func(0).expect("lowers").clone();
+        let rf = tampered.reg_func(0).expect("lowers");
         let fa = &original.funcs()[0];
         let err = validate_func_register(
             fa.func,
@@ -1074,7 +1070,7 @@ mod tests {
             fa.num_results as usize,
             original.func_types(),
             &original.module().types,
-            &rf,
+            rf,
         )
         .expect_err("corrupted stream must be rejected");
         assert_eq!(err.func, 0);
@@ -1096,7 +1092,7 @@ mod tests {
         g.local_get(0);
         let plain = artifact_for(g);
 
-        let rf = plain.reg_module().func(0).expect("lowers").clone();
+        let rf = plain.reg_func(0).expect("lowers");
         let fa = &looped.funcs()[0];
         validate_func_register(
             fa.func,
@@ -1105,7 +1101,7 @@ mod tests {
             fa.num_results as usize,
             looped.func_types(),
             &looped.module().types,
-            &rf,
+            rf,
         )
         .expect_err("mismatched control flow must be rejected");
     }

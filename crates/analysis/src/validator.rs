@@ -10,24 +10,14 @@
 //! 1. **pc ↔ slot bijectivity** — every instruction boundary maps to
 //!    exactly one slot and back, non-boundary offsets map to nothing,
 //!    and the one-past-the-end sentinels agree.
-//! 2. **Effect equality** — each lowered slot (with fused
-//!    superinstructions decomposed back into their component effects by
-//!    an *independent* decoder, not the engine's own fused table) has
-//!    the same abstract effect as the byte instruction at the same pc,
-//!    with branch targets resolved through the slot map and compared as
-//!    byte pcs.
-//! 3. **Fusion legality** — slots covered by a fused head are not
-//!    branch targets (control may only enter a fused region at its
-//!    head) and still hold their original instruction, so probes can
-//!    unfuse them.
+//! 2. **Effect equality** — each lowered slot has the same abstract
+//!    effect as the byte instruction at the same pc, with branch targets
+//!    resolved through the slot map and compared as byte pcs.
 
 use std::collections::HashSet;
 use std::fmt;
 
-use wizard_engine::lowered::{
-    fused_len, is_fused, LInstr, Lowered, FUSED_CMP_BR, FUSED_CONST_BIN, FUSED_GET_BIN,
-    FUSED_GET_GET, FUSED_GET_GET_BIN, FUSED_GET_SET, FUSED_GG_CMP_BR, FUSED_UPD,
-};
+use wizard_engine::lowered::{LInstr, Lowered};
 use wizard_engine::value::Slot;
 use wizard_engine::ModuleArtifact;
 use wizard_wasm::instr::{Imm, Instr, InstrIter};
@@ -66,12 +56,10 @@ impl std::error::Error for LoweringMismatch {}
 /// everything else is `Plain(opcode)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Effect {
-    /// Push a constant. `ty` is the const opcode when the
-    /// representation still knows it (`None` on the decomposed side of
-    /// a fused `const+binop`, where only the slot bits survive).
+    /// Push a constant: its slot bits and const opcode.
     Const {
         bits: u64,
-        ty: Option<u8>,
+        ty: u8,
     },
     LocalGet(u32),
     LocalSet(u32),
@@ -101,23 +89,6 @@ enum Effect {
     Plain(u8),
 }
 
-impl Effect {
-    /// Equality modulo the const-opcode annotation: slot bits must
-    /// always match, the opcode only when both sides still carry it.
-    fn equals(&self, other: &Effect) -> bool {
-        match (self, other) {
-            (Effect::Const { bits: a, ty: ta }, Effect::Const { bits: b, ty: tb }) => {
-                a == b
-                    && match (ta, tb) {
-                        (Some(x), Some(y)) => x == y,
-                        _ => true,
-                    }
-            }
-            _ => self == other,
-        }
-    }
-}
-
 /// Maps a decoded byte instruction to its effect, resolving branches
 /// through the validation side table.
 fn byte_effect(ins: &Instr, meta: &FuncMeta) -> Result<Effect, String> {
@@ -135,18 +106,10 @@ fn byte_effect(ins: &Instr, meta: &FuncMeta) -> Result<Effect, String> {
         }
     };
     Ok(match (ins.op, &ins.imm) {
-        (op::I32_CONST, Imm::I32(v)) => {
-            Effect::Const { bits: Slot::from_i32(*v).0, ty: Some(ins.op) }
-        }
-        (op::I64_CONST, Imm::I64(v)) => {
-            Effect::Const { bits: Slot::from_i64(*v).0, ty: Some(ins.op) }
-        }
-        (op::F32_CONST, Imm::F32(v)) => {
-            Effect::Const { bits: Slot::from_f32(*v).0, ty: Some(ins.op) }
-        }
-        (op::F64_CONST, Imm::F64(v)) => {
-            Effect::Const { bits: Slot::from_f64(*v).0, ty: Some(ins.op) }
-        }
+        (op::I32_CONST, Imm::I32(v)) => Effect::Const { bits: Slot::from_i32(*v).0, ty: ins.op },
+        (op::I64_CONST, Imm::I64(v)) => Effect::Const { bits: Slot::from_i64(*v).0, ty: ins.op },
+        (op::F32_CONST, Imm::F32(v)) => Effect::Const { bits: Slot::from_f32(*v).0, ty: ins.op },
+        (op::F64_CONST, Imm::F64(v)) => Effect::Const { bits: Slot::from_f64(*v).0, ty: ins.op },
         (op::LOCAL_GET, Imm::Idx(i)) => Effect::LocalGet(*i),
         (op::LOCAL_SET, Imm::Idx(i)) => Effect::LocalSet(*i),
         (op::LOCAL_TEE, Imm::Idx(i)) => Effect::LocalTee(*i),
@@ -169,7 +132,7 @@ fn byte_effect(ins: &Instr, meta: &FuncMeta) -> Result<Effect, String> {
     })
 }
 
-/// Maps a *non-fused* lowered slot to its effect, resolving branch
+/// Maps a lowered slot to its effect, resolving branch
 /// target slots back to byte pcs through the slot map.
 fn slot_effect(li: LInstr, low: &Lowered) -> Effect {
     let branch = |o: u8| {
@@ -183,7 +146,7 @@ fn slot_effect(li: LInstr, low: &Lowered) -> Effect {
     };
     match li.op {
         op::I32_CONST | op::I64_CONST | op::F32_CONST | op::F64_CONST => {
-            Effect::Const { bits: li.z, ty: Some(li.op) }
+            Effect::Const { bits: li.z, ty: li.op }
         }
         op::LOCAL_GET => Effect::LocalGet(li.x),
         op::LOCAL_SET => Effect::LocalSet(li.x),
@@ -202,48 +165,6 @@ fn slot_effect(li: LInstr, low: &Lowered) -> Effect {
         op::CALL_INDIRECT => Effect::CallIndirect(li.x),
         o if numeric_sig(o).is_some() => Effect::Numeric(o),
         o => Effect::Plain(o),
-    }
-}
-
-/// Decomposes a fused superinstruction into the effect sequence it must
-/// be equivalent to. This decoder is deliberately independent of the
-/// engine's own unfusing (`Lowered::original`) — the whole point is to
-/// re-derive the meaning from the encoding and catch the engine being
-/// wrong.
-fn decompose_fused(li: LInstr, low: &Lowered) -> Vec<Effect> {
-    let branch = || {
-        let t = low.target(li.x);
-        Effect::Branch {
-            op: op::BR_IF,
-            target_pc: low.pc_of(t.slot as usize),
-            keep: t.keep,
-            height: t.height,
-        }
-    };
-    match li.op {
-        FUSED_GET_GET => vec![Effect::LocalGet(li.x), Effect::LocalGet(li.z as u32)],
-        FUSED_GET_SET => vec![Effect::LocalGet(li.x), Effect::LocalSet(li.z as u32)],
-        FUSED_GET_BIN => vec![Effect::LocalGet(li.x), Effect::Numeric(li.y)],
-        FUSED_CONST_BIN => {
-            vec![Effect::Const { bits: li.z, ty: None }, Effect::Numeric(li.y)]
-        }
-        FUSED_CMP_BR => vec![Effect::Numeric(li.y), branch()],
-        FUSED_GET_GET_BIN => {
-            vec![Effect::LocalGet(li.x), Effect::LocalGet(li.z as u32), Effect::Numeric(li.y)]
-        }
-        FUSED_GG_CMP_BR => vec![
-            Effect::LocalGet((li.z & 0xffff_ffff) as u32),
-            Effect::LocalGet((li.z >> 32) as u32),
-            Effect::Numeric(li.y),
-            branch(),
-        ],
-        FUSED_UPD => vec![
-            Effect::LocalGet(li.x),
-            Effect::Const { bits: li.z, ty: None },
-            Effect::Numeric(li.y),
-            Effect::LocalSet(li.x),
-        ],
-        o => unreachable!("not a fused opcode: {o:#x}"),
     }
 }
 
@@ -302,72 +223,21 @@ pub fn validate_func_lowering(
         }
     }
 
-    // --- 2 & 3. effect equality and fusion legality --------------------
-    let mut branch_target_slots: HashSet<u32> = low.targets.iter().map(|t| t.slot).collect();
-    for table in low.tables.iter() {
-        branch_target_slots.extend(table.iter().map(|t| t.slot));
-    }
-
-    let compare = |s: usize, want: &Effect, got: &Effect| -> Result<(), LoweringMismatch> {
-        if want.equals(got) {
-            Ok(())
-        } else {
-            Err(LoweringMismatch {
-                func,
-                pc: instrs[s].pc,
-                slot: s as u32,
-                msg: format!("lowered effect {got:?} != byte effect {want:?}"),
-            })
-        }
-    };
-    let byte_eff = |s: usize| -> Result<Effect, LoweringMismatch> {
-        byte_effect(&instrs[s], meta).map_err(|msg| LoweringMismatch {
+    // --- 2. effect equality --------------------------------------------
+    for (s, ins) in instrs.iter().enumerate() {
+        let want = byte_effect(ins, meta).map_err(|msg| LoweringMismatch {
             func,
-            pc: instrs[s].pc,
+            pc: ins.pc,
             slot: s as u32,
             msg,
-        })
-    };
-
-    let mut s = 0usize;
-    while s < low.len() {
-        let li = low.get(s);
-        if is_fused(li.op) {
-            let f = fused_len(li.op);
-            if s + f > low.len() {
-                return err(
-                    instrs[s].pc,
-                    s as u32,
-                    format!("fused region of length {f} overruns the body"),
-                );
-            }
-            let parts = decompose_fused(li, low);
-            debug_assert_eq!(parts.len(), f);
-            for (k, part) in parts.iter().enumerate() {
-                let want = byte_eff(s + k)?;
-                compare(s + k, &want, part)?;
-            }
-            for k in 1..f {
-                let covered = s + k;
-                if branch_target_slots.contains(&(covered as u32)) {
-                    return err(
-                        instrs[covered].pc,
-                        covered as u32,
-                        format!("fused head at slot {s} covers branch-target slot {covered}"),
-                    );
-                }
-                // Covered slots must retain their original instruction so
-                // a probe landing there can unfuse the head.
-                let want = byte_eff(covered)?;
-                let got = slot_effect(low.get(covered), low);
-                compare(covered, &want, &got)?;
-            }
-            s += f;
-        } else {
-            let want = byte_eff(s)?;
-            let got = slot_effect(li, low);
-            compare(s, &want, &got)?;
-            s += 1;
+        })?;
+        let got = slot_effect(low.get(s), low);
+        if want != got {
+            return err(
+                ins.pc,
+                s as u32,
+                format!("lowered effect {got:?} != byte effect {want:?}"),
+            );
         }
     }
 
@@ -404,25 +274,6 @@ mod tests {
         let artifact = ModuleArtifact::new(m).expect("validates");
         artifact.lower_all();
         validate_lowering(&artifact).expect("lowering is faithful");
-    }
-
-    #[test]
-    fn fused_loops_validate() {
-        // for_range produces GG_CMP_BR / UPD fusions.
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        let i = f.local(I32);
-        let acc = f.local(I32);
-        f.for_range(i, 0, |f| {
-            f.local_get(acc).local_get(i).i32_add().local_set(acc);
-        });
-        f.local_get(acc);
-        let m = module_for(f);
-        let artifact = ModuleArtifact::new(m).expect("validates");
-        artifact.lower_all();
-        let low = artifact.funcs()[0].lowered();
-        let fused = (0..low.len()).filter(|&s| is_fused(low.get(s).op)).count();
-        assert!(fused > 0, "loop body should fuse");
-        validate_lowering(&artifact).expect("fused lowering is faithful");
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
     let mut fields = wizard_bench::metadata(
         "fig3_local_vs_global",
         &["polybench"],
-        &wizard_engine::EngineConfig::interpreter(),
+        &wizard_engine::EngineConfig::interpreter_bytecode(),
     );
     fields.push(("series".to_string(), Json::array(series)));
     fields.push((

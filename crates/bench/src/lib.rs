@@ -44,7 +44,10 @@ pub enum Analysis {
 /// Which system executes the instrumented program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
-    /// Wizard probes in the interpreter.
+    /// Wizard probes in the in-place interpreter
+    /// ([`EngineConfig::interpreter_bytecode`]): baseline and instrumented
+    /// runs execute the same dispatch loop, so the ratio measures probes,
+    /// not a tier change.
     Interp,
     /// Wizard probes in the JIT tier with intrinsification.
     JitIntrinsified,
@@ -56,7 +59,7 @@ pub enum System {
     Wasabi,
     /// DynamoRIO-style clean-call instrumentation (§5.7).
     Dbi,
-    /// Wizard global probes in the interpreter (Figure 3).
+    /// Wizard global probes in the in-place interpreter (Figure 3).
     InterpGlobal,
 }
 
@@ -78,7 +81,7 @@ impl System {
     /// denominator for this system.
     pub fn baseline_config(self) -> EngineConfig {
         match self {
-            System::Interp | System::InterpGlobal => EngineConfig::interpreter(),
+            System::Interp | System::InterpGlobal => EngineConfig::interpreter_bytecode(),
             _ => EngineConfig::jit(),
         }
     }
@@ -180,7 +183,7 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
     match system {
         System::Interp | System::Jit | System::JitIntrinsified | System::InterpGlobal => {
             let config = match system {
-                System::Interp | System::InterpGlobal => EngineConfig::interpreter(),
+                System::Interp | System::InterpGlobal => EngineConfig::interpreter_bytecode(),
                 System::Jit => EngineConfig::jit_no_intrinsics(),
                 System::JitIntrinsified => EngineConfig::jit(),
                 _ => unreachable!(),

@@ -3,9 +3,9 @@
 //!
 //! A [`ModuleArtifact`] is everything about a module that is independent of
 //! any particular process: the validated [`Module`], its validation
-//! metadata, and the per-function lowered code
-//! ([`Lowered`]) plus the probe-free baseline JIT
-//! code, both built lazily exactly once. The whole structure is immutable
+//! metadata, and the per-function lowered code ([`Lowered`]), register
+//! form ([`RegFunc`]) and probe-free baseline JIT code, each built lazily
+//! exactly once. The whole structure is immutable
 //! and `Send + Sync`, so a fleet runner holds it in an `Arc` and every
 //! worker thread instantiates processes from the same artifact —
 //! [`Process::instantiate`](crate::Process::instantiate) skips
@@ -53,12 +53,12 @@ use wizard_wasm::validate::{validate, FuncMeta, ValidateError};
 use crate::jit::CompiledCode;
 use crate::lowered::Lowered;
 use crate::probe::Location;
-use crate::regir::RegModule;
+use crate::regir::RegFunc;
 use crate::runs::RunTable;
 
 /// The immutable, shared per-function half of the code pipeline: pristine
-/// bytecode, validation metadata, and the lazily-built-once lowered form
-/// and probe-free baseline JIT code.
+/// bytecode, validation metadata, and the lazily-built-once lowered form,
+/// register form and probe-free baseline JIT code.
 ///
 /// Everything mutable about a function at runtime — probe bytes, the
 /// copy-on-write op stream, compiled-code slots, hotness — lives in the
@@ -80,6 +80,10 @@ pub struct FuncArtifact {
     /// The shared lowered form, built on first demand by whichever process
     /// needs it first and then shared by all.
     lowered: OnceLock<Arc<Lowered>>,
+    /// The shared register form, built on the function's first clean
+    /// activation in any process; `None` inside if the allocator declined
+    /// the function. See [`ModuleArtifact::reg_func`].
+    reg: OnceLock<Option<Arc<RegFunc>>>,
     /// Probe-free (instrumentation version 0) compiled code, shareable
     /// across processes until a probe lands; see
     /// [`FuncArtifact::baseline_compiled`].
@@ -123,6 +127,12 @@ impl FuncArtifact {
         (code, compiled_now)
     }
 
+    /// The register form if some process already built it — lets
+    /// validators and views read it without building it.
+    pub fn reg_built(&self) -> Option<&Arc<RegFunc>> {
+        self.reg.get()?.as_ref()
+    }
+
     /// `true` once the shared lowered form has been built.
     pub fn is_lowered(&self) -> bool {
         self.lowered.get().is_some()
@@ -161,9 +171,6 @@ pub struct ModuleArtifact {
     /// Canonical type index of every function's signature, across the
     /// whole index space like `func_types`.
     func_canon: Arc<[u32]>,
-    /// The module's register form ([`crate::regir`]), built on first
-    /// demand by a register-dispatch process and then shared by all.
-    reg: OnceLock<Arc<RegModule>>,
     /// Every instruction of every local function, in code order, and its
     /// partition into straight-line runs; see
     /// [`ModuleArtifact::instruction_sites`] and [`ModuleArtifact::runs`].
@@ -203,6 +210,7 @@ impl ModuleArtifact {
                 num_params: ty.params.len() as u32,
                 num_results: ty.results.len() as u32,
                 lowered: OnceLock::new(),
+                reg: OnceLock::new(),
                 baseline: OnceLock::new(),
             }));
         }
@@ -212,7 +220,6 @@ impl ModuleArtifact {
             func_types: func_types.into(),
             type_canon,
             func_canon,
-            reg: OnceLock::new(),
             runs: OnceLock::new(),
         })
     }
@@ -252,28 +259,26 @@ impl ModuleArtifact {
         self.funcs.len()
     }
 
-    /// The module's register form, lowering every function now if no
-    /// register-dispatch process has demanded it yet.
-    pub fn reg_module(&self) -> &Arc<RegModule> {
-        self.reg_module_init().0
+    /// The register form ([`crate::regir`]) of local function `lf`,
+    /// building it now if no process has demanded it yet; `None` if the
+    /// register allocator declined the function, which then runs on the
+    /// lowered stack tier.
+    pub fn reg_func(&self, lf: usize) -> Option<&Arc<RegFunc>> {
+        self.reg_func_init(lf).0
     }
 
-    /// As [`ModuleArtifact::reg_module`], additionally reporting whether
-    /// *this* call performed the lowering (for the engine's stats).
-    pub(crate) fn reg_module_init(&self) -> (&Arc<RegModule>, bool) {
+    /// As [`ModuleArtifact::reg_func`], additionally reporting whether
+    /// *this* call performed the build — the hook
+    /// [`EngineStats::functions_reg_lowered`](crate::EngineStats) and
+    /// `reg_fallbacks` counting runs through.
+    pub(crate) fn reg_func_init(&self, lf: usize) -> (Option<&Arc<RegFunc>>, bool) {
+        let fa = &self.funcs[lf];
         let mut built_now = false;
-        let reg = self.reg.get_or_init(|| {
+        let reg = fa.reg.get_or_init(|| {
             built_now = true;
-            Arc::new(crate::regir::build_module(self))
+            crate::regir::lower_func(fa, &self.func_types, &self.module.types).map(Arc::new)
         });
-        (reg, built_now)
-    }
-
-    /// The register form if some process already demanded it, without
-    /// building it — lets validators and stats stay free for engines that
-    /// never select register dispatch.
-    pub fn reg_module_built(&self) -> Option<&Arc<RegModule>> {
-        self.reg.get()
+        (reg.as_ref(), built_now)
     }
 
     /// Every instruction of every locally-defined function, in code order —

@@ -8,12 +8,13 @@
 //! through the validator's per-pc side-table `HashMap`. It is retained for
 //! two reasons:
 //!
-//! * the `dispatch_speed` benchmark measures the lowered pipeline *against*
+//! * the `dispatch_speed` benchmark measures the default tiers *against*
 //!   this loop, so the decode-tax win stays measurable instead of becoming
-//!   folklore;
+//!   folklore, and the figure binaries time probes on it (the paper's
+//!   in-place interpreter);
 //! * the differential test suite runs programs under both dispatchers and
 //!   requires identical results, traps, and probe behavior — byte-walking
-//!   is the semantic reference for the lowered fast path.
+//!   is the semantic reference for the register and lowered tiers.
 //!
 //! Structure is identical to [`crate::interp`]: a 256-entry handler table,
 //! with a second all-stub table switched in for global-probe mode

@@ -44,7 +44,7 @@ use wizard_wasm::validate::FuncMeta;
 
 use crate::artifact::FuncArtifact;
 use crate::jit::Compiled;
-use crate::lowered::{LoweredView, OverlayOps};
+use crate::lowered::{Lowered, LoweredView, OverlayOps};
 use crate::probe::{Binding, Entry, ProbeId, ProbeRef};
 use crate::regir::RegFunc;
 use crate::EngineConfig;
@@ -184,9 +184,11 @@ pub struct FuncViews {
     /// overlay. Empty (never read) under [`Dispatch::Bytecode`](crate::Dispatch),
     /// whose execution does not lower.
     pub low: LoweredView,
-    /// The function's register form; `Some` only under
-    /// [`Dispatch::Register`](crate::Dispatch) and only if the allocator
-    /// lowered the function.
+    /// The function's register form, if some process had built it when
+    /// these views were resolved (a clean activation builds it first; see
+    /// `Exec::load_cur`); `None` under
+    /// [`Dispatch::Bytecode`](crate::Dispatch) and for functions the
+    /// allocator declined.
     pub reg: Option<Arc<RegFunc>>,
     /// Validation metadata (the classic interpreter's branch side table).
     pub meta: Arc<FuncMeta>,
@@ -216,7 +218,7 @@ impl FuncViews {
 ///
 /// The instruction a probe overwrote needs no field: probe opcodes only
 /// ever land on the overlay's copies, so the saved original *is* the
-/// shared artifact's ([`Lowered::original`](crate::lowered::Lowered),
+/// shared artifact's ([`LoweredView::original`],
 /// [`FuncOverlay::orig_opcode`]).
 pub(crate) struct SiteEntry {
     /// The site's probes in insertion — firing — order.
@@ -391,14 +393,14 @@ impl FuncOverlay {
     /// Resolves and caches the execution views — the one place per
     /// function per process that clones out of the shared artifact.
     /// `lowered` is `false` for byte-dispatch processes, which must not
-    /// force the shared lowering; `reg` is the function's register form
-    /// under register dispatch.
-    pub(crate) fn resolve_views(&self, lowered: bool, reg: Option<Arc<RegFunc>>) -> Rc<FuncViews> {
+    /// force the shared lowering. The register form is picked up only if
+    /// it is built already: the views never build it.
+    pub(crate) fn resolve_views(&self, lowered: bool) -> Rc<FuncViews> {
         let low = if lowered { self.lowered_view() } else { PLACEHOLDER.with(|p| p.low.clone()) };
         let views = Rc::new(FuncViews {
             code: self.bytes_view(),
             low,
-            reg,
+            reg: if lowered { self.art.reg_built().cloned() } else { None },
             meta: Arc::clone(&self.art.meta),
         });
         *self.views.borrow_mut() = Some(Rc::clone(&views));
@@ -476,7 +478,7 @@ impl FuncOverlay {
         let site = &mut cow.sites[slot as usize];
         if site.probes.is_empty() {
             cow.bytes[low.pc_of(slot as usize) as usize].set(op::PROBE);
-            low.patch_probe(&cow.ops, slot);
+            Lowered::patch_probe(&cow.ops, slot);
             cow.live += 1;
         }
         site.probes.push((id, probe));
@@ -488,9 +490,8 @@ impl FuncOverlay {
     /// `None` if it is not installed there. A site's last probe restores
     /// the instruction (bytes and lowered slot); the function's last
     /// probed site drops the overlay and the process rejoins the shared
-    /// artifact (including its fused superinstructions — an overlay head
-    /// unfused by probe traffic re-fuses for free here, and probe-freeness
-    /// makes the shared baseline JIT code eligible again).
+    /// artifact (probe-freeness makes the shared baseline JIT code eligible
+    /// again).
     pub(crate) fn remove_probe(
         &self,
         slot: u32,
@@ -509,7 +510,7 @@ impl FuncOverlay {
         let low = self.art.lowered();
         let pc = low.pc_of(slot as usize) as usize;
         cow.bytes[pc].set(self.art.bytes[pc]);
-        cow.ops[slot as usize].set(low.original(slot as usize));
+        cow.ops[slot as usize].set(low.get(slot as usize));
         cow.live -= 1;
         if cow.live == 0 {
             *guard = None;
@@ -565,7 +566,7 @@ impl FuncOverlay {
         for (slot, site) in cow.sites.iter().enumerate() {
             if !site.probes.is_empty() {
                 cow.bytes[low.pc_of(slot) as usize].set(op::PROBE);
-                low.patch_probe(&cow.ops, slot as u32);
+                Lowered::patch_probe(&cow.ops, slot as u32);
             }
         }
         self.views.take();
@@ -775,8 +776,8 @@ mod tests {
     fn probe_patches_apply_to_lowered_in_tandem() {
         let c = overlay();
         let mut probes = Probes::new();
-        // The shared lowered form fuses `const;add`; probing the const
-        // (pc 3, after nop + local.get) patches the overlay copy only.
+        // Probing the const (pc 3, after nop + local.get) patches the
+        // overlay copy only.
         let low_shared = c.artifact().lowered().clone();
         let pc_const = 3; // nop; local.get 0; i32.const 5 starts at byte 3
         let (id, _) = probes.add(&c, pc_const, EmptyProbe);
@@ -785,9 +786,9 @@ mod tests {
         let slot = view.slot_of(pc_const).unwrap() as usize;
         assert_eq!(view.get(slot).op, op::PROBE);
         assert_eq!(crate::value::Slot(view.get(slot).z).i32(), 5, "immediates survive");
-        assert_eq!(view.original(slot).op, op::I32_CONST, "the head is recovered unfused");
+        assert_eq!(view.original(slot).op, op::I32_CONST, "the original is recovered");
         assert_ne!(low_shared.get(slot).op, op::PROBE, "shared form untouched");
-        // Restore rejoins: the view reads shared (re-fused) slots again.
+        // Restore rejoins: the view reads the shared slots again.
         probes.remove(&c, id).unwrap();
         let view = c.lowered_view();
         assert!(!view.is_overlaid());
@@ -813,13 +814,13 @@ mod tests {
         let c = overlay();
         let mut probes = Probes::new();
         assert!(c.cached_views().is_none(), "resolved lazily, on the first frame");
-        let shared = c.resolve_views(true, None);
+        let shared = c.resolve_views(true);
         assert!(Rc::ptr_eq(&shared, &c.cached_views().unwrap()), "then handed out as cached");
         assert!(!shared.low.is_overlaid() && !shared.code.is_overlaid());
         // Materialize: the cached bundle reads the shared streams — stale.
         let (a, _) = probes.add(&c, 0, EmptyProbe);
         assert!(c.cached_views().is_none());
-        let overlaid = c.resolve_views(true, None);
+        let overlaid = c.resolve_views(true);
         assert!(overlaid.low.is_overlaid() && overlaid.code.is_overlaid());
         // A second probe patches the same overlay cells: still valid.
         let (b, _) = probes.add(&c, 1, EmptyProbe);
@@ -828,16 +829,16 @@ mod tests {
         // Rebuild: fresh cells.
         c.rebuild_overlay();
         assert!(c.cached_views().is_none());
-        c.resolve_views(true, None);
+        c.resolve_views(true);
         // Rejoin: the cells are gone.
         probes.remove(&c, b).unwrap();
         assert!(c.cached_views().is_some(), "a probe remains: same overlay");
         probes.remove(&c, a).unwrap();
         assert!(c.cached_views().is_none());
-        assert!(!c.resolve_views(true, None).low.is_overlaid());
+        assert!(!c.resolve_views(true).low.is_overlaid());
         // Byte-dispatch processes resolve without forcing the lowering.
         let unlowered = overlay();
-        assert!(unlowered.resolve_views(false, None).low.is_empty());
+        assert!(unlowered.resolve_views(false).low.is_empty());
         assert!(!unlowered.artifact().is_lowered());
     }
 

@@ -42,37 +42,40 @@ pub enum ExecMode {
     Tiered,
 }
 
-/// How the interpreter tier dispatches instructions.
+/// How the interpreter tiers dispatch instructions.
+///
+/// The tier itself is the engine's choice, made per activation from what
+/// it can see; this only selects the production engine or the reference
+/// interpreter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
-    /// Dispatch over the lowered code cache: fixed-width instructions with
-    /// pre-decoded immediates and pre-resolved branch targets, produced by
-    /// a one-time lowering pass per function (see [`crate::lowered`]).
+    /// The production interpreter tiers. Clean code — an uninstrumented
+    /// activation of an unmetered run — runs in the register interpreter:
+    /// function bodies are lowered past the stack form into a register IR
+    /// ([`crate::regir`]) whose instructions name their operands directly,
+    /// so `local.get`/`local.set` and operand push/pop traffic are
+    /// allocated away. The register form is built per function on its
+    /// first clean activation and is the top tier for what it runs:
+    /// register frames never tier up (nothing compiled is faster).
+    /// Everything else — instrumented (overlaid) functions, global-probe
+    /// mode, fuel-metered slices and the rare function the register
+    /// allocator cannot lower ([`EngineStats::reg_fallbacks`]) — runs the
+    /// lowered stack form ([`crate::lowered`]: fixed-width
+    /// instructions, pre-decoded immediates, pre-resolved branch targets)
+    /// and tiers up to the micro-op JIT under [`ExecMode::Tiered`]. A live
+    /// register frame whose function gains a probe demotes to the lowered
+    /// stack interpreter at its byte pc ([`EngineStats::reg_demotions`]).
     #[default]
-    Lowered,
-    /// Classic byte-walking dispatch: LEB128 immediates decoded and branch
-    /// side-table hashed on every execution. Kept as the measurable
-    /// pre-lowering baseline (`dispatch_speed` bench) and as the semantic
+    Register,
+    /// Classic byte-walking dispatch — the paper's in-place interpreter:
+    /// LEB128 immediates decoded and branch side-table hashed on every
+    /// execution. Kept as the measurable pre-lowering baseline
+    /// (`dispatch_speed` bench, the figure binaries) and as the semantic
     /// reference for differential testing. Execution in this mode never
     /// lowers; probe-*location validation* still lowers the targeted
     /// function on demand (the `pc ↔ slot` map is the shared boundary
     /// oracle, and it is what keeps the tandem slot patching sound).
     Bytecode,
-    /// Register-machine dispatch: function bodies are lowered past the
-    /// fixed-width stack form into a register IR ([`crate::regir`]) whose
-    /// instructions name their operands directly — `local.get`/`local.set`
-    /// and operand push/pop traffic are allocated away, so the hot
-    /// dispatch loop never moves values it does not have to. The register
-    /// interpreter is the top tier for what it runs: uninstrumented,
-    /// unmetered activations start there and never tier up (nothing
-    /// compiled is faster). Everything else — instrumented (overlaid)
-    /// functions, global-probe mode, fuel-metered slices and the rare
-    /// function the register allocator cannot lower
-    /// ([`EngineStats::reg_fallbacks`]) — follows the [`Dispatch::Lowered`]
-    /// policy exactly, micro-op JIT tier-up included. A live register
-    /// frame whose function gains a probe demotes to the lowered stack
-    /// interpreter at its byte pc ([`EngineStats::reg_demotions`]).
-    Register,
 }
 
 /// Engine configuration.
@@ -80,7 +83,8 @@ pub enum Dispatch {
 pub struct EngineConfig {
     /// Tier policy.
     pub mode: ExecMode,
-    /// Interpreter dispatch strategy (lowered fast path by default).
+    /// Interpreter dispatch: the production tiers (default) or the
+    /// byte-walking reference.
     pub dispatch: Dispatch,
     /// Call/backedge count at which a function tiers up (Tiered mode).
     pub tierup_threshold: u32,
@@ -112,7 +116,7 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             mode: ExecMode::Tiered,
-            dispatch: Dispatch::Lowered,
+            dispatch: Dispatch::Register,
             tierup_threshold: 50,
             intrinsify_count: true,
             intrinsify_operand: true,
@@ -158,16 +162,6 @@ impl EngineConfig {
         EngineConfig {
             mode: ExecMode::InterpOnly,
             dispatch: Dispatch::Bytecode,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Interpreter-only configuration with register-machine dispatch
-    /// ([`Dispatch::Register`]): the stack-traffic-free interpreter tier.
-    pub fn interpreter_register() -> EngineConfig {
-        EngineConfig {
-            mode: ExecMode::InterpOnly,
-            dispatch: Dispatch::Register,
             ..EngineConfig::default()
         }
     }
@@ -349,15 +343,14 @@ engine_stats! {
     /// form ([`EngineConfig::validate_lowering`]); one per instantiation
     /// that ran the registered validator.
     lowering_validations: sum,
-    /// Functions lowered to the register form ([`crate::regir`]) when a
-    /// register-dispatch process built the shared register module. Like
-    /// [`EngineStats::functions_lowered`], the work happens once per
-    /// artifact: warm instantiations report 0.
+    /// Functions lowered to the register form ([`crate::regir`]), counted
+    /// by the process whose first clean activation of the function built
+    /// it. Like [`EngineStats::functions_lowered`], the work happens once
+    /// per function per artifact: warm instantiations report 0.
     functions_reg_lowered: sum,
     /// Functions the register allocator declined to lower (they execute
-    /// in the stack-form tiers under [`Dispatch::Register`]). Counted
-    /// with [`EngineStats::functions_reg_lowered`] by whichever process
-    /// built the register module.
+    /// in the stack-form tiers), counted like
+    /// [`EngineStats::functions_reg_lowered`] when the build was tried.
     reg_fallbacks: sum,
     /// Register-tier frames demoted to the lowered stack interpreter
     /// because the function acquired a probe overlay or the process
@@ -728,16 +721,6 @@ impl Process {
             stats: EngineStats::default(),
             suspended: None,
         };
-        if p.config.dispatch == Dispatch::Register {
-            // Build the shared register module eagerly: instantiation is
-            // the natural cold point, and a fleet instantiating from the
-            // same artifact pays the register lowering exactly once.
-            let (reg, built_now) = p.artifact.reg_module_init();
-            if built_now {
-                p.stats.functions_reg_lowered += reg.lowered_count;
-                p.stats.reg_fallbacks += reg.fallback_count;
-            }
-        }
         if p.config.validate_lowering {
             let Some(validator) = LOWERING_VALIDATOR.get() else {
                 return Err(LinkError::LoweringInvalid(
@@ -889,8 +872,8 @@ impl Process {
             "a bounded run is already suspended; resume or cancel it first"
         );
         // Metering is set *before* the entry call so its tier decision
-        // already sees a metered execution (register dispatch keeps
-        // bounded runs out of the register interpreter).
+        // already sees a metered execution (bounded runs stay out of the
+        // register interpreter).
         let ex = start_call(self, func, args, Some(fuel))?;
         drive_bounded(ex, fuel, func)
     }
@@ -1288,36 +1271,31 @@ impl Process {
         }
     }
 
-    /// First touch: lowers the function if this process dispatches lowered
-    /// code (byte dispatch executes without ever lowering), picks up its
-    /// register form under register dispatch, and resolves the views.
+    /// First touch: lowers the function unless this process dispatches
+    /// bytes (byte dispatch executes without ever lowering) and resolves
+    /// the views, with the register form if it is built already.
     #[cold]
-    fn resolve_views(&mut self, lf: usize) -> Rc<FuncViews> {
+    pub(crate) fn resolve_views(&mut self, lf: usize) -> Rc<FuncViews> {
         let lowered = self.config.dispatch != Dispatch::Bytecode;
         if lowered {
             self.lowered_for(lf);
         }
-        let reg = if self.config.dispatch == Dispatch::Register {
-            self.reg_func_for(lf).cloned()
-        } else {
-            None
-        };
-        self.code[lf].resolve_views(lowered, reg)
+        self.code[lf].resolve_views(lowered)
     }
 
-    /// The register form of local function `lf`, if the allocator could
-    /// lower it. Builds the shared register module on first demand (cold
-    /// only when the process was not instantiated with
-    /// [`Dispatch::Register`], which builds it eagerly), attributing the
+    /// `true` if local function `lf` has a register form. Builds it on the
+    /// first demand from any process (a clean activation), attributing the
     /// build to this process's counters like [`Process::lowered_for`] does
     /// for the stack form.
-    pub(crate) fn reg_func_for(&mut self, lf: usize) -> Option<&Arc<crate::regir::RegFunc>> {
-        let (reg, built_now) = self.artifact.reg_module_init();
+    pub(crate) fn has_reg_func(&mut self, lf: usize) -> bool {
+        let (reg, built_now) = self.artifact.reg_func_init(lf);
         if built_now {
-            self.stats.functions_reg_lowered += reg.lowered_count;
-            self.stats.reg_fallbacks += reg.fallback_count;
+            match reg {
+                Some(_) => self.stats.functions_reg_lowered += 1,
+                None => self.stats.reg_fallbacks += 1,
+            }
         }
-        reg.func(lf)
+        reg.is_some()
     }
 
     /// Rebuilds `func`'s process-local overlay from the shared artifact,

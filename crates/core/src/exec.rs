@@ -13,7 +13,7 @@ use crate::code::FuncViews;
 use crate::engine::{Dispatch, ProbeError, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
 use crate::interp;
-use crate::lowered::{fused_trap_offset, LTarget};
+use crate::lowered::LTarget;
 use crate::probe::{Location, Pending, ProbeId, ProbeRef, Site};
 use crate::regir::RegFunc;
 use crate::store::HostCtx;
@@ -329,6 +329,11 @@ impl<'p> Exec<'p> {
             self.proc.stats.reg_demotions += 1;
             tier = Tier::Interp;
         }
+        if tier == Tier::Reg && self.views.reg.is_none() {
+            // The views were resolved (by a metered or instrumented
+            // activation) before this clean one built the register form.
+            self.views = self.proc.resolve_views(self.lf);
+        }
         self.pc = match tier {
             Tier::Reg => self.reg().idx_of(pc),
             Tier::Interp => {
@@ -388,25 +393,26 @@ impl<'p> Exec<'p> {
 
     /// `true` when a new activation of `lf` may run in the register tier:
     /// the function is uninstrumented (no probe overlay) and the allocator
-    /// lowered it.
+    /// lowered it (building its register form on first demand).
     fn reg_eligible(&mut self, lf: usize) -> bool {
-        !self.proc.code[lf].has_overlay() && self.proc.reg_func_for(lf).is_some()
+        !self.proc.code[lf].has_overlay() && self.proc.has_reg_func(lf)
     }
 
     /// Decides which tier a new activation of `lf` should start in, compiling
     /// if warranted. Never returns `Jit` in global-probe mode (paper §4.1).
     ///
-    /// Under [`Dispatch::Register`] an uninstrumented, unmetered activation
-    /// of a function the allocator lowered runs in the register
-    /// interpreter (unless the mode is JIT-only) and stays there: nothing
-    /// compiled is faster, so it neither counts hotness nor tiers up.
-    /// Every other activation — metered ones included, since the register
-    /// loop charges no fuel — follows the [`Dispatch::Lowered`] policy.
+    /// A clean activation — uninstrumented, unmetered, of a function the
+    /// allocator lowered — runs in the register interpreter (unless the
+    /// mode is JIT-only or the dispatch is [`Dispatch::Bytecode`]) and
+    /// stays there: nothing compiled is faster, so it neither counts
+    /// hotness nor tiers up. Every other activation — metered ones
+    /// included, since the register loop charges no fuel — takes the
+    /// lowered stack interpreter and the tier policy of `mode`.
     fn tier_for_call(&mut self, lf: usize) -> Tier {
         if self.proc.global_mode {
             return Tier::Interp;
         }
-        if self.proc.config.dispatch == Dispatch::Register
+        if !self.classic
             && self.proc.config.mode != ExecMode::JitOnly
             && !self.metered
             && self.reg_eligible(lf)
@@ -686,12 +692,7 @@ impl<'p> Exec<'p> {
         let frame = self.frames.last()?;
         let pc = match frame.tier {
             Tier::Interp if self.classic => self.pc as u32,
-            Tier::Interp => {
-                // A fused head dispatched as one: its binop is what trapped.
-                let fused = !self.metered && !self.proc.global_mode;
-                let op = self.views.low.get(self.pc).op;
-                self.views.low.pc_of(self.pc + if fused { fused_trap_offset(op) } else { 0 })
-            }
+            Tier::Interp => self.views.low.pc_of(self.pc),
             Tier::Reg => self.reg().pc_of(self.pc),
             Tier::Jit => {
                 let compiled = self.proc.code[frame.lf].compiled.borrow();

@@ -7,6 +7,11 @@
 //! lookups — the decode tax is paid once per function, not once per
 //! executed instruction.
 //!
+//! Clean (uninstrumented, unmetered) activations run in the register
+//! interpreter ([`crate::regint`]) instead; this loop runs instrumented
+//! functions, global-probe mode, fuel-metered slices and the functions the
+//! register allocator declines, and tiers them up to compiled code.
+//!
 //! The paper's two instrumentation mechanisms carry over structurally
 //! unchanged, operating on lowered *slots* instead of opcode bytes:
 //!
@@ -28,10 +33,7 @@ use wizard_wasm::opcodes as op;
 
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
-use crate::lowered::{
-    LInstr, FUSED_CMP_BR, FUSED_CONST_BIN, FUSED_GET_BIN, FUSED_GET_GET, FUSED_GET_GET_BIN,
-    FUSED_GET_SET, FUSED_GG_CMP_BR, FUSED_UPD,
-};
+use crate::lowered::LInstr;
 use crate::numeric;
 use crate::probe::Location;
 use crate::trap::Trap;
@@ -100,14 +102,6 @@ fn build_normal() -> [Handler; 256] {
         b += 1;
     }
     t[op::PROBE as usize] = op_probe;
-    t[FUSED_GET_GET as usize] = op_fused_get_get;
-    t[FUSED_GET_BIN as usize] = op_fused_get_bin;
-    t[FUSED_CONST_BIN as usize] = op_fused_const_bin;
-    t[FUSED_GET_SET as usize] = op_fused_get_set;
-    t[FUSED_CMP_BR as usize] = op_fused_cmp_br;
-    t[FUSED_GET_GET_BIN as usize] = op_fused_get_get_bin;
-    t[FUSED_GG_CMP_BR as usize] = op_fused_gg_cmp_br;
-    t[FUSED_UPD as usize] = op_fused_upd;
     t
 }
 
@@ -146,10 +140,7 @@ fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
                 Err(Sig::Trap(t)) => return Err(t),
             }
         }
-        // Metered runs read through the unfused view so fuel stays exactly
-        // one unit per bytecode instruction and suspensions land only on
-        // instruction boundaries; unmetered runs take the fused stream.
-        let li = if METERED { ex.views.low.unfused(ex.pc) } else { ex.views.low.get(ex.pc) };
+        let li = ex.views.low.get(ex.pc);
         // Global-probe mode dispatches everything through the (stub-filled)
         // instrumented table; normal mode takes the inlined fast path.
         let r = if ex.proc.global_mode { ex.table[li.op as usize](ex, li) } else { step(ex, li) };
@@ -171,14 +162,6 @@ fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
 #[inline(always)]
 fn step(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     match li.op {
-        FUSED_GET_GET => op_fused_get_get(ex, li),
-        FUSED_GET_BIN => op_fused_get_bin(ex, li),
-        FUSED_CONST_BIN => op_fused_const_bin(ex, li),
-        FUSED_GET_SET => op_fused_get_set(ex, li),
-        FUSED_CMP_BR => op_fused_cmp_br(ex, li),
-        FUSED_GET_GET_BIN => op_fused_get_get_bin(ex, li),
-        FUSED_GG_CMP_BR => op_fused_gg_cmp_br(ex, li),
-        FUSED_UPD => op_fused_upd(ex, li),
         op::LOCAL_GET => op_local_get(ex, li),
         op::LOCAL_SET => op_local_set(ex, li),
         op::LOCAL_TEE => op_local_tee(ex, li),
@@ -460,99 +443,6 @@ fn op_un(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
     Ok(())
 }
 
-// ---- fused superinstructions ----
-//
-// Each executes two bytecode instructions in one dispatch; the covered
-// (second) slot is skipped by advancing the cursor two slots. Metered and
-// global-probe execution never reach these (they read the unfused view).
-
-/// `local.get x; local.get z`.
-fn op_fused_get_get(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let a = ex.values[ex.base + li.x as usize];
-    let b = ex.values[ex.base + li.z as usize];
-    ex.values.push(a);
-    ex.values.push(b);
-    ex.pc += 2;
-    Ok(())
-}
-
-/// `local.get x; <binop y>`.
-fn op_fused_get_bin(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let rhs = Slot(ex.values[ex.base + li.x as usize]);
-    let lhs = ex.pop();
-    let r = numeric::binop(li.y, lhs, rhs)?;
-    ex.push(r);
-    ex.pc += 2;
-    Ok(())
-}
-
-/// `<const z>; <binop y>`.
-fn op_fused_const_bin(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let lhs = ex.pop();
-    let r = numeric::binop(li.y, lhs, Slot(li.z))?;
-    ex.push(r);
-    ex.pc += 2;
-    Ok(())
-}
-
-/// `local.get x; local.set z` (register-style copy, no stack traffic).
-fn op_fused_get_set(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let v = ex.values[ex.base + li.x as usize];
-    ex.values[ex.base + li.z as usize] = v;
-    ex.pc += 2;
-    Ok(())
-}
-
-/// `<comparison y>; br_if` — the loop-backedge pattern.
-fn op_fused_cmp_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let rhs = ex.pop();
-    let lhs = ex.pop();
-    let c = numeric::binop(li.y, lhs, rhs)?.i32();
-    if c != 0 {
-        let t = ex.views.low.target(li.x);
-        ex.do_branch_lowered(t);
-    } else {
-        ex.pc += 2;
-    }
-    Ok(())
-}
-
-/// `local.get x; local.get z; <binop y>` — operand fetch + ALU in one
-/// dispatch, touching the operand stack once.
-fn op_fused_get_get_bin(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let lhs = Slot(ex.values[ex.base + li.x as usize]);
-    let rhs = Slot(ex.values[ex.base + li.z as usize]);
-    let r = numeric::binop(li.y, lhs, rhs)?;
-    ex.push(r);
-    ex.pc += 3;
-    Ok(())
-}
-
-/// `local.get a; local.get b; <comparison y>; br_if` — the full loop
-/// bound check, zero operand-stack traffic.
-fn op_fused_gg_cmp_br(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let lhs = Slot(ex.values[ex.base + (li.z & 0xffff_ffff) as usize]);
-    let rhs = Slot(ex.values[ex.base + (li.z >> 32) as usize]);
-    let c = numeric::binop(li.y, lhs, rhs)?.i32();
-    if c != 0 {
-        let t = ex.views.low.target(li.x);
-        ex.do_branch_lowered(t);
-    } else {
-        ex.pc += 4;
-    }
-    Ok(())
-}
-
-/// `local.get x; <const z>; <binop y>; local.set x` — the in-place
-/// induction update, zero operand-stack traffic.
-fn op_fused_upd(ex: &mut Exec, li: LInstr) -> Result<(), Sig> {
-    let cur = Slot(ex.values[ex.base + li.x as usize]);
-    let r = numeric::binop(li.y, cur, Slot(li.z))?;
-    ex.values[ex.base + li.x as usize] = r.0;
-    ex.pc += 4;
-    Ok(())
-}
-
 // ---- instrumentation ----
 
 /// Handler for a probe-patched slot: fires local probes, then executes the
@@ -571,11 +461,9 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     } else {
         ex.fire_site(slot as u32, pc);
     }
-    // Dispatch the original single instruction — whether or not the
-    // firing probes removed themselves (restoring the slot, or rejoining
-    // the shared *re-fused* op stream): exactly one bytecode instruction
-    // executes for the fuel unit already charged, and in global-probe mode
-    // the covered instructions must still get their own fires.
+    // Dispatch the original instruction, whether or not the firing probes
+    // removed themselves (restoring the slot, or rejoining the shared op
+    // stream).
     let orig = ex.views.low.original(slot);
     normal_table()[orig.op as usize](ex, orig)
 }
@@ -587,8 +475,6 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 fn op_global_stub(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     ex.fire_global_probes();
     // Global probes may themselves have mutated instrumentation; re-read.
-    // The *unfused* view guarantees one instruction per dispatch, so the
-    // next global fire lands on the covered instruction too.
-    let li = ex.views.low.unfused(ex.pc);
+    let li = ex.views.low.get(ex.pc);
     normal_table()[li.op as usize](ex, li)
 }

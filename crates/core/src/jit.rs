@@ -265,13 +265,11 @@ fn compile_inner(low: &LoweredView, sites: Option<&FuncOverlay>, version: u32) -
     let jt = |t: LTarget| JTarget { ip: t.slot, keep: t.keep, height: t.height };
 
     for slot in 0..nslots {
-        // The unfused view: exactly one bytecode instruction per slot
-        // (fused superinstructions are an interpreter-dispatch concern).
         // Probe-patched slots compile from the original instruction, with
         // the site's micro-op ahead of it: how the site's probes run is
         // the site's binding, not this code's business.
         let pc = low.pc_of(slot);
-        let mut li = low.unfused(slot);
+        let mut li = low.get(slot);
         if li.op == op::PROBE {
             li = low.original(slot);
         }

@@ -8,21 +8,28 @@
 //! * **Shared artifacts & copy-on-write overlays** ([`artifact`],
 //!   [`code`]): a [`ModuleArtifact`] holds everything process-independent
 //!   — the validated module, side-table metadata, per-function lowered
-//!   code and probe-free baseline JIT code — built once, `Arc`-shared and
+//!   code, register form and probe-free baseline JIT code — each built
+//!   lazily once per function, `Arc`-shared and
 //!   `Send + Sync`. [`Process::instantiate`] links against it without
 //!   re-validating; uninstrumented processes execute *the same* shared
 //!   code (pointer-equal), and the first probe a process installs in a
 //!   function copy-on-writes just that function into its private overlay
 //!   — invisible to siblings, dropped again when the last probe detaches.
-//! * **Lowered interpreter** ([`lowered`]): each function body is lowered
-//!   *once* into fixed-width internal instructions — immediates
-//!   pre-decoded, branch side table fused into pre-resolved targets — and
-//!   the interpreter dispatches over lowered slots through a 256-entry
-//!   handler table. A bidirectional `pc ↔ slot` map keeps the paper's
+//! * **Interpreter tiers**, picked per activation by the engine. Clean
+//!   code — an uninstrumented activation of an unmetered run — runs in
+//!   the register interpreter ([`regir`]): locals and operand
+//!   slots are numbered registers, so `local.get`/const/push/pop traffic
+//!   is allocated away; register frames never tier up. Instrumented
+//!   functions, global-probe mode and fuel-metered slices run the
+//!   lowered stack interpreter ([`lowered`]): each function body is
+//!   lowered *once* into fixed-width internal instructions — immediates
+//!   pre-decoded, branch side table resolved into pre-resolved targets —
+//!   dispatched through a 256-entry handler table, and tiered up to the
+//!   JIT. Bidirectional `pc ↔ slot`/`pc ↔ index` maps keep the paper's
 //!   byte-offset location space as the public contract. Global probes are
 //!   implemented by *switching the dispatch table pointer* — zero overhead
-//!   when disabled. The classic byte-walking dispatch survives as
-//!   [`Dispatch::Bytecode`], the measured baseline for the lowering win.
+//!   when disabled. The paper's in-place byte-walking interpreter survives
+//!   as [`Dispatch::Bytecode`], the reference and measured baseline.
 //! * **Local probes** are implemented by *bytecode overwriting*: the probed
 //!   instruction's opcode byte is replaced by a reserved probe opcode, and
 //!   the original is kept on the side — zero overhead for uninstrumented

@@ -40,7 +40,6 @@
 //!   invisible to sibling processes of the same artifact.
 
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -48,87 +47,7 @@ use wizard_wasm::instr::{Imm, InstrIter};
 use wizard_wasm::opcodes as op;
 use wizard_wasm::validate::{FuncMeta, SideEntry, Target};
 
-use crate::numeric;
 use crate::value::Slot;
-
-/// Fused superinstruction: `local.get a; local.get b` (`x` = a, `z` = b).
-pub const FUSED_GET_GET: u8 = 0xe8;
-/// Fused superinstruction: `local.get a; <binop>` (`x` = a, `y` = binop).
-pub const FUSED_GET_BIN: u8 = 0xe9;
-/// Fused superinstruction: `<const>; <binop>` (`z` = const bits, `y` = binop,
-/// `x` = the const's own opcode).
-pub const FUSED_CONST_BIN: u8 = 0xea;
-/// Fused superinstruction: `local.get a; local.set b` (`x` = a, `z` = b).
-pub const FUSED_GET_SET: u8 = 0xeb;
-/// Fused superinstruction: `<comparison>; br_if` (`y` = cmp, `x` = target).
-pub const FUSED_CMP_BR: u8 = 0xec;
-/// Fused superinstruction: `local.get a; local.get b; <binop>`
-/// (`x` = a, `z` = b, `y` = binop).
-pub const FUSED_GET_GET_BIN: u8 = 0xed;
-/// Fused superinstruction: `local.get a; local.get b; <comparison>;
-/// br_if` — the loop-backedge test (`z` = a | b<<32, `y` = cmp,
-/// `x` = target).
-pub const FUSED_GG_CMP_BR: u8 = 0xee;
-/// Fused superinstruction: `local.get a; <const>; <binop>; local.set a` —
-/// the in-place induction update (`x` = a, `z` = const bits, `y` = binop).
-pub const FUSED_UPD: u8 = 0xef;
-
-/// `true` for the lowering-internal fused superinstruction opcodes. These
-/// bytes are never valid module bytecode; they exist only in lowered op
-/// streams.
-#[inline]
-pub fn is_fused(opcode: u8) -> bool {
-    (FUSED_GET_GET..=FUSED_UPD).contains(&opcode)
-}
-
-/// Number of bytecode instructions a fused superinstruction executes
-/// (equivalently: 1 + the covered slots after its head).
-#[inline]
-pub fn fused_len(opcode: u8) -> usize {
-    match opcode {
-        FUSED_GET_GET_BIN => 3,
-        FUSED_GG_CMP_BR | FUSED_UPD => 4,
-        _ => 2,
-    }
-}
-
-/// Offset, from a fused head, of the one instruction of the group that can
-/// trap: its binop (comparisons never trap, so the branch forms have none).
-#[inline]
-pub fn fused_trap_offset(opcode: u8) -> usize {
-    match opcode {
-        FUSED_GET_BIN | FUSED_CONST_BIN => 1,
-        FUSED_GET_GET_BIN | FUSED_UPD => 2,
-        _ => 0,
-    }
-}
-
-/// `true` for binops that produce an `i32` condition and cannot trap —
-/// the fusable heads of `FUSED_CMP_BR`.
-fn is_cmp(opcode: u8) -> bool {
-    matches!(opcode,
-        op::I32_EQ..=op::I32_GE_U
-        | op::I64_EQ..=op::I64_GE_U
-        | op::F32_EQ..=op::F32_GE
-        | op::F64_EQ..=op::F64_GE)
-}
-
-/// The original first instruction behind `li` if it is a fused
-/// superinstruction (each encoding keeps everything its head needs), `li`
-/// itself otherwise. The covered slots always hold their originals, so
-/// this is all it takes to read — or restore — one instruction per slot.
-#[inline]
-fn unfuse(li: LInstr) -> LInstr {
-    match li.op {
-        FUSED_GET_GET | FUSED_GET_BIN | FUSED_GET_SET | FUSED_GET_GET_BIN | FUSED_UPD => {
-            LInstr::with_x(op::LOCAL_GET, li.x)
-        }
-        FUSED_GG_CMP_BR => LInstr::with_x(op::LOCAL_GET, li.z as u32),
-        FUSED_CONST_BIN => LInstr::with_z(li.x as u8, li.z),
-        FUSED_CMP_BR => LInstr::plain(li.y),
-        _ => li,
-    }
-}
 
 /// A pre-resolved control-transfer destination in lowered code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,13 +78,9 @@ pub struct LTarget {
 /// | `call_indirect`             | expected type index       | —               |
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LInstr {
-    /// Lowered opcode (Wasm opcode byte space, a fused superinstruction
-    /// opcode, or `op::PROBE` when an overlay slot is patched).
+    /// Lowered opcode (Wasm opcode byte space, or `op::PROBE` when an
+    /// overlay slot is patched).
     pub op: u8,
-    /// Secondary opcode of a fused superinstruction (the second
-    /// instruction's binop byte); 0 otherwise. Lives in what would be
-    /// padding, so fusion costs no slot width.
-    pub y: u8,
     /// Primary pre-decoded immediate (see table above).
     pub x: u32,
     /// Wide pre-decoded immediate: constant payloads as value-slot bits.
@@ -174,15 +89,15 @@ pub struct LInstr {
 
 impl LInstr {
     fn plain(opcode: u8) -> LInstr {
-        LInstr { op: opcode, y: 0, x: 0, z: 0 }
+        LInstr { op: opcode, x: 0, z: 0 }
     }
 
     fn with_x(opcode: u8, x: u32) -> LInstr {
-        LInstr { op: opcode, y: 0, x, z: 0 }
+        LInstr { op: opcode, x, z: 0 }
     }
 
     fn with_z(opcode: u8, z: u64) -> LInstr {
-        LInstr { op: opcode, y: 0, x: 0, z }
+        LInstr { op: opcode, x: 0, z }
     }
 }
 
@@ -202,8 +117,8 @@ pub type OverlayOps = Rc<[Cell<LInstr>]>;
 /// [`OverlayOps`] copy read through a [`LoweredView`].
 #[derive(Debug, Clone)]
 pub struct Lowered {
-    /// One slot per bytecode instruction, in code order (pristine:
-    /// superinstructions fused, no probe opcodes).
+    /// One slot per bytecode instruction, in code order (pristine: no
+    /// probe opcodes).
     ops: Arc<[LInstr]>,
     /// Pre-resolved branch targets (side table fused in), referenced by
     /// `x` of `br`/`br_if`/`if`/`else` slots.
@@ -308,8 +223,6 @@ impl Lowered {
             }
         }
 
-        fuse(&mut ops, &targets, &tables);
-
         Lowered {
             ops: ops.into(),
             targets: targets.into(),
@@ -339,13 +252,6 @@ impl Lowered {
     #[inline]
     pub fn get(&self, slot: usize) -> LInstr {
         self.ops[slot]
-    }
-
-    /// The pristine *single* instruction at `slot`: what a probe there
-    /// overwrites, and what its removal restores.
-    #[inline]
-    pub fn original(&self, slot: usize) -> LInstr {
-        unfuse(self.ops[slot])
     }
 
     /// Byte pc of the instruction at `slot` (`slot == len()` maps to the
@@ -411,26 +317,8 @@ impl Lowered {
     /// Overwrites the opcode field of overlay slot `slot` with the probe
     /// opcode — the lowered-form analogue of overwriting the opcode byte,
     /// applied to the process-local copy. Immediates are untouched.
-    /// Removal writes [`Lowered::original`] back: a head that probe traffic
-    /// touched stays unfused in the overlay (degradation, never
-    /// incorrectness) until the function's last probe leaves and the
-    /// process rejoins the shared, still-fused op stream.
-    ///
-    /// If the slot is covered by a fused superinstruction, the fused head
-    /// is restored to its original single instruction first — sequential
-    /// flow must reach the probed slot, never skip over it.
-    pub fn patch_probe(&self, ops: &[Cell<LInstr>], slot: u32) {
-        // Scan back over the longest possible fused region for a head that
-        // covers this slot (fusions never overlap, so at most one does).
-        for d in 1..=3u32 {
-            let Some(head) = slot.checked_sub(d) else { break };
-            let cell = &ops[head as usize];
-            let li = cell.get();
-            if is_fused(li.op) && fused_len(li.op) as u32 > d {
-                cell.set(unfuse(li));
-                break;
-            }
-        }
+    /// Removal writes the shared form's slot ([`Lowered::get`]) back.
+    pub fn patch_probe(ops: &[Cell<LInstr>], slot: u32) {
         let cell = &ops[slot as usize];
         cell.set(LInstr { op: op::PROBE, ..cell.get() });
     }
@@ -490,23 +378,11 @@ impl LoweredView {
         }
     }
 
-    /// The slot's instruction with fusion undone: a fused head reports its
-    /// original first instruction (the covered slot always holds its
-    /// original second instruction). Consumers that need the strict
-    /// one-instruction-per-slot view — the JIT compiler, fuel-metered
-    /// execution (exactly one fuel unit per bytecode instruction), and
-    /// global-probe dispatch (a probe fires before *every* instruction) —
-    /// read through this instead of [`LoweredView::get`].
-    #[inline]
-    pub fn unfused(&self, slot: usize) -> LInstr {
-        unfuse(self.get(slot))
-    }
-
-    /// The original single instruction behind a probe-patched `slot`; see
-    /// [`Lowered::original`].
+    /// The original instruction behind a probe-patched `slot`: the shared
+    /// form's, which probes never touch.
     #[inline]
     pub fn original(&self, slot: usize) -> LInstr {
-        self.shared.original(slot)
+        self.shared.get(slot)
     }
 
     /// Number of instruction slots.
@@ -542,94 +418,6 @@ impl LoweredView {
     #[inline]
     pub fn table(&self, idx: u32) -> &[LTarget] {
         self.shared.table(idx)
-    }
-
-    /// Number of fused superinstruction heads currently visible to this
-    /// view (diagnostics/tests).
-    pub fn fused_count(&self) -> usize {
-        (0..self.len()).filter(|&s| is_fused(self.get(s).op)).count()
-    }
-}
-
-/// The pair-fusion pass: replaces common two-instruction sequences with one
-/// fixed-width superinstruction, halving dispatch overhead on the hottest
-/// patterns (operand fetch + ALU, induction updates, compare-and-branch
-/// loop backedges).
-///
-/// Fusion never changes the slot count — the covered (second) slot keeps
-/// its original instruction and is simply skipped by sequential flow — so
-/// the `pc ↔ slot` bijection, branch targets, and probe locations are
-/// untouched. A pair is fusable only when the covered slot is not a branch
-/// target; probes landing on covered slots unfuse the head of the overlay
-/// copy at patch time ([`Lowered::patch_probe`]).
-fn fuse(ops: &mut [LInstr], targets: &[LTarget], tables: &[Box<[LTarget]>]) {
-    let mut branch_targets: HashSet<u32> = targets.iter().map(|t| t.slot).collect();
-    for table in tables {
-        branch_targets.extend(table.iter().map(|t| t.slot));
-    }
-    let is_const =
-        |o: u8| matches!(o, op::I32_CONST | op::I64_CONST | op::F32_CONST | op::F64_CONST);
-    // The covered slots `s+1 .. s+len-1` must not be branch targets:
-    // control may only enter a fused region at its head.
-    let coverable =
-        |s: usize, len: usize| (s + 1..s + len).all(|c| !branch_targets.contains(&(c as u32)));
-
-    let mut s = 0;
-    while s + 1 < ops.len() {
-        let a = ops[s];
-        let b = ops[s + 1];
-        let c = ops.get(s + 2).copied();
-        let d = ops.get(s + 3).copied();
-        // Longest pattern first; every fusion is strictly non-overlapping
-        // (the cursor skips the whole fused region).
-        let f: Option<(LInstr, usize)> = match (a.op, b.op, c.map(|i| i.op), d.map(|i| i.op)) {
-            // local.get a; local.get b; <cmp>; br_if — the loop backedge.
-            (op::LOCAL_GET, op::LOCAL_GET, Some(cc), Some(op::BR_IF))
-                if is_cmp(cc) && coverable(s, 4) =>
-            {
-                let d = d.expect("matched");
-                let z = u64::from(a.x) | (u64::from(b.x) << 32);
-                Some((LInstr { op: FUSED_GG_CMP_BR, y: cc, x: d.x, z }, 4))
-            }
-            // local.get a; <const>; <binop>; local.set a — induction update.
-            (op::LOCAL_GET, bc, Some(cc), Some(op::LOCAL_SET))
-                if is_const(bc)
-                    && numeric::is_binop(cc)
-                    && d.expect("matched").x == a.x
-                    && coverable(s, 4) =>
-            {
-                Some((LInstr { op: FUSED_UPD, y: cc, x: a.x, z: b.z }, 4))
-            }
-            // local.get a; local.get b; <binop>.
-            (op::LOCAL_GET, op::LOCAL_GET, Some(cc), _)
-                if numeric::is_binop(cc) && coverable(s, 3) =>
-            {
-                Some((LInstr { op: FUSED_GET_GET_BIN, y: cc, x: a.x, z: u64::from(b.x) }, 3))
-            }
-            (op::LOCAL_GET, op::LOCAL_GET, _, _) if coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_GET, y: 0, x: a.x, z: u64::from(b.x) }, 2))
-            }
-            (op::LOCAL_GET, op::LOCAL_SET, _, _) if coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_SET, y: 0, x: a.x, z: u64::from(b.x) }, 2))
-            }
-            (op::LOCAL_GET, bb, _, _) if numeric::is_binop(bb) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_BIN, y: bb, x: a.x, z: 0 }, 2))
-            }
-            (ac, bb, _, _) if is_const(ac) && numeric::is_binop(bb) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_CONST_BIN, y: bb, x: u32::from(ac), z: a.z }, 2))
-            }
-            (aa, op::BR_IF, _, _) if is_cmp(aa) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_CMP_BR, y: aa, x: b.x, z: 0 }, 2))
-            }
-            _ => None,
-        };
-        if let Some((fi, len)) = f {
-            debug_assert_eq!(unfuse(fi), a, "a fused encoding keeps its head");
-            ops[s] = fi;
-            s += len;
-        } else {
-            s += 1;
-        }
     }
 }
 
@@ -682,62 +470,9 @@ mod tests {
         let view = LoweredView::shared(low);
         assert_eq!(view.get(0).op, wizard_wasm::opcodes::LOCAL_GET);
         assert_eq!(view.get(0).x, 0);
-        // `i32.const; i32.add` fuses; the head keeps the const payload and
-        // the covered slot keeps the original add.
-        assert_eq!(view.get(1).op, FUSED_CONST_BIN);
-        assert_eq!(view.get(1).y, wizard_wasm::opcodes::I32_ADD);
+        assert_eq!(view.get(1).op, wizard_wasm::opcodes::I32_CONST);
         assert_eq!(Slot(view.get(1).z).i32(), -99_999);
-        assert_eq!(view.unfused(1).op, wizard_wasm::opcodes::I32_CONST);
         assert_eq!(view.get(2).op, wizard_wasm::opcodes::I32_ADD);
-    }
-
-    #[test]
-    fn fusion_pairs_and_probe_unfusing_on_the_overlay() {
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        f.local_get(0).local_get(0).i32_add();
-        let (_, low) = lowered_for(f);
-        // `local.get; local.get; i32.add` fuses into one three-wide
-        // superinstruction; the covered slots keep their originals.
-        let shared = LoweredView::shared(low.clone());
-        assert_eq!(shared.get(0).op, FUSED_GET_GET_BIN);
-        assert_eq!(shared.get(0).y, wizard_wasm::opcodes::I32_ADD);
-        assert_eq!(shared.fused_count(), 1);
-        assert_eq!(shared.unfused(0).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(shared.get(1).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(shared.get(2).op, wizard_wasm::opcodes::I32_ADD);
-        // A probe on a covered slot patches the *overlay copy* and
-        // restores the head there: sequential flow must reach the probed
-        // instruction. The shared form stays fused and untouched.
-        let ops = low.cow_ops();
-        low.patch_probe(&ops, 2);
-        let view = LoweredView::overlaid(low.clone(), Rc::clone(&ops));
-        assert_eq!(view.get(0).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(view.get(2).op, wizard_wasm::opcodes::PROBE);
-        assert_eq!(view.fused_count(), 0);
-        assert_eq!(shared.get(0).op, FUSED_GET_GET_BIN, "shared form untouched");
-        assert_eq!(shared.fused_count(), 1);
-        assert_ne!(view.ops_addr(), shared.ops_addr());
-    }
-
-    #[test]
-    fn backedge_and_induction_fuse_four_wide() {
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        let i = f.local(I32);
-        let acc = f.local(I32);
-        f.for_range(i, 0, |f| {
-            f.local_get(acc).local_get(i).i32_add().local_set(acc);
-        });
-        f.local_get(acc);
-        let (_, low) = lowered_for(f);
-        let ops: Vec<u8> = (0..low.len()).map(|s| low.get(s).op).collect();
-        assert!(
-            ops.contains(&FUSED_GG_CMP_BR),
-            "loop bound check fuses to get;get;cmp;br_if: {ops:02x?}"
-        );
-        assert!(
-            ops.contains(&FUSED_UPD),
-            "induction update fuses to get;const;add;set: {ops:02x?}"
-        );
     }
 
     #[test]
@@ -754,10 +489,7 @@ mod tests {
             let li = low.get(slot);
             if matches!(
                 li.op,
-                wizard_wasm::opcodes::BR
-                    | wizard_wasm::opcodes::BR_IF
-                    | wizard_wasm::opcodes::IF
-                    | FUSED_CMP_BR
+                wizard_wasm::opcodes::BR | wizard_wasm::opcodes::BR_IF | wizard_wasm::opcodes::IF
             ) {
                 let t = low.target(li.x);
                 assert!((t.slot as usize) <= low.len(), "target slot in range");
@@ -773,22 +505,21 @@ mod tests {
         f.local_get(0).i32_const(7).i32_add();
         let (_, low) = lowered_for(f);
         let ops = low.cow_ops();
-        // Slot 1 is a fused `const;add` head; patching it installs the
-        // probe over the *fused* op while the immediates stay intact, and
-        // the probe handler re-dispatches the site's saved original.
-        low.patch_probe(&ops, 1);
+        // Patching slot 1 (the const) installs the probe opcode while the
+        // immediates stay intact; the probe handler re-dispatches the
+        // original.
+        Lowered::patch_probe(&ops, 1);
         let view = LoweredView::overlaid(low.clone(), Rc::clone(&ops));
         assert_eq!(view.get(1).op, wizard_wasm::opcodes::PROBE);
         assert_eq!(Slot(view.get(1).z).i32(), 7, "immediate untouched by patching");
-        // Restoring the original leaves a correct, merely-unfused
-        // instruction.
-        ops[1].set(low.original(1));
+        // Restoring the shared slot leaves the original instruction.
+        ops[1].set(low.get(1));
         assert_eq!(
             view.get(1),
             LInstr::with_z(wizard_wasm::opcodes::I32_CONST, Slot::from_i32(7).0)
         );
         // The shared form never saw any of it.
-        assert_eq!(low.get(1).op, FUSED_CONST_BIN);
+        assert_eq!(low.get(1).op, wizard_wasm::opcodes::I32_CONST);
     }
 
     #[test]

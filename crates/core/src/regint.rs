@@ -1,5 +1,6 @@
 //! The register-form interpreter — the engine's stack-traffic-free hot
-//! dispatch path ([`Dispatch::Register`](crate::Dispatch)).
+//! dispatch path for clean code ([`Dispatch::Register`](crate::Dispatch),
+//! the default).
 //!
 //! Executes the function's register form ([`crate::regir`]): `ex.pc`
 //! holds a **register-instruction index** while this loop runs, and the
@@ -205,11 +206,11 @@ fn step(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
             Ok(())
         }
         R_RETURN => {
-            let v = ex.values[ex.base + ri.a as usize];
+            // A void return reads nothing: its `a` may name no register at
+            // all (a function with no locals and no temps has none).
+            let v = (ri.y == 1).then(|| ex.values[ex.base + ri.a as usize]);
             ex.values.truncate(ex.opbase);
-            if ri.y == 1 {
-                ex.values.push(v);
-            }
+            ex.values.extend(v);
             ex.do_return(Tier::Reg)?;
             ex.reg_extend();
             Ok(())

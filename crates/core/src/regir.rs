@@ -17,7 +17,7 @@
 //! nothing; consumers fold those entries into inline operands
 //! ([`R_BIN_RI`], call argument slices, …), so most stack traffic
 //! disappears at lowering time. Call/`br_table` argument lists go through
-//! a module-level **deduplicated operand-slice arena** and **const pool**
+//! a per-function **deduplicated operand-slice arena** and **const pool**
 //! (the wasmi register-IR design).
 //!
 //! The paper's byte-offset `Location` contract survives translation:
@@ -32,20 +32,20 @@
 //! walking the frame and demotion to the stack interpreter all keep
 //! working at byte granularity.
 //!
-//! Lowering is total-or-nothing per function: any shape the allocator
-//! does not model (register ids beyond `u16`, inconsistent label heights)
-//! returns `None` and that function simply keeps running on the lowered
-//! stack tier.
+//! Lowering is per function, on the function's first clean activation
+//! ([`ModuleArtifact::reg_func`](crate::ModuleArtifact::reg_func)), and
+//! total-or-nothing: any shape the allocator does not model (register ids
+//! beyond `u16`, inconsistent label heights) returns `None` and that
+//! function simply keeps running on the lowered stack tier.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use wizard_wasm::instr::{decode_at, Imm};
 use wizard_wasm::opcodes as op;
 use wizard_wasm::types::FuncType;
 use wizard_wasm::validate::{FuncMeta, SideEntry, Target};
 
-use crate::artifact::{FuncArtifact, ModuleArtifact};
+use crate::artifact::FuncArtifact;
 use crate::numeric;
 use crate::value::Slot;
 
@@ -157,8 +157,8 @@ pub struct RTableEntry {
 }
 
 /// The register form of one function: the instruction stream, the
-/// bidirectional byte-pc ↔ instruction-index maps, and shared handles on
-/// the module-level const pool and operand-slice arena.
+/// bidirectional byte-pc ↔ instruction-index maps, and the function's
+/// const pool and operand-slice arena.
 #[derive(Debug)]
 pub struct RegFunc {
     ops: Box<[RInstr]>,
@@ -169,12 +169,12 @@ pub struct RegFunc {
     pc_to_idx: Box<[u32]>,
     /// `br_table` jump tables, deduplicated within the function.
     tables: Box<[Box<[RTableEntry]>]>,
-    /// Module-level const pool (deduplicated u64 slot bits).
-    pool: Arc<[u64]>,
-    /// Module-level flattened argument-source stream.
-    args: Arc<[u32]>,
-    /// Module-level `(start, len)` argument slices into `args`.
-    slices: Arc<[(u32, u32)]>,
+    /// Const pool (deduplicated u64 slot bits).
+    pool: Box<[u64]>,
+    /// Flattened argument-source stream.
+    args: Box<[u32]>,
+    /// `(start, len)` argument slices into `args`, deduplicated.
+    slices: Box<[(u32, u32)]>,
     /// Registers above the locals: exactly the function's max operand
     /// height, so `num_slots + num_temps` registers address the frame.
     num_temps: u16,
@@ -256,75 +256,11 @@ impl RegFunc {
     }
 }
 
-/// The register form of a whole module: one optional [`RegFunc`] per local
-/// function (a `None` marks a per-function allocator fallback — the
-/// function keeps running on the lowered stack tier), plus build counters.
-#[derive(Debug)]
-pub struct RegModule {
-    funcs: Vec<Option<Arc<RegFunc>>>,
-    /// Functions successfully lowered to register form.
-    pub lowered_count: u64,
-    /// Functions the allocator declined (stack-tier fallback).
-    pub fallback_count: u64,
-}
-
-impl RegModule {
-    /// The register form of local function `lf`, if it lowered.
-    #[inline]
-    pub fn func(&self, lf: usize) -> Option<&Arc<RegFunc>> {
-        self.funcs.get(lf)?.as_ref()
-    }
-
-    /// Bytes the whole register form occupies.
-    pub fn size_bytes(&self) -> usize {
-        self.funcs.iter().flatten().map(|f| f.size_bytes()).sum()
-    }
-}
-
-/// Lowers every function of `artifact` to register form in one pass,
-/// sharing one const pool and one operand-slice arena across the module.
-pub(crate) fn build_module(artifact: &ModuleArtifact) -> RegModule {
-    let mut shared = Shared::default();
-    let func_types: &[FuncType] = artifact.func_types();
-    let types: &[FuncType] = &artifact.module().types;
-    let parts: Vec<Option<Parts>> =
-        artifact.funcs().iter().map(|fa| lower_func(fa, func_types, types, &mut shared)).collect();
-    let pool: Arc<[u64]> = shared.pool.into();
-    let args: Arc<[u32]> = shared.args.into();
-    let slices: Arc<[(u32, u32)]> = shared.slices.into();
-    let mut lowered_count = 0;
-    let mut fallback_count = 0;
-    let funcs = parts
-        .into_iter()
-        .map(|p| match p {
-            Some(p) => {
-                lowered_count += 1;
-                Some(Arc::new(RegFunc {
-                    ops: p.ops.into(),
-                    idx_to_pc: p.idx_to_pc.into(),
-                    pc_to_idx: p.pc_to_idx.into(),
-                    tables: p.tables.into(),
-                    pool: Arc::clone(&pool),
-                    args: Arc::clone(&args),
-                    slices: Arc::clone(&slices),
-                    num_temps: p.num_temps,
-                    num_slots: p.num_slots,
-                }))
-            }
-            None => {
-                fallback_count += 1;
-                None
-            }
-        })
-        .collect();
-    RegModule { funcs, lowered_count, fallback_count }
-}
-
 // ---- the allocator ----
 
-/// Module-level shared arenas under construction.
+/// A function's const pool and operand-slice arena under construction.
 #[derive(Default)]
-struct Shared {
+struct Arenas {
     pool: Vec<u64>,
     pool_map: HashMap<u64, u32>,
     args: Vec<u32>,
@@ -332,7 +268,7 @@ struct Shared {
     slice_map: HashMap<Vec<u32>, u32>,
 }
 
-impl Shared {
+impl Arenas {
     fn pool_idx(&mut self, bits: u64) -> Option<u32> {
         if let Some(&i) = self.pool_map.get(&bits) {
             return Some(i);
@@ -359,15 +295,6 @@ impl Shared {
     }
 }
 
-struct Parts {
-    ops: Vec<RInstr>,
-    idx_to_pc: Vec<u32>,
-    pc_to_idx: Vec<u32>,
-    tables: Vec<Box<[RTableEntry]>>,
-    num_temps: u16,
-    num_slots: u16,
-}
-
 /// An abstract operand-stack entry. A `Temp` at stack position `i` always
 /// lives in its canonical register `num_slots + i`; `Local`/`Const`
 /// entries are deferred — they emitted nothing yet and fold into the
@@ -379,19 +306,28 @@ enum Av {
     Const(u64),
 }
 
-struct FnBuilder<'m> {
+struct FnBuilder {
     ops: Vec<RInstr>,
     idx_to_pc: Vec<u32>,
     tables: Vec<Box<[RTableEntry]>>,
     table_map: HashMap<Vec<RTableEntry>, u32>,
     stack: Vec<Av>,
-    /// Branch-target pcs → required entry height.
-    labels: HashMap<u32, u32>,
+    /// Required entry height of the label at each byte pc
+    /// (`0..=body_len`), [`NO_LABEL`] where no branch lands.
+    labels: Vec<u32>,
     num_slots: u16,
-    shared: &'m mut Shared,
+    arenas: Arenas,
 }
 
-impl FnBuilder<'_> {
+/// [`FnBuilder::labels`] entry of a pc no branch targets.
+const NO_LABEL: u32 = u32::MAX;
+
+impl FnBuilder {
+    /// Entry height of the label at `pc`, if a branch targets it.
+    fn label(&self, pc: u32) -> Option<u32> {
+        self.labels.get(pc as usize).copied().filter(|&h| h != NO_LABEL)
+    }
+
     /// Canonical register of operand-stack position `pos`.
     fn temp(&self, pos: usize) -> u16 {
         self.num_slots + pos as u16
@@ -480,16 +416,20 @@ fn is_cmp(o: u8) -> bool {
         | op::F64_EQ..=op::F64_GE)
 }
 
-/// Collects every branch-target pc with its required entry height
-/// (`height + arity`). Returns `None` on conflicting heights.
-fn collect_labels(meta: &FuncMeta) -> Option<HashMap<u32, u32>> {
-    let mut labels = HashMap::new();
+/// Collects every branch-target pc of a `body_len`-byte body with its
+/// required entry height (`height + arity`), indexed by pc. Returns `None`
+/// on conflicting heights.
+fn collect_labels(meta: &FuncMeta, body_len: usize) -> Option<Vec<u32>> {
+    let mut labels = vec![NO_LABEL; body_len + 1];
     let mut add = |t: &Target| -> Option<()> {
         let entry = t.height + t.arity;
-        match labels.insert(t.target_pc, entry) {
-            Some(prev) if prev != entry => None,
-            _ => Some(()),
+        let slot = labels.get_mut(t.target_pc as usize)?;
+        match *slot {
+            NO_LABEL => *slot = entry,
+            prev if prev != entry => return None,
+            _ => {}
         }
+        Some(())
     };
     for e in meta.side.values() {
         match e {
@@ -506,19 +446,20 @@ fn collect_labels(meta: &FuncMeta) -> Option<HashMap<u32, u32>> {
 
 /// Lowers one function to register form, or `None` if any shape falls
 /// outside the allocator's model (the stack tier then serves it).
-fn lower_func(
+/// `func_types` spans the module's function index space, `types` is its
+/// type section.
+pub(crate) fn lower_func(
     fa: &FuncArtifact,
     func_types: &[FuncType],
     types: &[FuncType],
-    shared: &mut Shared,
-) -> Option<Parts> {
+) -> Option<RegFunc> {
     let meta: &FuncMeta = &fa.meta;
     let bytes: &[u8] = &fa.bytes;
     let num_slots = u16::try_from(meta.num_slots).ok()?;
     let num_temps = u16::try_from(meta.max_height).ok()?;
     num_slots.checked_add(num_temps)?;
     let nres = fa.num_results as usize;
-    let labels = collect_labels(meta)?;
+    let labels = collect_labels(meta, bytes.len())?;
 
     let mut b = FnBuilder {
         ops: Vec::with_capacity(bytes.len() / 2),
@@ -528,7 +469,7 @@ fn lower_func(
         stack: Vec::with_capacity(meta.max_height as usize),
         labels,
         num_slots,
-        shared,
+        arenas: Arenas::default(),
     };
 
     let mut pos = 0usize;
@@ -542,7 +483,7 @@ fn lower_func(
         // Label entry: flush on the fall-through edge (attributed to the
         // *previous* pc so jumps land past the copies), or resurrect dead
         // code at the label's canonical entry state.
-        if let Some(&entry) = b.labels.get(&pc) {
+        if let Some(entry) = b.label(pc) {
             if dead {
                 b.stack.clear();
                 b.stack.resize(entry as usize, Av::Temp);
@@ -679,10 +620,10 @@ fn lower_func(
                     slice.push(match av {
                         Av::Temp => u32::from(b.temp(hb + i)),
                         Av::Local(x) => x,
-                        Av::Const(c) => ARG_POOL_BIT | b.shared.pool_idx(c)?,
+                        Av::Const(c) => ARG_POOL_BIT | b.arenas.pool_idx(c)?,
                     });
                 }
-                let si = b.shared.slice_idx(slice)?;
+                let si = b.arenas.slice_idx(slice)?;
                 b.stack.truncate(hb);
                 let z = u64::from(si) | (next as u64) << 32;
                 let ri = RInstr {
@@ -782,7 +723,7 @@ fn lower_func(
                 // the loop-backedge pattern.
                 let fused = if is_cmp(o) && !matches!(lhs, Av::Const(_)) {
                     match decode_at(bytes, next) {
-                        Ok((nx, after)) if nx.op == op::BR_IF && !b.labels.contains_key(&nx.pc) => {
+                        Ok((nx, after)) if nx.op == op::BR_IF && b.label(nx.pc).is_none() => {
                             match meta.side.get(&nx.pc) {
                                 Some(SideEntry::Br(t)) if t.arity == 0 => Some((*t, after)),
                                 _ => None,
@@ -867,7 +808,7 @@ fn lower_func(
     // the fall-through flush copies (attributed to the final `end`) sit
     // before it.
     let body_len = bytes.len() as u32;
-    if let Some(&entry) = b.labels.get(&body_len) {
+    if let Some(entry) = b.label(body_len) {
         if dead {
             b.stack.clear();
             b.stack.resize(entry as usize, Av::Temp);
@@ -906,11 +847,14 @@ fn lower_func(
         }
     }
 
-    Some(Parts {
-        ops: b.ops,
-        idx_to_pc: b.idx_to_pc,
-        pc_to_idx,
-        tables: b.tables,
+    Some(RegFunc {
+        ops: b.ops.into(),
+        idx_to_pc: b.idx_to_pc.into(),
+        pc_to_idx: pc_to_idx.into(),
+        tables: b.tables.into(),
+        pool: b.arenas.pool.into(),
+        args: b.arenas.args.into(),
+        slices: b.arenas.slices.into(),
         num_temps,
         num_slots,
     })
@@ -919,12 +863,12 @@ fn lower_func(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModuleArtifact;
     use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
     use wizard_wasm::types::ValType::I32;
 
-    fn lower(mb: ModuleBuilder) -> RegModule {
-        let art = ModuleArtifact::new(mb.build().unwrap()).unwrap();
-        build_module(&art)
+    fn lower(mb: ModuleBuilder) -> ModuleArtifact {
+        ModuleArtifact::new(mb.build().unwrap()).unwrap()
     }
 
     /// `inc(x) = x + 1`: the deferred local and const fold into one
@@ -935,9 +879,8 @@ mod tests {
         let mut f = FuncBuilder::new(&[I32], &[I32]);
         f.local_get(0).i32_const(1).i32_add();
         mb.add_func("inc", f);
-        let rm = lower(mb);
-        assert_eq!((rm.lowered_count, rm.fallback_count), (1, 0));
-        let rf = rm.func(0).unwrap();
+        let art = lower(mb);
+        let rf = art.reg_func(0).expect("lowers");
         assert_eq!(rf.num_slots(), 1);
         let ops = rf.ops();
         assert_eq!(ops.len(), 2, "bin + return, nothing else: {ops:?}");
@@ -958,7 +901,8 @@ mod tests {
         let mut f = FuncBuilder::new(&[I32], &[I32]);
         f.local_get(0).local_set(0).local_get(0);
         mb.add_func("id", f);
-        let rf = lower(mb).func(0).unwrap().clone();
+        let art = lower(mb);
+        let rf = art.reg_func(0).unwrap();
         let ops = rf.ops();
         assert_eq!(ops.len(), 2, "flush copy + return: {ops:?}");
         assert_eq!((ops[0].op, ops[0].dst, ops[0].a), (R_COPY, rf.num_slots(), 0));
@@ -978,7 +922,8 @@ mod tests {
         });
         f.local_get(acc);
         mb.add_func("sum", f);
-        let rf = lower(mb).func(0).unwrap().clone();
+        let art = lower(mb);
+        let rf = art.reg_func(0).unwrap();
         let ops = rf.ops();
         assert!(ops.iter().any(|ri| ri.op == R_LOOP));
         let fused: Vec<_> =
@@ -1012,7 +957,7 @@ mod tests {
         mb.add_func("sum", f);
         let art = ModuleArtifact::new(mb.build().unwrap()).unwrap();
         let body_len = art.funcs()[0].bytes.len();
-        let rf = build_module(&art).func(0).unwrap().clone();
+        let rf = art.reg_func(0).unwrap();
 
         for w in (0..rf.len()).collect::<Vec<_>>().windows(2) {
             assert!(rf.pc_of(w[0]) <= rf.pc_of(w[1]), "idx_to_pc not monotone");
@@ -1030,41 +975,39 @@ mod tests {
         assert_eq!(rf.pc_of(rf.len() - 1) as usize, body_len);
     }
 
-    /// Two callers passing the same const arguments share one slice in
-    /// the module-level operand arena, and the const pool holds each
-    /// value once — addressed through `ARG_POOL_BIT`.
+    /// Two calls passing the same const arguments share one slice in the
+    /// function's operand arena, and its const pool holds each value once
+    /// — addressed through `ARG_POOL_BIT`.
     #[test]
     fn call_arg_slices_and_const_pool_dedup() {
         let mut mb = ModuleBuilder::new();
         let mut h = FuncBuilder::new(&[I32, I32], &[I32]);
         h.local_get(0).local_get(1).i32_add();
         mb.add_func("helper", h);
-        for name in ["f", "g"] {
-            let mut f = FuncBuilder::new(&[], &[I32]);
-            f.i32_const(7).i32_const(9).call(0);
-            mb.add_func(name, f);
-        }
-        let rm = lower(mb);
-        assert_eq!(rm.lowered_count, 3);
-        let find_call = |lf: usize| {
-            let rf = rm.func(lf).unwrap();
-            *rf.ops().iter().find(|ri| ri.op == R_CALL).unwrap()
-        };
-        let (cf, cg) = (find_call(1), find_call(2));
-        let (sf, sg) = (cf.z as u32, cg.z as u32);
-        assert_eq!(sf, sg, "identical arg lists share one slice");
-        let rf = rm.func(1).unwrap();
-        let slice = rf.arg_slice(sf);
+        let mut f = FuncBuilder::new(&[], &[I32]);
+        f.i32_const(7).i32_const(9).call(0);
+        f.i32_const(7).i32_const(9).call(0).i32_add();
+        mb.add_func("f", f);
+        let art = lower(mb);
+        let rf = art.reg_func(1).unwrap();
+        let calls: Vec<RInstr> = rf.ops().iter().filter(|ri| ri.op == R_CALL).copied().collect();
+        assert_eq!(calls.len(), 2);
+        let (s0, s1) = (calls[0].z as u32, calls[1].z as u32);
+        assert_eq!(s0, s1, "identical arg lists share one slice");
+        assert_eq!(rf.slices.len(), 1);
+        assert_eq!(rf.pool.len(), 2, "each const pooled once");
+        let slice = rf.arg_slice(s0);
         assert_eq!(slice.len(), 2);
         assert!(slice.iter().all(|&a| a & ARG_POOL_BIT != 0), "consts via pool");
         assert_eq!(rf.pool(slice[0] & !ARG_POOL_BIT), Slot::from_i32(7).0);
         assert_eq!(rf.pool(slice[1] & !ARG_POOL_BIT), Slot::from_i32(9).0);
-        assert_eq!((cf.a, cf.b), (0, 2), "args written from height 0, two of them");
+        assert_eq!((calls[0].a, calls[0].b), (0, 2), "args written from height 0, two of them");
+        assert_eq!((calls[1].a, calls[1].b), (1, 2), "above the first call's result");
     }
 
-    /// `RegModule` indexing: every local function lowers (the MVP op set
-    /// is fully modeled), out-of-range lookups return `None`, and the
-    /// size accounting is non-trivial.
+    /// Per-function indexing: every local function lowers (the MVP op set
+    /// is fully modeled), each on its own first demand and exactly once,
+    /// and the size accounting is non-trivial.
     #[test]
     fn module_indexing_and_totals() {
         let mut mb = ModuleBuilder::new();
@@ -1073,12 +1016,14 @@ mod tests {
             f.local_get(0).i32_const(n).i32_add();
             mb.add_func(&format!("f{n}"), f);
         }
-        let rm = lower(mb);
-        assert_eq!((rm.lowered_count, rm.fallback_count), (3, 0));
+        let art = lower(mb);
         for lf in 0..3 {
-            assert!(rm.func(lf).is_some());
+            assert!(art.funcs()[lf].reg_built().is_none(), "nothing built up front");
+            let (rf, built_now) = art.reg_func_init(lf);
+            assert!(built_now && rf.is_some());
+            assert!(rf.unwrap().size_bytes() > 0);
+            assert!(!art.reg_func_init(lf).1, "built once");
+            assert!(art.funcs()[lf].reg_built().is_some());
         }
-        assert!(rm.func(3).is_none());
-        assert!(rm.size_bytes() > 0);
     }
 }

@@ -81,7 +81,7 @@ impl RunTable {
                 leader[t.slot as usize] = true;
             }
             for slot in 0..n {
-                if ends_run(low.original(slot).op) {
+                if ends_run(low.get(slot).op) {
                     leader[slot + 1] = true;
                 }
             }

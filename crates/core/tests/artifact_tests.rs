@@ -113,11 +113,17 @@ fn baseline_jit_code_is_shared_until_probed_and_after_rejoin() {
     let mut p1 = Process::instantiate(Arc::clone(&art), config.clone(), &Linker::new()).unwrap();
     let mut p2 = Process::instantiate(Arc::clone(&art), config, &Linker::new()).unwrap();
     let f = p1.module().export_func("sum").unwrap();
+    // Metered runs: clean unmetered code runs in the register tier and
+    // never compiles, metered slices take the stack tiers and tier up.
+    let run = |p: &mut Process| match p.run_bounded(f, &[Value::I32(30)], 1 << 20).unwrap() {
+        wizard_engine::RunOutcome::Done(r) => r,
+        wizard_engine::RunOutcome::OutOfFuel => panic!("the budget covers the run"),
+    };
 
     // Tier both up.
     for _ in 0..3 {
-        p1.invoke(f, &[Value::I32(30)]).unwrap();
-        p2.invoke(f, &[Value::I32(30)]).unwrap();
+        run(&mut p1);
+        run(&mut p2);
     }
     assert!(p1.is_compiled(f) && p2.is_compiled(f));
     let shared = p1.compiled_identity(f).unwrap();
@@ -133,19 +139,19 @@ fn baseline_jit_code_is_shared_until_probed_and_after_rejoin() {
     assert!(!p1.is_compiled(f));
     assert_eq!(p2.compiled_identity(f), Some(shared));
     for _ in 0..3 {
-        p1.invoke(f, &[Value::I32(30)]).unwrap();
+        run(&mut p1);
     }
     assert!(p1.is_compiled(f));
     assert_ne!(p1.compiled_identity(f), Some(shared));
     assert!(counter.get() > 0);
-    assert_eq!(p2.invoke(f, &[Value::I32(30)]).unwrap(), vec![Value::I32(435)]);
+    assert_eq!(run(&mut p2), vec![Value::I32(435)]);
 
     // Detach: p1 rejoins version 0 and the next tier-up reuses the shared
     // baseline without recompiling anything.
     p1.remove_probe(id).unwrap();
     let compiles_before = p1.stats().compiles + p2.stats().compiles;
     for _ in 0..3 {
-        p1.invoke(f, &[Value::I32(30)]).unwrap();
+        run(&mut p1);
     }
     assert_eq!(p1.compiled_identity(f), Some(shared), "rejoined the shared baseline");
     assert_eq!(p1.stats().compiles + p2.stats().compiles, compiles_before);
@@ -279,7 +285,7 @@ fn mid_execution_rejoin_when_the_last_probe_removes_itself() {
     // A one-shot probe: removes itself on its first fire. It is the
     // function's only probe, so the removal drops the overlay *while the
     // function is executing* — the run must continue correctly on the
-    // shared (re-fused) stream.
+    // shared stream.
     let fires = Rc::new(Cell::new(0u64));
     let own_id: Rc<Cell<Option<ProbeId>>> = Rc::new(Cell::new(None));
     let (fires2, own2) = (Rc::clone(&fires), Rc::clone(&own_id));

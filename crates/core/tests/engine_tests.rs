@@ -85,16 +85,22 @@ fn recursion_same_in_all_tiers() {
     }
 }
 
+/// Instrumented code runs the lowered stack interpreter, which tiers up
+/// (clean code stays in the register tier, see `register_tests.rs`).
 #[test]
 fn tiered_mode_tiers_up_via_osr() {
     let (m, _) = sum_module();
     let mut p = proc_with(m, EngineConfig::builder().tierup_threshold(10).build());
-    let r = p.invoke_export("sum", &[Value::I32(10_000)]).unwrap();
+    let f = p.module().export_func("sum").unwrap();
+    let probe = CountProbe::new();
+    let entries = probe.cell();
+    p.add_local_probe_val(f, 0, probe).unwrap();
+    let r = p.invoke(f, &[Value::I32(10_000)]).unwrap();
     assert_eq!(r, vec![Value::I32(49_995_000)]);
+    assert_eq!(entries.get(), 1);
     let stats = p.stats();
     assert!(stats.tier_ups >= 1, "expected OSR tier-up, stats: {stats:?}");
     assert!(stats.compiles >= 1);
-    let f = p.module().export_func("sum").unwrap();
     assert!(p.is_compiled(f));
 }
 
@@ -433,7 +439,11 @@ fn global_probe_mode_suspends_jit_without_discarding_code() {
     let (m, _) = sum_module();
     let mut p = proc_with(m, EngineConfig::builder().tierup_threshold(5).build());
     let f = p.module().export_func("sum").unwrap();
-    // Get the function hot and compiled.
+    // Instrument the function (clean code never compiles), then get it hot
+    // and compiled.
+    let probe = CountProbe::new();
+    let entries = probe.cell();
+    p.add_local_probe_val(f, 0, probe).unwrap();
     p.invoke(f, &[Value::I32(1000)]).unwrap();
     assert!(p.is_compiled(f));
     let count = Rc::new(Cell::new(0u64));
@@ -453,6 +463,7 @@ fn global_probe_mode_suspends_jit_without_discarding_code() {
     let after = p.stats();
     assert_eq!(count.get(), fires_after_removal, "no fires after removal");
     assert_eq!(after.compiles, before.compiles, "no recompilation needed");
+    assert_eq!(entries.get(), 3, "the local probe fired on every entry");
 }
 
 /// Global `Count` probes are bumped straight from the instrumented dispatch

@@ -215,8 +215,11 @@ fn resume_deopts_suspended_jit_frame_after_instrumentation_change() {
     let mut p = Process::new(m, tiered(5), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
 
-    // Warm up so the bounded run starts straight in compiled code.
-    p.invoke(f, &[Value::I32(100)]).unwrap();
+    // Warm up so the bounded run starts straight in compiled code. The
+    // warm-up is metered too: clean unmetered runs stay in the register
+    // tier and never compile.
+    let warm = p.run_bounded(f, &[Value::I32(100)], 1_000_000).unwrap();
+    assert_eq!(warm, RunOutcome::Done(vec![Value::I32(4_950)]));
     assert!(p.is_compiled(f));
 
     let out = p.run_bounded(f, &[Value::I32(300)], 40).unwrap();

@@ -1,16 +1,15 @@
-//! Register-dispatch edge cases around the byte-offset `Location`
-//! contract: fuel suspension and resume under `Dispatch::Register`,
-//! probe attach/detach while suspended, demotion of a parked register
-//! frame when its function gains an overlay mid-run, and the tier policy:
-//! register frames never tier up, metered runs tier up like lowered ones.
+//! Register-tier edge cases around the byte-offset `Location` contract:
+//! fuel suspension and resume under the default dispatch, probe
+//! attach/detach while suspended, demotion of a parked register frame
+//! when its function gains an overlay mid-run, the per-function register
+//! build, and the tier policy: register frames never tier up, metered
+//! runs take the lowered tiers and tier up.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use wizard_engine::store::Linker;
-use wizard_engine::{
-    ClosureProbe, CountProbe, Dispatch, EngineConfig, ExecMode, Process, RunOutcome, Value,
-};
+use wizard_engine::{ClosureProbe, CountProbe, EngineConfig, Process, RunOutcome, Value};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
@@ -31,15 +30,11 @@ fn sum_module() -> (Module, ModuleMeta) {
 }
 
 fn register() -> EngineConfig {
-    EngineConfig::interpreter_register()
+    EngineConfig::interpreter()
 }
 
 fn tiered_register(threshold: u32) -> EngineConfig {
-    EngineConfig::builder()
-        .mode(ExecMode::Tiered)
-        .dispatch(Dispatch::Register)
-        .tierup_threshold(threshold)
-        .build()
+    EngineConfig::builder().tierup_threshold(threshold).build()
 }
 
 /// Drives a suspended process to completion, returning the results and
@@ -67,7 +62,52 @@ fn register_dispatch_computes_and_counts_lowering() {
     assert_eq!(stats.reg_demotions, 0, "nothing forced the stack tier");
 }
 
-/// Fuel exhaustion mid-loop under register dispatch: the bounded run
+/// A parameter-less, local-less `() -> ()` function has no registers at
+/// all: its void return must read none.
+#[test]
+fn void_function_without_registers_returns() {
+    let mut mb = ModuleBuilder::new();
+    let mut f = FuncBuilder::new(&[], &[]);
+    f.nop();
+    mb.add_func("nop", f);
+    let mut p = Process::new(mb.build().unwrap(), register(), &Linker::new()).unwrap();
+    assert_eq!(p.invoke_export("nop", &[]).unwrap(), vec![]);
+    assert_eq!(p.stats().functions_reg_lowered, 1, "it ran in the register tier");
+}
+
+/// The register form is built per function, on its first clean
+/// activation, and counted then: a metered run builds none, an
+/// uncalled function is never built, and a sibling process of the same
+/// artifact reuses what the first one built.
+#[test]
+fn register_form_is_built_per_function_on_first_clean_call() {
+    let mut mb = ModuleBuilder::new();
+    let mut f = FuncBuilder::new(&[I32], &[I32]);
+    f.local_get(0).i32_const(1).i32_add();
+    mb.add_func("inc", f);
+    let mut g = FuncBuilder::new(&[I32], &[I32]);
+    g.local_get(0);
+    mb.add_func("id", g);
+    let artifact =
+        std::sync::Arc::new(wizard_engine::ModuleArtifact::new(mb.build().unwrap()).unwrap());
+    let new = || {
+        Process::instantiate(std::sync::Arc::clone(&artifact), register(), &Linker::new()).unwrap()
+    };
+    let mut p = new();
+    assert_eq!(p.stats().functions_reg_lowered, 0, "instantiation builds nothing");
+    let out = p.run_export_bounded("inc", &[Value::I32(1)], 1_000).unwrap();
+    assert_eq!(out, RunOutcome::Done(vec![Value::I32(2)]));
+    assert_eq!(p.stats().functions_reg_lowered, 0, "metered runs build no register code");
+    assert_eq!(p.invoke_export("inc", &[Value::I32(2)]).unwrap(), vec![Value::I32(3)]);
+    let stats = p.stats();
+    assert_eq!((stats.functions_reg_lowered, stats.reg_fallbacks), (1, 0), "only `inc` is built");
+    assert!(artifact.funcs()[1].reg_built().is_none(), "`id` was never called");
+    let mut q = new();
+    assert_eq!(q.invoke_export("inc", &[Value::I32(4)]).unwrap(), vec![Value::I32(5)]);
+    assert_eq!(q.stats().functions_reg_lowered, 0, "the sibling shares the build");
+}
+
+/// Fuel exhaustion mid-loop under the default dispatch: the bounded run
 /// suspends and resumes to the same result, and a probe at the loop
 /// header fires exactly as often as in an unbounded run, for every
 /// slice size. (Metered slices run on the stack tier by policy; the
@@ -107,7 +147,7 @@ fn bounded_register_run_keeps_probe_counts_exact() {
     }
 }
 
-/// Probe attach and detach while a register-dispatch process is
+/// Probe attach and detach while a process is
 /// suspended mid-loop: the probe fires on the resumed slices, stops at
 /// detach, and the run still completes correctly. A subsequent
 /// unbounded invocation goes back to the register tier.
@@ -147,7 +187,7 @@ fn probe_attach_detach_while_suspended() {
 /// callee's probe instruments the *caller's* loop header; on return the
 /// parked register frame demotes to the stack tier (counted), resumes
 /// at its byte pc, and the freshly inserted probe fires for the rest of
-/// the loop — behavior identical to the lowered-dispatch run.
+/// the loop — behavior identical to the byte-dispatch reference run.
 #[test]
 fn parked_register_frame_demotes_when_probed_mid_run() {
     let build = || {
@@ -204,17 +244,19 @@ fn parked_register_frame_demotes_when_probed_mid_run() {
         (loop_fires.get(), p.stats())
     };
 
-    let (ref_fires, ref_stats) = run(EngineConfig::interpreter());
+    let (ref_fires, ref_stats) = run(EngineConfig::interpreter_bytecode());
     assert!(ref_fires > 0);
     assert_eq!(ref_stats.reg_demotions, 0);
 
     let (fires, stats) = run(register());
     assert_eq!(fires, ref_fires, "mid-run instrumentation fires identically");
     assert!(stats.reg_demotions > 0, "the parked register frame demoted");
-    assert_eq!(stats.functions_reg_lowered, 2);
+    // Only `outer` had a clean activation: `helper` was probed before
+    // its first call, so its register form is never built.
+    assert_eq!(stats.functions_reg_lowered, 1);
 }
 
-/// Tiered register dispatch, unmetered: the register interpreter is the
+/// Tiered, unmetered: the register interpreter is the
 /// top tier for an uninstrumented function, so a loop and repeated calls
 /// far past the tier-up threshold compile nothing and tier nothing up.
 #[test]
@@ -234,9 +276,9 @@ fn register_frames_stay_in_the_register_tier() {
     assert_eq!(stats.functions_reg_lowered, 1);
 }
 
-/// Tiered register dispatch, metered: fuel-bounded slices follow the
-/// lowered policy, so the hot loop tiers up into the micro-op JIT (which
-/// charges fuel) and the sliced run still computes the reference result.
+/// Tiered, metered: fuel-bounded slices take the lowered stack tier, so
+/// the hot loop tiers up into the micro-op JIT (which charges fuel) and
+/// the sliced run still computes the reference result.
 #[test]
 fn metered_tiered_register_run_compiles() {
     let (m, _) = sum_module();
@@ -257,9 +299,9 @@ fn metered_tiered_register_run_compiles() {
     assert_eq!(stats.reg_demotions, 0, "no register frame was ever started");
 }
 
-/// A global probe forces global mode: every frame runs the classic
-/// instrumented interpreter even under register dispatch, and removing
-/// the probe hands execution back to the register tier.
+/// A global probe forces global mode: every frame runs the lowered
+/// instrumented interpreter, and removing the probe hands execution back
+/// to the register tier.
 #[test]
 fn global_probe_suppresses_register_tier_then_releases_it() {
     let (m, _) = sum_module();

@@ -31,12 +31,17 @@ fn tiered(threshold: u32) -> EngineConfig {
 
 /// Probe insertion invalidates compiled code; the hot function is then
 /// *recompiled* (with the probe baked in) rather than stuck interpreting.
+/// (An entry probe makes the function instrumented from the start: clean
+/// code runs in the register tier and never compiles.)
 #[test]
 fn hot_function_recompiles_after_probe_insertion() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
     let mut p = Process::new(m, tiered(5), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
+    let entry = CountProbe::new();
+    let entries = entry.cell();
+    p.add_local_probe_val(f, 0, entry).unwrap();
     p.invoke(f, &[Value::I32(1000)]).unwrap();
     assert!(p.is_compiled(f));
     let compiles_before = p.stats().compiles;
@@ -51,6 +56,7 @@ fn hot_function_recompiles_after_probe_insertion() {
     assert!(p.is_compiled(f), "hot function recompiled with the probe");
     assert!(p.stats().compiles > compiles_before);
     assert_eq!(cell.get(), 1001);
+    assert_eq!(entries.get(), 2);
 }
 
 /// The Coverage claim (§3): after self-removing probes fire, the function
@@ -136,6 +142,8 @@ fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
 fn suspended_caller_frames_deopt_on_return() {
     // outer(n) calls inner(n) in a loop; a probe inside inner instruments
     // OUTER mid-run, so outer's suspended JIT frame is stale on resume.
+    // Outer is instrumented (a loop-header count) from the start, so it
+    // runs the stack tiers and compiles.
     let mut mb = ModuleBuilder::new();
     let inner = mb.declare_func("inner", &[I32], &[I32]);
     let mut fi = FuncBuilder::new(&[I32], &[I32]);
@@ -155,11 +163,14 @@ fn suspended_caller_frames_deopt_on_return() {
     fo.local_get(total);
     mb.add_func("outer", fo);
     mb.export("inner", wizard_wasm::types::ExternKind::Func, inner);
-    let m = mb.build().unwrap();
+    let (m, meta) = mb.build_with_meta().unwrap();
 
     let mut p = Process::new(m, tiered(2), &Linker::new()).unwrap();
     let outer = p.module().export_func("outer").unwrap();
     let inner = p.module().export_func("inner").unwrap();
+    let header = CountProbe::new();
+    let headers = header.cell();
+    p.add_local_probe_val(outer, meta.funcs[outer as usize].loop_headers[0], header).unwrap();
     let done = Rc::new(Cell::new(false));
     let d = Rc::clone(&done);
     p.add_local_probe(
@@ -179,6 +190,7 @@ fn suspended_caller_frames_deopt_on_return() {
     let r = p.invoke(outer, &[Value::I32(100)]).unwrap();
     assert_eq!(r, vec![Value::I32(5000)]);
     assert!(p.stats().deopts >= 1, "stale caller deopted: {:?}", p.stats());
+    assert_eq!(headers.get(), 101, "the loop-header count is exact across the deopt");
 }
 
 /// JIT-only mode compiles on first call and never interprets (except when

@@ -13,8 +13,7 @@ use std::rc::Rc;
 use wizard_analysis::cfg::Cfg;
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    Dispatch, EngineConfig, ExecMode, Location, ModuleArtifact, Monitor, Process, RunOutcome,
-    Shims, Value,
+    EngineConfig, ExecMode, Location, ModuleArtifact, Monitor, Process, RunOutcome, Shims, Value,
 };
 use wizard_monitors::{HotnessMonitor, ProbeMode};
 use wizard_suites::corpus::corpus;
@@ -36,17 +35,16 @@ type Counts = BTreeMap<Location, u64>;
 /// configurations: compiled code charges no fuel for the structural
 /// instructions it compiles away, so its slices end elsewhere).
 fn configs() -> Vec<(&'static str, EngineConfig, bool)> {
-    let tiered = |dispatch| {
-        EngineConfig::builder().mode(ExecMode::Tiered).dispatch(dispatch).tierup_threshold(2)
-    };
     let mut v = vec![
         ("interpreter_bytecode", EngineConfig::interpreter_bytecode(), true),
         ("interpreter", EngineConfig::interpreter(), true),
         ("jit", EngineConfig::jit(), false),
         ("jit_no_intrinsics", EngineConfig::jit_no_intrinsics(), false),
-        ("tiered", tiered(Dispatch::Lowered).build(), false),
-        ("interpreter_register", EngineConfig::interpreter_register(), true),
-        ("tiered_register", tiered(Dispatch::Register).build(), false),
+        (
+            "tiered",
+            EngineConfig::builder().mode(ExecMode::Tiered).tierup_threshold(2).build(),
+            false,
+        ),
     ];
     for (_, c, _) in &mut v {
         c.max_call_depth = MAX_DEPTH;
@@ -85,22 +83,23 @@ impl Program {
 }
 
 /// A module whose exports trap in the middle of a run, each in a
-/// different way: the fused and unfused spellings of a division by zero,
+/// different way: spellings of a division by zero whose operands the
+/// register form reads from locals, folds as immediates or computes,
 /// an out-of-bounds load, `unreachable`, a trap three calls deep, and
 /// call-stack exhaustion. Every trapping instruction has instructions of
 /// its own run before and after it.
 fn trap_program() -> Program {
     let mut mb = ModuleBuilder::new();
     mb.memory(1);
-    // `local.get; local.get; div` — one three-wide superinstruction.
+    // `local.get; local.get; div` — both operands read from a local.
     let mut f = FuncBuilder::new(&[I32], &[I32]);
     f.nop().local_get(0).local_get(0).i32_div_u().i32_const(5).i32_add().nop();
     mb.add_func("div_get_get", f);
-    // `const; local.get; div` — the `local.get; div` pair fuses.
+    // `const; local.get; div` — a folded left operand.
     let mut f = FuncBuilder::new(&[I32], &[I32]);
     f.nop().i32_const(7).local_get(0).i32_div_u().i32_const(5).i32_add().nop();
     mb.add_func("div_get", f);
-    // `local.get; const 0; div` — the `const; div` pair fuses.
+    // `local.get; const 0; div` — a folded right operand.
     let mut f = FuncBuilder::new(&[I32], &[I32]);
     f.nop().local_get(0).i32_const(0).i32_div_u().i32_const(5).i32_add().nop();
     mb.add_func("div_const", f);

@@ -45,24 +45,15 @@ const HAND_START_DATA: &[u8] = include_bytes!("corpus/hand_start_data.wasm");
 /// function against the bytecode reference semantics.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut v = vec![
-        ("interp-lowered", EngineConfig::interpreter()),
+        ("interp", EngineConfig::interpreter()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
         ("jit", EngineConfig::jit()),
-        ("tiered-lowered", EngineConfig::builder().tierup_threshold(2).build()),
+        ("tiered", EngineConfig::builder().tierup_threshold(2).build()),
         (
             "tiered-bytecode",
             EngineConfig::builder()
                 .mode(ExecMode::Tiered)
                 .dispatch(Dispatch::Bytecode)
-                .tierup_threshold(2)
-                .build(),
-        ),
-        ("interp-register", EngineConfig::interpreter_register()),
-        (
-            "tiered-register",
-            EngineConfig::builder()
-                .mode(ExecMode::Tiered)
-                .dispatch(Dispatch::Register)
                 .tierup_threshold(2)
                 .build(),
         ),

@@ -6,12 +6,12 @@
 //! Every generated module must behave *identically* — results, traps,
 //! monitor reports — across:
 //!
-//! * the lowered interpreter (the new fast path, fused superinstructions
-//!   included) vs the classic byte-walking dispatcher (the semantic
-//!   reference);
+//! * the default interpreter tiers (register form for clean code, the
+//!   lowered stack form for instrumented and metered code) vs the classic
+//!   byte-walking dispatcher (the semantic reference);
 //! * interpreter-only vs JIT-only vs tiered execution;
 //! * uninstrumented vs probe-instrumented (hotness counts every
-//!   instruction, exercising probe patches on fused and unfused slots);
+//!   instruction, exercising probe patches on every lowered slot);
 //! * unbounded vs fuel-bounded execution resumed across suspensions.
 //!
 //! Two seed-loop properties ride along: the shared numeric table against
@@ -31,10 +31,10 @@ use wizard::wasm::Module;
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
-        ("interp-lowered", EngineConfig::interpreter()),
+        ("interp", EngineConfig::interpreter()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
         ("jit", EngineConfig::jit()),
-        ("tiered-lowered", EngineConfig::builder().tierup_threshold(2).build()),
+        ("tiered", EngineConfig::builder().tierup_threshold(2).build()),
         (
             "tiered-bytecode",
             EngineConfig::builder()
@@ -67,7 +67,7 @@ fn random_programs_agree_across_dispatchers_and_tiers() {
 }
 
 /// Probe-instrumented runs (hotness counts every instruction — every slot
-/// probed, fused or not) produce identical results AND identical reports
+/// probed) produce identical results AND identical reports
 /// across dispatchers and tiers, and never perturb the program.
 #[test]
 fn random_programs_probed_reports_are_dispatcher_invariant() {

@@ -167,16 +167,22 @@ fn binary_roundtrip_preserves_behavior() {
 
 /// Dynamic tiering on a long run: tier-up happens, results stay identical
 /// to the interpreter, and a global probe mid-flight doesn't discard code.
+/// The tiering run is metered: clean unmetered code runs in the register
+/// tier, which never tiers up.
 #[test]
 fn tiering_with_global_probe_round_trip() {
     let bench = polybench_suite(Scale::Test).into_iter().find(|b| b.name == "gemm").unwrap();
-    let mut interp = process(bench.module.clone(), EngineConfig::interpreter());
+    let mut interp = process(bench.module.clone(), EngineConfig::interpreter_bytecode());
     let expected = interp.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
 
     let mut p = process(bench.module.clone(), EngineConfig::builder().tierup_threshold(5).build());
-    let r1 = p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
+    let r1 = match p.run_export_bounded("run", &[Value::I32(bench.n)], 1 << 40).unwrap() {
+        wizard::engine::RunOutcome::Done(r) => r,
+        wizard::engine::RunOutcome::OutOfFuel => panic!("the budget covers the run"),
+    };
     assert_eq!(r1[0].to_slot(), expected[0].to_slot());
     assert!(p.stats().tier_ups > 0, "tier-up happened: {:?}", p.stats());
+    let compiles = p.stats().compiles;
 
     use std::cell::Cell;
     use std::rc::Rc;
@@ -191,6 +197,7 @@ fn tiering_with_global_probe_round_trip() {
     p.remove_probe(id).unwrap();
     let r3 = p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     assert_eq!(r3[0].to_slot(), expected[0].to_slot());
+    assert_eq!(p.stats().compiles, compiles, "the global probe discarded no code");
 }
 
 /// Runs `bench` with a monitor attached, either unbounded (`fuel: None`)
