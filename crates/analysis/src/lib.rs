@@ -32,18 +32,25 @@ pub mod validator;
 
 pub use facts::{FuncFacts, ModuleFacts, TosFact};
 pub use lint::{lint_module, LintFinding, LintKind};
-pub use regvalidator::{validate_func_register, validate_register_lowering, RegisterMismatch};
+pub use regvalidator::{
+    validate_func_register, validate_register_lowering, validate_sites_register, RegisterMismatch,
+};
 pub use validator::{validate_func_lowering, validate_lowering, LoweringMismatch};
 
-/// Registers [`validate_lowering`] as the engine's lowering validator,
-/// enabling `EngineConfig::builder().validate_lowering(true)` to check
-/// every instantiation. [`validate_register_lowering`] rides along and
-/// proves the byte ≡ register translation of every function too
-/// (building the register forms not built yet). Idempotent; safe to
-/// call from tests and mains.
+/// Registers the engine's translation validators, enabling
+/// `EngineConfig::builder().validate_lowering(true)` to check every
+/// instantiation — [`validate_lowering`] and [`validate_register_lowering`]
+/// prove the byte ≡ lowered and byte ≡ register translations of every
+/// function (building the register forms not built yet) — and every
+/// instrumented register form a process lowers, with
+/// [`validate_sites_register`]. Idempotent; safe to call from tests and
+/// mains.
 pub fn install_engine_validator() {
-    wizard_engine::register_lowering_validator(|artifact| {
-        validate_lowering(artifact).map_err(|e| e.to_string())?;
-        validate_register_lowering(artifact).map_err(|e| e.to_string())
-    });
+    wizard_engine::register_lowering_validator(
+        |artifact| {
+            validate_lowering(artifact).map_err(|e| e.to_string())?;
+            validate_register_lowering(artifact).map_err(|e| e.to_string())
+        },
+        |artifact, lf, reg| validate_sites_register(artifact, lf, reg).map_err(|e| e.to_string()),
+    );
 }

@@ -20,11 +20,15 @@
 //!   sides at the same byte pc with symbolically equal operands. Reads
 //!   of mutable state are numbered events, so ordering is part of the
 //!   proof.
-//! * At every **park point** (labels, loop headers, calls, taken branch
-//!   edges) the canonical registers below the live height and all local
-//!   registers must equal the byte side's stack and locals — exactly
-//!   the invariant that makes a parked register frame indistinguishable
-//!   from a stack frame for probes and for demotion to the stack tier.
+//! * At every **park point** (labels, loop headers, probe sites, run
+//!   anchors, calls, taken branch edges) the canonical registers below the
+//!   live height and all local registers must equal the byte side's stack
+//!   and locals — exactly the invariant that makes a parked register frame
+//!   indistinguishable from a stack frame for probes and for demotion to
+//!   the stack tier. A probe site ([`R_SITE`]) or run anchor (an
+//!   [`R_LOOP`] at an instruction that is not a `loop`) is a no-op park
+//!   point at the *entry* of its instruction, with the entry height; a
+//!   site must name its instruction's site-table slot.
 //!
 //! Block-entry resets make the check per-block (no fixpoint): any path
 //! reaching a label has, by the park rule, flushed to canonical form,
@@ -40,7 +44,8 @@ use std::fmt;
 use wizard_engine::regir::{
     RInstr, RegFunc, ARG_POOL_BIT, R_BIN, R_BIN_IR, R_BIN_RI, R_BR, R_BR_IF, R_BR_IF_Z, R_BR_TABLE,
     R_CALL, R_CALL_INDIRECT, R_CMP_BR, R_CMP_BR_RI, R_CONST, R_COPY, R_GLOBAL_GET, R_GLOBAL_SET,
-    R_LOAD, R_LOOP, R_MEM_GROW, R_MEM_SIZE, R_RETURN, R_SELECT, R_STORE, R_UN, R_UNREACHABLE,
+    R_LOAD, R_LOOP, R_MEM_GROW, R_MEM_SIZE, R_RETURN, R_SELECT, R_SITE, R_STORE, R_UN,
+    R_UNREACHABLE,
 };
 use wizard_engine::value::Slot;
 use wizard_engine::ModuleArtifact;
@@ -787,6 +792,7 @@ impl<'a> V<'a> {
                 R_CMP_BR | R_CMP_BR_RI if expected.is_none() && fused.is_none() => {
                     fused = Some(self.check_fused(pc, next, ri)?);
                 }
+                R_SITE => return self.fail(pc, "probe site not at its instruction's entry"),
                 _ => match expected.take() {
                     Some(exp) => self.match_expected(pc, ri, exp)?,
                     None => {
@@ -802,6 +808,50 @@ impl<'a> V<'a> {
             return self.fail(pc, "byte instruction has no register counterpart");
         }
         Ok(fused)
+    }
+
+    /// Consumes the no-op park point at the entry of the instruction at
+    /// `pc` (slot `slot`), if the register stream has one there: a probe
+    /// site, or — unless the instruction is a `loop`, whose own `R_LOOP`
+    /// follows — a run anchor, each after the flush copies that make the
+    /// frame canonical at the entry height.
+    fn park_entry(
+        &mut self,
+        pc: u32,
+        next: usize,
+        slot: u32,
+        is_loop: bool,
+    ) -> Result<(), RegisterMismatch> {
+        let in_interval = |v: &Self, k: usize| k < v.reg.len() && (v.reg.pc_of(k) as usize) < next;
+        let mut k = self.cursor;
+        while in_interval(self, k) && matches!(self.reg.get(k).op, R_CONST | R_COPY) {
+            k += 1;
+        }
+        if !in_interval(self, k) {
+            return Ok(());
+        }
+        let park = self.reg.get(k);
+        if park.op != R_SITE && (park.op != R_LOOP || is_loop) {
+            return Ok(());
+        }
+        while self.cursor < k {
+            let ri = self.reg.get(self.cursor);
+            self.cursor += 1;
+            let s = match ri.op {
+                R_CONST => self.ar.intern(SNode::Const(ri.z)),
+                _ => self.r(pc, ri.a as usize)?,
+            };
+            self.w(pc, ri.dst as usize, s)?;
+        }
+        self.cursor = k + 1;
+        if park.op == R_SITE && park.x != slot {
+            return self.fail(pc, format!("site names slot {} of instruction slot {slot}", park.x));
+        }
+        if usize::from(park.dst) != self.stack.len() {
+            return self.fail(pc, "park point entry height diverges");
+        }
+        self.check_canonical(pc, self.stack.len())?;
+        self.check_locals(pc)
     }
 
     /// Structural checks on the pc maps: `idx_to_pc` non-decreasing and
@@ -842,12 +892,16 @@ impl<'a> V<'a> {
         let body_len = self.bytes.len();
         let mut pos = 0usize;
         let mut skip_pc: Option<u32> = None;
+        // Site-table slots are instruction ordinals (one lowered slot per
+        // instruction, dead ones included).
+        let mut slot = 0u32;
         while pos < body_len {
             let (instr, next) = match decode_at(self.bytes, pos) {
                 Ok(v) => v,
                 Err(e) => return self.fail(e.pc, format!("bytes do not decode: {e:?}")),
             };
             let pc = instr.pc;
+            slot += 1;
             if self.labels.contains_key(&pc) {
                 self.label_entry(pc)?;
             }
@@ -866,6 +920,7 @@ impl<'a> V<'a> {
                 pos = next;
                 continue;
             }
+            self.park_entry(pc, next, slot - 1, instr.op == op::LOOP)?;
             let expected = self.exec_byte(&instr, next)?;
             if let Some(fpc) = self.exec_interval(pc, next, expected)? {
                 skip_pc = Some(fpc);
@@ -977,6 +1032,27 @@ pub fn validate_func_register(
     v.run()
 }
 
+/// Validates one instrumented register form — local function `lf` of
+/// `artifact`, lowered with its probe sites — against the function's
+/// bytes: what the engine runs on every form it lowers under
+/// `EngineConfig::validate_lowering`.
+pub fn validate_sites_register(
+    artifact: &ModuleArtifact,
+    lf: usize,
+    reg: &RegFunc,
+) -> Result<(), RegisterMismatch> {
+    let fa = &artifact.funcs()[lf];
+    validate_func_register(
+        fa.func,
+        &fa.bytes,
+        &fa.meta,
+        fa.num_results as usize,
+        artifact.func_types(),
+        &artifact.module().types,
+        reg,
+    )
+}
+
 /// Validates the register lowering of every function the allocator
 /// lowers, building each function's register form that is not built yet.
 pub fn validate_register_lowering(artifact: &ModuleArtifact) -> Result<(), RegisterMismatch> {
@@ -1040,12 +1116,25 @@ mod tests {
         validate_register_lowering(&a).expect("fused register form is faithful");
     }
 
+    /// Every suite kernel's register form validates — probe-free, and with
+    /// a probe site ahead of every instruction.
     #[test]
     fn all_suite_kernels_validate() {
         for b in wizard_suites::all_suites(wizard_suites::Scale::Test) {
             let a = ModuleArtifact::new(b.module).expect("kernel validates");
             if let Err(e) = validate_register_lowering(&a) {
                 panic!("{}/{}: {e}", b.suite, b.name);
+            }
+            for (lf, fa) in a.funcs().iter().enumerate() {
+                let sites: Vec<(u32, u32)> = wizard_wasm::instr::InstrIter::new(&fa.bytes)
+                    .zip(0..)
+                    .map(|(instr, slot)| (instr.unwrap().pc, slot))
+                    .collect();
+                let types = (a.func_types(), &a.module().types);
+                let rf = wizard_engine::regir::lower_func(fa, types.0, types.1, &sites).unwrap();
+                if let Err(e) = validate_sites_register(&a, lf, &rf) {
+                    panic!("{}/{} with sites: {e}", b.suite, b.name);
+                }
             }
         }
     }
@@ -1076,6 +1165,75 @@ mod tests {
         assert_eq!(err.func, 0);
         let shown = err.to_string();
         assert!(shown.contains("func 0"), "diagnostic: {shown}");
+    }
+
+    /// A probed function's register form — a site ahead of every
+    /// instruction, including the loop header and the `br_if` a site keeps
+    /// from fusing — validates, in isolation and as the engine lowers it
+    /// under `validate_lowering`; the same sites lowered from a tampered
+    /// body, or naming the wrong site-table slots, are rejected.
+    #[test]
+    fn a_probed_form_validates_and_a_corrupted_one_is_rejected() {
+        use wizard_engine::regir::{lower_func, R_SITE};
+        let build = |c: i32| {
+            let mut f = FuncBuilder::new(&[I32], &[I32]);
+            let i = f.local(I32);
+            let acc = f.local(I32);
+            f.for_range(i, 0, |f| {
+                f.local_get(acc).local_get(i).i32_const(c).i32_mul().i32_add().local_set(acc);
+            });
+            f.local_get(acc);
+            artifact_for(f)
+        };
+        let (a, tampered) = (build(3), build(5));
+        let fa = &a.funcs()[0];
+        let sites: Vec<(u32, u32)> = wizard_wasm::instr::InstrIter::new(&fa.bytes)
+            .zip(0..)
+            .map(|(instr, slot)| (instr.unwrap().pc, slot))
+            .collect();
+        let lower = |art: &ModuleArtifact, sites: &[(u32, u32)]| {
+            lower_func(&art.funcs()[0], art.func_types(), &art.module().types, sites).unwrap()
+        };
+        let probed = lower(&a, &sites);
+        assert!(probed.ops().iter().filter(|ri| ri.op == R_SITE).count() > 10);
+        assert!(!probed.ops().iter().any(|ri| matches!(ri.op, R_CMP_BR | R_CMP_BR_RI)));
+        validate_sites_register(&a, 0, &probed).expect("the probed form is faithful");
+
+        let err = validate_sites_register(&a, 0, &lower(&tampered, &sites)).unwrap_err();
+        assert_eq!(err.func, 0, "{err}");
+        let shifted: Vec<(u32, u32)> = sites.iter().map(|&(pc, slot)| (pc, slot + 1)).collect();
+        let err = validate_sites_register(&a, 0, &lower(&a, &shifted)).unwrap_err();
+        assert!(err.msg.contains("site names slot"), "{err}");
+
+        // The engine validates each form it lowers with sites.
+        crate::install_engine_validator();
+        let config = wizard_engine::EngineConfig::builder().validate_lowering(true).build();
+        let mut p = wizard_engine::Process::new(
+            module_for_sum(),
+            config,
+            &wizard_engine::store::Linker::new(),
+        )
+        .unwrap();
+        let counter = wizard_engine::CountProbe::new();
+        let cell = counter.cell();
+        let loop_pc = sites.iter().find(|&&(pc, _)| fa.bytes[pc as usize] == op::LOOP).unwrap().0;
+        p.add_local_probe_val(0, loop_pc, counter).unwrap();
+        let r = p.invoke_export("f", &[wizard_engine::Value::I32(10)]).unwrap();
+        assert_eq!(r, vec![wizard_engine::Value::I32(135)]);
+        assert_eq!((cell.get(), p.stats().compiles), (11, 1), "entry + 10 backedges, lowered once");
+    }
+
+    /// The module of [`a_probed_form_validates_and_a_corrupted_one_is_rejected`]
+    /// with multiplier 3: `f(n) = Σ_{i<n} 3i`.
+    fn module_for_sum() -> wizard_wasm::module::Module {
+        let mut f = FuncBuilder::new(&[I32], &[I32]);
+        let i = f.local(I32);
+        let acc = f.local(I32);
+        f.for_range(i, 0, |f| {
+            f.local_get(acc).local_get(i).i32_const(3).i32_mul().i32_add().local_set(acc);
+        });
+        f.local_get(acc);
+        module_for(f)
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Translation validation of the lowered pipeline.
 //!
 //! The engine runs three representations of every function body — the
-//! bytes, the pre-decoded [`Lowered`] slots, and JIT code compiled from
-//! them. Differential execution checks their agreement on *sampled*
+//! bytes, the pre-decoded [`Lowered`] slots, and the register form
+//! ([`crate::regvalidator`] checks that one). Differential execution checks their agreement on *sampled*
 //! inputs; this module checks the byte→lowered translation *statically*
 //! and exhaustively, by mapping each side to a normal-form `Effect`
 //! per instruction and requiring:

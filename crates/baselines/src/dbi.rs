@@ -128,7 +128,7 @@ mod tests {
         mb.add_func("run", f);
         let m = mb.build().unwrap();
         let run = hotness(&m).unwrap();
-        let mut p = Process::new(run.module, EngineConfig::jit(), &run.linker).unwrap();
+        let mut p = Process::new(run.module, EngineConfig::default(), &run.linker).unwrap();
         let r = p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(r, vec![Value::I32(45)]);
         assert!(run.tool.clean_calls() > 50);

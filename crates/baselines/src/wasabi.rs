@@ -123,7 +123,7 @@ mod tests {
     fn hotness_counts_every_instruction() {
         let m = loop_module();
         let run = hotness(&m).unwrap();
-        let mut p = Process::new(run.module, EngineConfig::jit(), &run.linker).unwrap();
+        let mut p = Process::new(run.module, EngineConfig::default(), &run.linker).unwrap();
         let r = p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(r, vec![Value::I32(10)]);
         assert!(run.analysis.events() > 50);
@@ -134,7 +134,7 @@ mod tests {
     fn branch_distinguishes_directions() {
         let m = loop_module();
         let run = branch(&m).unwrap();
-        let mut p = Process::new(run.module, EngineConfig::jit(), &run.linker).unwrap();
+        let mut p = Process::new(run.module, EngineConfig::default(), &run.linker).unwrap();
         p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(run.analysis.events(), 11);
         assert_eq!(run.analysis.distinct_sites(), 2, "taken and fall-through keys");

@@ -54,8 +54,8 @@ struct Census {
 }
 
 fn attach_and_run(b: &Benchmark, src: &str, facts: bool) -> Census {
-    let mut p =
-        Process::new(b.module.clone(), EngineConfig::jit(), &Linker::new()).expect("instantiates");
+    let mut p = Process::new(b.module.clone(), EngineConfig::default(), &Linker::new())
+        .expect("instantiates");
     let mut mon = ScriptMonitor::from_source(src).expect("compiles");
     if !facts {
         mon = mon.without_facts();
@@ -137,7 +137,7 @@ fn main() {
     );
 
     let mut fields =
-        wizard_bench::metadata("analysis_demotion", &[workload.suite], &EngineConfig::jit());
+        wizard_bench::metadata("analysis_demotion", &[workload.suite], &EngineConfig::default());
     fields.push(("workload".to_string(), Json::str(workload.name)));
     fields.push(("series".to_string(), Json::array(series)));
     fields.push((

@@ -1,22 +1,24 @@
-//! Dispatch speed: classic byte-walking dispatch vs the production
-//! interpreter tiers, on richards + PolyBench, interpreter-only and
-//! tiered.
+//! Dispatch speed: classic byte-walking dispatch vs the production engine,
+//! on richards + PolyBench.
 //!
 //! Two dispatchers, selectable via [`wizard_engine::Dispatch`] and kept
 //! comparable on purpose:
 //!
 //! * `Bytecode` — the paper's in-place interpreter: LEB128 immediates and
 //!   side-table branch resolution paid per executed instruction.
-//! * `Register` (the default) — clean code runs the register IR: locals
-//!   and stack slots are numbered registers, `local.get`/consts fold into
+//! * `Register` (the default) — code runs the register IR: locals and
+//!   stack slots are numbered registers, `local.get`/consts fold into
 //!   inline operands, and the stack traffic disappears from the hot loop
 //!   entirely.
 //!
-//! Emits `BENCH_dispatch.json` (series schema v3, see `EXPERIMENTS.md`)
+//! The engine has no tier policy to vary (its one compiled tier runs
+//! every activation it can), so there is one pair of columns.
+//!
+//! Emits `BENCH_dispatch.json` (series schema v4, see `EXPERIMENTS.md`)
 //! with the shared metadata block, per-benchmark times for both
-//! dispatchers in both modes, and geomean speedups. Outside smoke mode the
-//! register interpreter geomean must reach ≥ 2.0× over bytecode — the
-//! acceptance bar of the register tier.
+//! dispatchers, and the geomean speedup. Outside smoke mode the register
+//! geomean must reach ≥ 2.0× over bytecode — the acceptance bar of the
+//! register tier.
 //!
 //! Environment: `WIZARD_SCALE`, `WIZARD_RUNS`, `WIZARD_SMOKE`.
 
@@ -25,7 +27,7 @@ use std::time::{Duration, Instant};
 use wizard_bench::json::Json;
 use wizard_bench::{geomean, metadata};
 use wizard_engine::store::Linker;
-use wizard_engine::{Dispatch, EngineConfig, Process, Value};
+use wizard_engine::{EngineConfig, Process, Value};
 use wizard_suites::Benchmark;
 
 /// Best-of-N wall time and checksum of an uninstrumented run under
@@ -54,13 +56,6 @@ fn time_config(b: &Benchmark, config: &EngineConfig) -> (Duration, u64) {
     (best, checksum)
 }
 
-/// One mode's dispatcher pair (bytecode / register).
-struct Cells {
-    label: &'static str,
-    bytecode: EngineConfig,
-    register: EngineConfig,
-}
-
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -78,83 +73,44 @@ fn main() {
     })];
     suite.extend(wizard_suites::polybench_suite(scale));
 
-    let modes = [
-        Cells {
-            label: "interp",
-            bytecode: EngineConfig::interpreter_bytecode(),
-            register: EngineConfig::interpreter(),
-        },
-        Cells {
-            label: "tiered",
-            bytecode: EngineConfig::builder().dispatch(Dispatch::Bytecode).build(),
-            register: EngineConfig::tiered(),
-        },
-    ];
-
     println!("=== dispatch speed: bytecode vs register dispatch ===");
-    println!(
-        "{:<16} {:<7} {:>12} {:>12} {:>9}",
-        "benchmark", "mode", "bytecode", "register", "reg/byte"
-    );
+    println!("{:<16} {:>12} {:>12} {:>9}", "benchmark", "bytecode", "register", "reg/byte");
 
     let mut series = Vec::new();
-    // Per-mode speedup series for geomeans.
-    let mut speedups: [Vec<f64>; 2] = Default::default();
+    let mut speedups = Vec::new();
     for b in &suite {
-        let mut fields = vec![("benchmark".to_string(), Json::str(b.name))];
-        for (mi, m) in modes.iter().enumerate() {
-            let (tb, cs_b) = time_config(b, &m.bytecode);
-            let (tr, cs_r) = time_config(b, &m.register);
-            assert_eq!(cs_r, cs_b, "{}/{}: register tier changed the result", b.name, m.label);
-            let sr = ratio(tb, tr);
-            speedups[mi].push(sr);
-            println!(
-                "{:<16} {:<7} {:>10.2}ms {:>10.2}ms {:>8.2}x",
-                b.name,
-                m.label,
-                ms(tb),
-                ms(tr),
-                sr
-            );
-            fields.push((
-                format!("{}_ms", m.label),
+        let (tb, cs_b) = time_config(b, &EngineConfig::interpreter_bytecode());
+        let (tr, cs_r) = time_config(b, &EngineConfig::default());
+        assert_eq!(cs_r, cs_b, "{}: register tier changed the result", b.name);
+        let sr = ratio(tb, tr);
+        speedups.push(sr);
+        println!("{:<16} {:>10.2}ms {:>10.2}ms {:>8.2}x", b.name, ms(tb), ms(tr), sr);
+        series.push(Json::object([
+            ("benchmark", Json::str(b.name)),
+            (
+                "ms",
                 Json::object([("bytecode", Json::num(ms(tb))), ("register", Json::num(ms(tr)))]),
-            ));
-            fields.push((
-                format!("{}_speedup", m.label),
-                Json::object([("register", Json::num(sr))]),
-            ));
-        }
-        series.push(Json::Obj(fields));
+            ),
+            ("speedup", Json::object([("register", Json::num(sr))])),
+        ]));
     }
 
-    let g = |mi: usize| geomean(&speedups[mi]);
-    println!("\ngeomean interpreter speedup vs bytecode: register {:.2}x", g(0));
-    println!("geomean tiered speedup vs bytecode:      register {:.2}x", g(1));
+    let gr = geomean(&speedups);
+    println!("\ngeomean speedup vs bytecode: register {gr:.2}x");
 
     // Assert before writing: a regression run must not leave a failing
     // row for trajectory tooling to ingest.
     if wizard_bench::smoke() {
         println!("(smoke mode: skipping the geomean assertion)");
     } else {
-        let gr = g(0);
-        assert!(
-            gr >= 2.0,
-            "register interpreter dispatch must be >=2.0x over byte dispatch (got {gr:.2}x)"
-        );
+        assert!(gr >= 2.0, "register dispatch must be >=2.0x over byte dispatch (got {gr:.2}x)");
     }
 
     let mut fields =
-        metadata("dispatch_speed", &["richards", "polybench"], &EngineConfig::interpreter());
-    fields.push(("series_schema".to_string(), Json::num(3.0)));
+        metadata("dispatch_speed", &["richards", "polybench"], &EngineConfig::default());
+    fields.push(("series_schema".to_string(), Json::num(4.0)));
     fields.push(("series".to_string(), Json::array(series)));
-    fields.push((
-        "summary".to_string(),
-        Json::object([
-            ("interp_geomean_register", Json::num(g(0))),
-            ("tiered_geomean_register", Json::num(g(1))),
-        ]),
-    ));
+    fields.push(("summary".to_string(), Json::object([("geomean_register", Json::num(gr))])));
     let doc = Json::Obj(fields);
     let path = "BENCH_dispatch.json";
     std::fs::write(path, format!("{doc}\n")).expect("write BENCH_dispatch.json");

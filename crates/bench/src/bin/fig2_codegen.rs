@@ -1,7 +1,9 @@
-//! Figure 2: the code the JIT generates for different probe kinds —
-//! uninstrumented, a generic probe (checkpoint + runtime call), an
-//! intrinsified top-of-stack operand probe (direct call), and an
-//! intrinsified counter probe (fully inlined increment).
+//! Figure 2: the compiled code — the register form — for different probe
+//! kinds: uninstrumented (the artifact's shared form), a generic probe
+//! (checkpoint + runtime call), an intrinsified top-of-stack operand probe
+//! (direct call), and an intrinsified counter probe (fully inlined
+//! increment). Each instrumented listing shows the `R_SITE` park point
+//! ahead of the probed `if`, as what it is currently bound to.
 
 use wizard_engine::store::Linker;
 use wizard_engine::{CountProbe, EmptyOperandProbe, EmptyProbe, EngineConfig, Process};
@@ -25,15 +27,15 @@ fn sample() -> (wizard_wasm::Module, u32) {
 
 fn listing(kind: &str, attach: impl FnOnce(&mut Process, u32, u32)) -> String {
     let (m, pc) = sample();
-    let mut p = Process::new(m, EngineConfig::jit(), &Linker::new()).expect("instantiates");
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).expect("instantiates");
     let f = p.module().export_func("sample").unwrap();
     attach(&mut p, f, pc);
-    let code = p.compiled_listing(f).expect("compiles");
+    let code = p.compiled_listing(f).expect("lowers");
     format!("--- {kind} ---\n{code}")
 }
 
 fn main() {
-    println!("=== Figure 2: JIT code for each probe kind (probe on the `if`) ===\n");
+    println!("=== Figure 2: register code for each probe kind (probe on the `if`) ===\n");
     print!("{}", listing("uninstrumented", |_, _, _| {}));
     print!(
         "{}",

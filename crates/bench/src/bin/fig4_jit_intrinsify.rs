@@ -1,6 +1,8 @@
 //! Figure 4: relative execution time of the hotness and branch monitors
-//! in the JIT tier, with and without probe intrinsification, across
-//! PolyBench (ratios relative to uninstrumented JIT execution).
+//! in the compiled tier (the paper's JIT; here the register form, whose
+//! probe sites bind intrinsified or generic), with and without probe
+//! intrinsification, across PolyBench (ratios relative to uninstrumented
+//! execution in the same tier).
 //!
 //! Emits `BENCH_intrinsify.json` (schema in `EXPERIMENTS.md`) so the
 //! perf trajectory accumulates across runs, and prints the same series
@@ -69,7 +71,7 @@ fn main() {
     let mut fields = wizard_bench::metadata(
         "fig4_jit_intrinsify",
         &["polybench"],
-        &wizard_engine::EngineConfig::jit(),
+        &wizard_engine::EngineConfig::default(),
     );
     fields.push(("series".to_string(), Json::array(series)));
     fields.push((

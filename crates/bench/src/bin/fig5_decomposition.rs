@@ -1,7 +1,8 @@
-//! Figure 5: decomposition of instrumented JIT execution time into program
-//! time (T_JIT), probe-dispatch overhead (T_PD, measured with empty
-//! probes), and M-code time (T_M), with and without intrinsification —
-//! the paper's empty-probe methodology (§5.3).
+//! Figure 5: decomposition of instrumented JIT execution time — the
+//! compiled tier, the register form — into program time (T_JIT),
+//! probe-dispatch overhead (T_PD, measured with empty probes), and M-code
+//! time (T_M), with and without intrinsification — the paper's
+//! empty-probe methodology (§5.3).
 
 use wizard_bench::{baseline, measure, Analysis, System};
 use wizard_suites::polybench_suite;

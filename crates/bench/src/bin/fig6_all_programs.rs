@@ -1,7 +1,7 @@
 //! Figures 6 and 7: relative execution times of the hotness and branch
 //! monitors across all three suites and all systems — DynamoRIO-style,
-//! Wasabi-style, Wizard interpreter, Wizard JIT (± intrinsification), and
-//! static bytecode rewriting. Figure 7 is the per-suite geometric means,
+//! Wasabi-style, Wizard interpreter, Wizard JIT (± intrinsification; the
+//! compiled tier is the register form), and static bytecode rewriting. Figure 7 is the per-suite geometric means,
 //! printed at the end.
 
 use std::collections::BTreeMap;

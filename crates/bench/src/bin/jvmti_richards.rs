@@ -22,7 +22,7 @@ enum Mode {
 fn run_once(loops: i32, mode: Mode) -> Duration {
     let b = richards_benchmark(loops);
     let start = Instant::now();
-    let mut p = Process::new(b.module.clone(), EngineConfig::tiered(), &Linker::new())
+    let mut p = Process::new(b.module.clone(), EngineConfig::default(), &Linker::new())
         .expect("richards instantiates");
     let _keep: Option<Box<dyn std::any::Any>> = match mode {
         Mode::Uninstrumented => None,

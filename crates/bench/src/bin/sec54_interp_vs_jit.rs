@@ -1,6 +1,9 @@
 //! §5.4: interpreter vs JIT — relative execution times differ wildly but
 //! *absolute* overheads are comparable, because the interpreter's baseline
-//! is slower and probes need no state checkpointing there.
+//! is slower and probes need no state checkpointing there. The
+//! interpreter is the byte-walking one ([`System::Interp`]); the JIT is
+//! the engine's compiled tier, the register form, with generic probe
+//! sites ([`System::Jit`]).
 
 use wizard_bench::{baseline, measure, relative, Analysis, System};
 use wizard_suites::polybench_suite;

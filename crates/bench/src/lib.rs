@@ -49,11 +49,13 @@ pub enum System {
     /// runs execute the same dispatch loop, so the ratio measures probes,
     /// not a tier change.
     Interp,
-    /// Wizard probes in the JIT tier with intrinsification.
+    /// Wizard probes in the compiled tier (the register form, the
+    /// default configuration) with intrinsification.
     JitIntrinsified,
-    /// Wizard probes in the JIT tier without intrinsification.
+    /// Wizard probes in the compiled tier without intrinsification: every
+    /// site fires generically.
     Jit,
-    /// Static bytecode rewriting run on the JIT tier (§5.5).
+    /// Static bytecode rewriting run on the compiled tier (§5.5).
     Rewriting,
     /// Wasabi-style host-callback instrumentation (§5.6).
     Wasabi,
@@ -82,7 +84,7 @@ impl System {
     pub fn baseline_config(self) -> EngineConfig {
         match self {
             System::Interp | System::InterpGlobal => EngineConfig::interpreter_bytecode(),
-            _ => EngineConfig::jit(),
+            _ => EngineConfig::default(),
         }
     }
 }
@@ -125,9 +127,7 @@ pub fn smoke() -> bool {
 pub fn engine_json(c: &EngineConfig) -> json::Json {
     use json::Json;
     Json::object([
-        ("mode", Json::str(format!("{:?}", c.mode))),
         ("dispatch", Json::str(format!("{:?}", c.dispatch))),
-        ("tierup_threshold", Json::num(f64::from(c.tierup_threshold))),
         ("intrinsify_count", Json::Bool(c.intrinsify_count)),
         ("intrinsify_operand", Json::Bool(c.intrinsify_operand)),
         ("fuel_slice", c.fuel_slice.map_or(Json::Null, |n| Json::num(n as f64))),
@@ -184,8 +184,8 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
         System::Interp | System::Jit | System::JitIntrinsified | System::InterpGlobal => {
             let config = match system {
                 System::Interp | System::InterpGlobal => EngineConfig::interpreter_bytecode(),
-                System::Jit => EngineConfig::jit_no_intrinsics(),
-                System::JitIntrinsified => EngineConfig::jit(),
+                System::Jit => EngineConfig::builder().intrinsify(false).build(),
+                System::JitIntrinsified => EngineConfig::default(),
                 _ => unreachable!(),
             };
             let mode =
@@ -250,14 +250,15 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
                 Analysis::None => {
                     // Uninstrumented "rewriting" = the original module.
                     let mut p =
-                        Process::new(bench.module.clone(), EngineConfig::jit(), &Linker::new())
+                        Process::new(bench.module.clone(), EngineConfig::default(), &Linker::new())
                             .expect("instantiates");
                     let r = p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
                     return (start.elapsed(), 0, checksum_of(&r));
                 }
             };
-            let mut p = Process::new(counted.module.clone(), EngineConfig::jit(), &Linker::new())
-                .expect("instantiates");
+            let mut p =
+                Process::new(counted.module.clone(), EngineConfig::default(), &Linker::new())
+                    .expect("instantiates");
             let r = p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
             let t = start.elapsed();
             let fires = counted.total(p.memory().expect("memory"));
@@ -271,7 +272,7 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
                 }
                 _ => wasabi::hotness(&bench.module).expect("injects"),
             };
-            let mut p = Process::new(run.module.clone(), EngineConfig::jit(), &run.linker)
+            let mut p = Process::new(run.module.clone(), EngineConfig::default(), &run.linker)
                 .expect("instantiates");
             let r = p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
             (start.elapsed(), run.analysis.events(), checksum_of(&r))
@@ -284,7 +285,7 @@ pub fn measure(bench: &Benchmark, system: System, analysis: Analysis) -> Measure
                 }
                 _ => dbi::hotness(&bench.module).expect("injects"),
             };
-            let mut p = Process::new(run.module.clone(), EngineConfig::jit(), &run.linker)
+            let mut p = Process::new(run.module.clone(), EngineConfig::default(), &run.linker)
                 .expect("instantiates");
             let r = p.invoke_export("run", &[Value::I32(bench.n)]).expect("runs");
             (start.elapsed(), run.tool.clean_calls(), checksum_of(&r))

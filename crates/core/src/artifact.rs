@@ -3,21 +3,22 @@
 //!
 //! A [`ModuleArtifact`] is everything about a module that is independent of
 //! any particular process: the validated [`Module`], its validation
-//! metadata, and the per-function lowered code ([`Lowered`]), register
-//! form ([`RegFunc`]) and probe-free baseline JIT code, each built lazily
-//! exactly once. The whole structure is immutable
-//! and `Send + Sync`, so a fleet runner holds it in an `Arc` and every
-//! worker thread instantiates processes from the same artifact —
+//! metadata, and the per-function lowered code ([`Lowered`]) and
+//! probe-free register form ([`RegFunc`]), each built lazily exactly once.
+//! The whole structure is immutable and `Send + Sync`, so a fleet runner
+//! holds it in an `Arc` and every worker thread instantiates processes
+//! from the same artifact —
 //! [`Process::instantiate`](crate::Process::instantiate) skips
-//! re-validation, re-lowering, and re-compilation entirely.
+//! re-validation and re-lowering entirely.
 //!
 //! The paper's non-intrusiveness guarantee is preserved per process by the
 //! **copy-on-write instrumentation overlay**
 //! ([`FuncOverlay`](crate::code::FuncOverlay)): uninstrumented processes
-//! execute directly from the artifact's shared lowered slots, and the
-//! first probe a process installs in a function copies just that
-//! function's bytes and lowered slots into process-local storage. Sibling
-//! processes of the same artifact never observe the probe.
+//! execute directly from the artifact's shared register form and lowered
+//! slots, and the first probe a process installs in a function copies
+//! just that function's bytes and lowered slots into process-local
+//! storage and lowers a private register form with the probe's site.
+//! Sibling processes of the same artifact never observe the probe.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -50,19 +51,19 @@ use wizard_wasm::module::{FuncIdx, Module};
 use wizard_wasm::types::{FuncType, ValType};
 use wizard_wasm::validate::{validate, FuncMeta, ValidateError};
 
-use crate::jit::CompiledCode;
 use crate::lowered::Lowered;
 use crate::probe::Location;
 use crate::regir::RegFunc;
 use crate::runs::RunTable;
 
 /// The immutable, shared per-function half of the code pipeline: pristine
-/// bytecode, validation metadata, and the lazily-built-once lowered form,
-/// register form and probe-free baseline JIT code.
+/// bytecode, validation metadata, and the lazily-built-once lowered form
+/// and probe-free register form.
 ///
 /// Everything mutable about a function at runtime — probe bytes, the
-/// copy-on-write op stream, compiled-code slots, hotness — lives in the
-/// per-process [`FuncOverlay`](crate::code::FuncOverlay) instead.
+/// copy-on-write op stream, the site table, the instrumented register
+/// form — lives in the per-process [`FuncOverlay`](crate::code::FuncOverlay)
+/// instead.
 #[derive(Debug)]
 pub struct FuncArtifact {
     /// Global function index.
@@ -80,14 +81,11 @@ pub struct FuncArtifact {
     /// The shared lowered form, built on first demand by whichever process
     /// needs it first and then shared by all.
     lowered: OnceLock<Arc<Lowered>>,
-    /// The shared register form, built on the function's first clean
-    /// activation in any process; `None` inside if the allocator declined
-    /// the function. See [`ModuleArtifact::reg_func`].
+    /// The shared (probe-free) register form, built on the function's
+    /// first uninstrumented activation in any process; `None` inside if
+    /// the allocator declined the function. See
+    /// [`ModuleArtifact::reg_func`].
     reg: OnceLock<Option<Arc<RegFunc>>>,
-    /// Probe-free (instrumentation version 0) compiled code, shareable
-    /// across processes until a probe lands; see
-    /// [`FuncArtifact::baseline_compiled`].
-    baseline: OnceLock<Arc<CompiledCode>>,
 }
 
 impl FuncArtifact {
@@ -108,23 +106,6 @@ impl FuncArtifact {
             Arc::new(Lowered::lower(&self.bytes, &self.meta))
         });
         (low, lowered_now)
-    }
-
-    /// The probe-free baseline JIT code (compiled at instrumentation
-    /// version 0), compiling now if no process has demanded it yet; the
-    /// flag reports whether *this* call performed the compilation.
-    ///
-    /// Baseline code contains no probe sites, so it is identical for every
-    /// process and every engine configuration — one compilation serves the
-    /// whole fleet until a process instruments the function, at which
-    /// point that process compiles privately against its own probe list.
-    pub(crate) fn baseline_compiled(&self) -> (&Arc<CompiledCode>, bool) {
-        let mut compiled_now = false;
-        let code = self.baseline.get_or_init(|| {
-            compiled_now = true;
-            Arc::new(crate::jit::compile_baseline(self.lowered()))
-        });
-        (code, compiled_now)
     }
 
     /// The register form if some process already built it — lets
@@ -211,7 +192,6 @@ impl ModuleArtifact {
                 num_results: ty.results.len() as u32,
                 lowered: OnceLock::new(),
                 reg: OnceLock::new(),
-                baseline: OnceLock::new(),
             }));
         }
         Ok(ModuleArtifact {
@@ -259,10 +239,10 @@ impl ModuleArtifact {
         self.funcs.len()
     }
 
-    /// The register form ([`crate::regir`]) of local function `lf`,
-    /// building it now if no process has demanded it yet; `None` if the
-    /// register allocator declined the function, which then runs on the
-    /// lowered stack tier.
+    /// The shared, probe-free register form ([`crate::regir`]) of local
+    /// function `lf`, building it now if no process has demanded it yet;
+    /// `None` if the register allocator declined the function, which then
+    /// runs on the lowered stack interpreter.
     pub fn reg_func(&self, lf: usize) -> Option<&Arc<RegFunc>> {
         self.reg_func_init(lf).0
     }
@@ -276,7 +256,7 @@ impl ModuleArtifact {
         let mut built_now = false;
         let reg = fa.reg.get_or_init(|| {
             built_now = true;
-            crate::regir::lower_func(fa, &self.func_types, &self.module.types).map(Arc::new)
+            crate::regir::lower_func(fa, &self.func_types, &self.module.types, &[]).map(Arc::new)
         });
         (reg.as_ref(), built_now)
     }
@@ -427,10 +407,12 @@ mod tests {
     #[test]
     fn baseline_code_compiles_once_and_is_shared() {
         let a = artifact();
-        let (_, first) = a.funcs()[0].baseline_compiled();
-        assert!(first);
-        let (c1, again) = a.funcs()[0].baseline_compiled();
-        assert!(!again);
-        assert_eq!(c1.version, 0);
+        let (first, built) = a.reg_func_init(0);
+        let first = Arc::clone(first.expect("lowers"));
+        assert!(built);
+        let (again, built) = a.reg_func_init(0);
+        assert!(!built);
+        assert!(Arc::ptr_eq(&first, again.unwrap()));
+        assert!(!first.ops().iter().any(|ri| ri.op == crate::regir::R_SITE), "probe-free");
     }
 }

@@ -8,10 +8,10 @@
 //! through the validator's per-pc side-table `HashMap`. It is retained for
 //! two reasons:
 //!
-//! * the `dispatch_speed` benchmark measures the default tiers *against*
-//!   this loop, so the decode-tax win stays measurable instead of becoming
-//!   folklore, and the figure binaries time probes on it (the paper's
-//!   in-place interpreter);
+//! * the `dispatch_speed` and `sec54_interp_vs_jit` benches measure the
+//!   default tiers *against* this loop, so the decode-tax win stays
+//!   measurable instead of becoming folklore, and the figure binaries time
+//!   probes on it (the paper's in-place interpreter);
 //! * the differential test suite runs programs under both dispatchers and
 //!   requires identical results, traps, and probe behavior — byte-walking
 //!   is the semantic reference for the register and lowered tiers.
@@ -28,10 +28,8 @@ use wizard_wasm::validate::SideEntry;
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
 use crate::numeric;
-use crate::probe::Location;
 use crate::trap::Trap;
 use crate::value::Slot;
-use crate::ExecMode;
 
 /// A classic interpreter handler: executes one instruction from raw bytes
 /// (including advancing the byte pc) or raises a [`Sig`].
@@ -157,27 +155,6 @@ fn op_block(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 }
 
 fn op_loop(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
-    // Loop headers drive hotness-based tier-up with on-stack replacement
-    // into compiled code — unless global-probe mode pins us to the
-    // interpreter (paper §4.1).
-    if ex.proc.config.mode == ExecMode::Tiered && !ex.proc.global_mode {
-        let fc = &ex.proc.code[ex.lf];
-        let h = fc.hotness.get() + 1;
-        fc.hotness.set(h);
-        if h >= ex.proc.config.tierup_threshold {
-            ex.proc.ensure_compiled(ex.lf);
-            let compiled = ex.proc.code[ex.lf].compiled.borrow().clone().expect("just compiled");
-            if let Some(&ip) = compiled.code.osr_entry.get(&(ex.pc as u32)) {
-                let f = ex.frames.last_mut().expect("frame");
-                f.tier = Tier::Jit;
-                f.cip = ip as usize;
-                f.pc = ex.pc + 2; // unused while in JIT, kept sane
-                f.code_version = compiled.version();
-                ex.proc.stats.tier_ups += 1;
-                return Err(Sig::Switch);
-            }
-        }
-    }
     ex.pc += 2;
     Ok(())
 }
@@ -423,18 +400,10 @@ fn op_un(ex: &mut Exec, b: u8) -> Result<(), Sig> {
 /// local probes, then executes the original instruction (paper §4.2).
 fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     let pc = ex.pc as u32;
-    let loc = Location { func: ex.func, pc };
-    if ex.skip_probe == Some(loc) {
-        // The probes at this location already fired (in the JIT tier,
-        // immediately before deoptimizing here). Execute the original
-        // instruction without re-firing.
-        ex.skip_probe = None;
-    } else {
-        // Probe locations are validated against the lowered form, so a
-        // probed function has one even under byte dispatch.
-        let slot = ex.proc.code[ex.lf].artifact().lowered().slot_of(pc);
-        ex.fire_site(slot.expect("a probe byte sits on an instruction boundary"), pc);
-    }
+    // Probe locations are validated against the lowered form, so a probed
+    // function has one even under byte dispatch.
+    let slot = ex.proc.code[ex.lf].artifact().lowered().slot_of(pc);
+    ex.fire_site(slot.expect("a probe byte sits on an instruction boundary"), pc);
     // Dispatch the original opcode, whether or not the firing probes
     // removed themselves (restoring the byte). Immediates are untouched by
     // overwriting, so handlers decode them normally.

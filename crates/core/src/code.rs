@@ -14,13 +14,15 @@
 //!   artifact never observe either transition;
 //! * the **site table**, allocated and dropped with that copy: one entry
 //!   per lowered slot, holding the site's ordered probe list and the
-//!   *binding* compiled code executes there — what insertion, removal,
-//!   firing and compilation need to know about a probe site is one array
-//!   read away (the overwritten instruction is another: the shared
-//!   artifact still has it);
-//! * the instrumentation version and the compiled-code slot (probe-free
-//!   code is shared from the artifact; instrumented code is private);
-//! * the hotness counter driving tier-up;
+//!   *binding* the register form's [`R_SITE`](crate::regir::R_SITE)
+//!   executes there — what insertion, removal, firing and lowering need
+//!   to know about a probe site is one array read away (the overwritten
+//!   instruction is another: the shared artifact still has it);
+//! * the **instrumented register form**, also held by that copy: the
+//!   function re-lowered with one site per probed instruction, built
+//!   lazily on the first activation after a probe lands where it has no
+//!   site (the probe-free form is shared from the artifact), and the
+//!   instrumentation version that tells which sites it carries;
 //! * the function's **resolved execution views** ([`FuncViews`]): the
 //!   byte view, lowered view, register form and metadata the execution
 //!   tiers read, resolved from the shared artifact once per process and
@@ -43,7 +45,6 @@ use wizard_wasm::types::ValType;
 use wizard_wasm::validate::FuncMeta;
 
 use crate::artifact::FuncArtifact;
-use crate::jit::Compiled;
 use crate::lowered::{Lowered, LoweredView, OverlayOps};
 use crate::probe::{Binding, Entry, ProbeId, ProbeRef};
 use crate::regir::RegFunc;
@@ -184,9 +185,10 @@ pub struct FuncViews {
     /// overlay. Empty (never read) under [`Dispatch::Bytecode`](crate::Dispatch),
     /// whose execution does not lower.
     pub low: LoweredView,
-    /// The function's register form, if some process had built it when
-    /// these views were resolved (a clean activation builds it first; see
-    /// `Exec::load_cur`); `None` under
+    /// The function's register form as this process runs it — the
+    /// artifact's shared form, or the process's instrumented one — if it
+    /// was built when these views were resolved (activations build it;
+    /// see `Process::has_reg_code`); `None` under
     /// [`Dispatch::Bytecode`](crate::Dispatch) and for functions the
     /// allocator declined.
     pub reg: Option<Arc<RegFunc>>,
@@ -223,12 +225,13 @@ impl FuncViews {
 pub(crate) struct SiteEntry {
     /// The site's probes in insertion — firing — order.
     pub probes: Vec<Entry>,
-    /// What compiled code does here; always `Binding::of(probes)`.
+    /// What the register form's `R_SITE` does here; always
+    /// `Binding::of(probes)`.
     pub binding: Binding,
-    /// The instrumentation version of the compiled code that carries this
-    /// site's micro-op, [`NOT_COMPILED`] if none ever did. Compiled code
-    /// of the *current* version re-binds in place when the list changes;
-    /// a probe landing anywhere else invalidates.
+    /// The instrumentation version of the register form that carries this
+    /// site's `R_SITE`, [`NOT_COMPILED`] if none ever did. A form of the
+    /// *current* version re-binds in place when the list changes; a probe
+    /// landing anywhere else invalidates it.
     compiled_at: u32,
 }
 
@@ -244,6 +247,9 @@ struct Cow {
     sites: Box<[SiteEntry]>,
     /// Sites currently holding probes (probe bytes installed).
     live: usize,
+    /// The register form lowered with this copy's sites, once an
+    /// activation needed it; dropped by [`FuncOverlay::invalidate`].
+    reg: Option<Arc<RegFunc>>,
 }
 
 /// What [`FuncOverlay::add_probe`] / [`FuncOverlay::remove_probe`] did
@@ -253,8 +259,8 @@ pub(crate) struct SiteChange {
     /// The overlay was materialized (counted in
     /// [`EngineStats::overlay_copies`](crate::EngineStats)).
     pub copied: bool,
-    /// Compiled code cannot follow the change by re-binding — the probe
-    /// landed on an instruction its compiled code has no site for, or the
+    /// The register form cannot follow the change by re-binding — the
+    /// probe landed on an instruction it has no site for, or the
     /// function's last probe left and the overlay was dropped: the caller
     /// must [`FuncOverlay::invalidate`].
     pub stale: bool,
@@ -266,28 +272,13 @@ pub(crate) struct SiteChange {
 pub struct FuncOverlay {
     /// The shared, immutable half.
     art: Arc<FuncArtifact>,
-    /// Copy-on-write instrumented code and its site table; `None` while
-    /// uninstrumented.
+    /// Copy-on-write instrumented code, its site table and its register
+    /// form; `None` while uninstrumented.
     cow: RefCell<Option<Cow>>,
     /// Instrumentation version; bumped (strictly monotonically — see
-    /// [`FuncOverlay::invalidate`]) whenever compiled code is invalidated
-    /// (paper §4.5).
+    /// [`FuncOverlay::invalidate`]) whenever the instrumented register
+    /// form is invalidated (paper §4.5).
     pub version: Cell<u32>,
-    /// Compiled (JIT-tier) code, if any and still valid. While the
-    /// function is probe-free this wraps the artifact's shared baseline
-    /// op stream; otherwise it is private.
-    pub compiled: RefCell<Option<Rc<Compiled>>>,
-    /// Hotness counter driving tier-up — and, re-armed whenever a removal
-    /// leaves a dead site in compiled code, the lazy recompile that drops
-    /// it (`FuncOverlay::remove_probe`).
-    pub hotness: Cell<u32>,
-    /// Run counters ([`RunCounts`](crate::RunCounts)) holding leader probes
-    /// in this function. While there is one, the sites other monitors
-    /// empty are kept instead of being dropped by the lazy recompile: the
-    /// run counter stands in for a probe on every instruction, and a
-    /// monitor swapped in beside it re-binds onto those sites as it did
-    /// when the counter held each of them itself.
-    pub(crate) run_counters: Cell<u32>,
     /// The resolved execution views, `None` until the first frame enters
     /// the function and again after every overlay identity change.
     views: RefCell<Option<Rc<FuncViews>>>,
@@ -299,7 +290,6 @@ impl core::fmt::Debug for FuncOverlay {
             .field("func", &self.art.func)
             .field("probed_sites", &self.probed_sites())
             .field("version", &self.version.get())
-            .field("compiled", &self.compiled.borrow().is_some())
             .finish()
     }
 }
@@ -311,9 +301,6 @@ impl FuncOverlay {
             art,
             cow: RefCell::new(None),
             version: Cell::new(0),
-            compiled: RefCell::new(None),
-            hotness: Cell::new(0),
-            run_counters: Cell::new(0),
             views: RefCell::new(None),
         }
     }
@@ -397,10 +384,15 @@ impl FuncOverlay {
     /// it is built already: the views never build it.
     pub(crate) fn resolve_views(&self, lowered: bool) -> Rc<FuncViews> {
         let low = if lowered { self.lowered_view() } else { PLACEHOLDER.with(|p| p.low.clone()) };
+        let reg = match &*self.cow.borrow() {
+            _ if !lowered => None,
+            Some(c) => c.reg.clone(),
+            None => self.art.reg_built().cloned(),
+        };
         let views = Rc::new(FuncViews {
             code: self.bytes_view(),
             low,
-            reg: if lowered { self.art.reg_built().cloned() } else { None },
+            reg,
             meta: Arc::clone(&self.art.meta),
         });
         *self.views.borrow_mut() = Some(Rc::clone(&views));
@@ -435,7 +427,7 @@ impl FuncOverlay {
     }
 
     /// The site table, for the readers on the execution side: probe
-    /// firing, the probe handlers and compiled code's site micro-ops.
+    /// firing, the probe handlers and the register form's sites.
     /// `None` while uninstrumented. The borrow must not be held across
     /// anything that can apply instrumentation changes.
     #[inline]
@@ -473,6 +465,7 @@ impl FuncOverlay {
                     })
                     .collect(),
                 live: 0,
+                reg: None,
             }
         });
         let site = &mut cow.sites[slot as usize];
@@ -490,8 +483,9 @@ impl FuncOverlay {
     /// `None` if it is not installed there. A site's last probe restores
     /// the instruction (bytes and lowered slot); the function's last
     /// probed site drops the overlay and the process rejoins the shared
-    /// artifact (probe-freeness makes the shared baseline JIT code eligible
-    /// again).
+    /// artifact, register form included. An emptied site stays in the
+    /// register form, bound to nothing, until the form is next re-lowered
+    /// or the function rejoins.
     pub(crate) fn remove_probe(
         &self,
         slot: u32,
@@ -517,14 +511,6 @@ impl FuncOverlay {
             self.views.take();
             return Some(SiteChange { copied: false, stale: true });
         }
-        if site.compiled_at == self.version.get() {
-            // Compiled code now carries a dead site. Re-arm the tier-up
-            // counter to the threshold — the function stays hot — and let
-            // the dead sites count a second threshold on top: once they
-            // have been crossed that often with no further removal, the
-            // function recompiles without them (`jit::run_frame`).
-            self.hotness.set(config.tierup_threshold);
-        }
         Some(SiteChange { copied: false, stale: false })
     }
 
@@ -535,19 +521,47 @@ impl FuncOverlay {
         })
     }
 
-    /// For the compiler: `true` if `slot` currently holds probes, in which
-    /// case the code being compiled (at the current version) is recorded
-    /// as carrying the site's micro-op.
-    pub(crate) fn claim_site(&self, slot: usize) -> bool {
+    /// For the lowering: the sites currently holding probes, as
+    /// `(pc, slot)` by ascending pc, each recorded as carried by the
+    /// register form being lowered at the current version.
+    pub(crate) fn claim_sites(&self) -> Vec<(u32, u32)> {
+        let low = self.art.lowered();
+        let version = self.version.get();
         let mut cow = self.cow.borrow_mut();
-        let Some(site) = cow.as_mut().map(|c| &mut c.sites[slot]) else {
-            return false;
+        let Some(cow) = cow.as_mut() else {
+            return Vec::new();
         };
-        let live = !site.probes.is_empty();
-        if live {
-            site.compiled_at = self.version.get();
+        let mut claimed = Vec::with_capacity(cow.live);
+        for (slot, site) in cow.sites.iter_mut().enumerate() {
+            if !site.probes.is_empty() {
+                site.compiled_at = version;
+                claimed.push((low.pc_of(slot), slot as u32));
+            }
         }
-        live
+        claimed
+    }
+
+    /// `true` while the function is instrumented and its register form
+    /// was invalidated (or never lowered): the next activation lowers it.
+    #[inline]
+    pub(crate) fn needs_reg(&self) -> bool {
+        self.cow.borrow().as_ref().is_some_and(|c| c.reg.is_none())
+    }
+
+    /// The instrumented register form, if one was lowered since the last
+    /// invalidation.
+    pub(crate) fn reg(&self) -> Option<Arc<RegFunc>> {
+        self.cow.borrow().as_ref().and_then(|c| c.reg.clone())
+    }
+
+    /// Installs `reg`, lowered from [`FuncOverlay::claim_sites`], as the
+    /// instrumented register form; resolved views re-resolve to pick it
+    /// up.
+    pub(crate) fn set_reg(&self, reg: Arc<RegFunc>) {
+        if let Some(cow) = self.cow.borrow_mut().as_mut() {
+            cow.reg = Some(reg);
+            self.views.take();
+        }
     }
 
     /// Rebuilds the overlay's code copies from the shared artifact,
@@ -580,25 +594,23 @@ impl FuncOverlay {
         self.art.bytes[pc as usize]
     }
 
-    /// Invalidates compiled code and bumps the instrumentation version.
+    /// Drops the instrumented register form and bumps the instrumentation
+    /// version; the next activation re-lowers (paper §4.5).
     ///
-    /// Probe traffic calls this only when compiled code cannot follow a
-    /// change by re-binding its sites in place: a probe landed on an
-    /// instruction the code has no site micro-op for, the function's last
-    /// probe left (the overlay and its site table are gone, and the shared
-    /// baseline is eligible again), or a quiet period ended and the code's
-    /// dead sites are being dropped.
+    /// Probe traffic calls this only when the register form cannot follow
+    /// a change by re-binding its sites in place: a probe landed on an
+    /// instruction the form has no site for, or the function's last probe
+    /// left (the overlay and its site table are gone, and the shared form
+    /// is the function's code again).
     ///
-    /// The version is strictly monotonic — never reused — because live
-    /// JIT frames detect staleness by comparing their recorded version
-    /// against the current compile's; a recurring version would let a
-    /// parked frame resume at a saved `cip` inside a differently-laid-out
-    /// op stream. Baseline-code sharing does not need version 0: it is
-    /// keyed on probe-freeness ([`FuncOverlay::has_overlay`]), and the
-    /// per-process [`Compiled`] wrapper stamps the shared op stream with
-    /// the process's current version.
+    /// The version is strictly monotonic — never reused — so a site
+    /// claimed by a dropped form can never pass for one the current form
+    /// carries.
     pub fn invalidate(&self) {
-        *self.compiled.borrow_mut() = None;
+        if let Some(cow) = self.cow.borrow_mut().as_mut() {
+            cow.reg = None;
+        }
+        self.views.take();
         self.version.set(self.version.get() + 1);
     }
 }
@@ -732,26 +744,23 @@ mod tests {
         let c = overlay();
         let mut probes = Probes::new();
         let (a, change) = probes.add(&c, 0, CountProbe::new());
-        assert!(change.stale, "no compiled code carries this site");
+        assert!(change.stale, "no register form carries this site");
         c.invalidate();
-        // "Compile": the code built at this version carries site 0 only.
-        assert!(c.claim_site(0));
-        assert!(!c.claim_site(1), "no probes there: no micro-op");
+        // "Lower": the form built at this version carries site 0 only.
+        assert_eq!(c.claim_sites(), [(0, 0)], "no probes elsewhere: no other site");
         let (b, change) = probes.add(&c, 0, EmptyProbe);
-        assert!(!change.stale, "a compiled site re-binds");
+        assert!(!change.stale, "a carried site re-binds");
         assert!(!probes.remove(&c, b).unwrap().stale);
         let (_, change) = probes.add(&c, 1, EmptyProbe);
-        assert!(change.stale, "not a site when the code was compiled");
+        assert!(change.stale, "not a site when the form was lowered");
         c.invalidate();
         let (d, change) = probes.add(&c, 0, EmptyProbe);
         assert!(change.stale, "the claim was for the invalidated version");
-        // Emptying a compiled site leaves it dead and re-arms the counter.
-        assert!(c.claim_site(0));
-        c.hotness.set(99);
+        // Emptying a carried site leaves it in the form, bound to nothing.
+        assert_eq!(c.claim_sites().len(), 2);
         probes.remove(&c, d).unwrap();
-        assert_eq!(c.hotness.get(), 99, "the site still has a probe");
-        assert!(!probes.remove(&c, a).unwrap().stale);
-        assert_eq!(c.hotness.get(), probes.config.tierup_threshold, "dead site: re-armed");
+        assert!(!probes.remove(&c, a).unwrap().stale, "dead sites cost no invalidation");
+        assert!(matches!(c.sites().unwrap()[0].binding, Binding::Empty));
     }
 
     #[test]
@@ -760,14 +769,17 @@ mod tests {
         let mut probes = Probes::new();
         assert_eq!(c.version.get(), 0);
         let (a, _) = probes.add(&c, 0, EmptyProbe);
+        let sites = c.claim_sites();
+        let reg = crate::regir::lower_func(c.artifact(), &[], &[], &sites).expect("lowers");
+        c.set_reg(Arc::new(reg));
+        assert!(c.reg().is_some());
         c.invalidate();
         assert_eq!(c.version.get(), 1);
-        assert!(c.compiled.borrow().is_none());
+        assert!(c.reg().is_none(), "the next activation re-lowers");
         probes.remove(&c, a).unwrap();
         c.invalidate();
-        // Rejoin does NOT reset the version: a recurring version would be
-        // an ABA hazard for the JIT's stale-frame check. Baseline sharing
-        // is keyed on probe-freeness, not on version 0.
+        // Rejoin does not reset the version: a recurring version would let
+        // a claim from a dropped form pass for a current one.
         assert_eq!(c.version.get(), 2);
         assert!(!c.has_overlay());
     }

@@ -16,7 +16,6 @@ use crate::code::{FuncOverlay, FuncViews};
 use crate::exec::{Exec, ExecState, Exit};
 use crate::frame::Tier;
 use crate::interp;
-use crate::jit;
 use crate::lowered::{Lowered, LoweredView};
 use crate::monitor::MonitorRegistry;
 use crate::probe::{
@@ -24,47 +23,33 @@ use crate::probe::{
     ProbeRegistry, Site,
 };
 use crate::regint;
+use crate::regir::{self, RegFunc, R_SITE};
 use crate::store::{HostFn, Linker, Memory, Table};
 use crate::trap::Trap;
 use crate::value::{Slot, Value};
 
-/// Which execution tiers the engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Interpreter only (the paper's "Wizard (Interpreter)" configuration).
-    InterpOnly,
-    /// JIT only: functions are compiled on first call; frame modifications
-    /// and global probes are rejected (paper §4.6).
-    JitOnly,
-    /// Dynamic tiering: start interpreting, tier up hot functions with
-    /// on-stack replacement at loop headers.
-    #[default]
-    Tiered,
-}
-
-/// How the interpreter tiers dispatch instructions.
+/// How the engine dispatches instructions.
 ///
 /// The tier itself is the engine's choice, made per activation from what
 /// it can see; this only selects the production engine or the reference
 /// interpreter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
-    /// The production interpreter tiers. Clean code — an uninstrumented
-    /// activation of an unmetered run — runs in the register interpreter:
-    /// function bodies are lowered past the stack form into a register IR
+    /// The production engine: two tiers, as in the paper (§4). Function
+    /// bodies are lowered past the stack form into a register IR
     /// ([`crate::regir`]) whose instructions name their operands directly,
     /// so `local.get`/`local.set` and operand push/pop traffic are
-    /// allocated away. The register form is built per function on its
-    /// first clean activation and is the top tier for what it runs:
-    /// register frames never tier up (nothing compiled is faster).
-    /// Everything else — instrumented (overlaid) functions, global-probe
-    /// mode, fuel-metered slices and the rare function the register
-    /// allocator cannot lower ([`EngineStats::reg_fallbacks`]) — runs the
-    /// lowered stack form ([`crate::lowered`]: fixed-width
+    /// allocated away — the engine's one compiled tier. It runs clean
+    /// code from the artifact's shared form and instrumented functions
+    /// from a per-process form with their probe sites (intrinsified
+    /// where the probes allow, §4.4), and it charges fuel per run.
+    /// The lowered stack interpreter ([`crate::lowered`]: fixed-width
     /// instructions, pre-decoded immediates, pre-resolved branch targets)
-    /// and tiers up to the micro-op JIT under [`ExecMode::Tiered`]. A live
-    /// register frame whose function gains a probe demotes to the lowered
-    /// stack interpreter at its byte pc ([`EngineStats::reg_demotions`]).
+    /// runs the rest: global-probe mode, the rare function the register
+    /// allocator cannot lower ([`EngineStats::reg_fallbacks`]), the part
+    /// of a run a fuel slice cannot pay for, and frames demoted mid-run
+    /// ([`EngineStats::deopts`]) until their next loop header promotes
+    /// them back ([`EngineStats::tier_ups`]).
     #[default]
     Register,
     /// Classic byte-walking dispatch — the paper's in-place interpreter:
@@ -81,13 +66,9 @@ pub enum Dispatch {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Tier policy.
-    pub mode: ExecMode,
-    /// Interpreter dispatch: the production tiers (default) or the
-    /// byte-walking reference.
+    /// Dispatch: the production tiers (default) or the byte-walking
+    /// reference.
     pub dispatch: Dispatch,
-    /// Call/backedge count at which a function tiers up (Tiered mode).
-    pub tierup_threshold: u32,
     /// Intrinsify [`CountProbe`](crate::probe::CountProbe)s in compiled
     /// code (the paper's `intrinsifyCountProbe` flag).
     pub intrinsify_count: bool,
@@ -103,11 +84,13 @@ pub struct EngineConfig {
     /// budget explicitly. Schedulers like `wizard-pool` read this as the
     /// per-turn budget to pass to the bounded API.
     pub fuel_slice: Option<u64>,
-    /// Run the translation validator over every function's lowered form
-    /// at instantiation (debug builds and CI). Requires a validator to be
-    /// registered via [`register_lowering_validator`] — the engine crate
-    /// is dependency-free, so the analysis crate (`wizard-analysis`)
-    /// injects its `validate_lowering` through that hook (call its
+    /// Run the translation validators over every function's lowered and
+    /// register forms at instantiation, and over every instrumented
+    /// register form as it is lowered (debug builds and CI); an
+    /// instrumented form that fails is an engine bug and panics. Requires
+    /// the validators to be registered via [`register_lowering_validator`]
+    /// — the engine crate is dependency-free, so the analysis crate
+    /// (`wizard-analysis`) injects them through that hook (call its
     /// `install_engine_validator()`).
     pub validate_lowering: bool,
 }
@@ -115,9 +98,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            mode: ExecMode::Tiered,
             dispatch: Dispatch::Register,
-            tierup_threshold: 50,
             intrinsify_count: true,
             intrinsify_operand: true,
             max_call_depth: 10_000,
@@ -129,54 +110,26 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Interpreter-only configuration.
+    /// The default configuration, under its historical name: the engine
+    /// has one production configuration, and its interpreter and compiled
+    /// tiers are picked per activation, not configured.
     pub fn interpreter() -> EngineConfig {
-        EngineConfig { mode: ExecMode::InterpOnly, ..EngineConfig::default() }
-    }
-
-    /// JIT-only configuration with intrinsification enabled
-    /// (the artifact's `fast-count` binary).
-    pub fn jit() -> EngineConfig {
-        EngineConfig { mode: ExecMode::JitOnly, ..EngineConfig::default() }
-    }
-
-    /// JIT-only configuration with intrinsification disabled
-    /// (the artifact's `base` binary running JIT).
-    pub fn jit_no_intrinsics() -> EngineConfig {
-        EngineConfig {
-            mode: ExecMode::JitOnly,
-            intrinsify_count: false,
-            intrinsify_operand: false,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Default dynamic-tiering configuration.
-    pub fn tiered() -> EngineConfig {
         EngineConfig::default()
     }
 
-    /// Interpreter-only configuration with classic byte-walking dispatch —
-    /// the pre-lowering engine, kept as a measurable baseline.
+    /// Classic byte-walking dispatch — the paper's in-place interpreter,
+    /// kept as the measurable baseline and the semantic reference.
     pub fn interpreter_bytecode() -> EngineConfig {
-        EngineConfig {
-            mode: ExecMode::InterpOnly,
-            dispatch: Dispatch::Bytecode,
-            ..EngineConfig::default()
-        }
+        EngineConfig { dispatch: Dispatch::Bytecode, ..EngineConfig::default() }
     }
 
     /// Starts a builder from the default configuration.
     ///
     /// ```
-    /// use wizard_engine::{EngineConfig, ExecMode};
+    /// use wizard_engine::{Dispatch, EngineConfig};
     ///
-    /// let config = EngineConfig::builder()
-    ///     .mode(ExecMode::Tiered)
-    ///     .tierup_threshold(5)
-    ///     .intrinsify(false)
-    ///     .build();
-    /// assert_eq!(config.tierup_threshold, 5);
+    /// let config = EngineConfig::builder().dispatch(Dispatch::Bytecode).intrinsify(false).build();
+    /// assert_eq!(config.dispatch, Dispatch::Bytecode);
     /// assert!(!config.intrinsify_count);
     /// ```
     pub fn builder() -> EngineConfigBuilder {
@@ -192,21 +145,9 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Sets the tier policy.
-    pub fn mode(mut self, mode: ExecMode) -> EngineConfigBuilder {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Sets the interpreter dispatch strategy.
+    /// Sets the dispatch strategy.
     pub fn dispatch(mut self, dispatch: Dispatch) -> EngineConfigBuilder {
         self.config.dispatch = dispatch;
-        self
-    }
-
-    /// Sets the call/backedge count at which a function tiers up.
-    pub fn tierup_threshold(mut self, n: u32) -> EngineConfigBuilder {
-        self.config.tierup_threshold = n;
         self
     }
 
@@ -246,8 +187,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables/disables translation validation of the lowered form at
-    /// instantiation; see [`EngineConfig::validate_lowering`].
+    /// Enables/disables translation validation of the lowered and register
+    /// forms; see [`EngineConfig::validate_lowering`].
     pub fn validate_lowering(mut self, on: bool) -> EngineConfigBuilder {
         self.config.validate_lowering = on;
         self
@@ -295,25 +236,32 @@ engine_stats! {
     probe_fires: sum,
     /// Global-probe fires (subset of `probe_fires`).
     global_fires: sum,
-    /// Functions compiled to the JIT tier.
+    /// Instrumented register forms lowered: one per function each time an
+    /// activation finds its probes moved to instructions its form has no
+    /// site for (paper §4.5's recompile). Probe-free forms are shared from
+    /// the artifact and counted in [`EngineStats::functions_reg_lowered`].
     compiles: sum,
-    /// Tier-up transitions (OSR entries).
+    /// Stack-interpreter frames promoted back to register form at a loop
+    /// header.
     tier_ups: sum,
-    /// Deoptimizations (frame transfers back to the interpreter, including
-    /// frame-modification deopts).
+    /// Register frames demoted to the stack interpreter at their byte pc
+    /// (paper §4.6): global probes arrived, their function's register form
+    /// was replaced under a frame firing a probe, or a fuel slice could
+    /// not pay for the next run.
     deopts: sum,
-    /// Invalidation passes over compiled code. Most instrumentation
-    /// changes need none — compiled code re-binds its probe sites in
-    /// place. A pass is paid when a probe lands on an instruction that had
-    /// no probes when the function was compiled, when a function's last
-    /// probe leaves (it rejoins the shared baseline code), and when a
-    /// function recompiles to drop the dead sites removals left behind.
+    /// Invalidation passes over instrumented register forms. Most
+    /// instrumentation changes need none — the form re-binds its probe
+    /// sites in place. A pass is paid when a probe lands on an instruction
+    /// that had no probes when the function was lowered and when a
+    /// function's last probe leaves (it rejoins the shared form). A site
+    /// emptied by removals stays, bound to nothing, until one of those.
     /// Individually that is one pass per such change; a whole
     /// [`ProbeBatch`] committed via [`Process::apply_batch`] costs at most
     /// one.
     invalidation_passes: sum,
     /// Fuel units consumed by bounded runs ([`Process::run_bounded`] /
-    /// [`Process::resume`]); one unit per bytecode instruction.
+    /// [`Process::resume`]): one unit per bytecode instruction executed,
+    /// and one per implicit return at a function's end, in every tier.
     fuel_consumed: sum,
     /// Out-of-fuel suspensions of bounded runs.
     suspensions: sum,
@@ -326,7 +274,7 @@ engine_stats! {
     relower_passes: sum,
     /// Instantiations served from an already-built shared
     /// [`ModuleArtifact`] by an artifact cache (e.g. `wizard-pool`'s):
-    /// validation, lowering and baseline compilation were all skipped.
+    /// validation and lowering were both skipped.
     /// Caches contribute this counter when fleet stats are merged;
     /// processes themselves never increment it.
     artifact_cache_hits: sum,
@@ -343,21 +291,15 @@ engine_stats! {
     /// form ([`EngineConfig::validate_lowering`]); one per instantiation
     /// that ran the registered validator.
     lowering_validations: sum,
-    /// Functions lowered to the register form ([`crate::regir`]), counted
-    /// by the process whose first clean activation of the function built
-    /// it. Like [`EngineStats::functions_lowered`], the work happens once
-    /// per function per artifact: warm instantiations report 0.
+    /// Functions lowered to the shared register form ([`crate::regir`]),
+    /// counted by the process whose first activation of the function
+    /// built it. Like [`EngineStats::functions_lowered`], the work happens
+    /// once per function per artifact: warm instantiations report 0.
     functions_reg_lowered: sum,
     /// Functions the register allocator declined to lower (they execute
-    /// in the stack-form tiers), counted like
+    /// in the stack interpreter), counted like
     /// [`EngineStats::functions_reg_lowered`] when the build was tried.
     reg_fallbacks: sum,
-    /// Register-tier frames demoted to the lowered stack interpreter
-    /// because the function acquired a probe overlay or the process
-    /// entered global-probe mode while they were live. Demotion is the
-    /// only way a register frame leaves the register tier: register
-    /// frames never tier up.
-    reg_demotions: sum,
     /// Trace events captured by streaming trace monitors attached to this
     /// process. Contributed at detach time via [`Process::record_trace`]
     /// (intrinsified operand fires bypass the runtime, so the engine
@@ -429,7 +371,7 @@ pub enum LinkError {
     SegmentOutOfBounds(&'static str),
     /// The start function trapped.
     StartTrapped(Trap),
-    /// Translation validation of the lowered form was requested
+    /// Translation validation was requested
     /// ([`EngineConfig::validate_lowering`]) and the registered validator
     /// rejected the module — or no validator was registered at all.
     LoweringInvalid(String),
@@ -461,21 +403,29 @@ impl From<ValidateError> for LinkError {
     }
 }
 
-/// The shape of an injectable byte→lowered translation validator.
+/// The shape of an injectable translation validator over a whole module's
+/// shared forms (byte→lowered and byte→register).
 pub type LoweringValidator = fn(&ModuleArtifact) -> Result<(), String>;
 
-/// The registered byte→lowered translation validator, if any. The engine
-/// crate is dependency-free by design, so the validator itself lives in
-/// `wizard-analysis` and is injected here at startup.
-static LOWERING_VALIDATOR: std::sync::OnceLock<LoweringValidator> = std::sync::OnceLock::new();
+/// The shape of an injectable byte→register translation validator over
+/// one instrumented register form: the artifact, the local function index
+/// and the form lowered with that function's probe sites.
+pub type SiteLoweringValidator = fn(&ModuleArtifact, usize, &RegFunc) -> Result<(), String>;
 
-/// Registers the translation validator consulted when a process is
-/// instantiated with [`EngineConfig::validate_lowering`] set. First
-/// registration wins; later calls are no-ops (the hook is set once per
-/// process lifetime). `wizard_analysis::install_engine_validator()` is
-/// the canonical caller.
-pub fn register_lowering_validator(f: LoweringValidator) {
-    let _ = LOWERING_VALIDATOR.set(f);
+/// The registered translation validators, if any. The engine crate is
+/// dependency-free by design, so the validators themselves live in
+/// `wizard-analysis` and are injected here at startup.
+static LOWERING_VALIDATOR: std::sync::OnceLock<(LoweringValidator, SiteLoweringValidator)> =
+    std::sync::OnceLock::new();
+
+/// Registers the translation validators consulted under
+/// [`EngineConfig::validate_lowering`]: `module` when a process is
+/// instantiated, `sites` on every instrumented register form a process
+/// lowers. First registration wins; later calls are no-ops (the hook is
+/// set once per process lifetime). `wizard_analysis::install_engine_validator()`
+/// is the canonical caller.
+pub fn register_lowering_validator(module: LoweringValidator, sites: SiteLoweringValidator) {
+    let _ = LOWERING_VALIDATOR.set((module, sites));
 }
 
 /// Error from the dynamic instrumentation API.
@@ -485,8 +435,6 @@ pub enum ProbeError {
     NotALocalFunction(FuncIdx),
     /// The pc does not fall on an instruction boundary.
     InvalidPc(FuncIdx, u32),
-    /// Global probes require the interpreter, unavailable in JIT-only mode.
-    GlobalProbesNeedInterpreter,
     /// No probe with this id is installed.
     UnknownProbe,
     /// No monitor with this handle is attached.
@@ -510,9 +458,6 @@ impl core::fmt::Display for ProbeError {
             }
             ProbeError::InvalidPc(func, pc) => {
                 write!(f, "pc {pc} is not an instruction boundary in function {func}")
-            }
-            ProbeError::GlobalProbesNeedInterpreter => {
-                f.write_str("global probes require an interpreter tier (not JIT-only)")
             }
             ProbeError::UnknownProbe => f.write_str("unknown probe id"),
             ProbeError::UnknownMonitor => f.write_str("unknown monitor handle"),
@@ -604,7 +549,7 @@ impl Process {
     /// [`ModuleArtifact`] — running data/element segment initialization
     /// and the start function, but **skipping validation** (the artifact
     /// is validated by construction) and sharing the artifact's lowered
-    /// and baseline-compiled code.
+    /// and register forms.
     ///
     /// Processes instantiated from the same artifact execute from the
     /// same shared code until they instrument it: instrumentation is
@@ -722,7 +667,7 @@ impl Process {
             suspended: None,
         };
         if p.config.validate_lowering {
-            let Some(validator) = LOWERING_VALIDATOR.get() else {
+            let Some((validator, _)) = LOWERING_VALIDATOR.get() else {
                 return Err(LinkError::LoweringInvalid(
                     "no validator registered; call wizard_analysis::install_engine_validator()"
                         .into(),
@@ -830,13 +775,12 @@ impl Process {
     /// Starts a *bounded* invocation of `func`: executes at most `fuel`
     /// bytecode instructions, then suspends.
     ///
-    /// Fuel is charged per bytecode instruction *executed in the current
-    /// tier*: the interpreter charges every instruction, while compiled
-    /// code charges per instruction that survives compilation —
-    /// structural instructions (`nop`/`block`/`loop`/`end`) compile away
-    /// and cost nothing there. Fuel bounds *work* (a slice is a hard
-    /// preemption budget in either tier); it is not an exact cross-tier
-    /// instruction count.
+    /// Fuel is charged one unit per bytecode instruction executed, plus
+    /// one per implicit return at a function's end — the byte-walking
+    /// reference's count, in every tier: the register form pays for a
+    /// whole straight-line run at its first instruction, and a run the
+    /// slice cannot pay for runs in the stack interpreter, which charges
+    /// per instruction and suspends exactly where the reference would.
     ///
     /// Returns [`RunOutcome::Done`] with the results if the invocation
     /// finished within the slice, or [`RunOutcome::OutOfFuel`] if it was
@@ -845,12 +789,12 @@ impl Process {
     /// Suspension is transparent to instrumentation: a bounded run fires
     /// exactly the probes, in exactly the order, of an unbounded
     /// [`Process::invoke`] of the same call. Instrumentation may change
-    /// *while* the run is suspended (attach/detach, probe insertion):
-    /// compiled code re-binds its probe sites in place and suspended JIT
-    /// frames simply continue; only a change the code cannot follow — a
-    /// probe on an instruction it has no site for, the function's last
-    /// probe leaving, an arriving global probe — invalidates it, and the
-    /// frames running it deoptimize on resume.
+    /// *while* the run is suspended (attach/detach, probe insertion): the
+    /// register form re-binds its probe sites in place; a change it cannot
+    /// follow — a probe on an instruction it has no site for, the
+    /// function's last probe leaving — re-lowers it when a frame next
+    /// needs it, and parked frames resume in the new form at their byte
+    /// pc; an arriving global probe demotes them to the stack interpreter.
     ///
     /// # Errors
     ///
@@ -871,9 +815,8 @@ impl Process {
             self.suspended.is_none(),
             "a bounded run is already suspended; resume or cancel it first"
         );
-        // Metering is set *before* the entry call so its tier decision
-        // already sees a metered execution (bounded runs stay out of the
-        // register interpreter).
+        // Metering is set *before* the entry call, so the entry frame's
+        // first run is paid for like every other.
         let ex = start_call(self, func, args, Some(fuel))?;
         drive_bounded(ex, fuel, func)
     }
@@ -974,8 +917,8 @@ impl Process {
     // ---- instrumentation API ----
 
     /// Inserts a probe at `(func, pc)`. The location's first probe
-    /// overwrites the instruction's opcode byte; compiled code is
-    /// invalidated only if it has no probe site there to re-bind.
+    /// overwrites the instruction's opcode byte; the function's register
+    /// form is invalidated only if it has no probe site there to re-bind.
     ///
     /// # Errors
     ///
@@ -1007,16 +950,16 @@ impl Process {
         self.add_local_probe(func, pc, Rc::new(RefCell::new(probe)))
     }
 
-    /// Inserts a global probe, switching the interpreter to the
-    /// instrumented dispatch table. JIT code is *not* discarded; execution
-    /// returns to the interpreter until the probe is removed (paper §4.1).
+    /// Inserts a global probe, switching the stack interpreter to the
+    /// instrumented dispatch table. Register forms are *not* discarded;
+    /// execution returns to the stack interpreter until the probe is
+    /// removed (paper §4.1).
     ///
     /// # Errors
     ///
-    /// Fails in JIT-only mode, which has no interpreter to run global
-    /// probes in.
+    /// Never fails: every configuration has a stack interpreter to run
+    /// global probes in. Fallible like [`Process::add_local_probe`].
     pub fn add_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
-        self.check_global_allowed()?;
         let id = self.probes.fresh_id(Site::Global);
         self.apply_instrumentation(Pending::Insert(id, probe));
         Ok(id)
@@ -1033,10 +976,10 @@ impl Process {
 
     /// Removes a probe by id. Removing the last probe at a location
     /// restores the original opcode byte; removing the last global probe
-    /// switches the dispatch table back. Compiled code keeps running: its
-    /// site re-binds to the probes that remain (to nothing, if none do),
-    /// and only the function's *last* probe leaving invalidates it, so the
-    /// process rejoins the artifact's shared baseline code.
+    /// switches the dispatch table back. The register form keeps running:
+    /// its site re-binds to the probes that remain (to nothing, if none
+    /// do), and only the function's *last* probe leaving invalidates it,
+    /// so the process rejoins the artifact's shared form.
     ///
     /// # Errors
     ///
@@ -1063,7 +1006,7 @@ impl Process {
     /// the inserted probes in queue order.
     ///
     /// The batch is validated atomically up front: if any queued location
-    /// is invalid nothing is applied. Each function whose compiled code
+    /// is invalid nothing is applied. Each function whose register form
     /// cannot follow the batch by re-binding its sites (see
     /// [`EngineStats::invalidation_passes`]) is invalidated exactly once,
     /// and the counter increases by at most one — versus once per new site
@@ -1071,9 +1014,9 @@ impl Process {
     ///
     /// # Errors
     ///
-    /// Fails as [`Process::add_local_probe`] / [`Process::add_global_probe`]
-    /// for any queued insertion; queued removals never fail (removing an
-    /// unknown id is a no-op, making detach-style cleanup idempotent).
+    /// Fails as [`Process::add_local_probe`] for any queued insertion;
+    /// queued removals never fail (removing an unknown id is a no-op,
+    /// making detach-style cleanup idempotent).
     pub fn apply_batch(&mut self, batch: ProbeBatch) -> Result<Vec<ProbeId>, ProbeError> {
         let mut sites = Vec::with_capacity(batch.ops.len());
         for op in &batch.ops {
@@ -1081,10 +1024,7 @@ impl Process {
                 BatchOp::Local(func, pc, _) => {
                     Site::Local { func: *func, slot: self.check_location(*func, *pc)? }
                 }
-                BatchOp::Global(_) => {
-                    self.check_global_allowed()?;
-                    Site::Global
-                }
+                BatchOp::Global(_) => Site::Global,
                 BatchOp::Remove(id) => id.site,
             });
         }
@@ -1111,12 +1051,12 @@ impl Process {
     }
 
     /// Installs probe `id` at its site. Returns the local function whose
-    /// compiled code the caller must invalidate (immediately, or once per
+    /// register form the caller must invalidate (immediately, or once per
     /// batch), if the insertion made it stale.
     fn do_insert(&mut self, id: ProbeId, probe: ProbeRef) -> Option<usize> {
         match id.site {
             Site::Global => {
-                // Switches the dispatch table; compiled code is kept.
+                // Switches the dispatch table; register forms are kept.
                 self.probes.insert_global(id, probe, &self.config);
                 self.global_mode = true;
                 None
@@ -1169,10 +1109,9 @@ impl Process {
     /// has no probes.
     ///
     /// This is the engine's own intrinsification view: a site whose kinds
-    /// are all `Count` / `Operand` compiles to
-    /// inlined bumps / direct operand calls (when the corresponding
-    /// `intrinsify_*` config flags are on) instead of a generic
-    /// checkpointed probe op. Used by tests and by the script compiler to
+    /// are all `Count` / `Operand` binds to inlined bumps / direct operand
+    /// calls (when the corresponding `intrinsify_*` config flags are on)
+    /// instead of a generic checkpointed fire. Used by tests and by the script compiler to
     /// *prove* that a lowering hit the fast path.
     pub fn probe_kinds_at(&self, func: FuncIdx, pc: u32) -> Vec<crate::probe::ProbeKind> {
         let n_imp = self.module.num_imported_funcs();
@@ -1189,15 +1128,6 @@ impl Process {
         slot.and_then(|s| sites.get(s as usize)).map_or_else(Vec::new, |site| {
             site.probes.iter().map(|(_, p)| p.borrow().kind()).collect()
         })
-    }
-
-    /// Validates that the current tier policy can run global probes
-    /// (JIT-only mode has no interpreter to run them in).
-    pub(crate) fn check_global_allowed(&self) -> Result<(), ProbeError> {
-        if self.config.mode == ExecMode::JitOnly {
-            return Err(ProbeError::GlobalProbesNeedInterpreter);
-        }
-        Ok(())
     }
 
     /// Validates that `(func, pc)` names an instruction boundary of a local
@@ -1251,8 +1181,8 @@ impl Process {
     }
 
     /// A fresh lowered view of local function `lf` (shared slots, or this
-    /// process's overlay copy), for the cold consumers — compilation,
-    /// identity introspection. Execution reads [`Process::views_for`].
+    /// process's overlay copy), for the cold consumers — identity
+    /// introspection. Execution reads [`Process::views_for`].
     pub(crate) fn lowered_view_for(&mut self, lf: usize) -> LoweredView {
         self.lowered_for(lf);
         self.code[lf].lowered_view()
@@ -1283,26 +1213,58 @@ impl Process {
         self.code[lf].resolve_views(lowered)
     }
 
-    /// `true` if local function `lf` has a register form. Builds it on the
-    /// first demand from any process (a clean activation), attributing the
-    /// build to this process's counters like [`Process::lowered_for`] does
-    /// for the stack form.
-    pub(crate) fn has_reg_func(&mut self, lf: usize) -> bool {
+    /// `true` if local function `lf` can run in register form now: the
+    /// artifact's shared form while uninstrumented — built on the first
+    /// demand from any process, attributed to this process's counters like
+    /// [`Process::lowered_for`] does for the stack form — and this
+    /// process's instrumented form otherwise, re-lowered if a probe
+    /// invalidated it. `false` if the allocator declines the function.
+    #[inline]
+    pub(crate) fn has_reg_code(&mut self, lf: usize) -> bool {
         let (reg, built_now) = self.artifact.reg_func_init(lf);
-        if built_now {
-            match reg {
-                Some(_) => self.stats.functions_reg_lowered += 1,
-                None => self.stats.reg_fallbacks += 1,
+        let lowered = reg.is_some();
+        if built_now && lowered {
+            self.stats.functions_reg_lowered += 1;
+        } else if built_now {
+            self.stats.reg_fallbacks += 1;
+        }
+        lowered && (!self.code[lf].needs_reg() || self.lower_sites(lf))
+    }
+
+    /// Lowers instrumented function `lf`'s register form with one site per
+    /// probed instruction (paper §4.5's recompile, counted in
+    /// [`EngineStats::compiles`]), validating it under
+    /// [`EngineConfig::validate_lowering`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if validation was requested and the form fails it: the
+    /// lowering is wrong, and running it would be too.
+    #[cold]
+    fn lower_sites(&mut self, lf: usize) -> bool {
+        let sites = self.code[lf].claim_sites();
+        let fa = Arc::clone(self.code[lf].artifact());
+        let Some(reg) = regir::lower_func(&fa, &self.func_types, &self.module.types, &sites) else {
+            return false;
+        };
+        if self.config.validate_lowering {
+            if let Some((_, validate)) = LOWERING_VALIDATOR.get() {
+                if let Err(e) = validate(&self.artifact, lf, &reg) {
+                    panic!("instrumented register form failed translation validation: {e}");
+                }
             }
         }
-        reg.is_some()
+        self.stats.compiles += 1;
+        self.code[lf].set_reg(Arc::new(reg));
+        true
     }
 
     /// Rebuilds `func`'s process-local overlay from the shared artifact,
     /// re-applying the currently-installed probe patches, and invalidates
-    /// its compiled code. Counted in [`EngineStats::relower_passes`]. A
-    /// function this process never instrumented has no overlay to rebuild;
-    /// the call still invalidates (and recounts).
+    /// its instrumented register form. Counted in
+    /// [`EngineStats::relower_passes`]. A function this process never
+    /// instrumented has no overlay to rebuild; the call still invalidates
+    /// (and recounts).
     ///
     /// Instrumentation never takes this path — probe insertion/removal
     /// patches overlay slots in place and never re-lowers. The API exists for tooling and
@@ -1324,39 +1286,6 @@ impl Process {
         Ok(())
     }
 
-    /// Ensures `lf` has valid compiled code.
-    ///
-    /// While the function is probe-free (never instrumented, or all
-    /// probes detached) its code is identical across the whole fleet: the
-    /// artifact's shared baseline ([`CompiledCode`](crate::jit) is plain
-    /// data) is compiled once and wrapped for this process with empty
-    /// probe bindings, stamped with the process's *current* version (the
-    /// version stream stays monotonic for live-frame staleness checks).
-    /// Instrumented functions compile privately, with a site micro-op at
-    /// each of this process's probed instructions.
-    pub(crate) fn ensure_compiled(&mut self, lf: usize) {
-        if self.code[lf].compiled.borrow().is_some() {
-            return;
-        }
-        if !self.code[lf].has_overlay() {
-            // Route through lowered_for so the (possible) first lowering
-            // is stat-attributed in exactly one place.
-            self.lowered_for(lf);
-            let (code, compiled_now) = self.code[lf].artifact().baseline_compiled();
-            if compiled_now {
-                self.stats.compiles += 1;
-            }
-            let compiled =
-                jit::Compiled { code: Arc::clone(code), version: self.code[lf].version.get() };
-            *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
-            return;
-        }
-        let low = self.lowered_view_for(lf);
-        let compiled = jit::compile(&self.code[lf], &low);
-        self.stats.compiles += 1;
-        *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
-    }
-
     /// Applies one instrumentation change (immediately; deferral during
     /// probe dispatch is handled by the pending queue in `exec`).
     pub(crate) fn apply_instrumentation(&mut self, p: Pending) {
@@ -1364,9 +1293,10 @@ impl Process {
             Pending::Insert(id, probe) => self.do_insert(id, probe),
             Pending::Remove(id) => self.do_remove(id),
         };
-        // Compiled code follows most changes by re-binding the site; the
-        // ones it cannot follow invalidate it at once (paper §4.6). Batches
-        // route through apply_batch to pay one pass for all of them.
+        // The register form follows most changes by re-binding the site;
+        // the ones it cannot follow invalidate it at once (paper §4.5).
+        // Batches route through apply_batch to pay one pass for all of
+        // them.
         if let Some(lf) = stale {
             self.code[lf].invalidate();
             self.stats.invalidation_passes += 1;
@@ -1384,51 +1314,63 @@ impl Process {
         (pc as usize) < fc.len() && fc.byte_at(pc as usize) == op::PROBE
     }
 
-    /// `true` if the function currently has valid compiled (JIT-tier) code.
-    pub fn is_compiled(&self, func: FuncIdx) -> bool {
-        let n_imp = self.module.num_imported_funcs();
-        if func < n_imp {
-            return false;
-        }
-        self.code[(func - n_imp) as usize].compiled.borrow().is_some()
-    }
-
-    /// Returns a textual listing of the compiled micro-ops of `func`,
-    /// compiling it if needed — the Figure-2 "generated code" view.
+    /// Returns a textual listing of the register form `func` runs in,
+    /// lowering it if needed — the Figure-2 "generated code" view. Each
+    /// probe site is listed as what it is currently bound to. Empty where
+    /// there is no register form: under [`Dispatch::Bytecode`] and for a
+    /// function the register allocator declines.
     ///
     /// # Errors
     ///
     /// Fails if `func` is not a local function.
     pub fn compiled_listing(&mut self, func: FuncIdx) -> Result<String, ProbeError> {
+        let Some(reg) = self.reg_form(func)? else {
+            return Ok(String::new());
+        };
+        let lf = self.local_index(func);
+        let sites = self.code[lf].sites();
+        let mut out = String::new();
+        for idx in 0..reg.len() {
+            let pc = reg.pc_of(idx);
+            let ri = reg.get(idx);
+            let text = match (&sites, ri.op) {
+                (Some(sites), R_SITE) => describe_binding(&sites[ri.x as usize].binding, pc),
+                _ => reg.describe(idx),
+            };
+            out.push_str(&format!("{idx:>4} (pc {pc:>4}): {text}\n"));
+        }
+        Ok(out)
+    }
+
+    /// The register form this process runs `func` in — the artifact's
+    /// shared form (`Arc::ptr_eq` across uninstrumented siblings) or this
+    /// process's instrumented one — lowering it if needed; `None` under
+    /// [`Dispatch::Bytecode`] and for functions the allocator declines.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `func` is imported or out of range.
+    pub fn reg_form(&mut self, func: FuncIdx) -> Result<Option<Arc<RegFunc>>, ProbeError> {
         let n_imp = self.module.num_imported_funcs();
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
         }
-        let lf = (func - n_imp) as usize;
-        self.ensure_compiled(lf);
-        let compiled = self.code[lf].compiled.borrow().clone().expect("just compiled");
-        let sites = self.code[lf].sites();
-        let mut out = String::new();
-        for (ip, o) in compiled.code.ops.iter().enumerate() {
-            let pc = compiled.code.ip_to_pc[ip];
-            // A site is listed as what it is currently bound to.
-            let text = match o {
-                jit::Op::Site { slot, .. } => {
-                    let sites = sites.as_deref().expect("site micro-ops run on an overlay");
-                    describe_binding(&sites[*slot as usize].binding, pc)
-                }
-                o => format!("{o:?}"),
-            };
-            out.push_str(&format!("{ip:>4} (pc {pc:>4}): {text}\n"));
+        if self.config.dispatch == Dispatch::Bytecode {
+            return Ok(None);
         }
-        Ok(out)
+        let lf = (func - n_imp) as usize;
+        self.lowered_for(lf);
+        if !self.has_reg_code(lf) {
+            return Ok(None);
+        }
+        Ok(self.code[lf].reg().or_else(|| self.artifact.reg_func(lf).cloned()))
     }
 
     // ---- shared-artifact introspection ----
 
     /// The shared [`ModuleArtifact`] this process executes from. Two
-    /// processes with `Arc::ptr_eq` artifacts share validated metadata,
-    /// lowered code and baseline compiled code.
+    /// processes with `Arc::ptr_eq` artifacts share validated metadata and
+    /// lowered and register forms.
     pub fn artifact(&self) -> &Arc<ModuleArtifact> {
         &self.artifact
     }
@@ -1459,17 +1401,6 @@ impl Process {
             return Err(ProbeError::NotALocalFunction(func));
         }
         Ok(self.lowered_view_for((func - n_imp) as usize).ops_addr())
-    }
-
-    /// Identity (address) of the compiled op stream of `func`, if it has
-    /// valid JIT code. Sibling processes running un-instrumented code
-    /// report the same address (the artifact's shared baseline).
-    pub fn compiled_identity(&self, func: FuncIdx) -> Option<usize> {
-        let n_imp = self.module.num_imported_funcs();
-        if func < n_imp || func >= self.module.num_funcs() {
-            return None;
-        }
-        self.code[(func - n_imp) as usize].compiled.borrow().as_ref().map(|c| c.code_addr())
     }
 
     /// Bytes of process-private code this process currently holds in
@@ -1510,7 +1441,7 @@ fn describe_binding(binding: &Binding, pc: u32) -> String {
     const COUNT: &str = "count.bump          ; intrinsified: inline counter increment";
     match binding {
         Binding::Empty => {
-            "site.empty          ; probes removed: dropped at the next recompile".into()
+            "site.empty          ; probes removed: dropped at the next re-lowering".into()
         }
         Binding::Count(_) => COUNT.into(),
         Binding::Intrinsic(list) => {
@@ -1570,7 +1501,6 @@ fn drive(ex: &mut Exec<'_>) -> Result<Exit, Trap> {
             Tier::Interp if ex.classic => classic::run_frame(ex),
             Tier::Interp => interp::run_frame(ex),
             Tier::Reg => regint::run_frame(ex),
-            Tier::Jit => jit::run_frame(ex),
         };
         match r? {
             Exit::Done => return Ok(Exit::Done),
@@ -1585,9 +1515,12 @@ fn drive(ex: &mut Exec<'_>) -> Result<Exit, Trap> {
 /// suspension, doing the fuel accounting; a suspended run is parked back
 /// in its process.
 fn drive_bounded(mut ex: Exec<'_>, fuel: u64, func: FuncIdx) -> Result<RunOutcome, Trap> {
-    let exit = drive(&mut ex);
-    // A trapping slice's fuel still counts as consumed.
+    // A trapping slice's fuel still counts as consumed — and so does a
+    // panicking one's (a probe's or a host function's), which a scheduler
+    // that survives the panic bills from this counter.
+    let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(&mut ex)));
     ex.proc.stats.fuel_consumed += fuel - ex.fuel;
+    let exit = exit.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     match exit {
         Ok(Exit::Done) => Ok(RunOutcome::Done(extract_results(&ex, func))),
         Ok(Exit::OutOfFuel) => {

@@ -15,11 +15,10 @@ use crate::frame::{Frame, FrameAccessor, Tier};
 use crate::interp;
 use crate::lowered::LTarget;
 use crate::probe::{Location, Pending, ProbeId, ProbeRef, Site};
-use crate::regir::RegFunc;
+use crate::regir::{self, RegFunc};
 use crate::store::HostCtx;
 use crate::trap::Trap;
 use crate::value::{Slot, Value};
-use crate::ExecMode;
 
 /// Control signal raised by interpreter handlers.
 #[derive(Debug)]
@@ -44,20 +43,16 @@ impl From<Trap> for Sig {
 pub(crate) enum Exit {
     Done,
     Redispatch,
-    /// The metered fuel slice is exhausted. The current frame's `pc` (and
-    /// `cip` in the JIT tier) is a valid resume point *before* an
-    /// instruction whose probes have not fired yet, so resuming — in either
-    /// tier — fires exactly the probes an unbounded run would.
+    /// The metered fuel slice is exhausted. The current frame's `pc` is a
+    /// valid resume point *before* an instruction whose probes have not
+    /// fired yet, so resuming fires exactly the probes an unbounded run
+    /// would.
     OutOfFuel,
 }
 
-/// Error from a frame modification that the engine configuration forbids.
+/// Error from a frame modification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameModError {
-    /// Frame state modification requires the interpreter; the engine is in
-    /// JIT-only mode (paper §4.6: "Wizard will not allow modifications in
-    /// the JIT-only configuration").
-    JitOnly,
     /// The value's type does not match the local's declared type.
     TypeMismatch,
     /// The referenced local or operand index is out of range.
@@ -69,9 +64,6 @@ pub enum FrameModError {
 impl core::fmt::Display for FrameModError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            FrameModError::JitOnly => {
-                f.write_str("frame modification requires the interpreter tier")
-            }
             FrameModError::TypeMismatch => f.write_str("value type does not match slot type"),
             FrameModError::OutOfRange => f.write_str("local or operand index out of range"),
             FrameModError::InvalidFrame => f.write_str("accessor does not refer to a live frame"),
@@ -86,16 +78,15 @@ pub(crate) struct Exec<'p> {
     pub proc: &'p mut Process,
     /// Unified locals+operand stack.
     pub values: Vec<u64>,
-    /// Call stack; `frames.last()` is the current frame (its `pc`/`cip`
-    /// are authoritative only at sync points).
+    /// Call stack; `frames.last()` is the current frame (its `pc` is
+    /// authoritative only at sync points).
     pub frames: Vec<Frame>,
-    /// Live cursor of the current frame. In the lowered interpreter this
-    /// is a *slot index*; in the classic (byte-walking) interpreter and in
-    /// the JIT tier's sync writes it is a byte pc (the JIT tier's trap
-    /// exit leaves its op index here: [`Exec::trap_location`]). Frames
-    /// always receive byte pcs ([`Exec::sync_pc`] converts), keeping the
-    /// paper's byte-offset location space the contract everywhere outside
-    /// the lowered hot loop.
+    /// Live cursor of the current frame: a *slot index* in the lowered
+    /// interpreter, a register-instruction index in the register form, a
+    /// byte pc in the classic (byte-walking) interpreter. Frames always
+    /// receive byte pcs ([`Exec::sync_pc`] converts), keeping the paper's
+    /// byte-offset location space the contract everywhere outside the
+    /// hot loops.
     pub pc: usize,
     /// Current function (global index).
     pub func: FuncIdx,
@@ -124,8 +115,8 @@ pub(crate) struct Exec<'p> {
     pub ctable: &'static [classic::Handler; 256],
     /// Source of activation ids.
     pub activations: u64,
-    /// One-shot suppression of probe firing at a location, used when
-    /// deoptimizing at a probe site whose probes already fired in the JIT.
+    /// One-shot suppression of probe firing at a location, used when a
+    /// register frame demotes at a probe site whose event already fired.
     pub skip_probe: Option<Location>,
     /// `true` when this run is fuel-metered (bounded).
     pub metered: bool,
@@ -203,8 +194,8 @@ impl<'p> Exec<'p> {
     /// slice, directly over the parked stacks (nothing is allocated). The
     /// dispatch table is re-derived from the process (global mode may have
     /// changed while suspended) and the cached current-frame fields are
-    /// reloaded; stale JIT frames are caught by the version checks on
-    /// redispatch.
+    /// reloaded; parked register frames pick up their function's current
+    /// register form as they are reached.
     pub fn from_state(proc: &'p mut Process, mut state: ExecState, fuel: u64) -> Exec<'p> {
         // Fields are taken (not moved) because ExecState's Drop handles
         // accessor invalidation for *discarded* suspensions; the emptied
@@ -303,6 +294,14 @@ impl<'p> Exec<'p> {
     /// the function's first frame in this process — which, under lowered
     /// dispatch, is also what lowers it on first touch) and converts the
     /// parked byte pc back to the running tier's cursor.
+    ///
+    /// A register frame resumes in its function's *current* register form
+    /// (re-lowered if a probe arrived since it parked: it parked at a call
+    /// or return, where `idx_of` maps every form alike). If the function
+    /// can no longer run in register form — global probes need the
+    /// instrumented stack dispatch table — the frame demotes: register
+    /// frames park with every deferred operand flushed to its canonical
+    /// stack position, so the stack interpreter resumes them exactly.
     pub fn load_cur(&mut self) {
         let (pc, mut tier) = {
             let f = self.frames.last().expect("at least one frame");
@@ -313,25 +312,19 @@ impl<'p> Exec<'p> {
             self.results = f.results;
             (f.pc, f.tier)
         };
+        if tier == Tier::Reg && (self.proc.global_mode || !self.proc.has_reg_code(self.lf)) {
+            self.frames.last_mut().expect("at least one frame").tier = Tier::Interp;
+            self.proc.stats.deopts += 1;
+            tier = Tier::Interp;
+        }
         self.views = self.proc.views_for(self.lf);
         if self.classic {
             self.pc = pc;
             return;
         }
-        if tier == Tier::Reg && (self.proc.global_mode || self.views.code.is_overlaid()) {
-            // The function can no longer run in register form: global
-            // probes need the instrumented stack dispatch table, and probe
-            // overlays exist only in the stack representations. Demote the
-            // frame — register frames park at byte pcs with every deferred
-            // operand flushed to its canonical stack position, so the
-            // stack interpreter resumes them exactly.
-            self.frames.last_mut().expect("at least one frame").tier = Tier::Interp;
-            self.proc.stats.reg_demotions += 1;
-            tier = Tier::Interp;
-        }
         if tier == Tier::Reg && self.views.reg.is_none() {
-            // The views were resolved (by a metered or instrumented
-            // activation) before this clean one built the register form.
+            // The views were resolved (by a stack-tier activation) before
+            // the register form was built.
             self.views = self.proc.resolve_views(self.lf);
         }
         self.pc = match tier {
@@ -340,8 +333,36 @@ impl<'p> Exec<'p> {
                 self.views.low.slot_of(pc as u32).expect("frame pc is an instruction boundary")
                     as usize
             }
-            Tier::Jit => pc,
         };
+    }
+
+    /// Promotes the current stack-interpreter frame to register form at
+    /// the loop header it is about to execute, if the function has a
+    /// register form and global probes are off; returns `true` if it did.
+    /// The header's fuel unit, already charged, is refunded: the register
+    /// form charges the whole run the header leads — which a metered run
+    /// must be able to pay, or the frame stays (as it does at a header
+    /// that leads no run).
+    pub(crate) fn promote_at_loop(&mut self) -> bool {
+        if self.proc.global_mode || !self.proc.has_reg_code(self.lf) {
+            return false;
+        }
+        self.sync_pc();
+        self.frames.last_mut().expect("a frame is executing").tier = Tier::Reg;
+        self.load_cur();
+        if self.metered {
+            // A run is paid for at its first instruction only, and a `loop`
+            // no branch targets sits inside one: a metered frame stays.
+            let cost = u64::from(self.reg().get(self.pc).cost);
+            if cost == 0 || self.fuel + 1 < cost {
+                self.frames.last_mut().expect("a frame is executing").tier = Tier::Interp;
+                self.load_cur();
+                return false;
+            }
+            self.fuel += 1;
+        }
+        self.proc.stats.tier_ups += 1;
+        true
     }
 
     /// Grows the value stack to the current register frame's full window
@@ -391,55 +412,15 @@ impl<'p> Exec<'p> {
 
     // ---- calls and returns ----
 
-    /// `true` when a new activation of `lf` may run in the register tier:
-    /// the function is uninstrumented (no probe overlay) and the allocator
-    /// lowered it (building its register form on first demand).
-    fn reg_eligible(&mut self, lf: usize) -> bool {
-        !self.proc.code[lf].has_overlay() && self.proc.has_reg_func(lf)
-    }
-
-    /// Decides which tier a new activation of `lf` should start in, compiling
-    /// if warranted. Never returns `Jit` in global-probe mode (paper §4.1).
-    ///
-    /// A clean activation — uninstrumented, unmetered, of a function the
-    /// allocator lowered — runs in the register interpreter (unless the
-    /// mode is JIT-only or the dispatch is [`Dispatch::Bytecode`]) and
-    /// stays there: nothing compiled is faster, so it neither counts
-    /// hotness nor tiers up. Every other activation — metered ones
-    /// included, since the register loop charges no fuel — takes the
-    /// lowered stack interpreter and the tier policy of `mode`.
+    /// Decides which tier a new activation of `lf` starts in: the register
+    /// form whenever the function has one — instrumented or not, metered
+    /// or not — except under [`Dispatch::Bytecode`] and in global-probe
+    /// mode (paper §4.1), which run the stack interpreter.
     fn tier_for_call(&mut self, lf: usize) -> Tier {
-        if self.proc.global_mode {
-            return Tier::Interp;
-        }
-        if !self.classic
-            && self.proc.config.mode != ExecMode::JitOnly
-            && !self.metered
-            && self.reg_eligible(lf)
-        {
-            return Tier::Reg;
-        }
-        match self.proc.config.mode {
-            ExecMode::InterpOnly => Tier::Interp,
-            ExecMode::JitOnly => {
-                self.proc.ensure_compiled(lf);
-                Tier::Jit
-            }
-            ExecMode::Tiered => {
-                let fc = &self.proc.code[lf];
-                if fc.compiled.borrow().is_some() {
-                    return Tier::Jit;
-                }
-                let h = fc.hotness.get() + 1;
-                fc.hotness.set(h);
-                if h >= self.proc.config.tierup_threshold {
-                    self.proc.ensure_compiled(lf);
-                    self.proc.stats.tier_ups += 1;
-                    Tier::Jit
-                } else {
-                    Tier::Interp
-                }
-            }
+        if self.classic || self.proc.global_mode || !self.proc.has_reg_code(lf) {
+            Tier::Interp
+        } else {
+            Tier::Reg
         }
     }
 
@@ -457,19 +438,13 @@ impl<'p> Exec<'p> {
             return Err(Trap::StackOverflow.into());
         }
         let tier = self.tier_for_call(lf);
-        let (num_params, num_slots, results, max_height, code_version) = {
+        let (num_params, num_slots, results, max_height) = {
             let fc = &self.proc.code[lf];
-            let code_version = if tier == Tier::Jit {
-                fc.compiled.borrow().as_ref().map_or(0, |c| c.version())
-            } else {
-                0
-            };
             (
                 fc.num_params() as usize,
                 fc.num_slots() as usize,
                 fc.num_results(),
                 fc.meta().max_height as usize,
-                code_version,
             )
         };
         if self.values.len() + (num_slots - num_params) + max_height
@@ -488,12 +463,9 @@ impl<'p> Exec<'p> {
             opbase: base + num_slots,
             results,
             pc: 0,
-            cip: 0,
             tier,
-            code_version,
             activation: self.activations,
             accessor: None,
-            deopt_requested: false,
         });
         self.load_cur();
         if tier == my_tier {
@@ -559,25 +531,6 @@ impl<'p> Exec<'p> {
         self.values.truncate(dst + nres);
         if self.frames.is_empty() {
             return Err(Sig::Done);
-        }
-        // Stale-frame check: if the caller was running JIT code that has
-        // since been invalidated (probe insertion/removal), or the engine
-        // entered global-probe mode, deoptimize it to the interpreter.
-        {
-            let caller = self.frames.last_mut().expect("non-empty");
-            if caller.tier == Tier::Jit {
-                let fc = &self.proc.code[caller.lf];
-                let stale = fc
-                    .compiled
-                    .borrow()
-                    .as_ref()
-                    .is_none_or(|c| c.version() != caller.code_version);
-                if stale || self.proc.global_mode || caller.deopt_requested {
-                    caller.tier = Tier::Interp;
-                    caller.deopt_requested = false;
-                    self.proc.stats.deopts += 1;
-                }
-            }
         }
         self.load_cur();
         if self.frames.last().expect("non-empty").tier == my_tier {
@@ -673,36 +626,51 @@ impl<'p> Exec<'p> {
         let global = self.proc.global_mode;
         self.table = if global { interp::instrumented_table() } else { interp::normal_table() };
         self.ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
+        if self.frames.is_empty() {
+            return;
+        }
+        // A register frame fires at its `R_SITE`, mid-run. If global probes
+        // arrived, or the change replaced its function's register form
+        // (re-lowered with a new site, or rejoined the shared form), it
+        // cannot continue in the code it runs: it demotes at the site's pc
+        // (§4.6), where the stack interpreter must not fire the event — the
+        // site's probes, or global probes the event inserted — again. A
+        // metered run is refunded the part of the run it paid for and has
+        // not executed: the stack interpreter charges it per instruction.
+        let top = self.frames.last_mut().expect("non-empty");
+        let current = self.proc.code[self.lf].cached_views();
+        if top.tier == Tier::Reg
+            && (global || !current.is_some_and(|v| Rc::ptr_eq(&v, &self.views)))
+        {
+            top.tier = Tier::Interp;
+            let (pc, fc) = (top.pc as u32, &self.proc.code[self.lf]);
+            if self.metered {
+                self.fuel += u64::from(regir::run_rest(fc.artifact(), pc));
+            }
+            if global || fc.byte_at(pc as usize) == op::PROBE {
+                self.skip_probe = Some(Location { func: self.func, pc });
+            }
+            self.proc.stats.deopts += 1;
+        }
         // Instrumenting the current function may have copy-on-wrote (or
         // rejoined) its code: `self.views` would keep reading the stale
         // stream (the overlay dropped its cached bundle; ours is the old
         // one). Reload from the frame — the pc was synced before the
         // probes fired, so this is view-identity for the cursor and only
         // swaps the op/byte sources.
-        if !self.frames.is_empty() {
-            self.load_cur();
-        }
+        self.load_cur();
     }
 
     /// After a tier loop returned a trap: the trapping instruction. Every
     /// tier leaves its cursor on it — a call that traps backs the cursor up
-    /// again, the micro-op tier writes its op index on the trap exit — so
-    /// only the cursor's unit differs. `None` if no frame was entered.
+    /// again — so only the cursor's unit differs. `None` if no frame was
+    /// entered.
     pub fn trap_location(&self) -> Option<Location> {
         let frame = self.frames.last()?;
         let pc = match frame.tier {
             Tier::Interp if self.classic => self.pc as u32,
             Tier::Interp => self.views.low.pc_of(self.pc),
             Tier::Reg => self.reg().pc_of(self.pc),
-            Tier::Jit => {
-                let compiled = self.proc.code[frame.lf].compiled.borrow();
-                let at = compiled.as_ref().and_then(|c| c.code.ip_to_pc.get(self.pc).copied());
-                // A frame that traps is running the function's current
-                // code (stale code is left at the next checkpoint, before
-                // anything can trap in it); its last checkpoint otherwise.
-                debug_assert!(at.is_some(), "trapped in code that is not the function's");
-                at.unwrap_or(frame.pc as u32)
-            }
         };
         Some(Location { func: frame.func, pc })
     }
@@ -862,9 +830,9 @@ impl<'a, 'p> ProbeCtx<'a, 'p> {
     ///
     /// # Errors
     ///
-    /// As [`Process::add_global_probe`].
+    /// Never fails: every configuration has a stack interpreter to run
+    /// global probes in. Fallible like [`ProbeCtx::insert_local_probe`].
     pub fn insert_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
-        self.ex.proc.check_global_allowed()?;
         let id = self.ex.proc.probes.fresh_id(Site::Global);
         self.ex.proc.probes.pending.push(Pending::Insert(id, probe));
         Ok(id)
@@ -928,17 +896,15 @@ impl<'a, 'p> FrameView<'a, 'p> {
     }
 
     /// Writes local `i` — a *frame modification* with the paper's
-    /// consistency guarantee: the change is applied immediately, and if the
-    /// frame is executing JIT code it is deoptimized to the interpreter
-    /// before execution resumes (§4.6, strategy 4).
+    /// consistency guarantee: the change is applied immediately and every
+    /// tier observes it. No frame needs to deoptimize for it (§4.6): a
+    /// probe only sees a register frame at a park point, after which the
+    /// register form reads every local and operand back from its slot.
     ///
     /// # Errors
     ///
-    /// Fails in JIT-only mode, on type mismatch, or if `i` is out of range.
+    /// Fails on type mismatch, or if `i` is out of range.
     pub fn set_local(&mut self, i: u32, v: Value) -> Result<(), FrameModError> {
-        if self.ex.proc.config.mode == ExecMode::JitOnly {
-            return Err(FrameModError::JitOnly);
-        }
         let f = &self.ex.frames[self.index];
         let lf = f.lf;
         let base = f.base;
@@ -950,7 +916,6 @@ impl<'a, 'p> FrameView<'a, 'p> {
             return Err(FrameModError::TypeMismatch);
         }
         self.ex.values[base + i as usize] = v.to_slot().0;
-        self.mark_modified();
         Ok(())
     }
 
@@ -979,18 +944,14 @@ impl<'a, 'p> FrameView<'a, 'p> {
     ///
     /// # Errors
     ///
-    /// Fails in JIT-only mode or if `i` is out of range.
+    /// Fails if `i` is out of range.
     pub fn set_operand(&mut self, i: usize, v: Slot) -> Result<(), FrameModError> {
-        if self.ex.proc.config.mode == ExecMode::JitOnly {
-            return Err(FrameModError::JitOnly);
-        }
         let end = self.ex.operand_end(self.index);
         let opbase = self.ex.frames[self.index].opbase;
         if i >= end - opbase {
             return Err(FrameModError::OutOfRange);
         }
         self.ex.values[end - 1 - i] = v.0;
-        self.mark_modified();
         Ok(())
     }
 
@@ -1006,14 +967,6 @@ impl<'a, 'p> FrameView<'a, 'p> {
             return None;
         }
         Some(self.ex.accessor_for(self.index - 1))
-    }
-
-    fn mark_modified(&mut self) {
-        let f = &mut self.ex.frames[self.index];
-        if f.tier == Tier::Jit {
-            f.deopt_requested = true;
-            self.ex.proc.stats.deopts += 1;
-        }
     }
 }
 

@@ -18,13 +18,13 @@ use wizard_wasm::module::FuncIdx;
 /// Which execution tier a frame is currently running in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// The in-place interpreter.
+    /// The stack interpreter: the lowered loop, or the byte-walking
+    /// reference under [`Dispatch::Bytecode`](crate::Dispatch).
     Interp,
-    /// The register-form interpreter ([`crate::regir`]): stack traffic
-    /// eliminated, but frames still park byte pcs at every sync point.
+    /// The register form ([`crate::regir`]), the engine's compiled tier:
+    /// stack traffic eliminated, probe sites and fuel charges carried in
+    /// the code, and frames still park byte pcs at every sync point.
     Reg,
-    /// The JIT (micro-op) tier.
-    Jit,
 }
 
 /// One Wasm activation record.
@@ -43,28 +43,20 @@ pub(crate) struct Frame {
     /// Resume/current bytecode pc (authoritative at sync points).
     ///
     /// Always a *byte offset* — the paper's location space — even though
-    /// the lowered interpreter's live cursor is a slot index: `Exec`
-    /// converts through the function's `pc ↔ slot` map when parking or
-    /// loading a frame. That keeps every consumer of parked frames
-    /// (FrameAccessors, fuel suspension/resume, deoptimization, OSR
-    /// entries, probe locations) dispatch-representation-agnostic.
+    /// the running loop's live cursor is a slot or register-instruction
+    /// index: `Exec` converts through the function's `pc ↔ slot` /
+    /// `pc ↔ index` maps when parking or loading a frame. That keeps
+    /// every consumer of parked frames (FrameAccessors, fuel
+    /// suspension/resume, demotion and promotion, probe locations)
+    /// dispatch-representation-agnostic.
     pub pc: usize,
-    /// Resume/current compiled-op index when `tier == Jit`.
-    pub cip: usize,
     /// Execution tier.
     pub tier: Tier,
-    /// Version of the compiled code this frame was executing (to detect
-    /// stale frames after instrumentation changes).
-    pub code_version: u32,
     /// Unique id of this activation (for accessor validity).
     pub activation: u64,
     /// The accessor slot: cleared on entry, filled lazily on first request
     /// (paper mechanism 1).
     pub accessor: Option<FrameAccessor>,
-    /// Set when a probe modified this frame's state while it was running in
-    /// the JIT tier; forces deoptimization before execution continues
-    /// (paper §4.6, strategy 4).
-    pub deopt_requested: bool,
 }
 
 impl Frame {
@@ -171,12 +163,9 @@ mod tests {
             opbase: 0,
             results: 0,
             pc: 0,
-            cip: 0,
             tier: Tier::Interp,
-            code_version: 0,
             activation: 7,
             accessor: None,
-            deopt_requested: false,
         };
         let acc = FrameAccessor::new(7, 0, 1, 0);
         frame.accessor = Some(acc.clone());

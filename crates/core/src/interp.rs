@@ -7,10 +7,11 @@
 //! lookups — the decode tax is paid once per function, not once per
 //! executed instruction.
 //!
-//! Clean (uninstrumented, unmetered) activations run in the register
-//! interpreter ([`crate::regint`]) instead; this loop runs instrumented
-//! functions, global-probe mode, fuel-metered slices and the functions the
-//! register allocator declines, and tiers them up to compiled code.
+//! Activations run in the register form ([`crate::regint`]) instead
+//! whenever they can; this loop runs global-probe mode, the functions the
+//! register allocator declines, the part of a run a fuel slice cannot pay
+//! for, and frames demoted mid-run — and promotes a frame back to register
+//! form at its next loop header once it can run there again.
 //!
 //! The paper's two instrumentation mechanisms carry over structurally
 //! unchanged, operating on lowered *slots* instead of opcode bytes:
@@ -38,7 +39,6 @@ use crate::numeric;
 use crate::probe::Location;
 use crate::trap::Trap;
 use crate::value::Slot;
-use crate::ExecMode;
 
 /// A lowered-code handler: executes one instruction (including advancing
 /// the slot cursor) or raises a [`Sig`].
@@ -228,28 +228,10 @@ fn op_skip(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 }
 
 fn op_loop(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
-    // Loop headers drive hotness-based tier-up with on-stack replacement
-    // into compiled code — unless global-probe mode pins us to the
-    // interpreter (paper §4.1).
-    if ex.proc.config.mode == ExecMode::Tiered && !ex.proc.global_mode {
-        let fc = &ex.proc.code[ex.lf];
-        let h = fc.hotness.get() + 1;
-        fc.hotness.set(h);
-        if h >= ex.proc.config.tierup_threshold {
-            ex.proc.ensure_compiled(ex.lf);
-            let compiled = ex.proc.code[ex.lf].compiled.borrow().clone().expect("just compiled");
-            let pc_b = ex.views.low.pc_of(ex.pc);
-            if let Some(&ip) = compiled.code.osr_entry.get(&pc_b) {
-                let next_pc_b = ex.views.low.pc_of(ex.pc + 1);
-                let f = ex.frames.last_mut().expect("frame");
-                f.tier = Tier::Jit;
-                f.cip = ip as usize;
-                f.pc = next_pc_b as usize; // unused while in JIT, kept sane
-                f.code_version = compiled.version();
-                ex.proc.stats.tier_ups += 1;
-                return Err(Sig::Switch);
-            }
-        }
+    // A loop header is where a frame goes back to register form (a probed
+    // header promotes from `op_probe`, before its probes fire).
+    if ex.views.low.get(ex.pc).op == op::LOOP && ex.promote_at_loop() {
+        return Err(Sig::Switch);
     }
     ex.pc += 1;
     Ok(())
@@ -453,18 +435,20 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
     let slot = ex.pc;
     let pc = ex.views.low.pc_of(slot);
     let loc = Location { func: ex.func, pc };
+    let orig = ex.views.low.original(slot);
     if ex.skip_probe == Some(loc) {
-        // The probes at this location already fired (in the JIT tier,
-        // immediately before deoptimizing here). Execute the original
+        // The probes at this location already fired, in the register
+        // form, immediately before it demoted here. Execute the original
         // instruction without re-firing.
         ex.skip_probe = None;
+    } else if orig.op == op::LOOP && ex.promote_at_loop() {
+        // The register form fires this header's probes.
+        return Err(Sig::Switch);
     } else {
         ex.fire_site(slot as u32, pc);
     }
-    // Dispatch the original instruction, whether or not the firing probes
-    // removed themselves (restoring the slot, or rejoining the shared op
-    // stream).
-    let orig = ex.views.low.original(slot);
+    // Dispatch the original instruction (the shared form's, so it is
+    // unchanged whether or not the firing probes removed themselves).
     normal_table()[orig.op as usize](ex, orig)
 }
 
@@ -473,7 +457,17 @@ fn op_probe(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
 /// table. Installed by switching the table pointer when a global probe is
 /// inserted (paper §4.1).
 fn op_global_stub(ex: &mut Exec, _li: LInstr) -> Result<(), Sig> {
-    ex.fire_global_probes();
+    match ex.skip_probe {
+        Some(loc) if loc == Location { func: ex.func, pc: ex.views.low.pc_of(ex.pc) } => {
+            // This instruction's event already fired, in the register form
+            // just before it demoted here; `op_probe` skips its local
+            // probes, if it still has any.
+            if ex.views.low.get(ex.pc).op != op::PROBE {
+                ex.skip_probe = None;
+            }
+        }
+        _ => ex.fire_global_probes(),
+    }
     // Global probes may themselves have mutated instrumentation; re-read.
     let li = ex.views.low.get(ex.pc);
     normal_table()[li.op as usize](ex, li)

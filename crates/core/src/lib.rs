@@ -1,4 +1,4 @@
-//! `wizard-engine`: a multi-tier WebAssembly engine with flexible,
+//! `wizard-engine`: a two-tier WebAssembly engine with flexible,
 //! non-intrusive dynamic instrumentation — the primary contribution of
 //! Titzer et al., *Flexible Non-intrusive Dynamic Instrumentation for
 //! WebAssembly* (ASPLOS 2024), reproduced in Rust.
@@ -8,41 +8,50 @@
 //! * **Shared artifacts & copy-on-write overlays** ([`artifact`],
 //!   [`code`]): a [`ModuleArtifact`] holds everything process-independent
 //!   — the validated module, side-table metadata, per-function lowered
-//!   code, register form and probe-free baseline JIT code — each built
-//!   lazily once per function, `Arc`-shared and
-//!   `Send + Sync`. [`Process::instantiate`] links against it without
-//!   re-validating; uninstrumented processes execute *the same* shared
-//!   code (pointer-equal), and the first probe a process installs in a
-//!   function copy-on-writes just that function into its private overlay
-//!   — invisible to siblings, dropped again when the last probe detaches.
-//! * **Interpreter tiers**, picked per activation by the engine. Clean
-//!   code — an uninstrumented activation of an unmetered run — runs in
-//!   the register interpreter ([`regir`]): locals and operand
-//!   slots are numbered registers, so `local.get`/const/push/pop traffic
-//!   is allocated away; register frames never tier up. Instrumented
-//!   functions, global-probe mode and fuel-metered slices run the
-//!   lowered stack interpreter ([`lowered`]): each function body is
-//!   lowered *once* into fixed-width internal instructions — immediates
-//!   pre-decoded, branch side table resolved into pre-resolved targets —
-//!   dispatched through a 256-entry handler table, and tiered up to the
-//!   JIT. Bidirectional `pc ↔ slot`/`pc ↔ index` maps keep the paper's
-//!   byte-offset location space as the public contract. Global probes are
-//!   implemented by *switching the dispatch table pointer* — zero overhead
-//!   when disabled. The paper's in-place byte-walking interpreter survives
-//!   as [`Dispatch::Bytecode`], the reference and measured baseline.
+//!   code and the probe-free register form — each built lazily once per
+//!   function, `Arc`-shared and `Send + Sync`. [`Process::instantiate`]
+//!   links against it without re-validating; uninstrumented processes
+//!   execute *the same* shared code (pointer-equal), and the first probe a
+//!   process installs in a function copy-on-writes just that function into
+//!   its private overlay — invisible to siblings, dropped again when the
+//!   last probe detaches.
+//! * **Two tiers**, picked per activation by the engine, as in the paper
+//!   (§4). The compiled tier is the register form ([`regir`]): locals and
+//!   operand slots are numbered registers, so `local.get`/const/push/pop
+//!   traffic is allocated away. It runs every activation it can — clean,
+//!   instrumented and fuel-metered alike: an instrumented function is
+//!   lowered per process with one probe site per probed instruction,
+//!   bound to the site's probes (intrinsified where they allow), and a
+//!   metered frame pays for a whole straight-line run at its first
+//!   instruction. The interpreter tier is the lowered stack interpreter
+//!   ([`lowered`]): each function body is lowered *once* into fixed-width
+//!   internal instructions — immediates pre-decoded, branch side table
+//!   resolved into pre-resolved targets — dispatched through a 256-entry
+//!   handler table. It runs global-probe mode, the functions the register
+//!   allocator declines, the part of a run a fuel slice cannot pay for,
+//!   and frames demoted mid-run, until their next loop header promotes
+//!   them back. Bidirectional `pc ↔ slot`/`pc ↔ index` maps keep the
+//!   paper's byte-offset location space as the public contract. Global
+//!   probes are implemented by *switching the dispatch table pointer* —
+//!   zero overhead when disabled. The paper's in-place byte-walking
+//!   interpreter survives as [`Dispatch::Bytecode`], the reference and
+//!   measured baseline.
 //! * **Local probes** are implemented by *bytecode overwriting*: the probed
 //!   instruction's opcode byte is replaced by a reserved probe opcode, and
 //!   the original is kept on the side — zero overhead for uninstrumented
 //!   instructions, O(1) insertion/removal, and offsets stay valid.
-//! * **JIT tier** ([`jit`]): functions are compiled to pre-decoded
-//!   micro-ops; local probes are compiled into the code. `CountProbe`s and
-//!   top-of-stack operand probes can be *intrinsified* — inlined or called
-//!   directly without reifying a FrameAccessor.
+//! * **Probe sites in compiled code** ([`regir`], [`probe`]): a probed
+//!   instruction lowers to one `R_SITE` whose *binding* is re-bound in
+//!   place when its probe list changes. `CountProbe`s and top-of-stack
+//!   operand probes are *intrinsified* — inlined or called directly
+//!   without reifying a FrameAccessor (§4.4); only a probe on an
+//!   instruction the form has no site for re-lowers the function (§4.5).
 //! * **Consistency** ([`probe`], [`exec`]): insertion order is firing
-//!   order; inserts/removals during an event are deferred to its end; frame
-//!   modifications deoptimize exactly the modified frame back to the
-//!   interpreter (strategy 4 of §4.6); probe changes invalidate compiled
-//!   code and existing frames deoptimize at the next safe point.
+//!   order; inserts/removals during an event are deferred to its end; a
+//!   register frame whose code a probe replaced, or that global probes
+//!   must now reach, demotes to the stack interpreter at its byte pc
+//!   (§4.6); frame modifications need no deoptimization, because a probe
+//!   only observes a register frame at a park point.
 //! * **FrameAccessor** ([`frame`], [`exec::ProbeCtx`]): probes receive
 //!   program state through a façade over the live frame, with validity
 //!   protection against dangling access.
@@ -148,7 +157,7 @@
 //! f.local_get(0).i32_const(1).i32_add();
 //! mb.add_func("inc", f);
 //!
-//! let config = EngineConfig::builder().tierup_threshold(10).build();
+//! let config = EngineConfig::builder().intrinsify(false).build();
 //! let mut process = Process::new(mb.build()?, config, &Linker::new())?;
 //!
 //! let counter = process.attach_monitor(EntryCounter::default())?;
@@ -172,7 +181,6 @@ mod engine;
 pub mod exec;
 pub mod frame;
 mod interp;
-pub mod jit;
 pub mod lowered;
 pub mod monitor;
 pub mod numeric;
@@ -188,7 +196,7 @@ pub mod value;
 pub use artifact::{FuncArtifact, ModuleArtifact};
 pub use engine::{
     register_lowering_validator, Dispatch, EngineConfig, EngineConfigBuilder, EngineStats,
-    ExecMode, LinkError, ProbeError, Process, RunOutcome,
+    LinkError, LoweringValidator, ProbeError, Process, RunOutcome, SiteLoweringValidator,
 };
 pub use exec::{FrameModError, FrameView, ProbeCtx};
 pub use frame::{FrameAccessor, Tier};

@@ -1,8 +1,8 @@
 //! Shared evaluation of numeric instructions, keyed by opcode byte.
 //!
-//! Both execution tiers call into this module, which guarantees that the
-//! interpreter and the JIT have identical numeric semantics (and lets the
-//! differential property tests compare tiers meaningfully).
+//! Every execution loop calls into this module, which guarantees that the
+//! interpreters and the register form have identical numeric semantics
+//! (and lets the differential property tests compare tiers meaningfully).
 
 use wizard_wasm::opcodes::*;
 

@@ -41,15 +41,15 @@ impl core::fmt::Display for Location {
     }
 }
 
-/// Classifies a probe for JIT intrinsification (paper §4.4).
+/// Classifies a probe for intrinsification in compiled code (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
     /// Arbitrary M-code: requires a full state checkpoint and a runtime
     /// call when compiled.
     Generic,
-    /// A pure counter: the JIT inlines the increment, no call at all.
+    /// A pure counter: compiled code inlines the increment, no call at all.
     Count,
-    /// M-code that only needs the top-of-stack operand: the JIT passes the
+    /// M-code that only needs the top-of-stack operand: compiled code passes the
     /// value directly, skipping FrameAccessor reification.
     Operand,
 }
@@ -71,7 +71,7 @@ pub trait Probe: 'static {
         ProbeKind::Generic
     }
 
-    /// For [`ProbeKind::Count`] probes: the counter cell the JIT increments
+    /// For [`ProbeKind::Count`] probes: the counter cell compiled code increments
     /// inline.
     fn count_cell(&self) -> Option<Rc<Cell<u64>>> {
         None
@@ -97,7 +97,7 @@ pub struct ProbeId {
 }
 
 /// A counter probe: increments a shared counter each time its location is
-/// reached. Fully inlined by the JIT when count intrinsification is on
+/// reached. Fully inlined in compiled code when count intrinsification is on
 /// (paper Figure 2, right column).
 #[derive(Debug, Clone, Default)]
 pub struct CountProbe {
@@ -296,11 +296,12 @@ pub(crate) enum Pending {
 }
 
 /// What compiled code does at a probe site — the process-private half of
-/// a site micro-op ([`Op::Site`](crate::jit::Op)), recomputed from the
-/// site's probe list whenever the list changes (paper §4.4).
+/// a register-form site ([`R_SITE`](crate::regir::R_SITE)), recomputed
+/// from the site's probe list whenever the list changes (paper §4.4).
 #[derive(Default)]
 pub(crate) enum Binding {
-    /// No probes: the site is dead weight until the function recompiles.
+    /// No probes: the site is dead weight until the function is re-lowered
+    /// or rejoins the shared form.
     #[default]
     Empty,
     /// Exactly one `Count` probe: an inline increment of its cell.
@@ -481,7 +482,7 @@ mod tests {
     #[test]
     fn bindings_follow_the_list_and_the_intrinsify_flags() {
         let on = EngineConfig::default();
-        let off = EngineConfig::jit_no_intrinsics();
+        let off = EngineConfig::builder().intrinsify(false).build();
         let mut r = ProbeRegistry::default();
         let mut entry = |p: ProbeRef| (r.fresh_id(Site::Global), p);
         assert!(matches!(Binding::of(&[], &on), Binding::Empty));
@@ -510,7 +511,7 @@ mod tests {
         assert_eq!(r.global_counts.len(), 2);
         let mut off = ProbeRegistry::default();
         let d = off.fresh_id(Site::Global);
-        off.insert_global(d, count_ref(), &EngineConfig::jit_no_intrinsics());
+        off.insert_global(d, count_ref(), &EngineConfig::builder().intrinsify(false).build());
         assert!(off.global_counts.is_empty(), "intrinsify_count is honoured");
     }
 

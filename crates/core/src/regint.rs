@@ -1,6 +1,5 @@
-//! The register-form interpreter — the engine's stack-traffic-free hot
-//! dispatch path for clean code ([`Dispatch::Register`](crate::Dispatch),
-//! the default).
+//! The register-form interpreter — the engine's compiled tier
+//! ([`Dispatch::Register`](crate::Dispatch), the default).
 //!
 //! Executes the function's register form ([`crate::regir`]): `ex.pc`
 //! holds a **register-instruction index** while this loop runs, and the
@@ -9,29 +8,36 @@
 //! instruction addresses its operands with plain indexed loads — no
 //! pushes, no pops, no stack-pointer motion between instructions.
 //!
-//! This loop is the top tier for what it runs: a register frame never
-//! tiers up (nothing compiled is faster), and compiled code is stack-form
-//! only. Two invariants keep the byte-offset `Location` contract intact:
+//! Instrumented and metered activations run here too:
 //!
-//! * register frames only *park* at calls and returns — points where the
-//!   allocator has flushed every deferred operand to its canonical stack
-//!   position and the runtime has truncated the value stack to the exact
-//!   operand height, so a parked register frame is indistinguishable
-//!   from a stack-tier frame at the same byte pc (which is what lets one
-//!   demote when its function gains a probe);
-//! * fuel-metered (bounded) runs never enter this loop at all
-//!   (`tier_for_call` gives them the lowered tiers), so there is no
-//!   mid-function suspension to account for.
+//! * an `R_SITE` executes its site's binding — nothing, an inline count,
+//!   direct operand calls with the top-of-stack register, or a generic
+//!   fire with the frame truncated to its canonical stack (§4.4);
+//! * the loop is monomorphized on metering, like the stack interpreter's:
+//!   the metered loop pays for a whole run at its first instruction
+//!   ([`RInstr::cost`](crate::regir::RInstr::cost)) and demotes the
+//!   frame to the stack interpreter at the run's byte pc when the slice
+//!   cannot pay; the unmetered loop carries no fuel check at all.
+//!
+//! Register frames only *park* at points where the allocator has flushed
+//! every deferred operand to its canonical stack position and the runtime
+//! has truncated the value stack to the exact operand height — calls,
+//! returns, sites, run leaders — so a parked register frame is
+//! indistinguishable from a stack frame at the same byte pc. That is what
+//! lets one demote (§4.6), and resume in a re-lowered form, at byte
+//! granularity.
 
 use std::rc::Rc;
 
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
 use crate::numeric;
+use crate::probe::{Binding, Intrinsified, Location};
 use crate::regir::{
-    RInstr, ARG_POOL_BIT, R_BIN, R_BIN_IR, R_BIN_RI, R_BR, R_BR_IF, R_BR_IF_Z, R_BR_TABLE, R_CALL,
-    R_CALL_INDIRECT, R_CMP_BR, R_CMP_BR_RI, R_CONST, R_COPY, R_GLOBAL_GET, R_GLOBAL_SET, R_LOAD,
-    R_LOOP, R_MEM_GROW, R_MEM_SIZE, R_RETURN, R_SELECT, R_STORE, R_UN, R_UNREACHABLE,
+    self, RInstr, ARG_POOL_BIT, R_BIN, R_BIN_IR, R_BIN_RI, R_BR, R_BR_IF, R_BR_IF_Z, R_BR_TABLE,
+    R_CALL, R_CALL_INDIRECT, R_CMP_BR, R_CMP_BR_RI, R_CONST, R_COPY, R_GLOBAL_GET, R_GLOBAL_SET,
+    R_LOAD, R_LOOP, R_MEM_GROW, R_MEM_SIZE, R_RETURN, R_SELECT, R_SITE, R_STORE, R_UN,
+    R_UNREACHABLE,
 };
 use crate::trap::Trap;
 use crate::value::Slot;
@@ -40,16 +46,63 @@ use crate::value::Slot;
 /// the current frame changes tier, or a trap unwinds.
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     debug_assert_eq!(ex.frames.last().map(|f| f.tier), Some(Tier::Reg));
-    debug_assert!(!ex.metered, "metered runs never start a register frame");
     ex.reg_extend();
+    // Metering is fixed for the whole run; monomorphize the loop so the
+    // unmetered hot path carries no fuel checks at all.
+    if ex.metered {
+        run_loop::<true>(ex)
+    } else {
+        run_loop::<false>(ex)
+    }
+}
+
+fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
     loop {
         let ri = ex.reg().get(ex.pc);
+        if METERED && ri.cost != 0 {
+            if ex.fuel < u64::from(ri.cost) {
+                demote_at_leader(ex);
+                return Ok(Exit::Redispatch);
+            }
+            ex.fuel -= u64::from(ri.cost);
+        }
         match step(ex, ri) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
             Err(Sig::Switch) => return Ok(Exit::Redispatch),
-            Err(Sig::Trap(t)) => return Err(t),
+            Err(Sig::Trap(t)) => {
+                if METERED {
+                    refund_trapped_run(ex);
+                }
+                return Err(t);
+            }
         }
+    }
+}
+
+/// The slice cannot pay for the run the current instruction leads: the
+/// frame demotes at the run's first byte pc, with its stack truncated to
+/// the canonical height there, and the stack interpreter runs (and
+/// charges) the run instruction by instruction.
+#[cold]
+fn demote_at_leader(ex: &mut Exec) {
+    let leader = ex.reg().leader(ex.pc).expect("a run is paid for at its leader");
+    ex.values.truncate(ex.opbase + leader.height as usize);
+    let f = ex.frames.last_mut().expect("a frame is executing");
+    f.pc = leader.pc as usize;
+    f.tier = Tier::Interp;
+    ex.proc.stats.deopts += 1;
+    ex.load_cur();
+}
+
+/// A trap ends the run at the trapping instruction: the part of the run
+/// after it, paid for at the leader, never executed.
+#[cold]
+fn refund_trapped_run(ex: &mut Exec) {
+    if ex.frames.last().is_some_and(|f| f.tier == Tier::Reg) {
+        let pc = ex.reg().pc_of(ex.pc);
+        let rest = regir::run_rest(ex.proc.code[ex.lf].artifact(), pc);
+        ex.fuel += u64::from(rest - 1);
     }
 }
 
@@ -200,11 +253,13 @@ fn step(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
             ex.pc = e.idx as usize;
             Ok(())
         }
-        // Loop header: a park point with nothing left to do at run time.
+        // Loop header or run anchor: a park point with nothing left to do
+        // at run time.
         R_LOOP => {
             ex.pc += 1;
             Ok(())
         }
+        R_SITE => site(ex, ri),
         R_RETURN => {
             // A void return reads nothing: its `a` may name no register at
             // all (a function with no locals and no temps has none).
@@ -230,6 +285,55 @@ fn step(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
         R_UNREACHABLE => Err(Trap::Unreachable.into()),
         _ => unreachable!("invalid register opcode {} at idx={}", ri.op, ex.pc),
     }
+}
+
+/// A probe site: executes the site's current binding. Intrinsified
+/// bindings run inline; a generic one — or an operand probe with no
+/// operand to read — takes a checkpoint and fires.
+#[inline(always)]
+fn site(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
+    let sites = ex.proc.code[ex.lf].sites().expect("an instrumented form runs over a site table");
+    match &sites[ri.x as usize].binding {
+        Binding::Empty => {}
+        Binding::Count(cell) => cell.set(cell.get() + 1),
+        Binding::Intrinsic(list) if ri.dst > 0 => {
+            // Direct calls with the top-of-stack register: no runtime
+            // dispatch, no FrameAccessor.
+            let loc = Location { func: ex.func, pc: ex.reg().pc_of(ex.pc) };
+            let top = Slot(ex.values[ex.opbase + ri.dst as usize - 1]);
+            for probe in list.iter() {
+                match probe {
+                    Intrinsified::Count(cell) => cell.set(cell.get() + 1),
+                    Intrinsified::Operand(p) => p.borrow_mut().fire_operand(loc, top),
+                }
+            }
+        }
+        Binding::Intrinsic(_) | Binding::Generic => {
+            drop(sites);
+            return fire_site(ex, ri);
+        }
+    }
+    ex.pc += 1;
+    Ok(())
+}
+
+/// A generic site: the frame is truncated to its canonical stack (every
+/// operand flushed there, nothing live above) so probes see exactly what
+/// the stack interpreter would show them, then the site fires. If the
+/// event's instrumentation changes left the frame unable to continue in
+/// this code, it has demoted (`Exec::end_event`) and the loop hands off.
+#[cold]
+fn fire_site(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
+    let idx = ex.pc;
+    ex.values.truncate(ex.opbase + ri.dst as usize);
+    let pc = ex.reg().pc_of(idx);
+    ex.fire_site(ri.x, pc);
+    if ex.frames.last().expect("a frame is executing").tier != Tier::Reg {
+        return Err(Sig::Switch);
+    }
+    ex.pc = idx + 1;
+    ex.reg_extend();
+    Ok(())
 }
 
 /// The shared call tail: writes the argument slice into the callee's

@@ -1,4 +1,4 @@
-//! The register IR: stack-free lowering for the hot dispatch path.
+//! The register IR: the engine's one compiled form.
 //!
 //! [`Lowered`](crate::lowered) still models the operand stack — every
 //! `local.get`/`local.set` is a dispatched push or pop. This module lowers
@@ -26,17 +26,34 @@
 //! register instruction at-or-after it ([`RegFunc::idx_of`]) — eliminated
 //! instructions (`local.get`, consts) have no runtime effect, so resuming
 //! a frame parked at their pc correctly lands on the consumer. At every
-//! **park point** (calls, returns, loop headers, taken branches) the
-//! allocator has flushed the abstract stack to canonical registers, so a
-//! register frame is indistinguishable from a stack-machine frame: probes
-//! walking the frame and demotion to the stack interpreter all keep
-//! working at byte granularity.
+//! **park point** (calls, returns, loop headers, probe sites, run leaders,
+//! taken branches) the allocator has flushed the abstract stack to
+//! canonical registers, so a register frame is indistinguishable from a
+//! stack-machine frame: probes walking the frame and demotion to the stack
+//! interpreter all keep working at byte granularity.
 //!
-//! Lowering is per function, on the function's first clean activation
+//! The form carries what the paper's baseline compiler bakes into its code
+//! (§4.4–4.6):
+//!
+//! * **probe sites** — an instrumented function is lowered with one
+//!   [`R_SITE`] park point per probed instruction, executing the site's
+//!   current [`Binding`](crate::probe) (inline count, direct operand call,
+//!   or a generic fire). The artifact's shared form has none; an
+//!   instrumented process lowers its own copy
+//!   ([`FuncOverlay`](crate::code::FuncOverlay)), and only a probe on an
+//!   instruction that copy has no site for re-lowers it;
+//! * **fuel** — every straight-line *run* (entered only at its first
+//!   instruction, left only after its last) carries its bytecode
+//!   instruction count at its first register instruction
+//!   ([`RInstr::cost`]), so a metered frame charges a whole run at once
+//!   and demotes to the stack interpreter, which charges per instruction,
+//!   when the slice cannot pay for it.
+//!
+//! Lowering is per function, on the function's first activation
 //! ([`ModuleArtifact::reg_func`](crate::ModuleArtifact::reg_func)), and
 //! total-or-nothing: any shape the allocator does not model (register ids
 //! beyond `u16`, inconsistent label heights) returns `None` and that
-//! function simply keeps running on the lowered stack tier.
+//! function simply keeps running on the lowered stack interpreter.
 
 use std::collections::HashMap;
 
@@ -47,6 +64,7 @@ use wizard_wasm::validate::{FuncMeta, SideEntry, Target};
 
 use crate::artifact::FuncArtifact;
 use crate::numeric;
+use crate::runs::ends_run;
 use crate::value::Slot;
 
 // ---- register opcodes ----
@@ -100,14 +118,19 @@ pub const R_CALL: u8 = 19;
 pub const R_CALL_INDIRECT: u8 = 20;
 /// Trap: unreachable.
 pub const R_UNREACHABLE: u8 = 21;
-/// Loop header, a park point that does nothing at run time: `dst` = entry
-/// height (every operand below it is in its canonical register).
+/// Loop header — or the anchor of a run that emitted nothing else — a
+/// park point that does nothing at run time: `dst` = entry height (every
+/// operand below it is in its canonical register).
 pub const R_LOOP: u8 = 22;
 /// Fused `binop<y>; br_if` (branch arity 0): taken when
 /// `binop<y>(r[a], r[b]) != 0`.
 pub const R_CMP_BR: u8 = 23;
 /// As [`R_CMP_BR`] with the right operand folded: `binop<y>(r[a], z)`.
 pub const R_CMP_BR_RI: u8 = 24;
+/// Probe site, a park point ahead of the probed instruction: executes the
+/// binding of lowered slot `x` in the function's site table; `dst` = entry
+/// height (the top of stack is register `num_slots + dst - 1`).
+pub const R_SITE: u8 = 25;
 
 /// Tag bit marking a call-argument source as a const-pool index rather
 /// than a register id.
@@ -116,6 +139,12 @@ pub const ARG_POOL_BIT: u32 = 1 << 31;
 /// One fixed-width register instruction. 24 bytes, immediates pre-decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RInstr {
+    /// The fuel a frame arriving here pays: the bytecode instruction count
+    /// of the run this instruction leads (the implicit return counts one),
+    /// 0 if it leads none. Every path into a run passes its first
+    /// instruction, and no other instruction of the run can be entered
+    /// from outside it.
+    pub cost: u32,
     /// Wide immediate payload: inline constant bits, or
     /// `slice_idx | ret_pc << 32` for calls.
     pub z: u64,
@@ -136,8 +165,10 @@ pub struct RInstr {
     pub y: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<RInstr>() == 24, "the cost fills padding");
+
 impl RInstr {
-    const NOP: RInstr = RInstr { z: 0, x: 0, dst: 0, a: 0, b: 0, op: 0, y: 0 };
+    const NOP: RInstr = RInstr { cost: 0, z: 0, x: 0, dst: 0, a: 0, b: 0, op: 0, y: 0 };
 
     fn new(op: u8) -> RInstr {
         RInstr { op, ..RInstr::NOP }
@@ -156,9 +187,22 @@ pub struct RTableEntry {
     pub keep: u8,
 }
 
+/// The first register instruction of a run, where a metered frame pays
+/// for the whole run ([`RInstr::cost`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Leader {
+    /// Register-instruction index.
+    pub(crate) idx: u32,
+    /// Byte pc of the run's first instruction: where a frame that cannot
+    /// pay demotes to the stack interpreter.
+    pub(crate) pc: u32,
+    /// Operand-stack height there (every operand canonical).
+    pub(crate) height: u32,
+}
+
 /// The register form of one function: the instruction stream, the
-/// bidirectional byte-pc ↔ instruction-index maps, and the function's
-/// const pool and operand-slice arena.
+/// bidirectional byte-pc ↔ instruction-index maps, the run costs, and the
+/// function's const pool and operand-slice arena.
 #[derive(Debug)]
 pub struct RegFunc {
     ops: Box<[RInstr]>,
@@ -175,6 +219,8 @@ pub struct RegFunc {
     args: Box<[u32]>,
     /// `(start, len)` argument slices into `args`, deduplicated.
     slices: Box<[(u32, u32)]>,
+    /// Every run's first instruction, by ascending index.
+    leaders: Box<[Leader]>,
     /// Registers above the locals: exactly the function's max operand
     /// height, so `num_slots + num_temps` registers address the frame.
     num_temps: u16,
@@ -246,6 +292,12 @@ impl RegFunc {
         self.pool[idx as usize]
     }
 
+    /// The run led by instruction `idx`, if it leads one.
+    pub(crate) fn leader(&self, idx: usize) -> Option<Leader> {
+        let at = self.leaders.binary_search_by_key(&(idx as u32), |l| l.idx).ok()?;
+        Some(self.leaders[at])
+    }
+
     /// Bytes this register form occupies (for code-size accounting).
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -253,6 +305,53 @@ impl RegFunc {
             + self.idx_to_pc.len() * 4
             + self.pc_to_idx.len() * 4
             + self.tables.iter().map(|t| t.len() * size_of::<RTableEntry>()).sum::<usize>()
+            + self.leaders.len() * size_of::<Leader>()
+    }
+
+    /// One line of assembly for instruction `idx`: `r<N>` names a
+    /// register, `#v` an immediate.
+    pub(crate) fn describe(&self, idx: usize) -> String {
+        let ri = self.ops[idx];
+        let (d, a, b) = (ri.dst, ri.a, ri.b);
+        let name = || op::name(ri.y);
+        match ri.op {
+            R_CONST => format!("r{d} = #{:#x}", ri.z),
+            R_COPY => format!("r{d} = r{a}"),
+            R_BIN => format!("r{d} = {} r{a}, r{b}", name()),
+            R_BIN_RI => format!("r{d} = {} r{a}, #{:#x}", name(), ri.z),
+            R_BIN_IR => format!("r{d} = {} #{:#x}, r{b}", name(), ri.z),
+            R_UN => format!("r{d} = {} r{a}", name()),
+            R_LOAD => format!("r{d} = {} [r{a} + {}]", name(), ri.x),
+            R_STORE => format!("{} [r{a} + {}] = r{b}", name(), ri.x),
+            R_SELECT => format!("r{d} = r{} ? r{a} : r{b}", ri.x),
+            R_GLOBAL_GET => format!("r{d} = global {}", ri.x),
+            R_GLOBAL_SET => format!("global {} = r{a}", ri.x),
+            R_MEM_SIZE => format!("r{d} = memory.size"),
+            R_MEM_GROW => format!("r{d} = memory.grow r{a}"),
+            R_BR => format!("br -> {}{}", ri.x, carry(ri)),
+            R_BR_IF => format!("br_if r{d} -> {}{}", ri.x, carry(ri)),
+            R_BR_IF_Z => format!("br_unless r{d} -> {}{}", ri.x, carry(ri)),
+            R_BR_TABLE => format!("br_table r{d} (table {})", ri.x),
+            R_RETURN if ri.y == 1 => format!("return r{a}"),
+            R_RETURN => "return".into(),
+            R_CALL => format!("call {} (height {}, {} args)", ri.x, a, b),
+            R_CALL_INDIRECT => format!("call_indirect r{d} (type {}, {} args)", ri.x, b),
+            R_UNREACHABLE => "unreachable".into(),
+            R_LOOP => format!("park height={d}"),
+            R_CMP_BR => format!("br {} r{a}, r{b} -> {}", name(), ri.x),
+            R_CMP_BR_RI => format!("br {} r{a}, #{:#x} -> {}", name(), ri.z, ri.x),
+            R_SITE => format!("site slot={} height={d}", ri.x),
+            o => format!("<invalid {o}>"),
+        }
+    }
+}
+
+/// The carried-value suffix of a branch's assembly.
+fn carry(ri: RInstr) -> String {
+    if ri.y == 1 {
+        format!(" (r{} -> r{})", ri.a, ri.b)
+    } else {
+        String::new()
     }
 }
 
@@ -317,6 +416,9 @@ struct FnBuilder {
     labels: Vec<u32>,
     num_slots: u16,
     arenas: Arenas,
+    /// The runs so far, each with its bytecode instruction count; the
+    /// last one is open.
+    runs: Vec<(Leader, u32)>,
 }
 
 /// [`FnBuilder::labels`] entry of a pc no branch targets.
@@ -336,6 +438,28 @@ impl FnBuilder {
     fn emit(&mut self, pc: u32, ri: RInstr) {
         self.ops.push(ri);
         self.idx_to_pc.push(pc);
+    }
+
+    /// Starts the run whose first instruction is at `pc` (every operand is
+    /// canonical at a run's start). The run before it must own at least
+    /// one instruction, or a frame entering it and a frame entering this
+    /// one would land on the same instruction and pay the same: a run
+    /// that emitted nothing gets a no-op park point to charge at.
+    fn open_run(&mut self, pc: u32) {
+        if let Some(&(prev, _)) = self.runs.last() {
+            if prev.idx as usize == self.ops.len() {
+                self.emit(prev.pc, RInstr { dst: prev.height as u16, ..RInstr::new(R_LOOP) });
+            }
+        }
+        let leader = Leader { idx: self.ops.len() as u32, pc, height: self.stack.len() as u32 };
+        self.runs.push((leader, 0));
+    }
+
+    /// Counts `n` bytecode instructions into the open run.
+    fn count(&mut self, n: u32) {
+        if let Some((_, len)) = self.runs.last_mut() {
+            *len += n;
+        }
     }
 
     /// Materializes the abstract entry at stack position `pos` into its
@@ -447,11 +571,13 @@ fn collect_labels(meta: &FuncMeta, body_len: usize) -> Option<Vec<u32>> {
 /// Lowers one function to register form, or `None` if any shape falls
 /// outside the allocator's model (the stack tier then serves it).
 /// `func_types` spans the module's function index space, `types` is its
-/// type section.
-pub(crate) fn lower_func(
+/// type section. `sites` lists the probed instructions as `(pc, slot)`
+/// by ascending pc: each gets an [`R_SITE`] naming its site-table slot.
+pub fn lower_func(
     fa: &FuncArtifact,
     func_types: &[FuncType],
     types: &[FuncType],
+    sites: &[(u32, u32)],
 ) -> Option<RegFunc> {
     let meta: &FuncMeta = &fa.meta;
     let bytes: &[u8] = &fa.bytes;
@@ -470,16 +596,23 @@ pub(crate) fn lower_func(
         labels,
         num_slots,
         arenas: Arenas::default(),
+        runs: Vec::new(),
     };
+    // The sites at or after the current pc.
+    let mut sites = sites;
 
     let mut pos = 0usize;
     let mut dead = false;
+    let mut ended = true; // the entry starts a run
     let mut last_pc = 0u32;
     let mut end_pc = 0u32; // pc of the body's final `end`.
     while pos < bytes.len() {
         let (instr, next) = decode_at(bytes, pos).ok()?;
         let pc = instr.pc;
         end_pc = pc;
+        while sites.first().is_some_and(|&(p, _)| p < pc) {
+            sites = &sites[1..];
+        }
         // Label entry: flush on the fall-through edge (attributed to the
         // *previous* pc so jumps land past the copies), or resurrect dead
         // code at the label's canonical entry state.
@@ -499,6 +632,17 @@ pub(crate) fn lower_func(
             pos = next;
             last_pc = pc;
             continue;
+        }
+        if ended || b.label(pc).is_some() {
+            b.open_run(pc);
+        }
+        b.count(1);
+        ended = ends_run(instr.op);
+        if let Some(&(_, slot)) = sites.first().filter(|&&(p, _)| p == pc) {
+            // Probes see the canonical stack: flush, then park.
+            let h = b.stack.len();
+            b.flush(pc, h);
+            b.emit(pc, RInstr { x: slot, dst: h as u16, ..RInstr::new(R_SITE) });
         }
         match instr.op {
             op::NOP | op::BLOCK | op::END => {}
@@ -723,7 +867,11 @@ pub(crate) fn lower_func(
                 // the loop-backedge pattern.
                 let fused = if is_cmp(o) && !matches!(lhs, Av::Const(_)) {
                     match decode_at(bytes, next) {
-                        Ok((nx, after)) if nx.op == op::BR_IF && b.label(nx.pc).is_none() => {
+                        Ok((nx, after))
+                            if nx.op == op::BR_IF
+                                && b.label(nx.pc).is_none()
+                                && !sites.iter().take(2).any(|&(p, _)| p == nx.pc) =>
+                        {
                             match meta.side.get(&nx.pc) {
                                 Some(SideEntry::Br(t)) if t.arity == 0 => Some((*t, after)),
                                 _ => None,
@@ -745,6 +893,8 @@ pub(crate) fn lower_func(
                         pc,
                         RInstr { y: o, a: ra, b: rb, z, x: t.target_pc, ..RInstr::new(opb) },
                     );
+                    b.count(1); // the fused-over br_if, which ends the run
+                    ended = true;
                     last_pc = next as u32; // the fused-over br_if's pc
                     pos = after;
                     continue;
@@ -807,8 +957,11 @@ pub(crate) fn lower_func(
     // the sentinel pc (`body_len`), which must map to the return itself —
     // the fall-through flush copies (attributed to the final `end`) sit
     // before it.
+    // It costs one unit of fuel: in the run of the final `end`, or in a
+    // run of its own if branches land on it.
     let body_len = bytes.len() as u32;
-    if let Some(entry) = b.label(body_len) {
+    let sentinel_label = b.label(body_len);
+    if let Some(entry) = sentinel_label {
         if dead {
             b.stack.clear();
             b.stack.resize(entry as usize, Av::Temp);
@@ -820,8 +973,17 @@ pub(crate) fn lower_func(
         if b.stack.len() != nres {
             return None;
         }
+        if sentinel_label.is_some() {
+            b.open_run(body_len);
+        }
+        b.count(1);
     }
     b.emit(body_len, RInstr { y: nres as u8, a: b.temp(0), ..RInstr::new(R_RETURN) });
+    for &(leader, len) in &b.runs {
+        let first = &mut b.ops[leader.idx as usize];
+        debug_assert_eq!(first.cost, 0, "two runs charge at one instruction");
+        first.cost = len;
+    }
 
     // Forward byte-pc → instruction-index map (total over 0..=body_len).
     let mut pc_to_idx = vec![0u32; bytes.len() + 1];
@@ -855,9 +1017,35 @@ pub(crate) fn lower_func(
         pool: b.arenas.pool.into(),
         args: b.arenas.args.into(),
         slices: b.arenas.slices.into(),
+        leaders: b.runs.into_iter().map(|(leader, _)| leader).collect(),
         num_temps,
         num_slots,
     })
+}
+
+/// The bytecode instructions from `pc` to the end of its run, `pc`
+/// included (the implicit return counts one) — what a metered frame that
+/// paid for the run at its leader has not executed yet when it leaves the
+/// register form at `pc`. Cold: decodes the run and re-derives the labels.
+pub(crate) fn run_rest(fa: &FuncArtifact, pc: u32) -> u32 {
+    let bytes: &[u8] = &fa.bytes;
+    let labels = collect_labels(&fa.meta, bytes.len()).unwrap_or_default();
+    let is_label = |pc: usize| labels.get(pc).is_some_and(|&h| h != NO_LABEL);
+    let (mut pos, mut n) = (pc as usize, 0);
+    loop {
+        if n > 0 && is_label(pos) {
+            return n;
+        }
+        if pos >= bytes.len() {
+            return n + 1;
+        }
+        let Ok((instr, next)) = decode_at(bytes, pos) else { return n };
+        n += 1;
+        if ends_run(instr.op) {
+            return n;
+        }
+        pos = next;
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub struct RunTable {
 
 /// `true` for the instructions control may leave a run through: the next
 /// instruction starts a new one.
-fn ends_run(opcode: u8) -> bool {
+pub(crate) fn ends_run(opcode: u8) -> bool {
     matches!(
         opcode,
         op::BR
@@ -189,25 +189,8 @@ impl RunCounts {
             batch.add_local_val(leader.func, leader.pc, CountProbe::over(Rc::clone(cell)));
         }
         self.table = Some(table);
-        self.hold_sites(ctx.process(), true);
         if let Some(at) = ctx.process().suspended_at() {
             self.correct(at, false, 1);
-        }
-    }
-
-    /// Registers (or, with `on` false, unregisters) this instance with
-    /// every function holding one of its leaders
-    /// ([`FuncOverlay::run_counters`](crate::code::FuncOverlay)): where the
-    /// per-instruction counter this replaces kept every site of the
-    /// function alive in compiled code, the run counter keeps the sites
-    /// other monitors empty, so swapping those monitors still re-binds.
-    fn hold_sites(&self, process: &Process, on: bool) {
-        let Some(table) = &self.table else { return };
-        let mut funcs: Vec<_> = self.live.iter().map(|&r| table.leader(r as usize).func).collect();
-        funcs.dedup();
-        for func in funcs {
-            let held = &process.code[process.local_index(func)].run_counters;
-            held.set(if on { held.get() + 1 } else { held.get().saturating_sub(1) });
         }
     }
 
@@ -218,7 +201,6 @@ impl RunCounts {
         if let Some(at) = process.suspended_at() {
             self.correct(at, false, -1);
         }
-        self.hold_sites(process, false);
         self.live.clear();
     }
 

@@ -105,56 +105,56 @@ fn probed_sibling_observes_only_its_own_execution() {
     assert_eq!(counter.get(), 1);
 }
 
+/// Uninstrumented siblings execute the artifact's one register form
+/// (`Arc::ptr_eq`), metered or not; the first probe gives one process a
+/// private form with the probe's site, invisible to the sibling; the last
+/// probe leaving rejoins the shared form without lowering anything.
 #[test]
 fn baseline_jit_code_is_shared_until_probed_and_after_rejoin() {
     let art = artifact();
-    let config =
-        EngineConfig::builder().mode(wizard_engine::ExecMode::Tiered).tierup_threshold(2).build();
-    let mut p1 = Process::instantiate(Arc::clone(&art), config.clone(), &Linker::new()).unwrap();
-    let mut p2 = Process::instantiate(Arc::clone(&art), config, &Linker::new()).unwrap();
+    let mut p1 =
+        Process::instantiate(Arc::clone(&art), EngineConfig::default(), &Linker::new()).unwrap();
+    let mut p2 =
+        Process::instantiate(Arc::clone(&art), EngineConfig::default(), &Linker::new()).unwrap();
     let f = p1.module().export_func("sum").unwrap();
-    // Metered runs: clean unmetered code runs in the register tier and
-    // never compiles, metered slices take the stack tiers and tier up.
     let run = |p: &mut Process| match p.run_bounded(f, &[Value::I32(30)], 1 << 20).unwrap() {
         wizard_engine::RunOutcome::Done(r) => r,
         wizard_engine::RunOutcome::OutOfFuel => panic!("the budget covers the run"),
     };
 
-    // Tier both up.
-    for _ in 0..3 {
-        run(&mut p1);
-        run(&mut p2);
-    }
-    assert!(p1.is_compiled(f) && p2.is_compiled(f));
-    let shared = p1.compiled_identity(f).unwrap();
-    assert_eq!(Some(shared), p2.compiled_identity(f), "baseline compiled code is one artifact");
-    // Only one of the two processes actually compiled; the other shared.
-    assert_eq!(p1.stats().compiles + p2.stats().compiles, 1);
+    assert_eq!(run(&mut p1), vec![Value::I32(435)]);
+    assert_eq!(p2.invoke(f, &[Value::I32(30)]).unwrap(), vec![Value::I32(435)]);
+    let shared = Arc::clone(art.reg_func(0).expect("lowered"));
+    let form = |p: &mut Process| p.reg_form(f).unwrap().expect("lowers");
+    assert!(Arc::ptr_eq(&form(&mut p1), &shared) && Arc::ptr_eq(&form(&mut p2), &shared));
+    // Only one of the two processes actually lowered; the other shared.
+    assert_eq!(p1.stats().functions_reg_lowered + p2.stats().functions_reg_lowered, 1);
+    assert_eq!(p1.stats().compiles + p2.stats().compiles, 0);
 
-    // Probing p1 invalidates *its* code only; recompiling specializes
-    // privately while p2 keeps executing the shared baseline.
+    // Probing p1 gives *it* a private form with the site, lowered once;
+    // p2 keeps executing the shared one.
     let probe = CountProbe::new();
     let counter = probe.cell();
     let id = p1.add_local_probe_val(f, 0, probe).unwrap();
-    assert!(!p1.is_compiled(f));
-    assert_eq!(p2.compiled_identity(f), Some(shared));
     for _ in 0..3 {
         run(&mut p1);
     }
-    assert!(p1.is_compiled(f));
-    assert_ne!(p1.compiled_identity(f), Some(shared));
-    assert!(counter.get() > 0);
+    let private = form(&mut p1);
+    assert!(!Arc::ptr_eq(&private, &shared));
+    assert!(private.ops().iter().any(|ri| ri.op == wizard_engine::regir::R_SITE));
+    assert_eq!(p1.stats().compiles, 1);
+    assert_eq!(counter.get(), 3);
+    assert!(Arc::ptr_eq(&form(&mut p2), &shared));
     assert_eq!(run(&mut p2), vec![Value::I32(435)]);
 
-    // Detach: p1 rejoins version 0 and the next tier-up reuses the shared
-    // baseline without recompiling anything.
+    // Detach: p1 rejoins the shared form without lowering anything.
     p1.remove_probe(id).unwrap();
-    let compiles_before = p1.stats().compiles + p2.stats().compiles;
     for _ in 0..3 {
         run(&mut p1);
     }
-    assert_eq!(p1.compiled_identity(f), Some(shared), "rejoined the shared baseline");
-    assert_eq!(p1.stats().compiles + p2.stats().compiles, compiles_before);
+    assert!(Arc::ptr_eq(&form(&mut p1), &shared), "rejoined the shared form");
+    assert_eq!(p1.stats().compiles + p2.stats().compiles, 1);
+    assert_eq!(p1.stats().functions_reg_lowered + p2.stats().functions_reg_lowered, 1);
 }
 
 #[test]
@@ -316,14 +316,14 @@ fn parked_jit_frames_deopt_across_a_rejoin_and_reprobe_cycle() {
     use std::rc::Rc;
     use wizard_engine::{ClosureProbe, EmptyProbe, ProbeId};
 
-    // Version-ABA regression: a JIT frame of `outer` parks at its call to
-    // `helper`; while it is parked, helper's probe removes outer's only
-    // probe (overlay rejoin) and installs a different one, and the
-    // mutual recursion forces outer to be *recompiled* — with a different
-    // op-stream layout — before the parked frame resumes. If the
-    // instrumentation version ever recurred across that cycle, the parked
-    // frame would pass the staleness check and resume at a misaligned
-    // `cip`; monotonic versions force the deopt instead.
+    // A register frame of `outer` parks at its call to `helper`; while it
+    // is parked, helper's probe removes outer's only probe (overlay
+    // rejoin) and installs a different one, and the mutual recursion
+    // forces outer to be *re-lowered* — with a different instruction
+    // layout — before the parked frame resumes. The parked frame holds a
+    // byte pc, never an instruction index, so it resumes through `idx_of`
+    // in whatever form its function has now; a frame that kept an index
+    // into the dropped form would resume misaligned.
     let mut mb = ModuleBuilder::new();
     // outer = func 0, helper = func 1 (added in this order).
     let mut fo = FuncBuilder::new(&[I32], &[I32]);
@@ -339,11 +339,11 @@ fn parked_jit_frames_deopt_across_a_rejoin_and_reprobe_cycle() {
     mb.add_func("helper", fh);
     let m = mb.build().unwrap();
 
-    let mut p = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let outer = p.module().export_func("outer").unwrap();
     let helper = p.module().export_func("helper").unwrap();
     // A later instruction boundary of outer's body, for the replacement
-    // probe (so the recompiled op stream has a different layout).
+    // probe (so the re-lowered form has a different layout).
     let body = p.module().func_body(outer).unwrap().code.clone();
     let pcs: Vec<u32> = wizard_wasm::instr::InstrIter::new(&body).map(|x| x.unwrap().pc).collect();
     let later_pc = pcs[pcs.len() - 2];
@@ -376,7 +376,13 @@ fn parked_jit_frames_deopt_across_a_rejoin_and_reprobe_cycle() {
     // parked outer(2) frame yields a wrong result or panics.
     let r = p.invoke(outer, &[Value::I32(2)]).unwrap();
     assert_eq!(r, vec![Value::I32(2)]);
-    assert!(p.stats().deopts > 0, "the parked frame deoptimized instead of resuming stale code");
+    let stats = p.stats();
+    // outer's and helper's first forms, then outer's with the new site,
+    // lowered by the outer(1) activation while outer(2) was parked.
+    assert_eq!(stats.compiles, 3, "{stats:?}");
+    assert_eq!(stats.deopts, 0, "the parked frame resumed in the new form: {stats:?}");
+    let listing = p.compiled_listing(outer).unwrap();
+    assert!(listing.contains(&format!("pc={later_pc}")), "{listing}");
 }
 
 #[test]
@@ -396,8 +402,8 @@ fn engine_stats_merge_covers_artifact_counters() {
 
 // ---- refcount-free frame switches ----
 
-/// `a(x) = b(x) + 1`, `b(x) = c(x) + 1`, `c(x) = Σ_{i<x} i` (a loop, so the
-/// tiered configuration compiles it): a probe in `c` fires at depth 3.
+/// `a(x) = b(x) + 1`, `b(x) = c(x) + 1`, `c(x) = Σ_{i<x} i` (a loop, where
+/// sliced runs demote and promote): a probe in `c` fires at depth 3.
 fn chain_module() -> Module {
     let mut mb = ModuleBuilder::new();
     let mut fc = FuncBuilder::new(&[I32], &[I32]);
@@ -461,13 +467,13 @@ fn frame_switches_hold_no_clone_of_shared_state() {
     use std::rc::Rc;
     use wizard_engine::ClosureProbe;
 
-    let tiered = EngineConfig::builder().tierup_threshold(2).build();
+    let generic = EngineConfig::builder().intrinsify(false).build();
     let arms = [
-        ("interp", EngineConfig::interpreter(), None),
-        ("tiered", tiered.clone(), None),
+        ("default", EngineConfig::default(), None),
+        ("no-intrinsics", generic.clone(), None),
         ("bytecode", EngineConfig::interpreter_bytecode(), None),
-        ("interp/sliced", EngineConfig::interpreter(), Some(7)),
-        ("tiered/sliced", tiered, Some(7)),
+        ("default/sliced", EngineConfig::default(), Some(7)),
+        ("no-intrinsics/sliced", generic, Some(7)),
     ];
     for (arm, config, slice) in arms {
         let art = Arc::new(ModuleArtifact::new(chain_module()).unwrap());
@@ -476,7 +482,7 @@ fn frame_switches_hold_no_clone_of_shared_state() {
 
         // The probe goes in first (validating its location lowers `c`, in
         // every arm), then a few warm-up runs resolve every function's
-        // views and — in the tiered arms — compile what will compile.
+        // views and lower what will be lowered.
         let seen: Rc<RefCell<Vec<(u32, ShareCounts)>>> = Rc::default();
         let (seen2, art2) = (Rc::clone(&seen), Arc::clone(&art));
         p.add_local_probe(
@@ -595,13 +601,13 @@ fn a_callee_instrumenting_its_caller_flips_the_callers_views_on_return() {
     mb.define_func(callee, fe);
     let module = mb.build().unwrap();
 
-    let tiered = EngineConfig::builder().tierup_threshold(2).build();
+    let generic = EngineConfig::builder().intrinsify(false).build();
     let arms = [
-        ("interp", EngineConfig::interpreter(), None),
-        ("tiered", tiered.clone(), None),
+        ("default", EngineConfig::default(), None),
+        ("no-intrinsics", generic.clone(), None),
         ("bytecode", EngineConfig::interpreter_bytecode(), None),
-        ("interp/sliced", EngineConfig::interpreter(), Some(5)),
-        ("tiered/sliced", tiered, Some(5)),
+        ("default/sliced", EngineConfig::default(), Some(5)),
+        ("no-intrinsics/sliced", generic, Some(5)),
         ("bytecode/sliced", EngineConfig::interpreter_bytecode(), Some(5)),
     ];
     for (arm, config, slice) in arms {

@@ -1,6 +1,7 @@
-//! End-to-end engine tests: execution semantics across all tiers, the
-//! probe framework, the paper's §2.4 consistency guarantees, FrameAccessor
-//! validity, and multi-tier deoptimization.
+//! End-to-end engine tests: execution semantics across both dispatchers
+//! and tiers, the probe framework, the paper's §2.4 consistency
+//! guarantees, FrameAccessor validity, and deoptimization and promotion
+//! between the register form and the stack interpreter.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -14,20 +15,14 @@ use wizard_wasm::types::ValType::{F64, I32, I64};
 use wizard_wasm::validate::ModuleMeta;
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
-    use wizard_engine::{Dispatch, ExecMode};
+    use wizard_engine::Dispatch;
     vec![
-        ("interp", EngineConfig::interpreter()),
+        ("default", EngineConfig::default()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
-        ("jit", EngineConfig::jit()),
-        ("jit-no-intrinsics", EngineConfig::jit_no_intrinsics()),
-        ("tiered", EngineConfig::builder().tierup_threshold(4).build()),
+        ("no-intrinsics", EngineConfig::builder().intrinsify(false).build()),
         (
-            "tiered-bytecode",
-            EngineConfig::builder()
-                .mode(ExecMode::Tiered)
-                .dispatch(Dispatch::Bytecode)
-                .tierup_threshold(4)
-                .build(),
+            "no-intrinsics-bytecode",
+            EngineConfig::builder().dispatch(Dispatch::Bytecode).intrinsify(false).build(),
         ),
     ]
 }
@@ -85,23 +80,37 @@ fn recursion_same_in_all_tiers() {
     }
 }
 
-/// Instrumented code runs the lowered stack interpreter, which tiers up
-/// (clean code stays in the register tier, see `register_tests.rs`).
+/// A probe firing in the register form inserts a probe on an instruction
+/// that form has no site for: the frame demotes to the stack interpreter
+/// at the firing pc, and tiers back up at its next loop header into the
+/// re-lowered form (the on-stack transfer that replaces OSR).
 #[test]
 fn tiered_mode_tiers_up_via_osr() {
-    let (m, _) = sum_module();
-    let mut p = proc_with(m, EngineConfig::builder().tierup_threshold(10).build());
+    let (m, meta) = sum_module();
+    let loop_pc = meta.funcs[0].loop_headers[0];
+    let mut p = proc_with(m, EngineConfig::default());
     let f = p.module().export_func("sum").unwrap();
-    let probe = CountProbe::new();
-    let entries = probe.cell();
-    p.add_local_probe_val(f, 0, probe).unwrap();
+    let header = CountProbe::new();
+    let headers = header.cell();
+    let armed = Rc::new(Cell::new(true));
+    let a = Rc::clone(&armed);
+    p.add_local_probe(
+        f,
+        0,
+        ClosureProbe::shared(move |ctx| {
+            if a.replace(false) {
+                let probe = Rc::new(RefCell::new(header.clone()));
+                ctx.insert_local_probe(ctx.location().func, loop_pc, probe).unwrap();
+            }
+        }),
+    )
+    .unwrap();
     let r = p.invoke(f, &[Value::I32(10_000)]).unwrap();
     assert_eq!(r, vec![Value::I32(49_995_000)]);
-    assert_eq!(entries.get(), 1);
+    assert_eq!(headers.get(), 10_001, "the new site counts every header execution");
     let stats = p.stats();
-    assert!(stats.tier_ups >= 1, "expected OSR tier-up, stats: {stats:?}");
-    assert!(stats.compiles >= 1);
-    assert!(p.is_compiled(f));
+    assert_eq!((stats.deopts, stats.tier_ups), (1, 1), "{stats:?}");
+    assert_eq!(stats.compiles, 2, "lowered at the first call, re-lowered at the tier-up");
 }
 
 #[test]
@@ -437,21 +446,22 @@ fn global_probe_sees_every_instruction_and_switches_tables() {
 #[test]
 fn global_probe_mode_suspends_jit_without_discarding_code() {
     let (m, _) = sum_module();
-    let mut p = proc_with(m, EngineConfig::builder().tierup_threshold(5).build());
+    let mut p = proc_with(m, EngineConfig::default());
     let f = p.module().export_func("sum").unwrap();
-    // Instrument the function (clean code never compiles), then get it hot
-    // and compiled.
+    // Instrument the function, so it runs a register form of its own.
     let probe = CountProbe::new();
     let entries = probe.cell();
     p.add_local_probe_val(f, 0, probe).unwrap();
     p.invoke(f, &[Value::I32(1000)]).unwrap();
-    assert!(p.is_compiled(f));
+    let compiled = p.reg_form(f).unwrap().expect("lowered");
+    assert_eq!(p.stats().compiles, 1);
     let count = Rc::new(Cell::new(0u64));
     let c = Rc::clone(&count);
     let id = p.add_global_probe(ClosureProbe::shared(move |_| c.set(c.get() + 1))).unwrap();
-    // Global mode: execution returns to the interpreter, but compiled code
-    // is NOT discarded (paper §4.1).
-    assert!(p.is_compiled(f), "JIT code must not be discarded by global probes");
+    // Global mode: execution returns to the stack interpreter, but the
+    // register form is NOT discarded (paper §4.1).
+    let kept = p.reg_form(f).unwrap().expect("still lowered");
+    assert!(std::sync::Arc::ptr_eq(&kept, &compiled), "global probes discard no code");
     let r = p.invoke(f, &[Value::I32(100)]).unwrap();
     assert_eq!(r, vec![Value::I32(4950)]);
     assert!(count.get() > 500, "global probe must fire per instruction");
@@ -473,9 +483,6 @@ fn global_probe_mode_suspends_jit_without_discarding_code() {
 fn global_count_probes_count_every_instruction_with_or_without_a_generic_sibling() {
     let (m, _) = sum_module();
     for (name, config) in configs() {
-        if config.mode == wizard_engine::ExecMode::JitOnly {
-            continue;
-        }
         let mut p = proc_with(m.clone(), config);
         let f = p.module().export_func("sum").unwrap();
         let counters = [CountProbe::new(), CountProbe::new()];
@@ -583,14 +590,16 @@ fn stack_walking_and_depth() {
     assert_eq!(walked.get(), max_depth.get(), "stack walk covers all frames");
 }
 
+/// A probe overwrites a local of the frame it fires in, mid-loop: the
+/// modification is visible immediately. The frame runs compiled code —
+/// the register form — and needs no deoptimization for it (§4.6): at a
+/// site every operand is in its canonical slot and the code after it
+/// reads locals and operands back from their slots.
 #[test]
 fn frame_modification_is_consistent_and_deopts_jit() {
-    // Function: return x after the loop runs; a probe overwrites the local
-    // mid-execution, and the modification must be visible immediately.
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    // Tiered with low threshold so the frame is in JIT when the probe fires.
-    let mut p = proc_with(m, EngineConfig::builder().tierup_threshold(2).build());
+    let mut p = proc_with(m, EngineConfig::default());
     let f = p.module().export_func("sum").unwrap();
     let did = Rc::new(Cell::new(false));
     let d = Rc::clone(&did);
@@ -613,37 +622,8 @@ fn frame_modification_is_consistent_and_deopts_jit() {
     let skipped: i32 = (50..90).sum();
     assert_eq!(r, vec![Value::I32(4950 - skipped)]);
     assert!(did.get());
-}
-
-#[test]
-fn frame_modification_rejected_in_jit_only() {
-    let (m, meta) = sum_module();
-    let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = proc_with(m, EngineConfig::jit());
-    let f = p.module().export_func("sum").unwrap();
-    let saw_err = Rc::new(Cell::new(false));
-    let s = Rc::clone(&saw_err);
-    p.add_local_probe(
-        f,
-        loop_pc,
-        ClosureProbe::shared(move |ctx| {
-            let mut view = ctx.frame();
-            if view.set_local(1, Value::I32(0)).is_err() {
-                s.set(true);
-            }
-        }),
-    )
-    .unwrap();
-    p.invoke(f, &[Value::I32(3)]).unwrap();
-    assert!(saw_err.get(), "set_local must fail in JIT-only mode");
-}
-
-#[test]
-fn global_probes_rejected_in_jit_only() {
-    let (m, _) = sum_module();
-    let mut p = proc_with(m, EngineConfig::jit());
-    let err = p.add_global_probe(ClosureProbe::shared(|_| {})).unwrap_err();
-    assert_eq!(err, ProbeError::GlobalProbesNeedInterpreter);
+    let stats = p.stats();
+    assert_eq!((stats.compiles, stats.deopts), (1, 0), "{stats:?}");
 }
 
 #[test]
@@ -672,7 +652,6 @@ fn probe_location_validation() {
 #[test]
 fn deferred_insertions_are_validated_when_queued() {
     for (name, config) in configs() {
-        let jit_only = config.mode == wizard_engine::ExecMode::JitOnly;
         let mut mb = ModuleBuilder::new();
         mb.import_func("env", "host", &[], &[]);
         let mut f = FuncBuilder::new(&[I32], &[I32]);
@@ -704,30 +683,32 @@ fn deferred_insertions_are_validated_when_queued() {
         .unwrap();
         let r = p.invoke(run, &[Value::I32(1)]).unwrap();
         assert_eq!(r, vec![Value::I32(624_486)], "config {name}: the process lives on");
-        let mut want = vec![
+        let want = vec![
             ProbeError::InvalidPc(run, 3),
             ProbeError::NotALocalFunction(0),
             ProbeError::NotALocalFunction(99),
         ];
-        if jit_only {
-            want.push(ProbeError::GlobalProbesNeedInterpreter);
-        }
         assert_eq!(*errors.borrow(), want, "config {name}");
-        assert_eq!(p.in_global_mode(), !jit_only, "config {name}: only the valid ones landed");
+        assert!(p.in_global_mode(), "config {name}: only the valid ones landed");
         assert!(p.has_probe_byte(run, 2), "config {name}");
         p.remove_probe(good.get().unwrap()).unwrap();
         assert_eq!(p.probed_location_count(), 1, "config {name}");
     }
 }
 
+/// A `CountProbe` counts the same in the byte-walking interpreter, as an
+/// intrinsified site of the register form (an inline bump) and as a
+/// generic one.
 #[test]
 fn count_probe_intrinsified_in_jit_matches_interpreter() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
     let mut counts = Vec::new();
-    for config in
-        [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::jit_no_intrinsics()]
-    {
+    for (config, site) in [
+        (EngineConfig::interpreter_bytecode(), None),
+        (EngineConfig::default(), Some("count.bump")),
+        (EngineConfig::builder().intrinsify(false).build(), Some("probe.generic")),
+    ] {
         let mut p = proc_with(m.clone(), config);
         let f = p.module().export_func("sum").unwrap();
         let probe = CountProbe::new();
@@ -736,6 +717,9 @@ fn count_probe_intrinsified_in_jit_matches_interpreter() {
         let r = p.invoke(f, &[Value::I32(200)]).unwrap();
         assert_eq!(r, vec![Value::I32(19900)]);
         counts.push(cell.get());
+        if let Some(site) = site {
+            assert!(p.compiled_listing(f).unwrap().contains(site), "{site}");
+        }
     }
     assert_eq!(counts[0], counts[1], "interp vs intrinsified JIT");
     assert_eq!(counts[0], counts[2], "interp vs generic JIT");
@@ -746,7 +730,7 @@ fn count_probe_intrinsified_in_jit_matches_interpreter() {
 fn mixed_probe_site_fires_all_in_order_in_jit() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = proc_with(m, EngineConfig::jit());
+    let mut p = proc_with(m, EngineConfig::default());
     let f = p.module().export_func("sum").unwrap();
     let order = Rc::new(RefCell::new(Vec::new()));
     let count = CountProbe::new();
@@ -841,17 +825,28 @@ fn after_instruction_pattern_via_one_shot_global_probe() {
     assert_eq!(*landed.borrow(), vec![taken_pc, default_pc]);
 }
 
+/// `probe_fires` counts fires dispatched through the runtime: every fire
+/// of a generic site, none of an intrinsified one (its monitor counts).
 #[test]
 fn stats_track_probe_fires() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = proc_with(m, EngineConfig::interpreter());
-    let f = p.module().export_func("sum").unwrap();
-    p.add_local_probe_val(f, loop_pc, CountProbe::new()).unwrap();
-    p.invoke(f, &[Value::I32(9)]).unwrap();
-    assert_eq!(p.stats().probe_fires, 10);
-    p.reset_stats();
-    assert_eq!(p.stats().probe_fires, 0);
+    for (config, fires) in [
+        (EngineConfig::interpreter_bytecode(), 10),
+        (EngineConfig::builder().intrinsify(false).build(), 10),
+        (EngineConfig::default(), 0),
+    ] {
+        let mut p = proc_with(m.clone(), config);
+        let f = p.module().export_func("sum").unwrap();
+        let probe = CountProbe::new();
+        let cell = probe.cell();
+        p.add_local_probe_val(f, loop_pc, probe).unwrap();
+        p.invoke(f, &[Value::I32(9)]).unwrap();
+        assert_eq!(cell.get(), 10);
+        assert_eq!(p.stats().probe_fires, fires);
+        p.reset_stats();
+        assert_eq!(p.stats().probe_fires, 0);
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! Fuel-metered (preemptible) execution: suspension/resume semantics and
-//! the probe-consistency guarantee — a bounded run fires exactly the
-//! probes of an unbounded run, for any slice size, in every tier, across
+//! Fuel-metered (preemptible) execution: suspension/resume semantics, the
+//! one billing rule — the byte-walking reference's instruction count, in
+//! every tier — and the probe-consistency guarantee: a bounded run fires
+//! exactly the probes of an unbounded run, for any slice size, across
 //! instrumentation changes while suspended.
 
 use std::cell::{Cell, RefCell};
@@ -8,15 +9,15 @@ use std::rc::Rc;
 
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    CountProbe, EngineConfig, ExecMode, InstrumentationCtx, Monitor, ProbeBatch, ProbeError,
-    Process, Report, RunOutcome, Value,
+    CountProbe, EngineConfig, InstrumentationCtx, Location, Monitor, ProbeBatch, ProbeError,
+    Process, Report, RunOutcome, Shims, Value,
 };
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
 use wizard_wasm::validate::ModuleMeta;
 
-/// `sum(n) = 0 + 1 + ... + n-1` via a loop (a tier-up candidate).
+/// `sum(n) = 0 + 1 + ... + n-1` via a loop.
 fn sum_module() -> (Module, ModuleMeta) {
     let mut mb = ModuleBuilder::new();
     let mut f = FuncBuilder::new(&[I32], &[I32]);
@@ -34,8 +35,26 @@ fn interp() -> EngineConfig {
     EngineConfig::interpreter()
 }
 
-fn tiered(threshold: u32) -> EngineConfig {
-    EngineConfig::builder().mode(ExecMode::Tiered).tierup_threshold(threshold).build()
+/// Everything a bounded run bills and where it stops: the outcome, the
+/// fuel consumed, and the location of every suspension, in order.
+type Billing = (Result<Vec<Value>, wizard_engine::Trap>, u64, Vec<Location>);
+
+/// Runs `run(arg)` of `m` under `config` in slices of `slice` fuel to the
+/// end, recording what [`Billing`] holds.
+fn billing(m: &Module, imports: bool, config: EngineConfig, arg: i32, slice: u64) -> Billing {
+    let linker = if imports { Shims::standard().linker_for(m).unwrap() } else { Linker::new() };
+    let mut p = Process::new(m.clone(), config, &linker).unwrap();
+    p.reset_stats();
+    let mut stops = Vec::new();
+    let result = (|| {
+        let mut out = p.run_export_bounded("run", &[Value::I32(arg)], slice)?;
+        while out == RunOutcome::OutOfFuel {
+            stops.push(p.suspended_at().expect("suspended"));
+            out = p.resume(slice)?;
+        }
+        Ok(out.done().expect("done"))
+    })();
+    (result, p.stats().fuel_consumed, stops)
 }
 
 /// Drives a suspended process to completion, returning the results and the
@@ -47,6 +66,75 @@ fn drain(p: &mut Process, fuel: u64) -> (Vec<Value>, u64) {
         match p.resume(fuel).expect("no trap") {
             RunOutcome::Done(v) => return (v, slices),
             RunOutcome::OutOfFuel => {}
+        }
+    }
+}
+
+/// Fuel billing does not depend on the tier: for every slice size, the
+/// register form — paying per run, handing a run it cannot pay for to the
+/// stack interpreter — consumes exactly the fuel of the byte-walking
+/// reference and suspends at exactly its locations, on the loop kernel and
+/// on every corpus module (calls, `call_indirect`, `br_table`, host
+/// imports, early returns).
+#[test]
+fn fuel_and_suspensions_match_the_bytecode_reference() {
+    let mut programs: Vec<(String, Module, bool, i32)> = Vec::new();
+    let mut mb = ModuleBuilder::new();
+    let mut f = FuncBuilder::new(&[I32], &[I32]);
+    let i = f.local(I32);
+    let acc = f.local(I32);
+    f.for_range(i, 0, |f| {
+        f.local_get(acc).local_get(i).i32_add().local_set(acc);
+    });
+    f.local_get(acc);
+    mb.add_func("run", f);
+    programs.push(("sum".into(), mb.build().unwrap(), false, 1000));
+    // A `loop` no branch targets is no run's first instruction: the stack
+    // interpreter must not hand a frame to the register form there.
+    let mut mb = ModuleBuilder::new();
+    let mut f = FuncBuilder::new(&[I32], &[I32]);
+    let i = f.local(I32);
+    let acc = f.local(I32);
+    f.for_range(i, 0, |f| {
+        f.local_get(acc).i32_const(3).i32_add().local_set(acc);
+        f.loop_(wizard_wasm::types::BlockType::Empty);
+        f.local_get(acc).local_get(i).i32_xor().local_set(acc);
+        f.end();
+    });
+    f.local_get(acc);
+    mb.add_func("run", f);
+    programs.push(("straight-line loop".into(), mb.build().unwrap(), false, 300));
+    for e in wizard_suites::corpus::corpus(wizard_suites::Scale::Test) {
+        programs.push((e.name.into(), e.module, e.uses_imports, e.n));
+    }
+    // Random programs: nested loops, `if`/`else`, and trapping division,
+    // whose fuel is billed up to the trapping instruction.
+    for seed in 0..6 {
+        programs.push((
+            format!("random {seed}"),
+            wizard_suites::randgen::random_module(seed),
+            false,
+            7,
+        ));
+    }
+    // The suite kernels and richards: deep loop nests, calls, floats.
+    let richards = wizard_suites::richards_benchmark(5);
+    for b in wizard_suites::all_suites(wizard_suites::Scale::Test).into_iter().chain([richards]) {
+        programs.push((format!("{}/{}", b.suite, b.name), b.module, false, b.n));
+    }
+    for (name, m, imports, arg) in &programs {
+        let (_, total, _) =
+            billing(m, *imports, EngineConfig::interpreter_bytecode(), *arg, u64::MAX);
+        // Every slice size up to 40 where that stays cheap.
+        let fine = if total < 50_000 { 40 } else { 0 };
+        let slices =
+            (1..=fine).chain([97, 1_000, 4_099, total / 3 + 1, total - 1, total, total + 1]);
+        for slice in slices.filter(|&s| s > 0) {
+            let reference = billing(m, *imports, EngineConfig::interpreter_bytecode(), *arg, slice);
+            let got = billing(m, *imports, EngineConfig::default(), *arg, slice);
+            assert_eq!(got.1, reference.1, "{name}, slice {slice}: fuel consumed");
+            assert_eq!(got.2, reference.2, "{name}, slice {slice}: suspension locations");
+            assert_eq!(got.0, reference.0, "{name}, slice {slice}: outcome");
         }
     }
 }
@@ -169,27 +257,29 @@ fn resume_across_detach_monitor() {
     );
 }
 
-/// Suspend while interpreting, tier up during the resumed slices: the
-/// function gets hot mid-run, compiles, and the bounded run finishes in
-/// the JIT with the same result and probe counts as an unbounded run.
+/// A slice that cannot pay for the next run demotes the frame to the
+/// stack interpreter, which suspends exactly where the reference would;
+/// the resumed slice promotes it back to register form at its next loop
+/// header (a tier-up), with the same result and probe counts as an
+/// unbounded run.
 #[test]
 fn resume_tiers_up_from_interp_to_jit() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
 
     let expected_fires = {
-        let mut p = Process::new(m.clone(), tiered(10), &Linker::new()).unwrap();
+        let mut p = Process::new(m.clone(), EngineConfig::default(), &Linker::new()).unwrap();
         let f = p.module().export_func("sum").unwrap();
         let probe = CountProbe::new();
         let cell = probe.cell();
         p.add_local_probe_val(f, loop_pc, probe).unwrap();
         let r = p.invoke(f, &[Value::I32(200)]).unwrap();
         assert_eq!(r, vec![Value::I32(19_900)]);
-        assert!(p.is_compiled(f), "reference run tiered up");
+        assert_eq!((p.stats().tier_ups, p.stats().deopts), (0, 0), "never left register form");
         cell.get()
     };
 
-    let mut p = Process::new(m, tiered(10), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     let probe = CountProbe::new();
     let cell = probe.cell();
@@ -197,45 +287,43 @@ fn resume_tiers_up_from_interp_to_jit() {
 
     let out = p.run_bounded(f, &[Value::I32(200)], 5).unwrap();
     assert_eq!(out, RunOutcome::OutOfFuel);
-    assert!(!p.is_compiled(f), "still cold at first suspension");
+    assert_eq!(p.stats().deopts, 1, "the slice could not pay for the next run");
+    assert_eq!(p.stats().tier_ups, 0);
     let (r, _) = drain(&mut p, 50);
     assert_eq!(r, vec![Value::I32(19_900)]);
-    assert!(p.is_compiled(f), "tiered up across suspensions");
-    assert!(p.stats().tier_ups > 0);
+    assert!(p.stats().tier_ups > 0, "promoted at loop headers across suspensions");
+    assert_eq!(p.stats().compiles, 1, "one instrumented form, lowered once");
     assert_eq!(cell.get(), expected_fires);
 }
 
-/// Suspend while a JIT frame is parked, invalidate its code by inserting a
-/// probe, resume: the frame deoptimizes to the interpreter and the run
-/// completes with consistent probe counts (JIT → interp resume).
+/// Suspend, then insert a probe on an instruction the function's register
+/// form has no site for: the form is invalidated and re-lowered when the
+/// resumed frame next needs it (at its promotion), and the run completes
+/// with the probe firing on the remainder.
 #[test]
 fn resume_deopts_suspended_jit_frame_after_instrumentation_change() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = Process::new(m, tiered(5), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
-
-    // Warm up so the bounded run starts straight in compiled code. The
-    // warm-up is metered too: clean unmetered runs stay in the register
-    // tier and never compile.
-    let warm = p.run_bounded(f, &[Value::I32(100)], 1_000_000).unwrap();
-    assert_eq!(warm, RunOutcome::Done(vec![Value::I32(4_950)]));
-    assert!(p.is_compiled(f));
+    p.add_local_probe_val(f, 0, CountProbe::new()).unwrap();
 
     let out = p.run_bounded(f, &[Value::I32(300)], 40).unwrap();
     assert_eq!(out, RunOutcome::OutOfFuel);
+    assert_eq!(p.stats().compiles, 1);
 
-    // Instrumentation change while suspended invalidates the parked
-    // frame's compiled code.
+    // A new site while suspended invalidates the instrumented form.
     let probe = CountProbe::new();
     let cell = probe.cell();
+    let passes = p.stats().invalidation_passes;
     p.add_local_probe_val(f, loop_pc, probe).unwrap();
-    assert!(!p.is_compiled(f));
-    let deopts_before = p.stats().deopts;
+    assert_eq!(p.stats().invalidation_passes, passes + 1);
+    assert_eq!(p.stats().compiles, 1, "re-lowering is lazy");
 
     let (r, _) = drain(&mut p, 40);
     assert_eq!(r, vec![Value::I32(44_850)]);
-    assert!(p.stats().deopts > deopts_before, "suspended JIT frame deoptimized");
+    assert_eq!(p.stats().compiles, 2, "re-lowered once, with the new site");
+    assert!(p.compiled_listing(f).unwrap().contains("count.bump"));
     assert!(cell.get() > 0, "probe inserted mid-suspension fires on the remainder");
 }
 
@@ -352,17 +440,20 @@ fn zero_fuel_resume_makes_no_progress_but_is_safe() {
     assert_eq!(r, vec![Value::I32(45)]);
 }
 
-/// Fuel metering in a JIT-only configuration: suspension points land at
-/// instruction boundaries in compiled code, and resume re-enters compiled
-/// code directly (cip-based resume, no deopt when nothing changed).
+/// A bounded run of clean code runs in the register form between
+/// suspensions: each slice that cannot pay for a run demotes the frame
+/// once, and the next slice promotes it back at a loop header; nothing is
+/// compiled, because the shared form serves metered runs too.
 #[test]
-fn jit_only_bounded_run_resumes_in_compiled_code() {
+fn bounded_run_resumes_in_compiled_code() {
     let (m, _) = sum_module();
-    let mut p = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let out = p.run_export_bounded("sum", &[Value::I32(100)], 17).unwrap();
     assert_eq!(out, RunOutcome::OutOfFuel);
-    let deopts_at_suspend = p.stats().deopts;
     let (r, _) = drain(&mut p, 17);
     assert_eq!(r, vec![Value::I32(4950)]);
-    assert_eq!(p.stats().deopts, deopts_at_suspend, "pure JIT resume needs no deopt");
+    let stats = p.stats();
+    assert_eq!(stats.compiles, 0);
+    assert!(stats.tier_ups > 0, "{stats:?}");
+    assert!(stats.deopts > 0 && stats.deopts <= stats.suspensions, "{stats:?}");
 }

@@ -64,12 +64,10 @@ impl Monitor for EverythingMonitor {
             self.fires.push(probe.cell());
             batch.add_local_val(func, pc, probe);
         }
-        if ctx.config().mode != wizard_engine::ExecMode::JitOnly {
-            let g = Rc::clone(&self.global_fires);
-            batch.add_global_val(wizard_engine::ClosureProbe::new(move |_| {
-                g.set(g.get() + 1);
-            }));
-        }
+        let g = Rc::clone(&self.global_fires);
+        batch.add_global_val(wizard_engine::ClosureProbe::new(move |_| {
+            g.set(g.get() + 1);
+        }));
         ctx.apply_batch(batch)?;
         Ok(())
     }
@@ -85,7 +83,11 @@ impl Monitor for EverythingMonitor {
 
 #[test]
 fn detach_restores_zero_overhead_baseline_interp_and_jit() {
-    for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+    for config in [
+        EngineConfig::default(),
+        EngineConfig::builder().intrinsify(false).build(),
+        EngineConfig::interpreter_bytecode(),
+    ] {
         let mut p = sum_process(config);
         let m = p.attach_monitor(EverythingMonitor::default()).unwrap();
         assert!(p.probed_location_count() > 10);
@@ -125,7 +127,7 @@ fn probe_byte_restored_after_detach() {
 
 #[test]
 fn batch_of_k_probes_is_one_invalidation_pass() {
-    let mut p = sum_process(EngineConfig::jit());
+    let mut p = sum_process(EngineConfig::default());
     let sites = pcs(&p);
     let k = sites.len();
     assert!(k > 10);
@@ -137,7 +139,7 @@ fn batch_of_k_probes_is_one_invalidation_pass() {
     assert_eq!(p.stats().invalidation_passes, k as u64, "one pass per probe");
 
     // Batched: exactly one pass for all k insertions.
-    let mut p = sum_process(EngineConfig::jit());
+    let mut p = sum_process(EngineConfig::default());
     let mut batch = ProbeBatch::new();
     for pc in &sites {
         batch.add_local_val(0, *pc, CountProbe::new());

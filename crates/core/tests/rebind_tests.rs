@@ -1,19 +1,21 @@
 //! The insert/remove contract of compiled code (paper §4.2/§4.5): a probe
-//! site compiles to one micro-op whose *binding* is re-bound in place when
-//! the site's probe list changes. Removal, and insertion where the code
-//! already has a site, cost no invalidation, no deopt and no recompile;
-//! only a probe on an instruction the code has no site for, and the
-//! function's last probe leaving, invalidate. Pinned with exact
-//! `EngineStats`, so a regression to recompile-per-removal fails here and
-//! not only in the benchmark.
+//! site lowers to one `R_SITE` in the function's register form, whose
+//! *binding* is re-bound in place when the site's probe list changes.
+//! Removal, and insertion where the form already has a site, cost no
+//! invalidation, no deopt and no re-lowering; only a probe on an
+//! instruction the form has no site for, and the function's last probe
+//! leaving, invalidate. Pinned with exact `EngineStats`, so a regression
+//! to re-lower-per-removal fails here and not only in the benchmark.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
+use std::sync::Arc;
 use wizard_engine::store::Linker;
+
 use wizard_engine::{
-    ClosureProbe, CountProbe, EngineConfig, ExecMode, InstrumentationCtx, Monitor, ProbeBatch,
-    ProbeError, ProbeId, ProbeRef, Process, Report, RunOutcome, Value,
+    ClosureProbe, CountProbe, EngineConfig, InstrumentationCtx, Monitor, ProbeBatch, ProbeError,
+    ProbeId, ProbeRef, Process, Report, RunOutcome, Value,
 };
 use wizard_monitors::{CoverageMonitor, HotnessMonitor};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
@@ -39,10 +41,9 @@ fn pcs(m: &Module) -> Vec<u32> {
     InstrIter::new(&m.funcs[0].body.code).map(|i| i.unwrap().pc).collect()
 }
 
-/// JIT-only, with the lazy dead-site recompile out of reach: what these
-/// tests count is what probe traffic itself costs.
-fn jit() -> EngineConfig {
-    EngineConfig::builder().mode(ExecMode::JitOnly).tierup_threshold(1 << 30).build()
+/// The register form `p` runs function 0 in.
+fn form(p: &mut Process) -> Arc<wizard_engine::regir::RegFunc> {
+    p.reg_form(0).unwrap().expect("lowers")
 }
 
 /// A probe that removes itself the first time it fires.
@@ -56,9 +57,10 @@ fn once(fired: &Rc<Cell<u64>>) -> (ProbeRef, Rc<Cell<Option<ProbeId>>>) {
     (probe, id)
 }
 
-/// The per-instruction counts of `sum(n)` under the interpreter.
+/// The per-instruction counts of `sum(n)` under the reference interpreter.
 fn reference_counts(m: &Module, n: i32) -> Vec<u64> {
-    let mut p = Process::new(m.clone(), EngineConfig::interpreter(), &Linker::new()).unwrap();
+    let mut p =
+        Process::new(m.clone(), EngineConfig::interpreter_bytecode(), &Linker::new()).unwrap();
     let cells: Vec<_> = pcs(m)
         .into_iter()
         .map(|pc| {
@@ -78,7 +80,7 @@ fn reference_counts(m: &Module, n: i32) -> Vec<u64> {
 fn self_removing_probes_in_a_compiled_loop_never_recompile() {
     let m = sum_module();
     let sites = pcs(&m);
-    let mut p = Process::new(m.clone(), jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m.clone(), EngineConfig::default(), &Linker::new()).unwrap();
     let fired = Rc::new(Cell::new(0));
     let mut batch = ProbeBatch::new();
     let mut cells = Vec::new();
@@ -102,7 +104,7 @@ fn self_removing_probes_in_a_compiled_loop_never_recompile() {
     let executed = reference.iter().filter(|n| **n > 0).count() as u64;
     assert!(executed > 15, "most of the function runs");
     assert_eq!(fired.get(), executed, "each fired once");
-    assert_eq!(stats.compiles, 1, "compiled once, at the call");
+    assert_eq!(stats.compiles, 1, "lowered once, at the call");
     assert_eq!(stats.deopts, 0);
     assert_eq!(stats.invalidation_passes, 1, "no removal invalidated");
     // While a self-remover shared the site, the whole list went through the
@@ -124,7 +126,7 @@ fn self_removing_probes_in_a_compiled_loop_never_recompile() {
 fn a_site_rebinds_to_the_intrinsified_form_when_its_generic_probe_leaves() {
     let m = sum_module();
     let loop_pc = wizard_wasm::validate::validate(&m).unwrap().funcs[0].loop_headers[0];
-    let mut p = Process::new(m, jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let counter = CountProbe::new();
     let cell = counter.cell();
     p.add_local_probe_val(0, loop_pc, counter).unwrap();
@@ -181,12 +183,14 @@ impl Monitor for GenericEverywhere {
     }
 }
 
-/// (c) A frame suspended out of fuel in compiled code, whose sites a
-/// `detach_monitor` empties between slices, resumes in the same code.
+/// (c) A frame suspended out of fuel, whose sites a `detach_monitor`
+/// empties between slices, resumes in the same register form: the detach
+/// re-binds, and the frame, demoted where its slice ran short, tiers back
+/// up into the form it left.
 #[test]
 fn a_suspended_jit_frame_survives_a_detach_that_empties_its_sites() {
     let m = sum_module();
-    let mut p = Process::new(m, jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     // One probe outside the monitor keeps the function instrumented, so the
     // detach empties sites without the function rejoining the baseline.
     let entry = CountProbe::new();
@@ -198,77 +202,89 @@ fn a_suspended_jit_frame_survives_a_detach_that_empties_its_sites() {
     let seen = monitor.borrow().fires.get();
     assert_eq!(seen, 300, "every instruction of the first slice fired the monitor");
     let before = p.stats();
-    assert_eq!((before.compiles, before.deopts), (1, 0));
+    assert_eq!((before.compiles, before.deopts), (1, 1), "demoted where the slice ran short");
+    let parked_in = form(&mut p);
 
     p.detach_monitor(monitor.handle()).unwrap();
     assert_eq!(p.stats().invalidation_passes, before.invalidation_passes, "re-bound, not stale");
-    assert!(p.is_compiled(0));
+    assert!(Arc::ptr_eq(&form(&mut p), &parked_in));
     assert!(p.compiled_listing(0).unwrap().contains("site.empty"));
 
     let out = p.resume(u64::MAX).unwrap();
     assert_eq!(out, RunOutcome::Done(vec![Value::I32(124_750)]));
     let stats = p.stats();
-    assert_eq!((stats.compiles, stats.deopts), (1, 0), "resumed in the code it was parked in");
+    assert_eq!((stats.compiles, stats.deopts), (1, 1), "resumed in the code it was parked in");
+    assert_eq!(stats.tier_ups, before.tier_ups + 1);
+    assert!(Arc::ptr_eq(&form(&mut p), &parked_in));
     assert_eq!(stats.probe_fires, before.probe_fires, "the emptied sites fire nothing");
     assert_eq!(monitor.borrow().fires.get(), seen);
     assert_eq!(entries.get(), 1);
 }
 
 /// (d) The other half of the contract: a probe at an instruction that was
-/// not a site when the code was compiled invalidates it, and a frame
-/// parked in that code deoptimizes.
+/// not a site when the form was lowered invalidates it, and the frame
+/// parked out of its code — demoted where its slice ran short — tiers up
+/// into the re-lowered form.
 #[test]
 fn a_probe_on_a_new_site_still_invalidates_and_deopts() {
     let m = sum_module();
     let sites = pcs(&m);
-    let mut p = Process::new(m, jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     p.add_local_probe_val(0, sites[0], CountProbe::new()).unwrap();
     assert_eq!(p.run_bounded(0, &[Value::I32(500)], 300).unwrap(), RunOutcome::OutOfFuel);
     let before = p.stats();
+    assert_eq!((before.compiles, before.deopts), (1, 1));
+    let lowered = form(&mut p);
 
-    // Where the code has a site: re-bound.
+    // Where the form has a site: re-bound.
     let again = p.add_local_probe_val(0, sites[0], CountProbe::new()).unwrap();
-    assert!(p.is_compiled(0));
+    assert!(Arc::ptr_eq(&form(&mut p), &lowered));
     p.remove_probe(again).unwrap();
-    assert!(p.is_compiled(0));
+    assert!(Arc::ptr_eq(&form(&mut p), &lowered));
     assert_eq!(p.stats().invalidation_passes, before.invalidation_passes);
+    assert_eq!(p.stats().compiles, before.compiles);
 
-    // Where it has none: invalidated.
+    // Where it has none: invalidated, and re-lowered when next needed.
     let counter = CountProbe::new();
     let cell = counter.cell();
     p.add_local_probe_val(0, *sites.last().unwrap(), counter).unwrap();
-    assert!(!p.is_compiled(0));
     assert_eq!(p.stats().invalidation_passes, before.invalidation_passes + 1);
+    assert_eq!(p.stats().compiles, before.compiles, "lazily");
 
     assert_eq!(p.resume(u64::MAX).unwrap(), RunOutcome::Done(vec![Value::I32(124_750)]));
-    assert_eq!(p.stats().deopts, before.deopts + 1, "the parked frame left the stale code");
+    let stats = p.stats();
+    assert_eq!(stats.compiles, before.compiles + 1, "the parked frame left the stale code");
+    assert_eq!((stats.deopts, stats.tier_ups), (before.deopts, before.tier_ups + 1));
+    assert!(!Arc::ptr_eq(&form(&mut p), &lowered));
     assert_eq!(cell.get(), 1, "and the new probe fired");
 }
 
-/// The lazy half of removal: dead sites cost one dispatch each until
-/// removals have been quiet for a second tier-up threshold of crossings;
-/// then the function recompiles without them, once.
+/// The lazy half of removal: a dead site costs one dispatch each time it
+/// is crossed until the function is next re-lowered — which drops it,
+/// once — or rejoins the shared form.
 #[test]
 fn dead_sites_are_dropped_by_one_lazy_recompile() {
     let m = sum_module();
     let sites = pcs(&m);
-    let config = EngineConfig::builder().mode(ExecMode::Tiered).tierup_threshold(5).build();
-    let mut p = Process::new(m, config, &Linker::new()).unwrap();
-    p.add_local_probe_val(0, sites[0], CountProbe::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
+    let survivor = p.add_local_probe_val(0, sites[0], CountProbe::new()).unwrap();
     let monitor = p.attach_monitor(GenericEverywhere::default()).unwrap();
     p.invoke(0, &[Value::I32(50)]).unwrap();
-    assert!(p.is_compiled(0));
     let hot = p.stats();
+    assert_eq!(hot.compiles, 1);
 
     p.detach_monitor(monitor.handle()).unwrap();
     assert!(p.compiled_listing(0).unwrap().contains("site.empty"));
     assert_eq!(p.stats().invalidation_passes, hot.invalidation_passes, "removal is free now");
+    assert_eq!(p.invoke(0, &[Value::I32(50)]).unwrap(), vec![Value::I32(1225)]);
+    assert_eq!(p.stats().compiles, hot.compiles, "dead sites alone never re-lower");
 
+    // The next re-lowering drops them: here a forced one.
+    p.relower(0).unwrap();
     assert_eq!(p.invoke(0, &[Value::I32(50)]).unwrap(), vec![Value::I32(1225)]);
     let stats = p.stats();
-    assert_eq!(stats.compiles, hot.compiles + 1, "one recompile");
-    assert_eq!(stats.deopts, hot.deopts + 1, "through one deopt");
-    assert_eq!(stats.invalidation_passes, hot.invalidation_passes + 1);
+    assert_eq!(stats.compiles, hot.compiles + 1, "one re-lowering");
+    assert_eq!(stats.deopts, hot.deopts, "at the next activation, with no frame to leave it");
     let listing = p.compiled_listing(0).unwrap();
     assert!(!listing.contains("site.empty"), "{listing}");
     assert_eq!(listing.matches("count.bump").count(), 1, "the surviving probe's site");
@@ -276,7 +292,12 @@ fn dead_sites_are_dropped_by_one_lazy_recompile() {
     // Zero dead dispatches from here on: nothing left to trigger on.
     p.invoke(0, &[Value::I32(50)]).unwrap();
     assert_eq!(p.stats().compiles, stats.compiles);
-    assert_eq!(p.stats().deopts, stats.deopts);
+
+    // And the last probe leaving rejoins the shared form: no site at all.
+    p.remove_probe(survivor).unwrap();
+    assert!(Arc::ptr_eq(&form(&mut p), p.artifact().reg_func(0).unwrap()));
+    assert!(!p.compiled_listing(0).unwrap().contains("site"));
+    assert_eq!(p.stats().compiles, stats.compiles);
 }
 
 /// (e) The benchmark's `probe_churn` schedule, scaled down: 5 000-fuel
@@ -365,9 +386,11 @@ fn churn_schedule_costs_invalidations_per_swap_not_per_removal() {
             assert_eq!(counted, instrs, "{what}: each instruction counted by exactly one counter");
             assert_eq!(covered, executed, "{what}: the coverage monitors' union");
             // In a swap period a function is invalidated when its last
-            // coverage probe leaves (it rejoins the baseline) and when the
-            // next monitor lands on the rejoined code, and so recompiles
-            // at most once; self-removals and detaches in between re-bind.
+            // coverage probe leaves (it rejoins the shared form) and when
+            // the next monitor lands on the rejoined code, and so is
+            // re-lowered at most once; self-removals and detaches in
+            // between re-bind. A frame demotes where a slice runs short and
+            // when global probes arrive.
             assert!(stats.invalidation_passes <= (funcs + 2) * (swaps + 1), "{what}: {stats:?}");
             assert!(stats.compiles <= funcs * (swaps + 1), "{what}: {stats:?}");
             assert!(stats.deopts <= 4 * (swaps + 1), "{what}: {stats:?}");
@@ -375,15 +398,15 @@ fn churn_schedule_costs_invalidations_per_swap_not_per_removal() {
     }
 }
 
-/// (f) A run counter holds its functions' sites. It probes run leaders
-/// only, where the per-instruction counter it replaces held every site:
-/// the sites a coverage monitor beside it empties are therefore kept — no
-/// lazy recompile while the counter stays — and the next coverage monitor
-/// re-binds onto them. Once the counter is gone they are dropped as usual.
+/// (f) A run counter probes run leaders only, where the per-instruction
+/// counter it replaces held every site: the sites a coverage monitor
+/// beside it empties stay in the register form (dead sites are only ever
+/// dropped by a re-lowering or a rejoin), and the next coverage monitor
+/// re-binds onto them. Once both monitors are gone the function rejoins
+/// the shared form, and the dead sites go with it.
 #[test]
 fn a_run_counter_keeps_the_sites_emptied_beside_it() {
-    let config = EngineConfig::builder().mode(ExecMode::JitOnly).tierup_threshold(5).build();
-    let mut p = Process::new(sum_module(), config, &Linker::new()).unwrap();
+    let mut p = Process::new(sum_module(), EngineConfig::default(), &Linker::new()).unwrap();
     let hotness = p.attach_monitor(HotnessMonitor::new()).unwrap();
     let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
     p.invoke(0, &[Value::I32(50)]).unwrap();
@@ -391,26 +414,33 @@ fn a_run_counter_keeps_the_sites_emptied_beside_it() {
     assert_eq!((first.compiles, first.deopts), (1, 0));
     assert!(p.compiled_listing(0).unwrap().contains("site.empty"), "coverage burnt off");
 
-    // Hundreds of dead crossings, far past the quiet period: still held.
+    // Hundreds of dead crossings: still held.
     p.invoke(0, &[Value::I32(50)]).unwrap();
     let held = p.stats();
     assert_eq!((held.compiles, held.deopts), (1, 0));
     assert_eq!(held.invalidation_passes, first.invalidation_passes);
 
-    // The next coverage monitor lands on sites the code still has.
+    // The next coverage monitor lands on sites the form still has.
+    let lowered = form(&mut p);
     p.detach_monitor(coverage.handle()).unwrap();
     let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
-    assert!(p.is_compiled(0));
+    assert!(Arc::ptr_eq(&form(&mut p), &lowered));
     assert_eq!(p.stats().invalidation_passes, first.invalidation_passes, "re-bound");
     let total = hotness.borrow().total();
 
-    // Without the counter, the sites coverage empties are dropped again.
+    // Without the counter, the dead sites still cost no re-lowering: the
+    // coverage probes on never-executed instructions keep the function
+    // instrumented. Detaching coverage too rejoins the shared form, and
+    // the dead sites go with it.
     p.detach_monitor(hotness.handle()).unwrap();
     assert_eq!(hotness.borrow().total(), total);
     p.invoke(0, &[Value::I32(50)]).unwrap();
-    assert_eq!(p.stats().deopts, 1, "left the code with the dead sites");
-    p.invoke(0, &[Value::I32(50)]).unwrap();
-    assert_eq!(p.stats().compiles, 2, "one lazy recompile");
-    assert!(!p.compiled_listing(0).unwrap().contains("site.empty"));
+    let after = p.stats();
+    assert_eq!((after.compiles, after.deopts), (1, 0));
     assert!(!coverage.borrow().covered().is_empty());
+    p.detach_monitor(coverage.handle()).unwrap();
+    assert!(!p.has_overlay(0));
+    p.invoke(0, &[Value::I32(50)]).unwrap();
+    assert_eq!(p.stats().compiles, 1, "the shared form needs no lowering");
+    assert!(!p.compiled_listing(0).unwrap().contains("site"));
 }

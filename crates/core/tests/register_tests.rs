@@ -1,9 +1,10 @@
 //! Register-tier edge cases around the byte-offset `Location` contract:
 //! fuel suspension and resume under the default dispatch, probe
-//! attach/detach while suspended, demotion of a parked register frame
-//! when its function gains an overlay mid-run, the per-function register
-//! build, and the tier policy: register frames never tier up, metered
-//! runs take the lowered tiers and tier up.
+//! attach/detach while suspended, a parked register frame resuming in its
+//! function's re-lowered form when the function gains a site mid-run, the
+//! per-function register build, and the tier policy: the register form is
+//! the one compiled tier, for clean, instrumented and metered activations
+//! alike.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -15,7 +16,7 @@ use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
 use wizard_wasm::validate::ModuleMeta;
 
-/// `sum(n) = 0 + 1 + ... + n-1` via a loop (a tier-up candidate).
+/// `sum(n) = 0 + 1 + ... + n-1` via a loop.
 fn sum_module() -> (Module, ModuleMeta) {
     let mut mb = ModuleBuilder::new();
     let mut f = FuncBuilder::new(&[I32], &[I32]);
@@ -30,11 +31,7 @@ fn sum_module() -> (Module, ModuleMeta) {
 }
 
 fn register() -> EngineConfig {
-    EngineConfig::interpreter()
-}
-
-fn tiered_register(threshold: u32) -> EngineConfig {
-    EngineConfig::builder().tierup_threshold(threshold).build()
+    EngineConfig::default()
 }
 
 /// Drives a suspended process to completion, returning the results and
@@ -59,7 +56,7 @@ fn register_dispatch_computes_and_counts_lowering() {
     let stats = p.stats();
     assert_eq!(stats.functions_reg_lowered, 1, "sum lowered to register form");
     assert_eq!(stats.reg_fallbacks, 0);
-    assert_eq!(stats.reg_demotions, 0, "nothing forced the stack tier");
+    assert_eq!(stats.deopts, 0, "nothing forced the stack tier");
 }
 
 /// A parameter-less, local-less `() -> ()` function has no registers at
@@ -75,10 +72,10 @@ fn void_function_without_registers_returns() {
     assert_eq!(p.stats().functions_reg_lowered, 1, "it ran in the register tier");
 }
 
-/// The register form is built per function, on its first clean
-/// activation, and counted then: a metered run builds none, an
-/// uncalled function is never built, and a sibling process of the same
-/// artifact reuses what the first one built.
+/// The register form is built per function, on its first activation —
+/// metered or not — and counted then: an uncalled function is never
+/// built, a later activation reuses the build, and a sibling process of
+/// the same artifact reuses what the first one built.
 #[test]
 fn register_form_is_built_per_function_on_first_clean_call() {
     let mut mb = ModuleBuilder::new();
@@ -97,7 +94,7 @@ fn register_form_is_built_per_function_on_first_clean_call() {
     assert_eq!(p.stats().functions_reg_lowered, 0, "instantiation builds nothing");
     let out = p.run_export_bounded("inc", &[Value::I32(1)], 1_000).unwrap();
     assert_eq!(out, RunOutcome::Done(vec![Value::I32(2)]));
-    assert_eq!(p.stats().functions_reg_lowered, 0, "metered runs build no register code");
+    assert_eq!(p.stats().functions_reg_lowered, 1, "metered runs run the register form");
     assert_eq!(p.invoke_export("inc", &[Value::I32(2)]).unwrap(), vec![Value::I32(3)]);
     let stats = p.stats();
     assert_eq!((stats.functions_reg_lowered, stats.reg_fallbacks), (1, 0), "only `inc` is built");
@@ -110,8 +107,9 @@ fn register_form_is_built_per_function_on_first_clean_call() {
 /// Fuel exhaustion mid-loop under the default dispatch: the bounded run
 /// suspends and resumes to the same result, and a probe at the loop
 /// header fires exactly as often as in an unbounded run, for every
-/// slice size. (Metered slices run on the stack tier by policy; the
-/// probe counts prove the switch is invisible.)
+/// slice size. (Metered slices pay per run in the register form and
+/// finish a run they cannot pay for in the stack interpreter; the probe
+/// counts prove the switch is invisible.)
 #[test]
 fn bounded_register_run_keeps_probe_counts_exact() {
     let (m, meta) = sum_module();
@@ -177,17 +175,24 @@ fn probe_attach_detach_while_suspended() {
     assert_eq!(r, vec![Value::I32(1770)]);
     assert_eq!(cell.get(), fired_while_attached, "no fires after detach");
 
-    // Back to the register tier for the next unbounded run.
+    // The probe's site was lowered once, and its removal rejoined the
+    // shared register form, which the next unbounded run executes.
+    assert_eq!(p.stats().compiles, 1, "one instrumented form, lowered on resume");
+    assert!(!p.has_overlay(f));
+    let shared = p.artifact().reg_func(0).cloned().unwrap();
+    assert!(std::sync::Arc::ptr_eq(&p.reg_form(f).unwrap().unwrap(), &shared));
     let r = p.invoke(f, &[Value::I32(10)]).unwrap();
     assert_eq!(r, vec![Value::I32(45)]);
-    assert_eq!(p.stats().reg_demotions, 0, "suspended slices never held register frames");
+    assert_eq!(p.stats().compiles, 1);
 }
 
-/// Deopt at a probed site: a register-tier frame parks at a call; the
-/// callee's probe instruments the *caller's* loop header; on return the
-/// parked register frame demotes to the stack tier (counted), resumes
-/// at its byte pc, and the freshly inserted probe fires for the rest of
-/// the loop — behavior identical to the byte-dispatch reference run.
+/// A register frame parks at a call; the callee's probe instruments the
+/// *caller's* loop header, a pc its register form has no site for. On
+/// return the parked frame resumes at its byte pc in the caller's
+/// re-lowered form (§4.5–4.6: a frame parked at a call is canonical, so
+/// `idx_of` maps it into any form of the function, with no change of
+/// tier), and the freshly inserted probe fires for the rest of the loop —
+/// behavior identical to the byte-dispatch reference run.
 #[test]
 fn parked_register_frame_demotes_when_probed_mid_run() {
     let build = || {
@@ -246,39 +251,42 @@ fn parked_register_frame_demotes_when_probed_mid_run() {
 
     let (ref_fires, ref_stats) = run(EngineConfig::interpreter_bytecode());
     assert!(ref_fires > 0);
-    assert_eq!(ref_stats.reg_demotions, 0);
+    assert_eq!((ref_stats.deopts, ref_stats.compiles), (0, 0));
 
     let (fires, stats) = run(register());
     assert_eq!(fires, ref_fires, "mid-run instrumentation fires identically");
-    assert!(stats.reg_demotions > 0, "the parked register frame demoted");
-    // Only `outer` had a clean activation: `helper` was probed before
-    // its first call, so its register form is never built.
-    assert_eq!(stats.functions_reg_lowered, 1);
+    assert_eq!(stats.deopts, 0, "the parked frame needs no demotion");
+    // `helper`'s instrumented form at its first call; `outer`'s when its
+    // parked frame resumed after the insertion.
+    assert_eq!(stats.compiles, 2, "{stats:?}");
+    // One per new site: `helper`'s entry probe, then `outer`'s header.
+    assert_eq!(stats.invalidation_passes, 2, "{stats:?}");
 }
 
-/// Tiered, unmetered: the register interpreter is the
-/// top tier for an uninstrumented function, so a loop and repeated calls
-/// far past the tier-up threshold compile nothing and tier nothing up.
+/// Unmetered: the register form is the only compiled tier and serves an
+/// uninstrumented function from the artifact, so a loop and repeated
+/// calls compile nothing and never leave it.
 #[test]
 fn register_frames_stay_in_the_register_tier() {
     let (m, _) = sum_module();
-    let mut p = Process::new(m, tiered_register(3), &Linker::new()).unwrap();
+    let mut p = Process::new(m, register(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     for _ in 0..5 {
         let r = p.invoke(f, &[Value::I32(200)]).unwrap();
         assert_eq!(r, vec![Value::I32(19_900)]);
     }
     let stats = p.stats();
-    assert!(!p.is_compiled(f), "register frames never tier up");
     assert_eq!(stats.compiles, 0);
     assert_eq!(stats.tier_ups, 0);
-    assert_eq!(stats.reg_demotions, 0);
+    assert_eq!(stats.deopts, 0);
     assert_eq!(stats.functions_reg_lowered, 1);
 }
 
-/// Tiered, metered: fuel-bounded slices take the lowered stack tier, so
-/// the hot loop tiers up into the micro-op JIT (which charges fuel) and
-/// the sliced run still computes the reference result.
+/// Metered: fuel-bounded slices run compiled code — the register form,
+/// paying per run — from the artifact's shared form (nothing is lowered
+/// for the process), demote to the stack interpreter where a slice cannot
+/// pay for the next run, and tier back up at the next loop header; the
+/// sliced run still computes the reference result.
 #[test]
 fn metered_tiered_register_run_compiles() {
     let (m, _) = sum_module();
@@ -287,16 +295,17 @@ fn metered_tiered_register_run_compiles() {
             Process::new(m.clone(), EngineConfig::interpreter_bytecode(), &Linker::new()).unwrap();
         p.invoke_export("sum", &[Value::I32(200)]).unwrap()
     };
-    let mut p = Process::new(m, tiered_register(3), &Linker::new()).unwrap();
+    let mut p = Process::new(m, register(), &Linker::new()).unwrap();
     let out = p.run_export_bounded("sum", &[Value::I32(200)], 97).unwrap();
     assert_eq!(out, RunOutcome::OutOfFuel);
     let (r, slices) = drain(&mut p, 97);
     assert_eq!(r, expected);
     assert!(slices > 1, "suspension really happened");
     let stats = p.stats();
-    assert!(stats.compiles > 0, "metered register runs reach compiled code: {stats:?}");
-    assert!(stats.tier_ups > 0, "the hot loop tiered up: {stats:?}");
-    assert_eq!(stats.reg_demotions, 0, "no register frame was ever started");
+    assert_eq!(stats.functions_reg_lowered, 1, "metered register runs reach compiled code");
+    assert_eq!(stats.compiles, 0, "the shared form serves metered runs: {stats:?}");
+    assert!(stats.tier_ups > 0, "the hot loop tiered back up: {stats:?}");
+    assert!(stats.deopts > 0 && stats.deopts <= stats.suspensions, "{stats:?}");
 }
 
 /// A global probe forces global mode: every frame runs the lowered

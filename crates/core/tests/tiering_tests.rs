@@ -1,12 +1,13 @@
-//! Tiering and deoptimization edge cases: recompilation after probe
-//! churn, deopt of suspended frames, global probes inserted from inside
-//! JIT code, and the Coverage-style "asymptotically zero overhead" claim.
+//! Tiering and deoptimization edge cases of the one compiled tier, the
+//! register form: re-lowering after probe churn, parked frames resuming in
+//! a re-lowered form, global probes inserted from inside compiled code,
+//! and the Coverage-style "asymptotically zero overhead" claim.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use wizard_engine::store::Linker;
-use wizard_engine::{ClosureProbe, CountProbe, EngineConfig, ExecMode, Process, Value};
+use wizard_engine::{ClosureProbe, CountProbe, EngineConfig, Process, Value};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
@@ -25,48 +26,45 @@ fn sum_module() -> (Module, ModuleMeta) {
     mb.build_with_meta().unwrap()
 }
 
-fn tiered(threshold: u32) -> EngineConfig {
-    EngineConfig::builder().mode(ExecMode::Tiered).tierup_threshold(threshold).build()
-}
-
-/// Probe insertion invalidates compiled code; the hot function is then
-/// *recompiled* (with the probe baked in) rather than stuck interpreting.
-/// (An entry probe makes the function instrumented from the start: clean
-/// code runs in the register tier and never compiles.)
+/// Probe insertion on an instruction the register form has no site for
+/// invalidates it; the next activation *re-lowers* it (with the probe's
+/// site) rather than running anything slower. (An entry probe makes the
+/// function instrumented from the start: clean code runs the artifact's
+/// shared form and never compiles.)
 #[test]
 fn hot_function_recompiles_after_probe_insertion() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = Process::new(m, tiered(5), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     let entry = CountProbe::new();
     let entries = entry.cell();
     p.add_local_probe_val(f, 0, entry).unwrap();
     p.invoke(f, &[Value::I32(1000)]).unwrap();
-    assert!(p.is_compiled(f));
-    let compiles_before = p.stats().compiles;
+    let before = p.stats();
+    assert_eq!(before.compiles, 1);
 
     let probe = CountProbe::new();
     let cell = probe.cell();
     p.add_local_probe_val(f, loop_pc, probe).unwrap();
-    assert!(!p.is_compiled(f), "insertion invalidates compiled code");
+    assert_eq!(p.stats().invalidation_passes, before.invalidation_passes + 1, "invalidated");
 
     let r = p.invoke(f, &[Value::I32(1000)]).unwrap();
     assert_eq!(r, vec![Value::I32(499_500)]);
-    assert!(p.is_compiled(f), "hot function recompiled with the probe");
-    assert!(p.stats().compiles > compiles_before);
+    assert_eq!(p.stats().compiles, before.compiles + 1, "re-lowered once, with the probe");
+    assert_eq!((p.stats().deopts, p.stats().tier_ups), (0, 0), "never left compiled code");
     assert_eq!(cell.get(), 1001);
     assert_eq!(entries.get(), 2);
 }
 
 /// The Coverage claim (§3): after self-removing probes fire, the function
-/// recompiles probe-free — execution asymptotically approaches zero
-/// overhead (same compiled shape as never-instrumented code).
+/// rejoins the probe-free shared form — execution asymptotically
+/// approaches zero overhead (the very code of never-instrumented runs).
 #[test]
 fn self_removing_probes_leave_clean_compiled_code() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = Process::new(m.clone(), tiered(5), &Linker::new()).unwrap();
+    let mut p = Process::new(m.clone(), EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     let id_cell: Rc<Cell<Option<wizard_engine::ProbeId>>> = Rc::new(Cell::new(None));
     let idc = Rc::clone(&id_cell);
@@ -86,21 +84,22 @@ fn self_removing_probes_leave_clean_compiled_code() {
     assert!(!p.has_probe_byte(f, loop_pc));
     p.invoke(f, &[Value::I32(1000)]).unwrap();
     let listing = p.compiled_listing(f).unwrap();
-    assert!(!listing.contains("probe"), "recompiled code carries no probe ops:\n{listing}");
+    assert!(!listing.contains("site"), "the code carries no probe sites:\n{listing}");
 
     // And it matches the listing of a never-instrumented process.
-    let mut clean = Process::new(m, tiered(5), &Linker::new()).unwrap();
+    let mut clean = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     clean.invoke(f, &[Value::I32(1000)]).unwrap();
     assert_eq!(listing, clean.compiled_listing(f).unwrap(), "asymptotically zero overhead");
 }
 
-/// A global probe inserted from inside a JIT-executing local probe pulls
-/// the frame back to the interpreter mid-loop, and removal resumes JIT.
+/// A global probe inserted from inside a local probe firing in compiled
+/// code pulls the frame back to the stack interpreter mid-loop, and
+/// removal sends it back to compiled code at the next loop header.
 #[test]
 fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
-    let mut p = Process::new(m, tiered(2), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     let global_fires = Rc::new(Cell::new(0u64));
     let inserted = Rc::new(Cell::new(false));
@@ -109,7 +108,7 @@ fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
         f,
         loop_pc,
         ClosureProbe::shared(move |ctx| {
-            // After 100 loop iterations (well into JIT execution), switch on a
+            // After 100 loop iterations (well into compiled code), switch on a
             // global probe that runs for 50 instructions then removes itself.
             if !ins.get() && ctx.frame().local(1).unwrap().as_i32().unwrap() == 100 {
                 ins.set(true);
@@ -133,17 +132,19 @@ fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
     assert_eq!(r, vec![Value::I32(499_500)], "mode transitions preserve semantics");
     assert_eq!(global_fires.get(), 50, "one-shot window fired exactly 50 times");
     assert!(!p.in_global_mode());
-    assert!(p.stats().deopts >= 1, "the JIT frame deoptimized: {:?}", p.stats());
+    let stats = p.stats();
+    assert_eq!(stats.deopts, 1, "the compiled frame deoptimized: {stats:?}");
+    assert_eq!(stats.tier_ups, 1, "and went back: {stats:?}");
 }
 
-/// Suspended JIT frames (callers deeper in the stack) deoptimize when
-/// resumed after instrumentation changed beneath them.
+/// Parked frames (callers deeper in the stack) whose function was
+/// re-lowered beneath them resume in the new form at their byte pc.
 #[test]
 fn suspended_caller_frames_deopt_on_return() {
     // outer(n) calls inner(n) in a loop; a probe inside inner instruments
-    // OUTER mid-run, so outer's suspended JIT frame is stale on resume.
-    // Outer is instrumented (a loop-header count) from the start, so it
-    // runs the stack tiers and compiles.
+    // OUTER mid-run, so outer's register form is invalidated while its
+    // frame is parked. Outer is instrumented (a loop-header count) from
+    // the start, so it runs a register form of its own.
     let mut mb = ModuleBuilder::new();
     let inner = mb.declare_func("inner", &[I32], &[I32]);
     let mut fi = FuncBuilder::new(&[I32], &[I32]);
@@ -165,7 +166,7 @@ fn suspended_caller_frames_deopt_on_return() {
     mb.export("inner", wizard_wasm::types::ExternKind::Func, inner);
     let (m, meta) = mb.build_with_meta().unwrap();
 
-    let mut p = Process::new(m, tiered(2), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let outer = p.module().export_func("outer").unwrap();
     let inner = p.module().export_func("inner").unwrap();
     let header = CountProbe::new();
@@ -179,8 +180,8 @@ fn suspended_caller_frames_deopt_on_return() {
         ClosureProbe::shared(move |ctx| {
             if !d.get() {
                 d.set(true);
-                // Instrument the CALLER's entry: outer's compiled code is now
-                // stale while its frame sits suspended below us.
+                // Instrument the CALLER's entry: outer's register form is
+                // now stale while its frame sits parked below us.
                 let caller = ctx.frame().caller().map(|a| a.func()).unwrap_or(0);
                 ctx.insert_local_probe(caller, 0, ClosureProbe::shared(|_| {})).unwrap();
             }
@@ -189,40 +190,31 @@ fn suspended_caller_frames_deopt_on_return() {
     .unwrap();
     let r = p.invoke(outer, &[Value::I32(100)]).unwrap();
     assert_eq!(r, vec![Value::I32(5000)]);
-    assert!(p.stats().deopts >= 1, "stale caller deopted: {:?}", p.stats());
-    assert_eq!(headers.get(), 101, "the loop-header count is exact across the deopt");
-}
-
-/// JIT-only mode compiles on first call and never interprets (except when
-/// explicitly deoptimized by instrumentation churn), and OSR stats stay
-/// zero.
-#[test]
-fn jit_only_mode_has_no_tier_ups() {
-    let (m, _) = sum_module();
-    let mut p = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
-    let f = p.module().export_func("sum").unwrap();
-    p.invoke(f, &[Value::I32(100)]).unwrap();
     let stats = p.stats();
-    assert!(p.is_compiled(f));
-    assert_eq!(stats.tier_ups, 0, "no OSR in JIT-only mode");
-    assert_eq!(stats.deopts, 0);
-    assert!(stats.compiles >= 1);
+    // outer's and inner's first forms, then outer's with the new site,
+    // lowered when its parked frame resumed.
+    assert_eq!(stats.compiles, 3, "stale caller re-lowered: {stats:?}");
+    assert_eq!(stats.deopts, 0, "and resumed in it: {stats:?}");
+    assert_eq!(headers.get(), 101, "the loop-header count is exact across the re-lowering");
 }
 
-/// Interp-only mode never compiles, no matter how hot the code gets.
+/// `EngineConfig::interpreter()` — the default under its historical name —
+/// never compiles clean code, no matter how hot it gets: the artifact's
+/// shared register form runs it, and no frame changes tier.
 #[test]
 fn interp_only_mode_never_compiles() {
     let (m, _) = sum_module();
     let mut p = Process::new(m, EngineConfig::interpreter(), &Linker::new()).unwrap();
     let f = p.module().export_func("sum").unwrap();
     p.invoke(f, &[Value::I32(100_000)]).unwrap();
-    assert!(!p.is_compiled(f));
-    assert_eq!(p.stats().compiles, 0);
+    let stats = p.stats();
+    assert_eq!((stats.compiles, stats.tier_ups, stats.deopts), (0, 0, 0), "{stats:?}");
+    assert_eq!(stats.functions_reg_lowered, 1);
 }
 
-/// Frame modification during deep recursion only deoptimizes the modified
-/// frame; other activations of the same function keep running compiled
-/// code (§4.6, footnote 15).
+/// Frame modification during deep recursion affects only the modified
+/// frame; every activation of the function keeps running compiled code
+/// (§4.6, footnote 15) — in the register form none needs to deoptimize.
 #[test]
 fn frame_modification_deopts_only_target_frame() {
     let mut mb = ModuleBuilder::new();
@@ -238,7 +230,7 @@ fn frame_modification_deopts_only_target_frame() {
     mb.define_func(fib, f);
     mb.export("fib", wizard_wasm::types::ExternKind::Func, fib);
     let m = mb.build().unwrap();
-    let mut p = Process::new(m, tiered(2), &Linker::new()).unwrap();
+    let mut p = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
     let f = p.module().export_func("fib").unwrap();
     let modified = Rc::new(Cell::new(0u32));
     let md = Rc::clone(&modified);
@@ -264,4 +256,5 @@ fn frame_modification_deopts_only_target_frame() {
     // fib(14) = fib(13_mod=1) + fib(12)=144 => 145; fib(15) = 145 + 233 = 378.
     assert_eq!(r, vec![Value::I32(378)]);
     assert_eq!(modified.get(), 1);
+    assert_eq!(p.stats().deopts, 0);
 }

@@ -8,7 +8,7 @@
 //! executed instruction — wherever control went, including through
 //! `call_indirect` with its unbounded target set — and removes itself.
 //! The paper notes this is only viable because enabling global probes
-//! does not deoptimize JIT code (§4.1), which this engine guarantees.
+//! does not discard compiled code (§4.1), which this engine guarantees.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -23,8 +23,8 @@ use wizard_engine::{ClosureProbe, Location, ProbeCtx, ProbeError, ProbeId};
 ///
 /// # Errors
 ///
-/// Fails where global probes cannot run (JIT-only mode); nothing is
-/// scheduled then.
+/// Fails as [`ProbeCtx::insert_global_probe`] does; nothing is scheduled
+/// then.
 pub fn run_after_instruction(
     ctx: &mut ProbeCtx<'_, '_>,
     callback: impl FnOnce(&mut ProbeCtx<'_, '_>, Location) + 'static,

@@ -3,7 +3,7 @@
 //! top-of-stack condition/index *before* the instruction executes.
 //!
 //! Its probes are [`ProbeKind::Operand`]: they only need the top-of-stack
-//! value, so the JIT can intrinsify them into a direct call without
+//! value, so compiled code can intrinsify them into a direct call without
 //! reifying a FrameAccessor (paper §4.4).
 
 use std::cell::{Cell, RefCell};
@@ -223,10 +223,10 @@ mod tests {
     fn tiers_and_modes_agree() {
         let mut results = Vec::new();
         for (mode, config) in [
-            (ProbeMode::Local, EngineConfig::interpreter()),
-            (ProbeMode::Local, EngineConfig::jit()),
-            (ProbeMode::Local, EngineConfig::jit_no_intrinsics()),
-            (ProbeMode::Global, EngineConfig::interpreter()),
+            (ProbeMode::Local, EngineConfig::interpreter_bytecode()),
+            (ProbeMode::Local, EngineConfig::default()),
+            (ProbeMode::Local, EngineConfig::builder().intrinsify(false).build()),
+            (ProbeMode::Global, EngineConfig::default()),
         ] {
             let mut p = loop_process(config);
             let m = p.attach_monitor(BranchMonitor::with_mode(mode)).unwrap();

@@ -187,7 +187,7 @@ mod tests {
         main.local_get(acc);
         mb.add_func("main", main);
         let m = mb.build().unwrap();
-        for config in [EngineConfig::interpreter(), EngineConfig::jit()] {
+        for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
             let mut p = Process::new(m.clone(), config, &Linker::new()).unwrap();
             let mon = p.attach_monitor(CallsMonitor::new()).unwrap();
             p.invoke_export("main", &[Value::I32(10)]).unwrap();

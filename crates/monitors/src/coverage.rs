@@ -1,6 +1,6 @@
 //! The **Coverage** monitor (paper §3): inserts a local probe at every
 //! instruction which, when fired, records coverage and *removes itself* —
-//! so executed paths become probe-free and JIT code quality asymptotically
+//! so executed paths become probe-free and compiled code asymptotically
 //! approaches zero overhead. The canonical user of dynamic probe removal.
 
 use std::cell::{Cell, RefCell};
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn full_coverage_in_jit_mode() {
-        let mut p = process(EngineConfig::jit());
+        let mut p = process(EngineConfig::default());
         let m = p.attach_monitor(CoverageMonitor::new()).unwrap();
         p.invoke_export("cond", &[Value::I32(1)]).unwrap();
         p.invoke_export("cond", &[Value::I32(0)]).unwrap();

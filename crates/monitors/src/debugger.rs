@@ -4,7 +4,8 @@
 //!
 //! Breakpoints are local probes; `step` is a one-shot global probe
 //! (dynamic insertion and removal); `set` uses the FrameAccessor's frame
-//! modification, which transparently deoptimizes JIT frames.
+//! modification, which every tier observes at once (no frame needs to
+//! deoptimize for it).
 //!
 //! The command stream is a script (a `VecDeque<String>`), which makes the
 //! debugger fully testable; an interactive front-end would feed it from

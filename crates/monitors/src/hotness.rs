@@ -1,8 +1,8 @@
 //! The **Hotness** monitor: counts every instruction executed (paper §3).
 //!
 //! The local-probe variant counts every instruction with one [`RunCounts`]
-//! counter per straight-line run — a `Count` probe, fully intrinsified by
-//! the JIT, on each run's leader — and reports the exact per-instruction
+//! counter per straight-line run — a `Count` probe, fully intrinsified in
+//! compiled code, on each run's leader — and reports the exact per-instruction
 //! rows a `CountProbe` on every instruction would. The global-probe variant
 //! demonstrates emulating local probes with a single global probe (paper
 //! §2.1/§5.2) at the cost of an M-state lookup per instruction; it counts
@@ -150,9 +150,11 @@ mod tests {
     #[test]
     fn intrinsified_jit_matches_interpreter() {
         let mut totals = Vec::new();
-        for config in
-            [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::jit_no_intrinsics()]
-        {
+        for config in [
+            EngineConfig::interpreter_bytecode(),
+            EngineConfig::default(),
+            EngineConfig::builder().intrinsify(false).build(),
+        ] {
             let mut p = sum_process(config);
             let m = p.attach_monitor(HotnessMonitor::new()).unwrap();
             p.invoke_export("sum", &[Value::I32(25)]).unwrap();

@@ -42,7 +42,7 @@
 //! f.local_get(0);
 //! mb.add_func("spin", f);
 //!
-//! let mut p = Process::new(mb.build()?, EngineConfig::tiered(), &Linker::new())?;
+//! let mut p = Process::new(mb.build()?, EngineConfig::default(), &Linker::new())?;
 //! let loops = p.attach_monitor(LoopMonitor::new())?;
 //! p.invoke_export("spin", &[Value::I32(10)])?;
 //! assert_eq!(loops.borrow().total(), 11); // entry + 10 backedges

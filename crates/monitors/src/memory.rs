@@ -152,7 +152,7 @@ mod tests {
         f.i32_const(8).i32_load(4);
         mb.add_func("rw", f);
         let module = mb.build().unwrap();
-        for config in [EngineConfig::interpreter(), EngineConfig::jit()] {
+        for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
             let mut p = Process::new(module.clone(), config, &Linker::new()).unwrap();
             let m = p.attach_monitor(MemoryMonitor::default()).unwrap();
             let r = p.invoke_export("rw", &[Value::I32(77)]).unwrap();

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use wizard_analysis::cfg::Cfg;
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    EngineConfig, ExecMode, Location, ModuleArtifact, Monitor, Process, RunOutcome, Shims, Value,
+    EngineConfig, Location, ModuleArtifact, Monitor, Process, RunOutcome, Shims, Value,
 };
 use wizard_monitors::{HotnessMonitor, ProbeMode};
 use wizard_suites::corpus::corpus;
@@ -30,23 +30,16 @@ const MAX_DEPTH: usize = 40;
 
 type Counts = BTreeMap<Location, u64>;
 
-/// Every configuration under test; `true` where a metered run stops at the
-/// same instruction as the byte interpreter's (all-interpreter
-/// configurations: compiled code charges no fuel for the structural
-/// instructions it compiles away, so its slices end elsewhere).
-fn configs() -> Vec<(&'static str, EngineConfig, bool)> {
+/// Every configuration under test. A metered run stops at the same
+/// instruction as the byte interpreter's on every one of them: fuel is
+/// billed by the reference's count in every tier.
+fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut v = vec![
-        ("interpreter_bytecode", EngineConfig::interpreter_bytecode(), true),
-        ("interpreter", EngineConfig::interpreter(), true),
-        ("jit", EngineConfig::jit(), false),
-        ("jit_no_intrinsics", EngineConfig::jit_no_intrinsics(), false),
-        (
-            "tiered",
-            EngineConfig::builder().mode(ExecMode::Tiered).tierup_threshold(2).build(),
-            false,
-        ),
+        ("interpreter_bytecode", EngineConfig::interpreter_bytecode()),
+        ("default", EngineConfig::default()),
+        ("no_intrinsics", EngineConfig::builder().intrinsify(false).build()),
     ];
-    for (_, c, _) in &mut v {
+    for (_, c) in &mut v {
         c.max_call_depth = MAX_DEPTH;
     }
     v
@@ -205,7 +198,7 @@ fn whole_run(program: &Program, config: &EngineConfig, mode: ProbeMode) -> (Vec<
 fn whole_runs_match_the_global_oracle_on_every_tier() {
     for program in fixed_programs().iter().chain(&random_programs()) {
         let expect = whole_run(program, &oracle_config(), ProbeMode::Global);
-        for (name, config, _) in configs() {
+        for (name, config) in configs() {
             let got = whole_run(program, &config, ProbeMode::Local);
             assert_eq!(got.0, expect.0, "{} on {name}: results", program.name);
             assert_eq!(got.1, expect.1, "{} on {name}: per-site counts", program.name);
@@ -268,7 +261,7 @@ fn sliced_sessions_sum_to_the_oracle(programs: &[Program], fuels: impl Fn(usize)
         let sites = ModuleArtifact::new(program.module.clone()).expect("validates");
         let slices = (600_000 / sites.instruction_sites().len() as u64).clamp(100, 3_000);
         let scale = (executed / slices) | 1;
-        for (name, config, _) in configs() {
+        for (name, config) in configs() {
             for fuel in fuels(k).into_iter().map(|f| f * scale) {
                 let sessions = if k % 2 == 0 { Sessions::Reattached } else { Sessions::Fresh };
                 let got = sliced_run(program, &config, fuel, sessions);
@@ -328,8 +321,7 @@ fn abandoned_run(
 
 /// (c): a cancelled suspension, a dropped process and a mid-run detach all
 /// leave exactly the executed prefix — on every configuration equal to
-/// each other, and where slices end at the interpreter's instruction, to
-/// the oracle's prefix.
+/// each other and to the oracle's prefix.
 #[test]
 fn abandoned_suspensions_keep_only_the_executed_prefix() {
     let mut programs = fixed_programs();
@@ -338,7 +330,7 @@ fn abandoned_suspensions_keep_only_the_executed_prefix() {
         for fuel in [5, 37, 113] {
             let oracle =
                 abandoned_run(program, &oracle_config(), ProbeMode::Global, fuel, Abandon::Cancel);
-            for (name, config, interpreter_slices) in configs() {
+            for (name, config) in configs() {
                 let what = format!("{} on {name}, fuel {fuel}", program.name);
                 let cancel =
                     abandoned_run(program, &config, ProbeMode::Local, fuel, Abandon::Cancel);
@@ -346,9 +338,7 @@ fn abandoned_suspensions_keep_only_the_executed_prefix() {
                     let other = abandoned_run(program, &config, ProbeMode::Local, fuel, how);
                     assert_eq!(other, cancel, "{what}: {how:?} vs cancel");
                 }
-                if interpreter_slices {
-                    assert_eq!(cancel, oracle, "{what}: vs the oracle");
-                }
+                assert_eq!(cancel, oracle, "{what}: vs the oracle");
             }
         }
     }
@@ -413,7 +403,7 @@ fn on_unwind_names_the_trapping_instruction() {
     }
     let program = trap_program();
     let mut expect: Option<Vec<(Location, bool)>> = None;
-    for (name, config, _) in configs() {
+    for (name, config) in configs() {
         let mut p = program.process(&config);
         let m = p.attach_monitor(Stops::default()).expect("attach");
         let mut traps = 0;

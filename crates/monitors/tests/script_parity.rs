@@ -63,7 +63,7 @@ fn assert_row_for_row(scripted: &Report, handwritten: &Report) {
 
 #[test]
 fn scripted_hotness_matches_the_zoo_row_for_row() {
-    for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
+    for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
         let scripted =
             run_with(config.clone(), ScriptMonitor::from_source(HOTNESS).expect("parses"));
         let handwritten = run_with(config, HotnessMonitor::new());
@@ -98,7 +98,7 @@ fn sliced_sessions<M: Monitor + 'static>(
 
 #[test]
 fn scripted_hotness_matches_the_zoo_in_every_session_of_a_sliced_run() {
-    for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
+    for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
         let scripted = sliced_sessions(config.clone(), 37, || {
             ScriptMonitor::from_source(HOTNESS).expect("parses")
         });
@@ -154,7 +154,11 @@ fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
         (trapped, m.report())
     }
 
-    for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+    for config in [
+        EngineConfig::interpreter_bytecode(),
+        EngineConfig::default(),
+        EngineConfig::builder().intrinsify(false).build(),
+    ] {
         let scripted = reports(&module, &config, ScriptMonitor::from_source(HOTNESS).unwrap());
         let handwritten = reports(&module, &config, HotnessMonitor::new());
         assert_row_for_row(&scripted.0, &handwritten.0);
@@ -173,7 +177,7 @@ fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
 
 #[test]
 fn scripted_branch_matches_the_zoo_row_for_row() {
-    for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
+    for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
         let scripted =
             run_with(config.clone(), ScriptMonitor::from_source(BRANCH).expect("parses"));
         let handwritten = run_with(config, BranchMonitor::new());
@@ -183,7 +187,7 @@ fn scripted_branch_matches_the_zoo_row_for_row() {
 
 #[test]
 fn scripted_coverage_matches_the_zoo_row_for_row() {
-    for config in [EngineConfig::interpreter(), EngineConfig::tiered()] {
+    for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
         let scripted =
             run_with(config.clone(), ScriptMonitor::from_source(COVERAGE).expect("parses"));
         let handwritten = run_with(config, CoverageMonitor::new());
@@ -194,7 +198,8 @@ fn scripted_coverage_matches_the_zoo_row_for_row() {
 #[test]
 fn counter_only_script_lowers_to_intrinsified_count_probes() {
     let b = wizard_suites::richards_benchmark(RICHARDS_LOOPS);
-    let mut p = Process::new(b.module, EngineConfig::jit(), &Linker::new()).expect("instantiates");
+    let mut p =
+        Process::new(b.module, EngineConfig::default(), &Linker::new()).expect("instantiates");
     let m = p.attach_monitor(ScriptMonitor::from_source(HOTNESS).expect("parses")).expect("attach");
     let mon = m.borrow();
     let (count, operand, generic) = mon.kind_counts();
@@ -221,7 +226,8 @@ fn counter_only_script_lowers_to_intrinsified_count_probes() {
 #[test]
 fn branch_script_classification_splits_by_opcode() {
     let b = wizard_suites::richards_benchmark(RICHARDS_LOOPS);
-    let mut p = Process::new(b.module, EngineConfig::jit(), &Linker::new()).expect("instantiates");
+    let mut p =
+        Process::new(b.module, EngineConfig::default(), &Linker::new()).expect("instantiates");
     let m = p.attach_monitor(ScriptMonitor::from_source(BRANCH).expect("parses")).expect("attach");
     let mon = m.borrow();
     let (_, operand, generic) = mon.kind_counts();
@@ -246,7 +252,7 @@ fn br_table_sites_fold_to_pure_counters() {
     f.end();
     f.i32_const(7);
     mb.add_func("switch", f);
-    let mut p = Process::new(mb.build().unwrap(), EngineConfig::jit(), &Linker::new()).unwrap();
+    let mut p = Process::new(mb.build().unwrap(), EngineConfig::default(), &Linker::new()).unwrap();
 
     let m = p.attach_monitor(ScriptMonitor::from_source(BRANCH).expect("parses")).expect("attach");
     {

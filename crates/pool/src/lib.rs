@@ -38,9 +38,9 @@
 //! binary encoding) and shared across all worker threads. The first job
 //! admitting a module validates and builds its [`ModuleArtifact`]; every
 //! later job — on *any* worker — instantiates from the shared artifact
-//! with [`Process::instantiate`], skipping validation, lowering and
-//! baseline JIT compilation entirely, and executing from the very same
-//! lowered code until its own monitor installs a probe (which
+//! with [`Process::instantiate`], skipping validation and lowering
+//! entirely, and executing from the very same register and lowered code
+//! until its own monitor installs a probe (which
 //! copy-on-writes only the probed functions, invisibly to sibling jobs).
 //! Cache traffic is reported fleet-wide through
 //! [`EngineStats::artifact_cache_hits`]/[`EngineStats::artifact_cache_misses`].

@@ -1001,29 +1001,18 @@ impl Worker<'_> {
                 .push(job);
             return;
         }
-        let linker = job.linker_factory.as_ref().map_or_else(Linker::new, |make| make());
-        let mut process =
-            match Process::instantiate(Arc::clone(&job.artifact), shared.engine.clone(), &linker) {
-                Ok(process) => process,
-                Err(e) => {
-                    let status = JobStatus::Failed(format!("link error: {e}"));
-                    finalize(shared, &job, job.outcome(self.w, status, None));
-                    return;
-                }
-            };
-        let mut monitor = None;
-        if let Some(make) = &job.monitor_factory {
-            let m = make();
-            match process.attach_monitor_dyn(Rc::clone(&m)) {
-                Ok(handle) => monitor = Some((handle, m)),
-                Err(e) => {
-                    drop(process);
-                    let status = JobStatus::Failed(format!("monitor attach error: {e}"));
-                    finalize(shared, &job, job.outcome(self.w, status, None));
-                    return;
-                }
+        // The linker and monitor factories, the start function and
+        // `Monitor::on_attach` are the job's code: a panic in any of them
+        // fails this job only, like a panic in one of its slices.
+        let started = catch_unwind(AssertUnwindSafe(|| instantiate(shared, &job)))
+            .unwrap_or_else(|payload| Err(panicked(payload)));
+        let (process, monitor) = match started {
+            Ok(started) => started,
+            Err(status) => {
+                finalize(shared, &job, job.outcome(self.w, status, None));
+                return;
             }
-        }
+        };
         let task = Running {
             job,
             process,
@@ -1050,7 +1039,7 @@ impl Worker<'_> {
         loop {
             // Terminal checks at every slice boundary.
             if let Some(status) = terminal_status(shared, &t.job) {
-                finalize_running(self.w, shared, t, status);
+                finalize_running(self.w, shared, t, status, true);
                 return;
             }
             // Adaptive slicing: when this task is the only work this worker
@@ -1087,12 +1076,12 @@ impl Worker<'_> {
                 Err(payload) => {
                     // The monitor may have been mid-update: it is dropped
                     // with the process, neither detached nor asked to report.
-                    t.monitor = None;
-                    Some(panicked(payload))
+                    finalize_running(self.w, shared, t, panicked(payload), false);
+                    return;
                 }
             };
             if let Some(status) = status {
-                finalize_running(self.w, shared, t, status);
+                finalize_running(self.w, shared, t, status, true);
                 return;
             }
             if over_budget {
@@ -1319,27 +1308,54 @@ impl PendingJob {
 
 /// Finalizes a running task on its worker: detach its monitor (restoring
 /// the zero-overhead baseline — also for cancelled jobs) and take its
-/// report, then drop process and monitor here. A panic in the detach or
-/// the report fails the job, with no report.
-fn finalize_running(w: usize, shared: &Shared, t: Running, mut status: JobStatus) {
+/// report, unless `detach` is off (the job panicked mid-slice), then drop
+/// process and monitor here. All of that runs the monitor's code — its
+/// hooks and its `Drop` — so a panic in any of it fails the job, with no
+/// report.
+fn finalize_running(w: usize, shared: &Shared, t: Running, mut status: JobStatus, detach: bool) {
     let Running { job, mut process, monitor, first_slice_at, slices, .. } = t;
-    let report = catch_unwind(AssertUnwindSafe(|| {
+    let finished = catch_unwind(AssertUnwindSafe(|| {
         // Drop a parked mid-run state first (cancel/deadline paths), so
         // the monitor's final samples see a quiesced process.
         process.cancel_suspended();
-        let (handle, monitor) = monitor?;
-        process.detach_monitor(handle).expect("attached monitor detaches");
+        let (handle, monitor) = monitor.as_ref().filter(|_| detach)?;
+        process.detach_monitor(*handle).expect("attached monitor detaches");
         let report = monitor.borrow().report();
         Some(report)
-    }))
-    .unwrap_or_else(|payload| {
-        status = panicked(payload);
-        None
-    });
+    }));
     let stats = process.stats();
-    drop(process);
+    let dropped = catch_unwind(AssertUnwindSafe(move || drop((process, monitor))));
+    let report = match (finished, dropped) {
+        (Ok(report), Ok(())) => report,
+        (Err(payload), _) | (_, Err(payload)) => {
+            status = panicked(payload);
+            None
+        }
+    };
     let outcome = ServeOutcome { report, stats, slices, ..job.outcome(w, status, first_slice_at) };
     finalize(shared, &job, outcome);
+}
+
+/// A pending job's process, linked and instantiated (its start function
+/// run), with its monitor attached: everything the worker runs of the
+/// job's own code before its first slice.
+#[allow(clippy::type_complexity)]
+fn instantiate(
+    shared: &Shared,
+    job: &PendingJob,
+) -> Result<(Process, Option<(MonitorHandle, Rc<RefCell<dyn Monitor>>)>), JobStatus> {
+    let linker = job.linker_factory.as_ref().map_or_else(Linker::new, |make| make());
+    let mut process =
+        Process::instantiate(Arc::clone(&job.artifact), shared.engine.clone(), &linker)
+            .map_err(|e| JobStatus::Failed(format!("link error: {e}")))?;
+    let Some(make) = &job.monitor_factory else {
+        return Ok((process, None));
+    };
+    let monitor = make();
+    match process.attach_monitor_dyn(Rc::clone(&monitor)) {
+        Ok(handle) => Ok((process, Some((handle, monitor)))),
+        Err(e) => Err(JobStatus::Failed(format!("monitor attach error: {e}"))),
+    }
 }
 
 /// Resolves the job's handle with its outcome and folds the outcome into

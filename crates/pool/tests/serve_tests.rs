@@ -184,6 +184,64 @@ impl Monitor for PanickingProbe {
     }
 }
 
+/// `run()` returns 7; the start function calls the host function
+/// `env.boom` once, at instantiation.
+fn start_call_module() -> Module {
+    let mut mb = ModuleBuilder::new();
+    let boom = mb.import_func("env", "boom", &[], &[]);
+    let mut start = FuncBuilder::new(&[], &[]);
+    start.call(boom);
+    let start = mb.add_func("init", start);
+    mb.start(start);
+    let mut f = FuncBuilder::new(&[], &[I32]);
+    f.i32_const(7);
+    mb.add_func("run", f);
+    mb.build().unwrap()
+}
+
+/// A linker whose `env.boom` panics with `message`.
+fn exploding_linker(message: &'static str) -> wizard_engine::store::Linker {
+    let mut linker = wizard_engine::store::Linker::new();
+    linker.func("env", "boom", move |_, _| panic!("{message}"));
+    linker
+}
+
+/// A monitor that panics as it attaches.
+struct PanickingAttach;
+
+impl Monitor for PanickingAttach {
+    fn name(&self) -> &'static str {
+        "panicking-attach"
+    }
+    fn on_attach(&mut self, _ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+        panic!("attach exploded")
+    }
+    fn report(&self) -> Report {
+        Report::new(self.name())
+    }
+}
+
+/// A monitor that installs nothing and panics when it is dropped.
+struct PanickingDrop;
+
+impl Monitor for PanickingDrop {
+    fn name(&self) -> &'static str {
+        "panicking-drop"
+    }
+    fn on_attach(&mut self, _ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+        Ok(())
+    }
+    fn report(&self) -> Report {
+        Report::new(self.name())
+    }
+}
+
+impl Drop for PanickingDrop {
+    fn drop(&mut self) {
+        panic!("drop exploded")
+    }
+}
+
 /// A monitor that installs nothing and panics when asked for its report.
 struct PanickingReport;
 
@@ -201,22 +259,28 @@ impl Monitor for PanickingReport {
 
 #[test]
 fn a_panicking_job_fails_alone() {
-    // Three jobs panic — in a probe closure, in `Monitor::report` and in a
-    // host function — among ordinary jobs on two workers. Each panicking
-    // job fails with the panic's message and no report; every other job
-    // completes with its value, and the engine still drains and shuts
-    // down (a worker that died with its job would leave it hanging).
+    // Eight jobs panic — in a probe closure, in `Monitor::report`, in a
+    // host function, in the linker factory, in the start function, in the
+    // monitor factory, in `Monitor::on_attach` and in a monitor's `Drop` —
+    // among ordinary jobs on two workers. Each panicking job fails with the
+    // panic's message and no report; every other job completes with its
+    // value, and the engine still drains and shuts down (a worker that died
+    // with its job would leave it hanging).
     let engine = ServeEngine::new(config(2, 300));
     let mut handles = Vec::new();
-    for k in 0..9 {
+    for k in 0..14 {
         let job = match k {
             1 => sum_job("probe-panics", 400).with_monitor(|| PanickingProbe),
             4 => sum_job("report-panics", 400).with_monitor(|| PanickingReport),
-            7 => Job::new("host-panics", host_call_module(), "run", vec![]).with_linker(|| {
-                let mut linker = wizard_engine::store::Linker::new();
-                linker.func("env", "boom", |_, _| panic!("host exploded"));
-                linker
-            }),
+            7 => Job::new("host-panics", host_call_module(), "run", vec![])
+                .with_linker(|| exploding_linker("host exploded")),
+            9 => sum_job("linker-panics", 400).with_linker(|| panic!("linker exploded")),
+            10 => Job::new("start-panics", start_call_module(), "run", vec![])
+                .with_linker(|| exploding_linker("start exploded")),
+            11 => sum_job("factory-panics", 400)
+                .with_monitor(|| -> PanickingReport { panic!("factory exploded") }),
+            12 => sum_job("attach-panics", 400).with_monitor(|| PanickingAttach),
+            13 => sum_job("drop-panics", 400).with_monitor(|| PanickingDrop),
             _ => sum_job(format!("fine-{k}"), 400).with_monitor(HotnessMonitor::new),
         };
         handles.push(engine.try_submit(job).handle().unwrap());
@@ -239,15 +303,25 @@ fn a_panicking_job_fails_alone() {
             "probe-panics" => Some("panicked: probe exploded"),
             "report-panics" => Some("panicked: report exploded"),
             "host-panics" => Some("panicked: host exploded"),
+            "linker-panics" => Some("panicked: linker exploded"),
+            "start-panics" => Some("panicked: start exploded"),
+            "factory-panics" => Some("panicked: factory exploded"),
+            "attach-panics" => Some("panicked: attach exploded"),
+            "drop-panics" => Some("panicked: drop exploded"),
             _ => None,
         };
         match expected_panic {
             Some(message) => {
                 assert_eq!(out.status, JobStatus::Failed(message.into()), "{}", out.name);
                 assert!(out.report.is_none(), "{} reported after panicking", out.name);
-                if out.name == "report-panics" {
-                    // Every slice completed before the report panicked.
+                if matches!(out.name.as_str(), "report-panics" | "drop-panics") {
+                    // Every slice completed before the monitor panicked.
                     assert!(out.stats.fuel_consumed > 0, "its fuel went unreported");
+                }
+                if out.name == "probe-panics" {
+                    // The panicking slice burned fuel before the probe
+                    // fired; it is billed.
+                    assert!(out.stats.fuel_consumed > 0, "the panicking slice went unbilled");
                 }
             }
             None => {
@@ -257,7 +331,7 @@ fn a_panicking_job_fails_alone() {
         }
     }
     let summary = engine.shutdown();
-    assert_eq!(summary.completed, 9);
+    assert_eq!(summary.completed, 14);
     // The panicking report is never merged; the six hotness reports are.
     assert_eq!(summary.merged_reports.len(), 1);
     // Panicked jobs are billed for the fuel their outcome reports.

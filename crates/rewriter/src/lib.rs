@@ -372,7 +372,7 @@ mod tests {
         let m = loop_module();
         let counted = count_instructions(&m).unwrap();
         let mut p =
-            Process::new(counted.module.clone(), EngineConfig::jit(), &Linker::new()).unwrap();
+            Process::new(counted.module.clone(), EngineConfig::default(), &Linker::new()).unwrap();
         let r = p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(r, vec![Value::I32(45)], "rewriting must preserve semantics");
         let total = counted.total(p.memory().unwrap());
@@ -389,7 +389,7 @@ mod tests {
         let counted = count_branches(&m).unwrap();
         assert_eq!(counted.sites.len(), 1); // the loop's br_if
         let mut p =
-            Process::new(counted.module.clone(), EngineConfig::jit(), &Linker::new()).unwrap();
+            Process::new(counted.module.clone(), EngineConfig::default(), &Linker::new()).unwrap();
         p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(counted.total(p.memory().unwrap()), 11);
     }
@@ -417,7 +417,7 @@ mod tests {
             }
             Ok(vec![])
         });
-        let mut p = Process::new(instrumented, EngineConfig::jit(), &linker).unwrap();
+        let mut p = Process::new(instrumented, EngineConfig::default(), &linker).unwrap();
         let r = p.invoke_export("run", &[Value::I32(10)]).unwrap();
         assert_eq!(r, vec![Value::I32(45)]);
         assert_eq!(taken.get(), 1);
@@ -429,9 +429,9 @@ mod tests {
         for (name, m) in wizard_suites::polybench::all().into_iter().take(6) {
             let counted =
                 count_instructions(&m).unwrap_or_else(|e| panic!("{name}: rewrite failed: {e}"));
-            let mut orig = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+            let mut orig = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
             let mut inst =
-                Process::new(counted.module, EngineConfig::jit(), &Linker::new()).unwrap();
+                Process::new(counted.module, EngineConfig::default(), &Linker::new()).unwrap();
             let a = orig.invoke_export("run", &[Value::I32(8)]).unwrap();
             let b = inst.invoke_export("run", &[Value::I32(8)]).unwrap();
             assert_eq!(a[0].to_slot(), b[0].to_slot(), "{name}: instrumented result differs");
@@ -450,8 +450,8 @@ mod tests {
             c2.set(c2.get() + 1);
             Ok(vec![])
         });
-        let mut orig = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
-        let mut inst = Process::new(instrumented, EngineConfig::jit(), &linker).unwrap();
+        let mut orig = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
+        let mut inst = Process::new(instrumented, EngineConfig::default(), &linker).unwrap();
         let a = orig.invoke_export("run", &[Value::I32(500)]).unwrap();
         let b = inst.invoke_export("run", &[Value::I32(500)]).unwrap();
         assert_eq!(a, b, "call/elem index fixup must preserve behavior");

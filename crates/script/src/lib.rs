@@ -6,7 +6,7 @@
 //! *data*: a small `match`-rule language whose programs arrive at
 //! runtime (a string — per job, per request, per experiment), are matched
 //! statically against the module, and are *lowered onto the probe
-//! engine* so scripted analyses inherit the paper's §4.4 JIT fast paths
+//! engine* so scripted analyses inherit the paper's §4.4 compiled-code fast paths
 //! instead of paying generic-probe checkpoint costs:
 //!
 //! ```text
@@ -31,7 +31,7 @@
 //!
 //! The compiler classifies every rule-site pair: a statically-false
 //! predicate installs *nothing*; a pure counter bump lowers to a
-//! [`ProbeKind::Count`](wizard_engine::ProbeKind) probe (JIT-inlined
+//! [`ProbeKind::Count`](wizard_engine::ProbeKind) probe (an inline
 //! increment); a residue touching only the top of stack lowers to an
 //! operand probe (direct call, no FrameAccessor); everything else falls
 //! back to a generic probe. `match branch when op == br_table || tos != 0
@@ -63,7 +63,7 @@
 //!      report \"summary\" total \"instructions\" exec",
 //! )?;
 //!
-//! let mut p = Process::new(mb.build()?, EngineConfig::tiered(), &Linker::new())?;
+//! let mut p = Process::new(mb.build()?, EngineConfig::default(), &Linker::new())?;
 //! let m = p.attach_monitor(monitor)?;
 //! p.invoke_export("spin", &[Value::I32(10)])?;
 //! assert_eq!(m.borrow().counter("iters"), 11); // entry + 10 backedges

@@ -5,7 +5,7 @@
 //!
 //! * predicate statically **false** → *no probe at all*;
 //! * predicate statically **true**, plain counter bumps → a
-//!   [`ProbeKind::Count`] probe per bump — the JIT inlines the increment
+//!   [`ProbeKind::Count`] probe per bump — compiled code inlines the increment
 //!   (and where an unconditional rule's per-site bump covers a whole
 //!   straight-line run, the monitor installs one such probe for the run
 //!   instead: [`Table`], [`RunCounts`]);
@@ -334,7 +334,7 @@ pub fn eval(e: &RExpr, tos: Option<Slot>, depth: u32) -> i64 {
 
 // ---- probe shapes ----
 
-/// A top-of-stack observer — [`ProbeKind::Operand`]: the JIT calls
+/// A top-of-stack observer — [`ProbeKind::Operand`]: compiled code calls
 /// [`Probe::fire_operand`] with the top slot directly.
 #[derive(Debug)]
 pub struct TosProbe {
@@ -617,7 +617,7 @@ pub fn lower_rule_with_facts(
             });
         } else if always {
             // Pure counter bumps: one Count probe per action, each fully
-            // inlined by the JIT.
+            // inlined in compiled code.
             for cell in cells {
                 out.push(LoweredProbe {
                     rule: rule_index,

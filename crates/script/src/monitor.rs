@@ -556,7 +556,7 @@ impl core::fmt::Debug for ScriptMonitor {
 mod tests {
     use super::*;
     use wizard_engine::store::Linker;
-    use wizard_engine::{EngineConfig, ExecMode, Process, Value};
+    use wizard_engine::{EngineConfig, Process, Value};
     use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
     use wizard_wasm::types::ValType::I32;
 
@@ -580,7 +580,11 @@ mod tests {
                    match loop-header do inc loops\n\
                    report \"summary\" total \"execs\" exec\n\
                    report \"summary\" total \"loop headers\" loops";
-        for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+        for config in [
+            EngineConfig::interpreter_bytecode(),
+            EngineConfig::default(),
+            EngineConfig::builder().intrinsify(false).build(),
+        ] {
             let mut p = sum_process(config);
             let m = p.attach_monitor(ScriptMonitor::from_source(src).unwrap()).unwrap();
             // Counter-only scripts lower exclusively to Count probes: the
@@ -626,13 +630,15 @@ mod tests {
                        report \"rows\" top 1000 exec";
         // The same rows from per-site probes: a predicate reads the table.
         let per_site = format!("{per_run}\nmatch loop-header when $exec[site] < 0 do inc never");
-        for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
-            // Run to completion — and, in the interpreter, cancelled mid-run
-            // (compiled code charges no fuel for structural instructions
-            // without a probe, so it stops the two scripts at different
-            // instructions).
-            let interpreted = config.mode == ExecMode::InterpOnly;
-            for cancel in [false, true].into_iter().take(1 + usize::from(interpreted)) {
+        for config in [
+            EngineConfig::interpreter_bytecode(),
+            EngineConfig::default(),
+            EngineConfig::builder().intrinsify(false).build(),
+        ] {
+            // Run to completion, and cancelled mid-run: every tier bills
+            // fuel by the same count, so the two scripts stop at the same
+            // instruction.
+            for cancel in [false, true] {
                 let rows = |src: &str| {
                     let mut p = sum_process(config.clone());
                     let m = p.attach_monitor(ScriptMonitor::from_source(src).unwrap()).unwrap();
@@ -822,9 +828,11 @@ mod tests {
                    report \"profile\" ratio \"taken\" taken / fall\n\
                    report \"summary\" total \"branches\" taken + fall";
         let mut reports = Vec::new();
-        for config in
-            [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::jit_no_intrinsics()]
-        {
+        for config in [
+            EngineConfig::interpreter_bytecode(),
+            EngineConfig::default(),
+            EngineConfig::builder().intrinsify(false).build(),
+        ] {
             let mut p = sum_process(config);
             let m = p.attach_monitor(ScriptMonitor::from_source(src).unwrap()).unwrap();
             p.invoke_export("sum", &[Value::I32(9)]).unwrap();

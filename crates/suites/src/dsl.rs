@@ -218,8 +218,9 @@ mod tests {
         f.local_get(acc);
         mb.add_func("run", f);
         let m = mb.build().unwrap();
-        let mut p1 = Process::new(m.clone(), EngineConfig::interpreter(), &Linker::new()).unwrap();
-        let mut p2 = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+        let mut p1 =
+            Process::new(m.clone(), EngineConfig::interpreter_bytecode(), &Linker::new()).unwrap();
+        let mut p2 = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
         let r1 = p1.invoke_export("run", &[Value::I32(16)]).unwrap();
         let r2 = p2.invoke_export("run", &[Value::I32(16)]).unwrap();
         assert_eq!(r1, r2, "tiers agree bit-exactly");

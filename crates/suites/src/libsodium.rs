@@ -433,15 +433,15 @@ mod tests {
     fn all_kernels_validate_and_tiers_agree() {
         for (name, module) in all() {
             let mut interp =
-                Process::new(module.clone(), EngineConfig::interpreter(), &Linker::new())
+                Process::new(module.clone(), EngineConfig::interpreter_bytecode(), &Linker::new())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut jit = Process::new(module, EngineConfig::jit(), &Linker::new()).unwrap();
+            let mut reg = Process::new(module, EngineConfig::default(), &Linker::new()).unwrap();
             let r1 = interp
                 .invoke_export("run", &[Value::I32(2)])
                 .unwrap_or_else(|e| panic!("{name} (interp): {e}"));
-            let r2 = jit
+            let r2 = reg
                 .invoke_export("run", &[Value::I32(2)])
-                .unwrap_or_else(|e| panic!("{name} (jit): {e}"));
+                .unwrap_or_else(|e| panic!("{name} (register): {e}"));
             assert_eq!(r1[0].to_slot(), r2[0].to_slot(), "{name}: tiers diverge");
             let v = r1[0].as_f64().unwrap();
             assert!(v.is_finite() && v >= 0.0, "{name}: bad checksum {v}");
@@ -451,9 +451,9 @@ mod tests {
     #[test]
     fn chacha20_keystream_is_deterministic() {
         let m = stream_chacha20();
-        let mut p1 = Process::new(m.clone(), EngineConfig::jit(), &Linker::new()).unwrap();
+        let mut p1 = Process::new(m.clone(), EngineConfig::default(), &Linker::new()).unwrap();
         let a = p1.invoke_export("run", &[Value::I32(1)]).unwrap();
-        let mut p2 = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+        let mut p2 = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
         let b = p2.invoke_export("run", &[Value::I32(1)]).unwrap();
         assert_eq!(a, b);
     }

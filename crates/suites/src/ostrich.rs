@@ -606,15 +606,15 @@ mod tests {
     fn all_kernels_validate_and_tiers_agree() {
         for (name, module) in all() {
             let mut interp =
-                Process::new(module.clone(), EngineConfig::interpreter(), &Linker::new())
+                Process::new(module.clone(), EngineConfig::interpreter_bytecode(), &Linker::new())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut jit = Process::new(module, EngineConfig::jit(), &Linker::new()).unwrap();
+            let mut reg = Process::new(module, EngineConfig::default(), &Linker::new()).unwrap();
             let r1 = interp
                 .invoke_export("run", &[Value::I32(2)])
                 .unwrap_or_else(|e| panic!("{name} (interp): {e}"));
-            let r2 = jit
+            let r2 = reg
                 .invoke_export("run", &[Value::I32(2)])
-                .unwrap_or_else(|e| panic!("{name} (jit): {e}"));
+                .unwrap_or_else(|e| panic!("{name} (register): {e}"));
             assert_eq!(r1[0].to_slot(), r2[0].to_slot(), "{name}: tiers diverge");
             assert!(r1[0].as_f64().unwrap().is_finite(), "{name}: non-finite checksum");
         }

@@ -1643,15 +1643,15 @@ mod tests {
         for (name, module) in all() {
             let n = if is_cubic(name) { 6 } else { 10 };
             let mut interp =
-                Process::new(module.clone(), EngineConfig::interpreter(), &Linker::new())
+                Process::new(module.clone(), EngineConfig::interpreter_bytecode(), &Linker::new())
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let mut jit = Process::new(module, EngineConfig::jit(), &Linker::new()).unwrap();
+            let mut reg = Process::new(module, EngineConfig::default(), &Linker::new()).unwrap();
             let r1 = interp
                 .invoke_export("run", &[Value::I32(n)])
                 .unwrap_or_else(|e| panic!("{name} (interp): {e}"));
-            let r2 = jit
+            let r2 = reg
                 .invoke_export("run", &[Value::I32(n)])
-                .unwrap_or_else(|e| panic!("{name} (jit): {e}"));
+                .unwrap_or_else(|e| panic!("{name} (register): {e}"));
             // Bit-exact agreement between tiers.
             assert_eq!(
                 r1[0].to_slot(),

@@ -162,10 +162,10 @@ mod tests {
     fn richards_runs_and_tiers_agree() {
         let m = build_clean();
         let mut interp =
-            Process::new(m.clone(), EngineConfig::interpreter(), &Linker::new()).unwrap();
-        let mut jit = Process::new(m, EngineConfig::jit(), &Linker::new()).unwrap();
+            Process::new(m.clone(), EngineConfig::interpreter_bytecode(), &Linker::new()).unwrap();
+        let mut reg = Process::new(m, EngineConfig::default(), &Linker::new()).unwrap();
         let r1 = interp.invoke_export("run", &[Value::I32(10_000)]).unwrap();
-        let r2 = jit.invoke_export("run", &[Value::I32(10_000)]).unwrap();
+        let r2 = reg.invoke_export("run", &[Value::I32(10_000)]).unwrap();
         assert_eq!(r1, r2);
         assert_ne!(r1[0], Value::I32(0));
     }

@@ -46,7 +46,7 @@ impl Default for TraceConfig {
 /// Shared handle to a [`TraceWriter`], cloned into every probe.
 pub type WriterRef = Rc<RefCell<TraceWriter>>;
 
-/// The per-site branch probe: [`ProbeKind::Operand`], so the JIT
+/// The per-site branch probe: [`ProbeKind::Operand`], so compiled code
 /// intrinsifies it into a direct call carrying the top-of-stack
 /// condition (or `br_table` index) with no `ProbeCtx` reification.
 ///

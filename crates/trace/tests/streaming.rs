@@ -63,9 +63,11 @@ fn streamed_trace_agrees_with_branch_monitor() {
 #[test]
 fn streamed_trace_is_tier_invariant() {
     let mut captures = Vec::new();
-    for config in
-        [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::jit_no_intrinsics()]
-    {
+    for config in [
+        EngineConfig::interpreter_bytecode(),
+        EngineConfig::default(),
+        EngineConfig::builder().intrinsify(false).build(),
+    ] {
         let mut p = richards_process(config);
         let mon = p.attach_monitor(StreamingTraceMonitor::in_memory()).expect("attach");
         p.invoke_export("run", &[Value::I32(2)]).expect("runs");

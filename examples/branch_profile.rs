@@ -1,6 +1,6 @@
 //! Branch profiling with intrinsified operand probes: profiles every
-//! conditional branch of a crypto kernel in the JIT tier and prints the
-//! taken/not-taken distribution, plus the engine's tiering activity.
+//! conditional branch of a crypto kernel in compiled code (the register
+//! form) and prints the taken/not-taken distribution.
 //!
 //! ```sh
 //! cargo run --example branch_profile
@@ -16,9 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|b| b.name == "scalarmult")
         .expect("scalarmult exists");
 
-    // JIT with operand-probe intrinsification: the branch probes compile
-    // to direct top-of-stack calls (paper Figure 2).
-    let mut process = Process::new(bench.module, EngineConfig::jit(), &Linker::new())?;
+    // Operand-probe intrinsification: the branch probes bind to direct
+    // top-of-stack calls in the register form (paper Figure 2).
+    let mut process = Process::new(bench.module, EngineConfig::default(), &Linker::new())?;
     let branches = process.attach_monitor(BranchMonitor::new())?;
 
     process.invoke_export("run", &[Value::I32(bench.n)])?;

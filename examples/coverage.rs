@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|b| b.name == "cholesky")
         .expect("cholesky exists");
 
-    let mut process = Process::new(bench.module, EngineConfig::tiered(), &Linker::new())?;
+    let mut process = Process::new(bench.module, EngineConfig::default(), &Linker::new())?;
     let coverage = process.attach_monitor(CoverageMonitor::new())?;
     let installed = process.probed_location_count();
 

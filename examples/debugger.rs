@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mb.add_func("calc", f);
     let module = mb.build()?;
 
-    let mut process = Process::new(module, EngineConfig::tiered(), &Linker::new())?;
+    let mut process = Process::new(module, EngineConfig::default(), &Linker::new())?;
     let func = process.module().export_func("calc").unwrap();
 
     let mut debugger = Debugger::new([

@@ -12,7 +12,7 @@ use wizard::monitors::{CallTreeMonitor, CallsMonitor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = wizard::suites::richards_benchmark(20_000);
-    let mut process = Process::new(bench.module, EngineConfig::tiered(), &Linker::new())?;
+    let mut process = Process::new(bench.module, EngineConfig::default(), &Linker::new())?;
 
     let tree = process.attach_monitor(CallTreeMonitor::new())?;
     let calls = process.attach_monitor(CallsMonitor::new())?;

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Instantiate under the tiered engine and attach two monitors. Each
     // attach_monitor call returns a typed handle for queries + detach.
-    let mut process = Process::new(module, EngineConfig::tiered(), &Linker::new())?;
+    let mut process = Process::new(module, EngineConfig::default(), &Linker::new())?;
     let hotness = process.attach_monitor(HotnessMonitor::new())?;
     let loops = process.attach_monitor(LoopMonitor::new())?;
 

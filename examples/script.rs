@@ -35,13 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = wizard::suites::richards_benchmark(200);
 
     // --- single process: compile, classify, run, report ---
-    let mut p = Process::new(bench.module.clone(), EngineConfig::tiered(), &Linker::new())?;
+    let mut p = Process::new(bench.module.clone(), EngineConfig::default(), &Linker::new())?;
     let m = p.attach_monitor(ScriptMonitor::from_source(SOURCE)?)?;
     {
         let mon = m.borrow();
         let (count, operand, generic) = mon.kind_counts();
         println!(
-            "compiled {} rules onto {} probes: {count} count (JIT-inlined), \
+            "compiled {} rules onto {} probes: {count} count (inlined in compiled code), \
              {operand} operand (direct call), {generic} generic; \
              {} rule-site pairs proven dead and dropped",
             mon.script().rules.len(),

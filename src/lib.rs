@@ -7,8 +7,9 @@
 //! * [`wasm`] — module IR, binary codec, validator, assembler DSL;
 //! * [`analysis`] — CFG/dataflow framework and the translation validator
 //!   for the lowered pipeline (`wasm-lint`, `validate_lowering`);
-//! * [`engine`] — the multi-tier engine with probes, FrameAccessor, JIT
-//!   intrinsification and deoptimization (the paper's contribution);
+//! * [`engine`] — the two-tier engine with probes, FrameAccessor, probe
+//!   intrinsification in compiled code and deoptimization (the paper's
+//!   contribution);
 //! * [`monitors`] — the Monitor Zoo;
 //! * [`pool`] — the multi-process scheduler (work-stealing, fuel-sliced,
 //!   multi-tenant) with its serving and batch fronts;

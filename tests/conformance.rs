@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use wizard::engine::store::Linker;
-use wizard::engine::{Dispatch, EngineConfig, ExecMode, Process, Shims, Value};
+use wizard::engine::{Dispatch, EngineConfig, Process, Shims, Value};
 use wizard::monitors::HotnessMonitor;
 use wizard::pool::ArtifactCache;
 use wizard::suites::corpus::{corpus, CorpusEntry};
@@ -40,22 +40,18 @@ const HAND_ADD4: &[u8] = include_bytes!("corpus/hand_add4.wasm");
 const HAND_NONCANON: &[u8] = include_bytes!("corpus/hand_noncanon.wasm");
 const HAND_START_DATA: &[u8] = include_bytes!("corpus/hand_start_data.wasm");
 
-/// Every dispatcher/tier combination, each with the translation
-/// validator armed: instantiation re-checks the lowering of every
-/// function against the bytecode reference semantics.
+/// Both dispatchers with and without intrinsification, each with the
+/// translation validators armed: instantiation re-checks the lowering of
+/// every function against the bytecode reference semantics, and every
+/// instrumented register form is checked as it is lowered.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut v = vec![
-        ("interp", EngineConfig::interpreter()),
+        ("default", EngineConfig::default()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
-        ("jit", EngineConfig::jit()),
-        ("tiered", EngineConfig::builder().tierup_threshold(2).build()),
+        ("no-intrinsics", EngineConfig::builder().intrinsify(false).build()),
         (
-            "tiered-bytecode",
-            EngineConfig::builder()
-                .mode(ExecMode::Tiered)
-                .dispatch(Dispatch::Bytecode)
-                .tierup_threshold(2)
-                .build(),
+            "no-intrinsics-bytecode",
+            EngineConfig::builder().dispatch(Dispatch::Bytecode).intrinsify(false).build(),
         ),
     ];
     for (_, c) in &mut v {

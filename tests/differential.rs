@@ -6,10 +6,10 @@
 //! Every generated module must behave *identically* — results, traps,
 //! monitor reports — across:
 //!
-//! * the default interpreter tiers (register form for clean code, the
-//!   lowered stack form for instrumented and metered code) vs the classic
-//!   byte-walking dispatcher (the semantic reference);
-//! * interpreter-only vs JIT-only vs tiered execution;
+//! * the default engine (the register form, with the lowered stack
+//!   interpreter for global probes and the runs a fuel slice cannot pay
+//!   for) vs the classic byte-walking dispatcher (the semantic reference);
+//! * intrinsified vs generic probe sites;
 //! * uninstrumented vs probe-instrumented (hotness counts every
 //!   instruction, exercising probe patches on every lowered slot);
 //! * unbounded vs fuel-bounded execution resumed across suspensions.
@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use wizard::engine::store::Linker;
 use wizard::engine::{
-    CountProbe, Dispatch, EngineConfig, ExecMode, ModuleArtifact, Process, RunOutcome, Slot, Trap,
-    Value,
+    CountProbe, Dispatch, EngineConfig, ModuleArtifact, Process, RunOutcome, Slot, Trap, Value,
 };
 use wizard::monitors::HotnessMonitor;
 use wizard::suites::randgen::{random_module, Rng};
@@ -31,17 +30,12 @@ use wizard::wasm::Module;
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
-        ("interp", EngineConfig::interpreter()),
+        ("default", EngineConfig::default()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
-        ("jit", EngineConfig::jit()),
-        ("tiered", EngineConfig::builder().tierup_threshold(2).build()),
+        ("no-intrinsics", EngineConfig::builder().intrinsify(false).build()),
         (
-            "tiered-bytecode",
-            EngineConfig::builder()
-                .mode(ExecMode::Tiered)
-                .dispatch(Dispatch::Bytecode)
-                .tierup_threshold(2)
-                .build(),
+            "no-intrinsics-bytecode",
+            EngineConfig::builder().dispatch(Dispatch::Bytecode).intrinsify(false).build(),
         ),
     ]
 }
@@ -370,14 +364,15 @@ fn play_churn(m: &Module, seed: u64, config: EngineConfig, slice: Option<u64>) -
 fn probe_churn_is_consistent() {
     for seed in 0..64u64 {
         let m = random_module(seed + 5000);
-        let expect = run_plain(&m, EngineConfig::tiered(), 9);
+        let expect = run_plain(&m, EngineConfig::default(), 9);
         let reference = play_churn(&m, seed, EngineConfig::interpreter_bytecode(), None);
         assert_eq!(reference.result, expect, "seed {seed}: probes perturbed the program");
-        let eager = EngineConfig::builder().tierup_threshold(1).build();
+        let generic = EngineConfig::builder().intrinsify(false).build();
         for (name, config, slice) in [
-            ("tiered", EngineConfig::tiered(), None),
-            ("tiered-1 sliced", eager.clone(), Some(41)),
-            ("tiered-1 finely sliced", eager, Some(7)),
+            ("default", EngineConfig::default(), None),
+            ("default sliced", EngineConfig::default(), Some(41)),
+            ("default finely sliced", EngineConfig::default(), Some(7)),
+            ("no-intrinsics finely sliced", generic, Some(7)),
         ] {
             let got = play_churn(&m, seed, config, slice);
             assert_eq!(got, reference, "seed {seed} config {name}");

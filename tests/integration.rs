@@ -19,18 +19,18 @@ fn monitors_compose_without_interference() {
     let bench = polybench_suite(Scale::Test).into_iter().find(|b| b.name == "gemm").unwrap();
 
     // Solo runs.
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let solo_hot = p.attach_monitor(HotnessMonitor::new()).unwrap();
     let solo_result = p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let solo_total = solo_hot.borrow().total();
 
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let solo_br = p.attach_monitor(BranchMonitor::new()).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let solo_branches = solo_br.borrow().total_branches();
 
     // Composed run: hotness + branch + loop + coverage together.
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let hot = p.attach_monitor(HotnessMonitor::new()).unwrap();
     let br = p.attach_monitor(BranchMonitor::new()).unwrap();
     let lp = p.attach_monitor(LoopMonitor::new()).unwrap();
@@ -59,7 +59,11 @@ fn monitors_compose_without_interference() {
 #[test]
 fn detach_round_trip_across_tiers() {
     let bench = polybench_suite(Scale::Test).into_iter().find(|b| b.name == "trisolv").unwrap();
-    for config in [EngineConfig::interpreter(), EngineConfig::jit(), EngineConfig::tiered()] {
+    for config in [
+        EngineConfig::interpreter_bytecode(),
+        EngineConfig::default(),
+        EngineConfig::builder().intrinsify(false).build(),
+    ] {
         let mut p = process(bench.module.clone(), config);
         let hot = p.attach_monitor(HotnessMonitor::new()).unwrap();
         let r1 = p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
@@ -90,19 +94,19 @@ fn systems_agree_on_event_counts() {
 
     // Static rewriting.
     let counted = wizard::rewriter::count_instructions(&bench.module).unwrap();
-    let mut p = process(counted.module.clone(), EngineConfig::jit());
+    let mut p = process(counted.module.clone(), EngineConfig::default());
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let rewrite_count = counted.total(p.memory().unwrap());
 
     // Wasabi-style host callbacks.
     let run = wizard::baselines::wasabi::hotness(&bench.module).unwrap();
-    let mut p = Process::new(run.module.clone(), EngineConfig::jit(), &run.linker).unwrap();
+    let mut p = Process::new(run.module.clone(), EngineConfig::default(), &run.linker).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let wasabi_count = run.analysis.events();
 
     // DBI-style clean calls.
     let run = wizard::baselines::dbi::hotness(&bench.module).unwrap();
-    let mut p = Process::new(run.module.clone(), EngineConfig::jit(), &run.linker).unwrap();
+    let mut p = Process::new(run.module.clone(), EngineConfig::default(), &run.linker).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let dbi_count = run.tool.clean_calls();
 
@@ -116,10 +120,10 @@ fn systems_agree_on_event_counts() {
 #[test]
 fn full_suite_non_intrusiveness_sweep() {
     for bench in all_suites(Scale::Test) {
-        let mut plain = process(bench.module.clone(), EngineConfig::tiered());
+        let mut plain = process(bench.module.clone(), EngineConfig::default());
         let expected = plain.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
 
-        let mut p = process(bench.module.clone(), EngineConfig::tiered());
+        let mut p = process(bench.module.clone(), EngineConfig::default());
         let hot = p.attach_monitor(HotnessMonitor::new()).unwrap();
         let got = p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
         assert_eq!(
@@ -138,7 +142,7 @@ fn full_suite_non_intrusiveness_sweep() {
 #[test]
 fn richards_call_structure() {
     let bench = richards_benchmark(5_000);
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let calls = p.attach_monitor(CallsMonitor::new()).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     let sites = calls.borrow().indirect_sites();
@@ -157,8 +161,8 @@ fn binary_roundtrip_preserves_behavior() {
     for bench in polybench_suite(Scale::Test).into_iter().take(8) {
         let bytes = wizard::wasm::encode::encode(&bench.module);
         let decoded = wizard::wasm::decode::decode(&bytes).expect("decodes");
-        let mut a = process(bench.module.clone(), EngineConfig::jit());
-        let mut b = process(decoded, EngineConfig::jit());
+        let mut a = process(bench.module.clone(), EngineConfig::default());
+        let mut b = process(decoded, EngineConfig::default());
         let ra = a.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
         let rb = b.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
         assert_eq!(ra[0].to_slot(), rb[0].to_slot(), "{}", bench.name);
@@ -167,19 +171,22 @@ fn binary_roundtrip_preserves_behavior() {
 
 /// Dynamic tiering on a long run: tier-up happens, results stay identical
 /// to the interpreter, and a global probe mid-flight doesn't discard code.
-/// The tiering run is metered: clean unmetered code runs in the register
-/// tier, which never tiers up.
+/// The tiering run is metered in small slices: a slice that cannot pay for
+/// the next run demotes the frame to the stack interpreter, and the next
+/// slice tiers it back up at a loop header.
 #[test]
 fn tiering_with_global_probe_round_trip() {
+    use wizard::engine::RunOutcome;
     let bench = polybench_suite(Scale::Test).into_iter().find(|b| b.name == "gemm").unwrap();
     let mut interp = process(bench.module.clone(), EngineConfig::interpreter_bytecode());
     let expected = interp.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
 
-    let mut p = process(bench.module.clone(), EngineConfig::builder().tierup_threshold(5).build());
-    let r1 = match p.run_export_bounded("run", &[Value::I32(bench.n)], 1 << 40).unwrap() {
-        wizard::engine::RunOutcome::Done(r) => r,
-        wizard::engine::RunOutcome::OutOfFuel => panic!("the budget covers the run"),
-    };
+    let mut p = process(bench.module.clone(), EngineConfig::default());
+    let mut out = p.run_export_bounded("run", &[Value::I32(bench.n)], 997).unwrap();
+    while out == RunOutcome::OutOfFuel {
+        out = p.resume(997).unwrap();
+    }
+    let r1 = out.done().unwrap();
     assert_eq!(r1[0].to_slot(), expected[0].to_slot());
     assert!(p.stats().tier_ups > 0, "tier-up happened: {:?}", p.stats());
     let compiles = p.stats().compiles;
@@ -239,9 +246,7 @@ fn bounded_runs_produce_identical_monitor_reports() {
     let richards = richards_benchmark(15);
     let gemm = polybench_suite(Scale::Test).into_iter().find(|b| b.name == "gemm").unwrap();
     for bench in [&richards, &gemm] {
-        for config in
-            [EngineConfig::interpreter(), EngineConfig::builder().tierup_threshold(5).build()]
-        {
+        for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
             let (expected_result, expected_report) =
                 monitored_run(bench, config.clone(), HotnessMonitor::new(), None);
             for slice in [997u64, 20_011] {
@@ -268,7 +273,7 @@ fn pool_fleet_reports_match_dedicated_runs() {
 
     let mut expected = Vec::new();
     for b in &fleet {
-        expected.push(monitored_run(b, EngineConfig::tiered(), HotnessMonitor::new(), None));
+        expected.push(monitored_run(b, EngineConfig::default(), HotnessMonitor::new(), None));
     }
 
     let config =
@@ -324,7 +329,7 @@ fn serve_fleet_reports_match_dedicated_runs_under_stealing_and_cancellation() {
         } else {
             Linker::new()
         };
-        let mut p = Process::new(j.module.clone(), EngineConfig::tiered(), &linker).unwrap();
+        let mut p = Process::new(j.module.clone(), EngineConfig::default(), &linker).unwrap();
         let report = if k % 2 == 0 {
             let m = p.attach_monitor(HotnessMonitor::new()).unwrap();
             let r = p.invoke_export("run", &[Value::I32(j.n)]).unwrap();
@@ -434,7 +439,7 @@ fn scripted_monitors_compose_and_survive_preemption() {
     let bench = richards_benchmark(25);
 
     // Unbounded scripted run next to a hand-written branch monitor.
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let script = p.attach_monitor(ScriptMonitor::from_source(SRC).unwrap()).unwrap();
     let branch = p.attach_monitor(BranchMonitor::new()).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
@@ -443,13 +448,13 @@ fn scripted_monitors_compose_and_survive_preemption() {
     assert!(solo_branches > 0);
 
     // The scripted counts equal the hand-written hotness monitor's.
-    let mut p = process(bench.module.clone(), EngineConfig::tiered());
+    let mut p = process(bench.module.clone(), EngineConfig::default());
     let hot = p.attach_monitor(HotnessMonitor::new()).unwrap();
     p.invoke_export("run", &[Value::I32(bench.n)]).unwrap();
     assert_eq!(unbounded_report, hot.report(), "scripted vs handwritten, composed");
 
     // Bounded (fuel-sliced) scripted run: identical report, row for row.
-    let mut p = process(bench.module, EngineConfig::tiered());
+    let mut p = process(bench.module, EngineConfig::default());
     let script2 = p.attach_monitor(ScriptMonitor::from_source(SRC).unwrap()).unwrap();
     let mut out = p.run_export_bounded("run", &[Value::I32(bench.n)], 500).unwrap();
     let mut slices = 1;
