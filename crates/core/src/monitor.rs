@@ -385,9 +385,11 @@ impl<'a> InstrumentationCtx<'a> {
         self.process.runs()
     }
 
-    /// The process under instrumentation.
-    pub(crate) fn process(&self) -> &Process {
-        self.process
+    /// Where the process's suspended bounded run will continue, if one is
+    /// suspended ([`Process::suspended_at`]): instrumentation that observes
+    /// whole runs at their leader credits the rest of the run it lands in.
+    pub fn suspended_at(&self) -> Option<Location> {
+        self.process.suspended_at()
     }
 
     /// Inserts one local probe immediately (one invalidation pass if the

@@ -15,7 +15,8 @@
 //! parked *between* runs: only the **top** frame can be inside a run when
 //! execution stops or instrumentation changes. That leaves three cold-path
 //! corrections, each over the part of the top frame's run that lies at or
-//! after the stopping point, to stay exact to the instruction:
+//! after the stopping point ([`RunTable::rest_of_run`]), to stay exact to
+//! the instruction:
 //!
 //! * `+1` when installed while the process is suspended mid-run (the
 //!   leader already went by uncounted, the suffix will still execute);
@@ -23,6 +24,9 @@
 //!   whole run, the suffix executes unobserved);
 //! * `−1` when the run is abandoned — a trap, a cancelled or dropped
 //!   suspension — delivered through [`Monitor::on_unwind`](crate::Monitor).
+//!
+//! Coverage by run (`wizard_monitors::CoverageMonitor`) makes the same
+//! three corrections to the sites its leader probes mark.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -134,6 +138,21 @@ impl RunTable {
     pub(crate) fn run_of(&self, site: usize) -> usize {
         self.starts.partition_point(|&s| s as usize <= site) - 1
     }
+
+    /// The run execution stopped in at `top`, and the site range of it that
+    /// had not executed: from `top` itself, or from the instruction after
+    /// it if `top` `executed`. `None` if `top` is no instruction, or if it
+    /// is a leader that had not `executed` — stopped before the leader's
+    /// probes fired, so nothing of a pass through the run began.
+    pub fn rest_of_run(&self, top: Location, executed: bool) -> Option<(usize, Range<usize>)> {
+        let at = self.site_index(top)?;
+        let r = self.run_of(at);
+        let run = self.run(r);
+        if !executed && at == run.start {
+            return None;
+        }
+        Some((r, at + usize::from(executed)..run.end))
+    }
 }
 
 /// Engine-provided whole-run counters: one ordinary
@@ -189,7 +208,7 @@ impl RunCounts {
             batch.add_local_val(leader.func, leader.pc, CountProbe::over(Rc::clone(cell)));
         }
         self.table = Some(table);
-        if let Some(at) = ctx.process().suspended_at() {
+        if let Some(at) = ctx.suspended_at() {
             self.correct(at, false, 1);
         }
     }
@@ -211,21 +230,16 @@ impl RunCounts {
     }
 
     /// Adds `delta` to the part of `top`'s run that had not executed when
-    /// execution stopped at `top` — from `top` itself, or from the
-    /// instruction after it if `top` `executed` — provided the run holds a
-    /// probe and the pass through it had begun.
+    /// execution stopped at `top` ([`RunTable::rest_of_run`]), provided the
+    /// run holds a probe.
     fn correct(&mut self, top: Location, executed: bool, delta: i64) {
         let Some(table) = &self.table else { return };
-        let Some(at) = table.site_index(top) else { return };
-        let r = table.run_of(at);
+        let Some((r, rest)) = table.rest_of_run(top, executed) else { return };
         let probes = self.live.iter().filter(|&&live| live as usize == r).count() as i64;
-        let run = table.run(r);
-        if probes == 0 || (!executed && at == run.start) {
-            // Not counted — or stopped on the leader before its probes
-            // fired, so nothing of this pass was.
+        if probes == 0 {
             return;
         }
-        for site in at + usize::from(executed)..run.end {
+        for site in rest {
             *self.adjust.entry(site as u32).or_insert(0) += delta * probes;
         }
     }

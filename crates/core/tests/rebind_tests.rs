@@ -183,6 +183,37 @@ impl Monitor for GenericEverywhere {
     }
 }
 
+/// A monitor with one self-removing probe on every instruction: coverage
+/// instruction by instruction, as `match * once do inc hit[site]` scripts it.
+#[derive(Default)]
+struct OnceEverywhere {
+    fired: Rc<Cell<u64>>,
+}
+
+impl Monitor for OnceEverywhere {
+    fn name(&self) -> &'static str {
+        "once-everywhere"
+    }
+
+    fn on_attach(&mut self, ctx: &mut InstrumentationCtx<'_>) -> Result<(), ProbeError> {
+        let mut batch = ProbeBatch::new();
+        let mut ids = Vec::new();
+        for site in ctx.instruction_sites().iter() {
+            let (probe, id) = once(&self.fired);
+            batch.add_local(site.func, site.pc, probe);
+            ids.push(id);
+        }
+        for (cell, id) in ids.iter().zip(ctx.apply_batch(batch)?) {
+            cell.set(Some(id));
+        }
+        Ok(())
+    }
+
+    fn report(&self) -> Report {
+        Report::new(self.name())
+    }
+}
+
 /// (c) A frame suspended out of fuel, whose sites a `detach_monitor`
 /// empties between slices, resumes in the same register form: the detach
 /// re-binds, and the frame, demoted where its slice ran short, tiers back
@@ -399,20 +430,20 @@ fn churn_schedule_costs_invalidations_per_swap_not_per_removal() {
 }
 
 /// (f) A run counter probes run leaders only, where the per-instruction
-/// counter it replaces held every site: the sites a coverage monitor
-/// beside it empties stay in the register form (dead sites are only ever
-/// dropped by a re-lowering or a rejoin), and the next coverage monitor
-/// re-binds onto them. Once both monitors are gone the function rejoins
-/// the shared form, and the dead sites go with it.
+/// counter it replaces held every site: the sites a per-instruction
+/// self-removing probe set beside it empties stay in the register form
+/// (dead sites are only ever dropped by a re-lowering or a rejoin), and
+/// the next such set re-binds onto them. Once both monitors are gone the
+/// function rejoins the shared form, and the dead sites go with it.
 #[test]
 fn a_run_counter_keeps_the_sites_emptied_beside_it() {
     let mut p = Process::new(sum_module(), EngineConfig::default(), &Linker::new()).unwrap();
     let hotness = p.attach_monitor(HotnessMonitor::new()).unwrap();
-    let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
+    let once = p.attach_monitor(OnceEverywhere::default()).unwrap();
     p.invoke(0, &[Value::I32(50)]).unwrap();
     let first = p.stats();
     assert_eq!((first.compiles, first.deopts), (1, 0));
-    assert!(p.compiled_listing(0).unwrap().contains("site.empty"), "coverage burnt off");
+    assert!(p.compiled_listing(0).unwrap().contains("site.empty"), "once-probes burnt off");
 
     // Hundreds of dead crossings: still held.
     p.invoke(0, &[Value::I32(50)]).unwrap();
@@ -420,25 +451,25 @@ fn a_run_counter_keeps_the_sites_emptied_beside_it() {
     assert_eq!((held.compiles, held.deopts), (1, 0));
     assert_eq!(held.invalidation_passes, first.invalidation_passes);
 
-    // The next coverage monitor lands on sites the form still has.
+    // The next probe set lands on sites the form still has.
     let lowered = form(&mut p);
-    p.detach_monitor(coverage.handle()).unwrap();
-    let coverage = p.attach_monitor(CoverageMonitor::new()).unwrap();
+    p.detach_monitor(once.handle()).unwrap();
+    let once = p.attach_monitor(OnceEverywhere::default()).unwrap();
     assert!(Arc::ptr_eq(&form(&mut p), &lowered));
     assert_eq!(p.stats().invalidation_passes, first.invalidation_passes, "re-bound");
     let total = hotness.borrow().total();
 
     // Without the counter, the dead sites still cost no re-lowering: the
-    // coverage probes on never-executed instructions keep the function
-    // instrumented. Detaching coverage too rejoins the shared form, and
-    // the dead sites go with it.
+    // probes on never-executed instructions keep the function
+    // instrumented. Detaching the probe set too rejoins the shared form,
+    // and the dead sites go with it.
     p.detach_monitor(hotness.handle()).unwrap();
     assert_eq!(hotness.borrow().total(), total);
     p.invoke(0, &[Value::I32(50)]).unwrap();
     let after = p.stats();
     assert_eq!((after.compiles, after.deopts), (1, 0));
-    assert!(!coverage.borrow().covered().is_empty());
-    p.detach_monitor(coverage.handle()).unwrap();
+    assert!(once.borrow().fired.get() > 0);
+    p.detach_monitor(once.handle()).unwrap();
     assert!(!p.has_overlay(0));
     p.invoke(0, &[Value::I32(50)]).unwrap();
     assert_eq!(p.stats().compiles, 1, "the shared form needs no lowering");

@@ -9,7 +9,7 @@
 //! | Monitor | Mechanism |
 //! |---|---|
 //! | [`TraceMonitor`] | one global probe |
-//! | [`CoverageMonitor`] | self-removing local probe per instruction |
+//! | [`CoverageMonitor`] | self-removing local probe per straight-line run, marking the whole run |
 //! | [`LoopMonitor`] | `CountProbe` per loop header |
 //! | [`HotnessMonitor`] | counts every instruction: a `Count` probe per straight-line run, exact per-site rows (or one global probe) |
 //! | [`BranchMonitor`] | operand probe per branch (or one global probe) |

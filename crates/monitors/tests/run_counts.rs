@@ -5,9 +5,13 @@
 //! and goes: traps mid-run, fuel slices with a detach/re-attach at every
 //! boundary, cancelled and dropped suspensions, invocations after a trap —
 //! on every dispatcher and tier.
+//!
+//! `CoverageMonitor` — one self-removing probe per run, marking the whole
+//! run — is held to the same oracle under the same schedules: in every
+//! session its covered set is exactly the set of sites the oracle counted.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use wizard_analysis::cfg::Cfg;
@@ -15,7 +19,7 @@ use wizard_engine::store::Linker;
 use wizard_engine::{
     EngineConfig, Location, ModuleArtifact, Monitor, Process, RunOutcome, Shims, Value,
 };
-use wizard_monitors::{HotnessMonitor, ProbeMode};
+use wizard_monitors::{CoverageMonitor, HotnessMonitor, ProbeMode};
 use wizard_suites::corpus::corpus;
 use wizard_suites::randgen::random_module;
 use wizard_suites::Scale;
@@ -29,6 +33,8 @@ use wizard_wasm::types::ValType::I32;
 const MAX_DEPTH: usize = 40;
 
 type Counts = BTreeMap<Location, u64>;
+
+type Covered = BTreeSet<Location>;
 
 /// Every configuration under test. A metered run stops at the same
 /// instruction as the byte interpreter's on every one of them: fuel is
@@ -207,34 +213,36 @@ fn whole_runs_match_the_global_oracle_on_every_tier() {
 }
 
 /// How a sliced run hands the monitor from one session to the next.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Sessions {
-    /// A fresh monitor per session; the sessions' rows are summed.
+    /// A fresh monitor per session.
     Fresh,
     /// One instance, detached and re-attached: it accumulates.
     Reattached,
 }
 
-/// Runs `program` in `fuel`-sized slices, detaching and re-attaching the
-/// monitor at *every* slice boundary, and sums the sessions.
-fn sliced_run(
+/// Runs `program` in `fuel`-sized slices, detaching the monitor at
+/// *every* slice boundary and attaching it again or a fresh `new()`, and
+/// returns what `read` makes of the monitor at the end of each session.
+fn sessions<M: Monitor + 'static, T>(
     program: &Program,
     config: &EngineConfig,
     fuel: u64,
-    sessions: Sessions,
-) -> (Vec<String>, Counts) {
+    how: Sessions,
+    new: impl Fn() -> M,
+    read: impl Fn(&M) -> T,
+) -> (Vec<String>, Vec<T>) {
     let mut p = program.process(config);
-    let mut total = Counts::new();
-    let mut monitor = Rc::new(RefCell::new(HotnessMonitor::new()));
+    let mut monitor = Rc::new(RefCell::new(new()));
     let mut handle = p.attach_monitor_dyn(monitor.clone()).expect("attach");
-    let mut results = Vec::new();
+    let (mut results, mut reads) = (Vec::new(), Vec::new());
     for (f, n) in &program.calls {
         let mut out = p.run_export_bounded(f, &[Value::I32(*n)], fuel);
         while let Ok(RunOutcome::OutOfFuel) = out {
             p.detach_monitor(handle).expect("detach");
-            if sessions == Sessions::Fresh {
-                add(&mut total, rows(&monitor.borrow()));
-                monitor = Rc::new(RefCell::new(HotnessMonitor::new()));
+            reads.push(read(&monitor.borrow()));
+            if how == Sessions::Fresh {
+                monitor = Rc::new(RefCell::new(new()));
             }
             handle = p.attach_monitor_dyn(monitor.clone()).expect("attach");
             out = p.resume(fuel);
@@ -243,7 +251,27 @@ fn sliced_run(
     }
     p.detach_monitor(handle).expect("detach");
     assert_eq!(p.probed_location_count(), 0);
-    add(&mut total, rows(&monitor.borrow()));
+    reads.push(read(&monitor.borrow()));
+    (results, reads)
+}
+
+/// The per-site rows of a sliced run under the run counters: the sum of
+/// the sessions' rows, or the rows the one re-attached instance
+/// accumulated.
+fn sliced_run(
+    program: &Program,
+    config: &EngineConfig,
+    fuel: u64,
+    how: Sessions,
+) -> (Vec<String>, Counts) {
+    let (results, mut reads) = sessions(program, config, fuel, how, HotnessMonitor::new, rows);
+    let total = match how {
+        Sessions::Fresh => reads.into_iter().fold(Counts::new(), |mut total, r| {
+            add(&mut total, r);
+            total
+        }),
+        Sessions::Reattached => reads.pop().expect("a last session"),
+    };
     (results, total)
 }
 
@@ -294,19 +322,27 @@ enum Abandon {
     Detach,
 }
 
-/// Runs the program's first call for one `fuel` slice under `mode`; if
-/// that suspends, abandons it. `None` if it finished within the slice.
-fn abandoned_run(
+/// Runs `program`'s first call whole when `after_first`, then its next call
+/// for one `fuel` slice under `monitor`; if that suspends, abandons it and
+/// returns what `read` makes of the monitor. `None` if it finished within
+/// the slice.
+fn abandoned_run<M: Monitor + 'static, T>(
     program: &Program,
     config: &EngineConfig,
-    mode: ProbeMode,
+    (monitor, read): (M, impl Fn(&M) -> T),
+    after_first: bool,
     fuel: u64,
     how: Abandon,
-) -> Option<(Location, Counts)> {
+) -> Option<(Location, T)> {
     let mut p = program.process(config);
-    let m = p.attach_monitor(HotnessMonitor::with_mode(mode)).expect("attach");
-    let (f, n) = program.calls[0];
-    if p.run_export_bounded(f, &[Value::I32(n)], fuel) != Ok(RunOutcome::OutOfFuel) {
+    let m = p.attach_monitor(monitor).expect("attach");
+    let mut calls = program.calls.iter();
+    if after_first {
+        let (f, n) = calls.next().expect("a first call");
+        let _ = p.invoke_export(f, &[Value::I32(*n)]);
+    }
+    let (f, n) = calls.next()?;
+    if p.run_export_bounded(f, &[Value::I32(*n)], fuel) != Ok(RunOutcome::OutOfFuel) {
         return None;
     }
     let at = p.suspended_at().expect("suspended");
@@ -315,8 +351,8 @@ fn abandoned_run(
         Abandon::Drop => drop(p),
         Abandon::Detach => p.detach_monitor(m.handle()).expect("detach"),
     }
-    let counts = rows(&m.borrow());
-    Some((at, counts))
+    let read = read(&m.borrow());
+    Some((at, read))
 }
 
 /// (c): a cancelled suspension, a dropped process and a mid-run detach all
@@ -328,17 +364,131 @@ fn abandoned_suspensions_keep_only_the_executed_prefix() {
     programs.extend(random_programs().into_iter().step_by(5));
     for program in &programs {
         for fuel in [5, 37, 113] {
+            let global = (HotnessMonitor::with_mode(ProbeMode::Global), rows);
             let oracle =
-                abandoned_run(program, &oracle_config(), ProbeMode::Global, fuel, Abandon::Cancel);
+                abandoned_run(program, &oracle_config(), global, false, fuel, Abandon::Cancel);
             for (name, config) in configs() {
                 let what = format!("{} on {name}, fuel {fuel}", program.name);
-                let cancel =
-                    abandoned_run(program, &config, ProbeMode::Local, fuel, Abandon::Cancel);
+                let local = || (HotnessMonitor::new(), rows);
+                let cancel = abandoned_run(program, &config, local(), false, fuel, Abandon::Cancel);
                 for how in [Abandon::Drop, Abandon::Detach] {
-                    let other = abandoned_run(program, &config, ProbeMode::Local, fuel, how);
+                    let other = abandoned_run(program, &config, local(), false, fuel, how);
                     assert_eq!(other, cancel, "{what}: {how:?} vs cancel");
                 }
                 assert_eq!(cancel, oracle, "{what}: vs the oracle");
+            }
+        }
+    }
+}
+
+/// The sites the oracle counted.
+fn counted(m: &HotnessMonitor) -> Covered {
+    rows(m).into_keys().collect()
+}
+
+fn covered(m: &CoverageMonitor) -> Covered {
+    m.covered().into_iter().collect()
+}
+
+/// Coverage attached throughout covers what the oracle counted — traps
+/// mid-run included, and the invocations that follow them.
+#[test]
+fn whole_run_coverage_matches_the_global_oracle_on_every_tier() {
+    for program in fixed_programs().iter().chain(&random_programs()) {
+        let (results, counts) = whole_run(program, &oracle_config(), ProbeMode::Global);
+        let expect: Covered = counts.into_keys().collect();
+        for (name, config) in configs() {
+            let mut p = program.process(&config);
+            let m = p.attach_monitor(CoverageMonitor::new()).expect("attach");
+            let got: Vec<String> = program
+                .calls
+                .iter()
+                .map(|(f, n)| outcome(p.invoke_export(f, &[Value::I32(*n)])))
+                .collect();
+            assert_eq!(got, results, "{} on {name}: results", program.name);
+            assert_eq!(covered(&m.borrow()), expect, "{} on {name}: covered", program.name);
+            // Probes are left on the runs not wholly covered, and on the
+            // leader of the last pass, which no later fire proved complete.
+            let runs = p.artifact().runs();
+            let open = (0..runs.len())
+                .filter(|&r| runs.run(r).any(|s| !expect.contains(&runs.sites()[s])))
+                .count();
+            let left = p.probed_location_count();
+            assert!(open <= left && left <= open + 1, "{} on {name}: {left} probes", program.name);
+        }
+    }
+}
+
+/// Fuel 1, 7, 13 and 101, scaled as for the run counters: a fresh
+/// coverage monitor per session covers exactly what the oracle counted in
+/// that session, and (on every other program) one instance re-attached at
+/// every boundary covers the union of the sessions so far.
+fn coverage_sessions_match_the_oracle(programs: &[Program], fuels: impl Fn(usize) -> Vec<u64>) {
+    for (k, program) in programs.iter().enumerate() {
+        let executed: u64 =
+            whole_run(program, &oracle_config(), ProbeMode::Global).1.values().sum();
+        let sites = ModuleArtifact::new(program.module.clone()).expect("validates");
+        let slices = (600_000 / sites.instruction_sites().len() as u64).clamp(100, 3_000);
+        let scale = (executed / slices) | 1;
+        for fuel in fuels(k).into_iter().map(|f| f * scale) {
+            let global = || HotnessMonitor::with_mode(ProbeMode::Global);
+            let (results, mut expect) =
+                sessions(program, &oracle_config(), fuel, Sessions::Fresh, global, counted);
+            let how = if k % 2 == 0 { Sessions::Reattached } else { Sessions::Fresh };
+            if how == Sessions::Reattached {
+                expect = expect
+                    .iter()
+                    .scan(Covered::new(), |all, s| {
+                        all.extend(s);
+                        Some(all.clone())
+                    })
+                    .collect();
+            }
+            for (name, config) in configs() {
+                let what = format!("{} on {name}, fuel {fuel}, {how:?}", program.name);
+                let got = sessions(program, &config, fuel, how, CoverageMonitor::new, covered);
+                assert_eq!(got.0, results, "{what}: results");
+                assert_eq!(got.1, expect, "{what}: covered per session");
+            }
+        }
+    }
+}
+
+#[test]
+fn coverage_sessions_match_the_oracle_on_the_fixed_programs() {
+    coverage_sessions_match_the_oracle(&fixed_programs(), |_| vec![1, 7, 13, 101]);
+}
+
+/// The random programs rotate through the four fuels.
+#[test]
+fn coverage_sessions_match_the_oracle_on_random_programs() {
+    coverage_sessions_match_the_oracle(&random_programs(), |k| vec![[1, 7, 13, 101][k % 4]]);
+}
+
+/// A cancelled suspension, a dropped process and a mid-run detach all
+/// leave coverage of exactly the executed prefix — also after a first
+/// call that trapped mid-run in the run the suspension lands in.
+#[test]
+fn abandoned_suspensions_cover_only_the_executed_prefix() {
+    let mut programs = fixed_programs();
+    programs.extend(random_programs().into_iter().step_by(5));
+    for program in &programs {
+        for after_first in [false, true] {
+            for fuel in [1, 2, 3, 5, 37, 113] {
+                let global = (HotnessMonitor::with_mode(ProbeMode::Global), counted);
+                let (cancel, config) = (Abandon::Cancel, oracle_config());
+                let expect = abandoned_run(program, &config, global, after_first, fuel, cancel);
+                for (name, config) in configs() {
+                    let what = format!(
+                        "{} on {name}, fuel {fuel}, after first call: {after_first}",
+                        program.name
+                    );
+                    for how in [Abandon::Cancel, Abandon::Drop, Abandon::Detach] {
+                        let m = (CoverageMonitor::new(), covered);
+                        let got = abandoned_run(program, &config, m, after_first, fuel, how);
+                        assert_eq!(got, expect, "{what}: {how:?}");
+                    }
+                }
             }
         }
     }

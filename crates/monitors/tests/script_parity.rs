@@ -71,16 +71,18 @@ fn scripted_hotness_matches_the_zoo_row_for_row() {
     }
 }
 
-/// Richards in `fuel`-sized slices, the monitor detached and a fresh one
-/// attached at every slice boundary: one report per session. Both
-/// spellings count per run, so this is where their mid-run corrections
-/// (attach and detach while suspended inside a run) must agree.
+/// Richards (`loops` iterations) in `fuel`-sized slices, the monitor
+/// detached and a fresh one attached at every slice boundary: one report
+/// per session. This is where the mid-run corrections of analyses that
+/// observe whole runs (attach and detach while suspended inside a run)
+/// must agree with their instruction-by-instruction spellings.
 fn sliced_sessions<M: Monitor + 'static>(
     config: EngineConfig,
+    loops: i32,
     fuel: u64,
     monitor: impl Fn() -> M,
 ) -> Vec<Report> {
-    let b = wizard_suites::richards_benchmark(RICHARDS_LOOPS);
+    let b = wizard_suites::richards_benchmark(loops);
     let mut p = Process::new(b.module, config, &Linker::new()).expect("richards instantiates");
     let mut reports = Vec::new();
     let mut m = p.attach_monitor(monitor()).expect("attach");
@@ -99,10 +101,10 @@ fn sliced_sessions<M: Monitor + 'static>(
 #[test]
 fn scripted_hotness_matches_the_zoo_in_every_session_of_a_sliced_run() {
     for config in [EngineConfig::interpreter_bytecode(), EngineConfig::default()] {
-        let scripted = sliced_sessions(config.clone(), 37, || {
+        let scripted = sliced_sessions(config.clone(), RICHARDS_LOOPS, 37, || {
             ScriptMonitor::from_source(HOTNESS).expect("parses")
         });
-        let handwritten = sliced_sessions(config.clone(), 37, HotnessMonitor::new);
+        let handwritten = sliced_sessions(config.clone(), RICHARDS_LOOPS, 37, HotnessMonitor::new);
         assert!(scripted.len() > 20, "richards really was sliced: {}", scripted.len());
         assert_eq!(scripted.len(), handwritten.len());
         let (mut all_s, mut all_h) = (Report::new("hotness"), Report::new("hotness"));
@@ -119,13 +121,12 @@ fn scripted_hotness_matches_the_zoo_in_every_session_of_a_sliced_run() {
     }
 }
 
-#[test]
-fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
+/// run(n) = sum of 100 / (n - i - 3) for i in 0..n: traps at i == n - 3
+/// (if n >= 3), in the middle of the loop body's straight-line run.
+fn mid_run_trap_module() -> wizard_wasm::module::Module {
     use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
     use wizard_wasm::types::ValType::I32;
 
-    // run(n) = sum of 100 / (n - i - 3) for i in 0..n: traps at i == n - 3
-    // (if n >= 3), in the middle of the loop body's straight-line run.
     let mut mb = ModuleBuilder::new();
     let mut f = FuncBuilder::new(&[I32], &[I32]);
     let i = f.local(I32);
@@ -136,31 +137,39 @@ fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
     });
     f.local_get(acc);
     mb.add_func("run", f);
-    let module = mb.build().unwrap();
+    mb.build().unwrap()
+}
 
-    // The report after the first trap, and after a clean run and a second
-    // trap on top of it.
-    fn reports<M: Monitor + 'static>(
-        module: &wizard_wasm::module::Module,
-        config: &EngineConfig,
-        monitor: M,
-    ) -> (Report, Report) {
-        let mut p = Process::new(module.clone(), config.clone(), &Linker::new()).unwrap();
-        let m = p.attach_monitor(monitor).unwrap();
-        assert!(p.invoke_export("run", &[Value::I32(9)]).is_err(), "divides by zero");
-        let trapped = m.report();
-        p.invoke_export("run", &[Value::I32(2)]).expect("no zero divisor in 0..2");
-        assert!(p.invoke_export("run", &[Value::I32(5)]).is_err());
-        (trapped, m.report())
-    }
+/// The report after the first trap of [`mid_run_trap_module`], and after a
+/// clean run and a second trap on top of it.
+fn trap_reports<M: Monitor + 'static>(
+    module: &wizard_wasm::module::Module,
+    config: &EngineConfig,
+    monitor: M,
+) -> (Report, Report) {
+    let mut p = Process::new(module.clone(), config.clone(), &Linker::new()).unwrap();
+    let m = p.attach_monitor(monitor).unwrap();
+    assert!(p.invoke_export("run", &[Value::I32(9)]).is_err(), "divides by zero");
+    let trapped = m.report();
+    p.invoke_export("run", &[Value::I32(2)]).expect("no zero divisor in 0..2");
+    assert!(p.invoke_export("run", &[Value::I32(5)]).is_err());
+    (trapped, m.report())
+}
 
-    for config in [
+fn every_config() -> [EngineConfig; 3] {
+    [
         EngineConfig::interpreter_bytecode(),
         EngineConfig::default(),
         EngineConfig::builder().intrinsify(false).build(),
-    ] {
-        let scripted = reports(&module, &config, ScriptMonitor::from_source(HOTNESS).unwrap());
-        let handwritten = reports(&module, &config, HotnessMonitor::new());
+    ]
+}
+
+#[test]
+fn scripted_hotness_matches_the_zoo_across_a_mid_run_trap() {
+    let module = mid_run_trap_module();
+    for config in every_config() {
+        let scripted = trap_reports(&module, &config, ScriptMonitor::from_source(HOTNESS).unwrap());
+        let handwritten = trap_reports(&module, &config, HotnessMonitor::new());
         assert_row_for_row(&scripted.0, &handwritten.0);
         assert_row_for_row(&scripted.1, &handwritten.1);
         // The instruction-by-instruction count agrees too: the suffix of
@@ -192,6 +201,41 @@ fn scripted_coverage_matches_the_zoo_row_for_row() {
             run_with(config.clone(), ScriptMonitor::from_source(COVERAGE).expect("parses"));
         let handwritten = run_with(config, CoverageMonitor::new());
         assert_row_for_row(&scripted, &handwritten);
+    }
+}
+
+/// Scripted coverage probes every instruction once; `CoverageMonitor`
+/// probes run leaders and marks whole runs. In every session of a sliced
+/// run — fuel 1 included, which suspends on every leader and inside every
+/// run — both cover the same instructions of every function.
+#[test]
+fn scripted_coverage_matches_the_zoo_in_every_session_of_a_sliced_run() {
+    for config in every_config() {
+        for (loops, fuel) in [(1, 1), (2, 7), (RICHARDS_LOOPS, 37)] {
+            let scripted = sliced_sessions(config.clone(), loops, fuel, || {
+                ScriptMonitor::from_source(COVERAGE).expect("parses")
+            });
+            let handwritten = sliced_sessions(config.clone(), loops, fuel, CoverageMonitor::new);
+            assert!(scripted.len() > 20, "richards really was sliced: {}", scripted.len());
+            assert_eq!(scripted.len(), handwritten.len());
+            for (k, (s, h)) in scripted.iter().zip(&handwritten).enumerate() {
+                let rows = |r: &Report| r.get("per-function").expect("per-function").clone();
+                assert_eq!(rows(s), rows(h), "fuel {fuel}, session {k}");
+            }
+        }
+    }
+}
+
+/// And across a trap in the middle of a run, and the runs that follow it.
+#[test]
+fn scripted_coverage_matches_the_zoo_across_a_mid_run_trap() {
+    let module = mid_run_trap_module();
+    for config in every_config() {
+        let scripted =
+            trap_reports(&module, &config, ScriptMonitor::from_source(COVERAGE).unwrap());
+        let handwritten = trap_reports(&module, &config, CoverageMonitor::new());
+        assert_row_for_row(&scripted.0, &handwritten.0);
+        assert_row_for_row(&scripted.1, &handwritten.1);
     }
 }
 

@@ -1,7 +1,9 @@
 //! Code-coverage tool: runs a PolyBench kernel under the Coverage monitor
 //! (self-removing probes — the canonical dynamic-probe-removal analysis)
-//! and prints per-function coverage. Note how the probe count drops to
-//! the uncovered remainder after the run, and to zero after detach.
+//! and prints per-function coverage. The monitor probes one instruction
+//! per straight-line run, not every instruction. Note how the probe count
+//! drops to the runs left uncovered after the run (plus the last-entered
+//! run's leader, which leaves on its next entry), and to zero after detach.
 //!
 //! ```sh
 //! cargo run --example coverage
@@ -20,13 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut process = Process::new(bench.module, EngineConfig::default(), &Linker::new())?;
     let coverage = process.attach_monitor(CoverageMonitor::new())?;
     let installed = process.probed_location_count();
+    let instructions = process.artifact().instruction_sites().len();
 
     process.invoke_export("run", &[Value::I32(bench.n)])?;
 
     println!("{}", coverage.report());
     println!(
-        "probes: {installed} installed (one invalidation pass), {} remaining \
-         after the run (covered paths removed themselves)",
+        "probes: {installed} installed, one per run over {instructions} instructions \
+         (one invalidation pass); {} remaining after the run (covered runs removed \
+         their probes)",
         process.probed_location_count()
     );
 
