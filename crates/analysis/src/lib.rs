@@ -1,6 +1,6 @@
 //! Static analysis for the Wizard engine: CFG/dataflow over decoded
-//! function bodies, a translation validator for the lowered pipeline,
-//! and lint passes built on the same facts.
+//! function bodies, a translation validator for the register form, and
+//! lint passes built on the same facts.
 //!
 //! The crate has three layers:
 //!
@@ -9,14 +9,12 @@
 //!   forward abstract-interpretation driver with stock domains for
 //!   constancy ([`dataflow::ConstDomain`]) and stack shape/types
 //!   ([`dataflow::TypeDomain`]); reachability falls out of the driver.
-//! - [`validator`]: [`validate_lowering`] statically proves the
-//!   pre-decoded `LInstr` stream equivalent to the bytecode it was
-//!   lowered from — effect equality per slot and pc↔slot bijectivity.
-//!   [`regvalidator`] extends the proof to the register tier:
-//!   [`validate_register_lowering`] runs the byte form and the
-//!   register form symbolically in lockstep per basic block and
-//!   requires equal observable effects plus the park-point flush
-//!   invariant at every label, loop header, call, and taken branch.
+//! - [`regvalidator`]: [`validate_register_lowering`] statically proves
+//!   each function's register form equivalent to the bytecode it was
+//!   lowered from: it runs the byte form and the register form
+//!   symbolically in lockstep per basic block and requires equal
+//!   observable effects plus the park-point flush invariant at every
+//!   label, loop header, call, and taken branch.
 //! - Consumers: [`facts::ModuleFacts`] packages per-site constancy /
 //!   reachability for wizard-script's probe lowering, and [`lint`]
 //!   reports dead code, foldable ops, and redundant get/set pairs.
@@ -28,29 +26,21 @@ pub mod dataflow;
 pub mod facts;
 pub mod lint;
 pub mod regvalidator;
-pub mod validator;
 
 pub use facts::{FuncFacts, ModuleFacts, TosFact};
 pub use lint::{lint_module, LintFinding, LintKind};
 pub use regvalidator::{
     validate_func_register, validate_register_lowering, validate_sites_register, RegisterMismatch,
 };
-pub use validator::{validate_func_lowering, validate_lowering, LoweringMismatch};
 
-/// Registers the engine's translation validators, enabling
-/// `EngineConfig::builder().validate_lowering(true)` to check every
-/// instantiation — [`validate_lowering`] and [`validate_register_lowering`]
-/// prove the byte ≡ lowered and byte ≡ register translations of every
-/// function (building the register forms not built yet) — and every
-/// instrumented register form a process lowers, with
-/// [`validate_sites_register`]. Idempotent; safe to call from tests and
-/// mains.
+/// Registers the engine's translation validator, enabling
+/// `EngineConfig::builder().validate_lowering(true)` to prove the
+/// byte ≡ register translation of every register form a process runs —
+/// each function's shared form at instantiation and every instrumented
+/// form as it is lowered — with [`validate_sites_register`]. Idempotent;
+/// safe to call from tests and mains.
 pub fn install_engine_validator() {
-    wizard_engine::register_lowering_validator(
-        |artifact| {
-            validate_lowering(artifact).map_err(|e| e.to_string())?;
-            validate_register_lowering(artifact).map_err(|e| e.to_string())
-        },
-        |artifact, lf, reg| validate_sites_register(artifact, lf, reg).map_err(|e| e.to_string()),
-    );
+    wizard_engine::register_lowering_validator(|artifact, lf, reg| {
+        validate_sites_register(artifact, lf, reg).map_err(|e| e.to_string())
+    });
 }

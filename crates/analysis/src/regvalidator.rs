@@ -1,10 +1,10 @@
 //! Translation validation of the register lowering (byte ≡ register).
 //!
-//! [`crate::validator`] proves the byte→`Lowered` translation by effect
-//! equality per slot; the register form cannot be checked that way — the
-//! allocator *eliminates* instructions (`local.get`, consts fold into
-//! consumers) and *moves* work (deferred operands materialize at flush
-//! points), so there is no slot-per-instruction correspondence left.
+//! The register form cannot be checked by effect equality per
+//! instruction — the allocator *eliminates* instructions (`local.get`,
+//! consts fold into consumers) and *moves* work (deferred operands
+//! materialize at flush points), so there is no instruction-per-instruction
+//! correspondence left.
 //!
 //! This module instead runs both representations **symbolically, in
 //! lockstep, one basic block at a time**:
@@ -24,11 +24,12 @@
 //!   anchors, calls, taken branch edges) the canonical registers below the
 //!   live height and all local registers must equal the byte side's stack
 //!   and locals — exactly the invariant that makes a parked register frame
-//!   indistinguishable from a stack frame for probes and for demotion to
-//!   the stack tier. A probe site ([`R_SITE`]) or run anchor (an
-//!   [`R_LOOP`] at an instruction that is not a `loop`) is a no-op park
-//!   point at the *entry* of its instruction, with the entry height; a
-//!   site must name its instruction's site-table slot.
+//!   indistinguishable from a byte-interpreter frame for probes, for
+//!   demotion to the byte interpreter and for promotion back. A probe
+//!   site ([`R_SITE`]) or run anchor (an [`R_LOOP`] at an instruction that
+//!   is not a `loop`) is a no-op park point at the *entry* of its
+//!   instruction, with the entry height; a site must name its
+//!   instruction's site-table slot.
 //!
 //! Block-entry resets make the check per-block (no fixpoint): any path
 //! reaching a label has, by the park rule, flushed to canonical form,
@@ -892,8 +893,8 @@ impl<'a> V<'a> {
         let body_len = self.bytes.len();
         let mut pos = 0usize;
         let mut skip_pc: Option<u32> = None;
-        // Site-table slots are instruction ordinals (one lowered slot per
-        // instruction, dead ones included).
+        // Site-table slots are instruction ordinals (one per instruction,
+        // dead ones included).
         let mut slot = 0u32;
         while pos < body_len {
             let (instr, next) = match decode_at(self.bytes, pos) {

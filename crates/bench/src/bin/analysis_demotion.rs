@@ -6,23 +6,16 @@
 //! many stayed `Operand`/`Generic`, and how many were dropped outright
 //! (`none`). Facts may only change *how* a probe observes, never *what*
 //! it counts, so the bench also runs each configuration and asserts the
-//! reports are row-identical.
-//!
-//! Also times the translation validator (`validate_lowering`) over every
-//! suite kernel — the cost of the safety net the analysis crate adds to
-//! the lowered pipeline. Emits `BENCH_analysis.json` (schema in
+//! reports are row-identical. Emits `BENCH_analysis.json` (schema in
 //! `EXPERIMENTS.md`).
 //!
 //! Environment: `WIZARD_SCALE`, `WIZARD_RUNS` as everywhere else.
 
-use std::time::Instant;
-
-use wizard_analysis::validate_lowering;
 use wizard_bench::json::Json;
 use wizard_engine::store::Linker;
-use wizard_engine::{EngineConfig, ModuleArtifact, Process, Report, Value};
+use wizard_engine::{EngineConfig, Process, Report, Value};
 use wizard_script::ScriptMonitor;
-use wizard_suites::{all_suites, Benchmark, Scale};
+use wizard_suites::{all_suites, Benchmark};
 
 /// Zoo scripts with `tos` predicates of varying static decidability.
 const SCRIPTS: &[(&str, &str)] = &[
@@ -120,33 +113,10 @@ fn main() {
         "no script lowered fewer generic probes with facts on — the analysis buys nothing"
     );
 
-    // Translation-validator cost over every suite kernel.
-    let kernels = all_suites(Scale::Test);
-    let n_kernels = kernels.len();
-    let start = Instant::now();
-    for b in kernels {
-        let artifact = ModuleArtifact::new(b.module).expect("validates");
-        artifact.lower_all();
-        validate_lowering(&artifact).unwrap_or_else(|e| panic!("{}/{}: {e}", b.suite, b.name));
-    }
-    let validate_ms = start.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "\nvalidate_lowering: {n_kernels} kernels in {validate_ms:.1} ms \
-         ({:.2} ms/kernel)",
-        validate_ms / n_kernels as f64
-    );
-
     let mut fields =
         wizard_bench::metadata("analysis_demotion", &[workload.suite], &EngineConfig::default());
     fields.push(("workload".to_string(), Json::str(workload.name)));
     fields.push(("series".to_string(), Json::array(series)));
-    fields.push((
-        "validator".to_string(),
-        Json::object([
-            ("kernels", Json::num(n_kernels as f64)),
-            ("millis", Json::num(validate_ms)),
-        ]),
-    ));
     let doc = Json::Obj(fields);
     let path = "BENCH_analysis.json";
     std::fs::write(path, format!("{doc}\n")).expect("write BENCH_analysis.json");

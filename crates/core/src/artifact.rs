@@ -1,24 +1,23 @@
-//! Shared module artifacts: validate and lower **once**, instantiate many
-//! times.
+//! Shared module artifacts: validate **once**, instantiate many times.
 //!
 //! A [`ModuleArtifact`] is everything about a module that is independent of
 //! any particular process: the validated [`Module`], its validation
-//! metadata, and the per-function lowered code ([`Lowered`]) and
-//! probe-free register form ([`RegFunc`]), each built lazily exactly once.
-//! The whole structure is immutable and `Send + Sync`, so a fleet runner
-//! holds it in an `Arc` and every worker thread instantiates processes
-//! from the same artifact —
-//! [`Process::instantiate`](crate::Process::instantiate) skips
+//! metadata, each function's instruction list and its probe-free register
+//! form ([`RegFunc`]), the last two built lazily exactly once. The whole
+//! structure is immutable and `Send + Sync`, so a fleet runner holds it in
+//! an `Arc` and every worker thread instantiates processes from the same
+//! artifact — [`Process::instantiate`](crate::Process::instantiate) skips
 //! re-validation and re-lowering entirely.
 //!
 //! The paper's non-intrusiveness guarantee is preserved per process by the
 //! **copy-on-write instrumentation overlay**
 //! ([`FuncOverlay`](crate::code::FuncOverlay)): uninstrumented processes
-//! execute directly from the artifact's shared register form and lowered
-//! slots, and the first probe a process installs in a function copies
-//! just that function's bytes and lowered slots into process-local
-//! storage and lowers a private register form with the probe's site.
-//! Sibling processes of the same artifact never observe the probe.
+//! execute directly from the artifact's shared bytes and register form,
+//! and the first probe a process installs in a function copies just that
+//! function's bytes into process-local storage (where the probe opcode
+//! overwrites the instruction) and lowers a private register form with
+//! the probe's site. Sibling processes of the same artifact never observe
+//! the probe.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -33,7 +32,7 @@
 //! f.local_get(0).i32_const(1).i32_add();
 //! mb.add_func("inc", f);
 //!
-//! // Validate + lower once...
+//! // Validate once...
 //! let artifact = Arc::new(ModuleArtifact::new(mb.build()?)?);
 //! // ...instantiate twice: both processes share the artifact's code.
 //! let mut p1 = Process::instantiate(Arc::clone(&artifact), EngineConfig::default(), &Linker::new())?;
@@ -51,19 +50,19 @@ use wizard_wasm::module::{FuncIdx, Module};
 use wizard_wasm::types::{FuncType, ValType};
 use wizard_wasm::validate::{validate, FuncMeta, ValidateError};
 
-use crate::lowered::Lowered;
+use wizard_wasm::instr::InstrIter;
+
 use crate::probe::Location;
 use crate::regir::RegFunc;
 use crate::runs::RunTable;
 
 /// The immutable, shared per-function half of the code pipeline: pristine
-/// bytecode, validation metadata, and the lazily-built-once lowered form
-/// and probe-free register form.
+/// bytecode, validation metadata, and the lazily-built-once instruction
+/// list and probe-free register form.
 ///
-/// Everything mutable about a function at runtime — probe bytes, the
-/// copy-on-write op stream, the site table, the instrumented register
-/// form — lives in the per-process [`FuncOverlay`](crate::code::FuncOverlay)
-/// instead.
+/// Everything mutable about a function at runtime — probe bytes, the site
+/// table, the instrumented register form — lives in the per-process
+/// [`FuncOverlay`](crate::code::FuncOverlay) instead.
 #[derive(Debug)]
 pub struct FuncArtifact {
     /// Global function index.
@@ -78,9 +77,9 @@ pub struct FuncArtifact {
     pub num_params: u32,
     /// Number of results (0 or 1).
     pub num_results: u32,
-    /// The shared lowered form, built on first demand by whichever process
-    /// needs it first and then shared by all.
-    lowered: OnceLock<Arc<Lowered>>,
+    /// The byte pc of every instruction, in code order, decoded on first
+    /// demand; see [`FuncArtifact::instr_pcs`].
+    instrs: OnceLock<Box<[u32]>>,
     /// The shared (probe-free) register form, built on the function's
     /// first uninstrumented activation in any process; `None` inside if
     /// the allocator declined the function. See
@@ -89,23 +88,22 @@ pub struct FuncArtifact {
 }
 
 impl FuncArtifact {
-    /// The shared lowered form, lowering now if no process has demanded it
-    /// yet.
-    pub fn lowered(&self) -> &Arc<Lowered> {
-        self.lowered_init().0
+    /// The byte pc of every instruction of the body, in code order. An
+    /// instruction's index in this list is its *ordinal*: the index of its
+    /// entry in a process's site table and of its register form's
+    /// `R_SITE`. Decoded once, on the first demand from any process —
+    /// probe insertion or a whole-module monitor's site list.
+    pub fn instr_pcs(&self) -> &[u32] {
+        self.instrs.get_or_init(|| {
+            InstrIter::new(&self.bytes).map(|i| i.expect("validated code decodes").pc).collect()
+        })
     }
 
-    /// As [`FuncArtifact::lowered`], additionally reporting whether *this*
-    /// call performed the lowering — the hook
-    /// [`EngineStats::functions_lowered`](crate::EngineStats) counting runs
-    /// through.
-    pub(crate) fn lowered_init(&self) -> (&Arc<Lowered>, bool) {
-        let mut lowered_now = false;
-        let low = self.lowered.get_or_init(|| {
-            lowered_now = true;
-            Arc::new(Lowered::lower(&self.bytes, &self.meta))
-        });
-        (low, lowered_now)
+    /// The ordinal of the instruction starting at byte `pc`, or `None` if
+    /// `pc` is not an instruction boundary (the one-past-the-end pc where
+    /// frames park the implicit return is none either).
+    pub fn ordinal_of(&self, pc: u32) -> Option<u32> {
+        self.instr_pcs().binary_search(&pc).ok().map(|i| i as u32)
     }
 
     /// The register form if some process already built it — lets
@@ -114,20 +112,15 @@ impl FuncArtifact {
         self.reg.get()?.as_ref()
     }
 
-    /// `true` once the shared lowered form has been built.
-    pub fn is_lowered(&self) -> bool {
-        self.lowered.get().is_some()
-    }
-
     /// Total local slots (params + declared locals).
     pub fn num_slots(&self) -> u32 {
         self.local_types.len() as u32
     }
 
     /// Bytes of shared code this artifact holds for the function (pristine
-    /// bytecode plus the lowered form, if built).
+    /// bytecode plus the register form, if built).
     pub fn code_size_bytes(&self) -> usize {
-        self.bytes.len() + self.lowered.get().map_or(0, |l| l.size_bytes())
+        self.bytes.len() + self.reg_built().map_or(0, |r| r.size_bytes())
     }
 }
 
@@ -190,7 +183,7 @@ impl ModuleArtifact {
                 local_types: Arc::from(local_types.into_boxed_slice()),
                 num_params: ty.params.len() as u32,
                 num_results: ty.results.len() as u32,
-                lowered: OnceLock::new(),
+                instrs: OnceLock::new(),
                 reg: OnceLock::new(),
             }));
         }
@@ -242,14 +235,14 @@ impl ModuleArtifact {
     /// The shared, probe-free register form ([`crate::regir`]) of local
     /// function `lf`, building it now if no process has demanded it yet;
     /// `None` if the register allocator declined the function, which then
-    /// runs on the lowered stack interpreter.
+    /// runs on the byte interpreter.
     pub fn reg_func(&self, lf: usize) -> Option<&Arc<RegFunc>> {
         self.reg_func_init(lf).0
     }
 
     /// As [`ModuleArtifact::reg_func`], additionally reporting whether
     /// *this* call performed the build — the hook
-    /// [`EngineStats::functions_reg_lowered`](crate::EngineStats) and
+    /// [`EngineStats::functions_lowered`](crate::EngineStats) and
     /// `reg_fallbacks` counting runs through.
     pub(crate) fn reg_func_init(&self, lf: usize) -> (Option<&Arc<RegFunc>>, bool) {
         let fa = &self.funcs[lf];
@@ -263,9 +256,9 @@ impl ModuleArtifact {
 
     /// Every instruction of every locally-defined function, in code order —
     /// the site list of whole-module monitors (coverage; hotness through
-    /// [`ModuleArtifact::runs`], which this list is one half of). Read off
-    /// the lowered forms' `slot → pc` maps (lowering what is not lowered
-    /// yet) once per artifact, so an attach never re-decodes a body.
+    /// [`ModuleArtifact::runs`], which this list is one half of). Built from
+    /// the functions' instruction lists once per artifact, so an attach
+    /// never re-decodes a body.
     pub fn instruction_sites(&self) -> &Arc<[Location]> {
         self.runs().sites()
     }
@@ -273,30 +266,24 @@ impl ModuleArtifact {
     /// The site list and its partition into straight-line *runs* — what a
     /// whole-function counting monitor needs to count with one probe per
     /// run instead of one per instruction ([`RunCounts`](crate::RunCounts)).
-    /// Built on a monitor's first request (lowering what is not lowered
-    /// yet), once per artifact; never at construction or by
-    /// [`ModuleArtifact::lower_all`].
+    /// Built on a monitor's first request, once per artifact; never at
+    /// construction or by [`ModuleArtifact::lower_all`].
     pub fn runs(&self) -> &Arc<RunTable> {
-        self.runs.get_or_init(|| {
-            let pcs = |f: &Arc<FuncArtifact>| {
-                let (func, low) = (f.func, Arc::clone(f.lowered()));
-                (0..low.len()).map(move |slot| Location { func, pc: low.pc_of(slot) })
-            };
-            Arc::new(RunTable::build(&self.funcs, self.funcs.iter().flat_map(pcs).collect()))
-        })
+        self.runs.get_or_init(|| Arc::new(RunTable::build(&self.funcs)))
     }
 
-    /// Forces every function's lowered form to be built now. Optional —
-    /// lowering is lazy and shared either way — but a fleet runner can
-    /// call this once to take the whole decode tax off the serving path.
+    /// Builds every function's register form now — the form the engine
+    /// runs. Optional: lowering is lazy and shared either way, but a fleet
+    /// runner can call this once to take the whole translation cost off
+    /// the serving path.
     pub fn lower_all(&self) {
-        for f in &self.funcs {
-            let _ = f.lowered();
+        for lf in 0..self.funcs.len() {
+            let _ = self.reg_func(lf);
         }
     }
 
     /// Bytes of shared code the artifact currently holds (pristine
-    /// bytecode plus every lowered form built so far) — the per-process
+    /// bytecode plus every register form built so far) — the per-process
     /// memory each additional sibling instantiation does *not* pay.
     pub fn code_size_bytes(&self) -> usize {
         self.funcs.iter().map(|f| f.code_size_bytes()).sum()
@@ -327,14 +314,30 @@ mod tests {
     #[test]
     fn lowering_is_lazy_shared_and_counted_once() {
         let a = artifact();
-        assert!(!a.funcs()[0].is_lowered());
-        let (_, first) = a.funcs()[0].lowered_init();
-        assert!(first, "first demand lowers");
-        let (low1, again) = a.funcs()[0].lowered_init();
-        assert!(!again, "second demand shares");
-        let low2 = a.funcs()[0].lowered();
-        assert_eq!(low1.ops_addr(), low2.ops_addr());
+        assert!(a.funcs()[0].reg_built().is_none(), "nothing is built up front");
+        let (first, built) = a.reg_func_init(0);
+        assert!(built, "first demand lowers");
+        let first = Arc::clone(first.expect("lowers"));
+        let (again, built) = a.reg_func_init(0);
+        assert!(!built, "second demand shares");
+        assert!(Arc::ptr_eq(&first, again.unwrap()));
+        assert!(Arc::ptr_eq(&first, a.funcs()[0].reg_built().unwrap()));
         assert!(a.funcs()[0].code_size_bytes() > a.funcs()[0].bytes.len());
+    }
+
+    #[test]
+    fn instruction_ordinals_map_bijectively_to_boundaries() {
+        let a = artifact();
+        let fa = &a.funcs()[0];
+        // local.get 0; i32.const 1; i32.add; end
+        assert_eq!(fa.instr_pcs(), [0, 2, 4, 5]);
+        for (ordinal, &pc) in fa.instr_pcs().iter().enumerate() {
+            assert_eq!(fa.ordinal_of(pc), Some(ordinal as u32));
+        }
+        // Mid-immediate offsets and the one-past-the-end pc are not
+        // instructions.
+        assert_eq!(fa.ordinal_of(1), None);
+        assert_eq!(fa.ordinal_of(fa.bytes.len() as u32), None);
     }
 
     #[test]
@@ -399,9 +402,18 @@ mod tests {
 
     #[test]
     fn lower_all_prewarms_every_function() {
-        let a = artifact();
+        let mut mb = ModuleBuilder::new();
+        for n in 0..3 {
+            let mut f = FuncBuilder::new(&[I32], &[I32]);
+            f.local_get(0).i32_const(n).i32_add();
+            mb.add_func(&format!("f{n}"), f);
+        }
+        let a = ModuleArtifact::new(mb.build().unwrap()).unwrap();
         a.lower_all();
-        assert!(a.funcs().iter().all(|f| f.is_lowered()));
+        assert!(a.funcs().iter().all(|f| f.reg_built().is_some()), "every register form built");
+        for lf in 0..a.num_local_funcs() {
+            assert!(!a.reg_func_init(lf).1, "and nothing is left to build");
+        }
     }
 
     #[test]

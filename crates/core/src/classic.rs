@@ -1,24 +1,33 @@
-//! The classic byte-walking interpreter: the pre-lowering dispatch loop,
-//! kept as a selectable engine configuration
-//! ([`Dispatch::Bytecode`](crate::Dispatch)).
+//! The byte interpreter: the paper's in-place interpreter (§4.1–4.2) and
+//! the engine's slow tier.
 //!
-//! This is the in-place dispatch the engine shipped with before the
-//! lowered code cache ([`crate::lowered`]): it walks raw bytecode,
-//! LEB128-decodes immediates on every execution, and resolves branches
-//! through the validator's per-pc side-table `HashMap`. It is retained for
-//! two reasons:
+//! It walks raw bytecode, LEB128-decodes immediates on every execution,
+//! and resolves branches through the validator's per-pc side table. It
+//! runs three kinds of frames:
 //!
-//! * the `dispatch_speed` and `sec54_interp_vs_jit` benches measure the
-//!   default tiers *against* this loop, so the decode-tax win stays
-//!   measurable instead of becoming folklore, and the figure binaries time
-//!   probes on it (the paper's in-place interpreter);
-//! * the differential test suite runs programs under both dispatchers and
-//!   requires identical results, traps, and probe behavior — byte-walking
-//!   is the semantic reference for the register and lowered tiers.
+//! * **every frame under [`Dispatch::Bytecode`](crate::Dispatch)** — the
+//!   semantic reference the differential suites hold the register form
+//!   to, and the baseline `dispatch_speed` and the figure binaries
+//!   measure. Such frames never promote;
+//! * **every frame while a global probe the register form cannot count is
+//!   installed** (generic global mode): inserting one switches the
+//!   dispatch table pointer to an all-stub table that fires the global
+//!   probes before each instruction (§4.1);
+//! * **frames the register form handed back** — a metered frame whose
+//!   slice cannot pay for its next run, a frame whose code a probe event
+//!   replaced or that global probes must now reach (§4.6), and functions
+//!   the register allocator declines. Such a frame promotes to the register
+//!   form at the next run leader it can pay for, so it spends at most one
+//!   run here.
 //!
-//! Structure is identical to [`crate::interp`]: a 256-entry handler table,
-//! with a second all-stub table switched in for global-probe mode
-//! (paper §4.1), and bytecode overwriting for local probes (§4.2).
+//! Local probes are *bytecode overwriting* (§4.2): a probed instruction's
+//! opcode byte reads as the probe opcode in the process's overlay copy,
+//! and its handler fires the site's probes, then dispatches the original
+//! opcode. While global `Count` probes are installed the all-stub table
+//! bumps their cells before each instruction — the byte-interpreter twin
+//! of the register form's per-run charge.
+//!
+//! `ex.pc` holds a *byte* pc throughout.
 
 use std::sync::LazyLock;
 
@@ -28,6 +37,7 @@ use wizard_wasm::validate::SideEntry;
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
 use crate::numeric;
+use crate::probe::Location;
 use crate::trap::Trap;
 use crate::value::Slot;
 
@@ -100,6 +110,14 @@ fn build_normal() -> [Handler; 256] {
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     debug_assert_eq!(ex.frames.last().map(|f| f.tier), Some(Tier::Interp));
     loop {
+        // A run leader of the frame's register form, if it has one: the
+        // frame goes back to compiled code when it may. Byte dispatch
+        // resolves no register form, so it never gets here.
+        if let Some(cost) = ex.views.reg.as_deref().and_then(|rf| rf.run_cost_at(ex.pc)) {
+            if promote(ex, cost) {
+                return Ok(Exit::Redispatch);
+            }
+        }
         // Fuel metering (bounded runs only): one unit per bytecode
         // instruction, checked *before* dispatch so a suspension lands
         // before the instruction — and before its probes — execute.
@@ -119,14 +137,47 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                 Err(Sig::Trap(t)) => return Err(t),
             }
         }
-        let b = ex.views.code.byte(ex.pc);
-        match ex.ctable[b as usize](ex, b) {
+        let r = if ex.skip_probe.is_some() && skipping(ex) {
+            // This instruction's event already fired, in the register form
+            // just before the frame demoted here: run the original opcode
+            // without its local probes and without the global stubs.
+            ex.skip_probe = None;
+            let orig = ex.proc.code[ex.lf].orig_opcode(ex.pc as u32);
+            normal_table()[orig as usize](ex, orig)
+        } else {
+            let b = ex.views.code.byte(ex.pc);
+            ex.ctable[b as usize](ex, b)
+        };
+        match r {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
             Err(Sig::Switch) => return Ok(Exit::Redispatch),
             Err(Sig::Trap(t)) => return Err(t),
         }
     }
+}
+
+/// `true` if the instruction at the cursor is the one whose event already
+/// fired in the register form ([`Exec::skip_probe`]).
+fn skipping(ex: &Exec) -> bool {
+    ex.skip_probe == Some(Location { func: ex.func, pc: ex.pc as u32 })
+}
+
+/// At the first instruction of a run that costs `cost`: promotes the frame
+/// to its function's register form if the form may run it now — no
+/// generic global probe needs this loop, the slice (if metered) can pay
+/// for the whole run, and the instruction's event did not already fire
+/// there. Returns `true` if it did.
+#[cold]
+fn promote(ex: &mut Exec, cost: u32) -> bool {
+    if ex.proc.global_mode || (ex.metered && ex.fuel < u64::from(cost)) || skipping(ex) {
+        return false;
+    }
+    ex.sync_pc();
+    ex.frames.last_mut().expect("a frame is executing").tier = Tier::Reg;
+    ex.load_cur();
+    ex.proc.stats.tier_ups += 1;
+    true
 }
 
 // ---- control ----
@@ -400,9 +451,7 @@ fn op_un(ex: &mut Exec, b: u8) -> Result<(), Sig> {
 /// local probes, then executes the original instruction (paper §4.2).
 fn op_probe(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     let pc = ex.pc as u32;
-    // Probe locations are validated against the lowered form, so a probed
-    // function has one even under byte dispatch.
-    let slot = ex.proc.code[ex.lf].artifact().lowered().slot_of(pc);
+    let slot = ex.proc.code[ex.lf].artifact().ordinal_of(pc);
     ex.fire_site(slot.expect("a probe byte sits on an instruction boundary"), pc);
     // Dispatch the original opcode, whether or not the firing probes
     // removed themselves (restoring the byte). Immediates are untouched by

@@ -2,18 +2,19 @@
 //! half of the code pipeline.
 //!
 //! The immutable half — pristine bytecode, validation metadata, the shared
-//! lowered form — lives in the `Arc`-shared
+//! register form — lives in the `Arc`-shared
 //! [`FuncArtifact`]. A [`FuncOverlay`] owns
 //! everything one process may mutate about one function:
 //!
 //! * the **copy-on-write instrumented code**: the first probe installed in
-//!   a function copies its bytes and lowered op stream into process-local
-//!   storage (`FuncOverlay::add_probe`), and removing the last probe
+//!   a function copies its bytes into process-local storage
+//!   (`FuncOverlay::add_probe`), and removing the last probe
 //!   drops the copy again so the process *rejoins* the shared artifact
 //!   (`FuncOverlay::remove_probe`) — sibling processes of the same
 //!   artifact never observe either transition;
 //! * the **site table**, allocated and dropped with that copy: one entry
-//!   per lowered slot, holding the site's ordered probe list and the
+//!   per instruction (by ordinal, [`FuncArtifact::instr_pcs`]), holding
+//!   the site's ordered probe list and the
 //!   *binding* the register form's [`R_SITE`](crate::regir::R_SITE)
 //!   executes there — what insertion, removal, firing and lowering need
 //!   to know about a probe site is one array read away (the overwritten
@@ -24,9 +25,9 @@
 //!   site (the probe-free form is shared from the artifact), and the
 //!   instrumentation version that tells which sites it carries;
 //! * the function's **resolved execution views** ([`FuncViews`]): the
-//!   byte view, lowered view, register form and metadata the execution
-//!   tiers read, resolved from the shared artifact once per process and
-//!   handed to every frame switch as one process-local `Rc`.
+//!   byte view, register form and metadata the two execution tiers read,
+//!   resolved from the shared artifact once per process and handed to
+//!   every frame switch as one process-local `Rc`.
 //!
 //! Local probes still work by *bytecode overwriting* (paper §4.2): the
 //! probed instruction's opcode byte is replaced by [`op::PROBE`] on the
@@ -45,13 +46,12 @@ use wizard_wasm::types::ValType;
 use wizard_wasm::validate::FuncMeta;
 
 use crate::artifact::FuncArtifact;
-use crate::lowered::{Lowered, LoweredView, OverlayOps};
 use crate::probe::{Binding, Entry, ProbeId, ProbeRef};
 use crate::regir::RegFunc;
 use crate::EngineConfig;
 
-/// A process-local copy-on-write byte stream (mirrors
-/// [`OverlayOps`] one level down).
+/// A process-local copy-on-write byte stream: the instrumented copy of a
+/// function's bytecode, where probe opcodes overwrite instructions.
 pub type OverlayBytes = Rc<[Cell<u8>]>;
 
 /// A function's bytecode as the execution tiers read it: the artifact's
@@ -94,6 +94,16 @@ impl CodeBytes {
     /// stream instead of the artifact's.
     pub fn is_overlaid(&self) -> bool {
         self.local.is_some()
+    }
+
+    /// Address of the byte stream this view dispatches from (the overlay
+    /// copy if present, the shared bytes otherwise) — the pointer identity
+    /// sharing assertions compare.
+    pub fn addr(&self) -> usize {
+        match &self.local {
+            Some(cells) => cells.as_ptr() as usize,
+            None => self.shared.as_ptr() as usize,
+        }
     }
 
     /// Reads the byte at `pc`.
@@ -177,14 +187,9 @@ impl CodeBytes {
 /// materialization, rejoin, rebuild.
 #[derive(Debug)]
 pub struct FuncViews {
-    /// The function's bytecode view: shared pristine bytes, or the
-    /// process-local instrumented overlay.
+    /// The function's bytecode view — what the byte interpreter walks:
+    /// shared pristine bytes, or the process-local instrumented overlay.
     pub code: CodeBytes,
-    /// The function's lowered view: the artifact's shared op stream until
-    /// this process instruments the function, then its copy-on-write
-    /// overlay. Empty (never read) under [`Dispatch::Bytecode`](crate::Dispatch),
-    /// whose execution does not lower.
-    pub low: LoweredView,
     /// The function's register form as this process runs it — the
     /// artifact's shared form, or the process's instrumented one — if it
     /// was built when these views were resolved (activations build it;
@@ -198,11 +203,9 @@ pub struct FuncViews {
 
 thread_local! {
     /// The one placeholder bundle per thread: what `Exec` points at before
-    /// its first frame loads, and the source of the never-read empty
-    /// lowered view of byte-dispatch processes.
+    /// its first frame loads.
     static PLACEHOLDER: Rc<FuncViews> = Rc::new(FuncViews {
         code: CodeBytes::new(&[]),
-        low: LoweredView::empty(),
         reg: None,
         meta: Arc::new(FuncMeta::default()),
     });
@@ -219,9 +222,8 @@ impl FuncViews {
 /// about the probes at one instruction.
 ///
 /// The instruction a probe overwrote needs no field: probe opcodes only
-/// ever land on the overlay's copies, so the saved original *is* the
-/// shared artifact's ([`LoweredView::original`],
-/// [`FuncOverlay::orig_opcode`]).
+/// ever land on the overlay's copy, so the saved original *is* the shared
+/// artifact's ([`FuncOverlay::orig_opcode`]).
 pub(crate) struct SiteEntry {
     /// The site's probes in insertion — firing — order.
     pub probes: Vec<Entry>,
@@ -239,11 +241,9 @@ const NOT_COMPILED: u32 = u32::MAX;
 
 /// The process-local copy-on-write half of an instrumented function.
 struct Cow {
-    /// Instrumented bytecode.
+    /// Instrumented bytecode: probe opcodes overwrite probed instructions.
     bytes: OverlayBytes,
-    /// Lowered op stream, patched in tandem with `bytes`.
-    ops: OverlayOps,
-    /// The site table, indexed by lowered slot.
+    /// The site table, indexed by instruction ordinal.
     sites: Box<[SiteEntry]>,
     /// Sites currently holding probes (probe bytes installed).
     live: usize,
@@ -358,17 +358,6 @@ impl FuncOverlay {
         CodeBytes::with_overlay(Arc::clone(&self.art.bytes), local)
     }
 
-    /// The lowered view the execution tiers dispatch through (lowering the
-    /// shared form on first demand): shared pristine slots, or the
-    /// patched overlay copy.
-    pub fn lowered_view(&self) -> LoweredView {
-        let low = (**self.art.lowered()).clone();
-        match &*self.cow.borrow() {
-            Some(c) => LoweredView::overlaid(low, Rc::clone(&c.ops)),
-            None => LoweredView::shared(low),
-        }
-    }
-
     /// The resolved execution views, if some frame already entered the
     /// function since the overlay last changed identity. One non-atomic
     /// `Rc` bump; nothing shared is written.
@@ -379,22 +368,17 @@ impl FuncOverlay {
 
     /// Resolves and caches the execution views — the one place per
     /// function per process that clones out of the shared artifact.
-    /// `lowered` is `false` for byte-dispatch processes, which must not
-    /// force the shared lowering. The register form is picked up only if
-    /// it is built already: the views never build it.
-    pub(crate) fn resolve_views(&self, lowered: bool) -> Rc<FuncViews> {
-        let low = if lowered { self.lowered_view() } else { PLACEHOLDER.with(|p| p.low.clone()) };
+    /// `with_reg` is `false` for byte-dispatch processes, which never run
+    /// the register form. The register form is picked up only if it is
+    /// built already: the views never build it.
+    pub(crate) fn resolve_views(&self, with_reg: bool) -> Rc<FuncViews> {
         let reg = match &*self.cow.borrow() {
-            _ if !lowered => None,
+            _ if !with_reg => None,
             Some(c) => c.reg.clone(),
             None => self.art.reg_built().cloned(),
         };
-        let views = Rc::new(FuncViews {
-            code: self.bytes_view(),
-            low,
-            reg,
-            meta: Arc::clone(&self.art.meta),
-        });
+        let views =
+            Rc::new(FuncViews { code: self.bytes_view(), reg, meta: Arc::clone(&self.art.meta) });
         *self.views.borrow_mut() = Some(Rc::clone(&views));
         views
     }
@@ -418,12 +402,10 @@ impl FuncOverlay {
     }
 
     /// Bytes of process-private code this overlay currently holds (the
-    /// copy-on-write copies; 0 while uninstrumented) — the "resident code
+    /// copy-on-write bytes; 0 while uninstrumented) — the "resident code
     /// size" a process pays only for the functions it instruments.
     pub fn overlay_size_bytes(&self) -> usize {
-        self.cow.borrow().as_ref().map_or(0, |c| {
-            c.bytes.len() + c.ops.len() * core::mem::size_of::<crate::lowered::LInstr>()
-        })
+        self.cow.borrow().as_ref().map_or(0, |c| c.bytes.len())
     }
 
     /// The site table, for the readers on the execution side: probe
@@ -435,11 +417,11 @@ impl FuncOverlay {
         Ref::filter_map(self.cow.borrow(), |c| c.as_ref().map(|c| &*c.sites)).ok()
     }
 
-    /// Adds `probe` to the end of the list at lowered slot `slot` and
-    /// re-binds the site. The function's first probe materializes the
-    /// overlay — bytes, lowered ops and site table; a site's first probe
-    /// overwrites the instruction's opcode, in the bytes and in the lowered
-    /// slot, with the probe opcode (paper §4.2).
+    /// Adds `probe` to the end of the list of the instruction with ordinal
+    /// `slot` and re-binds the site. The function's first probe
+    /// materializes the overlay — bytes and site table; a site's first
+    /// probe overwrites the instruction's opcode byte with the probe opcode
+    /// (paper §4.2).
     pub(crate) fn add_probe(
         &self,
         slot: u32,
@@ -447,17 +429,16 @@ impl FuncOverlay {
         probe: ProbeRef,
         config: &EngineConfig,
     ) -> SiteChange {
-        let low = self.art.lowered();
+        let pcs = self.art.instr_pcs();
         let mut cow = self.cow.borrow_mut();
         let copied = cow.is_none();
         let cow = cow.get_or_insert_with(|| {
             // Identity change: resolved views still read the shared
-            // streams. The next frame switch re-resolves.
+            // bytes. The next frame switch re-resolves.
             self.views.take();
             Cow {
                 bytes: self.art.bytes.iter().map(|&b| Cell::new(b)).collect(),
-                ops: low.cow_ops(),
-                sites: (0..low.len())
+                sites: (0..pcs.len())
                     .map(|_| SiteEntry {
                         probes: Vec::new(),
                         binding: Binding::Empty,
@@ -470,8 +451,7 @@ impl FuncOverlay {
         });
         let site = &mut cow.sites[slot as usize];
         if site.probes.is_empty() {
-            cow.bytes[low.pc_of(slot as usize) as usize].set(op::PROBE);
-            Lowered::patch_probe(&cow.ops, slot);
+            cow.bytes[pcs[slot as usize] as usize].set(op::PROBE);
             cow.live += 1;
         }
         site.probes.push((id, probe));
@@ -481,7 +461,7 @@ impl FuncOverlay {
 
     /// Removes probe `id` from the list at `slot` and re-binds the site;
     /// `None` if it is not installed there. A site's last probe restores
-    /// the instruction (bytes and lowered slot); the function's last
+    /// the instruction's opcode byte; the function's last
     /// probed site drops the overlay and the process rejoins the shared
     /// artifact, register form included. An emptied site stays in the
     /// register form, bound to nothing, until the form is next re-lowered
@@ -501,10 +481,8 @@ impl FuncOverlay {
         if !site.probes.is_empty() {
             return Some(SiteChange { copied: false, stale: false });
         }
-        let low = self.art.lowered();
-        let pc = low.pc_of(slot as usize) as usize;
+        let pc = self.art.instr_pcs()[slot as usize] as usize;
         cow.bytes[pc].set(self.art.bytes[pc]);
-        cow.ops[slot as usize].set(low.get(slot as usize));
         cow.live -= 1;
         if cow.live == 0 {
             *guard = None;
@@ -525,7 +503,7 @@ impl FuncOverlay {
     /// `(pc, slot)` by ascending pc, each recorded as carried by the
     /// register form being lowered at the current version.
     pub(crate) fn claim_sites(&self) -> Vec<(u32, u32)> {
-        let low = self.art.lowered();
+        let pcs = self.art.instr_pcs();
         let version = self.version.get();
         let mut cow = self.cow.borrow_mut();
         let Some(cow) = cow.as_mut() else {
@@ -535,7 +513,7 @@ impl FuncOverlay {
         for (slot, site) in cow.sites.iter_mut().enumerate() {
             if !site.probes.is_empty() {
                 site.compiled_at = version;
-                claimed.push((low.pc_of(slot), slot as u32));
+                claimed.push((pcs[slot], slot as u32));
             }
         }
         claimed
@@ -564,7 +542,7 @@ impl FuncOverlay {
         }
     }
 
-    /// Rebuilds the overlay's code copies from the shared artifact,
+    /// Rebuilds the overlay's byte copy from the shared artifact,
     /// re-applying the currently-installed probe patches (the site table
     /// is kept). Used by [`Process::relower`](crate::Process::relower);
     /// probe traffic never takes this path. A function with no overlay is
@@ -574,13 +552,11 @@ impl FuncOverlay {
         let Some(cow) = guard.as_mut() else {
             return;
         };
-        let low = self.art.lowered();
+        let pcs = self.art.instr_pcs();
         cow.bytes = self.art.bytes.iter().map(|&b| Cell::new(b)).collect();
-        cow.ops = low.cow_ops();
         for (slot, site) in cow.sites.iter().enumerate() {
             if !site.probes.is_empty() {
-                cow.bytes[low.pc_of(slot) as usize].set(op::PROBE);
-                Lowered::patch_probe(&cow.ops, slot as u32);
+                cow.bytes[pcs[slot] as usize].set(op::PROBE);
             }
         }
         self.views.take();
@@ -651,7 +627,7 @@ mod tests {
             pc: u32,
             probe: impl crate::Probe,
         ) -> (ProbeId, SiteChange) {
-            let slot = c.artifact().lowered().slot_of(pc).unwrap();
+            let slot = c.artifact().ordinal_of(pc).unwrap();
             let id = self.registry.fresh_id(crate::probe::Site::Local { func: c.func(), slot });
             (id, c.add_probe(slot, id, Rc::new(RefCell::new(probe)), &self.config))
         }
@@ -789,34 +765,38 @@ mod tests {
         let c = overlay();
         let mut probes = Probes::new();
         // Probing the const (pc 3, after nop + local.get) patches the
-        // overlay copy only.
-        let low_shared = c.artifact().lowered().clone();
+        // overlay copy only, and the register form lowered for it carries
+        // the site in tandem.
+        let shared = c.bytes_view();
         let pc_const = 3; // nop; local.get 0; i32.const 5 starts at byte 3
         let (id, _) = probes.add(&c, pc_const, EmptyProbe);
-        let view = c.lowered_view();
+        let view = c.bytes_view();
         assert!(view.is_overlaid());
-        let slot = view.slot_of(pc_const).unwrap() as usize;
-        assert_eq!(view.get(slot).op, op::PROBE);
-        assert_eq!(crate::value::Slot(view.get(slot).z).i32(), 5, "immediates survive");
-        assert_eq!(view.original(slot).op, op::I32_CONST, "the original is recovered");
-        assert_ne!(low_shared.get(slot).op, op::PROBE, "shared form untouched");
-        // Restore rejoins: the view reads the shared slots again.
+        assert_eq!(view.byte(pc_const as usize), op::PROBE);
+        assert_eq!(view.read_i32(pc_const as usize + 1).0, 5, "immediates survive");
+        assert_eq!(c.orig_opcode(pc_const), op::I32_CONST, "the original is recovered");
+        assert_eq!(shared.byte(pc_const as usize), op::I32_CONST, "shared bytes untouched");
+        let sites = c.claim_sites();
+        assert_eq!(sites, [(pc_const, 2)], "the site is named by the instruction's ordinal");
+        let reg = crate::regir::lower_func(c.artifact(), &[], &[], &sites).expect("lowers");
+        let site = reg.ops().iter().position(|ri| ri.op == crate::regir::R_SITE).unwrap();
+        assert_eq!((reg.pc_of(site), reg.get(site).x), (pc_const, 2));
+        // Restore rejoins: the view reads the shared bytes again.
         probes.remove(&c, id).unwrap();
-        let view = c.lowered_view();
+        let view = c.bytes_view();
         assert!(!view.is_overlaid());
-        assert_eq!(view.ops_addr(), low_shared.ops_addr());
+        assert_eq!(view.addr(), shared.addr());
     }
 
     #[test]
     fn rebuild_overlay_preserves_probe_patches() {
         let c = overlay();
         Probes::new().add(&c, 1, EmptyProbe);
-        let before = c.lowered_view();
+        let before = c.bytes_view();
         c.rebuild_overlay();
-        let after = c.lowered_view();
-        assert_ne!(before.ops_addr(), after.ops_addr(), "fresh copy");
-        let slot = after.slot_of(1).unwrap() as usize;
-        assert_eq!(after.get(slot).op, op::PROBE, "probe patch re-applied");
+        let after = c.bytes_view();
+        assert_ne!(before.addr(), after.addr(), "fresh copy");
+        assert_eq!(after.byte(1), op::PROBE, "probe patch re-applied");
         assert_eq!(c.byte_at(1), op::PROBE);
         assert_eq!(c.probed_sites(), 1, "the site table is kept");
     }
@@ -828,12 +808,12 @@ mod tests {
         assert!(c.cached_views().is_none(), "resolved lazily, on the first frame");
         let shared = c.resolve_views(true);
         assert!(Rc::ptr_eq(&shared, &c.cached_views().unwrap()), "then handed out as cached");
-        assert!(!shared.low.is_overlaid() && !shared.code.is_overlaid());
-        // Materialize: the cached bundle reads the shared streams — stale.
+        assert!(!shared.code.is_overlaid());
+        // Materialize: the cached bundle reads the shared bytes — stale.
         let (a, _) = probes.add(&c, 0, EmptyProbe);
         assert!(c.cached_views().is_none());
         let overlaid = c.resolve_views(true);
-        assert!(overlaid.low.is_overlaid() && overlaid.code.is_overlaid());
+        assert!(overlaid.code.is_overlaid());
         // A second probe patches the same overlay cells: still valid.
         let (b, _) = probes.add(&c, 1, EmptyProbe);
         assert!(Rc::ptr_eq(&overlaid, &c.cached_views().unwrap()));
@@ -847,11 +827,12 @@ mod tests {
         assert!(c.cached_views().is_some(), "a probe remains: same overlay");
         probes.remove(&c, a).unwrap();
         assert!(c.cached_views().is_none());
-        assert!(!c.resolve_views(true).low.is_overlaid());
-        // Byte-dispatch processes resolve without forcing the lowering.
-        let unlowered = overlay();
-        assert!(unlowered.resolve_views(false).low.is_empty());
-        assert!(!unlowered.artifact().is_lowered());
+        assert!(!c.resolve_views(true).code.is_overlaid());
+        // Byte-dispatch processes resolve without the register form, even
+        // once it is built.
+        let bytes_only = overlay();
+        assert!(bytes_only.resolve_views(false).reg.is_none());
+        assert!(bytes_only.artifact().reg_built().is_none(), "and resolving builds nothing");
     }
 
     #[test]

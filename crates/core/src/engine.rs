@@ -15,8 +15,6 @@ use crate::classic;
 use crate::code::{FuncOverlay, FuncViews};
 use crate::exec::{Exec, ExecState, Exit};
 use crate::frame::Tier;
-use crate::interp;
-use crate::lowered::{Lowered, LoweredView};
 use crate::monitor::MonitorRegistry;
 use crate::probe::{
     BatchOp, Binding, Intrinsified, Location, Pending, Probe, ProbeBatch, ProbeId, ProbeRef,
@@ -36,30 +34,26 @@ use crate::value::{Slot, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
     /// The production engine: two tiers, as in the paper (§4). Function
-    /// bodies are lowered past the stack form into a register IR
-    /// ([`crate::regir`]) whose instructions name their operands directly,
-    /// so `local.get`/`local.set` and operand push/pop traffic are
-    /// allocated away — the engine's one compiled tier. It runs clean
-    /// code from the artifact's shared form and instrumented functions
-    /// from a per-process form with their probe sites (intrinsified
-    /// where the probes allow, §4.4), and it charges fuel per run.
-    /// The lowered stack interpreter ([`crate::lowered`]: fixed-width
-    /// instructions, pre-decoded immediates, pre-resolved branch targets)
-    /// runs the rest: global-probe mode, the rare function the register
-    /// allocator cannot lower ([`EngineStats::reg_fallbacks`]), the part
-    /// of a run a fuel slice cannot pay for, and frames demoted mid-run
-    /// ([`EngineStats::deopts`]) until their next loop header promotes
-    /// them back ([`EngineStats::tier_ups`]).
+    /// bodies are lowered into a register IR ([`crate::regir`]) whose
+    /// instructions name their operands directly, so
+    /// `local.get`/`local.set` and operand push/pop traffic are allocated
+    /// away — the engine's compiled tier. It runs clean code from the
+    /// artifact's shared form and instrumented functions from a
+    /// per-process form with their probe sites (intrinsified where the
+    /// probes allow, §4.4); it charges fuel, and global `Count` probes,
+    /// per straight-line run. The byte interpreter runs the rest: generic
+    /// global probes (§4.1), the rare function the register allocator
+    /// cannot lower ([`EngineStats::reg_fallbacks`]), the run a fuel
+    /// slice cannot pay for, and frames demoted mid-run
+    /// ([`EngineStats::deopts`]) — each until the next run leader it can
+    /// promote at ([`EngineStats::tier_ups`]).
     #[default]
     Register,
-    /// Classic byte-walking dispatch — the paper's in-place interpreter:
-    /// LEB128 immediates decoded and branch side-table hashed on every
-    /// execution. Kept as the measurable pre-lowering baseline
-    /// (`dispatch_speed` bench, the figure binaries) and as the semantic
-    /// reference for differential testing. Execution in this mode never
-    /// lowers; probe-*location validation* still lowers the targeted
-    /// function on demand (the `pc ↔ slot` map is the shared boundary
-    /// oracle, and it is what keeps the tandem slot patching sound).
+    /// Byte dispatch only — the paper's in-place interpreter: LEB128
+    /// immediates decoded and branch side-table hashed on every
+    /// execution. The semantic reference for differential testing and the
+    /// measured baseline (`dispatch_speed` bench, the figure binaries).
+    /// Execution in this mode never lowers and never promotes.
     Bytecode,
 }
 
@@ -84,14 +78,13 @@ pub struct EngineConfig {
     /// budget explicitly. Schedulers like `wizard-pool` read this as the
     /// per-turn budget to pass to the bounded API.
     pub fuel_slice: Option<u64>,
-    /// Run the translation validators over every function's lowered and
-    /// register forms at instantiation, and over every instrumented
-    /// register form as it is lowered (debug builds and CI); an
-    /// instrumented form that fails is an engine bug and panics. Requires
-    /// the validators to be registered via [`register_lowering_validator`]
-    /// — the engine crate is dependency-free, so the analysis crate
-    /// (`wizard-analysis`) injects them through that hook (call its
-    /// `install_engine_validator()`).
+    /// Run the translation validator over every function's register form
+    /// at instantiation, and over every instrumented register form as it
+    /// is lowered (debug builds and CI); an instrumented form that fails is
+    /// an engine bug and panics. Requires the validator to be registered
+    /// via [`register_lowering_validator`] — the engine crate is
+    /// dependency-free, so the analysis crate (`wizard-analysis`) injects
+    /// it through that hook (call its `install_engine_validator()`).
     pub validate_lowering: bool,
 }
 
@@ -187,8 +180,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables/disables translation validation of the lowered and register
-    /// forms; see [`EngineConfig::validate_lowering`].
+    /// Enables/disables translation validation of the register forms; see
+    /// [`EngineConfig::validate_lowering`].
     pub fn validate_lowering(mut self, on: bool) -> EngineConfigBuilder {
         self.config.validate_lowering = on;
         self
@@ -230,24 +223,25 @@ macro_rules! engine_stats {
 }
 
 engine_stats! {
-    /// Probe fires dispatched through the runtime (generic local probes and
-    /// global probes; intrinsified fires are not runtime-dispatched and are
-    /// counted by the monitors themselves).
+    /// Probe fires dispatched through the runtime: generic local probes and
+    /// generic global lists. Intrinsified fires — inline counts, direct
+    /// operand calls, global `Count` probes bumped per run or per
+    /// instruction — are not runtime-dispatched; their monitors count them.
     probe_fires: sum,
-    /// Global-probe fires (subset of `probe_fires`).
+    /// Global-probe fires dispatched through the runtime (subset of
+    /// `probe_fires`).
     global_fires: sum,
     /// Instrumented register forms lowered: one per function each time an
     /// activation finds its probes moved to instructions its form has no
     /// site for (paper §4.5's recompile). Probe-free forms are shared from
-    /// the artifact and counted in [`EngineStats::functions_reg_lowered`].
+    /// the artifact and counted in [`EngineStats::functions_lowered`].
     compiles: sum,
-    /// Stack-interpreter frames promoted back to register form at a loop
-    /// header.
+    /// Byte-interpreter frames promoted to register form at a run leader.
     tier_ups: sum,
-    /// Register frames demoted to the stack interpreter at their byte pc
-    /// (paper §4.6): global probes arrived, their function's register form
-    /// was replaced under a frame firing a probe, or a fuel slice could
-    /// not pay for the next run.
+    /// Register frames demoted to the byte interpreter at their byte pc
+    /// (paper §4.6): generic global probes arrived, their function's
+    /// register form was replaced under a frame firing a probe, or a fuel
+    /// slice could not pay for the next run.
     deopts: sum,
     /// Invalidation passes over instrumented register forms. Most
     /// instrumentation changes need none — the form re-binds its probe
@@ -265,8 +259,10 @@ engine_stats! {
     fuel_consumed: sum,
     /// Out-of-fuel suspensions of bounded runs.
     suspensions: sum,
-    /// Functions lowered to the fixed-width internal form (each function
-    /// is lowered at most once; probe traffic patches slots in place).
+    /// Functions lowered to the shared register form ([`crate::regir`]),
+    /// counted by the process whose demand built it (the work happens
+    /// once per function per artifact: warm instantiations report 0, and
+    /// probe traffic never rebuilds it).
     functions_lowered: sum,
     /// Forced re-lowering passes ([`Process::relower`]). Probe insertion
     /// and removal — batched or not — never re-lower, so under normal
@@ -274,7 +270,7 @@ engine_stats! {
     relower_passes: sum,
     /// Instantiations served from an already-built shared
     /// [`ModuleArtifact`] by an artifact cache (e.g. `wizard-pool`'s):
-    /// validation and lowering were both skipped.
+    /// validation was skipped, and lowering is shared.
     /// Caches contribute this counter when fleet stats are merged;
     /// processes themselves never increment it.
     artifact_cache_hits: sum,
@@ -283,22 +279,17 @@ engine_stats! {
     artifact_cache_misses: sum,
     /// Copy-on-write overlay materializations: the first probe this
     /// process installed in each function copied that function's bytes
-    /// and lowered slots into process-local storage. Detaching the last
+    /// into process-local storage. Detaching the last
     /// probe drops the copy again (rejoining the shared artifact), so
     /// this counts copies *made*, not copies currently resident.
     overlay_copies: sum,
-    /// Successful translation-validation passes over a module's lowered
-    /// form ([`EngineConfig::validate_lowering`]); one per instantiation
+    /// Successful translation-validation passes over a module's register
+    /// forms ([`EngineConfig::validate_lowering`]); one per instantiation
     /// that ran the registered validator.
     lowering_validations: sum,
-    /// Functions lowered to the shared register form ([`crate::regir`]),
-    /// counted by the process whose first activation of the function
-    /// built it. Like [`EngineStats::functions_lowered`], the work happens
-    /// once per function per artifact: warm instantiations report 0.
-    functions_reg_lowered: sum,
     /// Functions the register allocator declined to lower (they execute
-    /// in the stack interpreter), counted like
-    /// [`EngineStats::functions_reg_lowered`] when the build was tried.
+    /// in the byte interpreter), counted like
+    /// [`EngineStats::functions_lowered`] when the build was tried.
     reg_fallbacks: sum,
     /// Trace events captured by streaming trace monitors attached to this
     /// process. Contributed at detach time via [`Process::record_trace`]
@@ -403,29 +394,25 @@ impl From<ValidateError> for LinkError {
     }
 }
 
-/// The shape of an injectable translation validator over a whole module's
-/// shared forms (byte→lowered and byte→register).
-pub type LoweringValidator = fn(&ModuleArtifact) -> Result<(), String>;
-
 /// The shape of an injectable byte→register translation validator over
-/// one instrumented register form: the artifact, the local function index
-/// and the form lowered with that function's probe sites.
-pub type SiteLoweringValidator = fn(&ModuleArtifact, usize, &RegFunc) -> Result<(), String>;
+/// one register form: the artifact, the local function index and the form
+/// — the artifact's shared one, or one lowered with the function's probe
+/// sites.
+pub type LoweringValidator = fn(&ModuleArtifact, usize, &RegFunc) -> Result<(), String>;
 
-/// The registered translation validators, if any. The engine crate is
-/// dependency-free by design, so the validators themselves live in
-/// `wizard-analysis` and are injected here at startup.
-static LOWERING_VALIDATOR: std::sync::OnceLock<(LoweringValidator, SiteLoweringValidator)> =
-    std::sync::OnceLock::new();
+/// The registered translation validator, if any. The engine crate is
+/// dependency-free by design, so the validator itself lives in
+/// `wizard-analysis` and is injected here at startup.
+static LOWERING_VALIDATOR: std::sync::OnceLock<LoweringValidator> = std::sync::OnceLock::new();
 
-/// Registers the translation validators consulted under
-/// [`EngineConfig::validate_lowering`]: `module` when a process is
-/// instantiated, `sites` on every instrumented register form a process
-/// lowers. First registration wins; later calls are no-ops (the hook is
-/// set once per process lifetime). `wizard_analysis::install_engine_validator()`
-/// is the canonical caller.
-pub fn register_lowering_validator(module: LoweringValidator, sites: SiteLoweringValidator) {
-    let _ = LOWERING_VALIDATOR.set((module, sites));
+/// Registers the translation validator consulted under
+/// [`EngineConfig::validate_lowering`]: on every function's shared register
+/// form when a process is instantiated, and on every instrumented register
+/// form a process lowers. First registration wins; later calls are no-ops
+/// (the hook is set once per process lifetime).
+/// `wizard_analysis::install_engine_validator()` is the canonical caller.
+pub fn register_lowering_validator(validator: LoweringValidator) {
+    let _ = LOWERING_VALIDATOR.set(validator);
 }
 
 /// Error from the dynamic instrumentation API.
@@ -509,6 +496,8 @@ pub struct Process {
     pub(crate) func_types: Arc<[FuncType]>,
     pub(crate) probes: ProbeRegistry,
     pub(crate) monitors: MonitorRegistry,
+    /// A global probe the register form cannot count is installed: every
+    /// frame runs the byte interpreter's all-stub dispatch table (§4.1).
     pub(crate) global_mode: bool,
     pub(crate) stats: EngineStats,
     /// The suspended bounded run, if any (see [`Process::run_bounded`]).
@@ -529,8 +518,8 @@ impl Process {
     /// This is the *owned-module* path: it builds a private
     /// [`ModuleArtifact`] and instantiates from it. Fleets running many
     /// instances of the same module should build the artifact once and use
-    /// [`Process::instantiate`] instead, paying validation, lowering and
-    /// baseline compilation a single time for all of them.
+    /// [`Process::instantiate`] instead, paying validation and lowering a
+    /// single time for all of them.
     ///
     /// # Errors
     ///
@@ -548,8 +537,8 @@ impl Process {
     /// Links and instantiates a process from a pre-built, possibly shared
     /// [`ModuleArtifact`] — running data/element segment initialization
     /// and the start function, but **skipping validation** (the artifact
-    /// is validated by construction) and sharing the artifact's lowered
-    /// and register forms.
+    /// is validated by construction) and sharing the artifact's register
+    /// forms.
     ///
     /// Processes instantiated from the same artifact execute from the
     /// same shared code until they instrument it: instrumentation is
@@ -667,14 +656,17 @@ impl Process {
             suspended: None,
         };
         if p.config.validate_lowering {
-            let Some((validator, _)) = LOWERING_VALIDATOR.get() else {
+            let Some(validator) = LOWERING_VALIDATOR.get() else {
                 return Err(LinkError::LoweringInvalid(
                     "no validator registered; call wizard_analysis::install_engine_validator()"
                         .into(),
                 ));
             };
-            p.artifact.lower_all();
-            validator(&p.artifact).map_err(LinkError::LoweringInvalid)?;
+            for lf in 0..p.code.len() {
+                if let Some(reg) = p.artifact.reg_func(lf) {
+                    validator(&p.artifact, lf, reg).map_err(LinkError::LoweringInvalid)?;
+                }
+            }
             p.stats.lowering_validations += 1;
         }
         if let Some(s) = p.module.start {
@@ -777,9 +769,9 @@ impl Process {
     ///
     /// Fuel is charged one unit per bytecode instruction executed, plus
     /// one per implicit return at a function's end — the byte-walking
-    /// reference's count, in every tier: the register form pays for a
+    /// reference's count, in both tiers: the register form pays for a
     /// whole straight-line run at its first instruction, and a run the
-    /// slice cannot pay for runs in the stack interpreter, which charges
+    /// slice cannot pay for runs in the byte interpreter, which charges
     /// per instruction and suspends exactly where the reference would.
     ///
     /// Returns [`RunOutcome::Done`] with the results if the invocation
@@ -794,7 +786,8 @@ impl Process {
     /// follow — a probe on an instruction it has no site for, the
     /// function's last probe leaving — re-lowers it when a frame next
     /// needs it, and parked frames resume in the new form at their byte
-    /// pc; an arriving global probe demotes them to the stack interpreter.
+    /// pc; an arriving generic global probe demotes them to the byte
+    /// interpreter.
     ///
     /// # Errors
     ///
@@ -950,14 +943,17 @@ impl Process {
         self.add_local_probe(func, pc, Rc::new(RefCell::new(probe)))
     }
 
-    /// Inserts a global probe, switching the stack interpreter to the
-    /// instrumented dispatch table. Register forms are *not* discarded;
-    /// execution returns to the stack interpreter until the probe is
-    /// removed (paper §4.1).
+    /// Inserts a global probe, switching the byte interpreter to the
+    /// instrumented dispatch table (paper §4.1). While every global probe
+    /// is an intrinsifiable [`CountProbe`](crate::CountProbe), register
+    /// frames keep running and add each straight-line run to the counts at
+    /// its first instruction; any other global probe sends execution to
+    /// the byte interpreter until it is removed. Register forms are never
+    /// discarded for it.
     ///
     /// # Errors
     ///
-    /// Never fails: every configuration has a stack interpreter to run
+    /// Never fails: every configuration has a byte interpreter to run
     /// global probes in. Fallible like [`Process::add_local_probe`].
     pub fn add_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
         let id = self.probes.fresh_id(Site::Global);
@@ -1058,16 +1054,15 @@ impl Process {
             Site::Global => {
                 // Switches the dispatch table; register forms are kept.
                 self.probes.insert_global(id, probe, &self.config);
-                self.global_mode = true;
+                self.global_mode = self.probes.global_counts.is_empty();
                 None
             }
             Site::Local { func, slot } => {
                 let lf = self.local_index(func);
                 let change = self.code[lf].add_probe(slot, id, probe, &self.config);
                 if change.copied {
-                    // First probe in this function: its bytes and lowered
-                    // slots were just copy-on-wrote into the process-local
-                    // overlay.
+                    // First probe in this function: its bytes were just
+                    // copy-on-wrote into the process-local overlay.
                     self.stats.overlay_copies += 1;
                 }
                 change.stale.then_some(lf)
@@ -1081,8 +1076,9 @@ impl Process {
     fn do_remove(&mut self, id: ProbeId) -> Option<usize> {
         match id.site {
             Site::Global => {
-                if self.probes.remove_global(id, &self.config) && !self.probes.has_global() {
-                    self.global_mode = false;
+                if self.probes.remove_global(id, &self.config) {
+                    self.global_mode =
+                        self.probes.has_global() && self.probes.global_counts.is_empty();
                 }
                 None
             }
@@ -1096,7 +1092,7 @@ impl Process {
 
     /// `true` while at least one global probe is installed.
     pub fn in_global_mode(&self) -> bool {
-        self.global_mode
+        self.probes.has_global()
     }
 
     /// Number of distinct locations with local probes.
@@ -1118,74 +1114,28 @@ impl Process {
         if func < n_imp || func >= self.module.num_funcs() {
             return Vec::new();
         }
-        // A site table implies the function is lowered: probe locations are
-        // validated against the lowered form.
         let fc = &self.code[(func - n_imp) as usize];
         let Some(sites) = fc.sites() else {
             return Vec::new();
         };
-        let slot = fc.artifact().lowered().slot_of(pc);
+        let slot = fc.artifact().ordinal_of(pc);
         slot.and_then(|s| sites.get(s as usize)).map_or_else(Vec::new, |site| {
             site.probes.iter().map(|(_, p)| p.borrow().kind()).collect()
         })
     }
 
     /// Validates that `(func, pc)` names an instruction boundary of a local
-    /// function and returns its lowered slot — the index of the function's
-    /// site table. Boundaries come from the lowered form's `pc ↔ slot` map
-    /// (lowering the function on first demand), so the instrumentation API
-    /// and the execution tiers share one decoding of the body.
-    pub(crate) fn check_location(&mut self, func: FuncIdx, pc: u32) -> Result<u32, ProbeError> {
+    /// function and returns the instruction's ordinal — the index of the
+    /// function's site table. Boundaries come from the artifact's
+    /// per-function instruction list (decoded on first demand), which the
+    /// site tables and the register forms' sites share.
+    pub(crate) fn check_location(&self, func: FuncIdx, pc: u32) -> Result<u32, ProbeError> {
         let n_imp = self.module.num_imported_funcs();
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
         }
         let lf = (func - n_imp) as usize;
-        let low = self.lowered_for(lf);
-        match low.slot_of(pc) {
-            // The one-past-the-end sentinel maps to a slot (frames park the
-            // implicit-return pc there) but is not a probeable instruction.
-            Some(slot) if (slot as usize) < low.len() => Ok(slot),
-            _ => Err(ProbeError::InvalidPc(func, pc)),
-        }
-    }
-
-    /// The shared lowered form of local function `lf`, by reference. It is
-    /// built inside the artifact on the first demand from any sibling
-    /// process; if this call is the one that builds it, it is counted in
-    /// this process's [`EngineStats::functions_lowered`] (instantiating
-    /// from a warm artifact therefore reports 0 lowering work).
-    pub(crate) fn lowered_for(&mut self, lf: usize) -> &Arc<Lowered> {
-        let (low, lowered_now) = self.code[lf].artifact().lowered_init();
-        if lowered_now {
-            self.stats.functions_lowered += 1;
-        }
-        low
-    }
-
-    /// The artifact's list of every instruction site
-    /// ([`ModuleArtifact::instruction_sites`]); lowering it forces is
-    /// attributed to this process like any other.
-    pub(crate) fn instruction_sites(&mut self) -> Arc<[Location]> {
-        for lf in 0..self.code.len() {
-            self.lowered_for(lf);
-        }
-        Arc::clone(self.artifact.instruction_sites())
-    }
-
-    /// The artifact's run table ([`ModuleArtifact::runs`]), attributing the
-    /// lowering it forces like [`Process::instruction_sites`].
-    pub(crate) fn runs(&mut self) -> Arc<crate::runs::RunTable> {
-        self.instruction_sites();
-        Arc::clone(self.artifact.runs())
-    }
-
-    /// A fresh lowered view of local function `lf` (shared slots, or this
-    /// process's overlay copy), for the cold consumers — identity
-    /// introspection. Execution reads [`Process::views_for`].
-    pub(crate) fn lowered_view_for(&mut self, lf: usize) -> LoweredView {
-        self.lowered_for(lf);
-        self.code[lf].lowered_view()
+        self.code[lf].artifact().ordinal_of(pc).ok_or(ProbeError::InvalidPc(func, pc))
     }
 
     /// The execution views of local function `lf` — what every frame
@@ -1201,30 +1151,25 @@ impl Process {
         }
     }
 
-    /// First touch: lowers the function unless this process dispatches
-    /// bytes (byte dispatch executes without ever lowering) and resolves
-    /// the views, with the register form if it is built already.
+    /// First touch: resolves the views, with the register form if it is
+    /// built already (byte dispatch never reads one).
     #[cold]
     pub(crate) fn resolve_views(&mut self, lf: usize) -> Rc<FuncViews> {
-        let lowered = self.config.dispatch != Dispatch::Bytecode;
-        if lowered {
-            self.lowered_for(lf);
-        }
-        self.code[lf].resolve_views(lowered)
+        self.code[lf].resolve_views(self.config.dispatch != Dispatch::Bytecode)
     }
 
     /// `true` if local function `lf` can run in register form now: the
     /// artifact's shared form while uninstrumented — built on the first
-    /// demand from any process, attributed to this process's counters like
-    /// [`Process::lowered_for`] does for the stack form — and this
-    /// process's instrumented form otherwise, re-lowered if a probe
+    /// demand from any process, and counted in this process's
+    /// [`EngineStats::functions_lowered`] if this demand built it — and
+    /// this process's instrumented form otherwise, re-lowered if a probe
     /// invalidated it. `false` if the allocator declines the function.
     #[inline]
     pub(crate) fn has_reg_code(&mut self, lf: usize) -> bool {
         let (reg, built_now) = self.artifact.reg_func_init(lf);
         let lowered = reg.is_some();
         if built_now && lowered {
-            self.stats.functions_reg_lowered += 1;
+            self.stats.functions_lowered += 1;
         } else if built_now {
             self.stats.reg_fallbacks += 1;
         }
@@ -1248,7 +1193,7 @@ impl Process {
             return false;
         };
         if self.config.validate_lowering {
-            if let Some((_, validate)) = LOWERING_VALIDATOR.get() {
+            if let Some(validate) = LOWERING_VALIDATOR.get() {
                 if let Err(e) = validate(&self.artifact, lf, &reg) {
                     panic!("instrumented register form failed translation validation: {e}");
                 }
@@ -1267,9 +1212,9 @@ impl Process {
     /// (and recounts).
     ///
     /// Instrumentation never takes this path — probe insertion/removal
-    /// patches overlay slots in place and never re-lowers. The API exists for tooling and
-    /// tests that need a function's process-local caches provably rebuilt.
-    /// The shared artifact itself is immutable and is never re-lowered.
+    /// patches overlay bytes in place. The API exists for tooling and tests
+    /// that need a function's process-local caches provably rebuilt. The
+    /// shared artifact itself is immutable and is never re-lowered.
     ///
     /// # Errors
     ///
@@ -1359,7 +1304,6 @@ impl Process {
             return Ok(None);
         }
         let lf = (func - n_imp) as usize;
-        self.lowered_for(lf);
         if !self.has_reg_code(lf) {
             return Ok(None);
         }
@@ -1369,8 +1313,8 @@ impl Process {
     // ---- shared-artifact introspection ----
 
     /// The shared [`ModuleArtifact`] this process executes from. Two
-    /// processes with `Arc::ptr_eq` artifacts share validated metadata and
-    /// lowered and register forms.
+    /// processes with `Arc::ptr_eq` artifacts share validated metadata,
+    /// bytecode and register forms.
     pub fn artifact(&self) -> &Arc<ModuleArtifact> {
         &self.artifact
     }
@@ -1386,11 +1330,11 @@ impl Process {
         self.code[(func - n_imp) as usize].has_overlay()
     }
 
-    /// Identity (address) of the lowered op stream this process would
-    /// dispatch `func` from — the artifact's shared stream until a probe
-    /// lands, the process-local overlay copy after. Two uninstrumented
-    /// sibling processes report the *same* address: they literally share
-    /// the code. Lowers the function if it never ran.
+    /// Identity (address) of the bytecode this process would dispatch
+    /// `func` from — the artifact's shared bytes until a probe lands, the
+    /// process-local overlay copy the probe opcode overwrites after. Two
+    /// uninstrumented sibling processes report the *same* address: they
+    /// literally share the code.
     ///
     /// # Errors
     ///
@@ -1400,7 +1344,7 @@ impl Process {
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
         }
-        Ok(self.lowered_view_for((func - n_imp) as usize).ops_addr())
+        Ok(self.code[(func - n_imp) as usize].bytes_view().addr())
     }
 
     /// Bytes of process-private code this process currently holds in
@@ -1498,8 +1442,7 @@ fn drive(ex: &mut Exec<'_>) -> Result<Exit, Trap> {
     while !ex.frames.is_empty() {
         let tier = ex.frames.last().expect("non-empty").tier;
         let r = match tier {
-            Tier::Interp if ex.classic => classic::run_frame(ex),
-            Tier::Interp => interp::run_frame(ex),
+            Tier::Interp => classic::run_frame(ex),
             Tier::Reg => regint::run_frame(ex),
         };
         match r? {

@@ -1,7 +1,16 @@
 //! The execution core: the unified value stack, frame management, the
 //! tier dispatcher, probe firing with the paper's consistency guarantees,
 //! and the [`ProbeCtx`] / [`FrameView`] APIs that M-code programs against.
+//!
+//! Two tiers share this state: the byte interpreter (`classic.rs`) and
+//! the register form (`regint.rs`). Frames move between them at byte
+//! pcs: `Exec::load_cur` demotes a register frame its function can no
+//! longer run in register form, the byte interpreter promotes at run
+//! leaders, and `Exec::end_event` settles a register frame an event
+//! changed under it — demotion, and the global counts its run was
+//! charged to.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use wizard_wasm::module::FuncIdx;
@@ -12,8 +21,6 @@ use crate::classic;
 use crate::code::FuncViews;
 use crate::engine::{Dispatch, ProbeError, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
-use crate::interp;
-use crate::lowered::LTarget;
 use crate::probe::{Location, Pending, ProbeId, ProbeRef, Site};
 use crate::regir::{self, RegFunc};
 use crate::store::HostCtx;
@@ -81,9 +88,8 @@ pub(crate) struct Exec<'p> {
     /// Call stack; `frames.last()` is the current frame (its `pc` is
     /// authoritative only at sync points).
     pub frames: Vec<Frame>,
-    /// Live cursor of the current frame: a *slot index* in the lowered
-    /// interpreter, a register-instruction index in the register form, a
-    /// byte pc in the classic (byte-walking) interpreter. Frames always
+    /// Live cursor of the current frame: a register-instruction index in
+    /// the register form, a byte pc in the byte interpreter. Frames always
     /// receive byte pcs ([`Exec::sync_pc`] converts), keeping the paper's
     /// byte-offset location space the contract everywhere outside the
     /// hot loops.
@@ -99,8 +105,8 @@ pub(crate) struct Exec<'p> {
     /// Result arity of the current function.
     pub results: u32,
     /// Current function's execution views — byte view (`views.code`),
-    /// lowered view (`views.low`), register form and metadata — as this
-    /// process resolved them on the function's first frame. A handle on
+    /// register form and metadata — as this process resolved them on the
+    /// function's first frame. A handle on
     /// the bundle its [`FuncOverlay`](crate::code::FuncOverlay) caches:
     /// [`Exec::load_cur`] switches functions by swapping this one
     /// process-local `Rc`, so a frame switch never clones (never writes
@@ -109,14 +115,14 @@ pub(crate) struct Exec<'p> {
     /// `true` when the engine is configured for classic byte dispatch
     /// ([`Dispatch::Bytecode`]).
     pub classic: bool,
-    /// Active lowered dispatch table (normal or global-probe-instrumented).
-    pub table: &'static [interp::Handler; 256],
-    /// Active classic dispatch table (kept in lockstep with `table`).
+    /// Active byte-interpreter dispatch table: the normal one, or the
+    /// all-stub one while any global probe is installed.
     pub ctable: &'static [classic::Handler; 256],
     /// Source of activation ids.
     pub activations: u64,
-    /// One-shot suppression of probe firing at a location, used when a
-    /// register frame demotes at a probe site whose event already fired.
+    /// One-shot suppression of an instruction's event — local probes,
+    /// global probes and global counts — used when a register frame
+    /// demotes at a probe site whose event already fired there.
     pub skip_probe: Option<Location>,
     /// `true` when this run is fuel-metered (bounded).
     pub metered: bool,
@@ -165,9 +171,7 @@ impl<'p> Exec<'p> {
     /// from the process and no current frame loaded (the views are the
     /// shared placeholder until [`Exec::load_cur`] runs).
     fn over(proc: &'p mut Process, values: Vec<u64>, frames: Vec<Frame>) -> Exec<'p> {
-        let global = proc.global_mode;
-        let table = if global { interp::instrumented_table() } else { interp::normal_table() };
-        let ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
+        let ctable = table_for(proc);
         let classic = proc.config.dispatch == Dispatch::Bytecode;
         Exec {
             proc,
@@ -181,7 +185,6 @@ impl<'p> Exec<'p> {
             results: 0,
             views: FuncViews::placeholder(),
             classic,
-            table,
             ctable,
             activations: 0,
             skip_probe: None,
@@ -245,36 +248,13 @@ impl<'p> Exec<'p> {
 
     // ---- frame sync ----
 
-    /// `true` while `self.pc` holds a lowered slot index (the lowered
-    /// interpreter is the running tier) rather than a byte pc.
-    #[inline]
-    fn pc_is_slot(&self) -> bool {
-        !self.classic && self.frames.last().is_some_and(|f| f.tier == Tier::Interp)
-    }
-
-    /// `true` while `self.pc` holds a register-instruction index (the
-    /// register interpreter is the running tier).
-    #[inline]
-    fn pc_is_reg_idx(&self) -> bool {
-        !self.classic && self.frames.last().is_some_and(|f| f.tier == Tier::Reg)
-    }
-
     /// Writes the live pc back into the current frame — converted to a
-    /// *byte* pc if the cursor is currently a lowered slot or a register
-    /// instruction index — before probes fire or state is otherwise
-    /// observed.
+    /// *byte* pc if the cursor is a register-instruction index — before
+    /// probes fire or state is otherwise observed.
     #[inline]
     pub fn sync_pc(&mut self) {
-        if self.frames.is_empty() {
-            return;
-        }
-        let pc = if self.pc_is_slot() {
-            self.views.low.pc_of(self.pc) as usize
-        } else if self.pc_is_reg_idx() {
-            self.reg().pc_of(self.pc) as usize
-        } else {
-            self.pc
-        };
+        let Some(tier) = self.frames.last().map(|f| f.tier) else { return };
+        let pc = if tier == Tier::Reg { self.reg().pc_of(self.pc) as usize } else { self.pc };
         self.frames.last_mut().expect("non-empty").pc = pc;
     }
 
@@ -291,17 +271,19 @@ impl<'p> Exec<'p> {
 
     /// Refreshes the cached current-frame fields from `frames.last()`:
     /// switches [`Exec::views`] to the frame's function (resolving them on
-    /// the function's first frame in this process — which, under lowered
-    /// dispatch, is also what lowers it on first touch) and converts the
-    /// parked byte pc back to the running tier's cursor.
+    /// the function's first frame in this process) and converts the parked
+    /// byte pc back to the running tier's cursor.
     ///
-    /// A register frame resumes in its function's *current* register form
-    /// (re-lowered if a probe arrived since it parked: it parked at a call
-    /// or return, where `idx_of` maps every form alike). If the function
-    /// can no longer run in register form — global probes need the
-    /// instrumented stack dispatch table — the frame demotes: register
-    /// frames park with every deferred operand flushed to its canonical
-    /// stack position, so the stack interpreter resumes them exactly.
+    /// Unless the engine dispatches bytes or a generic global probe is
+    /// installed, this is also where the function's register form is
+    /// built — or re-lowered, if a probe arrived since — so that a register
+    /// frame resumes in its function's *current* form (it parked at a call
+    /// or return, where `idx_of` maps every form alike) and a
+    /// byte-interpreter frame can promote at its next run leader. If the
+    /// function cannot run in register form now, a register frame demotes:
+    /// register frames park with every deferred operand flushed to its
+    /// canonical stack position, so the byte interpreter resumes them
+    /// exactly.
     pub fn load_cur(&mut self) {
         let (pc, mut tier) = {
             let f = self.frames.last().expect("at least one frame");
@@ -312,57 +294,22 @@ impl<'p> Exec<'p> {
             self.results = f.results;
             (f.pc, f.tier)
         };
-        if tier == Tier::Reg && (self.proc.global_mode || !self.proc.has_reg_code(self.lf)) {
+        let compiled = !self.classic && !self.proc.global_mode && self.proc.has_reg_code(self.lf);
+        if tier == Tier::Reg && !compiled {
             self.frames.last_mut().expect("at least one frame").tier = Tier::Interp;
             self.proc.stats.deopts += 1;
             tier = Tier::Interp;
         }
         self.views = self.proc.views_for(self.lf);
-        if self.classic {
-            self.pc = pc;
-            return;
-        }
-        if tier == Tier::Reg && self.views.reg.is_none() {
-            // The views were resolved (by a stack-tier activation) before
-            // the register form was built.
+        if compiled && self.views.reg.is_none() {
+            // The views were resolved (by a byte-interpreter activation)
+            // before the register form was built.
             self.views = self.proc.resolve_views(self.lf);
         }
         self.pc = match tier {
             Tier::Reg => self.reg().idx_of(pc),
-            Tier::Interp => {
-                self.views.low.slot_of(pc as u32).expect("frame pc is an instruction boundary")
-                    as usize
-            }
+            Tier::Interp => pc,
         };
-    }
-
-    /// Promotes the current stack-interpreter frame to register form at
-    /// the loop header it is about to execute, if the function has a
-    /// register form and global probes are off; returns `true` if it did.
-    /// The header's fuel unit, already charged, is refunded: the register
-    /// form charges the whole run the header leads — which a metered run
-    /// must be able to pay, or the frame stays (as it does at a header
-    /// that leads no run).
-    pub(crate) fn promote_at_loop(&mut self) -> bool {
-        if self.proc.global_mode || !self.proc.has_reg_code(self.lf) {
-            return false;
-        }
-        self.sync_pc();
-        self.frames.last_mut().expect("a frame is executing").tier = Tier::Reg;
-        self.load_cur();
-        if self.metered {
-            // A run is paid for at its first instruction only, and a `loop`
-            // no branch targets sits inside one: a metered frame stays.
-            let cost = u64::from(self.reg().get(self.pc).cost);
-            if cost == 0 || self.fuel + 1 < cost {
-                self.frames.last_mut().expect("a frame is executing").tier = Tier::Interp;
-                self.load_cur();
-                return false;
-            }
-            self.fuel += 1;
-        }
-        self.proc.stats.tier_ups += 1;
-        true
     }
 
     /// Grows the value stack to the current register frame's full window
@@ -403,19 +350,13 @@ impl<'p> Exec<'p> {
         self.pc = t.target_pc as usize;
     }
 
-    /// Executes a pre-resolved lowered branch (slot destination).
-    #[inline]
-    pub fn do_branch_lowered(&mut self, t: LTarget) {
-        self.branch_values(t.keep, t.height);
-        self.pc = t.slot as usize;
-    }
-
     // ---- calls and returns ----
 
     /// Decides which tier a new activation of `lf` starts in: the register
     /// form whenever the function has one — instrumented or not, metered
-    /// or not — except under [`Dispatch::Bytecode`] and in global-probe
-    /// mode (paper §4.1), which run the stack interpreter.
+    /// or not, globally counted or not — except under
+    /// [`Dispatch::Bytecode`] and while a generic global probe is
+    /// installed (paper §4.1), which run the byte interpreter.
     fn tier_for_call(&mut self, lf: usize) -> Tier {
         if self.classic || self.proc.global_mode || !self.proc.has_reg_code(lf) {
             Tier::Interp
@@ -562,9 +503,9 @@ impl<'p> Exec<'p> {
 
     // ---- probes ----
 
-    /// Fires the probes of the current function's site at lowered slot
-    /// `slot` (byte offset `pc`) in insertion order, then applies the
-    /// instrumentation requests they queued.
+    /// Fires the probes of the current function's site for the
+    /// instruction with ordinal `slot` (byte offset `pc`) in insertion
+    /// order, then applies the instrumentation requests they queued.
     pub fn fire_site(&mut self, slot: u32, pc: u32) {
         let fc = Rc::clone(&self.proc.code[self.lf]);
         let Some(sites) = fc.sites() else {
@@ -585,15 +526,10 @@ impl<'p> Exec<'p> {
 
     /// Fires all global probes for the instruction at the current cursor.
     pub fn fire_global_probes(&mut self) {
-        let counts = &self.proc.probes.global_counts;
-        if !counts.is_empty() {
-            // All `Count`: the interpreter-side twin of §4.4's
-            // intrinsification — bump the cells, call nothing.
-            for cell in counts {
-                cell.set(cell.get() + 1);
-            }
-            self.proc.stats.probe_fires += counts.len() as u64;
-            self.proc.stats.global_fires += counts.len() as u64;
+        if self.counting() {
+            // All `Count`: the byte-interpreter twin of the register form's
+            // per-run charge — bump the cells, call nothing.
+            self.add_global_counts(1);
             return;
         }
         let list = self.proc.probes.globals();
@@ -612,6 +548,20 @@ impl<'p> Exec<'p> {
         self.end_event();
     }
 
+    /// `true` while every global probe is a `Count` probe the engine bumps
+    /// itself (and at least one is installed).
+    #[inline]
+    pub(crate) fn counting(&self) -> bool {
+        !self.proc.probes.global_counts.is_empty()
+    }
+
+    /// Adds `n` instructions to the cell of every global `Count` probe —
+    /// negative `n` takes back instructions that never executed.
+    #[inline]
+    pub(crate) fn add_global_counts(&self, n: i64) {
+        add_counts(&self.proc.probes.global_counts, n);
+    }
+
     /// Ends an event's dispatch: applies the instrumentation changes its
     /// probes queued, if any.
     fn end_event(&mut self) {
@@ -619,46 +569,65 @@ impl<'p> Exec<'p> {
         if self.proc.probes.firing != 0 || self.proc.probes.pending.is_empty() {
             return;
         }
+        // A register frame fires at its `R_SITE`, mid-run: the global
+        // counts it runs under were charged the whole run at its leader.
+        let counted = self
+            .frames
+            .last()
+            .is_some_and(|f| f.tier == Tier::Reg)
+            .then(|| self.proc.probes.global_counts.clone());
         for p in std::mem::take(&mut self.proc.probes.pending) {
             self.proc.apply_instrumentation(p);
         }
-        // The dispatch tables may have changed (global-probe mode).
-        let global = self.proc.global_mode;
-        self.table = if global { interp::instrumented_table() } else { interp::normal_table() };
-        self.ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
-        if self.frames.is_empty() {
-            return;
-        }
-        // A register frame fires at its `R_SITE`, mid-run. If global probes
-        // arrived, or the change replaced its function's register form
-        // (re-lowered with a new site, or rejoined the shared form), it
-        // cannot continue in the code it runs: it demotes at the site's pc
-        // (§4.6), where the stack interpreter must not fire the event — the
-        // site's probes, or global probes the event inserted — again. A
-        // metered run is refunded the part of the run it paid for and has
-        // not executed: the stack interpreter charges it per instruction.
-        let top = self.frames.last_mut().expect("non-empty");
-        let current = self.proc.code[self.lf].cached_views();
-        if top.tier == Tier::Reg
-            && (global || !current.is_some_and(|v| Rc::ptr_eq(&v, &self.views)))
-        {
-            top.tier = Tier::Interp;
-            let (pc, fc) = (top.pc as u32, &self.proc.code[self.lf]);
-            if self.metered {
-                self.fuel += u64::from(regir::run_rest(fc.artifact(), pc));
-            }
-            if global || fc.byte_at(pc as usize) == op::PROBE {
-                self.skip_probe = Some(Location { func: self.func, pc });
-            }
-            self.proc.stats.deopts += 1;
+        // The dispatch table may have changed (global probes).
+        self.ctable = table_for(self.proc);
+        if let Some(counted) = counted {
+            self.settle_register_frame(&counted);
         }
         // Instrumenting the current function may have copy-on-wrote (or
         // rejoined) its code: `self.views` would keep reading the stale
         // stream (the overlay dropped its cached bundle; ours is the old
         // one). Reload from the frame — the pc was synced before the
         // probes fired, so this is view-identity for the cursor and only
-        // swaps the op/byte sources.
+        // swaps the byte and register sources.
         self.load_cur();
+    }
+
+    /// After an event a register frame fired at a site mid-run, its run
+    /// charged at the leader to the global counts `counted`. If generic
+    /// global probes arrived, or the change replaced the frame's register
+    /// form (re-lowered with a new site, or rejoined the shared form), the
+    /// frame demotes at the site's pc (§4.6), where the byte interpreter
+    /// must not raise the event again. The rest of the run after the site
+    /// is taken back from `counted` and, if the frame stays, charged to the
+    /// counts now installed: a count inserted mid-run is credited, one
+    /// removed debited. A demoted metered frame is refunded the run's fuel
+    /// from the site on, which the byte interpreter charges again.
+    fn settle_register_frame(&mut self, counted: &[Rc<Cell<u64>>]) {
+        let global = self.proc.global_mode;
+        let current = self.proc.code[self.lf].cached_views();
+        let demote = global || !current.is_some_and(|v| Rc::ptr_eq(&v, &self.views));
+        let counts = &self.proc.probes.global_counts;
+        let recount = counted.len() != counts.len()
+            || counted.iter().zip(counts).any(|(a, b)| !Rc::ptr_eq(a, b));
+        if !demote && !recount {
+            return;
+        }
+        let top = self.frames.last_mut().expect("a register frame fired");
+        let pc = top.pc as u32;
+        let (rest, ret) = regir::run_rest(self.proc.code[self.lf].artifact(), pc);
+        let after = i64::from(rest - 1);
+        add_counts(counted, -after);
+        if demote {
+            top.tier = Tier::Interp;
+            if self.metered {
+                self.fuel += u64::from(rest + u32::from(ret));
+            }
+            self.skip_probe = Some(Location { func: self.func, pc });
+            self.proc.stats.deopts += 1;
+        } else {
+            self.add_global_counts(after);
+        }
     }
 
     /// After a tier loop returned a trap: the trapping instruction. Every
@@ -668,8 +637,7 @@ impl<'p> Exec<'p> {
     pub fn trap_location(&self) -> Option<Location> {
         let frame = self.frames.last()?;
         let pc = match frame.tier {
-            Tier::Interp if self.classic => self.pc as u32,
-            Tier::Interp => self.views.low.pc_of(self.pc),
+            Tier::Interp => self.pc as u32,
             Tier::Reg => self.reg().pc_of(self.pc),
         };
         Some(Location { func: frame.func, pc })
@@ -728,6 +696,22 @@ impl<'p> Exec<'p> {
 pub struct ProbeCtx<'a, 'p> {
     pub(crate) ex: &'a mut Exec<'p>,
     pub(crate) loc: Location,
+}
+
+/// Adds `n` instructions to every cell (negative `n` takes them back).
+fn add_counts(cells: &[Rc<Cell<u64>>], n: i64) {
+    for cell in cells {
+        cell.set(cell.get().wrapping_add_signed(n));
+    }
+}
+
+/// The byte-interpreter dispatch table `proc`'s global probes select.
+fn table_for(proc: &Process) -> &'static [classic::Handler; 256] {
+    if proc.probes.has_global() {
+        classic::instrumented_table()
+    } else {
+        classic::normal_table()
+    }
 }
 
 impl<'a, 'p> ProbeCtx<'a, 'p> {
@@ -830,7 +814,7 @@ impl<'a, 'p> ProbeCtx<'a, 'p> {
     ///
     /// # Errors
     ///
-    /// Never fails: every configuration has a stack interpreter to run
+    /// Never fails: every configuration has a byte interpreter to run
     /// global probes in. Fallible like [`ProbeCtx::insert_local_probe`].
     pub fn insert_global_probe(&mut self, probe: ProbeRef) -> Result<ProbeId, ProbeError> {
         let id = self.ex.proc.probes.fresh_id(Site::Global);

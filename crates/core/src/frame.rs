@@ -18,8 +18,10 @@ use wizard_wasm::module::FuncIdx;
 /// Which execution tier a frame is currently running in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// The stack interpreter: the lowered loop, or the byte-walking
-    /// reference under [`Dispatch::Bytecode`](crate::Dispatch).
+    /// The byte interpreter: the paper's in-place interpreter — every
+    /// frame under [`Dispatch::Bytecode`](crate::Dispatch), and otherwise
+    /// the frames the register form hands back until their next run
+    /// leader.
     Interp,
     /// The register form ([`crate::regir`]), the engine's compiled tier:
     /// stack traffic eliminated, probe sites and fuel charges carried in
@@ -43,9 +45,9 @@ pub(crate) struct Frame {
     /// Resume/current bytecode pc (authoritative at sync points).
     ///
     /// Always a *byte offset* — the paper's location space — even though
-    /// the running loop's live cursor is a slot or register-instruction
-    /// index: `Exec` converts through the function's `pc ↔ slot` /
-    /// `pc ↔ index` maps when parking or loading a frame. That keeps
+    /// the register form's live cursor is a register-instruction index:
+    /// `Exec` converts through the function's `pc ↔ index` maps when
+    /// parking or loading a frame. That keeps
     /// every consumer of parked frames (FrameAccessors, fuel
     /// suspension/resume, demotion and promotion, probe locations)
     /// dispatch-representation-agnostic.

@@ -7,35 +7,32 @@
 //!
 //! * **Shared artifacts & copy-on-write overlays** ([`artifact`],
 //!   [`code`]): a [`ModuleArtifact`] holds everything process-independent
-//!   — the validated module, side-table metadata, per-function lowered
-//!   code and the probe-free register form — each built lazily once per
-//!   function, `Arc`-shared and `Send + Sync`. [`Process::instantiate`]
-//!   links against it without re-validating; uninstrumented processes
-//!   execute *the same* shared code (pointer-equal), and the first probe a
-//!   process installs in a function copy-on-writes just that function into
-//!   its private overlay — invisible to siblings, dropped again when the
-//!   last probe detaches.
+//!   — the validated module, side-table metadata, each function's
+//!   instruction list and probe-free register form — each built lazily
+//!   once per function, `Arc`-shared and `Send + Sync`.
+//!   [`Process::instantiate`] links against it without re-validating;
+//!   uninstrumented processes execute *the same* shared code
+//!   (pointer-equal), and the first probe a process installs in a function
+//!   copy-on-writes just that function's bytes into its private overlay —
+//!   invisible to siblings, dropped again when the last probe detaches.
 //! * **Two tiers**, picked per activation by the engine, as in the paper
 //!   (§4). The compiled tier is the register form ([`regir`]): locals and
 //!   operand slots are numbered registers, so `local.get`/const/push/pop
 //!   traffic is allocated away. It runs every activation it can — clean,
-//!   instrumented and fuel-metered alike: an instrumented function is
-//!   lowered per process with one probe site per probed instruction,
-//!   bound to the site's probes (intrinsified where they allow), and a
-//!   metered frame pays for a whole straight-line run at its first
-//!   instruction. The interpreter tier is the lowered stack interpreter
-//!   ([`lowered`]): each function body is lowered *once* into fixed-width
-//!   internal instructions — immediates pre-decoded, branch side table
-//!   resolved into pre-resolved targets — dispatched through a 256-entry
-//!   handler table. It runs global-probe mode, the functions the register
-//!   allocator declines, the part of a run a fuel slice cannot pay for,
-//!   and frames demoted mid-run, until their next loop header promotes
-//!   them back. Bidirectional `pc ↔ slot`/`pc ↔ index` maps keep the
-//!   paper's byte-offset location space as the public contract. Global
-//!   probes are implemented by *switching the dispatch table pointer* —
-//!   zero overhead when disabled. The paper's in-place byte-walking
-//!   interpreter survives as [`Dispatch::Bytecode`], the reference and
-//!   measured baseline.
+//!   instrumented, fuel-metered and globally counted alike: an
+//!   instrumented function is lowered per process with one probe site per
+//!   probed instruction, bound to the site's probes (intrinsified where
+//!   they allow), and a straight-line run pays its fuel, and adds to the
+//!   cells of global `Count` probes, at its first instruction. The slow
+//!   tier is the paper's in-place byte interpreter, with §4.1's switchable
+//!   dispatch table: global probes are implemented by *switching the
+//!   dispatch table pointer* — zero overhead when disabled. It runs
+//!   generic global probes, the functions the register allocator
+//!   declines, the run a fuel slice cannot pay for, and frames demoted
+//!   mid-run, each until the next run leader it can promote at; under
+//!   [`Dispatch::Bytecode`] it runs everything, the reference the register
+//!   form is tested against. Byte-pc ↔ index maps keep the paper's
+//!   byte-offset location space as the public contract.
 //! * **Local probes** are implemented by *bytecode overwriting*: the probed
 //!   instruction's opcode byte is replaced by a reserved probe opcode, and
 //!   the original is kept on the side — zero overhead for uninstrumented
@@ -48,8 +45,8 @@
 //!   instruction the form has no site for re-lowers the function (§4.5).
 //! * **Consistency** ([`probe`], [`exec`]): insertion order is firing
 //!   order; inserts/removals during an event are deferred to its end; a
-//!   register frame whose code a probe replaced, or that global probes
-//!   must now reach, demotes to the stack interpreter at its byte pc
+//!   register frame whose code a probe replaced, or that generic global
+//!   probes must now reach, demotes to the byte interpreter at its byte pc
 //!   (§4.6); frame modifications need no deoptimization, because a probe
 //!   only observes a register frame at a park point.
 //! * **FrameAccessor** ([`frame`], [`exec::ProbeCtx`]): probes receive
@@ -180,8 +177,6 @@ pub mod code;
 mod engine;
 pub mod exec;
 pub mod frame;
-mod interp;
-pub mod lowered;
 pub mod monitor;
 pub mod numeric;
 pub mod probe;
@@ -196,7 +191,7 @@ pub mod value;
 pub use artifact::{FuncArtifact, ModuleArtifact};
 pub use engine::{
     register_lowering_validator, Dispatch, EngineConfig, EngineConfigBuilder, EngineStats,
-    LinkError, LoweringValidator, ProbeError, Process, RunOutcome, SiteLoweringValidator,
+    LinkError, LoweringValidator, ProbeError, Process, RunOutcome,
 };
 pub use exec::{FrameModError, FrameView, ProbeCtx};
 pub use frame::{FrameAccessor, Tier};

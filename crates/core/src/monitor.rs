@@ -375,14 +375,14 @@ impl<'a> InstrumentationCtx<'a> {
     /// the site list of a whole-module monitor. Shared by everything
     /// instantiated from the module's artifact — no body is decoded here.
     pub fn instruction_sites(&mut self) -> Arc<[Location]> {
-        self.process.instruction_sites()
+        Arc::clone(self.process.artifact.instruction_sites())
     }
 
     /// The partition of the module's code into straight-line runs
     /// ([`ModuleArtifact::runs`](crate::ModuleArtifact::runs)), shared like
     /// [`InstrumentationCtx::instruction_sites`].
     pub fn runs(&mut self) -> Arc<RunTable> {
-        self.process.runs()
+        Arc::clone(self.process.artifact.runs())
     }
 
     /// Where the process's suspended bounded run will continue, if one is

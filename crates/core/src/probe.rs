@@ -279,8 +279,8 @@ impl core::fmt::Debug for ProbeBatch {
 /// An ordered probe list entry.
 pub(crate) type Entry = (ProbeId, ProbeRef);
 
-/// Where a probe is attached. Local sites are named by lowered *slot*: the
-/// index of the function's per-slot site table
+/// Where a probe is attached. Local sites are named by the instruction's
+/// *ordinal* (`slot`): the index of the function's per-instruction site table
 /// ([`FuncOverlay`](crate::code::FuncOverlay)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum Site {

@@ -8,24 +8,26 @@
 //! instruction addresses its operands with plain indexed loads — no
 //! pushes, no pops, no stack-pointer motion between instructions.
 //!
-//! Instrumented and metered activations run here too:
+//! Instrumented, metered and globally counted activations run here too:
 //!
 //! * an `R_SITE` executes its site's binding — nothing, an inline count,
 //!   direct operand calls with the top-of-stack register, or a generic
 //!   fire with the frame truncated to its canonical stack (§4.4);
-//! * the loop is monomorphized on metering, like the stack interpreter's:
-//!   the metered loop pays for a whole run at its first instruction
-//!   ([`RInstr::cost`](crate::regir::RInstr::cost)) and demotes the
-//!   frame to the stack interpreter at the run's byte pc when the slice
-//!   cannot pay; the unmetered loop carries no fuel check at all.
+//! * the loop is monomorphized on whether runs are charged. At a run's
+//!   first instruction ([`RInstr::cost`](crate::regir::RInstr::cost)) a
+//!   metered frame pays for the whole run, and demotes to the byte
+//!   interpreter at the run's byte pc when the slice cannot pay; while
+//!   global `Count` probes are installed the run's instruction count is
+//!   added to every cell. A trap takes back both for the part of the run
+//!   that never executed. The plain loop carries no charge at all.
 //!
 //! Register frames only *park* at points where the allocator has flushed
 //! every deferred operand to its canonical stack position and the runtime
 //! has truncated the value stack to the exact operand height — calls,
 //! returns, sites, run leaders — so a parked register frame is
-//! indistinguishable from a stack frame at the same byte pc. That is what
-//! lets one demote (§4.6), and resume in a re-lowered form, at byte
-//! granularity.
+//! indistinguishable from a byte-interpreter frame at the same byte pc.
+//! That is what lets one demote (§4.6), promote back, and resume in a
+//! re-lowered form, at byte granularity.
 
 use std::rc::Rc;
 
@@ -47,31 +49,29 @@ use crate::value::Slot;
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     debug_assert_eq!(ex.frames.last().map(|f| f.tier), Some(Tier::Reg));
     ex.reg_extend();
-    // Metering is fixed for the whole run; monomorphize the loop so the
-    // unmetered hot path carries no fuel checks at all.
-    if ex.metered {
+    // Whether runs are charged is fixed until the loop hands off —
+    // metering for the whole run, global counting until a generic fire,
+    // which re-enters here; monomorphize the loop so the plain hot path
+    // carries no per-run charge at all.
+    if ex.metered || ex.counting() {
         run_loop::<true>(ex)
     } else {
         run_loop::<false>(ex)
     }
 }
 
-fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
+fn run_loop<const CHARGED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
     loop {
         let ri = ex.reg().get(ex.pc);
-        if METERED && ri.cost != 0 {
-            if ex.fuel < u64::from(ri.cost) {
-                demote_at_leader(ex);
-                return Ok(Exit::Redispatch);
-            }
-            ex.fuel -= u64::from(ri.cost);
+        if CHARGED && ri.cost != 0 && !charge_run(ex, ri.cost) {
+            return Ok(Exit::Redispatch);
         }
         match step(ex, ri) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
             Err(Sig::Switch) => return Ok(Exit::Redispatch),
             Err(Sig::Trap(t)) => {
-                if METERED {
+                if CHARGED {
                     refund_trapped_run(ex);
                 }
                 return Err(t);
@@ -80,9 +80,27 @@ fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
     }
 }
 
+/// At the first instruction of a run that costs `cost`: pays for the run,
+/// if metered, and adds its instructions to the global counts. `false` if
+/// the slice cannot pay, and the frame has demoted.
+#[inline(always)]
+fn charge_run(ex: &mut Exec, cost: u32) -> bool {
+    if ex.metered {
+        if ex.fuel < u64::from(cost) {
+            demote_at_leader(ex);
+            return false;
+        }
+        ex.fuel -= u64::from(cost);
+    }
+    if ex.counting() {
+        ex.add_global_counts(i64::from(ex.reg().counted(ex.pc, cost)));
+    }
+    true
+}
+
 /// The slice cannot pay for the run the current instruction leads: the
 /// frame demotes at the run's first byte pc, with its stack truncated to
-/// the canonical height there, and the stack interpreter runs (and
+/// the canonical height there, and the byte interpreter runs (and
 /// charges) the run instruction by instruction.
 #[cold]
 fn demote_at_leader(ex: &mut Exec) {
@@ -96,20 +114,22 @@ fn demote_at_leader(ex: &mut Exec) {
 }
 
 /// A trap ends the run at the trapping instruction: the part of the run
-/// after it, paid for at the leader, never executed.
+/// after it, paid for (and counted) at the leader, never executed.
 #[cold]
 fn refund_trapped_run(ex: &mut Exec) {
     if ex.frames.last().is_some_and(|f| f.tier == Tier::Reg) {
         let pc = ex.reg().pc_of(ex.pc);
-        let rest = regir::run_rest(ex.proc.code[ex.lf].artifact(), pc);
-        ex.fuel += u64::from(rest - 1);
+        let (rest, ret) = regir::run_rest(ex.proc.code[ex.lf].artifact(), pc);
+        if ex.metered {
+            ex.fuel += u64::from(rest - 1 + u32::from(ret));
+        }
+        ex.add_global_counts(-i64::from(rest - 1));
     }
 }
 
-/// One register-instruction dispatch step. Like the stack interpreter's
-/// `step`, every pattern is a constant so the match compiles to a jump
-/// table with the handler bodies inlined; unlike it, operands are indexed
-/// register reads — the value stack does not move.
+/// One register-instruction dispatch step. Every pattern is a constant so
+/// the match compiles to a jump table with the handler bodies inlined;
+/// operands are indexed register reads — the value stack does not move.
 #[inline(always)]
 fn step(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
     match ri.op {
@@ -319,20 +339,26 @@ fn site(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
 
 /// A generic site: the frame is truncated to its canonical stack (every
 /// operand flushed there, nothing live above) so probes see exactly what
-/// the stack interpreter would show them, then the site fires. If the
+/// the byte interpreter would show them, then the site fires. If the
 /// event's instrumentation changes left the frame unable to continue in
-/// this code, it has demoted (`Exec::end_event`) and the loop hands off.
+/// this code, it has demoted (`Exec::end_event`) and the loop hands off;
+/// if they switched global counting on or off, the loop is re-entered in
+/// the shape that charges runs accordingly.
 #[cold]
 fn fire_site(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
     let idx = ex.pc;
     ex.values.truncate(ex.opbase + ri.dst as usize);
     let pc = ex.reg().pc_of(idx);
+    let counting = ex.counting();
     ex.fire_site(ri.x, pc);
     if ex.frames.last().expect("a frame is executing").tier != Tier::Reg {
         return Err(Sig::Switch);
     }
     ex.pc = idx + 1;
     ex.reg_extend();
+    if ex.counting() != counting {
+        return Err(Sig::Switch);
+    }
     Ok(())
 }
 

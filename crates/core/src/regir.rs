@@ -1,10 +1,9 @@
 //! The register IR: the engine's one compiled form.
 //!
-//! [`Lowered`](crate::lowered) still models the operand stack — every
-//! `local.get`/`local.set` is a dispatched push or pop. This module lowers
-//! a validated function one step further, to an **infinite-virtual-register,
-//! fixed-width form** ([`RInstr`]) in which locals *and* operand-stack
-//! slots are numbered registers of the frame:
+//! Bytecode models the operand stack — every `local.get`/`local.set` is a
+//! push or a pop. This module lowers a validated function to an
+//! **infinite-virtual-register, fixed-width form** ([`RInstr`]) in which
+//! locals *and* operand-stack slots are numbered registers of the frame:
 //!
 //! * register `r < num_slots` is local `r`;
 //! * register `num_slots + i` is the operand-stack slot at height `i`
@@ -29,8 +28,9 @@
 //! **park point** (calls, returns, loop headers, probe sites, run leaders,
 //! taken branches) the allocator has flushed the abstract stack to
 //! canonical registers, so a register frame is indistinguishable from a
-//! stack-machine frame: probes walking the frame and demotion to the stack
-//! interpreter all keep working at byte granularity.
+//! byte-interpreter frame at the same byte pc: probes walking the frame,
+//! demotion to the byte interpreter and promotion back all work at byte
+//! granularity.
 //!
 //! The form carries what the paper's baseline compiler bakes into its code
 //! (§4.4–4.6):
@@ -42,18 +42,21 @@
 //!   instrumented process lowers its own copy
 //!   ([`FuncOverlay`](crate::code::FuncOverlay)), and only a probe on an
 //!   instruction that copy has no site for re-lowers it;
-//! * **fuel** — every straight-line *run* (entered only at its first
-//!   instruction, left only after its last) carries its bytecode
+//! * **per-run charges** — every straight-line *run* (entered only at its
+//!   first instruction, left only after its last) carries its bytecode
 //!   instruction count at its first register instruction
-//!   ([`RInstr::cost`]), so a metered frame charges a whole run at once
-//!   and demotes to the stack interpreter, which charges per instruction,
-//!   when the slice cannot pay for it.
+//!   ([`RInstr::cost`]). A metered frame pays for a whole run at once,
+//!   and demotes to the byte interpreter, which charges per instruction,
+//!   when the slice cannot pay for it; global `Count` probes are bumped by
+//!   the same count, less the implicit return. Every run's first byte pc
+//!   is flagged in the byte-pc map (`RegFunc::run_cost_at`): where a
+//!   byte-interpreter frame promotes back.
 //!
 //! Lowering is per function, on the function's first activation
 //! ([`ModuleArtifact::reg_func`](crate::ModuleArtifact::reg_func)), and
 //! total-or-nothing: any shape the allocator does not model (register ids
 //! beyond `u16`, inconsistent label heights) returns `None` and that
-//! function simply keeps running on the lowered stack interpreter.
+//! function simply keeps running on the byte interpreter.
 
 use std::collections::HashMap;
 
@@ -128,13 +131,16 @@ pub const R_CMP_BR: u8 = 23;
 /// As [`R_CMP_BR`] with the right operand folded: `binop<y>(r[a], z)`.
 pub const R_CMP_BR_RI: u8 = 24;
 /// Probe site, a park point ahead of the probed instruction: executes the
-/// binding of lowered slot `x` in the function's site table; `dst` = entry
+/// binding of site-table entry `x` (the instruction's ordinal); `dst` = entry
 /// height (the top of stack is register `num_slots + dst - 1`).
 pub const R_SITE: u8 = 25;
 
 /// Tag bit marking a call-argument source as a const-pool index rather
 /// than a register id.
 pub const ARG_POOL_BIT: u32 = 1 << 31;
+
+/// Tag bit of a byte-pc map entry whose pc starts a run.
+const LEADS_RUN: u32 = 1 << 31;
 
 /// One fixed-width register instruction. 24 bytes, immediates pre-decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +200,7 @@ pub(crate) struct Leader {
     /// Register-instruction index.
     pub(crate) idx: u32,
     /// Byte pc of the run's first instruction: where a frame that cannot
-    /// pay demotes to the stack interpreter.
+    /// pay demotes to the byte interpreter.
     pub(crate) pc: u32,
     /// Operand-stack height there (every operand canonical).
     pub(crate) height: u32,
@@ -209,7 +215,8 @@ pub struct RegFunc {
     /// Source byte pc of each instruction (non-decreasing).
     idx_to_pc: Box<[u32]>,
     /// Forward map: byte pc → first instruction at-or-after it
-    /// (`len = body_len + 1`; the sentinel maps to the final return).
+    /// (`len = body_len + 1`; the sentinel maps to the final return),
+    /// tagged with [`LEADS_RUN`] where a run starts.
     pc_to_idx: Box<[u32]>,
     /// `br_table` jump tables, deduplicated within the function.
     tables: Box<[Box<[RTableEntry]>]>,
@@ -221,6 +228,9 @@ pub struct RegFunc {
     slices: Box<[(u32, u32)]>,
     /// Every run's first instruction, by ascending index.
     leaders: Box<[Leader]>,
+    /// Index of the first instruction of the run that ends in the
+    /// implicit return, `u32::MAX` if control never falls off the end.
+    ret_leader: u32,
     /// Registers above the locals: exactly the function's max operand
     /// height, so `num_slots + num_temps` registers address the frame.
     num_temps: u16,
@@ -260,7 +270,25 @@ impl RegFunc {
     /// consumer, which is exactly where a parked frame must resume.
     #[inline]
     pub fn idx_of(&self, pc: usize) -> usize {
-        self.pc_to_idx[pc] as usize
+        (self.pc_to_idx[pc] & !LEADS_RUN) as usize
+    }
+
+    /// The fuel of the run that starts at byte pc `pc`, if one does: a
+    /// byte-interpreter frame arriving there can promote to this form,
+    /// which charges the run at [`RegFunc::idx_of`]`(pc)`.
+    #[inline]
+    pub(crate) fn run_cost_at(&self, pc: usize) -> Option<u32> {
+        let e = self.pc_to_idx[pc];
+        (e & LEADS_RUN != 0).then(|| self.ops[(e & !LEADS_RUN) as usize].cost)
+    }
+
+    /// What a global `Count` probe counts for the run that instruction
+    /// `idx` leads at fuel `cost`: the run's bytecode instructions. The
+    /// implicit return is charged fuel but dispatches no instruction, so
+    /// no global probe fires for it.
+    #[inline]
+    pub(crate) fn counted(&self, idx: usize, cost: u32) -> u32 {
+        cost - u32::from(idx as u32 == self.ret_leader)
     }
 
     /// Registers above the locals (== the function's max operand height).
@@ -569,7 +597,7 @@ fn collect_labels(meta: &FuncMeta, body_len: usize) -> Option<Vec<u32>> {
 }
 
 /// Lowers one function to register form, or `None` if any shape falls
-/// outside the allocator's model (the stack tier then serves it).
+/// outside the allocator's model (the byte interpreter then serves it).
 /// `func_types` spans the module's function index space, `types` is its
 /// type section. `sites` lists the probed instructions as `(pc, slot)`
 /// by ascending pc: each gets an [`R_SITE`] naming its site-table slot.
@@ -968,6 +996,7 @@ pub fn lower_func(
             dead = false;
         }
     }
+    let mut ret_leader = u32::MAX;
     if !dead {
         b.flush(end_pc, b.stack.len());
         if b.stack.len() != nres {
@@ -977,6 +1006,7 @@ pub fn lower_func(
             b.open_run(body_len);
         }
         b.count(1);
+        ret_leader = b.runs.last().map_or(u32::MAX, |(leader, _)| leader.idx);
     }
     b.emit(body_len, RInstr { y: nres as u8, a: b.temp(0), ..RInstr::new(R_RETURN) });
     for &(leader, len) in &b.runs {
@@ -1008,6 +1038,11 @@ pub fn lower_func(
             e.idx = resolve(e.idx);
         }
     }
+    for (leader, _) in &b.runs {
+        let e = &mut pc_to_idx[leader.pc as usize];
+        debug_assert_eq!(*e, leader.idx, "a run's first pc maps to its charge");
+        *e |= LEADS_RUN;
+    }
 
     Some(RegFunc {
         ops: b.ops.into(),
@@ -1018,31 +1053,34 @@ pub fn lower_func(
         args: b.arenas.args.into(),
         slices: b.arenas.slices.into(),
         leaders: b.runs.into_iter().map(|(leader, _)| leader).collect(),
+        ret_leader,
         num_temps,
         num_slots,
     })
 }
 
-/// The bytecode instructions from `pc` to the end of its run, `pc`
-/// included (the implicit return counts one) — what a metered frame that
-/// paid for the run at its leader has not executed yet when it leaves the
-/// register form at `pc`. Cold: decodes the run and re-derives the labels.
-pub(crate) fn run_rest(fa: &FuncArtifact, pc: u32) -> u32 {
+/// What a frame that paid for its run at the leader has not executed yet
+/// when it leaves the register form at `pc`: the bytecode instructions
+/// from `pc` to the end of its run, `pc` included, and whether the run
+/// ends in the implicit return (which fuel charges one more unit for and
+/// global `Count` probes do not count). Cold: decodes the run and
+/// re-derives the labels.
+pub(crate) fn run_rest(fa: &FuncArtifact, pc: u32) -> (u32, bool) {
     let bytes: &[u8] = &fa.bytes;
     let labels = collect_labels(&fa.meta, bytes.len()).unwrap_or_default();
     let is_label = |pc: usize| labels.get(pc).is_some_and(|&h| h != NO_LABEL);
     let (mut pos, mut n) = (pc as usize, 0);
     loop {
         if n > 0 && is_label(pos) {
-            return n;
+            return (n, false);
         }
         if pos >= bytes.len() {
-            return n + 1;
+            return (n, true);
         }
-        let Ok((instr, next)) = decode_at(bytes, pos) else { return n };
+        let Ok((instr, next)) = decode_at(bytes, pos) else { return (n, false) };
         n += 1;
         if ends_run(instr.op) {
-            return n;
+            return (n, false);
         }
         pos = next;
     }

@@ -35,6 +35,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use wizard_wasm::opcodes as op;
+use wizard_wasm::validate::SideEntry;
 
 use crate::artifact::FuncArtifact;
 use crate::monitor::InstrumentationCtx;
@@ -71,30 +72,42 @@ pub(crate) fn ends_run(opcode: u8) -> bool {
 }
 
 impl RunTable {
-    /// Partitions `funcs` (whose instructions `sites` lists in code order).
-    pub(crate) fn build(funcs: &[Arc<FuncArtifact>], sites: Arc<[Location]>) -> RunTable {
+    /// Lists every instruction of `funcs` in code order and partitions
+    /// the list into runs.
+    pub(crate) fn build(funcs: &[Arc<FuncArtifact>]) -> RunTable {
+        let mut sites = Vec::new();
         let mut starts = Vec::new();
-        let mut base = 0;
         for f in funcs {
-            let low = f.lowered();
-            let n = low.len();
-            // One extra flag: branches may target one-past-the-end.
-            let mut leader = vec![false; n + 1];
+            let pcs = f.instr_pcs();
+            // Leaders by byte pc; one extra flag, as branches may target
+            // one-past-the-end.
+            let mut leader = vec![false; f.bytes.len() + 1];
             leader[0] = true;
-            for t in low.targets.iter().chain(low.tables.iter().flat_map(|t| t.iter())) {
-                leader[t.slot as usize] = true;
-            }
-            for slot in 0..n {
-                if ends_run(low.get(slot).op) {
-                    leader[slot + 1] = true;
+            for e in f.meta.side.values() {
+                let targets = match e {
+                    SideEntry::Br(t) | SideEntry::IfFalse(t) | SideEntry::ElseSkip(t) => {
+                        std::slice::from_ref(t)
+                    }
+                    SideEntry::Table(ts) => ts.as_slice(),
+                };
+                for t in targets {
+                    leader[t.target_pc as usize] = true;
                 }
             }
-            starts.extend((0..n).filter(|&s| leader[s]).map(|s| (base + s) as u32));
-            base += n;
+            for w in pcs.windows(2) {
+                if ends_run(f.bytes[w[0] as usize]) {
+                    leader[w[1] as usize] = true;
+                }
+            }
+            for &pc in pcs {
+                if leader[pc as usize] {
+                    starts.push(sites.len() as u32);
+                }
+                sites.push(Location { func: f.func, pc });
+            }
         }
-        debug_assert_eq!(base, sites.len());
-        starts.push(base as u32);
-        RunTable { sites, starts: starts.into() }
+        starts.push(sites.len() as u32);
+        RunTable { sites: sites.into(), starts: starts.into() }
     }
 
     /// Number of runs.

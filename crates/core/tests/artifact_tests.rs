@@ -1,7 +1,7 @@
 //! Shared-artifact acceptance tests: processes instantiated from one
-//! `Arc<ModuleArtifact>` share validated metadata, lowered code and
-//! baseline JIT code — pointer-equality included — while instrumentation
-//! stays strictly per-process via copy-on-write overlays.
+//! `Arc<ModuleArtifact>` share validated metadata, bytecode and register
+//! forms — pointer-equality included — while instrumentation stays
+//! strictly per-process via copy-on-write overlays.
 
 use std::sync::Arc;
 
@@ -47,11 +47,13 @@ fn siblings_share_lowered_code_by_pointer_until_a_probe_lands() {
     assert!(Arc::ptr_eq(p1.artifact(), p2.artifact()));
     let f = p1.module().export_func("sum").unwrap();
 
-    // Both processes run correctly and dispatch from the *same* lowered
-    // op stream — pointer equality, not just value equality.
+    // Both processes run correctly and dispatch from the *same* bytes and
+    // register form — pointer equality, not just value equality.
     assert_eq!(p1.invoke(f, &[Value::I32(10)]).unwrap(), vec![Value::I32(45)]);
     assert_eq!(p2.invoke(f, &[Value::I32(10)]).unwrap(), vec![Value::I32(45)]);
     assert_eq!(p1.code_identity(f).unwrap(), p2.code_identity(f).unwrap());
+    let shared_form = p2.reg_form(f).unwrap().expect("lowers");
+    assert!(Arc::ptr_eq(&p1.reg_form(f).unwrap().unwrap(), &shared_form));
     assert_eq!(p1.resident_overlay_bytes(), 0);
     assert_eq!(p2.resident_overlay_bytes(), 0);
 
@@ -128,7 +130,7 @@ fn baseline_jit_code_is_shared_until_probed_and_after_rejoin() {
     let form = |p: &mut Process| p.reg_form(f).unwrap().expect("lowers");
     assert!(Arc::ptr_eq(&form(&mut p1), &shared) && Arc::ptr_eq(&form(&mut p2), &shared));
     // Only one of the two processes actually lowered; the other shared.
-    assert_eq!(p1.stats().functions_reg_lowered + p2.stats().functions_reg_lowered, 1);
+    assert_eq!(p1.stats().functions_lowered + p2.stats().functions_lowered, 1);
     assert_eq!(p1.stats().compiles + p2.stats().compiles, 0);
 
     // Probing p1 gives *it* a private form with the site, lowered once;
@@ -154,7 +156,7 @@ fn baseline_jit_code_is_shared_until_probed_and_after_rejoin() {
     }
     assert!(Arc::ptr_eq(&form(&mut p1), &shared), "rejoined the shared form");
     assert_eq!(p1.stats().compiles + p2.stats().compiles, 1);
-    assert_eq!(p1.stats().functions_reg_lowered + p2.stats().functions_reg_lowered, 1);
+    assert_eq!(p1.stats().functions_lowered + p2.stats().functions_lowered, 1);
 }
 
 #[test]
@@ -187,7 +189,7 @@ fn artifacts_instantiate_across_threads() {
     }
     // Shared lowering happened exactly once per function no matter how
     // many threads instantiated.
-    assert!(art.funcs().iter().all(|f| f.is_lowered()));
+    assert!(art.funcs().iter().all(|f| f.reg_built().is_some()));
 }
 
 #[test]
@@ -423,23 +425,20 @@ fn chain_module() -> Module {
     mb.build().unwrap()
 }
 
-/// Per function: handles on its bytes, metadata, op stream, targets, tables.
-type ShareCounts = Vec<[usize; 5]>;
+/// Per function: handles on its bytes, metadata and shared register form.
+type ShareCounts = Vec<[usize; 3]>;
 
 /// Handle counts of everything a frame switch used to clone out of the
-/// artifact: per function its bytes, its metadata and — once lowered — the
-/// lowered form's op stream, target array and table array.
+/// artifact: per function its bytes, its metadata and — once built — its
+/// shared register form.
 fn share_counts(art: &ModuleArtifact) -> ShareCounts {
     art.funcs()
         .iter()
         .map(|fa| {
-            let low = fa.is_lowered().then(|| fa.lowered());
             [
                 Arc::strong_count(&fa.bytes),
                 Arc::strong_count(&fa.meta),
-                low.map_or(0, |l| l.share_count()),
-                low.map_or(0, |l| Arc::strong_count(&l.targets)),
-                low.map_or(0, |l| Arc::strong_count(&l.tables)),
+                fa.reg_built().map_or(0, Arc::strong_count),
             ]
         })
         .collect()
@@ -480,9 +479,8 @@ fn frame_switches_hold_no_clone_of_shared_state() {
         let mut p = Process::instantiate(Arc::clone(&art), config, &Linker::new()).unwrap();
         let c = p.module().export_func("c").unwrap();
 
-        // The probe goes in first (validating its location lowers `c`, in
-        // every arm), then a few warm-up runs resolve every function's
-        // views and lower what will be lowered.
+        // The probe goes in first, then a few warm-up runs resolve every
+        // function's views and lower what will be lowered.
         let seen: Rc<RefCell<Vec<(u32, ShareCounts)>>> = Rc::default();
         let (seen2, art2) = (Rc::clone(&seen), Arc::clone(&art));
         p.add_local_probe(

@@ -72,7 +72,7 @@ fn drain(p: &mut Process, fuel: u64) -> (Vec<Value>, u64) {
 
 /// Fuel billing does not depend on the tier: for every slice size, the
 /// register form — paying per run, handing a run it cannot pay for to the
-/// stack interpreter — consumes exactly the fuel of the byte-walking
+/// byte interpreter — consumes exactly the fuel of the byte-walking
 /// reference and suspends at exactly its locations, on the loop kernel and
 /// on every corpus module (calls, `call_indirect`, `br_table`, host
 /// imports, early returns).
@@ -258,9 +258,9 @@ fn resume_across_detach_monitor() {
 }
 
 /// A slice that cannot pay for the next run demotes the frame to the
-/// stack interpreter, which suspends exactly where the reference would;
-/// the resumed slice promotes it back to register form at its next loop
-/// header (a tier-up), with the same result and probe counts as an
+/// byte interpreter, which suspends exactly where the reference would;
+/// the resumed slice promotes it back to register form at its next run
+/// leader (a tier-up), with the same result and probe counts as an
 /// unbounded run.
 #[test]
 fn resume_tiers_up_from_interp_to_jit() {
@@ -291,7 +291,7 @@ fn resume_tiers_up_from_interp_to_jit() {
     assert_eq!(p.stats().tier_ups, 0);
     let (r, _) = drain(&mut p, 50);
     assert_eq!(r, vec![Value::I32(19_900)]);
-    assert!(p.stats().tier_ups > 0, "promoted at loop headers across suspensions");
+    assert!(p.stats().tier_ups > 0, "promoted at run leaders across suspensions");
     assert_eq!(p.stats().compiles, 1, "one instrumented form, lowered once");
     assert_eq!(cell.get(), expected_fires);
 }
@@ -442,7 +442,7 @@ fn zero_fuel_resume_makes_no_progress_but_is_safe() {
 
 /// A bounded run of clean code runs in the register form between
 /// suspensions: each slice that cannot pay for a run demotes the frame
-/// once, and the next slice promotes it back at a loop header; nothing is
+/// once, and the next slice promotes it back at a run leader; nothing is
 /// compiled, because the shared form serves metered runs too.
 #[test]
 fn bounded_run_resumes_in_compiled_code() {

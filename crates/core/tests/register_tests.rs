@@ -54,9 +54,9 @@ fn register_dispatch_computes_and_counts_lowering() {
     let r = p.invoke_export("sum", &[Value::I32(50)]).unwrap();
     assert_eq!(r, vec![Value::I32(1225)]);
     let stats = p.stats();
-    assert_eq!(stats.functions_reg_lowered, 1, "sum lowered to register form");
+    assert_eq!(stats.functions_lowered, 1, "sum lowered to register form");
     assert_eq!(stats.reg_fallbacks, 0);
-    assert_eq!(stats.deopts, 0, "nothing forced the stack tier");
+    assert_eq!(stats.deopts, 0, "nothing forced the byte interpreter");
 }
 
 /// A parameter-less, local-less `() -> ()` function has no registers at
@@ -69,7 +69,7 @@ fn void_function_without_registers_returns() {
     mb.add_func("nop", f);
     let mut p = Process::new(mb.build().unwrap(), register(), &Linker::new()).unwrap();
     assert_eq!(p.invoke_export("nop", &[]).unwrap(), vec![]);
-    assert_eq!(p.stats().functions_reg_lowered, 1, "it ran in the register tier");
+    assert_eq!(p.stats().functions_lowered, 1, "it ran in the register tier");
 }
 
 /// The register form is built per function, on its first activation —
@@ -91,24 +91,24 @@ fn register_form_is_built_per_function_on_first_clean_call() {
         Process::instantiate(std::sync::Arc::clone(&artifact), register(), &Linker::new()).unwrap()
     };
     let mut p = new();
-    assert_eq!(p.stats().functions_reg_lowered, 0, "instantiation builds nothing");
+    assert_eq!(p.stats().functions_lowered, 0, "instantiation builds nothing");
     let out = p.run_export_bounded("inc", &[Value::I32(1)], 1_000).unwrap();
     assert_eq!(out, RunOutcome::Done(vec![Value::I32(2)]));
-    assert_eq!(p.stats().functions_reg_lowered, 1, "metered runs run the register form");
+    assert_eq!(p.stats().functions_lowered, 1, "metered runs run the register form");
     assert_eq!(p.invoke_export("inc", &[Value::I32(2)]).unwrap(), vec![Value::I32(3)]);
     let stats = p.stats();
-    assert_eq!((stats.functions_reg_lowered, stats.reg_fallbacks), (1, 0), "only `inc` is built");
+    assert_eq!((stats.functions_lowered, stats.reg_fallbacks), (1, 0), "only `inc` is built");
     assert!(artifact.funcs()[1].reg_built().is_none(), "`id` was never called");
     let mut q = new();
     assert_eq!(q.invoke_export("inc", &[Value::I32(4)]).unwrap(), vec![Value::I32(5)]);
-    assert_eq!(q.stats().functions_reg_lowered, 0, "the sibling shares the build");
+    assert_eq!(q.stats().functions_lowered, 0, "the sibling shares the build");
 }
 
 /// Fuel exhaustion mid-loop under the default dispatch: the bounded run
 /// suspends and resumes to the same result, and a probe at the loop
 /// header fires exactly as often as in an unbounded run, for every
 /// slice size. (Metered slices pay per run in the register form and
-/// finish a run they cannot pay for in the stack interpreter; the probe
+/// finish a run they cannot pay for in the byte interpreter; the probe
 /// counts prove the switch is invisible.)
 #[test]
 fn bounded_register_run_keeps_probe_counts_exact() {
@@ -279,13 +279,13 @@ fn register_frames_stay_in_the_register_tier() {
     assert_eq!(stats.compiles, 0);
     assert_eq!(stats.tier_ups, 0);
     assert_eq!(stats.deopts, 0);
-    assert_eq!(stats.functions_reg_lowered, 1);
+    assert_eq!(stats.functions_lowered, 1);
 }
 
 /// Metered: fuel-bounded slices run compiled code — the register form,
 /// paying per run — from the artifact's shared form (nothing is lowered
-/// for the process), demote to the stack interpreter where a slice cannot
-/// pay for the next run, and tier back up at the next loop header; the
+/// for the process), demote to the byte interpreter where a slice cannot
+/// pay for the next run, and tier back up at the next run leader; the
 /// sliced run still computes the reference result.
 #[test]
 fn metered_tiered_register_run_compiles() {
@@ -302,15 +302,15 @@ fn metered_tiered_register_run_compiles() {
     assert_eq!(r, expected);
     assert!(slices > 1, "suspension really happened");
     let stats = p.stats();
-    assert_eq!(stats.functions_reg_lowered, 1, "metered register runs reach compiled code");
+    assert_eq!(stats.functions_lowered, 1, "metered register runs reach compiled code");
     assert_eq!(stats.compiles, 0, "the shared form serves metered runs: {stats:?}");
     assert!(stats.tier_ups > 0, "the hot loop tiered back up: {stats:?}");
     assert!(stats.deopts > 0 && stats.deopts <= stats.suspensions, "{stats:?}");
 }
 
-/// A global probe forces global mode: every frame runs the lowered
-/// instrumented interpreter, and removing the probe hands execution back
-/// to the register tier.
+/// A generic global probe forces global mode: every frame runs the byte
+/// interpreter's instrumented table, and removing the probe hands
+/// execution back to the register tier.
 #[test]
 fn global_probe_suppresses_register_tier_then_releases_it() {
     let (m, _) = sum_module();
@@ -326,4 +326,29 @@ fn global_probe_suppresses_register_tier_then_releases_it() {
     let r = p.invoke_export("sum", &[Value::I32(30)]).unwrap();
     assert_eq!(r, vec![Value::I32(435)]);
     assert_eq!(count.get(), fired, "register-tier rerun fires no global probes");
+}
+
+/// A global `CountProbe` alone is no reason to leave the register tier:
+/// frames stay in the register form, which adds each straight-line run to
+/// the count at its first instruction — and reaches exactly the count
+/// byte dispatch bumps instruction by instruction — dispatching nothing
+/// through the runtime.
+#[test]
+fn a_global_count_keeps_the_register_tier() {
+    let (m, _) = sum_module();
+    let count = |config: EngineConfig| {
+        let mut p = Process::new(m.clone(), config, &Linker::new()).unwrap();
+        let probe = CountProbe::new();
+        let cell = probe.cell();
+        p.add_global_probe_val(probe).unwrap();
+        let r = p.invoke_export("sum", &[Value::I32(30)]).unwrap();
+        (r, cell.get(), p.stats())
+    };
+    let (expected, reference, _) = count(EngineConfig::interpreter_bytecode());
+    let (r, n, stats) = count(register());
+    assert_eq!((r, n), (expected, reference));
+    assert!(n > 100, "{n}");
+    assert_eq!((stats.deopts, stats.tier_ups), (0, 0), "never left the register form");
+    assert_eq!((stats.global_fires, stats.probe_fires), (0, 0), "{stats:?}");
+    assert_eq!(stats.functions_lowered, 1);
 }

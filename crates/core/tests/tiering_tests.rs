@@ -1,13 +1,17 @@
-//! Tiering and deoptimization edge cases of the one compiled tier, the
-//! register form: re-lowering after probe churn, parked frames resuming in
-//! a re-lowered form, global probes inserted from inside compiled code,
-//! and the Coverage-style "asymptotically zero overhead" claim.
+//! Tiering and deoptimization edge cases of the engine's two tiers, the
+//! register form and the byte interpreter: re-lowering after probe churn,
+//! parked frames resuming in a re-lowered form, global probes inserted
+//! from inside compiled code, demotion at a run leader a fuel slice
+//! cannot pay for and promotion at the next, and the Coverage-style
+//! "asymptotically zero overhead" claim.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use wizard_engine::store::Linker;
-use wizard_engine::{ClosureProbe, CountProbe, EngineConfig, Process, Value};
+use wizard_engine::{
+    ClosureProbe, CountProbe, EngineConfig, ModuleArtifact, Process, RunOutcome, Tier, Value,
+};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
@@ -93,8 +97,8 @@ fn self_removing_probes_leave_clean_compiled_code() {
 }
 
 /// A global probe inserted from inside a local probe firing in compiled
-/// code pulls the frame back to the stack interpreter mid-loop, and
-/// removal sends it back to compiled code at the next loop header.
+/// code pulls the frame back to the byte interpreter mid-loop, and
+/// removal sends it back to compiled code at the next run leader.
 #[test]
 fn global_probe_inserted_from_jit_probe_deopts_current_frame() {
     let (m, meta) = sum_module();
@@ -198,6 +202,59 @@ fn suspended_caller_frames_deopt_on_return() {
     assert_eq!(headers.get(), 101, "the loop-header count is exact across the re-lowering");
 }
 
+/// A metered frame arriving at a run leader its slice cannot pay for
+/// demotes there; the byte interpreter runs (and charges) that run
+/// instruction by instruction, suspends where the byte-dispatch reference
+/// does, and the frame promotes at the *next* run leader — billed exactly
+/// the reference's fuel throughout.
+#[test]
+fn a_metered_frame_demoted_at_an_unpaid_leader_promotes_at_the_next_leader() {
+    let (m, _) = sum_module();
+    let art = ModuleArtifact::new(m.clone()).unwrap();
+    let runs = art.runs();
+    // Run 0 sets up the loop; run 1 is the loop header's test; run 2 the
+    // body, entered when the test falls through.
+    let (entry, unpaid) = (runs.run(0), runs.run(1));
+    assert!(unpaid.len() >= 2, "{runs:?}");
+    let second = runs.sites()[unpaid.start + 1];
+    let next = runs.leader(2);
+    // The entry run and one instruction more: the frame reaches the
+    // header's run with one unit left.
+    let fuel = entry.len() as u64 + 1;
+
+    let run = |config: EngineConfig| {
+        let mut p = Process::new(m.clone(), config, &Linker::new()).unwrap();
+        let f = p.module().export_func("sum").unwrap();
+        let tiers: Rc<RefCell<Vec<(u32, Tier)>>> = Rc::default();
+        for loc in [second, next] {
+            let t = Rc::clone(&tiers);
+            let probe = ClosureProbe::shared(move |ctx| {
+                t.borrow_mut().push((ctx.location().pc, ctx.frame().tier()));
+            });
+            p.add_local_probe(loc.func, loc.pc, probe).unwrap();
+        }
+        assert_eq!(p.run_bounded(f, &[Value::I32(3)], fuel).unwrap(), RunOutcome::OutOfFuel);
+        let (at, parked) = (p.suspended_at(), p.stats());
+        let out = p.resume(1 << 20).unwrap();
+        let tiers = tiers.borrow().clone();
+        (at, parked, out, p.stats(), tiers)
+    };
+    let reference = run(EngineConfig::interpreter_bytecode());
+    let (at, parked, out, done, tiers) = run(EngineConfig::default());
+    assert_eq!(at, Some(second), "suspended after the unpaid leader's first instruction");
+    assert_eq!(at, reference.0, "where the reference suspends");
+    assert_eq!((parked.deopts, parked.tier_ups), (1, 0), "demoted at the unpaid leader");
+    assert_eq!(parked.fuel_consumed, reference.1.fuel_consumed);
+    assert_eq!(out, RunOutcome::Done(vec![Value::I32(3)]));
+    assert_eq!(out, reference.2);
+    assert_eq!(done.fuel_consumed, reference.3.fuel_consumed, "fuel equal to the reference");
+    assert_eq!((done.deopts, done.tier_ups), (1, 1), "promoted once, and stayed");
+    // The rest of the unpaid run ran in the byte interpreter; the next
+    // leader's probe already fired in the register form.
+    assert_eq!(tiers[..2], [(second.pc, Tier::Interp), (next.pc, Tier::Reg)]);
+    assert!(tiers[2..].iter().all(|&(_, tier)| tier == Tier::Reg), "{tiers:?}");
+}
+
 /// `EngineConfig::interpreter()` — the default under its historical name —
 /// never compiles clean code, no matter how hot it gets: the artifact's
 /// shared register form runs it, and no frame changes tier.
@@ -209,7 +266,7 @@ fn interp_only_mode_never_compiles() {
     p.invoke(f, &[Value::I32(100_000)]).unwrap();
     let stats = p.stats();
     assert_eq!((stats.compiles, stats.tier_ups, stats.deopts), (0, 0, 0), "{stats:?}");
-    assert_eq!(stats.functions_reg_lowered, 1);
+    assert_eq!(stats.functions_lowered, 1);
 }
 
 /// Frame modification during deep recursion affects only the modified

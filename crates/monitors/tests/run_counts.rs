@@ -9,15 +9,22 @@
 //! `CoverageMonitor` — one self-removing probe per run, marking the whole
 //! run — is held to the same oracle under the same schedules: in every
 //! session its covered set is exactly the set of sites the oracle counted.
+//!
+//! Global `CountProbe`s — bumped per run by the register form, per
+//! instruction by the byte interpreter — are held to their own count under
+//! byte dispatch alone, under the same schedules, inserted and removed
+//! while suspended and from inside events.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use wizard_analysis::cfg::Cfg;
 use wizard_engine::store::Linker;
 use wizard_engine::{
-    EngineConfig, Location, ModuleArtifact, Monitor, Process, RunOutcome, Shims, Value,
+    ClosureProbe, CountProbe, EngineConfig, Location, ModuleArtifact, Monitor, ProbeId, Process,
+    RunOutcome, Shims, Value,
 };
 use wizard_monitors::{CoverageMonitor, HotnessMonitor, ProbeMode};
 use wizard_suites::corpus::corpus;
@@ -576,6 +583,183 @@ fn on_unwind_names_the_trapping_instruction() {
         match &expect {
             None => expect = Some(stops),
             Some(e) => assert_eq!(&stops, e, "{name}: same stops as the byte interpreter"),
+        }
+    }
+}
+
+// ---- global `Count` probes ----
+
+/// Each call's outcome, the count after each call, then the final count
+/// of every global `CountProbe` the schedule installed, in insertion order.
+type GlobalCounts = (Vec<String>, Vec<u64>);
+
+/// Installs a fresh global `CountProbe`, keeping its cell.
+fn insert_global_count(p: &mut Process, cells: &mut Vec<Rc<Cell<u64>>>) -> ProbeId {
+    let probe = CountProbe::new();
+    cells.push(probe.cell());
+    p.add_global_probe_val(probe).expect("a global probe always lands")
+}
+
+/// `program` under a global `CountProbe` attached throughout: unbounded
+/// with no `fuel`, else in `fuel` slices — with `swap`, removing it and
+/// inserting a fresh one at every slice boundary, while the run is
+/// suspended mid-run.
+fn global_count_run(
+    program: &Program,
+    config: &EngineConfig,
+    fuel: Option<u64>,
+    swap: bool,
+) -> GlobalCounts {
+    let mut p = program.process(config);
+    let mut cells = Vec::new();
+    let mut id = insert_global_count(&mut p, &mut cells);
+    let (mut results, mut counts) = (Vec::new(), Vec::new());
+    for (f, n) in &program.calls {
+        let args = [Value::I32(*n)];
+        let out = match fuel {
+            None => p.invoke_export(f, &args),
+            Some(fuel) => {
+                let mut out = p.run_export_bounded(f, &args, fuel);
+                while let Ok(RunOutcome::OutOfFuel) = out {
+                    if swap {
+                        p.remove_probe(id).expect("installed");
+                        id = insert_global_count(&mut p, &mut cells);
+                    }
+                    out = p.resume(fuel);
+                }
+                out.map(|o| o.done().expect("not out of fuel"))
+            }
+        };
+        results.push(outcome(out));
+        counts.push(cells.last().expect("one is installed").get());
+    }
+    counts.extend(cells.iter().map(|c| c.get()));
+    (results, counts)
+}
+
+/// Global `CountProbe`s count exactly what they count under byte dispatch
+/// alone — where the instrumented table bumps them instruction by
+/// instruction — on every configuration: the register form adds each
+/// run at its first instruction (less the implicit return, which fires no
+/// global probe), traps and demotions take back what never executed, and
+/// a probe inserted or removed while a run is suspended mid-run counts
+/// from exactly that instruction. Unbounded and at fuel 1, 7, 13 and 101
+/// (scaled as for the run counters), attached throughout and swapped at
+/// every slice boundary; the byte-dispatch count is itself held to the
+/// generic global oracle's total.
+fn global_counts_match_the_byte_interpreter(
+    programs: &[Program],
+    fuels: impl Fn(usize) -> Vec<u64>,
+) {
+    for (k, program) in programs.iter().enumerate() {
+        let expect = global_count_run(program, &oracle_config(), None, false);
+        let oracle = whole_run(program, &oracle_config(), ProbeMode::Global);
+        let executed: u64 = oracle.1.values().sum();
+        assert_eq!(expect.0, oracle.0, "{}: results", program.name);
+        assert_eq!(expect.1.last(), Some(&executed), "{}: vs the generic oracle", program.name);
+        let sites = ModuleArtifact::new(program.module.clone()).expect("validates");
+        let slices = (600_000 / sites.instruction_sites().len() as u64).clamp(100, 3_000);
+        let scale = (executed / slices) | 1;
+        let sliced: Vec<(u64, bool, GlobalCounts)> = fuels(k)
+            .into_iter()
+            .flat_map(|f| [(f * scale, false), (f * scale, true)])
+            .map(|(fuel, swap)| {
+                (fuel, swap, global_count_run(program, &oracle_config(), Some(fuel), swap))
+            })
+            .collect();
+        for (fuel, swap, reference) in &sliced {
+            if !swap {
+                assert_eq!(
+                    *reference, expect,
+                    "{}, fuel {fuel}: slicing is invisible",
+                    program.name
+                );
+            }
+        }
+        for (name, config) in configs() {
+            let got = global_count_run(program, &config, None, false);
+            assert_eq!(got, expect, "{} on {name}: unbounded", program.name);
+            for (fuel, swap, reference) in &sliced {
+                let got = global_count_run(program, &config, Some(*fuel), *swap);
+                let what = format!("{} on {name}, fuel {fuel}, swapped: {swap}", program.name);
+                assert_eq!(got, *reference, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn global_counts_match_the_byte_interpreter_on_the_fixed_programs() {
+    global_counts_match_the_byte_interpreter(&fixed_programs(), |_| vec![1, 7, 13, 101]);
+}
+
+/// The random programs rotate through the four fuels.
+#[test]
+fn global_counts_match_the_byte_interpreter_on_random_programs() {
+    global_counts_match_the_byte_interpreter(&random_programs(), |k| vec![[1, 7, 13, 101][k % 4]]);
+}
+
+/// `program` with a generic probe on every third instruction that inserts
+/// a global `CountProbe` on one fire and removes it on the next — so
+/// counts arrive and leave in the middle of register-form runs, from
+/// inside an event — unbounded with no `fuel`, else in `fuel` slices.
+/// Returns the outcomes and every inserted probe's final count.
+fn toggled_global_count_run(
+    program: &Program,
+    config: &EngineConfig,
+    fuel: Option<u64>,
+) -> (Vec<String>, Vec<u64>) {
+    let mut p = program.process(config);
+    let cells: Rc<RefCell<Vec<Rc<Cell<u64>>>>> = Rc::default();
+    let live: Rc<Cell<Option<ProbeId>>> = Rc::default();
+    let sites = Arc::clone(p.artifact().instruction_sites());
+    for site in sites.iter().skip(1).step_by(3) {
+        let (cells, live) = (Rc::clone(&cells), Rc::clone(&live));
+        let toggle = ClosureProbe::shared(move |ctx| match live.take() {
+            Some(id) => ctx.remove_probe(id),
+            None => {
+                let probe = CountProbe::new();
+                cells.borrow_mut().push(probe.cell());
+                let id = ctx.insert_global_probe(Rc::new(RefCell::new(probe)));
+                live.set(Some(id.expect("a global probe always lands")));
+            }
+        });
+        p.add_local_probe(site.func, site.pc, toggle).expect("an instruction");
+    }
+    let mut results = Vec::new();
+    for (f, n) in &program.calls {
+        let args = [Value::I32(*n)];
+        let out = match fuel {
+            None => p.invoke_export(f, &args),
+            Some(fuel) => {
+                let mut out = p.run_export_bounded(f, &args, fuel);
+                while let Ok(RunOutcome::OutOfFuel) = out {
+                    out = p.resume(fuel);
+                }
+                out.map(|o| o.done().expect("not out of fuel"))
+            }
+        };
+        results.push(outcome(out));
+    }
+    let counts = cells.borrow().iter().map(|c| c.get()).collect();
+    (results, counts)
+}
+
+/// Global counts inserted and removed by probes firing mid-run — in the
+/// register form, at a site after the run was charged to the counts then
+/// installed — still count exactly what byte dispatch counts, unbounded
+/// and in fuel slices (traps included).
+#[test]
+fn global_counts_toggled_mid_run_match_the_byte_interpreter() {
+    let mut programs = fixed_programs();
+    programs.extend(random_programs().into_iter().step_by(5));
+    for program in &programs {
+        for fuel in [None, Some(7), Some(101)] {
+            let expect = toggled_global_count_run(program, &oracle_config(), fuel);
+            for (name, config) in configs() {
+                let got = toggled_global_count_run(program, &config, fuel);
+                assert_eq!(got, expect, "{} on {name}, fuel {fuel:?}", program.name);
+            }
         }
     }
 }

@@ -39,7 +39,7 @@
 //! admitting a module validates and builds its [`ModuleArtifact`]; every
 //! later job — on *any* worker — instantiates from the shared artifact
 //! with [`Process::instantiate`], skipping validation and lowering
-//! entirely, and executing from the very same register and lowered code
+//! entirely, and executing from the very same bytecode and register forms
 //! until its own monitor installs a probe (which
 //! copy-on-writes only the probed functions, invisibly to sibling jobs).
 //! Cache traffic is reported fleet-wide through
@@ -73,12 +73,14 @@
 //!     engine: EngineConfig::builder().fuel_slice(1000).build(),
 //! };
 //! let mut pool = Pool::new(config);
+//! // Each job runs ~42 000 instructions: more than even a worker's 8x
+//! // lone-task slice covers, so every job is preempted.
 //! for k in 0..4 {
-//!     pool.submit(Job::new(format!("job-{k}"), module.clone(), "run", vec![Value::I32(100)]));
+//!     pool.submit(Job::new(format!("job-{k}"), module.clone(), "run", vec![Value::I32(3000)]));
 //! }
 //! let outcome = pool.run();
 //! assert_eq!(outcome.jobs.len(), 4);
-//! assert!(outcome.jobs.iter().all(|j| j.result == Ok(vec![Value::I32(4950)])));
+//! assert!(outcome.jobs.iter().all(|j| j.result == Ok(vec![Value::I32(4_498_500)])));
 //! assert!(outcome.stats.suspensions > 0); // the fleet really was time-sliced
 //! # Ok(())
 //! # }

@@ -41,8 +41,8 @@ const HAND_NONCANON: &[u8] = include_bytes!("corpus/hand_noncanon.wasm");
 const HAND_START_DATA: &[u8] = include_bytes!("corpus/hand_start_data.wasm");
 
 /// Both dispatchers with and without intrinsification, each with the
-/// translation validators armed: instantiation re-checks the lowering of
-/// every function against the bytecode reference semantics, and every
+/// translation validator armed: instantiation re-checks every function's
+/// register form against the bytecode reference semantics, and every
 /// instrumented register form is checked as it is lowered.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut v = vec![

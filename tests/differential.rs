@@ -6,12 +6,12 @@
 //! Every generated module must behave *identically* — results, traps,
 //! monitor reports — across:
 //!
-//! * the default engine (the register form, with the lowered stack
-//!   interpreter for global probes and the runs a fuel slice cannot pay
-//!   for) vs the classic byte-walking dispatcher (the semantic reference);
+//! * the default engine (the register form, with the byte interpreter
+//!   for generic global probes and the runs a fuel slice cannot pay for)
+//!   vs byte dispatch alone (the semantic reference);
 //! * intrinsified vs generic probe sites;
 //! * uninstrumented vs probe-instrumented (hotness counts every
-//!   instruction, exercising probe patches on every lowered slot);
+//!   instruction, exercising probe sites in every run);
 //! * unbounded vs fuel-bounded execution resumed across suspensions.
 //!
 //! Two seed-loop properties ride along: the shared numeric table against
@@ -156,11 +156,12 @@ fn random_programs_shared_artifact_processes_match_owned() {
     }
 }
 
-/// Translation-validator arm: every random module's lowered form is
-/// effect-equivalent to its byte form — checked directly over the
-/// artifact, through the engine-side `validate_lowering(true)` hook, and
-/// again after a full probe insert/remove cycle (instrumentation must
-/// never perturb the canonical lowering).
+/// Translation-validator arm: every random module's register form is
+/// equivalent to its byte form — checked directly over the artifact,
+/// through the engine-side `validate_lowering(true)` hook (which also
+/// checks every instrumented form the engine lowers), and again after a
+/// full probe insert/remove cycle (instrumentation must never perturb the
+/// shared lowering).
 #[test]
 fn random_programs_lowerings_translation_validate() {
     wizard::analysis::install_engine_validator();
@@ -169,13 +170,12 @@ fn random_programs_lowerings_translation_validate() {
     for seed in 0..500u64 {
         let m = random_module(seed + 4000);
         let artifact = ModuleArtifact::new(m).expect("validates");
-        artifact.lower_all();
-        wizard::analysis::validate_lowering(&artifact)
+        wizard::analysis::validate_register_lowering(&artifact)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 
     // Engine-hook arm: instantiate with validation enabled, probe every
-    // instruction, run, detach, and re-validate the shared lowering.
+    // run, execute, detach, and re-validate the shared lowering.
     for seed in 0..40u64 {
         let m = random_module(seed + 4000);
         let artifact = Arc::new(ModuleArtifact::new(m).expect("validates"));
@@ -186,7 +186,7 @@ fn random_programs_lowerings_translation_validate() {
         let mon = p.attach_monitor(HotnessMonitor::new()).expect("attach");
         let _ = p.invoke_export("run", &[Value::I32(5)]);
         p.detach_monitor(mon.handle()).expect("detach");
-        wizard::analysis::validate_lowering(&artifact)
+        wizard::analysis::validate_register_lowering(&artifact)
             .unwrap_or_else(|e| panic!("seed {seed} after probe cycle: {e}"));
     }
 }

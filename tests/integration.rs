@@ -172,8 +172,8 @@ fn binary_roundtrip_preserves_behavior() {
 /// Dynamic tiering on a long run: tier-up happens, results stay identical
 /// to the interpreter, and a global probe mid-flight doesn't discard code.
 /// The tiering run is metered in small slices: a slice that cannot pay for
-/// the next run demotes the frame to the stack interpreter, and the next
-/// slice tiers it back up at a loop header.
+/// the next run demotes the frame to the byte interpreter, and the next
+/// slice tiers it back up at a run leader.
 #[test]
 fn tiering_with_global_probe_round_trip() {
     use wizard::engine::RunOutcome;
