@@ -206,3 +206,126 @@ pub use runs::{RunCounts, RunTable};
 pub use shims::{ShimError, Shims};
 pub use trap::Trap;
 pub use value::{Slot, Value};
+
+/// Tests of the code each function is lowered to — its register form — and
+/// of the byte overlay that probe patching writes beside it.
+#[cfg(test)]
+mod lowered {
+    mod tests {
+        use crate::code::FuncOverlay;
+        use crate::probe::{ProbeRegistry, Site};
+        use crate::regir::*;
+        use crate::{EmptyProbe, EngineConfig, ModuleArtifact, Slot};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use std::sync::Arc;
+        use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
+        use wizard_wasm::opcodes as op;
+        use wizard_wasm::types::ValType::I32;
+
+        fn artifact_for(f: FuncBuilder) -> ModuleArtifact {
+            let mut mb = ModuleBuilder::new();
+            mb.add_func("f", f);
+            ModuleArtifact::new(mb.build().expect("validates")).expect("validates")
+        }
+
+        #[test]
+        fn lowered_is_send_and_sync() {
+            fn assert_send_sync<T: Send + Sync>() {}
+            assert_send_sync::<RegFunc>();
+            assert_send_sync::<Arc<RegFunc>>();
+        }
+
+        /// Const immediates are decoded once, at lowering: the folded
+        /// operand carries the value itself, not a reference to the bytes.
+        #[test]
+        fn immediates_are_predecoded() {
+            let mut f = FuncBuilder::new(&[I32], &[I32]);
+            f.local_get(0).i32_const(-99_999).i32_add();
+            let art = artifact_for(f);
+            let rf = art.reg_func(0).expect("lowers");
+            let add = rf.get(0);
+            assert_eq!((add.op, add.y), (R_BIN_RI, op::I32_ADD), "{:?}", rf.ops());
+            assert_eq!(add.a, 0, "lhs reads local 0");
+            assert_eq!(Slot(add.z).i32(), -99_999);
+
+            let mut g = FuncBuilder::new(&[], &[I32]);
+            g.i32_const(624_485);
+            let art = artifact_for(g);
+            let rf = art.reg_func(0).expect("lowers");
+            let c = rf.ops().iter().find(|ri| ri.op == R_CONST).expect("const materializes");
+            assert_eq!(Slot(c.z).i32(), 624_485);
+        }
+
+        /// Every branch in a loop's register form names an instruction
+        /// index in range, and that index sits on an instruction boundary
+        /// of the bytecode it was lowered from.
+        #[test]
+        fn branch_targets_resolve_to_slots() {
+            let mut f = FuncBuilder::new(&[I32], &[I32]);
+            let i = f.local(I32);
+            f.for_range(i, 0, |f| {
+                f.nop();
+            });
+            f.local_get(i);
+            let art = artifact_for(f);
+            let fa = &art.funcs()[0];
+            let rf = art.reg_func(0).expect("lowers");
+            let mut saw_branch = false;
+            for ri in rf.ops() {
+                if matches!(ri.op, R_BR | R_BR_IF | R_BR_IF_Z | R_CMP_BR | R_CMP_BR_RI) {
+                    let t = ri.x as usize;
+                    assert!(t < rf.len(), "target index in range: {ri:?}");
+                    let pc = rf.pc_of(t);
+                    assert!(
+                        fa.ordinal_of(pc).is_some() || pc as usize == fa.bytes.len(),
+                        "target pc {pc} is an instruction boundary"
+                    );
+                    saw_branch = true;
+                }
+            }
+            assert!(saw_branch, "loop lowering produced branches: {:?}", rf.ops());
+        }
+
+        /// A probe overwrites only the opcode byte of its instruction: the
+        /// immediate after it is intact in the overlay, the register form
+        /// lowered with the site still folds the value, and removing the
+        /// probe restores the byte. The shared bytes never see any of it.
+        #[test]
+        fn probe_patch_roundtrip_preserves_immediates() {
+            let mut f = FuncBuilder::new(&[I32], &[I32]);
+            f.local_get(0).i32_const(7).i32_add();
+            let art = artifact_for(f);
+            let fa = Arc::clone(&art.funcs()[0]);
+            let c = FuncOverlay::new(Arc::clone(&fa));
+            let config = EngineConfig::default();
+            let mut registry = ProbeRegistry::default();
+
+            let slot = 1; // the const
+            let pc = fa.instr_pcs()[slot as usize];
+            let id = registry.fresh_id(Site::Local { func: c.func(), slot });
+            c.add_probe(slot, id, Rc::new(RefCell::new(EmptyProbe)), &config);
+            assert_eq!(c.byte_at(pc as usize), op::PROBE);
+            assert_eq!(c.orig_opcode(pc), op::I32_CONST);
+            assert_eq!(c.bytes_view().read_i32(pc as usize + 1).0, 7, "immediate untouched");
+
+            let sites = c.claim_sites();
+            assert_eq!(sites, [(pc, slot)]);
+            let rf = lower_func(&fa, art.func_types(), &art.module().types, &sites).unwrap();
+            assert!(rf.ops().iter().any(|ri| ri.op == R_SITE), "{:?}", rf.ops());
+            assert!(
+                rf.ops()
+                    .iter()
+                    .any(|ri| matches!(ri.op, R_CONST | R_BIN_RI | R_BIN_IR)
+                        && Slot(ri.z).i32() == 7),
+                "the probed form still carries the immediate: {:?}",
+                rf.ops()
+            );
+
+            c.remove_probe(slot, id, &config).expect("installed");
+            assert!(!c.has_overlay());
+            assert_eq!(c.byte_at(pc as usize), op::I32_CONST);
+            assert_eq!(fa.bytes[pc as usize], op::I32_CONST, "shared bytes never patched");
+        }
+    }
+}
